@@ -22,7 +22,6 @@ from .algebra import (
 from .bicategory import (
     CornerFactorization,
     EquivalenceWitness,
-    corner_embedding,
     equivalence_inverse,
     find_corr_iso,
     gamma_multiplicativity,

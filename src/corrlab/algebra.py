@@ -38,12 +38,6 @@ __all__ = [
     "hom_normal_form",
 ]
 
-# above this coordinate dimension, multiplicativity is checked on the
-# generator identities instead of all basis pairs (equivalent, see
-# _check_generators), purely to keep large compact-operator algebras cheap
-_FULL_CHECK_DIM = 120
-
-
 class FdCstarAlgebra:
     """A direct sum of matrix blocks M_{n_1} (+) ... (+) M_{n_r}."""
 
@@ -207,106 +201,75 @@ class StarHom:
         return f"StarHom({self.src!r} -> {self.dst!r})"
 
 
-def _images_by_dst_block(dst: FdCstarAlgebra, matrix: np.ndarray):
-    """Reshape hom columns into per-dst-block image stacks (dimS, m, m)."""
-    dim_s = matrix.shape[1]
-    out = []
-    for j, m in enumerate(dst.blocks):
-        o = dst.offset(j)
-        out.append(matrix[o : o + m * m, :].T.reshape(dim_s, m, m))
-    return out
-
-
-def _check_star(src, dst, matrix, eps):
+def _star_residual(src, dst, matrix) -> float:
+    """Frobenius norm of phi(x^*) - phi(x)^* over the basis."""
     ps, pd = src.adjoint_perm(), dst.adjoint_perm()
-    lhs = matrix[:, ps]
-    rhs = np.conj(matrix[pd, :])
-    resid = frob(lhs - rhs)
-    if resid > eps:
-        raise NotStarPreserving("map does not commute with the adjoint", resid)
+    return frob(matrix[:, ps] - np.conj(matrix[pd, :]))
 
 
-def _check_mult_full(src, dst, matrix, eps):
-    """phi(e_p) phi(e_q) == phi(e_p e_q) over all basis pairs, chunked."""
-    dim_s = matrix.shape[1]
-    blk = np.empty(dim_s, dtype=np.intp)
-    row = np.empty(dim_s, dtype=np.intp)
-    col = np.empty(dim_s, dtype=np.intp)
-    for p, i, a, c in src.basis_triples():
-        blk[p], row[p], col[p] = i, a, c
-    images = _images_by_dst_block(dst, matrix)
-    worst, worst_pair = 0.0, (0, 0)
-    chunk = max(1, (1 << 21) // max(dim_s, 1))
-    for j, x in enumerate(images):
-        m = dst.blocks[j]
-        if m == 0:
-            continue
-        for lo in range(0, dim_s, chunk):
-            hi = min(dim_s, lo + chunk)
-            prod = np.einsum("puv,qvw->pquw", x[lo:hi], x, optimize=True)
-            same = blk[lo:hi, None] == blk[None, :]
-            match = same & (col[lo:hi, None] == row[None, :])
-            expected = np.zeros_like(prod)
-            pp, qq = np.nonzero(match)
-            if pp.size:
-                tgt_idx = np.empty(pp.size, dtype=np.intp)
-                for t, (p_, q_) in enumerate(zip(pp, qq)):
-                    i = blk[lo + p_]
-                    n = src.blocks[i]
-                    tgt_idx[t] = src.offset(i) + row[lo + p_] * n + col[q_]
-                expected[pp, qq] = x[tgt_idx]
-            diff = np.linalg.norm((prod - expected).reshape(hi - lo, dim_s, -1), axis=2)
-            k = int(np.argmax(diff))
-            r = float(diff.ravel()[k])
-            if r > worst:
-                worst = r
-                worst_pair = (lo + k // dim_s, k % dim_s)
-    if worst > eps:
-        p, q = worst_pair
-        raise NotMultiplicative(
-            f"fails on basis pair ({p}, {q}) = blocks ({blk[p]},{blk[q]})"
-            f" units ({row[p]},{col[p]})x({row[q]},{col[q]})",
-            worst,
-        )
+def _sq_norms(d) -> np.ndarray:
+    """Squared Frobenius norm of each matrix in a stack (k, m, m)."""
+    r = d.reshape(len(d), -1).view(np.float64)
+    return np.einsum("ij,ij->i", r, r)
 
 
-def _check_mult_generators(src, dst, matrix, eps):
-    """Generator form of the multiplicativity check.
+def _mult_residual(src, dst, matrix):
+    """Worst residual of multiplicativity, and where it occurs.
 
-    With v_a := phi(e_{a1}) and w_b := phi(e_{1b}) per block, the identities
-      (1) phi(e_{ab}) = v_a w_b
-      (2) w_b v_c = delta * P   (P := w_1 v_1, per block; zero across blocks)
+    With v_a := phi(e_a0), w_b := phi(e_0b) and P := w_0 v_0 per source block,
+      (1) phi(e_ab) = v_a w_b
+      (2) w_b v_c = delta P   (delta: same block and b = c; zero across blocks)
       (3) v_a P = v_a
-    imply phi(e_ab) phi(e_cd) = delta_{bc} phi(e_ad) on all pairs, so checking
-    them at EPS is the whole quartic check at a quadratic price.
+    hold iff phi(e_ab) phi(e_cd) = delta_bc phi(e_ad) on all basis pairs:
+    (1)-(3) give v_a w_b v_c w_d = delta v_a P w_d = delta v_a w_d, and each
+    of them is an instance of the pair identity.  So the check costs one
+    matmul per source and target block, plus two over all generators, instead
+    of one product per basis pair.  Each residual is a Frobenius norm over
+    all target blocks.  Returns the worst residual and a description of the
+    identity, source block and matrix units where it occurs.
     """
-
-    def img(i, a, b):
-        n = src.blocks[i]
-        return dst.from_vec(matrix[:, src.offset(i) + a * n + b])
-
-    worst = 0.0
-    vs, ws, ps = [], [], []
+    first, v_cols, w_cols = [], [], []
     for i, n in enumerate(src.blocks):
-        vs.append([img(i, a, 0) for a in range(n)])
-        ws.append([img(i, 0, b) for b in range(n)])
-        ps.append(ws[i][0] @ vs[i][0])
-    for i, n in enumerate(src.blocks):
-        for a in range(n):
-            for b in range(n):
-                worst = max(worst, (img(i, a, b) - vs[i][a] @ ws[i][b]).norm())
-        for a in range(n):
-            worst = max(worst, (vs[i][a] @ ps[i] - vs[i][a]).norm())
-    for i, n in enumerate(src.blocks):
-        for i2, n2 in enumerate(src.blocks):
-            for b in range(n):
-                for c in range(n2):
-                    prod = ws[i][b] @ vs[i2][c]
-                    if i == i2 and b == c:
-                        prod = prod - ps[i]
-                    worst = max(worst, prod.norm())
-    if worst > eps:
-        raise NotMultiplicative("fails a generator identity", worst)
+        o = src.offset(i)
+        first.append(len(v_cols))  # generator index of v_0 = w_0
+        v_cols += range(o, o + n * n, n)  # basis index of e_a0
+        w_cols += range(o, o + n)  # basis index of e_0b
+    ngen = len(v_cols)
+    owner = np.repeat(np.arange(src.nblocks), src.blocks)  # source block of each generator
+    diag = np.arange(ngen)
+    sq1, sq2, sq3 = np.zeros(src.dim), np.zeros(ngen * ngen), np.zeros(ngen)
+    for j, m in enumerate(dst.blocks):
+        imgs = matrix[dst.offset(j) : dst.offset(j) + m * m].T.reshape(src.dim, m, m)
+        v, w = imgs[v_cols], imgs[w_cols]
+        for i, n in enumerate(src.blocks):
+            g, o = first[i], src.offset(i)
+            vw = v[g : g + n].reshape(n * m, m) @ w[g : g + n].transpose(1, 0, 2).reshape(m, n * m)
+            d1 = vw.reshape(n, m, n, m).transpose(0, 2, 1, 3)
+            d1 = d1 - imgs[o : o + n * n].reshape(n, n, m, m)
+            sq1[o : o + n * n] += _sq_norms(d1.reshape(n * n, m, m))
+        wv = (w.reshape(ngen * m, m) @ v.transpose(1, 0, 2).reshape(m, ngen * m)).reshape(
+            ngen, m, ngen, m
+        )
+        p = wv[first, :, first, :][owner]
+        wv[diag, :, diag, :] -= p
+        sq2 += _sq_norms(wv.transpose(0, 2, 1, 3).reshape(ngen * ngen, m, m))
+        sq3 += _sq_norms(v @ p - v)
+    k1, k2, k3 = int(sq1.argmax()), int(sq2.argmax()), int(sq3.argmax())
+    worst = max(sq1[k1], sq2[k2], sq3[k3])
+    if worst == sq1[k1]:
+        i = int(np.searchsorted(src._offsets, k1, side="right")) - 1
+        a, b = divmod(k1 - src.offset(i), src.blocks[i])
+        where = f"phi(e_ab) = v_a w_b in source block {i}, units (a, b) = ({a}, {b})"
+    elif worst == sq2[k2]:
+        b, c = divmod(k2, ngen)
+        where = (
+            f"w_b v_c = delta P for source blocks ({owner[b]}, {owner[c]}),"
+            f" units (b, c) = ({b - first[owner[b]]}, {c - first[owner[c]]})"
+        )
+    else:
+        i = owner[k3]
+        where = f"v_a P = v_a in source block {i}, unit a = {k3 - first[i]}"
+    return float(np.sqrt(worst)), where
 
 
 def _mult_matrix(src, dst, matrix, eps) -> np.ndarray:
@@ -335,11 +298,12 @@ def make_star_hom(src, dst, matrix, *, eps: float = EPS, validate: bool = True) 
     matrix = matrix.copy()
     matrix.setflags(write=False)
     if validate:
-        _check_star(src, dst, matrix, eps)
-        if src.dim <= _FULL_CHECK_DIM:
-            _check_mult_full(src, dst, matrix, eps)
-        else:
-            _check_mult_generators(src, dst, matrix, eps)
+        resid = _star_residual(src, dst, matrix)
+        if resid > eps:
+            raise NotStarPreserving("map does not commute with the adjoint", resid)
+        resid, where = _mult_residual(src, dst, matrix)
+        if resid > eps:
+            raise NotMultiplicative(f"fails {where}", resid)
     mm = _mult_matrix(src, dst, matrix, eps)
     one = dst.from_vec(matrix @ src.identity().to_vec())
     unital = one.is_close(dst.identity(), eps)
@@ -364,28 +328,13 @@ def compose_homs(psi: StarHom, phi: StarHom, *, eps: float = EPS) -> StarHom:
 def is_full_hom(phi: StarHom, *, eps: float = EPS) -> bool:
     """True iff span{ b phi(1) b' } = dst.
 
-    Computed blockwise by the rank of the literal span for small blocks; for
-    blocks above size 6 the span {e_ab p e_cd} = {p[b,c] e_ad} factorizes, so
-    the rank is m^2 exactly when the block of phi(1) is nonzero.
+    In dst block j the family {e_ab p e_cd} = {p[b,c] e_ad} (p := phi(1)_j)
+    has, as a matrix over the m^2 coordinates, orthogonal columns of equal
+    norm ||p||_F, so its span is the whole block exactly when ||p||_F > eps:
+    the rank test at eps * max(sigma_max, 1) reduces to that norm test.
     """
     p = phi.apply(phi.src.identity())
-    for j, m in enumerate(phi.dst.blocks):
-        pj = p.mats[j]
-        if m <= 6:
-            vecs = []
-            for a in range(m):
-                for b in range(m):
-                    for c in range(m):
-                        for d in range(m):
-                            x = np.zeros((m, m), dtype=complex)
-                            x[a, d] = pj[b, c]
-                            vecs.append(x.ravel())
-            if matrix_rank_tol(np.array(vecs), eps) < m * m:
-                return False
-        else:
-            if frob(pj) <= eps:
-                return False
-    return True
+    return all(frob(pj) > eps for pj in p.mats)
 
 
 @dataclass(frozen=True)

@@ -21,15 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (
-    AlgElement,
-    CornerPresentation,
-    FdCstarAlgebra,
-    StarHom,
-    compose_homs,
-    corner_algebra,
-    make_star_hom,
-)
+from .algebra import FdCstarAlgebra, StarHom, compose_homs, make_star_hom
 from .errors import EndpointMismatch, InvalidAlgebra, NotAnEquivalence
 from .linalg import EPS, fix_phase, frob, orthonormal_range
 from .modules import (
@@ -49,8 +41,6 @@ __all__ = [
     "gamma_of_hom",
     "gamma_isometries",
     "gamma_multiplicativity",
-    "corner_embedding",
-    "left_action_hom",
     "CornerFactorization",
     "u_of_corr",
     "EquivalenceWitness",
@@ -86,14 +76,6 @@ def gamma_of_hom(phi: StarHom, *, eps: float = EPS) -> Correspondence:
         cols.append(y.to_vec())
     lam = make_star_hom(phi.src, module.compacts, np.array(cols).T, eps=eps, validate=False)
     return Correspondence(phi.src, module, lam)
-
-
-def left_action_hom(corr: Correspondence) -> StarHom:
-    return corr.lam
-
-
-def corner_embedding(p: AlgElement, b: FdCstarAlgebra, *, eps: float = EPS) -> CornerPresentation:
-    return corner_algebra(p, b, eps=eps)
 
 
 def gamma_multiplicativity(

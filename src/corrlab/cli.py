@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from .acceptance import SUITES, _iso_residuals, report_json, run_suite
-from .algebra import make_star_hom
+from .algebra import _mult_residual, _star_residual, make_star_hom
 from .bicategory import equivalence_inverse, gamma_of_hom
 from .errors import (
     CorrLabError,
@@ -34,7 +34,6 @@ from .generators import (
     random_simplex,
     random_unital_hom,
 )
-from .linalg import frob
 from .modules import (
     CorrIso,
     Correspondence,
@@ -82,20 +81,9 @@ def _line(label: str, ok: bool, residual=None) -> bool:
 
 
 def _hom_checks(phi: StarHom, eps: float) -> bool:
-    m = phi.matrix
-    ps = phi.src.adjoint_perm()
-    pd = phi.dst.adjoint_perm()
-    r_star = frob(m[:, ps] - m.conj()[pd, :])
+    r_star = _star_residual(phi.src, phi.dst, phi.matrix)
     ok = _line("star-preserving", r_star <= eps, r_star)
-    r_mult = 0.0
-    for p, i, a, b in phi.src.basis_triples():
-        x = phi.src.matrix_unit(i, a, b)
-        fx = phi.apply(x)
-        for q, i2, c, d in phi.src.basis_triples():
-            y = phi.src.matrix_unit(i2, c, d)
-            lhs = phi.apply(x @ y)
-            rhs = fx @ phi.apply(y)
-            r_mult = max(r_mult, (lhs - rhs).norm())
+    r_mult, _ = _mult_residual(phi.src, phi.dst, phi.matrix)
     ok = _line("multiplicative", r_mult <= eps, r_mult) and ok
     print(f"unital: {phi.unital}")
     return ok

@@ -749,6 +749,8 @@ def extend_bar_G(
     """
     if memo is None:
         memo = {}
+    # ids are safe keys: each memo value's builder holds F and D, so neither
+    # can be collected (and its id reused) while its entry exists
     key = ("g" if guided else "p", id(F), id(D), structural_hash(sigma))
     hit = memo.get(key)
     if hit is not None:

@@ -29,7 +29,6 @@ __all__ = [
     "embedding_hom",
     "random_unital_hom",
     "random_chain",
-    "random_projection",
     "random_correspondence",
     "random_equivalence",
     "random_simplex",
@@ -122,19 +121,6 @@ def random_chain(rng, length: int, max_blocks: int = 2, max_size: int = 2, max_m
         chain.append(f)
         a = f.dst
     return chain
-
-
-def random_projection(b: FdCstarAlgebra, rng, full: bool = True) -> AlgElement:
-    """A random projection, by default with support in every block."""
-    mats = []
-    for n in b.blocks:
-        lo = 1 if full else 0
-        r = int(rng.integers(lo, n + 1))
-        d = np.zeros(n)
-        d[:r] = 1.0
-        u = random_unitary(n, rng)
-        mats.append(u @ np.diag(d).astype(complex) @ u.conj().T)
-    return AlgElement(b, mats)
 
 
 def random_correspondence(

@@ -32,7 +32,7 @@ from .errors import (
     NotUnitary,
     ShapeMismatch,
 )
-from .linalg import EPS, frob, gram_onb, matrix_rank_tol
+from .linalg import EPS, frob, gram_onb
 
 __all__ = [
     "HilbertModule",
@@ -120,15 +120,6 @@ class HilbertModule:
             o = self._offsets[k]
             mats.append(v[o : o + m * n].reshape(m, n).copy())
         return ModElement(self, mats)
-
-    def basis_coords(self):
-        """Yield (flat, block, row, col) over the coordinate basis."""
-        p = 0
-        for k, (m, n) in enumerate(zip(self.mult, self.base.blocks)):
-            for r in range(m):
-                for c in range(n):
-                    yield p, k, r, c
-                    p += 1
 
 
 def make_module(base: FdCstarAlgebra, mult) -> HilbertModule:
@@ -301,30 +292,15 @@ def corr_close(c1: Correspondence, c2: Correspondence, eps: float = EPS) -> bool
 
 
 def is_full_corr(corr: Correspondence, *, eps: float = EPS) -> bool:
-    """True iff span{ <x, y> } = dst, by per-block span rank.
+    """True iff span{ <x, y> } = dst.
 
-    Literal rank of the family { <e_ra, e_sb> } for small blocks; above size
-    6 the family factors as { delta_rs e_ab }, so the span is the whole block
-    exactly when the multiplicity is nonzero.
+    In base block k the family { <e_ra, e_sb> } = { delta_rs e_ab }, as a
+    matrix over the n_k^2 coordinates, has orthogonal columns of equal norm
+    sqrt(m_k), so its rank test at eps * max(sigma_max, 1) passes exactly
+    when the multiplicity m_k is nonzero.  The test is exact, so ``eps``
+    has no effect.
     """
-    for k, (m, n) in enumerate(zip(corr.module.mult, corr.dst.blocks)):
-        if n <= 6:
-            vecs = []
-            for r in range(m):
-                for a in range(n):
-                    for s in range(m):
-                        for b in range(n):
-                            g = np.zeros((n, n), dtype=complex)
-                            if r == s:
-                                g[a, b] = 1.0
-                            vecs.append(g.ravel())
-            rk = matrix_rank_tol(np.array(vecs), eps) if vecs else 0
-            if rk < n * n:
-                return False
-        else:
-            if m == 0:
-                return False
-    return True
+    return all(m > 0 for m in corr.module.mult)
 
 
 class CorrIso:

@@ -114,9 +114,6 @@ class NCorrSimplex:
     def edge(self, i: int, j: int) -> Correspondence:
         return self.edges[(i, j)]
 
-    def cell(self, i: int, j: int, k: int) -> CorrIso:
-        return self.cells[(i, j, k)]
-
     def tp(self, i: int, j: int, k: int) -> TensorProduct:
         """Cached E_ij (x) E_jk."""
         key = (i, j, k)
@@ -448,19 +445,6 @@ def _merge_face_data(n: int, faces: dict, eps: float = EPS, prefer=None):
     return algebras, edges, cells
 
 
-def _assemble(algebras, edges, cells, eps, validate):
-    n = len(algebras) - 1
-    full_edges = dict(edges)
-    for i in range(n + 1):
-        full_edges.setdefault((i, i), identity_corr(algebras[i]))
-    full_cells = dict(cells)
-    _materialize_unit_cells(full_edges, full_cells, n, eps)
-    s = NCorrSimplex(algebras, full_edges, full_cells)
-    if validate:
-        validate_simplex(s, eps=eps)
-    return s
-
-
 def fill_inner_horn(horn: HornSpec, *, eps: float = EPS, validate: bool = True) -> NCorrSimplex:
     """Fill L^n_k for 0 < k < n, n in {2, 3, 4}.
 
@@ -475,12 +459,12 @@ def fill_inner_horn(horn: HornSpec, *, eps: float = EPS, validate: bool = True) 
         t = tensor_corrs(edges[(0, 1)], edges[(1, 2)], eps=eps)
         edges[(0, 2)] = t.corr
         cells[(0, 1, 2)] = identity_iso(t.corr)
-        return _assemble(algebras, edges, cells, eps, validate)
+        return make_simplex(algebras, edges, cells, eps=eps, validate=validate)
     if n == 3:
         cells[_missing_triple(k)] = _solve_pentagon(edges, cells, k, eps)
-        return _assemble(algebras, edges, cells, eps, validate)
+        return make_simplex(algebras, edges, cells, eps=eps, validate=validate)
     if n == 4:
-        return _assemble(algebras, edges, cells, eps, validate)
+        return make_simplex(algebras, edges, cells, eps=eps, validate=validate)
     raise Unfillable(f"horn dimension {n} not supported")
 
 
@@ -497,7 +481,7 @@ def fill_special_outer_horn(
         raise Unfillable(f"L^{n}_{k} is not a special outer horn")
     algebras, edges, cells = _merge_face_data(horn.n, horn.faces, eps)
     if n == 4:
-        return _assemble(algebras, edges, cells, eps, validate)
+        return make_simplex(algebras, edges, cells, eps=eps, validate=validate)
     last = edges[(n - 1, n)]
     if witness is None or not corr_close(witness.corr, last, eps):
         witness = equivalence_inverse(last, eps=eps)
@@ -516,10 +500,10 @@ def fill_special_outer_horn(
         )
         u = compose_isos(right_unitor(t_unit, eps=eps), compose_isos(mid, ass))
         cells[(0, 1, 2)] = u
-        return _assemble(algebras, edges, cells, eps, validate)
+        return make_simplex(algebras, edges, cells, eps=eps, validate=validate)
     if n == 3:
         cells[(0, 1, 2)] = _solve_pentagon(edges, cells, 3, eps)
-        return _assemble(algebras, edges, cells, eps, validate)
+        return make_simplex(algebras, edges, cells, eps=eps, validate=validate)
     raise Unfillable(f"horn dimension {n} not supported")
 
 
@@ -543,7 +527,7 @@ def assemble_boundary(
     if n < 3:
         raise Unfillable("a boundary below dimension 3 does not determine the simplex")
     algebras, edges, cells = _merge_face_data(n, faces, eps, prefer)
-    return _assemble(algebras, edges, cells, eps, validate)
+    return make_simplex(algebras, edges, cells, eps=eps, validate=validate)
 
 
 def _missing_triple(k: int):

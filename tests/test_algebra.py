@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corrlab.algebra import (
     EPS,
+    _mult_residual,
     corner_algebra,
     compose_homs,
     hom_normal_form,
@@ -20,6 +23,7 @@ from corrlab.errors import (
     NotProjection,
     NotStarPreserving,
     ShapeMismatch,
+    ValidationError,
 )
 from corrlab.generators import (
     embedding_hom,
@@ -125,12 +129,109 @@ def test_identity_and_composition():
         compose_homs(phi, psi)
 
 
+def all_pairs_residual(src, dst, matrix):
+    """The definition: max over basis pairs of ||phi(e_p) phi(e_q) - phi(e_p e_q)||_F."""
+    units = [src.matrix_unit(i, a, c) for _, i, a, c in src.basis_triples()]
+    images = [dst.from_vec(matrix @ x.to_vec()) for x in units]
+    worst = 0.0
+    for x, fx in zip(units, images):
+        for y, fy in zip(units, images):
+            fxy = dst.from_vec(matrix @ (x @ y).to_vec())
+            worst = max(worst, (fx @ fy - fxy).norm())
+    return worst
+
+
+def star_reference_residual(src, dst, matrix):
+    """The definition: max over basis elements of ||phi(e_p^*) - phi(e_p)^*||_F."""
+    worst = 0.0
+    for _, i, a, c in src.basis_triples():
+        x = src.matrix_unit(i, a, c)
+        fx = dst.from_vec(matrix @ x.to_vec())
+        fxs = dst.from_vec(matrix @ x.adjoint().to_vec())
+        worst = max(worst, (fxs - fx.adjoint()).norm())
+    return worst
+
+
+@st.composite
+def homs(draw):
+    """A valid hom, random or a padded multiplicity embedding.
+
+    Source dimension stays <= 48: the all-pairs reference is quartic in it.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    src = make_algebra(draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)))
+    if draw(st.booleans()):
+        return random_unital_hom(src, rng)
+    nd = draw(st.integers(1, 2))
+    row = st.lists(st.integers(0, 2), min_size=nd, max_size=nd)
+    mult = np.array(draw(st.lists(row, min_size=src.nblocks, max_size=src.nblocks)))
+    sizes = mult.T @ np.array(src.blocks) + np.array(draw(row))
+    return embedding_hom(src, make_algebra(np.maximum(sizes, 1)), mult, rng)
+
+
+CORRUPTIONS = ["none", "entry moved by 1e-6", "scaled by 1 + 1e-7", "columns swapped", "doubled"]
+
+
+@settings(max_examples=40)
+@given(phi=homs(), kind=st.sampled_from(CORRUPTIONS), data=st.data())
+def test_mult_check_agrees_with_all_pairs_definition(phi, kind, data):
+    src, dst = phi.src, phi.dst
+    m = phi.matrix.copy()
+    if kind == "entry moved by 1e-6":
+        m[data.draw(st.integers(0, dst.dim - 1)), data.draw(st.integers(0, src.dim - 1))] += 1e-6
+    elif kind == "scaled by 1 + 1e-7":
+        m *= 1 + 1e-7
+    elif kind == "columns swapped":
+        p = data.draw(st.integers(0, src.dim - 1))
+        q = (p + data.draw(st.integers(1, max(src.dim - 1, 1)))) % src.dim
+        m[:, [p, q]] = m[:, [q, p]]
+    elif kind == "doubled":
+        m *= 2.0
+    mult_ok = all_pairs_residual(src, dst, m) <= EPS
+    assert (_mult_residual(src, dst, m)[0] <= EPS) == mult_ok
+    star_ok = star_reference_residual(src, dst, m) <= EPS
+    try:
+        make_star_hom(src, dst, m)
+        accepted = True
+    except ValidationError:
+        accepted = False
+    assert accepted == (mult_ok and star_ok)
+    assert accepted or kind != "none"
+
+
+def test_mult_residual_names_the_failing_units():
+    phi = embedding_hom(make_algebra((1, 3)), make_algebra((4,)), np.array([[1], [1]]))
+    m = phi.matrix.copy()
+    m[0, 1 + 1 * 3 + 2] += 1e-6  # column of e_12 in source block 1
+    resid, where = _mult_residual(phi.src, phi.dst, m)
+    assert resid > EPS
+    assert where == "phi(e_ab) = v_a w_b in source block 1, units (a, b) = (1, 2)"
+
+
+def test_corrupted_hom_above_dim_120_is_rejected():
+    rng = np.random.default_rng(5)
+    phi = random_unital_hom(make_algebra((11, 3)), rng, max_blocks=1, max_mult=1)
+    assert phi.src.dim == 130
+    make_star_hom(phi.src, phi.dst, phi.matrix)
+    with pytest.raises(NotMultiplicative, match="source block"):
+        make_star_hom(phi.src, phi.dst, phi.matrix * (1 + 1e-7))
+
+
 def test_is_full_hom():
     rng = np.random.default_rng(2)
     a = make_algebra((2,))
     assert is_full_hom(random_unital_hom(a, rng))
     partial = embedding_hom(a, make_algebra((2, 2)), np.array([[1, 0]]), rng)
     assert not is_full_hom(partial)
+    # phi(1) = scale * e_00 in a block of size m, on both sides of m = 6
+    src = make_algebra((1,))
+    for m in (6, 7):
+        dst = make_algebra((m,))
+        for scale, full in ((1.0, True), (1e-8, True), (1e-10, False), (0.0, False)):
+            p = dst.zero()
+            p.mats[0][0, 0] = scale
+            phi = make_star_hom(src, dst, p.to_vec()[:, None], validate=False)
+            assert is_full_hom(phi) == full, (m, scale)
 
 
 def test_corner_of_identity_is_everything():

@@ -1,5 +1,8 @@
 """Extending stable functors over subdivision chains and prisms."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -132,6 +135,22 @@ def test_extension_memoised_across_calls():
     assert first is again
     fresh = extend_bar_G(s, F, D, {})
     assert fresh is not first and fresh.top() == first.top()
+
+
+def test_extension_memo_keeps_its_functor_alive():
+    # the memo is keyed on id(F); that id cannot be reused while an entry
+    # holds F, because the entry's builder refers to it
+    rng = np.random.default_rng(7)
+    s = random_simplex(rng, 1, max_blocks=2, max_size=2, max_mult=1)
+    F, memo = k0_functor(), {}
+    ref = weakref.ref(F)
+    extend_bar_G(s, F, K0Oracle(), memo)
+    del F
+    gc.collect()
+    assert ref() is not None
+    memo.clear()
+    gc.collect()
+    assert ref() is None
 
 
 def test_extension_dimension_cap():

@@ -136,6 +136,12 @@ def test_corr_missing_a_block_is_not_full():
     m = make_module(b, (max(c.module.mult[0], 1), 0))
     lam = make_star_hom(src, m.compacts, c.lam.matrix[: m.compacts.dim], validate=False)
     assert not is_full_corr(Correspondence(src, m, lam))
+    # block sizes on both sides of 6: full exactly when no multiplicity is zero
+    b = make_algebra((6, 7))
+    for mult, full in (((1, 1), True), ((2, 1), True), ((1, 0), False), ((0, 1), False)):
+        m = make_module(b, mult)
+        lam = make_star_hom(src, m.compacts, m.compacts.identity().to_vec()[:, None])
+        assert is_full_corr(Correspondence(src, m, lam)) == full, mult
 
 
 def balanced_quotient_dim(e_corr, f_corr, k):

@@ -9,6 +9,7 @@ import json
 import numpy as np
 import pytest
 
+from corrlab.algebra import make_star_hom
 from corrlab.cli import main
 from corrlab.errors import ParseError, SchemaError
 from corrlab.generators import (
@@ -147,10 +148,25 @@ def test_cli_make_hom_and_gamma(tmp_path, capsys):
     cpath = str(tmp_path / "c.json")
     assert main(["make", "algebra", "--blocks", "2", "--out", apath]) == 0
     assert main(["make", "hom", "--src", apath, "--out", hpath]) == 0
+    capsys.readouterr()
     assert main(["validate", hpath]) == 0
+    out = capsys.readouterr().out
+    assert "star-preserving: ok (residual" in out
+    assert "multiplicative: ok (residual" in out
+    assert "unital: True" in out
     assert main(["gamma", "--hom", hpath, "--out", cpath]) == 0
     assert main(["validate", cpath]) == 0
     capsys.readouterr()
+
+
+def test_cli_validate_flags_non_multiplicative_hom(tmp_path, capsys):
+    phi = random_unital_hom(random_algebra(np.random.default_rng(3)), np.random.default_rng(4))
+    path = tmp_path / "doubled.json"
+    dump_value(make_star_hom(phi.src, phi.dst, 2.0 * phi.matrix, validate=False), path)
+    assert main(["validate", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert "star-preserving: ok" in out
+    assert "multiplicative: FAIL (residual" in out
 
 
 def test_cli_simplex_dimension_cap(tmp_path, capsys):
