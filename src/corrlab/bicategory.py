@@ -21,13 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import FdCstarAlgebra, StarHom, compose_homs, make_star_hom
+from .algebra import FdCstarAlgebra, StarHom, compose_homs, identity_hom
 from .errors import EndpointMismatch, InvalidAlgebra, NotAnEquivalence
 from .linalg import EPS, fix_phase, frob, orthonormal_range
 from .modules import (
     CorrIso,
     Correspondence,
-    HilbertModule,
     ModElement,
     TensorProduct,
     identity_corr,
@@ -74,7 +73,7 @@ def gamma_of_hom(phi: StarHom, *, eps: float = EPS) -> Correspondence:
         for t, j in enumerate(module.kept):
             y.mats[t][:, :] = vs[j].conj().T @ img.mats[j] @ vs[j]
         cols.append(y.to_vec())
-    lam = make_star_hom(phi.src, module.compacts, np.array(cols).T, eps=eps, validate=False)
+    lam = StarHom(phi.src, module.compacts, np.array(cols).T)
     return Correspondence(phi.src, module, lam)
 
 
@@ -91,7 +90,7 @@ def gamma_multiplicativity(
     if phi.dst != psi.src:
         raise EndpointMismatch("homs are not composable")
     if comp is None:
-        comp = compose_homs(psi, phi, eps=eps)
+        comp = compose_homs(psi, phi)
     elif comp.src != phi.src or comp.dst != psi.dst:
         raise EndpointMismatch("comp does not have the composite endpoints")
     if target is None:
@@ -152,7 +151,7 @@ def u_of_corr(corr: Correspondence, *, eps: float = EPS) -> CornerFactorization:
                 m = e_mod.mult[k]
                 y.mats[t][:m, :m] = lam_img.mats[pos]
         j_cols.append(y.to_vec())
-    j_hom = make_star_hom(a, linking, np.array(j_cols).T, eps=eps, validate=False)
+    j_hom = StarHom(a, linking, np.array(j_cols).T)
 
     i_cols = []
     for p, k, r, c2 in b.basis_triples():
@@ -161,10 +160,10 @@ def u_of_corr(corr: Correspondence, *, eps: float = EPS) -> CornerFactorization:
         m = e_mod.mult[k]
         y.mats[t][m + r, m + c2] = 1.0
         i_cols.append(y.to_vec())
-    i_hom = make_star_hom(b, linking, np.array(i_cols).T, eps=eps, validate=False)
+    i_hom = StarHom(b, linking, np.array(i_cols).T)
 
     gamma_j = gamma_of_hom(j_hom, eps=eps)
-    x_corr = Correspondence(linking, sum_mod, _identity_action(sum_mod))
+    x_corr = Correspondence(linking, sum_mod, identity_hom(linking))
     tp = tensor_corrs(gamma_j, x_corr, eps=eps)
 
     def action(k, a2, w: ModElement) -> ModElement:
@@ -174,13 +173,6 @@ def u_of_corr(corr: Correspondence, *, eps: float = EPS) -> CornerFactorization:
 
     iso = iso_from_action(tp, corr, action, eps=eps)
     return CornerFactorization(linking, j_hom, i_hom, gamma_j, x_corr, tp, iso)
-
-
-def _identity_action(module: HilbertModule) -> StarHom:
-    kg = module.compacts
-    eye = np.eye(kg.dim, dtype=complex)
-    eye.setflags(write=False)
-    return StarHom(kg, kg, eye, np.eye(kg.nblocks, dtype=np.int64), True)
 
 
 @dataclass(frozen=True)
@@ -259,7 +251,7 @@ def equivalence_inverse(corr: Correspondence, *, eps: float = EPS) -> Equivalenc
             if block_map[i] == k:
                 y.mats[inv_mod.compact_pos(i)][r, c2] = 1.0
         inv_cols.append(y.to_vec())
-    inv_lam = make_star_hom(b, inv_mod.compacts, np.array(inv_cols).T, eps=eps, validate=False)
+    inv_lam = StarHom(b, inv_mod.compacts, np.array(inv_cols).T)
     if not inv_lam.unital:
         raise NotAnEquivalence("correspondence is not full")
     inverse = Correspondence(b, inv_mod, inv_lam)

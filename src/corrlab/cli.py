@@ -43,7 +43,6 @@ from .modules import (
     iso_distance,
     left_unitor,
     right_unitor,
-    make_correspondence,
 )
 from .algebra import FdCstarAlgebra, StarHom, make_algebra
 from .nerve import HornSpec, NCorrSimplex, pentagon_residual, fill_inner_horn, fill_special_outer_horn

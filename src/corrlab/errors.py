@@ -1,9 +1,17 @@
 """Exception types raised by corrlab validators and constructors.
 
-Every constructor in this package validates its output and raises one of
-these on failure; nothing is ever returned un-checked.  Validation errors
-carry the offending residual where one exists, so callers (and the CLI
-``validate`` command) can report how badly an invariant failed.
+Validation happens at one boundary, where data enters from outside: the
+public ``make_*`` constructors (``make_star_hom``, ``make_correspondence``,
+``make_iso``, ``make_simplex``), the ``CorrIso`` constructor, and JSON parse
+with ``validate=True``.  They raise one of these on failure.  Canonical
+constructions from valid inputs are certified by construction and not
+re-checked: the ``StarHom`` built by ``identity_hom``, ``compose_homs``,
+``gamma_of_hom``, ``u_of_corr``, ``equivalence_inverse``,
+``direct_sum_corrs``, tensor products, corner inclusions and subdivision
+connecting homs, and the adjoints and composites of valid intertwiners.
+Validation errors carry the offending residual where one exists, so
+callers (and the CLI ``validate`` command) can report how badly an
+invariant failed.
 """
 from __future__ import annotations
 

@@ -290,9 +290,8 @@ class NCorrOracle(QCOracle):
 
     max_fill_dim = 4
 
-    def __init__(self, *, eps: float = EPS, validate: bool = True):
+    def __init__(self, *, eps: float = EPS):
         self.eps = eps
-        self.validate = validate
 
     def face(self, s, i: int):
         return nerve.face(s, i)
@@ -307,15 +306,13 @@ class NCorrOracle(QCOracle):
         return is_equivalence(edge.edge(0, 1), eps=self.eps)
 
     def fill_inner_horn(self, horn: HornSpec):
-        return nerve.fill_inner_horn(horn, eps=self.eps, validate=self.validate)
+        return nerve.fill_inner_horn(horn, eps=self.eps)
 
     def fill_special_outer_horn(self, horn: HornSpec, certificate=None):
-        return nerve.fill_special_outer_horn(
-            horn, witness=certificate, eps=self.eps, validate=self.validate
-        )
+        return nerve.fill_special_outer_horn(horn, witness=certificate, eps=self.eps)
 
     def fill_boundary(self, faces: dict):
-        return nerve.assemble_boundary(faces, eps=self.eps, validate=self.validate)
+        return nerve.assemble_boundary(faces, eps=self.eps)
 
     def guided_fill(self, horn: HornSpec, certificate=None, preferred_face=None):
         """Land the missing face on the supplied simplex when it fits.
@@ -346,14 +343,11 @@ class NCorrOracle(QCOracle):
                     {(0, 1): e01, (0, 2): e02, (1, 2): e12},
                     {(0, 1, 2): u},
                     eps=self.eps,
-                    validate=self.validate,
                 )
             if horn.n in (3, 4):
                 faces = dict(horn.faces)
                 faces[horn.k] = preferred_face
-                return nerve.assemble_boundary(
-                    faces, eps=self.eps, validate=self.validate, prefer=horn.k
-                )
+                return nerve.assemble_boundary(faces, eps=self.eps, prefer=horn.k)
         except ValidationError:
             return None
         return None
@@ -444,7 +438,7 @@ def gamma_functor(arrows=(), *, eps: float = EPS) -> CstFunctor:
     level = {1: homs}
     for length in (2, 3):
         level[length] = [
-            compose_homs(f, g, eps=eps)
+            compose_homs(f, g)
             for g in level[length - 1]
             for f in homs
             if f.src == g.dst
@@ -528,7 +522,7 @@ class _Builder:
         self.eps = eps
         self.full = tuple(range(sigma.n + 1))
         self.full_set = set(self.full)
-        self.sd = subdivision_functor(sigma, eps=eps, validate=False, check=True)
+        self.sd = subdivision_functor(sigma, eps=eps, check=True)
         self.vals = {}
         self.assigned = {}
         self.gcache = {}

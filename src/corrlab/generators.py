@@ -135,7 +135,7 @@ def random_correspondence(
     module = make_module(dst, q)
     kept = [k for k in range(dst.nblocks) if q[k] > 0]
     lam = embedding_hom(src, module.compacts, m[:, kept], rng)
-    return make_correspondence(src, module, lam.matrix)
+    return Correspondence(src, module, lam)
 
 
 def random_equivalence(dst: FdCstarAlgebra, rng) -> Correspondence:
@@ -149,7 +149,7 @@ def random_equivalence(dst: FdCstarAlgebra, rng) -> Correspondence:
     for i in range(nb):
         m[i, int(perm[i])] = 1
     lam = embedding_hom(src, module.compacts, m, rng)
-    return make_correspondence(src, module, lam.matrix)
+    return Correspondence(src, module, lam)
 
 
 def random_simplex(rng, n: int, twist: bool = False, **chain_kw) -> NCorrSimplex:

@@ -16,7 +16,6 @@ EPS = 1e-9
 __all__ = [
     "EPS",
     "frob",
-    "matrix_rank_tol",
     "orthonormal_range",
     "gram_onb",
     "fix_phase",
@@ -30,16 +29,6 @@ def frob(a) -> float:
     if a.size == 0:
         return 0.0
     return float(np.linalg.norm(a.ravel()))
-
-
-def matrix_rank_tol(a, eps: float = EPS) -> int:
-    """Rank via singular values, threshold eps * max(sigma_max, 1)."""
-    a = np.asarray(a, dtype=complex)
-    if a.size == 0:
-        return 0
-    s = np.linalg.svd(a, compute_uv=False)
-    thr = eps * max(float(s[0]) if s.size else 0.0, 1.0)
-    return int(np.sum(s > thr))
 
 
 def orthonormal_range(a, eps: float = EPS) -> np.ndarray:

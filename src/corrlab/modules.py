@@ -239,14 +239,9 @@ class Correspondence:
 
 
 def make_correspondence(
-    src: FdCstarAlgebra,
-    module: HilbertModule,
-    lam_matrix,
-    *,
-    eps: float = EPS,
-    validate: bool = True,
+    src: FdCstarAlgebra, module: HilbertModule, lam_matrix, *, eps: float = EPS
 ) -> Correspondence:
-    lam = make_star_hom(src, module.compacts, lam_matrix, eps=eps, validate=validate)
+    lam = make_star_hom(src, module.compacts, lam_matrix, eps=eps)
     return Correspondence(src, module, lam)
 
 
@@ -277,7 +272,7 @@ def direct_sum_corrs(corrs):
                 m = c.module.mult[k]
                 out[pos_sum][o : o + m, o : o + m] += v.mats[c.module.compact_pos(k)]
         cols.append(np.concatenate([x.ravel() for x in out]))
-    lam = make_star_hom(first.src, kg, np.array(cols).T, validate=False)
+    lam = StarHom(first.src, kg, np.array(cols).T)
     return Correspondence(first.src, module, lam), starts
 
 
@@ -489,8 +484,8 @@ class TensorProduct:
         """lambda_G = (multiplicity embedding K(E) -> K(G)) . lambda_E.
 
         The embedding places T in K(E) block j as blockwise T (x) I_{r_jk};
-        it is an exact 0/1 isometric unital *-hom, so the composite needs no
-        numerical re-validation.
+        it is an exact 0/1 isometric unital *-hom, so the composite is a
+        *-hom whenever lambda_E is and needs no re-validation.
         """
         e_mod = self.left.module
         ke, kg = e_mod.compacts, module.compacts
@@ -509,18 +504,11 @@ class TensorProduct:
                 for t in range(rjk):
                     rows.append(base + (o + a * rjk + t) * size + (o + a2 * rjk + t))
                     cols.append(p)
-        iota_mult = np.zeros((ke.nblocks, kg.nblocks), dtype=np.int64)
-        for jp, j in enumerate(e_mod.kept):
-            for kp, k in enumerate(module.kept):
-                iota_mult[jp, kp] = self.r[j, k]
         lam_e = self.left.lam
         matrix = np.zeros((kg.dim, lam_e.matrix.shape[1]), dtype=complex)
         if rows:
             matrix[np.asarray(rows, dtype=np.intp)] = lam_e.matrix[np.asarray(cols, dtype=np.intp)]
-        matrix.setflags(write=False)
-        return StarHom(
-            self.left.src, kg, matrix, lam_e.mult_matrix @ iota_mult, lam_e.unital
-        )
+        return StarHom(self.left.src, kg, matrix)
 
     def row_start(self, k: int, j: int, a: int) -> int:
         """First block-k row of group (j, a)."""

@@ -352,7 +352,7 @@ def gamma_simplex(phis, *, eps: float = EPS, validate: bool = True, composites=N
                 comp[(i, j)] = given
             else:
                 comp[(i, j)] = (
-                    phis[i] if j == i + 1 else compose_homs(phis[j - 1], comp[(i, j - 1)], eps=eps)
+                    phis[i] if j == i + 1 else compose_homs(phis[j - 1], comp[(i, j - 1)])
                 )
     edges = {}
     for i in range(n + 1):
@@ -445,7 +445,7 @@ def _merge_face_data(n: int, faces: dict, eps: float = EPS, prefer=None):
     return algebras, edges, cells
 
 
-def fill_inner_horn(horn: HornSpec, *, eps: float = EPS, validate: bool = True) -> NCorrSimplex:
+def fill_inner_horn(horn: HornSpec, *, eps: float = EPS) -> NCorrSimplex:
     """Fill L^n_k for 0 < k < n, n in {2, 3, 4}.
 
     n=2 composes the edges, n=3 solves the pentagon for the missing
@@ -459,18 +459,16 @@ def fill_inner_horn(horn: HornSpec, *, eps: float = EPS, validate: bool = True) 
         t = tensor_corrs(edges[(0, 1)], edges[(1, 2)], eps=eps)
         edges[(0, 2)] = t.corr
         cells[(0, 1, 2)] = identity_iso(t.corr)
-        return make_simplex(algebras, edges, cells, eps=eps, validate=validate)
+        return make_simplex(algebras, edges, cells, eps=eps)
     if n == 3:
         cells[_missing_triple(k)] = _solve_pentagon(edges, cells, k, eps)
-        return make_simplex(algebras, edges, cells, eps=eps, validate=validate)
+        return make_simplex(algebras, edges, cells, eps=eps)
     if n == 4:
-        return make_simplex(algebras, edges, cells, eps=eps, validate=validate)
+        return make_simplex(algebras, edges, cells, eps=eps)
     raise Unfillable(f"horn dimension {n} not supported")
 
 
-def fill_special_outer_horn(
-    horn: HornSpec, witness=None, *, eps: float = EPS, validate: bool = True
-) -> NCorrSimplex:
+def fill_special_outer_horn(horn: HornSpec, witness=None, *, eps: float = EPS) -> NCorrSimplex:
     """Fill L^n_n whose last edge is an equivalence, n in {2, 3, 4}.
 
     ``witness`` may carry the equivalence data of E_{n-1,n}; it is computed
@@ -481,7 +479,7 @@ def fill_special_outer_horn(
         raise Unfillable(f"L^{n}_{k} is not a special outer horn")
     algebras, edges, cells = _merge_face_data(horn.n, horn.faces, eps)
     if n == 4:
-        return make_simplex(algebras, edges, cells, eps=eps, validate=validate)
+        return make_simplex(algebras, edges, cells, eps=eps)
     last = edges[(n - 1, n)]
     if witness is None or not corr_close(witness.corr, last, eps):
         witness = equivalence_inverse(last, eps=eps)
@@ -500,16 +498,14 @@ def fill_special_outer_horn(
         )
         u = compose_isos(right_unitor(t_unit, eps=eps), compose_isos(mid, ass))
         cells[(0, 1, 2)] = u
-        return make_simplex(algebras, edges, cells, eps=eps, validate=validate)
+        return make_simplex(algebras, edges, cells, eps=eps)
     if n == 3:
         cells[(0, 1, 2)] = _solve_pentagon(edges, cells, 3, eps)
-        return make_simplex(algebras, edges, cells, eps=eps, validate=validate)
+        return make_simplex(algebras, edges, cells, eps=eps)
     raise Unfillable(f"horn dimension {n} not supported")
 
 
-def assemble_boundary(
-    faces: dict, *, eps: float = EPS, validate: bool = True, prefer=None
-) -> NCorrSimplex:
+def assemble_boundary(faces: dict, *, eps: float = EPS, prefer=None) -> NCorrSimplex:
     """Rebuild an n-simplex from all n+1 of its faces.
 
     From dimension 3 up every edge and cell lives on some face, so the
@@ -527,7 +523,7 @@ def assemble_boundary(
     if n < 3:
         raise Unfillable("a boundary below dimension 3 does not determine the simplex")
     algebras, edges, cells = _merge_face_data(n, faces, eps, prefer)
-    return make_simplex(algebras, edges, cells, eps=eps, validate=validate)
+    return make_simplex(algebras, edges, cells, eps=eps)
 
 
 def _missing_triple(k: int):

@@ -20,9 +20,12 @@ edges, i < j < k cells); identity edges, unit cells and the tensor-product
 presentations are recomputed on parse, which is safe because those
 constructions are deterministic.
 
-Malformed JSON raises ParseError; structurally wrong documents raise
-SchemaError naming the offending location.  Numeric validation is left to
-the ordinary constructors.
+Malformed JSON raises ParseError; structurally wrong documents, and
+numbers that are not finite (NaN, Infinity, integers too large for a
+float), raise SchemaError naming the offending location.  Numeric
+validation is left to the ordinary constructors; with ``validate=False``
+values are built unchecked, for a caller that checks every invariant
+itself (``corrlab validate``).
 """
 from __future__ import annotations
 
@@ -95,7 +98,13 @@ def matrix_from_json(data, shape, where="matrix") -> np.ndarray:
             or not all(isinstance(x, (int, float)) for x in entry)
         ):
             raise SchemaError(f"{where}[{p}]: expected an [re, im] pair")
-        out[p] = complex(entry[0], entry[1])
+        try:
+            out[p] = complex(entry[0], entry[1])
+        except OverflowError:
+            raise SchemaError(f"{where}[{p}]: number too large for a float") from None
+    bad = np.flatnonzero(~np.isfinite(out))
+    if bad.size:
+        raise SchemaError(f"{where}[{bad[0]}]: expected finite numbers, got {data[bad[0]]}")
     return out.reshape(rows, cols)
 
 
@@ -125,7 +134,7 @@ def hom_from_json(doc, *, eps: float = EPS, validate: bool = True, where="star_h
     src = algebra_from_json(_need(doc, "src", where), f"{where}.src")
     dst = algebra_from_json(_need(doc, "dst", where), f"{where}.dst")
     m = matrix_from_json(_need(doc, "matrix", where), (dst.dim, src.dim), f"{where}.matrix")
-    return make_star_hom(src, dst, m, eps=eps, validate=validate)
+    return make_star_hom(src, dst, m, eps=eps) if validate else StarHom(src, dst, m)
 
 
 def module_to_json(mod: HilbertModule) -> dict:
@@ -168,7 +177,9 @@ def corr_from_json(doc, *, eps: float = EPS, validate: bool = True, where="corre
         (module.compacts.dim, src.dim),
         f"{where}.left_action.matrix",
     )
-    return make_correspondence(src, module, m, eps=eps, validate=validate)
+    if validate:
+        return make_correspondence(src, module, m, eps=eps)
+    return Correspondence(src, module, StarHom(src, module.compacts, m))
 
 
 def iso_to_json(u: CorrIso) -> dict:

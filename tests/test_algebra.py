@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from corrlab.algebra import (
     EPS,
+    StarHom,
     _mult_residual,
     corner_algebra,
     compose_homs,
@@ -230,7 +231,7 @@ def test_is_full_hom():
         for scale, full in ((1.0, True), (1e-8, True), (1e-10, False), (0.0, False)):
             p = dst.zero()
             p.mats[0][0, 0] = scale
-            phi = make_star_hom(src, dst, p.to_vec()[:, None], validate=False)
+            phi = StarHom(src, dst, p.to_vec()[:, None])
             assert is_full_hom(phi) == full, (m, scale)
 
 
@@ -305,3 +306,31 @@ def test_hom_normal_form_pads_nonunital():
     got = w.conj().T @ phi(x).mats[0] @ w
     assert frob(got[:2, :2] - x.mats[0]) < 1e-9
     assert frob(got[2:, :]) < 1e-9 and frob(got[:, 2:]) < 1e-9
+
+
+def rank_multiplicities(phi):
+    """Reference: r_ij = rank(phi(1_i) in dst block j) / n_i, by SVD."""
+    src, dst = phi.src, phi.dst
+    r = np.zeros((src.nblocks, dst.nblocks), dtype=np.int64)
+    for i, n in enumerate(src.blocks):
+        img = phi(src.block_unit(i))
+        for j in range(dst.nblocks):
+            r[i, j] = np.linalg.matrix_rank(img.mats[j], tol=1e-7) // n
+    return r
+
+
+@settings(max_examples=60)
+@given(phi=homs())
+def test_trace_multiplicities_agree_with_ranks(phi):
+    assert np.array_equal(phi.mult_matrix, rank_multiplicities(phi))
+    one = phi(phi.src.identity())
+    assert phi.unital == one.is_close(phi.dst.identity(), EPS)
+
+
+def test_make_star_hom_rejects_non_finite_entries():
+    phi = random_unital_hom(make_algebra((2, 1)), np.random.default_rng(8))
+    for bad in (np.nan, np.inf):
+        m = phi.matrix.copy()
+        m[0, 0] = bad
+        with pytest.raises(NotStarPreserving), np.errstate(invalid="ignore"):
+            make_star_hom(phi.src, phi.dst, m)

@@ -1,0 +1,51 @@
+"""The library API the benchmark in ``perfbench/`` calls.
+
+The benchmark treats corrlab as a black box, so a rename or a dropped
+keyword breaks it only when it runs.  This test runs its blockscale n = 2
+step through the benchmark's own code, with its span tracer installed, and
+checks the result against the recorded reference.  It reads ``perfbench/``
+and never edits it; a subprocess keeps the tracer's rebinding of corrlab
+names out of the test session.
+"""
+
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+SCRIPT = """
+import spans, workloads
+
+tracer = spans.install()  # resolves every name in spans.FUNCTIONS
+bench = workloads.Blockscale()
+state = bench.setup(42, 1, None)
+label, work, judge = next(bench.steps(state, 0))
+assert label == "n2", label
+tracer.enabled = True
+sd = work()
+tracer.enabled = False
+[(_, ok)] = judge(sd, 0.0)
+assert ok, "blockscale n = 2 disagrees with perfbench/blockscale_reference.json"
+calls = tracer.layer_metrics()
+assert calls["subdivision.subdivision_functor.calls"] == 1, calls
+assert calls["nerve.validate_simplex.calls"] == 1, calls
+print("contract ok")
+"""
+
+
+def test_blockscale_step_matches_reference():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", SCRIPT],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "contract ok"

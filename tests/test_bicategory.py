@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 
 from corrlab.acceptance import _iso_residuals, k0_of_corr
-from corrlab.algebra import compose_homs, identity_hom, is_full_hom, make_algebra
+from corrlab.algebra import (
+    compose_homs,
+    corner_algebra,
+    identity_hom,
+    is_full_hom,
+    make_algebra,
+    make_star_hom,
+)
 from corrlab.bicategory import (
     equivalence_inverse,
     find_corr_iso,
@@ -22,10 +29,12 @@ from corrlab.generators import (
     random_chain,
     random_correspondence,
     random_equivalence,
+    random_simplex,
     random_unital_hom,
 )
 from corrlab.linalg import int_inverse
-from corrlab.modules import corr_close, identity_corr, tensor_corrs
+from corrlab.modules import corr_close, direct_sum_corrs, identity_corr, tensor_corrs
+from corrlab.subdivision import subdivision_functor
 
 
 def test_gamma_of_identity_is_the_identity_corr():
@@ -136,3 +145,34 @@ def test_find_corr_iso():
     assert w is not None and max(_iso_residuals(w)) < 1e-9
     other = random_correspondence(make_algebra((3,)), b, rng)
     assert find_corr_iso(e, other) is None
+
+
+def assert_certified(h):
+    """The validating constructor accepts h and derives the same data."""
+    checked = make_star_hom(h.src, h.dst, h.matrix)
+    assert np.array_equal(checked.mult_matrix, h.mult_matrix)
+    assert checked.unital == h.unital
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_certified_constructions_pass_validation(seed):
+    rng = np.random.default_rng(seed + 40)
+    phi, psi = random_chain(rng, 2, max_blocks=2, max_size=2, max_mult=2)
+    assert_certified(identity_hom(phi.src))
+    assert_certified(compose_homs(psi, phi))
+    assert_certified(gamma_of_hom(phi).lam)
+    corr = random_correspondence(phi.src, phi.dst, rng)
+    fact = u_of_corr(corr)
+    assert_certified(fact.j_hom)
+    assert_certified(fact.i_hom)
+    assert_certified(fact.tp.corr.lam)
+    assert_certified(tensor_corrs(gamma_of_hom(phi), gamma_of_hom(psi)).corr.lam)
+    assert_certified(direct_sum_corrs([corr, corr])[0].lam)
+    e = random_equivalence(random_algebra(rng, max_blocks=2, max_size=2), rng)
+    assert_certified(equivalence_inverse(e).inverse.lam)
+    p = phi.dst.zero()
+    p.mats[0][0, 0] = 1.0
+    assert_certified(corner_algebra(p, phi.dst).inclusion)
+    sd = subdivision_functor(random_simplex(rng, 2, twist=bool(seed % 2), max_mult=1))
+    for h in sd.homs.values():
+        assert_certified(h)

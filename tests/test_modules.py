@@ -8,7 +8,7 @@ relations x.b (x) y - x (x) b.y, computed by brute-force rank.
 import numpy as np
 import pytest
 
-from corrlab.algebra import make_algebra, make_star_hom
+from corrlab.algebra import StarHom, make_algebra, make_star_hom
 from corrlab.errors import (
     EndpointMismatch,
     InvalidAlgebra,
@@ -134,7 +134,7 @@ def test_corr_missing_a_block_is_not_full():
     src = make_algebra((1,))
     c = random_correspondence(src, b, rng)
     m = make_module(b, (max(c.module.mult[0], 1), 0))
-    lam = make_star_hom(src, m.compacts, c.lam.matrix[: m.compacts.dim], validate=False)
+    lam = StarHom(src, m.compacts, c.lam.matrix[: m.compacts.dim])
     assert not is_full_corr(Correspondence(src, m, lam))
     # block sizes on both sides of 6: full exactly when no multiplicity is zero
     b = make_algebra((6, 7))

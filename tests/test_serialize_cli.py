@@ -9,7 +9,7 @@ import json
 import numpy as np
 import pytest
 
-from corrlab.algebra import make_star_hom
+from corrlab.algebra import StarHom
 from corrlab.cli import main
 from corrlab.errors import ParseError, SchemaError
 from corrlab.generators import (
@@ -33,7 +33,7 @@ from corrlab.nerve import (
     structural_hash,
     validate_simplex,
 )
-from corrlab.serialize import dump_value, load_value
+from corrlab.serialize import dump_value, hom_to_json, load_value
 
 
 # ---------------------------------------------------------------------------
@@ -162,11 +162,24 @@ def test_cli_make_hom_and_gamma(tmp_path, capsys):
 def test_cli_validate_flags_non_multiplicative_hom(tmp_path, capsys):
     phi = random_unital_hom(random_algebra(np.random.default_rng(3)), np.random.default_rng(4))
     path = tmp_path / "doubled.json"
-    dump_value(make_star_hom(phi.src, phi.dst, 2.0 * phi.matrix, validate=False), path)
+    dump_value(StarHom(phi.src, phi.dst, 2.0 * phi.matrix), path)
     assert main(["validate", str(path)]) == 1
     out = capsys.readouterr().out
     assert "star-preserving: ok" in out
     assert "multiplicative: FAIL (residual" in out
+
+
+@pytest.mark.parametrize("entry", [float("nan"), float("inf"), 10**400], ids=["NaN", "Infinity", "1e400"])
+@pytest.mark.parametrize("command", ["validate", "gamma"])
+def test_cli_rejects_non_finite_numbers(tmp_path, capsys, entry, command):
+    phi = random_unital_hom(random_algebra(np.random.default_rng(3)), np.random.default_rng(4))
+    doc = hom_to_json(phi)
+    doc["matrix"][0][0] = entry  # json writes NaN, Infinity and all 401 digits
+    path = tmp_path / "hom.json"
+    path.write_text(json.dumps(doc))
+    argv = ["validate", str(path)] if command == "validate" else ["gamma", "--hom", str(path)]
+    assert main(argv) == 2
+    assert "star_hom.matrix[0]" in capsys.readouterr().err
 
 
 def test_cli_simplex_dimension_cap(tmp_path, capsys):

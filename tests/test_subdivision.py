@@ -9,9 +9,11 @@ import itertools
 import numpy as np
 import pytest
 
-from corrlab.algebra import compose_homs
+from corrlab import subdivision
+from corrlab.algebra import StarHom, compose_homs
 from corrlab.errors import (
     DimensionTooLarge,
+    FunctorialityViolated,
     IndexOutOfRange,
     NotMonotone,
     NotNested,
@@ -218,10 +220,11 @@ def test_connecting_hom_identity_and_composition():
     assert frob(compose_homs(f12, f01).matrix - f02.matrix) < 1e-9
 
 
-@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("seed", range(6))
 def test_subdivision_functor_triples(seed):
     rng = np.random.default_rng(seed + 20)
-    s = random_simplex(rng, 2, twist=bool(seed % 2), max_mult=1)
+    n, n_nested, n_strict = (2, 37, 6) if seed < 4 else (3, 175, 60)
+    s = random_simplex(rng, n, twist=bool(seed % 2), max_mult=1)
     sd = subdivision_functor(s, check=False)
     nested = [
         (a, b, c)
@@ -231,14 +234,38 @@ def test_subdivision_functor_triples(seed):
         for c in sd.subsets
         if set(b) <= set(c)
     ]
-    # brute-force triple census over the subsets of [2]
-    assert len(nested) == 37
-    assert sum(1 for a, b, c in nested if set(a) < set(b) < set(c)) == 6
+    # brute-force triple census over the subsets of [n]
+    assert len(nested) == n_nested
+    assert sum(1 for a, b, c in nested if set(a) < set(b) < set(c)) == n_strict
     worst = 0.0
     for a, b, c in nested:
         lhs = compose_homs(sd.hom(b, c), sd.hom(a, b))
-        worst = max(worst, frob(lhs.matrix - sd.hom(a, c).matrix))
+        resid = frob(lhs.matrix - sd.hom(a, c).matrix)
+        if a == b or b == c:
+            # an identity factor: exactly zero, which is why the check skips it
+            assert resid == 0.0, (a, b, c)
+        else:
+            worst = max(worst, resid)
     assert worst < 1e-9
+
+
+@pytest.mark.parametrize("pair", [((0,), (0, 1)), ((0, 1), (0, 1, 2)), ((0,), (0, 1, 2))])
+def test_subdivision_check_rejects_a_corrupted_hom(monkeypatch, pair):
+    """Moving one entry of one connecting hom by 1e-6 breaks a strict triple."""
+    s = random_simplex(np.random.default_rng(21), 2, max_mult=1)
+    connecting = subdivision._connecting
+
+    def corrupted(sigma, data_s, data_t):
+        f = connecting(sigma, data_s, data_t)
+        if (data_s.subset, data_t.subset) != pair:
+            return f
+        m = f.matrix.copy()
+        m[np.unravel_index(np.argmax(np.abs(m)), m.shape)] += 1e-6
+        return StarHom(f.src, f.dst, m)
+
+    monkeypatch.setattr(subdivision, "_connecting", corrupted)
+    with pytest.raises(FunctorialityViolated):
+        subdivision_functor(s, check=True)
 
 
 def test_subdivision_functor_self_check_passes():
