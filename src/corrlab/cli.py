@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from .acceptance import SUITES, _iso_residuals, report_json, run_suite
-from .algebra import _mult_residual, _star_residual, make_star_hom
+from .algebra import FdCstarAlgebra, StarHom, _mult_residual, _star_residual, make_algebra, make_star_hom
 from .bicategory import equivalence_inverse, gamma_of_hom
 from .errors import (
     CorrLabError,
@@ -34,18 +34,8 @@ from .generators import (
     random_simplex,
     random_unital_hom,
 )
-from .modules import (
-    CorrIso,
-    Correspondence,
-    HilbertModule,
-    identity_corr,
-    corr_close,
-    iso_distance,
-    left_unitor,
-    right_unitor,
-)
-from .algebra import FdCstarAlgebra, StarHom, make_algebra
-from .nerve import HornSpec, NCorrSimplex, pentagon_residual, fill_inner_horn, fill_special_outer_horn
+from .modules import CorrIso, Correspondence, HilbertModule
+from .nerve import HornSpec, NCorrSimplex, _simplex_residuals, fill_inner_horn, fill_special_outer_horn
 from .serialize import (
     corr_to_json,
     hom_to_json,
@@ -106,23 +96,10 @@ def _iso_checks(u: CorrIso, eps: float) -> bool:
 
 
 def _simplex_checks(s: NCorrSimplex, eps: float) -> bool:
-    n = s.n
-    r_unit = 0.0
-    for i in range(n + 1):
-        if not corr_close(s.edges[(i, i)], identity_corr(s.algebras[i]), eps):
-            return _line("identity edges", False)
-        for k in range(i, n + 1):
-            r_unit = max(r_unit, iso_distance(s.cells[(i, i, k)], left_unitor(s.tp(i, i, k), eps=eps)))
-            r_unit = max(r_unit, iso_distance(s.cells[(i, k, k)], right_unitor(s.tp(i, k, k), eps=eps)))
+    r_unit, _, worst, where = _simplex_residuals(s, eps)
+    if r_unit == float("inf"):
+        return _line("identity edges", False)
     ok = _line("unit cells", r_unit <= eps, r_unit)
-    worst, where = 0.0, None
-    for i in range(n + 1):
-        for j in range(i, n + 1):
-            for k in range(j, n + 1):
-                for l in range(k, n + 1):
-                    r = pentagon_residual(s, i, j, k, l)
-                    if r > worst:
-                        worst, where = r, (i, j, k, l)
     if worst > eps:
         print(f"pentagon: FAIL at {where} (residual {worst:.3e})")
         return False

@@ -8,7 +8,8 @@ constructions from valid inputs are certified by construction and not
 re-checked: the ``StarHom`` built by ``identity_hom``, ``compose_homs``,
 ``gamma_of_hom``, ``u_of_corr``, ``equivalence_inverse``,
 ``direct_sum_corrs``, tensor products, corner inclusions and subdivision
-connecting homs, and the adjoints and composites of valid intertwiners.
+connecting homs, and the intertwiners built by ``identity_iso`` and the
+adjoints and composites of valid intertwiners.
 Validation errors carry the offending residual where one exists, so
 callers (and the CLI ``validate`` command) can report how badly an
 invariant failed.

@@ -148,14 +148,6 @@ class ModElement:
     def __add__(self, other):
         return ModElement(self.module, [a + b for a, b in zip(self.mats, other.mats)])
 
-    def __sub__(self, other):
-        return ModElement(self.module, [a - b for a, b in zip(self.mats, other.mats)])
-
-    def __mul__(self, scalar):
-        return ModElement(self.module, [scalar * x for x in self.mats])
-
-    __rmul__ = __mul__
-
     def right_mul(self, b: AlgElement) -> "ModElement":
         if b.algebra != self.module.base:
             raise BaseMismatch("element does not live in the base algebra")
@@ -356,8 +348,9 @@ class CorrIso:
 
     @classmethod
     def _trusted(cls, src, dst, blocks):
-        """Skip validation; only for adjoints and composites of valid isos,
-        whose residuals are the originals' up to rounding."""
+        """Skip validation; only for identities, whose residuals are exactly
+        0, and adjoints and composites of valid isos, whose residuals are
+        the originals' up to rounding."""
         out = cls.__new__(cls)
         out.src, out.dst, out.blocks = src, dst, tuple(blocks)
         return out

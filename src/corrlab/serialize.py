@@ -20,12 +20,12 @@ edges, i < j < k cells); identity edges, unit cells and the tensor-product
 presentations are recomputed on parse, which is safe because those
 constructions are deterministic.
 
-Malformed JSON raises ParseError; structurally wrong documents, and
-numbers that are not finite (NaN, Infinity, integers too large for a
-float), raise SchemaError naming the offending location.  Numeric
-validation is left to the ordinary constructors; with ``validate=False``
-values are built unchecked, for a caller that checks every invariant
-itself (``corrlab validate``).
+Malformed JSON raises ParseError; structurally wrong documents, numbers
+that are not finite (NaN, Infinity, integers too large for a float), and
+``true`` / ``false`` where a number is expected, raise SchemaError naming
+the offending location.  Numeric validation is left to the ordinary
+constructors; with ``validate=False`` values are built unchecked, for a
+caller that checks every invariant itself (``corrlab validate``).
 """
 from __future__ import annotations
 
@@ -71,6 +71,11 @@ __all__ = [
 ]
 
 
+def _is_int(x) -> bool:
+    """A JSON integer: ``true`` and ``false`` load as bool, a subclass of int."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _need(doc, key, where):
     if not isinstance(doc, dict):
         raise SchemaError(f"{where}: expected an object, got {type(doc).__name__}")
@@ -95,7 +100,7 @@ def matrix_from_json(data, shape, where="matrix") -> np.ndarray:
         if (
             not isinstance(entry, list)
             or len(entry) != 2
-            or not all(isinstance(x, (int, float)) for x in entry)
+            or not all(_is_int(x) or isinstance(x, float) for x in entry)
         ):
             raise SchemaError(f"{where}[{p}]: expected an [re, im] pair")
         try:
@@ -114,7 +119,7 @@ def algebra_to_json(a: FdCstarAlgebra) -> dict:
 
 def algebra_from_json(doc, where="algebra") -> FdCstarAlgebra:
     blocks = _need(doc, "blocks", where)
-    if not isinstance(blocks, list) or not all(isinstance(b, int) for b in blocks):
+    if not isinstance(blocks, list) or not all(_is_int(b) for b in blocks):
         raise SchemaError(f"{where}.blocks: expected a list of integers")
     label = doc.get("label", "")
     if not isinstance(label, str):
@@ -144,7 +149,7 @@ def module_to_json(mod: HilbertModule) -> dict:
 def module_from_json(doc, where="module") -> HilbertModule:
     base = algebra_from_json(_need(doc, "base", where), f"{where}.base")
     mult = _need(doc, "mult", where)
-    if not isinstance(mult, list) or not all(isinstance(m, int) for m in mult):
+    if not isinstance(mult, list) or not all(_is_int(m) for m in mult):
         raise SchemaError(f"{where}.mult: expected a list of integers")
     return make_module(base, mult)
 
@@ -162,7 +167,7 @@ def corr_from_json(doc, *, eps: float = EPS, validate: bool = True, where="corre
     src = algebra_from_json(_need(doc, "src", where), f"{where}.src")
     dst = algebra_from_json(_need(doc, "dst", where), f"{where}.dst")
     mult = _need(doc, "mult", where)
-    if not isinstance(mult, list) or not all(isinstance(m, int) for m in mult):
+    if not isinstance(mult, list) or not all(_is_int(m) for m in mult):
         raise SchemaError(f"{where}.mult: expected a list of integers")
     module = make_module(dst, mult)
     la = _need(doc, "left_action", where)
@@ -282,13 +287,13 @@ def horn_to_json(h: HornSpec) -> dict:
 def horn_from_json(doc, *, eps: float = EPS, validate: bool = True, where="horn") -> HornSpec:
     n = _need(doc, "n", where)
     k = _need(doc, "k", where)
-    if not isinstance(n, int) or not isinstance(k, int):
+    if not _is_int(n) or not _is_int(k):
         raise SchemaError(f"{where}: n and k must be integers")
     faces = {}
     for p, rec in enumerate(_ensure_list(doc, "faces", where)):
         here = f"{where}.faces[{p}]"
         j = _need(rec, "j", here)
-        if not isinstance(j, int):
+        if not _is_int(j):
             raise SchemaError(f"{here}.j: expected an integer")
         faces[j] = simplex_from_json(
             _need(rec, "simplex", here), eps=eps, validate=validate, where=f"{here}.simplex"
@@ -307,7 +312,7 @@ def _index_pair(rec, keys, n, where):
     out = []
     for key in keys:
         v = _need(rec, key, where)
-        if not isinstance(v, int) or not (0 <= v <= n):
+        if not _is_int(v) or not (0 <= v <= n):
             raise SchemaError(f"{where}.{key}: expected an index in [0, {n}]")
         out.append(v)
     return tuple(out)

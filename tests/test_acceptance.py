@@ -19,7 +19,7 @@ CRITERIA = [
     ("c05", "morita-inverse", None, False),
     ("c06", "horn-uniqueness", None, False),
     ("c07", "k0-extension", 120.0, True),
-    ("c08", "section-exact", None, True),
+    ("c08", "section-exact", 40.0, True),
     ("c09", "relative-prism", None, True),
     ("c10", "csd-combinatorics", None, True),
 ]

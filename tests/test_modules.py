@@ -7,6 +7,8 @@ relations x.b (x) y - x (x) b.y, computed by brute-force rank.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corrlab.algebra import StarHom, make_algebra, make_star_hom
 from corrlab.errors import (
@@ -21,10 +23,12 @@ from corrlab.generators import (
     random_algebra,
     random_correspondence,
     random_element,
+    random_unitary,
 )
 from corrlab.linalg import frob
 from corrlab.modules import (
     Correspondence,
+    CorrIso,
     associator,
     compose_isos,
     corr_close,
@@ -34,6 +38,7 @@ from corrlab.modules import (
     is_full_corr,
     iso_distance,
     left_unitor,
+    make_correspondence,
     make_iso,
     make_module,
     right_unitor,
@@ -254,6 +259,65 @@ def test_associator_on_pure_tensors(seed):
     got = al.apply(tp_efg.pure_tensor(tp_ef.pure_tensor(x, y), z))
     want = tp_e_fg.pure_tensor(x, tp_fg.pure_tensor(y, z))
     assert frob(got.to_vec() - want.to_vec()) < 1e-9
+
+
+def conjugate_iso(e, rng):
+    """A random valid CorrIso e -> e', where e' is e with its left action
+    conjugated by random unitaries V_k, one per base block."""
+    v = [random_unitary(m, rng) for m in e.module.mult]
+    cs = e.module.compacts
+    cols = []
+    for col in e.lam.matrix.T:
+        imgs = []
+        for kp, k in enumerate(e.module.kept):
+            o, m = cs.offset(kp), cs.blocks[kp]
+            imgs.append((v[k] @ col[o : o + m * m].reshape(m, m) @ v[k].conj().T).ravel())
+        cols.append(np.concatenate(imgs))
+    return CorrIso(e, make_correspondence(e.src, e.module, np.array(cols).T), v)
+
+
+@settings(max_examples=25)
+@given(st.integers(0, 2**32 - 1))
+def test_bicategory_coherence(seed):
+    """The unitor facts that make validate_simplex's degenerate pentagons
+    redundant: naturality of both unitors, the triangle identity, and how
+    the unitors of a tensor product factor through the associator."""
+    rng = np.random.default_rng(seed)
+    e, f, t_ef = composable_pair(rng, max_mult=2)
+    ia, ib, ic = identity_corr(e.src), identity_corr(e.dst), identity_corr(f.dst)
+
+    # lambda_E' . (id (x) u) = u . lambda_E along a random u: E -> E'
+    u = conjugate_iso(e, rng)
+    t_ie, t_ie2 = tensor_corrs(ia, e), tensor_corrs(ia, u.dst)
+    lhs = compose_isos(left_unitor(t_ie2), tensor_iso(identity_iso(ia), u, t_ie, t_ie2))
+    assert iso_distance(lhs, compose_isos(u, left_unitor(t_ie))) <= 1e-9
+
+    # rho_F' . (v (x) id) = v . rho_F along a random v: F -> F'
+    v = conjugate_iso(f, rng)
+    t_fi, t_fi2 = tensor_corrs(f, ic), tensor_corrs(v.dst, ic)
+    lhs = compose_isos(right_unitor(t_fi2), tensor_iso(v, identity_iso(ic), t_fi, t_fi2))
+    assert iso_distance(lhs, compose_isos(v, right_unitor(t_fi))) <= 1e-9
+
+    # triangle: rho_E (x) id = (id (x) lambda_F) . a on (E (x) I) (x) F
+    t_ei, t_if = tensor_corrs(e, ib), tensor_corrs(ib, f)
+    t_ei_f, t_e_if = tensor_corrs(t_ei.corr, f), tensor_corrs(e, t_if.corr)
+    a = associator(t_ei, t_ei_f, t_if, t_e_if)
+    lhs = tensor_iso(right_unitor(t_ei), identity_iso(f), t_ei_f, t_ef)
+    rhs = compose_isos(tensor_iso(identity_iso(e), left_unitor(t_if), t_e_if, t_ef), a)
+    assert iso_distance(lhs, rhs) <= 1e-9
+
+    # lambda_{E (x) F} . a = lambda_E (x) id on (I (x) E) (x) F
+    t_ie_f, t_i_ef = tensor_corrs(t_ie.corr, f), tensor_corrs(ia, t_ef.corr)
+    a = associator(t_ie, t_ie_f, t_ef, t_i_ef)
+    lhs = compose_isos(left_unitor(t_i_ef), a)
+    rhs = tensor_iso(left_unitor(t_ie), identity_iso(f), t_ie_f, t_ef)
+    assert iso_distance(lhs, rhs) <= 1e-9
+
+    # rho_{E (x) F} = (id (x) rho_F) . a on (E (x) F) (x) I
+    t_ef_i, t_e_fi = tensor_corrs(t_ef.corr, ic), tensor_corrs(e, t_fi.corr)
+    a = associator(t_ef, t_ef_i, t_fi, t_e_fi)
+    rhs = compose_isos(tensor_iso(identity_iso(e), right_unitor(t_fi), t_e_fi, t_ef), a)
+    assert iso_distance(right_unitor(t_ef_i), rhs) <= 1e-9
 
 
 def test_make_iso_rejections():

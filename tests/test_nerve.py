@@ -5,9 +5,12 @@ rounding); that uniqueness is what makes the nerve behave like a quasi-
 category rather than a bare coherence bookkeeping device.
 """
 
+import math
+
 import numpy as np
 import pytest
 
+from corrlab import nerve
 from corrlab.algebra import FdCstarAlgebra
 from corrlab.bicategory import find_corr_iso, is_equivalence
 from corrlab.errors import (
@@ -16,16 +19,29 @@ from corrlab.errors import (
     PentagonViolated,
     ShapeMismatch,
     Unfillable,
+    UnitConditionViolated,
+    ValidationError,
 )
 from corrlab.generators import (
     embedding_hom,
+    random_algebra,
     random_chain,
     random_simplex,
     twist_edge,
 )
-from corrlab.modules import corr_close, identity_corr, iso_distance, make_iso
+from corrlab.modules import (
+    CorrIso,
+    corr_close,
+    direct_sum_corrs,
+    identity_corr,
+    iso_distance,
+    left_unitor,
+    make_iso,
+    right_unitor,
+)
 from corrlab.nerve import (
     HornSpec,
+    NCorrSimplex,
     apply_map,
     assemble_boundary,
     degeneracy,
@@ -33,6 +49,7 @@ from corrlab.nerve import (
     fill_inner_horn,
     fill_special_outer_horn,
     gamma_simplex,
+    identity_iso,
     make_simplex,
     pentagon_residual,
     simplex_close,
@@ -247,3 +264,144 @@ def test_structural_hash_is_stable():
     rebuilt = make_simplex(list(s.algebras), dict(s.edges), dict(s.cells))
     assert structural_hash(rebuilt) == structural_hash(s)
     assert structural_hash(face(s, 0)) == structural_hash(face(s, 0))
+
+
+# ---------------------------------------------------------------------------
+# the reduced pentagon check against the full one
+
+
+def reference_validate(s, eps=1e-9):
+    """Test-only full check: identity edges, the unit cells, and the
+    pentagon at every weakly increasing quadruple."""
+    n = s.n
+    for i in range(n + 1):
+        if not corr_close(s.edges[(i, i)], identity_corr(s.algebras[i]), eps):
+            raise UnitConditionViolated(i, i)
+    for i in range(n + 1):
+        for k in range(i, n + 1):
+            if iso_distance(s.cells[(i, i, k)], left_unitor(s.tp(i, i, k))) > eps:
+                raise UnitConditionViolated(i, k)
+            if k > i and iso_distance(s.cells[(i, k, k)], right_unitor(s.tp(i, k, k))) > eps:
+                raise UnitConditionViolated(i, k)
+    for quad in weak_quadruples(n):
+        r = pentagon_residual(s, *quad)
+        if r > eps:
+            raise PentagonViolated(*quad, r)
+    return s
+
+
+def outcome(check, s):
+    try:
+        check(s)
+    except ValidationError as err:
+        return type(err)
+    return None
+
+
+def small_simplex(rng, n, kind):
+    size = {"max_blocks": 1 if n == 4 else 2, "max_size": 2, "max_mult": 1}
+    if kind == "degenerate":
+        if n == 1:
+            lower = make_simplex([random_algebra(rng, max_blocks=2, max_size=2)], {}, {})
+        else:
+            lower = random_simplex(rng, n - 1, twist=True, **size)
+        return degeneracy(lower, int(rng.integers(0, n)))
+    return random_simplex(rng, n, twist=kind == "twisted", **size)
+
+
+def phases(rng, count):
+    return np.exp(1j * rng.uniform(0.5, 2 * np.pi - 0.5, size=count))
+
+
+def with_cell(s, key, cell):
+    cells = dict(s.cells)
+    cells[key] = cell
+    return NCorrSimplex(s.algebras, s.edges, cells)
+
+
+def corruptions(s, rng):
+    """Corrupted copies of s; every cell of each is a valid CorrIso."""
+    n = s.n
+    strict = [(i, j, k) for i in range(n + 1) for j in range(i + 1, n + 1) for k in range(j + 1, n + 1)]
+    for key in strict:
+        c = s.cells[key]
+        z = phases(rng, len(c.blocks))
+        yield f"phase{key}", with_cell(s, key, CorrIso(c.src, c.dst, [p * u for p, u in zip(z, c.blocks)]))
+        yield f"negated{key}", with_cell(s, key, make_iso(c.src, c.dst, [-u for u in c.blocks]))
+    i = int(rng.integers(0, n + 1))
+    k = int(rng.integers(i, n + 1))
+    for key in sorted({(i, i, k), (i, k, k)}):
+        unitor = s.cells[key]
+        z = phases(rng, len(unitor.blocks))
+        rotated = CorrIso(unitor.src, unitor.dst, [p * u for p, u in zip(z, unitor.blocks)])
+        yield f"unitor{key}", with_cell(s, key, rotated)
+    doubled, _ = direct_sum_corrs([identity_corr(s.algebras[i])] * 2)
+    edges = dict(s.edges)
+    edges[(i, i)] = doubled
+    cells = dict(s.cells)
+    cells[(i, i, i)] = identity_iso(doubled)
+    yield f"edge({i}, {i})", NCorrSimplex(s.algebras, edges, cells)
+
+
+@pytest.mark.parametrize("kind", ["gamma", "twisted", "degenerate"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_reduced_validator_matches_full_check(n, kind):
+    rng = np.random.default_rng(500 + 10 * n + len(kind))
+    s = small_simplex(rng, n, kind)
+    assert outcome(validate_simplex, s) is outcome(reference_validate, s) is None
+    seen = {}
+    for name, bad in corruptions(s, rng):
+        got = outcome(validate_simplex, bad)
+        assert got is outcome(reference_validate, bad), name
+        seen[name] = got
+    # unit corruptions are always caught; strict cells only through a
+    # strict pentagon, so below n = 3 a central twist of a cell is valid
+    assert all(seen[name] is UnitConditionViolated for name in seen if name.startswith(("unitor", "edge")))
+    strict_outcomes = {got for name, got in seen.items() if name.startswith(("phase", "negated"))}
+    if n < 3:
+        assert strict_outcomes <= {None}
+    elif kind != "degenerate":
+        assert PentagonViolated in strict_outcomes
+
+
+def test_moved_cell_entry_is_rejected_on_construction():
+    rng = np.random.default_rng(77)
+    s = random_simplex(rng, 3, twist=True, max_mult=1)
+    for key in [(0, 1, 2), (0, 1, 3), (1, 2, 3), (0, 0, 2), (0, 2, 2)]:
+        c = s.cells[key]
+        dense = c.dense()
+        for r, col in [(0, 0), (dense.shape[0] - 1, 0), (0, dense.shape[1] - 1)]:
+            moved = dense.copy()
+            moved[r, col] += 1e-6
+            with pytest.raises(ValidationError):
+                make_iso(c.src, c.dst, moved)
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_validate_simplex_checks_each_strict_pentagon_once(n, monkeypatch):
+    rng = np.random.default_rng(60 + n)
+    if n == 0:
+        s = make_simplex([random_algebra(rng)], {}, {})
+    else:
+        s = small_simplex(rng, n, "twisted")
+    calls = []
+    real = nerve.pentagon_residual
+
+    def counting(simplex, *quad):
+        calls.append(quad)
+        return real(simplex, *quad)
+
+    monkeypatch.setattr(nerve, "pentagon_residual", counting)
+    validate_simplex(s)
+    assert len(calls) == math.comb(n + 1, 4)
+    assert all(i < j < k < l for i, j, k, l in calls)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_identity_iso_passes_the_checking_constructor(seed):
+    rng = np.random.default_rng(80 + seed)
+    s = random_simplex(rng, 3, twist=True, max_mult=2)
+    for corr in s.edges.values():
+        blocks = identity_iso(corr).blocks
+        checked = CorrIso(corr, corr, blocks, eps=0.0)
+        assert all(np.array_equal(a, b) for a, b in zip(checked.blocks, blocks))

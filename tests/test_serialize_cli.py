@@ -33,7 +33,16 @@ from corrlab.nerve import (
     structural_hash,
     validate_simplex,
 )
-from corrlab.serialize import dump_value, hom_to_json, load_value
+from corrlab.serialize import (
+    algebra_to_json,
+    corr_to_json,
+    dump_value,
+    hom_to_json,
+    horn_to_json,
+    load_value,
+    module_to_json,
+    simplex_to_json,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +189,48 @@ def test_cli_rejects_non_finite_numbers(tmp_path, capsys, entry, command):
     argv = ["validate", str(path)] if command == "validate" else ["gamma", "--hom", str(path)]
     assert main(argv) == 2
     assert "star_hom.matrix[0]" in capsys.readouterr().err
+
+
+def _set_bool(seq, key):
+    """Replace seq[key] by the JSON boolean of the same integer value where
+    that is 0 or 1, so only the type is wrong."""
+    seq[key] = bool(seq[key]) if seq[key] in (0, 1) else True
+
+
+# (case, schema, edit, location named in the error); JSON true and false are
+# not numbers
+BOOLEAN_CASES = [
+    ("blocks", "algebra", lambda d: _set_bool(d["blocks"], 0), "algebra.blocks"),
+    ("matrix-entry", "star_hom", lambda d: _set_bool(d["matrix"][0], 1), "star_hom.matrix[0]"),
+    ("module-mult", "module", lambda d: _set_bool(d["mult"], 0), "module.mult"),
+    ("corr-mult", "correspondence", lambda d: _set_bool(d["mult"], 0), "correspondence.mult"),
+    ("edge-index", "ncorr_simplex", lambda d: _set_bool(d["edges"][0], "i"), "ncorr_simplex.edges[0].i"),
+    ("cell-index", "ncorr_simplex", lambda d: _set_bool(d["cells"][0], "i"), "ncorr_simplex.cells[0].i"),
+    ("horn-n", "horn1", lambda d: _set_bool(d, "n"), "horn: n and k"),
+    ("horn-k", "horn2", lambda d: _set_bool(d, "k"), "horn: n and k"),
+    ("face-index", "horn2", lambda d: _set_bool(d["faces"][0], "j"), "horn.faces[0].j"),
+]
+
+
+@pytest.mark.parametrize("case,schema,edit,where", BOOLEAN_CASES, ids=[c[0] for c in BOOLEAN_CASES])
+def test_cli_rejects_json_booleans_as_numbers(tmp_path, capsys, case, schema, edit, where):
+    s = random_simplex(np.random.default_rng(9), 2, max_mult=1)
+    edge = s.edges[(0, 1)]
+    docs = {
+        "algebra": algebra_to_json(s.algebras[0]),
+        "star_hom": hom_to_json(edge.lam),
+        "module": module_to_json(edge.module),
+        "correspondence": corr_to_json(edge),
+        "ncorr_simplex": simplex_to_json(s),
+        "horn1": horn_to_json(HornSpec(1, 1, {0: face(face(s, 2), 0)})),
+        "horn2": horn_to_json(HornSpec(2, 1, {0: face(s, 0), 2: face(s, 2)})),
+    }
+    doc = docs[schema]
+    edit(doc)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 2
+    assert where in capsys.readouterr().err
 
 
 def test_cli_simplex_dimension_cap(tmp_path, capsys):
