@@ -148,6 +148,14 @@ class ModElement:
     def __add__(self, other):
         return ModElement(self.module, [a + b for a, b in zip(self.mats, other.mats)])
 
+    def __sub__(self, other):
+        return ModElement(self.module, [a - b for a, b in zip(self.mats, other.mats)])
+
+    def __mul__(self, scalar):
+        return ModElement(self.module, [scalar * x for x in self.mats])
+
+    __rmul__ = __mul__
+
     def right_mul(self, b: AlgElement) -> "ModElement":
         if b.algebra != self.module.base:
             raise BaseMismatch("element does not live in the base algebra")

@@ -161,10 +161,15 @@ def make_simplex(algebras, edges, cells, *, eps: float = EPS, validate: bool = T
 def _materialize_unit_cells(edges, cells, n, eps):
     for i in range(n + 1):
         for k in range(i, n + 1):
+            if i == k:
+                if (i, i, i) not in cells:
+                    t = tensor_corrs(edges[(i, i)], edges[(i, i)], eps=eps)
+                    cells[(i, i, i)] = left_unitor(t, eps=eps)
+                continue
             if (i, i, k) not in cells:
                 t = tensor_corrs(edges[(i, i)], edges[(i, k)], eps=eps)
                 cells[(i, i, k)] = left_unitor(t, eps=eps)
-            if k > i and (i, k, k) not in cells:
+            if (i, k, k) not in cells:
                 t = tensor_corrs(edges[(i, k)], edges[(k, k)], eps=eps)
                 cells[(i, k, k)] = right_unitor(t, eps=eps)
 
@@ -172,73 +177,63 @@ def _materialize_unit_cells(edges, cells, n, eps):
 def pentagon_residual(s: NCorrSimplex, i, j, k, l) -> float:
     """Residual of u_ikl . (u_ijk (x) id) = u_ijl . (id (x) u_jkl) . assoc
     as maps (E_ij (x) E_jk) (x) E_kl -> E_il."""
-    t_ij_jk = s.tp(i, j, k)
-    t_jk_kl = s.tp(j, k, l)
-    t_l = s.tp_left(i, j, k, l)
-    t_r = s.tp_right(i, j, k, l)
-    t_ik_kl = s.tp(i, k, l)
-    t_ij_jl = s.tp(i, j, l)
-    ass = associator(t_ij_jk, t_l, t_jk_kl, t_r)
-    lhs = compose_isos(
-        s.cells[(i, k, l)],
-        tensor_iso(s.cells[(i, j, k)], identity_iso(s.edges[(k, l)]), t_l, t_ik_kl),
-    )
-    rhs = compose_isos(
-        s.cells[(i, j, l)],
-        compose_isos(
-            tensor_iso(identity_iso(s.edges[(i, j)]), s.cells[(j, k, l)], t_r, t_ij_jl), ass
-        ),
-    )
-    return iso_distance(lhs, rhs)
+    t_l, t_r = s.tp_left(i, j, k, l), s.tp_right(i, j, k, l)
+    ass = associator(s.tp(i, j, k), t_l, s.tp(j, k, l), t_r)
+    left = tensor_iso(s.cells[(i, j, k)], identity_iso(s.edges[(k, l)]), t_l, s.tp(i, k, l))
+    right = tensor_iso(identity_iso(s.edges[(i, j)]), s.cells[(j, k, l)], t_r, s.tp(i, j, l))
+    lhs = compose_isos(s.cells[(i, k, l)], left)
+    return iso_distance(lhs, compose_isos(s.cells[(i, j, l)], compose_isos(right, ass)))
 
 
 def _simplex_residuals(s: NCorrSimplex, eps: float = EPS):
-    """``(unit, (i, k), pentagon, (i, j, k, l))``: the worst distance of a
-    unit cell from its unitor and the worst strict pentagon residual, with
-    where each occurs (None while 0.0).  ``unit`` is inf at (i, i), and the
-    unit cells are skipped, when E_ii is not the identity correspondence."""
-    n = s.n
-    bad = [i for i in range(n + 1) if not corr_close(s.edges[(i, i)], identity_corr(s.algebras[i]), eps)]
+    """``(unit, (i, k), pentagon, (i, j, k, l))``: the worst unit cell's
+    distance from its unitor and the worst strict pentagon, with their places
+    (None while 0.0); ``unit`` is inf at (i, i) if E_ii is not the identity.
+    Raises EndpointMismatch if a strict u_ijk does not start at E_ij (x) E_jk."""
+    from itertools import combinations, combinations_with_replacement
+
+    ids = range(s.n + 1)
+    bad = [i for i in ids if not corr_close(s.edges[(i, i)], identity_corr(s.algebras[i]), eps)]
     unit, unit_at = (float("inf"), (bad[0], bad[0])) if bad else (0.0, None)
-    pairs = [] if bad else [(i, k) for i in range(n + 1) for k in range(i, n + 1)]
-    for i, k in pairs:
+    for i, k in [] if bad else combinations_with_replacement(ids, 2):
         r = iso_distance(s.cells[(i, i, k)], left_unitor(s.tp(i, i, k), eps=eps))
         if k > i:
             r = max(r, iso_distance(s.cells[(i, k, k)], right_unitor(s.tp(i, k, k), eps=eps)))
         if r > unit:
             unit, unit_at = r, (i, k)
+    for t in combinations(ids, 3):
+        if not corr_close(s.cells[t].src, s.tp(*t).corr, eps):
+            raise EndpointMismatch(f"cell {t} does not start at E_ij (x) E_jk")
     pent, pent_at = 0.0, None
-    for i in range(n + 1):
-        for j in range(i + 1, n + 1):
-            for k in range(j + 1, n + 1):
-                for l in range(k + 1, n + 1):
-                    r = pentagon_residual(s, i, j, k, l)
-                    if r > pent:
-                        pent, pent_at = r, (i, j, k, l)
+    for q in combinations(ids, 4):
+        r = pentagon_residual(s, *q)
+        if r > pent:
+            pent, pent_at = r, q
     return unit, unit_at, pent, pent_at
 
 
 def validate_simplex(s: NCorrSimplex, *, eps: float = EPS) -> NCorrSimplex:
     """Check normality and the pentagon condition; raise on failure.
 
-    Normality: E_ii = I, u_iik = lambda and u_ikk = rho (i < k).  The
-    pentagon is checked at i < j < k < l only.  At a repeated index it is
-    implied, since every cell is a valid CorrIso (unitary, intertwining,
-    right linear by structure) and the unit cells are the unitors; the
-    first case that applies covers it:
+    Normality: E_ii = I, u_iik = lambda and u_ikk = rho (i < k).  Each
+    strict u_ijk must start at E_ij (x) E_jk (NCorrSimplex checks only
+    where cells land).  The pentagon is checked at i < j < k < l only; at
+    a repeated index it is implied, since every cell is a valid CorrIso
+    between those endpoints (unitary, intertwining, right linear by
+    structure) and the unit cells are the unitors; the first case that
+    applies covers it:
     - i = j: naturality of lambda along u_ikl, and
       lambda_{E (x) F} . a = lambda_E (x) id;
     - j = k: the triangle identity (rho (x) id) = (id (x) lambda) . a;
     - k = l: naturality of rho along u_ijk, and
       rho_{E (x) F} = (id (x) rho_F) . a.
-    These hold to rounding (test_bicategory_coherence checks them on
-    random correspondences); unit cells within eps of the unitors leave
-    degenerate residuals within a small multiple of eps.
+    These hold to rounding (test_bicategory_coherence); unit cells within
+    eps of the unitors leave degenerate residuals within a few eps.
     """
     unit, unit_at, pent, pent_at = _simplex_residuals(s, eps)
-    if not unit <= eps:
+    if unit > eps:
         raise UnitConditionViolated(*unit_at, unit)
-    if not pent <= eps:
+    if pent > eps:
         raise PentagonViolated(*pent_at, pent)
     return s
 

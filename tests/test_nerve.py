@@ -5,6 +5,7 @@ rounding); that uniqueness is what makes the nerve behave like a quasi-
 category rather than a bare coherence bookkeeping device.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from corrlab import nerve
 from corrlab.algebra import FdCstarAlgebra
 from corrlab.bicategory import find_corr_iso, is_equivalence
 from corrlab.errors import (
+    EndpointMismatch,
     NotAnEquivalence,
     IncompatibleFaces,
     PentagonViolated,
@@ -328,6 +330,8 @@ def corruptions(s, rng):
         z = phases(rng, len(c.blocks))
         yield f"phase{key}", with_cell(s, key, CorrIso(c.src, c.dst, [p * u for p, u in zip(z, c.blocks)]))
         yield f"negated{key}", with_cell(s, key, make_iso(c.src, c.dst, [-u for u in c.blocks]))
+        # a valid CorrIso landing on E_ik, but out of E_ik, not E_ij (x) E_jk
+        yield f"source{key}", with_cell(s, key, identity_iso(s.edges[(key[0], key[2])]))
     i = int(rng.integers(0, n + 1))
     k = int(rng.integers(i, n + 1))
     for key in sorted({(i, i, k), (i, k, k)}):
@@ -362,6 +366,13 @@ def test_reduced_validator_matches_full_check(n, kind):
         assert strict_outcomes <= {None}
     elif kind != "degenerate":
         assert PentagonViolated in strict_outcomes
+    # a strict cell out of the wrong correspondence is caught at every n,
+    # including n = 2, where no strict pentagon looks at it
+    for key in itertools.combinations(range(n + 1), 3):
+        if not corr_close(s.edges[(key[0], key[2])], s.tp(*key).corr):
+            assert seen[f"source{key}"] is EndpointMismatch, key
+    if n == 2 and kind != "degenerate":
+        assert seen["source(0, 1, 2)"] is EndpointMismatch
 
 
 def test_moved_cell_entry_is_rejected_on_construction():
