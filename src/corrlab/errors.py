@@ -9,7 +9,9 @@ re-checked: the ``StarHom`` built by ``identity_hom``, ``compose_homs``,
 ``gamma_of_hom``, ``u_of_corr``, ``equivalence_inverse``,
 ``direct_sum_corrs``, tensor products, corner inclusions and subdivision
 connecting homs, and the intertwiners built by ``identity_iso`` and the
-adjoints and composites of valid intertwiners.
+adjoints and composites of valid intertwiners.  A simplex's identity edges
+and unit cells are not data at all: ``NCorrSimplex`` derives them from the
+unitors and refuses them as input, so normality needs no check.
 Validation errors carry the offending residual where one exists, so
 callers (and the CLI ``validate`` command) can report how badly an
 invariant failed.
@@ -30,7 +32,6 @@ __all__ = [
     "NotUnitary",
     "NotRightLinear",
     "NotIntertwining",
-    "UnitConditionViolated",
     "PentagonViolated",
     "NotMonotone",
     "Unfillable",
@@ -106,12 +107,6 @@ class NotRightLinear(ValidationError):
 
 class NotIntertwining(ValidationError):
     pass
-
-
-class UnitConditionViolated(ValidationError):
-    def __init__(self, i: int, k: int, residual: float | None = None):
-        super().__init__(f"unit condition fails at (i, k) = ({i}, {k})", residual)
-        self.i, self.k = i, k
 
 
 class PentagonViolated(ValidationError):

@@ -164,8 +164,9 @@ def random_simplex(rng, n: int, twist: bool = False, **chain_kw) -> NCorrSimplex
 
 
 def twist_edge(s: NCorrSimplex, i0: int, j0: int, rng) -> NCorrSimplex:
-    """Conjugate edge (i0, j0) by a random unitary and fix up every cell
-    that touches it; the result is a valid simplex with the same shape."""
+    """Conjugate edge (i0, j0) by a random unitary and fix up every strict
+    cell that touches it; the result is a valid simplex with the same shape
+    (its unit cells are derived from the new edge)."""
     if not (0 <= i0 < j0 <= s.n):
         raise ShapeMismatch(f"({i0}, {j0}) is not a strict edge")
     old = s.edges[(i0, j0)]

@@ -16,6 +16,7 @@ EPS = 1e-9
 __all__ = [
     "EPS",
     "frob",
+    "worse",
     "orthonormal_range",
     "gram_onb",
     "fix_phase",
@@ -29,6 +30,13 @@ def frob(a) -> float:
     if a.size == 0:
         return 0.0
     return float(np.linalg.norm(a.ravel()))
+
+
+def worse(r: float, worst: float) -> bool:
+    """Whether residual ``r`` replaces ``worst`` so far: it is larger, or NaN.
+    A NaN ``worst`` stays, so a NaN anywhere fails a ``worst <= eps`` check
+    (the builtin ``max(0.0, nan)`` is 0.0 and would drop it)."""
+    return r > worst or r != r
 
 
 def orthonormal_range(a, eps: float = EPS) -> np.ndarray:

@@ -32,7 +32,7 @@ from .errors import (
     NotUnitary,
     ShapeMismatch,
 )
-from .linalg import EPS, frob, gram_onb
+from .linalg import EPS, frob, gram_onb, worse
 
 __all__ = [
     "HilbertModule",
@@ -147,14 +147,6 @@ class ModElement:
 
     def __add__(self, other):
         return ModElement(self.module, [a + b for a, b in zip(self.mats, other.mats)])
-
-    def __sub__(self, other):
-        return ModElement(self.module, [a - b for a, b in zip(self.mats, other.mats)])
-
-    def __mul__(self, scalar):
-        return ModElement(self.module, [scalar * x for x in self.mats])
-
-    __rmul__ = __mul__
 
     def right_mul(self, b: AlgElement) -> "ModElement":
         if b.algebra != self.module.base:
@@ -325,9 +317,10 @@ class CorrIso:
             if u.shape[0] != u.shape[1]:
                 raise NotUnitary(f"block {k} is not square: {u.shape}")
             m = u.shape[0]
-            worst = max(worst, frob(u.conj().T @ u - np.eye(m)))
-            worst = max(worst, frob(u @ u.conj().T - np.eye(m)))
-        if worst > eps:
+            for r in (frob(u.conj().T @ u - np.eye(m)), frob(u @ u.conj().T - np.eye(m))):
+                if worse(r, worst):
+                    worst = r
+        if not worst <= eps:
             raise NotUnitary("blocks are not unitary", worst)
         worst = 0.0
         a_dim = src.src.dim
@@ -346,9 +339,10 @@ class CorrIso:
             lhs = np.tensordot(u, s3, axes=(1, 0))
             rhs = np.tensordot(d3, u, axes=(1, 0)).transpose(0, 2, 1)
             if lhs.size:
-                per_p = np.sqrt((np.abs(lhs - rhs) ** 2).sum(axis=(0, 1)))
-                worst = max(worst, float(per_p.max()))
-        if worst > eps:
+                r = float(np.sqrt((np.abs(lhs - rhs) ** 2).sum(axis=(0, 1))).max())
+                if worse(r, worst):
+                    worst = r
+        if not worst <= eps:
             raise NotIntertwining("left actions are not intertwined", worst)
         self.src = src
         self.dst = dst
@@ -424,10 +418,12 @@ def compose_isos(u: CorrIso, v: CorrIso, *, eps: float = EPS) -> CorrIso:
 def iso_distance(u: CorrIso, v: CorrIso) -> float:
     if u.src.module != v.src.module or u.dst.module != v.dst.module:
         raise ShapeMismatch("intertwiners live on different modules")
-    return max(
-        (frob(a - b) for a, b in zip(u.blocks, v.blocks)),
-        default=0.0,
-    )
+    worst = 0.0
+    for a, b in zip(u.blocks, v.blocks):
+        r = frob(a - b)
+        if worse(r, worst):
+            worst = r
+    return worst
 
 
 class TensorProduct:

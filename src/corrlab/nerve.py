@@ -2,15 +2,18 @@
 
 An n-simplex holds algebras A_0..A_n, correspondences E_ij for every pair
 i <= j, and intertwiners u_ijk: E_ij (x) E_jk -> E_ik for every triple
-i <= j <= k.  Normality is part of validity: E_ii is the identity
-correspondence and the degenerate intertwiners are the canonical unitors.
-The composition constraint is the pentagon condition, checked at the
-strictly increasing quadruples; at the others it follows from normality
-(see validate_simplex).
+i <= j <= k.  Simplices are normal, as in the normalised nerve of a
+bicategory (Duskin 2002): E_ii is the identity correspondence and the
+degenerate intertwiners are the canonical unitors.  Normality holds by
+construction, since only the strict data (i < j, i < j < k) is stored and
+the rest is derived, so no validator checks it.  The composition
+constraint is the pentagon condition, checked at the strictly increasing
+quadruples; at the others it follows from normality (see
+validate_simplex).
 
-Monotone reindexing (apply_map) is pure dictionary lookup, so shared faces
-of two simplices are shared objects, byte for byte; horn assembly relies on
-that and rejects faces that merely look alike numerically.
+Monotone reindexing (apply_map) is pure lookup, so shared faces of two
+simplices are shared objects, byte for byte; horn assembly relies on that
+and rejects faces that merely look alike numerically.
 
 Fills: an inner (2,1)-horn composes its two edges; (3,k)-horns solve the
 pentagon for the one missing intertwiner, where k = 3 extracts it from a
@@ -23,10 +26,11 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 
-from .algebra import FdCstarAlgebra, StarHom, compose_homs, identity_hom
+from .algebra import FdCstarAlgebra, StarHom, compose_homs
 from .bicategory import equivalence_inverse, gamma_multiplicativity, gamma_of_hom
 from .errors import (
     EndpointMismatch,
@@ -35,9 +39,8 @@ from .errors import (
     PentagonViolated,
     ShapeMismatch,
     Unfillable,
-    UnitConditionViolated,
 )
-from .linalg import EPS
+from .linalg import EPS, worse
 from .modules import (
     CorrIso,
     Correspondence,
@@ -77,101 +80,103 @@ def identity_iso(corr: Correspondence) -> CorrIso:
 
 
 class NCorrSimplex:
-    """A simplex of the correspondence nerve; immutable after construction.
+    """A normal simplex of the correspondence nerve; immutable after construction.
 
-    ``edges[(i, j)]`` for i <= j, ``cells[(i, j, k)]`` for i <= j <= k.
-    Construction checks shapes and endpoints only; numeric validity is
-    validate_simplex's job.
+    Only the strict data is stored: ``edges[(i, j)]`` for i < j and
+    ``cells[(i, j, k)]`` for i < j < k; any other key is refused.  The
+    degenerate data is structure, not data: ``edge(i, i)`` is
+    identity_corr(A_i), ``cell(i, i, k)`` the left unitor of E_ii (x) E_ik
+    and ``cell(i, k, k)`` the right unitor of E_ik (x) E_kk, each built on
+    first use and cached.  Construction checks keys and endpoints only;
+    numeric validity is validate_simplex's job.
     """
 
-    __slots__ = ("n", "algebras", "edges", "cells", "_tps", "_shash")
+    __slots__ = ("n", "algebras", "edges", "cells", "_units", "_tps", "_shash")
 
     def __init__(self, algebras, edges, cells):
         algebras = tuple(algebras)
         n = len(algebras) - 1
         if n < 0:
             raise ShapeMismatch("a simplex needs at least one vertex")
-        for i in range(n + 1):
-            for j in range(i, n + 1):
-                e = edges.get((i, j))
-                if e is None:
-                    raise ShapeMismatch(f"missing edge ({i}, {j})")
-                if e.src != algebras[i] or e.dst != algebras[j]:
-                    raise EndpointMismatch(f"edge ({i}, {j}) endpoints disagree")
-                for k in range(j, n + 1):
-                    if (i, j, k) not in cells:
-                        raise ShapeMismatch(f"missing cell ({i}, {j}, {k})")
+        _check_strict_keys("edge", edges, combinations(range(n + 1), 2))
+        _check_strict_keys("cell", cells, combinations(range(n + 1), 3))
+        for (i, j), e in edges.items():
+            if e.src != algebras[i] or e.dst != algebras[j]:
+                raise EndpointMismatch(f"edge ({i}, {j}) endpoints disagree")
         for (i, j, k), u in cells.items():
-            if not (0 <= i <= j <= k <= n):
-                raise ShapeMismatch(f"cell index ({i}, {j}, {k}) out of range")
             if u.dst is not edges[(i, k)] and not corr_close(u.dst, edges[(i, k)]):
                 raise EndpointMismatch(f"cell ({i}, {j}, {k}) does not land on edge ({i}, {k})")
         self.n = n
         self.algebras = algebras
         self.edges = dict(edges)
         self.cells = dict(cells)
+        self._units = {}  # built identity edges (i, i) and unitor cells
         self._tps = {}
         self._shash = None
 
     def edge(self, i: int, j: int) -> Correspondence:
-        return self.edges[(i, j)]
+        """E_ij for i <= j; E_ii is the identity correspondence."""
+        if i != j:
+            return self.edges[(i, j)]
+        e = self._units.get((i, i))
+        if e is None:
+            if not 0 <= i <= self.n:
+                raise KeyError((i, i))
+            e = self._units[(i, i)] = identity_corr(self.algebras[i])
+        return e
+
+    def cell(self, i: int, j: int, k: int) -> CorrIso:
+        """u_ijk for i <= j <= k; u_iik = lambda and u_ikk = rho."""
+        if i < j < k:
+            return self.cells[(i, j, k)]
+        u = self._units.get((i, j, k))
+        if u is None:
+            if not 0 <= i <= j <= k <= self.n:
+                raise KeyError((i, j, k))
+            u = left_unitor(self.tp(i, i, k)) if i == j else right_unitor(self.tp(i, k, k))
+            self._units[(i, j, k)] = u
+        return u
 
     def tp(self, i: int, j: int, k: int) -> TensorProduct:
         """Cached E_ij (x) E_jk."""
         key = (i, j, k)
         if key not in self._tps:
-            self._tps[key] = tensor_corrs(self.edges[(i, j)], self.edges[(j, k)])
+            self._tps[key] = tensor_corrs(self.edge(i, j), self.edge(j, k))
         return self._tps[key]
 
     def tp_left(self, i, j, k, l) -> TensorProduct:
         key = ("L", i, j, k, l)
         if key not in self._tps:
-            self._tps[key] = tensor_corrs(self.tp(i, j, k).corr, self.edges[(k, l)])
+            self._tps[key] = tensor_corrs(self.tp(i, j, k).corr, self.edge(k, l))
         return self._tps[key]
 
     def tp_right(self, i, j, k, l) -> TensorProduct:
         key = ("R", i, j, k, l)
         if key not in self._tps:
-            self._tps[key] = tensor_corrs(self.edges[(i, j)], self.tp(j, k, l).corr)
+            self._tps[key] = tensor_corrs(self.edge(i, j), self.tp(j, k, l).corr)
         return self._tps[key]
 
     def __repr__(self):
         return f"NCorrSimplex(n={self.n}, algebras={[a.blocks for a in self.algebras]})"
 
 
-def make_simplex(algebras, edges, cells, *, eps: float = EPS, validate: bool = True) -> NCorrSimplex:
-    """Assemble a simplex from its strict data.
+def _check_strict_keys(what: str, given, strict) -> None:
+    strict = set(strict)
+    for key in given:
+        if key not in strict:
+            raise ShapeMismatch(f"{what} key {key} is not strictly increasing in range")
+    missing = sorted(strict.difference(given))
+    if missing:
+        raise ShapeMismatch(f"missing {what} {missing[0]}")
 
-    ``edges`` needs the pairs i < j, ``cells`` the triples i < j < k; the
-    identity edges and the canonical unitor cells are filled in here.
-    """
-    algebras = tuple(algebras)
-    n = len(algebras) - 1
-    full_edges = dict(edges)
-    for i in range(n + 1):
-        full_edges.setdefault((i, i), identity_corr(algebras[i]))
-    full_cells = dict(cells)
-    _materialize_unit_cells(full_edges, full_cells, n, eps)
-    s = NCorrSimplex(algebras, full_edges, full_cells)
+
+def make_simplex(algebras, edges, cells, *, eps: float = EPS, validate: bool = True) -> NCorrSimplex:
+    """Assemble a simplex from its strict data: ``edges`` for the pairs
+    i < j, ``cells`` for the triples i < j < k."""
+    s = NCorrSimplex(algebras, edges, cells)
     if validate:
         validate_simplex(s, eps=eps)
     return s
-
-
-def _materialize_unit_cells(edges, cells, n, eps):
-    for i in range(n + 1):
-        for k in range(i, n + 1):
-            if i == k:
-                if (i, i, i) not in cells:
-                    t = tensor_corrs(edges[(i, i)], edges[(i, i)], eps=eps)
-                    cells[(i, i, i)] = left_unitor(t, eps=eps)
-                continue
-            if (i, i, k) not in cells:
-                t = tensor_corrs(edges[(i, i)], edges[(i, k)], eps=eps)
-                cells[(i, i, k)] = left_unitor(t, eps=eps)
-            if (i, k, k) not in cells:
-                t = tensor_corrs(edges[(i, k)], edges[(k, k)], eps=eps)
-                cells[(i, k, k)] = right_unitor(t, eps=eps)
 
 
 def pentagon_residual(s: NCorrSimplex, i, j, k, l) -> float:
@@ -179,61 +184,48 @@ def pentagon_residual(s: NCorrSimplex, i, j, k, l) -> float:
     as maps (E_ij (x) E_jk) (x) E_kl -> E_il."""
     t_l, t_r = s.tp_left(i, j, k, l), s.tp_right(i, j, k, l)
     ass = associator(s.tp(i, j, k), t_l, s.tp(j, k, l), t_r)
-    left = tensor_iso(s.cells[(i, j, k)], identity_iso(s.edges[(k, l)]), t_l, s.tp(i, k, l))
-    right = tensor_iso(identity_iso(s.edges[(i, j)]), s.cells[(j, k, l)], t_r, s.tp(i, j, l))
-    lhs = compose_isos(s.cells[(i, k, l)], left)
-    return iso_distance(lhs, compose_isos(s.cells[(i, j, l)], compose_isos(right, ass)))
+    left = tensor_iso(s.cell(i, j, k), identity_iso(s.edge(k, l)), t_l, s.tp(i, k, l))
+    right = tensor_iso(identity_iso(s.edge(i, j)), s.cell(j, k, l), t_r, s.tp(i, j, l))
+    lhs = compose_isos(s.cell(i, k, l), left)
+    return iso_distance(lhs, compose_isos(s.cell(i, j, l), compose_isos(right, ass)))
 
 
 def _simplex_residuals(s: NCorrSimplex, eps: float = EPS):
-    """``(unit, (i, k), pentagon, (i, j, k, l))``: the worst unit cell's
-    distance from its unitor and the worst strict pentagon, with their places
-    (None while 0.0); ``unit`` is inf at (i, i) if E_ii is not the identity.
-    Raises EndpointMismatch if a strict u_ijk does not start at E_ij (x) E_jk."""
-    from itertools import combinations, combinations_with_replacement
-
+    """``(pentagon, (i, j, k, l))``: the worst strict pentagon residual and
+    its place (None while 0.0); a NaN residual is the worst.  Raises
+    EndpointMismatch if a strict u_ijk does not start at E_ij (x) E_jk."""
     ids = range(s.n + 1)
-    bad = [i for i in ids if not corr_close(s.edges[(i, i)], identity_corr(s.algebras[i]), eps)]
-    unit, unit_at = (float("inf"), (bad[0], bad[0])) if bad else (0.0, None)
-    for i, k in [] if bad else combinations_with_replacement(ids, 2):
-        r = iso_distance(s.cells[(i, i, k)], left_unitor(s.tp(i, i, k), eps=eps))
-        if k > i:
-            r = max(r, iso_distance(s.cells[(i, k, k)], right_unitor(s.tp(i, k, k), eps=eps)))
-        if r > unit:
-            unit, unit_at = r, (i, k)
     for t in combinations(ids, 3):
         if not corr_close(s.cells[t].src, s.tp(*t).corr, eps):
             raise EndpointMismatch(f"cell {t} does not start at E_ij (x) E_jk")
     pent, pent_at = 0.0, None
     for q in combinations(ids, 4):
         r = pentagon_residual(s, *q)
-        if r > pent:
+        if worse(r, pent):
             pent, pent_at = r, q
-    return unit, unit_at, pent, pent_at
+    return pent, pent_at
 
 
 def validate_simplex(s: NCorrSimplex, *, eps: float = EPS) -> NCorrSimplex:
-    """Check normality and the pentagon condition; raise on failure.
+    """Check the pentagon condition; raise on failure.
 
-    Normality: E_ii = I, u_iik = lambda and u_ikk = rho (i < k).  Each
-    strict u_ijk must start at E_ij (x) E_jk (NCorrSimplex checks only
-    where cells land).  The pentagon is checked at i < j < k < l only; at
-    a repeated index it is implied, since every cell is a valid CorrIso
-    between those endpoints (unitary, intertwining, right linear by
-    structure) and the unit cells are the unitors; the first case that
-    applies covers it:
+    Normality (E_ii = I, u_iik = lambda, u_ikk = rho) holds by construction:
+    NCorrSimplex stores no degenerate data and derives it from the unitors,
+    so there is nothing to check.  Each strict u_ijk must start at
+    E_ij (x) E_jk (NCorrSimplex checks only where cells land).  The
+    pentagon is checked at i < j < k < l only; at a repeated index it is
+    implied, since every cell is a valid CorrIso between those endpoints
+    (unitary, intertwining, right linear by structure) and the unit cells
+    are the unitors; the first case that applies covers it:
     - i = j: naturality of lambda along u_ikl, and
       lambda_{E (x) F} . a = lambda_E (x) id;
     - j = k: the triangle identity (rho (x) id) = (id (x) lambda) . a;
     - k = l: naturality of rho along u_ijk, and
       rho_{E (x) F} = (id (x) rho_F) . a.
-    These hold to rounding (test_bicategory_coherence); unit cells within
-    eps of the unitors leave degenerate residuals within a few eps.
+    These hold to rounding (test_bicategory_coherence).
     """
-    unit, unit_at, pent, pent_at = _simplex_residuals(s, eps)
-    if unit > eps:
-        raise UnitConditionViolated(*unit_at, unit)
-    if pent > eps:
+    pent, pent_at = _simplex_residuals(s, eps)
+    if not pent <= eps:
         raise PentagonViolated(*pent_at, pent)
     return s
 
@@ -245,16 +237,21 @@ def apply_map(s: NCorrSimplex, phi) -> NCorrSimplex:
         raise NotMonotone(f"{list(phi)} is not weakly increasing")
     if phi and (phi[0] < 0 or phi[-1] > s.n):
         raise NotMonotone(f"{list(phi)} does not land in [0, {s.n}]")
-    m = len(phi) - 1
+    ids = range(len(phi))
     algebras = tuple(s.algebras[p] for p in phi)
-    edges = {}
-    cells = {}
-    for a in range(m + 1):
-        for b in range(a, m + 1):
-            edges[(a, b)] = s.edges[(phi[a], phi[b])]
-            for c in range(b, m + 1):
-                cells[(a, b, c)] = s.cells[(phi[a], phi[b], phi[c])]
-    return NCorrSimplex(algebras, edges, cells)
+    edges = {(a, b): s.edge(phi[a], phi[b]) for a, b in combinations(ids, 2)}
+    cells = {t: s.cell(*(phi[x] for x in t)) for t in combinations(ids, 3)}
+    out = NCorrSimplex(algebras, edges, cells)
+    # the degenerate data at (a, a) and (a, b, c) is the parent's at the
+    # image key, so hand over what the parent has built; where that key is
+    # (i, i, i), the parent's lambda and the rho the face would build on
+    # I (x) I are the same exact 0/1 blocks
+    for size in (2, 3):
+        for key in combinations_with_replacement(ids, size):
+            built = s._units.get(tuple(phi[x] for x in key))
+            if built is not None and len(set(key)) < size:
+                out._units[key] = built
+    return out
 
 
 def face(s: NCorrSimplex, i: int) -> NCorrSimplex:
@@ -307,12 +304,12 @@ def _h_update(h, obj):
         h.update(f"simplex{obj.n}".encode())
         for a in obj.algebras:
             _h_update(h, a)
-        for key in sorted(obj.edges):
+        for key in combinations_with_replacement(range(obj.n + 1), 2):
             h.update(repr(key).encode())
-            _h_update(h, obj.edges[key])
-        for key in sorted(obj.cells):
+            _h_update(h, obj.edge(*key))
+        for key in combinations_with_replacement(range(obj.n + 1), 3):
             h.update(repr(key).encode())
-            _h_update(h, obj.cells[key])
+            _h_update(h, obj.cell(*key))
     elif isinstance(obj, (tuple, list)):
         h.update(b"(")
         for x in obj:
@@ -359,7 +356,6 @@ def gamma_simplex(phis, *, eps: float = EPS, validate: bool = True, composites=N
     composites = composites or {}
     comp = {}
     for i in range(n + 1):
-        comp[(i, i)] = identity_hom(algebras[i])
         for j in range(i + 1, n + 1):
             given = composites.get((i, j))
             if given is not None:

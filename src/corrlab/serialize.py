@@ -16,9 +16,10 @@ One schema per value kind, recognised by its keys:
 Complex numbers are [re, im] pairs.  Matrices are flat row-major lists of
 such pairs; their shapes are implied by the endpoint records, so shapes are
 checked, never stored.  Simplex records carry only the strict data (i < j
-edges, i < j < k cells); identity edges, unit cells and the tensor-product
-presentations are recomputed on parse, which is safe because those
-constructions are deterministic.
+edges, i < j < k cells), which is all an NCorrSimplex stores: its identity
+edges and unit cells are derived from the unitors.  The tensor-product
+presentations are recomputed on parse, which is safe because that
+construction is deterministic.
 
 Malformed JSON raises ParseError; structurally wrong documents, numbers
 that are not finite (NaN, Infinity, integers too large for a float), and

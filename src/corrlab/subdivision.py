@@ -286,7 +286,7 @@ def module_E_S(sigma: NCorrSimplex, subset) -> SdVertexData:
     if s[-1] > sigma.n:
         raise IndexOutOfRange(f"subset {s} does not fit in [0, {sigma.n}]")
     m = s[-1]
-    mods = [sigma.edges[(v, m)].module for v in s]
+    mods = [sigma.edge(v, m).module for v in s]
     module, starts = direct_sum_modules(mods)
     return SdVertexData(s, module, module.compacts, starts)
 
@@ -347,10 +347,10 @@ def _tensor_isometries(sigma, data_s, data_t, base):
             w = np.zeros((dim_t, q_s, r), dtype=complex)
             for si, v in enumerate(data_s.subset):
                 tp = sigma.tp(v, m, top)
-                mv = sigma.edges[(v, m)].module.mult[j]
+                mv = sigma.edge(v, m).module.mult[j]
                 if mv == 0:
                     continue
-                u_l = sigma.cells[(v, m, top)].blocks[l]
+                u_l = sigma.cell(v, m, top).blocks[l]
                 o_t = data_t.starts[rows[si]][l]
                 o_s = data_s.starts[si][j]
                 src0 = tp.row_start(l, j, 0)

@@ -1,11 +1,13 @@
 """The library API the benchmark in ``perfbench/`` calls.
 
 The benchmark treats corrlab as a black box, so a rename or a dropped
-keyword breaks it only when it runs.  This test runs its blockscale n = 2
+keyword breaks it only when it runs.  These tests run its blockscale n = 2
 step through the benchmark's own code, with its span tracer installed, and
-checks the result against the recorded reference.  It reads ``perfbench/``
-and never edits it; a subprocess keeps the tracer's rebinding of corrlab
-names out of the test session.
+check the result against the recorded reference; and they run the
+untrusted-io setup, which replays the generators' random draws (its size
+probe fails if they drift), reads ``sigma.edges`` and serialises twisted
+simplices.  They read ``perfbench/`` and never edit it; a subprocess keeps
+the tracer's rebinding of corrlab names out of the test session.
 """
 
 import os
@@ -34,13 +36,23 @@ print("contract ok")
 """
 
 
-def test_blockscale_step_matches_reference():
+IO_SCRIPT = """
+import sys, workloads
+
+workloads.check_probe(42)
+plan = workloads.UntrustedIO().setup(42, 1, sys.argv[1])
+assert [len(jobs) for jobs in plan] == [87], [len(jobs) for jobs in plan]
+print("contract ok")
+"""
+
+
+def run_in_perfbench(script, *args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
     )
     proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT],
+        [sys.executable, "-c", script, *args],
         cwd=ROOT,
         env=env,
         capture_output=True,
@@ -49,3 +61,11 @@ def test_blockscale_step_matches_reference():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "contract ok"
+
+
+def test_blockscale_step_matches_reference():
+    run_in_perfbench(SCRIPT)
+
+
+def test_untrusted_io_setup_replays_the_generators(tmp_path):
+    run_in_perfbench(IO_SCRIPT, str(tmp_path))

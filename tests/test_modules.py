@@ -5,6 +5,8 @@ dimension of the algebraic balanced tensor product E (x) F modulo the
 relations x.b (x) y - x (x) b.y, computed by brute-force rank.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -339,6 +341,16 @@ def test_make_iso_rejections():
     # a global phase is a legitimate automorphism
     w = make_iso(ic, ic, [np.exp(0.3j) * np.eye(2)])
     assert iso_distance(w, identity_iso(ic)) > 0.1
+
+
+def test_nan_blocks_are_rejected():
+    """max(0.0, nan) is 0.0, so a residual accumulated with max drops a NaN."""
+    ic = identity_corr(make_algebra((2, 1)))
+    nan = np.full((1, 1), np.nan)
+    for blocks in ([np.full((2, 2), np.nan), nan], [np.eye(2), nan]):
+        with pytest.raises(NotUnitary):
+            CorrIso(ic, ic, blocks)
+        assert math.isnan(iso_distance(CorrIso._trusted(ic, ic, blocks), identity_iso(ic)))
 
 
 def test_iso_compose_inverse_and_dense_roundtrip():

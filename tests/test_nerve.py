@@ -17,11 +17,11 @@ from corrlab.bicategory import find_corr_iso, is_equivalence
 from corrlab.errors import (
     EndpointMismatch,
     NotAnEquivalence,
+    NotUnitary,
     IncompatibleFaces,
     PentagonViolated,
     ShapeMismatch,
     Unfillable,
-    UnitConditionViolated,
     ValidationError,
 )
 from corrlab.generators import (
@@ -34,7 +34,6 @@ from corrlab.generators import (
 from corrlab.modules import (
     CorrIso,
     corr_close,
-    direct_sum_corrs,
     identity_corr,
     iso_distance,
     left_unitor,
@@ -81,11 +80,49 @@ def test_gamma_simplex_validates(seed):
 def test_identity_edges_and_unit_cells():
     rng = np.random.default_rng(4)
     s = random_simplex(rng, 2, max_mult=1)
+    assert set(s.edges) == {(0, 1), (0, 2), (1, 2)}
+    assert set(s.cells) == {(0, 1, 2)}
     for i in range(3):
-        assert corr_close(s.edges[(i, i)], identity_corr(s.algebras[i]))
-    assert set(s.cells) == {
-        (i, j, k) for i in range(3) for j in range(i, 3) for k in range(j, 3)
-    }
+        assert corr_close(s.edge(i, i), identity_corr(s.algebras[i]))
+        assert s.edge(i, i) is s.edge(i, i)
+        for k in range(i, 3):
+            left = s.cell(i, i, k)
+            assert iso_distance(left, left_unitor(s.tp(i, i, k))) == 0.0
+            assert iso_distance(s.cell(i, k, k), right_unitor(s.tp(i, k, k))) == 0.0
+            assert s.cell(i, i, k) is left
+
+
+def test_constructor_refuses_non_strict_keys():
+    rng = np.random.default_rng(4)
+    s = random_simplex(rng, 2, max_mult=1)
+    with pytest.raises(ShapeMismatch):
+        NCorrSimplex(s.algebras, s.edges | {(1, 1): s.edge(1, 1)}, s.cells)
+    for key in [(0, 0, 2), (0, 2, 2), (1, 1, 1), (0, 1, 3), (2, 1, 0)]:
+        with pytest.raises(ShapeMismatch):
+            NCorrSimplex(s.algebras, s.edges, s.cells | {key: s.cells[(0, 1, 2)]})
+    edges = dict(s.edges)
+    e = edges.pop((0, 2))
+    for key in [(2, 0), (2, 2), (0, 3)]:
+        with pytest.raises(ShapeMismatch):
+            NCorrSimplex(s.algebras, edges | {key: e}, s.cells)
+    with pytest.raises(ShapeMismatch):
+        NCorrSimplex(s.algebras, edges, s.cells)
+    with pytest.raises(ShapeMismatch):
+        make_simplex(s.algebras, s.edges, s.cells | {(0, 0, 1): s.cell(0, 0, 1)})
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_degeneracy_shares_the_parents_cells(n):
+    rng = np.random.default_rng(40 + n)
+    s = random_simplex(rng, n, twist=True, max_blocks=2, max_size=2, max_mult=1)
+    structural_hash(s)  # builds every identity edge and unit cell of s
+    for i in range(n + 1):
+        d = degeneracy(s, i)
+        phi = sorted(list(range(n + 1)) + [i])
+        for key in itertools.combinations_with_replacement(range(n + 2), 2):
+            assert d.edge(*key) is s.edge(*(phi[x] for x in key)), (i, key)
+        for key in itertools.combinations_with_replacement(range(n + 2), 3):
+            assert d.cell(*key) is s.cell(*(phi[x] for x in key)), (i, key)
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -228,6 +265,18 @@ def test_incompatible_faces_rejected():
         fill_inner_horn(HornSpec(2, 1, {0: face(t1, 0), 2: face(t2, 2)}))
 
 
+@pytest.mark.parametrize("seed", range(2))
+def test_hash_of_a_reindexed_simplex_ignores_what_its_parent_built(seed):
+    # a face takes over the unitors its parent has built and builds the
+    # others itself; either way it must hash the same
+    maps = [m for r in (2, 3) for m in itertools.combinations_with_replacement(range(3), r)]
+    fresh = random_simplex(np.random.default_rng(seed), 2, twist=True, max_mult=2)
+    lazy = [structural_hash(apply_map(fresh, m)) for m in maps]
+    built = random_simplex(np.random.default_rng(seed), 2, twist=True, max_mult=2)
+    structural_hash(built)
+    assert [structural_hash(apply_map(built, m)) for m in maps] == lazy
+
+
 def test_pentagon_violation_detected():
     rng = np.random.default_rng(5)
     s = random_simplex(rng, 3, max_mult=1)
@@ -273,19 +322,9 @@ def test_structural_hash_is_stable():
 
 
 def reference_validate(s, eps=1e-9):
-    """Test-only full check: identity edges, the unit cells, and the
-    pentagon at every weakly increasing quadruple."""
-    n = s.n
-    for i in range(n + 1):
-        if not corr_close(s.edges[(i, i)], identity_corr(s.algebras[i]), eps):
-            raise UnitConditionViolated(i, i)
-    for i in range(n + 1):
-        for k in range(i, n + 1):
-            if iso_distance(s.cells[(i, i, k)], left_unitor(s.tp(i, i, k))) > eps:
-                raise UnitConditionViolated(i, k)
-            if k > i and iso_distance(s.cells[(i, k, k)], right_unitor(s.tp(i, k, k))) > eps:
-                raise UnitConditionViolated(i, k)
-    for quad in weak_quadruples(n):
+    """Test-only full check: the pentagon at every weakly increasing
+    quadruple."""
+    for quad in weak_quadruples(s.n):
         r = pentagon_residual(s, *quad)
         if r > eps:
             raise PentagonViolated(*quad, r)
@@ -332,19 +371,6 @@ def corruptions(s, rng):
         yield f"negated{key}", with_cell(s, key, make_iso(c.src, c.dst, [-u for u in c.blocks]))
         # a valid CorrIso landing on E_ik, but out of E_ik, not E_ij (x) E_jk
         yield f"source{key}", with_cell(s, key, identity_iso(s.edges[(key[0], key[2])]))
-    i = int(rng.integers(0, n + 1))
-    k = int(rng.integers(i, n + 1))
-    for key in sorted({(i, i, k), (i, k, k)}):
-        unitor = s.cells[key]
-        z = phases(rng, len(unitor.blocks))
-        rotated = CorrIso(unitor.src, unitor.dst, [p * u for p, u in zip(z, unitor.blocks)])
-        yield f"unitor{key}", with_cell(s, key, rotated)
-    doubled, _ = direct_sum_corrs([identity_corr(s.algebras[i])] * 2)
-    edges = dict(s.edges)
-    edges[(i, i)] = doubled
-    cells = dict(s.cells)
-    cells[(i, i, i)] = identity_iso(doubled)
-    yield f"edge({i}, {i})", NCorrSimplex(s.algebras, edges, cells)
 
 
 @pytest.mark.parametrize("kind", ["gamma", "twisted", "degenerate"])
@@ -358,9 +384,8 @@ def test_reduced_validator_matches_full_check(n, kind):
         got = outcome(validate_simplex, bad)
         assert got is outcome(reference_validate, bad), name
         seen[name] = got
-    # unit corruptions are always caught; strict cells only through a
-    # strict pentagon, so below n = 3 a central twist of a cell is valid
-    assert all(seen[name] is UnitConditionViolated for name in seen if name.startswith(("unitor", "edge")))
+    # strict cells are caught only through a strict pentagon, so below
+    # n = 3 a central twist of a cell is valid
     strict_outcomes = {got for name, got in seen.items() if name.startswith(("phase", "negated"))}
     if n < 3:
         assert strict_outcomes <= {None}
@@ -379,7 +404,7 @@ def test_moved_cell_entry_is_rejected_on_construction():
     rng = np.random.default_rng(77)
     s = random_simplex(rng, 3, twist=True, max_mult=1)
     for key in [(0, 1, 2), (0, 1, 3), (1, 2, 3), (0, 0, 2), (0, 2, 2)]:
-        c = s.cells[key]
+        c = s.cell(*key)
         dense = c.dense()
         for r, col in [(0, 0), (dense.shape[0] - 1, 0), (0, dense.shape[1] - 1)]:
             moved = dense.copy()
@@ -408,11 +433,58 @@ def test_validate_simplex_checks_each_strict_pentagon_once(n, monkeypatch):
     assert all(i < j < k < l for i, j, k, l in calls)
 
 
+@pytest.mark.parametrize("n", range(5))
+def test_validate_simplex_builds_no_unitor(n, monkeypatch):
+    rng = np.random.default_rng(70 + n)
+    if n == 0:
+        s = make_simplex([random_algebra(rng)], {}, {}, validate=False)
+    else:
+        s = small_simplex(rng, n, "twisted")
+    calls = []
+
+    def counting(real):
+        def wrapper(*args, **kwargs):
+            calls.append(real.__name__)
+            return real(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(nerve, "left_unitor", counting(left_unitor))
+    monkeypatch.setattr(nerve, "right_unitor", counting(right_unitor))
+    validate_simplex(s)
+    assert calls == []
+    s.cell(0, 0, n)  # the counter sees a unitor when one is built
+    assert calls == ["left_unitor"]
+
+
+def nan_cell_simplex(key, blocks):
+    """A random 3-simplex whose cell ``key`` has NaN blocks (all, or the
+    last only), built unchecked; the checking constructor refuses them."""
+    s = random_simplex(np.random.default_rng(91), 3, max_mult=2)
+    c = s.cells[key]
+    nan = [np.full(u.shape, np.nan, dtype=complex) for u in c.blocks]
+    if blocks == "last":
+        nan = list(c.blocks[:-1]) + nan[-1:]
+    with pytest.raises(NotUnitary):
+        CorrIso(c.src, c.dst, nan)
+    return with_cell(s, key, CorrIso._trusted(c.src, c.dst, nan))
+
+
+@pytest.mark.parametrize("blocks", ["all", "last"])
+def test_nan_cell_fails_validation(blocks):
+    # u_013 enters the pentagon unchecked, so its NaN reaches the residual
+    with pytest.raises(PentagonViolated) as err:
+        validate_simplex(nan_cell_simplex((0, 1, 3), blocks))
+    assert math.isnan(err.value.residual)
+    # u_012 goes through tensor_iso, whose checked result refuses it
+    with pytest.raises(NotUnitary):
+        validate_simplex(nan_cell_simplex((0, 1, 2), blocks))
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_identity_iso_passes_the_checking_constructor(seed):
     rng = np.random.default_rng(80 + seed)
     s = random_simplex(rng, 3, twist=True, max_mult=2)
-    for corr in s.edges.values():
+    for corr in [s.edge(i, j) for i, j in itertools.combinations_with_replacement(range(4), 2)]:
         blocks = identity_iso(corr).blocks
         checked = CorrIso(corr, corr, blocks, eps=0.0)
         assert all(np.array_equal(a, b) for a, b in zip(checked.blocks, blocks))

@@ -252,6 +252,18 @@ def test_cli_validate_flags_broken_simplex(tmp_path, capsys):
     assert "pentagon: FAIL" in out
 
 
+@pytest.mark.parametrize("key", [(0, 1, 2), (0, 1, 3)])
+def test_cli_validate_flags_nan_cell(tmp_path, capsys, monkeypatch, key):
+    # JSON cannot carry NaN (exit 2), so the parsed value is swapped in
+    import corrlab.cli
+    from test_nerve import nan_cell_simplex
+
+    bad = nan_cell_simplex(key, "last")
+    monkeypatch.setattr(corrlab.cli, "load_value", lambda *args, **kwargs: bad)
+    assert main(["validate", str(tmp_path / "unused.json")]) == 1
+    assert "pentagon: ok" not in capsys.readouterr().out
+
+
 def test_cli_morita(tmp_path, capsys):
     rng = np.random.default_rng(6)
     e = random_equivalence(random_algebra(rng, max_blocks=2, max_size=2), rng)

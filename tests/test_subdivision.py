@@ -198,7 +198,7 @@ def test_module_E_S_shapes():
     s = random_simplex(rng, 2, max_mult=1)
     data = module_E_S(s, (0, 1, 2))
     want = tuple(
-        sum(s.edges[(v, 2)].module.mult[k] for v in (0, 1, 2))
+        sum(s.edge(v, 2).module.mult[k] for v in (0, 1, 2))
         for k in range(s.algebras[2].nblocks)
     )
     assert data.module.mult == want
