@@ -78,15 +78,18 @@ def _hom_checks(phi: StarHom, eps: float) -> bool:
     return ok
 
 
-def _corr_checks(c: Correspondence, eps: float) -> bool:
-    ok = _line("left action unital", c.lam.unital)
+def _action_check(c: Correspondence, eps: float, label="left action is a star-hom") -> bool:
     try:
         make_star_hom(c.src, c.module.compacts, c.lam.matrix, eps=eps)
-        ok = _line("left action is a star-hom", True) and ok
     except ValidationError as err:
-        print(f"left action is a star-hom: FAIL ({err})")
-        ok = False
-    return ok
+        print(f"{label}: FAIL ({err})")
+        return False
+    return _line(label, True)
+
+
+def _corr_checks(c: Correspondence, eps: float) -> bool:
+    ok = _line("left action unital", c.lam.unital)
+    return _action_check(c, eps) and ok
 
 
 def _iso_checks(u: CorrIso, eps: float) -> bool:
@@ -96,6 +99,10 @@ def _iso_checks(u: CorrIso, eps: float) -> bool:
 
 
 def _simplex_checks(s: NCorrSimplex, eps: float) -> bool:
+    # edges are parsed unchecked, and no pentagon sees a lone edge
+    edges = sorted(s.edges.items())
+    if not all([_action_check(e, eps, f"edge {key} left action is a star-hom") for key, e in edges]):
+        return False
     worst, where = _simplex_residuals(s, eps)
     if not worst <= eps:
         print(f"pentagon: FAIL at {where} (residual {worst:.3e})")

@@ -8,10 +8,11 @@ constructions from valid inputs are certified by construction and not
 re-checked: the ``StarHom`` built by ``identity_hom``, ``compose_homs``,
 ``gamma_of_hom``, ``u_of_corr``, ``equivalence_inverse``,
 ``direct_sum_corrs``, tensor products, corner inclusions and subdivision
-connecting homs, and the intertwiners built by ``identity_iso`` and the
-adjoints and composites of valid intertwiners.  A simplex's identity edges
-and unit cells are not data at all: ``NCorrSimplex`` derives them from the
-unitors and refuses them as input, so normality needs no check.
+connecting homs, and the intertwiners built by ``identity_iso``,
+``left_unitor`` and ``right_unitor`` and the adjoints and composites of
+valid intertwiners.  A simplex's identity edges and unit cells are not
+data at all: ``NCorrSimplex`` derives them from the unitors and refuses
+them as input, so normality needs no check.
 Validation errors carry the offending residual where one exists, so
 callers (and the CLI ``validate`` command) can report how badly an
 invariant failed.

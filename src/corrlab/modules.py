@@ -350,9 +350,10 @@ class CorrIso:
 
     @classmethod
     def _trusted(cls, src, dst, blocks):
-        """Skip validation; only for identities, whose residuals are exactly
-        0, and adjoints and composites of valid isos, whose residuals are
-        the originals' up to rounding."""
+        """Skip validation; only for identities and the right unitor, whose
+        residuals are exactly 0, the left unitor of a correspondence, and
+        adjoints and composites of valid isos, whose residuals are the
+        originals' up to rounding."""
         out = cls.__new__(cls)
         out.src, out.dst, out.blocks = src, dst, tuple(blocks)
         return out
@@ -600,6 +601,10 @@ def iso_from_action(tp: TensorProduct, dst: Correspondence, action, *, eps: floa
     """Intertwiner out of a tensor product, given its action on the
     reduced family: action(j, a, w) must return the image of
     e^(j)_{a1} (x) w in dst's module.  Right linearity fills in the rest."""
+    return CorrIso(tp.corr, dst, _action_blocks(tp, dst, action), eps=eps)
+
+
+def _action_blocks(tp: TensorProduct, dst: Correspondence, action) -> list:
     c = tp.module.base
     blocks = []
     for k in range(c.nblocks):
@@ -617,11 +622,12 @@ def iso_from_action(tp: TensorProduct, dst: Correspondence, action, *, eps: floa
                     img = action(j, a, w)
                     out[:, o + t] = img.mats[k][:, 0]
         blocks.append(out)
-    return CorrIso(tp.corr, dst, blocks, eps=eps)
+    return blocks
 
 
 def left_unitor(tp: TensorProduct, *, eps: float = EPS) -> CorrIso:
-    """id_A (x) E -> E, a (x) x -> lambda_E(a) x."""
+    """id_A (x) E -> E, a (x) x -> lambda_E(a) x.  Certified: unitary and
+    intertwining up to rounding because lambda_E is a *-hom."""
     a = tp.left.src
     if not corr_close(tp.left, identity_corr(a), eps):
         raise EndpointMismatch("left factor is not the identity correspondence")
@@ -632,11 +638,12 @@ def left_unitor(tp: TensorProduct, *, eps: float = EPS) -> CorrIso:
         row.mats[i][s, 0] = 1.0
         return e.left_mul(row, w)
 
-    return iso_from_action(tp, e, action, eps=eps)
+    return CorrIso._trusted(tp.corr, e, _action_blocks(tp, e, action))
 
 
 def right_unitor(tp: TensorProduct, *, eps: float = EPS) -> CorrIso:
-    """E (x) id_B -> E, x (x) b -> x b.  An exact coordinate renaming."""
+    """E (x) id_B -> E, x (x) b -> x b.  Certified: an exact coordinate
+    renaming."""
     b = tp.left.dst
     if not corr_close(tp.right, identity_corr(b), eps):
         raise EndpointMismatch("right factor is not the identity correspondence")
@@ -647,7 +654,7 @@ def right_unitor(tp: TensorProduct, *, eps: float = EPS) -> CorrIso:
         x.mats[j][a, :] = w.mats[j][0, :]
         return x
 
-    return iso_from_action(tp, e, action, eps=eps)
+    return CorrIso._trusted(tp.corr, e, _action_blocks(tp, e, action))
 
 
 def associator(

@@ -87,8 +87,9 @@ class NCorrSimplex:
     degenerate data is structure, not data: ``edge(i, i)`` is
     identity_corr(A_i), ``cell(i, i, k)`` the left unitor of E_ii (x) E_ik
     and ``cell(i, k, k)`` the right unitor of E_ik (x) E_kk, each built on
-    first use and cached.  Construction checks keys and endpoints only;
-    numeric validity is validate_simplex's job.
+    first use and cached.  The unitors are certified, not checked, so
+    reading a simplex does not depend on an eps.  Construction checks keys
+    and endpoints only; numeric validity is validate_simplex's job.
     """
 
     __slots__ = ("n", "algebras", "edges", "cells", "_units", "_tps", "_shash")
@@ -209,11 +210,13 @@ def _simplex_residuals(s: NCorrSimplex, eps: float = EPS):
 def validate_simplex(s: NCorrSimplex, *, eps: float = EPS) -> NCorrSimplex:
     """Check the pentagon condition; raise on failure.
 
-    Normality (E_ii = I, u_iik = lambda, u_ikk = rho) holds by construction:
-    NCorrSimplex stores no degenerate data and derives it from the unitors,
-    so there is nothing to check.  Each strict u_ijk must start at
-    E_ij (x) E_jk (NCorrSimplex checks only where cells land).  The
-    pentagon is checked at i < j < k < l only; at a repeated index it is
+    The edges must be correspondences (left actions *-homs), as JSON parse
+    with validate=True and the library constructors guarantee; ``corrlab
+    validate`` checks them itself.  Normality (E_ii = I, u_iik = lambda,
+    u_ikk = rho) holds by construction: NCorrSimplex stores no degenerate
+    data and derives it from the unitors, so there is nothing to check.
+    Each strict u_ijk must start at E_ij (x) E_jk (NCorrSimplex checks only
+    where cells land).  The pentagon is checked at i < j < k < l only; at a repeated index it is
     implied, since every cell is a valid CorrIso between those endpoints
     (unitary, intertwining, right linear by structure) and the unit cells
     are the unitors; the first case that applies covers it:

@@ -31,6 +31,7 @@ caller that checks every invariant itself (``corrlab validate``).
 from __future__ import annotations
 
 import json
+from itertools import combinations
 
 import numpy as np
 
@@ -206,16 +207,10 @@ def iso_from_json(doc, *, eps: float = EPS, validate: bool = True, where="iso") 
 
 
 def simplex_to_json(s: NCorrSimplex) -> dict:
-    edges = [
-        {"i": i, "j": j, "corr": corr_to_json(s.edges[(i, j)])}
-        for i in range(s.n + 1)
-        for j in range(i + 1, s.n + 1)
-    ]
+    edges = [{"i": i, "j": j, "corr": corr_to_json(e)} for (i, j), e in sorted(s.edges.items())]
     cells = [
-        {"i": i, "j": j, "k": k, "unitary": matrix_to_json(s.cells[(i, j, k)].dense())}
-        for i in range(s.n + 1)
-        for j in range(i + 1, s.n + 1)
-        for k in range(j + 1, s.n + 1)
+        {"i": i, "j": j, "k": k, "unitary": matrix_to_json(u.dense())}
+        for (i, j, k), u in sorted(s.cells.items())
     ]
     return {
         "algebras": [algebra_to_json(a) for a in s.algebras],
@@ -240,7 +235,7 @@ def simplex_from_json(doc, *, eps: float = EPS, validate: bool = True, where="nc
         edges[(i, j)] = corr_from_json(
             _need(rec, "corr", here), eps=eps, validate=validate, where=f"{here}.corr"
         )
-    missing = [(i, j) for i in range(n + 1) for j in range(i + 1, n + 1) if (i, j) not in edges]
+    missing = [t for t in combinations(range(n + 1), 2) if t not in edges]
     if missing:
         raise SchemaError(f"{where}.edges: missing {missing}")
 
@@ -261,16 +256,7 @@ def simplex_from_json(doc, *, eps: float = EPS, validate: bool = True, where="nc
             f"{here}.unitary",
         )
         cells[(i, j, k)] = make_iso(tp.corr, target, m, eps=eps)
-    missing = [
-        t
-        for t in (
-            (i, j, k)
-            for i in range(n + 1)
-            for j in range(i + 1, n + 1)
-            for k in range(j + 1, n + 1)
-        )
-        if t not in cells
-    ]
+    missing = [t for t in combinations(range(n + 1), 3) if t not in cells]
     if missing:
         raise SchemaError(f"{where}.cells: missing {missing}")
 

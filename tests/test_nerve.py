@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from corrlab import nerve
-from corrlab.algebra import FdCstarAlgebra
+from corrlab.algebra import FdCstarAlgebra, StarHom, make_algebra
 from corrlab.bicategory import find_corr_iso, is_equivalence
 from corrlab.errors import (
     EndpointMismatch,
@@ -33,11 +33,14 @@ from corrlab.generators import (
 )
 from corrlab.modules import (
     CorrIso,
+    Correspondence,
     corr_close,
     identity_corr,
     iso_distance,
     left_unitor,
+    make_correspondence,
     make_iso,
+    make_module,
     right_unitor,
 )
 from corrlab.nerve import (
@@ -488,3 +491,34 @@ def test_identity_iso_passes_the_checking_constructor(seed):
         blocks = identity_iso(corr).blocks
         checked = CorrIso(corr, corr, blocks, eps=0.0)
         assert all(np.array_equal(a, b) for a, b in zip(checked.blocks, blocks))
+    # the derived unitors are certified too
+    for i, j, k in itertools.combinations_with_replacement(range(4), 3):
+        if i == j or j == k:
+            u = s.cell(i, j, k)
+            CorrIso(u.src, u.dst, u.blocks, eps=1e-12)
+
+
+def conjugated_edge(off: float):
+    """A correspondence C^2 -> C with left action S diag(a) S^-1 on C^2,
+    S = [[1, off], [0, 1]]: multiplicative and unital, but star-preserving
+    only to about ``off``."""
+    a, b = make_algebra([1, 1]), make_algebra([1])
+    module = make_module(b, [2])
+    s = np.array([[1.0, off], [0.0, 1.0]], dtype=complex)
+    units = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
+    lam = np.stack([(s @ e @ np.linalg.inv(s)).ravel() for e in units], axis=1)
+    return Correspondence(a, module, StarHom(a, module.compacts, lam.astype(complex)))
+
+
+def test_reading_a_simplex_does_not_depend_on_eps():
+    e = conjugated_edge(1e-8)
+    make_correspondence(e.src, e.module, e.lam.matrix, eps=1e-6)
+    with pytest.raises(ValidationError):
+        make_correspondence(e.src, e.module, e.lam.matrix)
+    s = make_simplex([e.src, e.dst], {(0, 1): e}, {}, eps=1e-6)
+    # the unit cells are read, hashed and reindexed without a check at the
+    # default eps, which this edge would fail
+    assert len(structural_hash(s)) == 40
+    d = degeneracy(degeneracy(s, 0), 2)
+    assert d.cell(0, 1, 2) is s.cell(0, 0, 1)
+    assert d.cell(1, 2, 3) is s.cell(0, 1, 1)

@@ -252,6 +252,21 @@ def test_cli_validate_flags_broken_simplex(tmp_path, capsys):
     assert "pentagon: FAIL" in out
 
 
+@pytest.mark.parametrize("kind", ["simplex", "horn"])
+def test_cli_validate_flags_an_edge_that_is_not_a_star_hom(tmp_path, capsys, kind):
+    # a lone edge has no pentagon, so only the edge check can catch it
+    from test_nerve import conjugated_edge
+
+    e = conjugated_edge(1.0)
+    s = make_simplex([e.src, e.dst], {(0, 1): e}, {}, validate=False)
+    path = tmp_path / "bad.json"
+    dump_value(s if kind == "simplex" else HornSpec(2, 2, {0: s, 1: s}), path)
+    assert main(["validate", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert "edge (0, 1) left action is a star-hom: FAIL" in out
+    assert "all invariants pass" not in out
+
+
 @pytest.mark.parametrize("key", [(0, 1, 2), (0, 1, 3)])
 def test_cli_validate_flags_nan_cell(tmp_path, capsys, monkeypatch, key):
     # JSON cannot carry NaN (exit 2), so the parsed value is swapped in
