@@ -60,7 +60,6 @@ from .modules import (
     identity_corr,
     is_full_corr,
     iso_distance,
-    iso_from_action,
     left_unitor,
     make_correspondence,
     make_iso,

@@ -27,11 +27,11 @@ from .linalg import EPS, fix_phase, frob, orthonormal_range
 from .modules import (
     CorrIso,
     Correspondence,
-    ModElement,
     TensorProduct,
+    _intertwiner_blocks,
+    _renaming_blocks,
     identity_corr,
     is_full_corr,
-    iso_from_action,
     make_module,
     tensor_corrs,
 )
@@ -85,7 +85,9 @@ def gamma_multiplicativity(
     On representatives it is b (x) c -> psi(b) c, written in the range
     coordinates of the three correspondences.  ``comp`` may supply the
     composite hom (and ``target`` its correspondence) so the result lands on
-    an already materialized object instead of a recomputation.
+    an already materialized object instead of a recomputation.  Certified:
+    for ``tp`` = (Gamma phi) (x) (Gamma psi) it is unitary and intertwining
+    up to rounding because phi and psi are *-homs.
     """
     if phi.dst != psi.src:
         raise EndpointMismatch("homs are not composable")
@@ -98,22 +100,13 @@ def gamma_multiplicativity(
     v_phi = gamma_isometries(phi, eps=eps)
     v_psi = gamma_isometries(psi, eps=eps)
     v_comp = gamma_isometries(comp, eps=eps)
-    c = psi.dst
 
-    def action(j, a, w: ModElement) -> ModElement:
+    def action(j, a, k, w):
         b = phi.dst.zero()
         b.mats[j][:, 0] = v_phi[j][:, a]
-        img = psi.apply(b)
-        out = target.module.zero()
-        for k in range(c.nblocks):
-            if target.module.mult[k] == 0:
-                continue
-            out.mats[k][:, :] = (
-                v_comp[k].conj().T @ img.mats[k] @ v_psi[k] @ w.mats[k]
-            )
-        return out
+        return v_comp[k].conj().T @ psi.apply(b).mats[k] @ v_psi[k] @ w
 
-    return iso_from_action(tp, target, action, eps=eps)
+    return CorrIso._trusted(tp.corr, target, _intertwiner_blocks(tp, target, action))
 
 
 @dataclass(frozen=True)
@@ -123,7 +116,8 @@ class CornerFactorization:
     ``linking`` is K(E (+) B); ``j_hom`` maps the source into the E corner,
     ``i_hom`` embeds B into the complementary corner (a full corner
     embedding), ``x_corr`` is the tautological correspondence L -> B, and
-    ``iso: tp.corr -> E`` is the exact factorization intertwiner.
+    ``iso: tp.corr -> E`` is the exact factorization intertwiner, a
+    certified coordinate renaming.
     """
 
     linking: FdCstarAlgebra
@@ -166,12 +160,7 @@ def u_of_corr(corr: Correspondence, *, eps: float = EPS) -> CornerFactorization:
     x_corr = Correspondence(linking, sum_mod, identity_hom(linking))
     tp = tensor_corrs(gamma_j, x_corr, eps=eps)
 
-    def action(k, a2, w: ModElement) -> ModElement:
-        out = e_mod.zero()
-        out.mats[k][a2, :] = w.mats[k][0, :]
-        return out
-
-    iso = iso_from_action(tp, corr, action, eps=eps)
+    iso = CorrIso._trusted(tp.corr, corr, _renaming_blocks(tp, corr))
     return CornerFactorization(linking, j_hom, i_hom, gamma_j, x_corr, tp, iso)
 
 
@@ -212,7 +201,8 @@ def equivalence_inverse(corr: Correspondence, *, eps: float = EPS) -> Equivalenc
     """Explicit inverse of an equivalence, via the conjugate module.
 
     Raises NotAnEquivalence unless the correspondence is full and its left
-    action is a *-isomorphism onto the compacts.
+    action is a *-isomorphism onto the compacts.  The counits are certified:
+    unitary and intertwining up to rounding because the action is a *-hom.
     """
     a, b = corr.src, corr.dst
     if not is_full_corr(corr, eps=eps):
@@ -259,25 +249,25 @@ def equivalence_inverse(corr: Correspondence, *, eps: float = EPS) -> Equivalenc
     tp_left = tensor_corrs(corr, inverse, eps=eps)
     id_a = identity_corr(a)
 
-    def act_left(k, r, w: ModElement) -> ModElement:
-        out = id_a.module.zero()
-        for i in range(a.nblocks):
-            if block_map[i] == k:
-                out.mats[i][:, :] = np.outer(us[i].conj().T[:, r], w.mats[i][0, :])
-        return out
+    # tp_left.r[k, i] and tp_right.r[i, k] vanish unless k = block_map[i]
+    def act_left(k, r, i, w):
+        return np.outer(us[i].conj().T[:, r], w[0])
 
-    counit_left = iso_from_action(tp_left, id_a, act_left, eps=eps)
+    counit_left = CorrIso._trusted(
+        tp_left.corr, id_a, _intertwiner_blocks(tp_left, id_a, act_left)
+    )
 
     tp_right = tensor_corrs(inverse, corr, eps=eps)
     id_b = identity_corr(b)
 
-    def act_right(i, r, w: ModElement) -> ModElement:
-        out = id_b.module.zero()
-        k = block_map[i]
-        out.mats[k][r, :] = us[i][:, 0].conj() @ w.mats[k]
+    def act_right(i, r, k, w):
+        out = np.zeros((b.blocks[k], w.shape[1]), dtype=complex)
+        out[r] = us[i][:, 0].conj() @ w
         return out
 
-    counit_right = iso_from_action(tp_right, id_b, act_right, eps=eps)
+    counit_right = CorrIso._trusted(
+        tp_right.corr, id_b, _intertwiner_blocks(tp_right, id_b, act_right)
+    )
     return EquivalenceWitness(
         corr, inverse, tuple(block_map), tuple(us), tp_left, counit_left, tp_right, counit_right
     )

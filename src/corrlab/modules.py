@@ -52,7 +52,6 @@ __all__ = [
     "TensorProduct",
     "tensor_corrs",
     "tensor_iso",
-    "iso_from_action",
     "left_unitor",
     "right_unitor",
     "associator",
@@ -350,10 +349,12 @@ class CorrIso:
 
     @classmethod
     def _trusted(cls, src, dst, blocks):
-        """Skip validation; only for identities and the right unitor, whose
-        residuals are exactly 0, the left unitor of a correspondence, and
-        adjoints and composites of valid isos, whose residuals are the
-        originals' up to rounding."""
+        """Skip validation; only for what is unitary and intertwining by
+        construction: identities and the coordinate renamings (right unitor,
+        corner factorization), whose residuals are exactly 0; the left
+        unitor, associator, Gamma multiplicativity cell and Morita counits
+        built from valid correspondences and *-homs; and adjoints and
+        composites of valid isos.  Their residuals are rounding only."""
         out = cls.__new__(cls)
         out.src, out.dst, out.blocks = src, dst, tuple(blocks)
         return out
@@ -597,32 +598,36 @@ def tensor_iso(
     return CorrIso(tp_src.corr, tp_dst.corr, blocks, eps=eps)
 
 
-def iso_from_action(tp: TensorProduct, dst: Correspondence, action, *, eps: float = EPS) -> CorrIso:
-    """Intertwiner out of a tensor product, given its action on the
-    reduced family: action(j, a, w) must return the image of
-    e^(j)_{a1} (x) w in dst's module.  Right linearity fills in the rest."""
-    return CorrIso(tp.corr, dst, _action_blocks(tp, dst, action), eps=eps)
-
-
-def _action_blocks(tp: TensorProduct, dst: Correspondence, action) -> list:
-    c = tp.module.base
+def _intertwiner_blocks(tp: TensorProduct, dst: Correspondence, action) -> list:
+    """Blocks of the intertwiner tp.corr -> dst that sends e^(j)_{a1} (x) w
+    to the element whose block k is action(j, a, k, W), W being block k of w.
+    The map is right linear, W -> X W, so one call on all of R_jk =
+    tp.onb[j][k] fills the columns of group (j, a) at block k."""
     blocks = []
-    for k in range(c.nblocks):
-        qk = tp.module.mult[k]
-        out = np.zeros((dst.module.mult[k], qk), dtype=complex)
+    for k in range(tp.module.base.nblocks):
+        out = np.zeros((dst.module.mult[k], tp.module.mult[k]), dtype=complex)
         for j in range(tp.left.dst.nblocks):
             rjk = int(tp.r[j, k])
             if rjk == 0:
                 continue
             for a in range(tp.left.module.mult[j]):
                 o = tp.row_start(k, j, a)
-                for t in range(rjk):
-                    w = tp.right.module.zero()
-                    w.mats[k][:, 0] = tp.onb[j][k][:, t]
-                    img = action(j, a, w)
-                    out[:, o + t] = img.mats[k][:, 0]
+                out[:, o : o + rjk] = action(j, a, k, tp.onb[j][k])
         blocks.append(out)
     return blocks
+
+
+def _renaming_blocks(tp: TensorProduct, dst: Correspondence) -> list:
+    """Blocks of x (x) b -> x b when the right factor's left action is the
+    identity, so r_jk = 0 unless k = j: row a of block j of the image is row
+    0 of W.  A copy, so the blocks are exact."""
+
+    def action(j, a, k, w):
+        out = np.zeros((dst.module.mult[k], w.shape[1]), dtype=complex)
+        out[a] = w[0]
+        return out
+
+    return _intertwiner_blocks(tp, dst, action)
 
 
 def left_unitor(tp: TensorProduct, *, eps: float = EPS) -> CorrIso:
@@ -633,12 +638,10 @@ def left_unitor(tp: TensorProduct, *, eps: float = EPS) -> CorrIso:
         raise EndpointMismatch("left factor is not the identity correspondence")
     e = tp.right
 
-    def action(i, s, w):
-        row = a.zero()
-        row.mats[i][s, 0] = 1.0
-        return e.left_mul(row, w)
+    def action(i, s, k, w):
+        return e.lam_block(a.matrix_unit(i, s, 0), k) @ w
 
-    return CorrIso._trusted(tp.corr, e, _action_blocks(tp, e, action))
+    return CorrIso._trusted(tp.corr, e, _intertwiner_blocks(tp, e, action))
 
 
 def right_unitor(tp: TensorProduct, *, eps: float = EPS) -> CorrIso:
@@ -647,14 +650,7 @@ def right_unitor(tp: TensorProduct, *, eps: float = EPS) -> CorrIso:
     b = tp.left.dst
     if not corr_close(tp.right, identity_corr(b), eps):
         raise EndpointMismatch("right factor is not the identity correspondence")
-    e = tp.left
-
-    def action(j, a, w):
-        x = e.module.zero()
-        x.mats[j][a, :] = w.mats[j][0, :]
-        return x
-
-    return CorrIso._trusted(tp.corr, e, _action_blocks(tp, e, action))
+    return CorrIso._trusted(tp.corr, tp.left, _renaming_blocks(tp, tp.left))
 
 
 def associator(
@@ -665,48 +661,37 @@ def associator(
     *,
     eps: float = EPS,
 ) -> CorrIso:
-    """(E (x) F) (x) G -> E (x) (F (x) G) on the given tensor data."""
+    """(E (x) F) (x) G -> E (x) (F (x) G) on the given tensor data.
+
+    In closed form: at D block l, the group (j2, alpha) of the source with
+    alpha in group (j, a) of E (x) F maps into group (j, a) of the target by
+    R^*_e_fg P_e_fg[:, group j2 of F (x) G] kron(R_ef[j][j2], R^*_fg P_fg R_efg),
+    the same block for every a.  Certified when tp_efg tensors tp_ef.corr
+    and tp_e_fg tensors tp_fg.corr, as checked: it is unitary and
+    intertwining up to rounding because the left actions are *-homs.
+    """
     if tp_efg.left is not tp_ef.corr and not corr_close(tp_efg.left, tp_ef.corr, eps):
         raise EndpointMismatch("tp_efg must tensor tp_ef.corr with G")
     if tp_e_fg.right is not tp_fg.corr and not corr_close(tp_e_fg.right, tp_fg.corr, eps):
         raise EndpointMismatch("tp_e_fg must tensor E with tp_fg.corr")
-    e_mod = tp_ef.left.module
-    d = tp_efg.module.base
-    nb = tp_ef.left.dst.nblocks
-    nc = tp_ef.module.base.nblocks
+    e_mult, f_mult = tp_ef.left.module.mult, tp_fg.left.module.mult
     blocks = []
-    for l in range(d.nblocks):
-        src_q = tp_efg.module.mult[l]
-        dst_q = tp_e_fg.module.mult[l]
-        out = np.zeros((dst_q, src_q), dtype=complex)
-        for j in range(nb):
-            if e_mod.mult[j] == 0:
-                continue
+    for l in range(tp_efg.module.base.nblocks):
+        out = np.zeros((tp_e_fg.module.mult[l], tp_efg.module.mult[l]), dtype=complex)
+        for j in range(tp_ef.left.dst.nblocks):
             r_dst = int(tp_e_fg.r[j, l])
-            cols = []
-            col_meta = []
-            for j2 in range(nc):
-                r1 = int(tp_ef.r[j, j2])
-                r2 = int(tp_efg.r[j2, l])
-                for t in range(r1):
-                    w = tp_ef.right.module.zero()
-                    w.mats[j2][:, 0] = tp_ef.onb[j][j2][:, t]
-                    for t2 in range(r2):
-                        y = tp_efg.right.module.zero()
-                        y.mats[l][:, 0] = tp_efg.onb[j2][l][:, t2]
-                        v = tp_fg.pure_tensor(w, y)
-                        img = tp_e_fg.embed(j, 0, v)
-                        o = tp_e_fg.row_start(l, j, 0)
-                        cols.append(img.mats[l][o : o + r_dst, 0])
-                        col_meta.append((j2, t, t2))
-            if not cols:
+            if r_dst == 0 or e_mult[j] == 0:
                 continue
-            m_j = np.column_stack(cols)
-            for a in range(e_mod.mult[j]):
-                o_dst = tp_e_fg.row_start(l, j, a)
-                for ci, (j2, t, t2) in enumerate(col_meta):
-                    alpha = tp_ef.row_start(j2, j, a) + t
-                    src_row = tp_efg.row_start(l, j2, alpha) + t2
-                    out[o_dst : o_dst + r_dst, src_row] = m_j[:, ci]
+            into = tp_e_fg.onb[j][l].conj().T @ tp_e_fg.proj[j][l]
+            for j2 in range(tp_ef.module.base.nblocks):
+                if tp_ef.r[j, j2] == 0 or tp_efg.r[j2, l] == 0:
+                    continue
+                fg = tp_fg.onb[j2][l].conj().T @ tp_fg.proj[j2][l] @ tp_efg.onb[j2][l]
+                g0 = tp_fg.row_start(l, j2, 0)
+                blk = into[:, g0 : g0 + f_mult[j2] * fg.shape[0]] @ np.kron(tp_ef.onb[j][j2], fg)
+                for a in range(e_mult[j]):
+                    o = tp_e_fg.row_start(l, j, a)
+                    c = tp_efg.row_start(l, j2, tp_ef.row_start(j2, j, a))
+                    out[o : o + r_dst, c : c + blk.shape[1]] = blk
         blocks.append(out)
-    return CorrIso(tp_efg.corr, tp_e_fg.corr, blocks, eps=eps)
+    return CorrIso._trusted(tp_efg.corr, tp_e_fg.corr, blocks)

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 
 import numpy as np
 
@@ -244,17 +244,7 @@ def apply_map(s: NCorrSimplex, phi) -> NCorrSimplex:
     algebras = tuple(s.algebras[p] for p in phi)
     edges = {(a, b): s.edge(phi[a], phi[b]) for a, b in combinations(ids, 2)}
     cells = {t: s.cell(*(phi[x] for x in t)) for t in combinations(ids, 3)}
-    out = NCorrSimplex(algebras, edges, cells)
-    # the degenerate data at (a, a) and (a, b, c) is the parent's at the
-    # image key, so hand over what the parent has built; where that key is
-    # (i, i, i), the parent's lambda and the rho the face would build on
-    # I (x) I are the same exact 0/1 blocks
-    for size in (2, 3):
-        for key in combinations_with_replacement(ids, size):
-            built = s._units.get(tuple(phi[x] for x in key))
-            if built is not None and len(set(key)) < size:
-                out._units[key] = built
-    return out
+    return NCorrSimplex(algebras, edges, cells)
 
 
 def face(s: NCorrSimplex, i: int) -> NCorrSimplex:
@@ -307,12 +297,10 @@ def _h_update(h, obj):
         h.update(f"simplex{obj.n}".encode())
         for a in obj.algebras:
             _h_update(h, a)
-        for key in combinations_with_replacement(range(obj.n + 1), 2):
-            h.update(repr(key).encode())
-            _h_update(h, obj.edge(*key))
-        for key in combinations_with_replacement(range(obj.n + 1), 3):
-            h.update(repr(key).encode())
-            _h_update(h, obj.cell(*key))
+        for size, stored in ((2, obj.edges), (3, obj.cells)):
+            for key in combinations(range(obj.n + 1), size):
+                h.update(repr(key).encode())
+                _h_update(h, stored[key])
     elif isinstance(obj, (tuple, list)):
         h.update(b"(")
         for x in obj:
@@ -327,6 +315,9 @@ def structural_hash(obj) -> str:
 
     Equal hashes mean bit-identical data. Used for memo keys, trace ids and
     exact-recovery checks; tolerance-based comparisons live in simplex_close.
+    A simplex hashes its algebras and its stored strict edges and cells: its
+    identity edges and unit cells are a function of those, so hashing builds
+    none of them.
     """
     if isinstance(obj, NCorrSimplex) and obj._shash is not None:
         return obj._shash

@@ -114,18 +114,34 @@ def test_constructor_refuses_non_strict_keys():
         make_simplex(s.algebras, s.edges, s.cells | {(0, 0, 1): s.cell(0, 0, 1)})
 
 
+def same_bits(x, y) -> bool:
+    """Bit-equal correspondences, or intertwiners with bit-equal blocks."""
+    if isinstance(x, Correspondence):
+        return x.module == y.module and np.array_equal(x.lam.matrix, y.lam.matrix)
+    return x.src.module == y.src.module and all(
+        np.array_equal(a, b) for a, b in zip(x.blocks, y.blocks, strict=True)
+    )
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_degeneracy_shares_the_parents_cells(n):
+    # stored (strict) data is the parent's object; degenerate data is
+    # derived by each simplex and comes out bit-equal to the parent's
     rng = np.random.default_rng(40 + n)
     s = random_simplex(rng, n, twist=True, max_blocks=2, max_size=2, max_mult=1)
-    structural_hash(s)  # builds every identity edge and unit cell of s
     for i in range(n + 1):
         d = degeneracy(s, i)
         phi = sorted(list(range(n + 1)) + [i])
         for key in itertools.combinations_with_replacement(range(n + 2), 2):
-            assert d.edge(*key) is s.edge(*(phi[x] for x in key)), (i, key)
+            mine, parent = d.edge(*key), s.edge(*(phi[x] for x in key))
+            if key in d.edges:
+                assert mine is parent, (i, key)
+            assert same_bits(mine, parent), (i, key)
         for key in itertools.combinations_with_replacement(range(n + 2), 3):
-            assert d.cell(*key) is s.cell(*(phi[x] for x in key)), (i, key)
+            mine, parent = d.cell(*key), s.cell(*(phi[x] for x in key))
+            if key in d.cells:
+                assert mine is parent, (i, key)
+            assert same_bits(mine, parent), (i, key)
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -270,8 +286,8 @@ def test_incompatible_faces_rejected():
 
 @pytest.mark.parametrize("seed", range(2))
 def test_hash_of_a_reindexed_simplex_ignores_what_its_parent_built(seed):
-    # a face takes over the unitors its parent has built and builds the
-    # others itself; either way it must hash the same
+    # a face hashes the same whether or not its parent has built its
+    # identity edges and unit cells
     maps = [m for r in (2, 3) for m in itertools.combinations_with_replacement(range(3), r)]
     fresh = random_simplex(np.random.default_rng(seed), 2, twist=True, max_mult=2)
     lazy = [structural_hash(apply_map(fresh, m)) for m in maps]
@@ -521,4 +537,4 @@ def test_reading_a_simplex_does_not_depend_on_eps():
     assert len(structural_hash(s)) == 40
     d = degeneracy(degeneracy(s, 0), 2)
     assert d.cell(0, 1, 2) is s.cell(0, 0, 1)
-    assert d.cell(1, 2, 3) is s.cell(0, 1, 1)
+    assert same_bits(d.cell(1, 2, 3), s.cell(0, 1, 1))

@@ -194,19 +194,20 @@ def test_phi_star():
 
 
 def test_module_E_S_shapes():
-    rng = np.random.default_rng(3)
-    s = random_simplex(rng, 2, max_mult=1)
-    data = module_E_S(s, (0, 1, 2))
-    want = tuple(
-        sum(s.edge(v, 2).module.mult[k] for v in (0, 1, 2))
-        for k in range(s.algebras[2].nblocks)
-    )
-    assert data.module.mult == want
-    assert data.top == 2
-    single = module_E_S(s, (1,))
-    assert single.module.mult == s.edges[(1, 2)].module.mult
-    with pytest.raises(IndexOutOfRange):
-        module_E_S(s, (0, 3))
+    for seed in (3, 5):  # A_1 = A_2 at seed 3, A_1 != A_2 at seed 5
+        s = random_simplex(np.random.default_rng(seed), 2, max_mult=1)
+        data = module_E_S(s, (0, 1, 2))
+        want = tuple(
+            sum(s.edge(v, 2).module.mult[k] for v in (0, 1, 2))
+            for k in range(s.algebras[2].nblocks)
+        )
+        assert data.module.mult == want
+        assert data.top == 2
+        # E_{1} = E_11, the identity correspondence of A_1
+        single = module_E_S(s, (1,))
+        assert single.module.mult == s.edge(1, 1).module.mult == s.algebras[1].blocks
+        with pytest.raises(IndexOutOfRange):
+            module_E_S(s, (0, 3))
 
 
 def test_connecting_hom_identity_and_composition():
