@@ -11,6 +11,12 @@ each target block, and its trace there is the multiplicity.
 data; ``StarHom`` itself is the certified constructor that canonical
 constructions from valid inputs (identities, composites, corner inclusions)
 build through without re-checking.
+
+A *-hom is fixed by Bratteli data: its multiplicities and, per target
+block, one isometry.  ``hom_normal_form`` extracts that data from a matrix
+and ``_conjugation_matrix`` builds the matrix from it, one product per
+pair of blocks; every constructor that starts from such data builds its
+matrix there.
 """
 from __future__ import annotations
 
@@ -84,6 +90,11 @@ class FdCstarAlgebra:
 
     def offset(self, i: int) -> int:
         return self._offsets[i]
+
+    def block_rows(self, matrix, i: int) -> np.ndarray:
+        """The rows of block i of a (dim x k) matrix, as an (n, n, k) view."""
+        n, o = self.blocks[i], self._offsets[i]
+        return matrix[o : o + n * n].reshape(n, n, matrix.shape[1])
 
     def zero(self) -> "AlgElement":
         return AlgElement(self, [np.zeros((b, b), dtype=complex) for b in self.blocks])
@@ -371,16 +382,10 @@ def corner_algebra(p: AlgElement, b: FdCstarAlgebra, *, eps: float = EPS) -> Cor
     if not kept:
         raise InvalidAlgebra("the corner of a zero projection is not an algebra")
     corner = FdCstarAlgebra([v.shape[1] for v in isos], label=f"{b.label}-corner" if b.label else "")
-    cols = []
+    ws = [{} for _ in b.blocks]
     for t, i in enumerate(kept):
-        v = isos[t]
-        k = v.shape[1]
-        for a in range(k):
-            for c in range(k):
-                y = b.zero()
-                y.mats[i][:, :] = np.outer(v[:, a], v[:, c].conj())
-                cols.append(y.to_vec())
-    inclusion = StarHom(corner, b, np.array(cols).T)
+        ws[i] = {t: isos[t][:, :, None]}
+    inclusion = StarHom(corner, b, _conjugation_matrix(corner, b, ws))
     return CornerPresentation(corner, inclusion, tuple(isos), tuple(kept))
 
 
@@ -419,3 +424,24 @@ def hom_normal_form(phi: StarHom, *, eps: float = EPS):
             w = np.column_stack([w, extra])
         ws.append(w)
     return ws
+
+
+def _conjugation_matrix(src: FdCstarAlgebra, dst: FdCstarAlgebra, ws) -> np.ndarray:
+    """Dense matrix of x -> (+)_l sum_i W_li (x_i (x) I_r) W_li^*, the
+    inverse of hom_normal_form.
+
+    ``ws[l]`` maps a source block i to W_li of shape (m_l, n_i, r_il):
+    phi(e^(i)_pq) has block l sum_rho W[:, p, rho] W[:, q, rho]^*, so block
+    (l, i) of the matrix is one product of W_li, as an (m_l n_i) x r_il
+    matrix, with its adjoint.  The result is a *-hom when, for each l, the
+    W_li are isometries (as m_l x n_i r_il matrices) with orthogonal ranges.
+    """
+    matrix = np.zeros((dst.dim, src.dim), dtype=complex)
+    for l, m in enumerate(dst.blocks):
+        o = dst.offset(l)
+        for i, w in ws[l].items():
+            n, c = src.blocks[i], src.offset(i)
+            w2 = w.reshape(m * n, w.shape[2])
+            g = (w2 @ w2.conj().T).reshape(m, n, m, n).transpose(0, 2, 1, 3)
+            matrix[o : o + m * m, c : c + n * n] = g.reshape(m * m, n * n)
+    return matrix

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import FdCstarAlgebra, StarHom, compose_homs, identity_hom
+from .algebra import FdCstarAlgebra, StarHom, _conjugation_matrix, compose_homs, identity_hom
 from .errors import EndpointMismatch, InvalidAlgebra, NotAnEquivalence
 from .linalg import EPS, fix_phase, frob, orthonormal_range
 from .modules import (
@@ -66,15 +66,15 @@ def gamma_of_hom(phi: StarHom, *, eps: float = EPS) -> Correspondence:
     if all(m == 0 for m in mult):
         raise InvalidAlgebra("the zero homomorphism has no correspondence")
     module = make_module(phi.dst, mult)
-    cols = []
-    for p in range(phi.src.dim):
-        img = phi.dst.from_vec(phi.matrix[:, p])
-        y = module.compacts.zero()
-        for t, j in enumerate(module.kept):
-            y.mats[t][:, :] = vs[j].conj().T @ img.mats[j] @ vs[j]
-        cols.append(y.to_vec())
-    lam = StarHom(phi.src, module.compacts, np.array(cols).T)
-    return Correspondence(phi.src, module, lam)
+    kc = module.compacts
+    lam = np.zeros((kc.dim, phi.src.dim), dtype=complex)
+    for t, j in enumerate(module.kept):
+        m, o, v = phi.dst.blocks[j], phi.dst.offset(j), vs[j]
+        # block j of every column at once, as a C-ordered stack of m x m
+        # images, so each product runs the same kernel as on one image
+        imgs = phi.matrix[o : o + m * m].T.copy().reshape(-1, m, m)
+        kc.block_rows(lam, t)[:] = (v.conj().T @ imgs @ v).transpose(1, 2, 0)
+    return Correspondence(phi.src, module, StarHom(phi.src, kc, lam))
 
 
 def gamma_multiplicativity(
@@ -135,26 +135,17 @@ def u_of_corr(corr: Correspondence, *, eps: float = EPS) -> CornerFactorization:
     sum_mod = make_module(b, [m + n for m, n in zip(e_mod.mult, b.blocks)])
     linking = sum_mod.compacts
 
-    j_cols = []
-    for p in range(a.dim):
-        lam_img = e_mod.compacts.from_vec(corr.lam.matrix[:, p])
-        y = linking.zero()
-        for t, k in enumerate(sum_mod.kept):
-            pos = e_mod.compact_pos(k)
-            if pos is not None:
-                m = e_mod.mult[k]
-                y.mats[t][:m, :m] = lam_img.mats[pos]
-        j_cols.append(y.to_vec())
-    j_hom = StarHom(a, linking, np.array(j_cols).T)
-
-    i_cols = []
-    for p, k, r, c2 in b.basis_triples():
-        y = linking.zero()
-        t = sum_mod.compact_pos(k)
+    # block k of the linking algebra is M_{m_k + n_k} (all are kept):
+    # lambda_E(x) in the upper left corner, B in the lower right one
+    j_matrix = np.zeros((linking.dim, a.dim), dtype=complex)
+    for pos, k in enumerate(e_mod.kept):
         m = e_mod.mult[k]
-        y.mats[t][m + r, m + c2] = 1.0
-        i_cols.append(y.to_vec())
-    i_hom = StarHom(b, linking, np.array(i_cols).T)
+        linking.block_rows(j_matrix, k)[:m, :m] = e_mod.compacts.block_rows(corr.lam.matrix, pos)
+    j_hom = StarHom(a, linking, j_matrix)
+    ws = [
+        {k: np.eye(m + n, n, -m)[:, :, None]} for k, (m, n) in enumerate(zip(e_mod.mult, b.blocks))
+    ]
+    i_hom = StarHom(b, linking, _conjugation_matrix(b, linking, ws))
 
     gamma_j = gamma_of_hom(j_hom, eps=eps)
     x_corr = Correspondence(linking, sum_mod, identity_hom(linking))
@@ -205,7 +196,7 @@ def equivalence_inverse(corr: Correspondence, *, eps: float = EPS) -> Equivalenc
     unitary and intertwining up to rounding because the action is a *-hom.
     """
     a, b = corr.src, corr.dst
-    if not is_full_corr(corr, eps=eps):
+    if not is_full_corr(corr):
         raise NotAnEquivalence("correspondence is not full")
     lam = corr.lam
     ke = corr.module.compacts
@@ -233,15 +224,10 @@ def equivalence_inverse(corr: Correspondence, *, eps: float = EPS) -> Equivalenc
         k = block_map[i]
         us.append(_ad_unitary(lam, i, corr.module.compact_pos(k), eps=eps))
 
-    inv_mod = make_module(a, [b.blocks[block_map[i]] for i in range(a.nblocks)])
-    inv_cols = []
-    for p, k, r, c2 in b.basis_triples():
-        y = inv_mod.compacts.zero()
-        for i in range(a.nblocks):
-            if block_map[i] == k:
-                y.mats[inv_mod.compact_pos(i)][r, c2] = 1.0
-        inv_cols.append(y.to_vec())
-    inv_lam = StarHom(b, inv_mod.compacts, np.array(inv_cols).T)
+    inv_mod = make_module(a, [b.blocks[k] for k in block_map])
+    # compact block i of the inverse is a copy of B block block_map[i]
+    ws = [{k: np.eye(b.blocks[k])[:, :, None]} for k in block_map]
+    inv_lam = StarHom(b, inv_mod.compacts, _conjugation_matrix(b, inv_mod.compacts, ws))
     if not inv_lam.unital:
         raise NotAnEquivalence("correspondence is not full")
     inverse = Correspondence(b, inv_mod, inv_lam)

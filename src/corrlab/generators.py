@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import AlgElement, FdCstarAlgebra, StarHom, make_star_hom
+from .algebra import AlgElement, FdCstarAlgebra, StarHom, _conjugation_matrix, make_star_hom
 from .errors import ShapeMismatch
 from .linalg import EPS
 from .modules import (
@@ -77,26 +77,17 @@ def embedding_hom(src: FdCstarAlgebra, dst: FdCstarAlgebra, mult, rng=None) -> S
         used = int(sum(mult[i, l] * src.blocks[i] for i in range(src.nblocks)))
         if used > nl:
             raise ShapeMismatch(f"dst block {l} of size {nl} cannot hold {used} dimensions")
-    cols = []
-    units = [
-        random_unitary(nl, rng) if rng is not None else np.eye(nl, dtype=complex)
-        for nl in dst.blocks
-    ]
-    for i, r, c in ((t[1], t[2], t[3]) for t in src.basis_triples()):
-        img = []
-        for l, nl in enumerate(dst.blocks):
-            b = np.zeros((nl, nl), dtype=complex)
-            o = 0
-            for ip, npi in enumerate(src.blocks):
-                for _ in range(int(mult[ip, l])):
-                    if ip == i:
-                        b[o + r, o + c] = 1.0
-                    o += npi
-            u = units[l]
-            img.append(u @ b @ u.conj().T)
-        cols.append(np.concatenate([m.reshape(-1) for m in img]))
-    matrix = np.stack(cols, axis=1)
-    return make_star_hom(src, dst, matrix)
+    ws = []
+    for l, nl in enumerate(dst.blocks):
+        u = random_unitary(nl, rng) if rng is not None else np.eye(nl, dtype=complex)
+        # the mult[i, l] copies of block i are the next r n_i columns of u
+        o, w_l = 0, {}
+        for i, n in enumerate(src.blocks):
+            r = int(mult[i, l])
+            w_l[i] = u[:, o : o + r * n].reshape(nl, r, n).transpose(0, 2, 1)
+            o += r * n
+        ws.append(w_l)
+    return make_star_hom(src, dst, _conjugation_matrix(src, dst, ws))
 
 
 def random_unital_hom(src: FdCstarAlgebra, rng, max_blocks: int = 2, max_mult: int = 2) -> StarHom:
@@ -171,20 +162,13 @@ def twist_edge(s: NCorrSimplex, i0: int, j0: int, rng) -> NCorrSimplex:
         raise ShapeMismatch(f"({i0}, {j0}) is not a strict edge")
     old = s.edges[(i0, j0)]
     blocks = [random_unitary(m, rng) for m in old.module.mult]
-    # lam'(a) = V lam(a) V* blockwise
+    # lam'(a) = V lam(a) V* blockwise, on the stack of all columns at once
     d = old.module.compacts
-    col_mats = []
-    for col in range(old.lam.matrix.shape[1]):
-        v = old.lam.matrix[:, col]
-        imgs = []
-        o = 0
-        for kp, mk in enumerate(d.blocks):
-            b = v[o : o + mk * mk].reshape(mk, mk)
-            u = blocks[old.module.kept[kp]]
-            imgs.append(u @ b @ u.conj().T)
-            o += mk * mk
-        col_mats.append(np.concatenate([x.reshape(-1) for x in imgs]))
-    lam_new = np.stack(col_mats, axis=1)
+    lam_new = np.zeros_like(old.lam.matrix)
+    for kp, mk in enumerate(d.blocks):
+        u, o = blocks[old.module.kept[kp]], d.offset(kp)
+        imgs = old.lam.matrix[o : o + mk * mk].T.copy().reshape(-1, mk, mk)
+        d.block_rows(lam_new, kp)[:] = (u @ imgs @ u.conj().T).transpose(1, 2, 0)
     new = make_correspondence(old.src, old.module, lam_new)
     v_iso = CorrIso(old, new, blocks)
     edges = dict(s.edges)

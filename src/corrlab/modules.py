@@ -250,21 +250,14 @@ def direct_sum_corrs(corrs):
             raise EndpointMismatch("summands must share the source algebra")
     module, starts = direct_sum_modules([c.module for c in corrs])
     kg = module.compacts
-    cols = []
-    d = first.src.dim
-    lam_mats = [c.lam.matrix for c in corrs]
-    for p in range(d):
-        out = [np.zeros((module.mult[k], module.mult[k]), dtype=complex) for k in module.kept]
-        for s, c in enumerate(corrs):
-            v = c.module.compacts.from_vec(lam_mats[s][:, p])
-            for k in c.module.kept:
-                pos_sum = module.compact_pos(k)
-                o = starts[s][k]
-                m = c.module.mult[k]
-                out[pos_sum][o : o + m, o : o + m] += v.mats[c.module.compact_pos(k)]
-        cols.append(np.concatenate([x.ravel() for x in out]))
-    lam = StarHom(first.src, kg, np.array(cols).T)
-    return Correspondence(first.src, module, lam), starts
+    lam = np.zeros((kg.dim, first.src.dim), dtype=complex)
+    for s, c in enumerate(corrs):
+        for pos, k in enumerate(c.module.kept):
+            o, m = starts[s][k], c.module.mult[k]
+            kg.block_rows(lam, module.compact_pos(k))[o : o + m, o : o + m] = (
+                c.module.compacts.block_rows(c.lam.matrix, pos)
+            )
+    return Correspondence(first.src, module, StarHom(first.src, kg, lam)), starts
 
 
 def corr_close(c1: Correspondence, c2: Correspondence, eps: float = EPS) -> bool:
@@ -277,14 +270,13 @@ def corr_close(c1: Correspondence, c2: Correspondence, eps: float = EPS) -> bool
     )
 
 
-def is_full_corr(corr: Correspondence, *, eps: float = EPS) -> bool:
+def is_full_corr(corr: Correspondence) -> bool:
     """True iff span{ <x, y> } = dst.
 
     In base block k the family { <e_ra, e_sb> } = { delta_rs e_ab }, as a
     matrix over the n_k^2 coordinates, has orthogonal columns of equal norm
-    sqrt(m_k), so its rank test at eps * max(sigma_max, 1) passes exactly
-    when the multiplicity m_k is nonzero.  The test is exact, so ``eps``
-    has no effect.
+    sqrt(m_k), so its span is the whole block exactly when the multiplicity
+    m_k is nonzero: no tolerance is involved.
     """
     return all(m > 0 for m in corr.module.mult)
 
@@ -326,15 +318,12 @@ class CorrIso:
         cs, cd = src.module.compacts, dst.module.compacts
         for k in src.module.kept:
             u = blocks[k]
-            ps = src.module.compact_pos(k)
-            m_s, o_s = cs.blocks[ps], cs.offset(ps)
-            s3 = src.lam.matrix[o_s : o_s + m_s * m_s, :].reshape(m_s, m_s, a_dim)
+            s3 = cs.block_rows(src.lam.matrix, src.module.compact_pos(k))
             pd = dst.module.compact_pos(k)
             if pd is None:
-                d3 = np.zeros((u.shape[0], m_s, a_dim), dtype=complex)
+                d3 = np.zeros((u.shape[0], s3.shape[1], a_dim), dtype=complex)
             else:
-                m_d, o_d = cd.blocks[pd], cd.offset(pd)
-                d3 = dst.lam.matrix[o_d : o_d + m_d * m_d, :].reshape(m_d, m_d, a_dim)
+                d3 = cd.block_rows(dst.lam.matrix, pd)
             lhs = np.tensordot(u, s3, axes=(1, 0))
             rhs = np.tensordot(d3, u, axes=(1, 0)).transpose(0, 2, 1)
             if lhs.size:
@@ -446,7 +435,6 @@ class TensorProduct:
         if left.dst != right.src:
             raise EndpointMismatch("tensor product needs matching middle algebra")
         self.left, self.right = left, right
-        self.eps = eps
         b, c = left.dst, right.dst
         e_mod, f_mod = left.module, right.module
         nb, nc = b.nblocks, c.nblocks
@@ -630,12 +618,22 @@ def _renaming_blocks(tp: TensorProduct, dst: Correspondence) -> list:
     return _intertwiner_blocks(tp, dst, action)
 
 
+def _check_identity_factor(c: Correspondence, b: FdCstarAlgebra, eps: float, side: str) -> None:
+    """Raise unless c is id_B up to eps, compared in place: endpoints,
+    multiplicities, and the left action against the identity matrix."""
+    if not (
+        c.src == b == c.dst
+        and c.module.mult == b.blocks
+        and frob(c.lam.matrix - np.eye(b.dim)) <= eps
+    ):
+        raise EndpointMismatch(f"{side} factor is not the identity correspondence")
+
+
 def left_unitor(tp: TensorProduct, *, eps: float = EPS) -> CorrIso:
     """id_A (x) E -> E, a (x) x -> lambda_E(a) x.  Certified: unitary and
     intertwining up to rounding because lambda_E is a *-hom."""
     a = tp.left.src
-    if not corr_close(tp.left, identity_corr(a), eps):
-        raise EndpointMismatch("left factor is not the identity correspondence")
+    _check_identity_factor(tp.left, a, eps, "left")
     e = tp.right
 
     def action(i, s, k, w):
@@ -647,9 +645,7 @@ def left_unitor(tp: TensorProduct, *, eps: float = EPS) -> CorrIso:
 def right_unitor(tp: TensorProduct, *, eps: float = EPS) -> CorrIso:
     """E (x) id_B -> E, x (x) b -> x b.  Certified: an exact coordinate
     renaming."""
-    b = tp.left.dst
-    if not corr_close(tp.right, identity_corr(b), eps):
-        raise EndpointMismatch("right factor is not the identity correspondence")
+    _check_identity_factor(tp.right, tp.left.dst, eps, "right")
     return CorrIso._trusted(tp.corr, tp.left, _renaming_blocks(tp, tp.left))
 
 

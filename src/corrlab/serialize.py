@@ -24,7 +24,9 @@ construction is deterministic.
 Malformed JSON raises ParseError; structurally wrong documents, numbers
 that are not finite (NaN, Infinity, integers too large for a float), and
 ``true`` / ``false`` where a number is expected, raise SchemaError naming
-the offending location.  Numeric validation is left to the ordinary
+the offending location.  A ``blocks`` or ``mult`` list that describes more
+than MAX_PARSED_DIM dimensions raises DimensionTooLarge before anything is
+built from it.  Numeric validation is left to the ordinary
 constructors; with ``validate=False`` values are built unchecked, for a
 caller that checks every invariant itself (``corrlab validate``).
 """
@@ -36,7 +38,7 @@ from itertools import combinations
 import numpy as np
 
 from .algebra import EPS, FdCstarAlgebra, StarHom, make_algebra, make_star_hom
-from .errors import ParseError, SchemaError
+from .errors import DimensionTooLarge, ParseError, SchemaError
 from .modules import (
     CorrIso,
     Correspondence,
@@ -73,9 +75,28 @@ __all__ = [
 ]
 
 
+# Bound on sum(n^2) of a parsed ``blocks`` or ``mult`` list: an algebra [n]
+# alone makes a simplex build the dense identity eye(n^2).  The largest in
+# the tests is 61 ([6, 5]), in the untrusted-io benchmark 8; 256 also admits
+# the largest algebra of the blockscale chain at n = 3, [14, 4] (212).
+MAX_PARSED_DIM = 256
+
+
 def _is_int(x) -> bool:
     """A JSON integer: ``true`` and ``false`` load as bool, a subclass of int."""
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _int_list(doc, key, where) -> list:
+    """The list of integers at doc[key], within MAX_PARSED_DIM."""
+    val = _need(doc, key, where)
+    if not isinstance(val, list) or not all(_is_int(x) for x in val):
+        raise SchemaError(f"{where}.{key}: expected a list of integers")
+    if sum(x * x for x in val) > MAX_PARSED_DIM:
+        raise DimensionTooLarge(
+            f"{where}.{key}: describes more than {MAX_PARSED_DIM} dimensions"
+        )
+    return val
 
 
 def _need(doc, key, where):
@@ -120,9 +141,7 @@ def algebra_to_json(a: FdCstarAlgebra) -> dict:
 
 
 def algebra_from_json(doc, where="algebra") -> FdCstarAlgebra:
-    blocks = _need(doc, "blocks", where)
-    if not isinstance(blocks, list) or not all(_is_int(b) for b in blocks):
-        raise SchemaError(f"{where}.blocks: expected a list of integers")
+    blocks = _int_list(doc, "blocks", where)
     label = doc.get("label", "")
     if not isinstance(label, str):
         raise SchemaError(f"{where}.label: expected a string")
@@ -150,10 +169,7 @@ def module_to_json(mod: HilbertModule) -> dict:
 
 def module_from_json(doc, where="module") -> HilbertModule:
     base = algebra_from_json(_need(doc, "base", where), f"{where}.base")
-    mult = _need(doc, "mult", where)
-    if not isinstance(mult, list) or not all(_is_int(m) for m in mult):
-        raise SchemaError(f"{where}.mult: expected a list of integers")
-    return make_module(base, mult)
+    return make_module(base, _int_list(doc, "mult", where))
 
 
 def corr_to_json(c: Correspondence) -> dict:
@@ -168,10 +184,7 @@ def corr_to_json(c: Correspondence) -> dict:
 def corr_from_json(doc, *, eps: float = EPS, validate: bool = True, where="correspondence") -> Correspondence:
     src = algebra_from_json(_need(doc, "src", where), f"{where}.src")
     dst = algebra_from_json(_need(doc, "dst", where), f"{where}.dst")
-    mult = _need(doc, "mult", where)
-    if not isinstance(mult, list) or not all(_is_int(m) for m in mult):
-        raise SchemaError(f"{where}.mult: expected a list of integers")
-    module = make_module(dst, mult)
+    module = make_module(dst, _int_list(doc, "mult", where))
     la = _need(doc, "left_action", where)
     la_src = algebra_from_json(_need(la, "src", f"{where}.left_action"), f"{where}.left_action.src")
     if la_src != src:

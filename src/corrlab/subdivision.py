@@ -11,11 +11,13 @@ into a vertex entry.
 
 On the algebra side, a subset S with top vertex m picks out the module
 E_S = (+)_{v in S} E_{v m} over A_m; A_S is its compact operators.  For
-S inside T the hom f_ST: A_S -> A_T conjugates by the summand inclusion
-when the tops agree, and otherwise sends x to x (x) id along the connecting
-edge E_{m M}, rewritten through the structure cells and included.
-subdivision_functor materializes all of these and checks
-f_TU . f_ST = f_SU for every strictly nested triple.
+S inside T, with top M, the hom f_ST: A_S -> A_T sends x to x (x) id along
+the connecting edge E_{m M}, rewritten through the structure cells u_{v m M}
+and included.  When the tops agree, E_{m m} is the identity and the cells
+are unitors, so f_ST conjugates by the summand inclusion.  Either way f_ST
+is given by Bratteli data, one isometry per pair of blocks, and built by
+``algebra._conjugation_matrix``.  subdivision_functor materializes all of
+these and checks f_TU . f_ST = f_SU for every strictly nested triple.
 """
 from __future__ import annotations
 
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import FdCstarAlgebra, StarHom, compose_homs, identity_hom
+from .algebra import FdCstarAlgebra, StarHom, _conjugation_matrix, compose_homs, identity_hom
 from .errors import (
     DimensionTooLarge,
     FunctorialityViolated,
@@ -291,74 +293,36 @@ def module_E_S(sigma: NCorrSimplex, subset) -> SdVertexData:
     return SdVertexData(s, module, module.compacts, starts)
 
 
-def _inclusion_rows(data_s: SdVertexData, data_t: SdVertexData):
-    """Position of each E_S summand inside E_T (same vertex, same top)."""
-    pos = {v: idx for idx, v in enumerate(data_t.subset)}
-    return [pos[v] for v in data_s.subset]
-
-
-def _summand_isometries(data_s, data_t, base):
-    """Same-top case: W[l][j] of shape (dim_T, dim_S, 1), the 0/1 summand
-    inclusion; only j = l is populated since E_S and E_T share the base."""
-    rows = _inclusion_rows(data_s, data_t)
-    out = []
-    for l in range(base.nblocks):
-        q_s = data_s.module.mult[l]
-        if q_s == 0:
-            out.append({})
-            continue
-        w = np.zeros((data_t.module.mult[l], q_s, 1), dtype=complex)
-        for si, ti in enumerate(rows):
-            o_s = data_s.starts[si][l]
-            nxt = (
-                data_s.starts[si + 1][l]
-                if si + 1 < len(data_s.starts)
-                else data_s.module.mult[l]
-            )
-            o_t = data_t.starts[ti][l]
-            for a in range(nxt - o_s):
-                w[o_t + a, o_s + a, 0] = 1.0
-        out.append({l: w})
-    return out
-
-
-def _tensor_isometries(sigma, data_s, data_t, base):
-    """Top-change case: W[l][j] of shape (dim_T, dim_S, r_jl).
+def _isometries(sigma, data_s, data_t):
+    """The Bratteli data of f_ST: W[l][j] of shape (dim_T, dim_S, r_jl),
+    keyed by the blocks of A_T and A_S.
 
     W[:, p, rho] is the E_T coordinate vector of (row p of E_S) tensored
-    with the rho-th range vector of the connecting edge, rewritten through
-    the structure cell of its summand; f(e_pq) = sum_rho w_p,rho w_q,rho*.
+    with the rho-th range vector of the connecting edge E_mM, rewritten
+    through the structure cell u_vmM of its summand v.  When the tops agree,
+    E_mm is the identity and u_vmm a unitor, both exact 0/1, so W is the
+    summand inclusion.
     """
-    m = data_s.subset[-1]
-    top = data_t.subset[-1]
-    rows = _inclusion_rows(data_s, data_t)
-    mid = sigma.algebras[m]
+    m, top = data_s.subset[-1], data_t.subset[-1]
+    rows = [data_t.subset.index(v) for v in data_s.subset]  # summand v's place in E_T
+    r = sigma.tp(m, m, top).r  # ranks of E_mM's left action, for every summand
     out = []
-    for l in range(base.nblocks):
+    for l in data_t.module.kept:
         per_j = {}
-        dim_t = data_t.module.mult[l]
-        for j in range(mid.nblocks):
-            q_s = data_s.module.mult[j]
-            if q_s == 0:
+        for jp, j in enumerate(data_s.module.kept):
+            if r[j, l] == 0:
                 continue
-            r = int(sigma.tp(data_s.subset[0], m, top).r[j, l])
-            if r == 0:
-                continue
-            w = np.zeros((dim_t, q_s, r), dtype=complex)
+            w = np.zeros((data_t.module.mult[l], data_s.module.mult[j], r[j, l]), dtype=complex)
             for si, v in enumerate(data_s.subset):
-                tp = sigma.tp(v, m, top)
                 mv = sigma.edge(v, m).module.mult[j]
-                if mv == 0:
-                    continue
                 u_l = sigma.cell(v, m, top).blocks[l]
-                o_t = data_t.starts[rows[si]][l]
-                o_s = data_s.starts[si][j]
-                src0 = tp.row_start(l, j, 0)
-                for a in range(mv):
-                    w[o_t : o_t + u_l.shape[0], o_s + a, :] = u_l[
-                        :, src0 + a * r : src0 + (a + 1) * r
-                    ]
-            per_j[j] = w
+                o_t, o_s = data_t.starts[rows[si]][l], data_s.starts[si][j]
+                # the tensor rows (j, a, rho) of summand v, a < mv
+                src0 = sigma.tp(v, m, top).row_start(l, j, 0)
+                w[o_t : o_t + u_l.shape[0], o_s : o_s + mv] = u_l[
+                    :, src0 : src0 + mv * r[j, l]
+                ].reshape(u_l.shape[0], mv, r[j, l])
+            per_j[jp] = w
         out.append(per_j)
     return out
 
@@ -369,31 +333,15 @@ def connecting_hom(sigma: NCorrSimplex, sub_s, sub_t) -> StarHom:
 
 
 def _connecting(sigma, data_s, data_t) -> StarHom:
-    """f_ST, certified by construction: conjugation by a summand inclusion,
-    or x -> x (x) id along a valid edge rewritten through unitary cells."""
+    """f_ST, certified by construction: x -> x (x) id along a valid edge,
+    rewritten through unitary cells and included."""
     s, t = data_s.subset, data_t.subset
     if not set(s) <= set(t):
         raise NotNested(f"{s} is not contained in {t}")
     if s == t:
         return identity_hom(data_s.algebra)
-    base = sigma.algebras[t[-1]]
-    if s[-1] == t[-1]:
-        mats = _summand_isometries(data_s, data_t, base)
-    else:
-        mats = _tensor_isometries(sigma, data_s, data_t, base)
-    ks, kt = data_s.module, data_t.module
-    cols = []
-    for tr in data_s.algebra.basis_triples():
-        j, p, q = tr[1], tr[2], tr[3]
-        jk = ks.kept[j]
-        y = kt.compacts.zero()
-        for lt, l in enumerate(kt.kept):
-            w = mats[l].get(jk)
-            if w is None:
-                continue
-            y.mats[lt][:, :] += w[:, p, :] @ w[:, q, :].conj().T
-        cols.append(y.to_vec())
-    return StarHom(data_s.algebra, data_t.algebra, np.stack(cols, axis=1))
+    a_s, a_t = data_s.algebra, data_t.algebra
+    return StarHom(a_s, a_t, _conjugation_matrix(a_s, a_t, _isometries(sigma, data_s, data_t)))
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from corrlab.algebra import (
     EPS,
     StarHom,
+    _conjugation_matrix,
     _mult_residual,
     corner_algebra,
     compose_homs,
@@ -293,6 +294,24 @@ def test_hom_normal_form(seed):
             o += b.shape[0]
         assert filled <= m
         assert frob(got - want) < 1e-9
+
+
+@settings(max_examples=40)
+@given(phi=homs())
+def test_conjugation_matrix_inverts_the_normal_form(phi):
+    """Bratteli round trip: split each W_j of hom_normal_form into the
+    (m_j, n_i, r_ij) pieces of its source blocks, zero multiplicities
+    included, and rebuild phi's matrix from them."""
+    ws = []
+    for j, w in enumerate(hom_normal_form(phi)):
+        m, o, pieces = phi.dst.blocks[j], 0, {}
+        for i, n in enumerate(phi.src.blocks):
+            r = int(phi.mult_matrix[i, j])
+            pieces[i] = w[:, o : o + n * r].reshape(m, n, r)
+            o += n * r
+        ws.append(pieces)
+    rebuilt = _conjugation_matrix(phi.src, phi.dst, ws)
+    assert np.abs(rebuilt - phi.matrix).max() <= 1e-12
 
 
 def test_hom_normal_form_pads_nonunital():

@@ -2,11 +2,11 @@
 
 The benchmark treats corrlab as a black box, so a rename or a dropped
 keyword breaks it only when it runs.  These tests run its blockscale n = 2
-step through the benchmark's own code, with its span tracer installed, and
-check the result against the recorded reference; and they run the
-untrusted-io setup, which replays the generators' random draws (its size
-probe fails if they drift), reads ``sigma.edges`` and serialises twisted
-simplices.  They read ``perfbench/`` and never edit it; a subprocess keeps
+and n = 3 steps through the benchmark's own code, with its span tracer
+installed, and check each result against the recorded reference; and they
+run the untrusted-io setup, which replays the generators' random draws (its
+size probe fails if they drift), reads ``sigma.edges`` and serialises
+twisted simplices.  They read ``perfbench/`` and never edit it; a subprocess keeps
 the tracer's rebinding of corrlab names out of the test session.
 """
 
@@ -17,18 +17,18 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 SCRIPT = """
-import spans, workloads
+import sys, spans, workloads
 
 tracer = spans.install()  # resolves every name in spans.FUNCTIONS
 bench = workloads.Blockscale()
 state = bench.setup(42, 1, None)
-label, work, judge = next(bench.steps(state, 0))
-assert label == "n2", label
+steps = {label: (work, judge) for label, work, judge in bench.steps(state, 0)}
+work, judge = steps[sys.argv[1]]
 tracer.enabled = True
 sd = work()
 tracer.enabled = False
 [(_, ok)] = judge(sd, 0.0)
-assert ok, "blockscale n = 2 disagrees with perfbench/blockscale_reference.json"
+assert ok, f"blockscale {sys.argv[1]} disagrees with perfbench/blockscale_reference.json"
 calls = tracer.layer_metrics()
 assert calls["subdivision.subdivision_functor.calls"] == 1, calls
 assert calls["nerve.validate_simplex.calls"] == 1, calls
@@ -64,7 +64,11 @@ def run_in_perfbench(script, *args):
 
 
 def test_blockscale_step_matches_reference():
-    run_in_perfbench(SCRIPT)
+    run_in_perfbench(SCRIPT, "n2")
+
+
+def test_blockscale_n3_step_matches_reference():
+    run_in_perfbench(SCRIPT, "n3")
 
 
 def test_untrusted_io_setup_replays_the_generators(tmp_path):

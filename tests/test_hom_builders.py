@@ -1,0 +1,324 @@
+"""The *-hom constructors, against the column-by-column loops they replaced.
+
+Each reference below is a copy of the old construction: one source basis
+element at a time, with one zero() and one to_vec() per column.  The new
+constructors build the same matrix from Bratteli data through
+``_conjugation_matrix`` (corner inclusion, the linking embedding i_E, the
+inverse of an equivalence, the subdivision connecting homs, embedding_hom)
+or by one batched block map over every column of an existing action
+(gamma_of_hom, j_E, direct_sum_corrs, twist_edge).  Each must match its
+reference to 1e-12 entrywise, bit for bit where the reference only copied
+0/1 entries or entries of an existing matrix, and pass make_star_hom at
+eps = 1e-12 with the reference's multiplicities and unitality.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from corrlab.algebra import FdCstarAlgebra, StarHom, corner_algebra, make_star_hom
+from corrlab.bicategory import equivalence_inverse, gamma_isometries, gamma_of_hom, u_of_corr
+from corrlab.generators import (
+    embedding_hom,
+    random_algebra,
+    random_correspondence,
+    random_equivalence,
+    random_simplex,
+    random_unitary,
+    twist_edge,
+)
+from corrlab.modules import direct_sum_corrs, make_module
+from corrlab.subdivision import _nonempty_subsets, connecting_hom, module_E_S
+
+
+def assert_matches(h, ref_matrix, *, exact=False):
+    assert h.matrix.shape == ref_matrix.shape
+    if exact:
+        assert np.array_equal(h.matrix, ref_matrix)
+    else:
+        assert np.abs(h.matrix - ref_matrix).max(initial=0.0) <= 1e-12
+    checked = make_star_hom(h.src, h.dst, h.matrix, eps=1e-12)
+    ref = StarHom(h.src, h.dst, ref_matrix)
+    assert np.array_equal(checked.mult_matrix, ref.mult_matrix)
+    assert checked.unital == ref.unital
+
+
+def small_algebra(rng):
+    return random_algebra(rng, max_blocks=2, max_size=3)
+
+
+def random_mult(rng, src, nd):
+    """Multiplicities 0..2 with at least one nonzero, and block sizes with
+    up to one spare dimension, so the embedding may be non-unital."""
+    while True:
+        mult = rng.integers(0, 3, size=(src.nblocks, nd))
+        if mult.any():
+            break
+    sizes = mult.T @ np.array(src.blocks) + rng.integers(0, 2, size=nd)
+    return mult, FdCstarAlgebra(tuple(max(int(x), 1) for x in sizes))
+
+
+# ---------------------------------------------------------------------------
+# references: copies of the old column loops
+
+
+def ref_embedding(src, dst, mult, rng):
+    cols = []
+    units = [random_unitary(nl, rng) for nl in dst.blocks]
+    for i, r, c in ((t[1], t[2], t[3]) for t in src.basis_triples()):
+        img = []
+        for l, nl in enumerate(dst.blocks):
+            b = np.zeros((nl, nl), dtype=complex)
+            o = 0
+            for ip, npi in enumerate(src.blocks):
+                for _ in range(int(mult[ip, l])):
+                    if ip == i:
+                        b[o + r, o + c] = 1.0
+                    o += npi
+            u = units[l]
+            img.append(u @ b @ u.conj().T)
+        cols.append(np.concatenate([m.reshape(-1) for m in img]))
+    return np.stack(cols, axis=1)
+
+
+def ref_gamma(phi):
+    vs = gamma_isometries(phi)
+    module = make_module(phi.dst, [v.shape[1] for v in vs])
+    cols = []
+    for p in range(phi.src.dim):
+        img = phi.dst.from_vec(phi.matrix[:, p])
+        y = module.compacts.zero()
+        for t, j in enumerate(module.kept):
+            y.mats[t][:, :] = vs[j].conj().T @ img.mats[j] @ vs[j]
+        cols.append(y.to_vec())
+    return np.array(cols).T
+
+
+def ref_corner(pres, b):
+    cols = []
+    for t, i in enumerate(pres.kept):
+        v = pres.isometries[t]
+        k = v.shape[1]
+        for a in range(k):
+            for c in range(k):
+                y = b.zero()
+                y.mats[i][:, :] = np.outer(v[:, a], v[:, c].conj())
+                cols.append(y.to_vec())
+    return np.array(cols).T
+
+
+def ref_linking(corr, linking):
+    a, b, e_mod = corr.src, corr.dst, corr.module
+    sum_mod = make_module(b, [m + n for m, n in zip(e_mod.mult, b.blocks)])
+    j_cols = []
+    for p in range(a.dim):
+        lam_img = e_mod.compacts.from_vec(corr.lam.matrix[:, p])
+        y = linking.zero()
+        for t, k in enumerate(sum_mod.kept):
+            pos = e_mod.compact_pos(k)
+            if pos is not None:
+                m = e_mod.mult[k]
+                y.mats[t][:m, :m] = lam_img.mats[pos]
+        j_cols.append(y.to_vec())
+    i_cols = []
+    for p, k, r, c2 in b.basis_triples():
+        y = linking.zero()
+        t = sum_mod.compact_pos(k)
+        m = e_mod.mult[k]
+        y.mats[t][m + r, m + c2] = 1.0
+        i_cols.append(y.to_vec())
+    return np.array(j_cols).T, np.array(i_cols).T
+
+
+def ref_inverse_action(a, b, block_map, inv_mod):
+    inv_cols = []
+    for p, k, r, c2 in b.basis_triples():
+        y = inv_mod.compacts.zero()
+        for i in range(a.nblocks):
+            if block_map[i] == k:
+                y.mats[inv_mod.compact_pos(i)][r, c2] = 1.0
+        inv_cols.append(y.to_vec())
+    return np.array(inv_cols).T
+
+
+def ref_direct_sum(corrs, module, starts):
+    cols = []
+    lam_mats = [c.lam.matrix for c in corrs]
+    for p in range(corrs[0].src.dim):
+        out = [np.zeros((module.mult[k], module.mult[k]), dtype=complex) for k in module.kept]
+        for s, c in enumerate(corrs):
+            v = c.module.compacts.from_vec(lam_mats[s][:, p])
+            for k in c.module.kept:
+                o = starts[s][k]
+                m = c.module.mult[k]
+                out[module.compact_pos(k)][o : o + m, o : o + m] += v.mats[c.module.compact_pos(k)]
+        cols.append(np.concatenate([x.ravel() for x in out]))
+    return np.array(cols).T
+
+
+def ref_summand_isometries(data_s, data_t, base):
+    rows = [data_t.subset.index(v) for v in data_s.subset]
+    out = []
+    for l in range(base.nblocks):
+        q_s = data_s.module.mult[l]
+        if q_s == 0:
+            out.append({})
+            continue
+        w = np.zeros((data_t.module.mult[l], q_s, 1), dtype=complex)
+        for si, ti in enumerate(rows):
+            o_s = data_s.starts[si][l]
+            nxt = (
+                data_s.starts[si + 1][l]
+                if si + 1 < len(data_s.starts)
+                else data_s.module.mult[l]
+            )
+            o_t = data_t.starts[ti][l]
+            for a in range(nxt - o_s):
+                w[o_t + a, o_s + a, 0] = 1.0
+        out.append({l: w})
+    return out
+
+
+def ref_tensor_isometries(sigma, data_s, data_t, base):
+    m = data_s.subset[-1]
+    top = data_t.subset[-1]
+    rows = [data_t.subset.index(v) for v in data_s.subset]
+    mid = sigma.algebras[m]
+    out = []
+    for l in range(base.nblocks):
+        per_j = {}
+        dim_t = data_t.module.mult[l]
+        for j in range(mid.nblocks):
+            q_s = data_s.module.mult[j]
+            if q_s == 0:
+                continue
+            r = int(sigma.tp(data_s.subset[0], m, top).r[j, l])
+            if r == 0:
+                continue
+            w = np.zeros((dim_t, q_s, r), dtype=complex)
+            for si, v in enumerate(data_s.subset):
+                tp = sigma.tp(v, m, top)
+                mv = sigma.edge(v, m).module.mult[j]
+                if mv == 0:
+                    continue
+                u_l = sigma.cell(v, m, top).blocks[l]
+                o_t = data_t.starts[rows[si]][l]
+                o_s = data_s.starts[si][j]
+                src0 = tp.row_start(l, j, 0)
+                for a in range(mv):
+                    w[o_t : o_t + u_l.shape[0], o_s + a, :] = u_l[
+                        :, src0 + a * r : src0 + (a + 1) * r
+                    ]
+            per_j[j] = w
+        out.append(per_j)
+    return out
+
+
+def ref_connecting(sigma, data_s, data_t):
+    """The summand inclusion when the tops agree, else the tensor isometries."""
+    base = sigma.algebras[data_t.subset[-1]]
+    if data_s.subset[-1] == data_t.subset[-1]:
+        mats = ref_summand_isometries(data_s, data_t, base)
+    else:
+        mats = ref_tensor_isometries(sigma, data_s, data_t, base)
+    ks, kt = data_s.module, data_t.module
+    cols = []
+    for tr in data_s.algebra.basis_triples():
+        j, p, q = tr[1], tr[2], tr[3]
+        jk = ks.kept[j]
+        y = kt.compacts.zero()
+        for lt, l in enumerate(kt.kept):
+            w = mats[l].get(jk)
+            if w is None:
+                continue
+            y.mats[lt][:, :] += w[:, p, :] @ w[:, q, :].conj().T
+        cols.append(y.to_vec())
+    return np.stack(cols, axis=1)
+
+
+def ref_twist(old, blocks):
+    d = old.module.compacts
+    col_mats = []
+    for col in range(old.lam.matrix.shape[1]):
+        v = old.lam.matrix[:, col]
+        imgs = []
+        o = 0
+        for kp, mk in enumerate(d.blocks):
+            b = v[o : o + mk * mk].reshape(mk, mk)
+            u = blocks[old.module.kept[kp]]
+            imgs.append(u @ b @ u.conj().T)
+            o += mk * mk
+        col_mats.append(np.concatenate([x.reshape(-1) for x in imgs]))
+    return np.stack(col_mats, axis=1)
+
+
+# ---------------------------------------------------------------------------
+# the constructors against their references
+
+
+def check_embedding_and_gamma(rng, seed):
+    src = small_algebra(rng)
+    mult, dst = random_mult(rng, src, int(rng.integers(1, 3)))
+    phi = embedding_hom(src, dst, mult, np.random.default_rng(seed))
+    assert_matches(phi, ref_embedding(src, dst, mult, np.random.default_rng(seed)))
+    # a non-unital phi has complex range isometries, so a lost conjugate shows
+    assert_matches(gamma_of_hom(phi).lam, ref_gamma(phi))
+
+
+def check_corner(rng):
+    b = small_algebra(rng)
+    p = b.zero()
+    while not any(p.mats[i].any() for i in range(b.nblocks)):
+        for i, n in enumerate(b.blocks):
+            v = random_unitary(n, rng)[:, : int(rng.integers(0, n + 1))]
+            p.mats[i][:, :] = v @ v.conj().T
+    pres = corner_algebra(p, b)
+    assert_matches(pres.inclusion, ref_corner(pres, b))
+
+
+def check_linking_and_inverse(rng):
+    corr = random_correspondence(small_algebra(rng), small_algebra(rng), rng, max_mult=2)
+    fact = u_of_corr(corr)
+    j_ref, i_ref = ref_linking(corr, fact.linking)
+    assert_matches(fact.j_hom, j_ref, exact=True)
+    assert_matches(fact.i_hom, i_ref, exact=True)
+    w = equivalence_inverse(random_equivalence(small_algebra(rng), rng))
+    a, b = w.corr.src, w.corr.dst
+    ref = ref_inverse_action(a, b, w.block_map, w.inverse.module)
+    assert_matches(w.inverse.lam, ref, exact=True)
+
+
+def check_direct_sum(rng):
+    a, b = small_algebra(rng), small_algebra(rng)
+    corrs = [random_correspondence(a, b, rng, max_mult=2) for _ in range(int(rng.integers(1, 4)))]
+    total, starts = direct_sum_corrs(corrs)
+    assert_matches(total.lam, ref_direct_sum(corrs, total.module, starts), exact=True)
+
+
+def check_connecting_and_twist(rng, seed):
+    sigma = random_simplex(rng, 2, max_blocks=2, max_size=2, max_mult=2)
+    i0, j0 = sorted(int(x) for x in rng.choice(3, size=2, replace=False))
+    twisted = twist_edge(sigma, i0, j0, np.random.default_rng(seed))
+    draws = np.random.default_rng(seed)
+    old = sigma.edges[(i0, j0)]
+    blocks = [random_unitary(m, draws) for m in old.module.mult]
+    assert_matches(twisted.edges[(i0, j0)].lam, ref_twist(old, blocks))
+    subsets = _nonempty_subsets(2)
+    data = {s: module_E_S(twisted, s) for s in subsets}
+    for s in subsets:
+        for t in subsets:
+            if set(s) < set(t):
+                f = connecting_hom(twisted, s, t)
+                exact = s[-1] == t[-1]  # a 0/1 summand inclusion
+                assert_matches(f, ref_connecting(twisted, data[s], data[t]), exact=exact)
+
+
+@settings(max_examples=40)
+@given(st.integers(0, 2**32 - 1))
+def test_hom_builders_match_the_column_reference(seed):
+    rng = np.random.default_rng(seed)
+    check_embedding_and_gamma(rng, seed)
+    check_corner(rng)
+    check_linking_and_inverse(rng)
+    check_direct_sum(rng)
+    check_connecting_and_twist(rng, seed)

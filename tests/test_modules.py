@@ -6,6 +6,7 @@ relations x.b (x) y - x (x) b.y, computed by brute-force rank.
 """
 
 import math
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
@@ -21,10 +22,13 @@ from corrlab.errors import (
     NotUnitary,
     ShapeMismatch,
 )
+from corrlab import modules, nerve
 from corrlab.generators import (
+    embedding_hom,
     random_algebra,
     random_correspondence,
     random_element,
+    random_simplex,
     random_unitary,
 )
 from corrlab.linalg import frob
@@ -239,6 +243,44 @@ def test_unitors_act_as_expected(seed):
     got = ru.apply(tp_r.pure_tensor(y, b_mod))
     want = y.right_mul(bb)
     assert frob(got.to_vec() - want.to_vec()) < 1e-9
+
+
+def test_unitors_refuse_a_conjugated_identity():
+    """id_B conjugated by a non-trivial unitary is isomorphic to id_B but is
+    not it, so neither unitor takes it as its identity factor."""
+    rng = np.random.default_rng(31)
+    b = make_algebra((2, 1))
+    lam = embedding_hom(b, b, np.eye(2, dtype=int), rng)
+    twisted = Correspondence(b, make_module(b, b.blocks), lam)
+    assert not corr_close(twisted, identity_corr(b))
+    f = random_correspondence(b, random_algebra(rng, max_blocks=2, max_size=2), rng)
+    with pytest.raises(EndpointMismatch, match="left factor"):
+        left_unitor(tensor_corrs(twisted, f))
+    g = random_correspondence(random_algebra(rng, max_blocks=2, max_size=2), b, rng)
+    with pytest.raises(EndpointMismatch, match="right factor"):
+        right_unitor(tensor_corrs(g, twisted))
+
+
+def test_unit_cells_build_no_identity_corr(monkeypatch):
+    """The unitors check their identity factor in place: building every unit
+    cell of a simplex makes no identity correspondence beyond the identity
+    edges the simplex holds."""
+    s = random_simplex(np.random.default_rng(7), 3, twist=True, max_mult=1)
+    for i in range(s.n + 1):
+        s.edge(i, i)
+    calls = []
+    real = modules.identity_corr
+
+    def counting(b):
+        calls.append(b)
+        return real(b)
+
+    monkeypatch.setattr(modules, "identity_corr", counting)
+    monkeypatch.setattr(nerve, "identity_corr", counting)
+    for i, j, k in combinations_with_replacement(range(s.n + 1), 3):
+        if not i < j < k:
+            s.cell(i, j, k)
+    assert calls == []
 
 
 @pytest.mark.parametrize("seed", range(4))

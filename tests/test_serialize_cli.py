@@ -233,6 +233,29 @@ def test_cli_rejects_json_booleans_as_numbers(tmp_path, capsys, case, schema, ed
     assert where in capsys.readouterr().err
 
 
+# (document, exit code, location named in the error): a blocks or mult list
+# may describe at most MAX_PARSED_DIM = 256 dimensions, sum of squares
+CAP_CASES = [
+    ({"blocks": [16]}, 0, None),
+    ({"blocks": [16, 1]}, 2, "algebra.blocks"),
+    ({"blocks": [10**9]}, 2, "algebra.blocks"),
+    ({"base": {"blocks": [2]}, "mult": [10**9]}, 2, "module.mult"),
+    ({"src": {"blocks": [1]}, "dst": {"blocks": [2]}, "mult": [10**9], "left_action": {}},
+     2, "correspondence.mult"),
+    ({"algebras": [{"blocks": [1]}, {"blocks": [10**9]}], "edges": [], "cells": []},
+     2, "ncorr_simplex.algebras[1].blocks"),
+]
+
+
+@pytest.mark.parametrize("doc,code,where", CAP_CASES)
+def test_cli_caps_dimensions_before_building(tmp_path, capsys, doc, code, where):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == code
+    if where:
+        assert f"{where}: describes more than 256 dimensions" in capsys.readouterr().err
+
+
 def test_cli_simplex_dimension_cap(tmp_path, capsys):
     assert main(["make", "simplex", "--n", "4", "--out", str(tmp_path / "x.json")]) == 2
     assert "error" in capsys.readouterr().err
