@@ -193,7 +193,8 @@ class StarHom:
     """A *-homomorphism between finite-dimensional C*-algebras.
 
     ``matrix`` is the (dst.dim x src.dim) matrix of the linear map in the
-    canonical bases; it must already be a *-hom, so this constructor is for
+    canonical bases, stored C-ordered so that nothing computed from it depends
+    on the caller's memory layout; it must already be a *-hom, so this is for
     canonical constructions from valid inputs, and ``make_star_hom`` is the
     one that checks.  Derived at construction:
 
@@ -213,7 +214,7 @@ class StarHom:
 
     def __post_init__(self):
         src, dst = self.src, self.dst
-        matrix = np.asarray(self.matrix, dtype=complex).view()
+        matrix = np.ascontiguousarray(self.matrix, dtype=complex).view()
         matrix.setflags(write=False)
         diag = matrix[dst._diag[:, None], src._offsets].real
         traces = np.add.reduceat(diag, dst._diag_starts, axis=0)

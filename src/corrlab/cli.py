@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from .acceptance import SUITES, _iso_residuals, report_json, run_suite
-from .algebra import FdCstarAlgebra, StarHom, _mult_residual, _star_residual, make_algebra, make_star_hom
+from .algebra import FdCstarAlgebra, StarHom, _mult_residual, _star_residual, make_star_hom
 from .bicategory import equivalence_inverse, gamma_of_hom
 from .errors import (
     CorrLabError,
@@ -40,6 +40,7 @@ from .serialize import (
     corr_to_json,
     hom_to_json,
     iso_to_json,
+    algebra_from_json,
     algebra_to_json,
     simplex_to_json,
     load_value,
@@ -145,7 +146,7 @@ def cmd_make(args) -> int:
     rng = np.random.default_rng(args.seed)
     if args.kind == "algebra":
         if args.blocks:
-            a = make_algebra([int(x) for x in args.blocks.split(",")], args.label)
+            a = algebra_from_json({"blocks": args.blocks, "label": args.label}, "--blocks")
         else:
             a = random_algebra(rng, label=args.label)
         _emit(algebra_to_json(a), args.out)
@@ -313,7 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     m = sub.add_parser("make", parents=[common], help="emit a seeded random value")
     m.add_argument("kind", choices=["algebra", "hom", "corr", "simplex"])
-    m.add_argument("--blocks", help="algebra blocks, e.g. 2,1")
+    m.add_argument("--blocks", type=lambda s: [int(x) for x in s.split(",")],
+                   help="algebra blocks, e.g. 2,1")
     m.add_argument("--label", default="")
     m.add_argument("--src", help="source algebra file (hom, corr)")
     m.add_argument("--dst", help="target algebra file (corr)")

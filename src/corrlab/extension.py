@@ -9,7 +9,9 @@ constant vertex prefix come straight from F, and the rest are produced by
 the staged recursion below (inner horns while the prefix is shorter than
 the chain, one special outer horn at the very end, certified by the corner
 embedding's inverse).  The value on the plain chain (0..n) is then the
-extension's value on the simplex itself.
+extension's value on the simplex itself.  A final sweep checks every face
+of every nondegenerate chain's value; degenerate chains' values are
+degeneracies by definition, so they need no check (``_Builder._check_compat``).
 
 Two targets are provided: the nerve of integer matrices (K-theory) and the
 correspondence nerve itself.  `extend_relative` runs the same machinery on
@@ -50,7 +52,7 @@ from .errors import (
 from .linalg import EPS, int_inverse
 from .modules import tensor_corrs
 from .nerve import HornSpec, gamma_simplex, make_simplex, structural_hash
-from .subdivision import AugChain, subdivision_functor
+from .subdivision import AugChain, _drop, subdivision_functor
 
 __all__ = [
     "QCOracle",
@@ -544,7 +546,7 @@ class _Builder:
         if support != self.full_set:
             sub = sorted(support)
             pos = {v: i for i, v in enumerate(sub)}
-            rel = AugChain(
+            rel = AugChain._trusted(
                 tuple(pos[x] for x in c.vertices),
                 tuple(tuple(pos[x] for x in s) for s in c.subsets),
             )
@@ -612,20 +614,7 @@ class _Builder:
             raise CompatibilityViolated(
                 f"fill target {_chain_str(c)} or its face was assigned twice"
             )
-        faces = {}
-        for j in range(ell + 1):
-            if j == kk:
-                continue
-            fc = sdv.face(c, j)
-            if j <= k and len(fc.vertices) != k:
-                raise CompatibilityViolated(
-                    f"face {j} of {_chain_str(c)} has the wrong prefix length"
-                )
-            if fc.dim != ell - 1:
-                raise CompatibilityViolated(
-                    f"face {j} of {_chain_str(c)} has the wrong dimension"
-                )
-            faces[j] = self.value(fc)
+        faces = {j: self.value(sdv.face(c, j)) for j in range(ell + 1) if j != kk}
         horn = HornSpec(ell, kk, faces)
         special = kk == ell
         cert = None
@@ -679,24 +668,22 @@ class _Builder:
             }
         )
 
-    # -- exhaustive face/degeneracy compatibility ----------------------------
+    # -- exhaustive face compatibility ---------------------------------------
 
     def _check_compat(self):
+        """Check every face of every nondegenerate chain's value; degeneracies
+        need none.  The first repeated entry of degeneracy(c, i) is at i, with
+        c as its face, so ``value`` gives it ``oracle.degeneracy(value(c), i)``,
+        the very call a check would compare with.  Fills assign no degenerate chain."""
         table = sdv.enumerate_csd(self.sigma.n)
         for d in sorted(table):
             for c in table[d]:
                 v = self.value(c)
-                for i in range(d + 1):
-                    if d >= 1:
-                        fv = self.oracle.face(v, i)
-                        if not self.oracle.equal(fv, self.value(sdv.face(c, i))):
-                            raise CompatibilityViolated(
-                                f"face {i} of {_chain_str(c)} disagrees with its value"
-                            )
-                    sv = self.oracle.degeneracy(v, i)
-                    if not self.oracle.equal(sv, self.value(sdv.degeneracy(c, i))):
+                for i in range(d + 1 if d else 0):
+                    fv = self.oracle.face(v, i)
+                    if not self.oracle.equal(fv, self.value(sdv.face(c, i))):
                         raise CompatibilityViolated(
-                            f"degeneracy {i} of {_chain_str(c)} disagrees with its value"
+                            f"face {i} of {_chain_str(c)} disagrees with its value"
                         )
 
 
@@ -788,10 +775,6 @@ class CstHomotopy:
     f0: CstFunctor
     f1: CstFunctor
     eta: Callable
-
-
-def _drop(t: tuple, i: int) -> tuple:
-    return t[:i] + t[i + 1 :]
 
 
 class RelExtension:

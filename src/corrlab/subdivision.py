@@ -9,6 +9,12 @@ suffix).  Faces drop an entry, degeneracies double one, and monotone
 reindexing acts entrywise, turning any subset that collapses to a point
 into a vertex entry.
 
+Chains are validated where they enter: the public constructors, phi_star
+and the enumerations.  face and degeneracy build their results unchecked
+(``_trusted``): dropping or doubling an entry of a valid chain keeps the
+vertices weakly increasing, the subsets nested (nesting is transitive and
+allows equal entries) and the vertices inside the first subset.
+
 On the algebra side, a subset S with top vertex m picks out the module
 E_S = (+)_{v in S} E_{v m} over A_m; A_S is its compact operators.  For
 S inside T, with top M, the hom f_ST: A_S -> A_T sends x to x (x) id along
@@ -83,9 +89,22 @@ class SubsetChain:
                 raise NotNested(f"{a} is not contained in {b}")
         object.__setattr__(self, "entries", entries)
 
+    @classmethod
+    def _trusted(cls, entries):
+        """Skip validation; only for entries sliced from a valid chain."""
+        out = cls.__new__(cls)
+        object.__setattr__(out, "entries", entries)
+        return out
+
     @property
     def dim(self) -> int:
         return len(self.entries) - 1
+
+    def entry(self, i: int):
+        return self.entries[i]
+
+    def _splice(self, i: int, op):
+        return SubsetChain._trusted(op(self.entries, i))
 
 
 @dataclass(frozen=True)
@@ -120,6 +139,14 @@ class AugChain:
         object.__setattr__(self, "vertices", vs)
         object.__setattr__(self, "subsets", ss)
 
+    @classmethod
+    def _trusted(cls, vs, ss):
+        """Unchecked; only for slices or monotone relabellings of a valid chain."""
+        out = cls.__new__(cls)
+        object.__setattr__(out, "vertices", vs)
+        object.__setattr__(out, "subsets", ss)
+        return out
+
     @property
     def dim(self) -> int:
         return len(self.vertices) + len(self.subsets) - 1
@@ -130,46 +157,41 @@ class AugChain:
             return self.vertices[i]
         return self.subsets[i - nv]
 
+    def _splice(self, i: int, op):
+        nv = len(self.vertices)
+        if i < nv:
+            return AugChain._trusted(op(self.vertices, i), self.subsets)
+        return AugChain._trusted(self.vertices, op(self.subsets, i - nv))
 
-def _entries(chain):
-    if isinstance(chain, SubsetChain):
-        return list(chain.entries)
-    return list(chain.vertices) + list(chain.subsets)
+
+def _drop(t: tuple, i: int) -> tuple:
+    return t[:i] + t[i + 1 :]
 
 
-def _rebuild(chain, entries):
-    if isinstance(chain, SubsetChain):
-        return SubsetChain(tuple(entries))
-    vs = tuple(e for e in entries if isinstance(e, int))
-    ss = tuple(e for e in entries if not isinstance(e, int))
-    return AugChain(vs, ss)
+def _double(t: tuple, i: int) -> tuple:
+    return t[: i + 1] + t[i:]
 
 
 def face(chain, i: int):
-    """Drop entry i."""
-    entries = _entries(chain)
-    if len(entries) == 1:
+    """Drop entry i.  Built unchecked: the vertices stay weakly increasing,
+    the subsets nested and the vertices inside the first subset."""
+    if chain.dim == 0:
         raise ShapeViolation("a point has no faces")
-    if not 0 <= i < len(entries):
-        raise IndexOutOfRange(f"face index {i} out of range for dimension {len(entries) - 1}")
-    del entries[i]
-    return _rebuild(chain, entries)
+    if not 0 <= i <= chain.dim:
+        raise IndexOutOfRange(f"face index {i} out of range for dimension {chain.dim}")
+    return chain._splice(i, _drop)
 
 
 def degeneracy(chain, i: int):
-    """Double entry i."""
-    entries = _entries(chain)
-    if not 0 <= i < len(entries):
-        raise IndexOutOfRange(
-            f"degeneracy index {i} out of range for dimension {len(entries) - 1}"
-        )
-    entries.insert(i, entries[i])
-    return _rebuild(chain, entries)
+    """Double entry i.  Built unchecked like ``face``: ``<=`` allows equal
+    vertices and nesting allows equal subsets."""
+    if not 0 <= i <= chain.dim:
+        raise IndexOutOfRange(f"degeneracy index {i} out of range for dimension {chain.dim}")
+    return chain._splice(i, _double)
 
 
 def is_nondegenerate(chain) -> bool:
-    entries = _entries(chain)
-    return all(a != b for a, b in zip(entries, entries[1:]))
+    return all(chain.entry(i) != chain.entry(i + 1) for i in range(chain.dim))
 
 
 def phi_star(phi, chain):
@@ -204,18 +226,16 @@ def phi_star(phi, chain):
 
 
 def _nonempty_subsets(n):
-    out = []
-    for mask in range(1, 1 << (n + 1)):
-        out.append(tuple(i for i in range(n + 1) if mask >> i & 1))
-    return out
-
-
-def enumerate_sd(n: int):
-    """Nondegenerate chains of the subdivided n-simplex, keyed by dimension."""
+    """The vertex sets of the subdivided n-simplex; n is capped at _MAX_N."""
     if n > _MAX_N:
         raise DimensionTooLarge(f"n = {n} exceeds the supported bound {_MAX_N}")
     if n < 0:
         raise ShapeViolation("n must be nonnegative")
+    return [tuple(i for i in range(n + 1) if mask >> i & 1) for mask in range(1, 1 << (n + 1))]
+
+
+def enumerate_sd(n: int):
+    """Nondegenerate chains of the subdivided n-simplex, keyed by dimension."""
     subsets = _nonempty_subsets(n)
     by_dim: dict = {}
     stack = [(s,) for s in subsets]
@@ -232,10 +252,6 @@ def enumerate_sd(n: int):
 
 def enumerate_csd(n: int):
     """Nondegenerate augmented chains, keyed by dimension."""
-    if n > _MAX_N:
-        raise DimensionTooLarge(f"n = {n} exceeds the supported bound {_MAX_N}")
-    if n < 0:
-        raise ShapeViolation("n must be nonnegative")
     big = [s for s in _nonempty_subsets(n) if len(s) >= 2]
     suffixes = [()]
     stack = [(s,) for s in big]
@@ -368,8 +384,6 @@ def subdivision_functor(sigma: NCorrSimplex, *, eps: float = EPS, check: bool = 
     exact identity matrix, so with S = T or T = U both sides are the same
     matrix multiplied by an identity, equal to the last bit.
     """
-    if sigma.n > _MAX_N:
-        raise DimensionTooLarge(f"n = {sigma.n} exceeds the supported bound {_MAX_N}")
     subsets = tuple(_nonempty_subsets(sigma.n))
     data = {s: module_E_S(sigma, s) for s in subsets}
     homs = {}

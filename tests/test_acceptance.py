@@ -21,7 +21,7 @@ CRITERIA = [
     ("c07", "k0-extension", 120.0, True),
     ("c08", "section-exact", 40.0, True),
     ("c09", "relative-prism", None, True),
-    ("c10", "csd-combinatorics", None, True),
+    ("c10", "csd-combinatorics", 1.5, True),
 ]
 
 MIN_CASES = {

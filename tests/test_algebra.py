@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from corrlab.algebra import (
@@ -18,6 +18,7 @@ from corrlab.algebra import (
     make_algebra,
     make_star_hom,
 )
+from corrlab.bicategory import gamma_of_hom
 from corrlab.errors import (
     EndpointMismatch,
     InvalidAlgebra,
@@ -34,6 +35,7 @@ from corrlab.generators import (
     random_unital_hom,
 )
 from corrlab.linalg import frob
+from corrlab.nerve import structural_hash
 
 
 def test_algebra_shape():
@@ -312,6 +314,15 @@ def test_conjugation_matrix_inverts_the_normal_form(phi):
         ws.append(pieces)
     rebuilt = _conjugation_matrix(phi.src, phi.dst, ws)
     assert np.abs(rebuilt - phi.matrix).max() <= 1e-12
+
+
+@settings(max_examples=40)
+@given(phi=homs())
+def test_star_hom_bits_do_not_depend_on_memory_layout(phi):
+    assume(phi.mult_matrix.any())  # the zero hom has no correspondence
+    fortran = StarHom(phi.src, phi.dst, np.asfortranarray(phi.matrix))
+    assert fortran.matrix.flags.c_contiguous
+    assert structural_hash(gamma_of_hom(fortran)) == structural_hash(gamma_of_hom(phi))
 
 
 def test_hom_normal_form_pads_nonunital():

@@ -11,11 +11,14 @@ from corrlab.algebra import compose_homs
 from corrlab.bicategory import u_of_corr
 from corrlab.errors import (
     BoundaryMismatch,
+    CompatibilityViolated,
     DimensionTooLarge,
+    OracleFillFailed,
     ShapeMismatch,
     Unfillable,
 )
 from corrlab.extension import (
+    CstFunctor,
     CstHomotopy,
     K0Oracle,
     K0Simplex,
@@ -29,7 +32,9 @@ from corrlab.extension import (
 )
 from corrlab.generators import random_chain, random_simplex
 from corrlab.linalg import int_inverse
+from corrlab.modules import make_iso
 from corrlab.nerve import HornSpec, face, gamma_simplex, make_simplex, structural_hash
+from corrlab.subdivision import degeneracy, enumerate_csd, subdivision_functor
 
 
 def closure(sig):
@@ -276,3 +281,109 @@ def test_relative_extension_unknown_simplex():
     rel = extend_relative(k0_functor(), None, [sig], K0Oracle(), m=0)
     with pytest.raises(BoundaryMismatch):
         rel.value(other, (0, 0))
+
+
+# -- the engine's remaining checks ---------------------------------------------
+
+
+def negated_k0():
+    """K-theory, except that every two-hom chain negates its last edge.
+
+    The corruption is consistent: each such value is a valid K0 simplex,
+    horns built from it still fill, and the corner edges stay invertible.
+    Only the face sweep compares a chain's value with its faces' values.
+    """
+    base = k0_functor()
+
+    def chain(homs, composites=None):
+        s = base.chain(homs)
+        if len(homs) != 2:
+            return s
+        m01, m12 = s.mats[(0, 1)], -s.mats[(1, 2)]
+        return K0Simplex(s.ranks, {(0, 1): m01, (1, 2): m12, (0, 2): m12 @ m01})
+
+    return CstFunctor("negated K0", base.vertex, chain, base.certificate)
+
+
+def test_face_sweep_rejects_a_corrupted_chain_value():
+    rng = np.random.default_rng(5)
+    s = random_simplex(rng, 2, max_blocks=2, max_size=2, max_mult=1)
+    with pytest.raises(CompatibilityViolated, match="face .* disagrees with its value"):
+        extend_bar_G(s, negated_k0(), K0Oracle(), {})
+
+
+def negate_cell(s):
+    """The 2-simplex s with its cell multiplied by -1: still valid, not s."""
+    u = s.cell(0, 1, 2)
+    minus_u = make_iso(u.src, u.dst, [-b for b in u.blocks])
+    return make_simplex(s.algebras, s.edges, {(0, 1, 2): minus_u})
+
+
+class WrongFaceOracle(NCorrOracle):
+    """Fills one tetrahedron horn of a child run after negating the cell of
+    one of its faces, so the fill it returns carries a face the horn did
+    not give.  Child runs are told apart by their top algebra."""
+
+    def __init__(self, parent_top):
+        super().__init__()
+        self.parent_top = parent_top
+        self.swapped = 0
+
+    def fill_inner_horn(self, horn):
+        if self.swapped or horn.n != 3 or horn.faces[0].algebras[-1] == self.parent_top:
+            return super().fill_inner_horn(horn)
+        self.swapped += 1
+        faces = dict(horn.faces)
+        j = min(faces)
+        faces[j] = negate_cell(faces[j])
+        return super().fill_inner_horn(HornSpec(horn.n, horn.k, faces))
+
+
+def test_fill_check_rejects_a_wrong_face_in_a_child_run():
+    rng = np.random.default_rng(4)
+    s = random_simplex(rng, 3, max_blocks=2, max_size=2, max_mult=1)
+    top = subdivision_functor(s).algebra((0, 1, 2, 3))
+    children = [subdivision_functor(face(s, i)).algebra((0, 1, 2)) for i in range(4)]
+    assert top not in children
+    D = WrongFaceOracle(top)
+    with pytest.raises(OracleFillFailed, match="oracle changed face"):
+        extend_bar_G(s, gamma_functor(), D, {})
+    assert D.swapped == 1
+
+
+TARGETS = {"k0": (k0_functor, K0Oracle), "ncorr": (gamma_functor, NCorrOracle)}
+SMALL = [(1, 0), (1, 1), (2, 0), (2, 1)]
+
+
+def small_simplex(n, seed):
+    rng = np.random.default_rng(30 + 2 * n + seed)
+    return random_simplex(rng, n, twist=bool(seed), max_blocks=2, max_size=2, max_mult=1)
+
+
+@pytest.mark.parametrize("target", sorted(TARGETS))
+@pytest.mark.parametrize("n,seed", SMALL)
+def test_degenerate_chain_values_are_degeneracies(n, seed, target):
+    functor, oracle = TARGETS[target]
+    D = oracle()
+    ext = extend_bar_G(small_simplex(n, seed), functor(), D, {})
+    for d, chains in enumerate_csd(n).items():
+        for c in chains:
+            for i in range(d + 1):
+                assert D.equal(ext.value(degeneracy(c, i)), D.degeneracy(ext.value(c), i))
+
+
+class CountDegeneracies:
+    degeneracies = 0
+
+    def degeneracy(self, s, i):
+        self.degeneracies += 1
+        return super().degeneracy(s, i)
+
+
+@pytest.mark.parametrize("target", sorted(TARGETS))
+@pytest.mark.parametrize("n,seed", SMALL)
+def test_extension_takes_no_degeneracies(n, seed, target):
+    functor, oracle = TARGETS[target]
+    D = type("Counting", (CountDegeneracies, oracle), {})()
+    extend_bar_G(small_simplex(n, seed), functor(), D, {})
+    assert D.degeneracies == 0

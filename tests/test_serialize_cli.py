@@ -256,6 +256,23 @@ def test_cli_caps_dimensions_before_building(tmp_path, capsys, doc, code, where)
         assert f"{where}: describes more than 256 dimensions" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("blocks,code", [("16", 0), ("16,1", 2), ("3000000", 2)])
+def test_cli_make_algebra_caps_blocks(tmp_path, capsys, blocks, code):
+    out = str(tmp_path / "a.json")
+    assert main(["make", "algebra", "--blocks", blocks, "--out", out]) == code
+    if code:
+        assert "describes more than 256 dimensions" in capsys.readouterr().err
+    else:
+        assert load_value(out).blocks == (16,)
+
+
+def test_cli_make_algebra_rejects_non_integer_blocks(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["make", "algebra", "--blocks", "2,x"])
+    assert exit_.value.code == 2
+    assert "--blocks" in capsys.readouterr().err
+
+
 def test_cli_simplex_dimension_cap(tmp_path, capsys):
     assert main(["make", "simplex", "--n", "4", "--out", str(tmp_path / "x.json")]) == 2
     assert "error" in capsys.readouterr().err

@@ -174,6 +174,59 @@ def test_face_bounds():
         degeneracy(c2, -1)
 
 
+def validated(chain):
+    """The same entries passed through the validating public constructor."""
+    if isinstance(chain, SubsetChain):
+        return SubsetChain(chain.entries)
+    return AugChain(chain.vertices, chain.subsets)
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_trusted_faces_and_degeneracies_match_validated_chains(n):
+    """face and degeneracy skip validation; their results must be exactly
+    what the validating constructors build from the same entries."""
+    pool = [c for chains in enumerate_csd(n).values() for c in chains]
+    pool += [c for chains in enumerate_sd(n).values() for c in chains]
+    pool += [degeneracy(c, i) for c in list(pool) for i in range(c.dim + 1)]
+    for c in pool:
+        derived = [degeneracy(c, i) for i in range(c.dim + 1)]
+        derived += [face(c, i) for i in range(c.dim + 1) if c.dim]
+        for got in derived:
+            want = validated(got)
+            # repr spells out field types: tuples of plain ints, as validated
+            assert repr(got) == repr(want) and vars(got) == vars(want)
+            assert got == want and hash(got) == hash(want)
+
+
+MALFORMED = [
+    (ShapeViolation, lambda: AugChain((1, 0), ((0, 1),))),  # vertices not monotone
+    (NotNested, lambda: AugChain((0,), ((0, 1), (0, 2)))),
+    (NotNested, lambda: SubsetChain(((0,), (1, 2)))),
+    (ShapeViolation, lambda: AugChain((2,), ((0, 1), (0, 1, 2)))),  # vertex outside
+    (ShapeViolation, lambda: AugChain((0,), ((0,), (0, 1)))),  # singleton subset
+]
+
+
+@pytest.mark.parametrize("err,build", MALFORMED)
+def test_public_chain_constructors_still_validate(err, build):
+    with pytest.raises(err):
+        build()
+
+
+@pytest.mark.parametrize("point,chain", [
+    (AugChain((0,), ()), AugChain((0,), ((0, 1),))),
+    (SubsetChain(((0, 1),)), SubsetChain(((0,), (0, 1)))),
+])
+def test_face_and_degeneracy_bounds(point, chain):
+    with pytest.raises(ShapeViolation):
+        face(point, 0)
+    for i in (-1, chain.dim + 1):
+        with pytest.raises(IndexOutOfRange):
+            face(chain, i)
+        with pytest.raises(IndexOutOfRange):
+            degeneracy(chain, i)
+
+
 def test_phi_star():
     collapse = [0, 0, 1]
     c = AugChain((0, 2), ((0, 1, 2),))
