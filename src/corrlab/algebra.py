@@ -51,7 +51,7 @@ __all__ = [
 class FdCstarAlgebra:
     """A direct sum of matrix blocks M_{n_1} (+) ... (+) M_{n_r}."""
 
-    __slots__ = ("blocks", "label", "dim", "_offsets", "_diag", "_diag_starts")
+    __slots__ = ("blocks", "label", "dim", "_offsets", "_diag", "_diag_starts", "_identity")
 
     def __init__(self, blocks, label: str = ""):
         blocks = tuple(int(b) for b in blocks)
@@ -73,6 +73,7 @@ class FdCstarAlgebra:
         # starts among them: a block trace is one gather and one reduceat
         self._diag = np.array(diag, dtype=np.intp)
         self._diag_starts = tuple(starts)
+        self._identity = None  # modules.identity_corr(self), built on first use
 
     @property
     def nblocks(self) -> int:
@@ -204,6 +205,8 @@ class StarHom:
 
     ``unital``, true iff sum_i r_ij n_i = m_j for every dst block j, i.e.
     phi(1) fills every dst block.
+
+    ``_gamma`` keeps Gamma(phi) and its range isometries per eps (bicategory).
     """
 
     src: FdCstarAlgebra
@@ -211,6 +214,7 @@ class StarHom:
     matrix: np.ndarray
     mult_matrix: np.ndarray = field(init=False)
     unital: bool = field(init=False)
+    _gamma: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         src, dst = self.src, self.dst

@@ -50,9 +50,17 @@ __all__ = [
 
 
 def gamma_isometries(phi: StarHom, *, eps: float = EPS):
-    """Per-dst-block isometries onto the ranges of phi(1)."""
-    p = phi.apply(phi.src.identity())
-    return [orthonormal_range(p.mats[j], eps) for j in range(phi.dst.nblocks)]
+    """Per-dst-block isometries onto the ranges of phi(1), read-only; computed
+    once per (phi, eps) and kept on phi."""
+    vs = phi._gamma.get(("range", eps))
+    if vs is None:
+        p = phi.apply(phi.src.identity())
+        vs = phi._gamma[("range", eps)] = tuple(
+            orthonormal_range(p.mats[j], eps) for j in range(phi.dst.nblocks)
+        )
+        for v in vs:
+            v.setflags(write=False)
+    return vs
 
 
 def gamma_of_hom(phi: StarHom, *, eps: float = EPS) -> Correspondence:
@@ -60,7 +68,12 @@ def gamma_of_hom(phi: StarHom, *, eps: float = EPS) -> Correspondence:
 
     Module multiplicity at block j is rank(phi(1)_j); the left action is
     a -> V_j^* phi(a)_j V_j on the isometries V_j spanning those ranges.
+    Computed once per (phi, eps) and kept on phi: repeated calls return the
+    same object, so sibling chains share edges and their tensor frames.
     """
+    corr = phi._gamma.get(("corr", eps))
+    if corr is not None:
+        return corr
     vs = gamma_isometries(phi, eps=eps)
     mult = [v.shape[1] for v in vs]
     if all(m == 0 for m in mult):
@@ -74,20 +87,20 @@ def gamma_of_hom(phi: StarHom, *, eps: float = EPS) -> Correspondence:
         # images, so each product runs the same kernel as on one image
         imgs = phi.matrix[o : o + m * m].T.copy().reshape(-1, m, m)
         kc.block_rows(lam, t)[:] = (v.conj().T @ imgs @ v).transpose(1, 2, 0)
-    return Correspondence(phi.src, module, StarHom(phi.src, kc, lam))
+    corr = phi._gamma[("corr", eps)] = Correspondence(phi.src, module, StarHom(phi.src, kc, lam))
+    return corr
 
 
 def gamma_multiplicativity(
-    psi: StarHom, phi: StarHom, tp: TensorProduct, *, comp=None, target=None, eps: float = EPS
+    psi: StarHom, phi: StarHom, tp: TensorProduct, *, comp=None, eps: float = EPS
 ) -> CorrIso:
     """Canonical intertwiner (Gamma phi) (x) (Gamma psi) -> Gamma(psi . phi).
 
     On representatives it is b (x) c -> psi(b) c, written in the range
     coordinates of the three correspondences.  ``comp`` may supply the
-    composite hom (and ``target`` its correspondence) so the result lands on
-    an already materialized object instead of a recomputation.  Certified:
-    for ``tp`` = (Gamma phi) (x) (Gamma psi) it is unitary and intertwining
-    up to rounding because phi and psi are *-homs.
+    composite hom; the result lands on its Gamma, the object kept on that
+    hom.  Certified: for ``tp`` = (Gamma phi) (x) (Gamma psi) it is unitary
+    and intertwining up to rounding because phi and psi are *-homs.
     """
     if phi.dst != psi.src:
         raise EndpointMismatch("homs are not composable")
@@ -95,8 +108,7 @@ def gamma_multiplicativity(
         comp = compose_homs(psi, phi)
     elif comp.src != phi.src or comp.dst != psi.dst:
         raise EndpointMismatch("comp does not have the composite endpoints")
-    if target is None:
-        target = gamma_of_hom(comp, eps=eps)
+    target = gamma_of_hom(comp, eps=eps)
     v_phi = gamma_isometries(phi, eps=eps)
     v_psi = gamma_isometries(psi, eps=eps)
     v_comp = gamma_isometries(comp, eps=eps)

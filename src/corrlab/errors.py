@@ -12,8 +12,8 @@ connecting homs (from Bratteli data through ``_conjugation_matrix``, or
 by a block map over an existing action), and the canonical intertwiners:
 ``identity_iso``, ``left_unitor``, ``right_unitor``, ``associator``,
 ``gamma_multiplicativity``, the ``u_of_corr`` factorization iso, the
-``equivalence_inverse`` counits, and the adjoints and composites of valid
-intertwiners.  ``tensor_iso`` and ``make_iso`` stay checking.  A
+``equivalence_inverse`` counits, ``tensor_iso``, and the adjoints and
+composites of valid intertwiners.  ``make_iso`` stays checking.  A
 simplex's identity edges and unit cells are not data at all:
 ``NCorrSimplex`` derives them from the unitors and refuses them as input,
 so normality needs no check.  JSON parse bounds every ``blocks`` and

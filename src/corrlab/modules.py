@@ -189,9 +189,13 @@ def direct_sum_modules(modules):
 
 
 class Correspondence:
-    """A proper correspondence: a module plus a unital left action by compacts."""
+    """A proper correspondence: a module plus a unital left action by compacts.
 
-    __slots__ = ("src", "module", "lam")
+    Immutable.  Its data as the right factor of a tensor product is derived
+    once per eps on first use (``_frame``) and shared by every product.
+    """
+
+    __slots__ = ("src", "module", "lam", "_frames", "__weakref__")
 
     def __init__(self, src: FdCstarAlgebra, module: HilbertModule, lam: StarHom):
         if lam.src != src or lam.dst != module.compacts:
@@ -201,6 +205,7 @@ class Correspondence:
         self.src = src
         self.module = module
         self.lam = lam
+        self._frames = {}
 
     @property
     def dst(self) -> FdCstarAlgebra:
@@ -225,6 +230,30 @@ class Correspondence:
             mats.append(img.mats[pos] @ x.mats[k] if pos is not None else x.mats[k] * 0.0)
         return ModElement(self.module, mats)
 
+    def _frame(self, eps: float):
+        """Read-only (r, proj, onb) of this F in any E (x)_B F: P_jk, its R_jk
+        and its rank r_jk, which must equal lambda_F's multiplicity (else
+        raise, keeping nothing); see TensorProduct."""
+        frame = self._frames.get(eps)
+        if frame is None:
+            b, nc = self.src, self.dst.nblocks
+            units = [b.matrix_unit(j, 0, 0) for j in range(b.nblocks)]
+            proj = tuple(tuple(self.lam_block(e11, k) for k in range(nc)) for e11 in units)
+            onb = tuple(tuple(gram_onb(p, eps) for p in row) for row in proj)
+            ranks = [[x.shape[1] for x in row] for row in onb]
+            # a dropped block k has P_jk of size 0, so r_jk = 0 there always
+            mult, kept = self.lam.mult_matrix.tolist(), self.module.kept
+            for j, row in enumerate(ranks):
+                if [row[k] for k in kept] != mult[j]:
+                    raise ShapeMismatch(
+                        f"rank of lambda(e11) disagrees with multiplicities at row {j}"
+                    )
+            r = np.array(ranks, dtype=np.int64)
+            for x in [r, *[p for row in proj + onb for p in row]]:
+                x.setflags(write=False)
+            frame = self._frames[eps] = (r, proj, onb)
+        return frame
+
     def __repr__(self):
         return f"Correspondence({self.src!r} -> {self.dst!r}, mult={list(self.module.mult)})"
 
@@ -237,9 +266,11 @@ def make_correspondence(
 
 
 def identity_corr(b: FdCstarAlgebra) -> Correspondence:
-    """B as a correspondence B -> B; compacts coincide with B itself."""
-    module = make_module(b, b.blocks)
-    return Correspondence(b, module, identity_hom(b))
+    """B as a correspondence B -> B; compacts coincide with B itself.  Built
+    once per algebra object and kept on it, so every caller shares it."""
+    if b._identity is None:
+        b._identity = Correspondence(b, make_module(b, b.blocks), identity_hom(b))
+    return b._identity
 
 
 def direct_sum_corrs(corrs):
@@ -342,8 +373,8 @@ class CorrIso:
         construction: identities and the coordinate renamings (right unitor,
         corner factorization), whose residuals are exactly 0; the left
         unitor, associator, Gamma multiplicativity cell and Morita counits
-        built from valid correspondences and *-homs; and adjoints and
-        composites of valid isos.  Their residuals are rounding only."""
+        built from valid correspondences and *-homs; and tensors, adjoints
+        and composites of valid isos.  Their residuals are rounding only."""
         out = cls.__new__(cls)
         out.src, out.dst, out.blocks = src, dst, tuple(blocks)
         return out
@@ -428,43 +459,19 @@ class TensorProduct:
       proj[j][k]     the projection P_jk = lambda_F(e^(j)_11) at block k
 
     Block-k rows are grouped (j, a, t): j the B block, a < m_j(E),
-    t < r_jk, all ascending.
+    t < r_jk, all ascending.  r, onb and proj depend on F alone: they are
+    F's read-only frame (Correspondence._frame), shared by all its products.
     """
 
     def __init__(self, left: Correspondence, right: Correspondence, *, eps: float = EPS):
         if left.dst != right.src:
             raise EndpointMismatch("tensor product needs matching middle algebra")
         self.left, self.right = left, right
-        b, c = left.dst, right.dst
-        e_mod, f_mod = left.module, right.module
-        nb, nc = b.nblocks, c.nblocks
-        self.r = np.zeros((nb, nc), dtype=np.int64)
-        self.proj = [[None] * nc for _ in range(nb)]
-        self.onb = [[None] * nc for _ in range(nb)]
-        for j in range(nb):
-            e11 = b.matrix_unit(j, 0, 0)
-            for k in range(nc):
-                p = right.lam_block(e11, k)
-                self.proj[j][k] = p
-                rjk = gram_onb(p, eps)
-                self.onb[j][k] = rjk
-                self.r[j, k] = rjk.shape[1]
-            pos = f_mod.compact_pos
-            expected = [
-                int(right.lam.mult_matrix[j, pos(k)]) if pos(k) is not None else 0
-                for k in range(nc)
-            ]
-            if list(self.r[j]) != expected:
-                raise ShapeMismatch(
-                    f"rank of lambda(e11) disagrees with multiplicities at row {j}"
-                )
-        q = tuple(
-            int(sum(e_mod.mult[j] * self.r[j, k] for j in range(nb))) for k in range(nc)
-        )
+        self.r, self.proj, self.onb = right._frame(eps)
+        q = tuple(int(x) for x in np.dot(left.module.mult, self.r))
         if all(x == 0 for x in q):
             raise InvalidAlgebra("tensor product collapses to the zero module")
-        module = make_module(c, q)
-        self.module = module
+        self.module = module = make_module(right.dst, q)
         self.corr = Correspondence(left.src, module, self._left_action(module))
 
     def _left_action(self, module: HilbertModule) -> StarHom:
@@ -557,7 +564,10 @@ def tensor_corrs(left: Correspondence, right: Correspondence, *, eps: float = EP
 def tensor_iso(
     u: CorrIso, v: CorrIso, tp_src: TensorProduct, tp_dst: TensorProduct, *, eps: float = EPS
 ) -> CorrIso:
-    """u (x) v as an intertwiner tp_src.corr -> tp_dst.corr."""
+    """u (x) v as an intertwiner tp_src.corr -> tp_dst.corr.  Certified once
+    the factors match: u and v are valid intertwiners, and their tensor in
+    the frames of valid correspondences is unitary and intertwining up to
+    rounding."""
     if not corr_close(u.src, tp_src.left, eps) or not corr_close(v.src, tp_src.right, eps):
         raise EndpointMismatch("factors do not match the source tensor product")
     if not corr_close(u.dst, tp_dst.left, eps) or not corr_close(v.dst, tp_dst.right, eps):
@@ -579,11 +589,10 @@ def tensor_iso(
             )
             o_s = tp_src.row_start(k, j, 0)
             o_d = tp_dst.row_start(k, j, 0)
-            m = tp_src.left.module.mult[j]
             blk = np.kron(u.blocks[j], t_jk)
             out[o_d : o_d + blk.shape[0], o_s : o_s + blk.shape[1]] = blk
         blocks.append(out)
-    return CorrIso(tp_src.corr, tp_dst.corr, blocks, eps=eps)
+    return CorrIso._trusted(tp_src.corr, tp_dst.corr, blocks)
 
 
 def _intertwiner_blocks(tp: TensorProduct, dst: Correspondence, action) -> list:
@@ -618,14 +627,10 @@ def _renaming_blocks(tp: TensorProduct, dst: Correspondence) -> list:
     return _intertwiner_blocks(tp, dst, action)
 
 
-def _check_identity_factor(c: Correspondence, b: FdCstarAlgebra, eps: float, side: str) -> None:
-    """Raise unless c is id_B up to eps, compared in place: endpoints,
-    multiplicities, and the left action against the identity matrix."""
-    if not (
-        c.src == b == c.dst
-        and c.module.mult == b.blocks
-        and frob(c.lam.matrix - np.eye(b.dim)) <= eps
-    ):
+def _check_identity_factor(c: Correspondence, eps: float, side: str) -> None:
+    """Raise unless c is the identity correspondence of its source up to eps;
+    inside a simplex c is that very object, so the check is an ``is``."""
+    if not corr_close(c, identity_corr(c.src), eps):
         raise EndpointMismatch(f"{side} factor is not the identity correspondence")
 
 
@@ -633,7 +638,7 @@ def left_unitor(tp: TensorProduct, *, eps: float = EPS) -> CorrIso:
     """id_A (x) E -> E, a (x) x -> lambda_E(a) x.  Certified: unitary and
     intertwining up to rounding because lambda_E is a *-hom."""
     a = tp.left.src
-    _check_identity_factor(tp.left, a, eps, "left")
+    _check_identity_factor(tp.left, eps, "left")
     e = tp.right
 
     def action(i, s, k, w):
@@ -645,7 +650,7 @@ def left_unitor(tp: TensorProduct, *, eps: float = EPS) -> CorrIso:
 def right_unitor(tp: TensorProduct, *, eps: float = EPS) -> CorrIso:
     """E (x) id_B -> E, x (x) b -> x b.  Certified: an exact coordinate
     renaming."""
-    _check_identity_factor(tp.right, tp.left.dst, eps, "right")
+    _check_identity_factor(tp.right, eps, "right")
     return CorrIso._trusted(tp.corr, tp.left, _renaming_blocks(tp, tp.left))
 
 

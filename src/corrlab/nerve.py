@@ -111,7 +111,7 @@ class NCorrSimplex:
         self.algebras = algebras
         self.edges = dict(edges)
         self.cells = dict(cells)
-        self._units = {}  # built identity edges (i, i) and unitor cells
+        self._units = {}  # built unitor cells
         self._tps = {}
         self._shash = None
 
@@ -119,12 +119,9 @@ class NCorrSimplex:
         """E_ij for i <= j; E_ii is the identity correspondence."""
         if i != j:
             return self.edges[(i, j)]
-        e = self._units.get((i, i))
-        if e is None:
-            if not 0 <= i <= self.n:
-                raise KeyError((i, i))
-            e = self._units[(i, i)] = identity_corr(self.algebras[i])
-        return e
+        if not 0 <= i <= self.n:
+            raise KeyError((i, i))
+        return identity_corr(self.algebras[i])
 
     def cell(self, i: int, j: int, k: int) -> CorrIso:
         """u_ijk for i <= j <= k; u_iik = lambda and u_ikk = rho."""
@@ -370,7 +367,7 @@ def gamma_simplex(phis, *, eps: float = EPS, validate: bool = True, composites=N
             for k in range(j + 1, n + 1):
                 t = tensor_corrs(edges[(i, j)], edges[(j, k)], eps=eps)
                 cells[(i, j, k)] = gamma_multiplicativity(
-                    comp[(j, k)], comp[(i, j)], t, comp=comp[(i, k)], target=edges[(i, k)], eps=eps
+                    comp[(j, k)], comp[(i, j)], t, comp=comp[(i, k)], eps=eps
                 )
     return make_simplex(algebras, edges, cells, eps=eps, validate=validate)
 

@@ -108,8 +108,7 @@ def _need(doc, key, where):
 
 
 def matrix_to_json(m) -> list:
-    m = np.asarray(m, dtype=complex)
-    return [[float(z.real), float(z.imag)] for z in m.ravel(order="C")]
+    return np.ascontiguousarray(m, dtype=complex).view(np.float64).reshape(-1, 2).tolist()
 
 
 def matrix_from_json(data, shape, where="matrix") -> np.ndarray:

@@ -1,11 +1,15 @@
 """The arrow calculus: Gamma on homs, linking-algebra factorizations,
 equivalence inverses."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from corrlab.acceptance import _iso_residuals, k0_of_corr
 from corrlab.algebra import (
+    StarHom,
     compose_homs,
     corner_algebra,
     identity_hom,
@@ -16,6 +20,7 @@ from corrlab.algebra import (
 from corrlab.bicategory import (
     equivalence_inverse,
     find_corr_iso,
+    gamma_isometries,
     gamma_multiplicativity,
     gamma_of_hom,
     is_equivalence,
@@ -34,6 +39,7 @@ from corrlab.generators import (
 )
 from corrlab.linalg import int_inverse
 from corrlab.modules import corr_close, direct_sum_corrs, identity_corr, tensor_corrs
+from corrlab.nerve import gamma_simplex
 from corrlab.subdivision import subdivision_functor
 
 
@@ -70,10 +76,10 @@ def test_gamma_multiplicativity_residuals(seed):
     w = gamma_multiplicativity(psi, phi, tp)
     assert max(_iso_residuals(w)) < 1e-9
     assert corr_close(w.src, tp.corr)
-    # landing on a supplied target reuses that object
+    # with a supplied composite it lands on the Gamma kept on that hom
     comp = compose_homs(psi, phi)
     target = gamma_of_hom(comp)
-    w2 = gamma_multiplicativity(psi, phi, tp, comp=comp, target=target)
+    w2 = gamma_multiplicativity(psi, phi, tp, comp=comp)
     assert w2.dst is target
 
 
@@ -176,3 +182,42 @@ def test_certified_constructions_pass_validation(seed):
     sd = subdivision_functor(random_simplex(rng, 2, twist=bool(seed % 2), max_mult=1))
     for h in sd.homs.values():
         assert_certified(h)
+
+
+# ---------------------------------------------------------------------------
+# Gamma is derived once per (hom, eps) and kept on the hom
+
+
+def test_gamma_of_hom_is_kept_on_the_hom():
+    rng = np.random.default_rng(21)
+    phi = random_unital_hom(random_algebra(rng, max_blocks=2, max_size=2), rng)
+    g = gamma_of_hom(phi)
+    assert gamma_of_hom(phi) is g
+    assert gamma_isometries(phi) is gamma_isometries(phi)
+    assert all(not v.flags.writeable for v in gamma_isometries(phi))
+    # another eps is its own entry, equal in value here
+    g7 = gamma_of_hom(phi, eps=1e-7)
+    assert g7 is not g and gamma_of_hom(phi, eps=1e-7) is g7
+    assert corr_close(g7, g, eps=0.0)
+    # an equal-valued hom object starts empty and rebuilds the same bits
+    twin = StarHom(phi.src, phi.dst, phi.matrix)
+    assert gamma_of_hom(twin) is not g
+    assert gamma_of_hom(twin).lam.matrix.tobytes() == g.lam.matrix.tobytes()
+
+
+def test_gamma_simplex_shares_edges_across_chains():
+    f01, f12, f23 = random_chain(np.random.default_rng(22), 3, max_blocks=2, max_size=2)
+    s = gamma_simplex([f01, f12])
+    t = gamma_simplex([f12, f23])
+    assert s.edges[(1, 2)] is t.edges[(0, 1)] is gamma_of_hom(f12)
+
+
+def test_gamma_dies_with_its_hom():
+    rng = np.random.default_rng(23)
+    phi = random_unital_hom(random_algebra(rng, max_blocks=2, max_size=2), rng)
+    ref = weakref.ref(gamma_of_hom(phi))
+    gc.collect()
+    assert ref() is not None
+    del phi
+    gc.collect()
+    assert ref() is None

@@ -31,7 +31,7 @@ from corrlab.generators import (
     random_simplex,
     random_unitary,
 )
-from corrlab.linalg import frob
+from corrlab.linalg import frob, gram_onb
 from corrlab.modules import (
     Correspondence,
     CorrIso,
@@ -262,25 +262,24 @@ def test_unitors_refuse_a_conjugated_identity():
 
 
 def test_unit_cells_build_no_identity_corr(monkeypatch):
-    """The unitors check their identity factor in place: building every unit
-    cell of a simplex makes no identity correspondence beyond the identity
-    edges the simplex holds."""
+    """Building every unit cell of a simplex makes no identity correspondence
+    beyond the identity edges the simplex holds: the unitors compare their
+    identity factor with the one kept on its algebra, which is that edge."""
     s = random_simplex(np.random.default_rng(7), 3, twist=True, max_mult=1)
-    for i in range(s.n + 1):
-        s.edge(i, i)
-    calls = []
+    held = [s.edge(i, i) for i in range(s.n + 1)]
+    got = []
     real = modules.identity_corr
 
-    def counting(b):
-        calls.append(b)
-        return real(b)
+    def recording(b):
+        got.append(real(b))
+        return got[-1]
 
-    monkeypatch.setattr(modules, "identity_corr", counting)
-    monkeypatch.setattr(nerve, "identity_corr", counting)
+    monkeypatch.setattr(modules, "identity_corr", recording)
+    monkeypatch.setattr(nerve, "identity_corr", recording)
     for i, j, k in combinations_with_replacement(range(s.n + 1), 3):
         if not i < j < k:
             s.cell(i, j, k)
-    assert calls == []
+    assert got and all(any(c is h for h in held) for c in got)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -434,3 +433,97 @@ def test_direct_sum_corrs():
     )
     assert total.src == a and total.dst == b
     assert not corr_close(total, c1)
+
+
+# ---------------------------------------------------------------------------
+# derived data kept on values: tensor frames and identity correspondences
+
+
+def fresh_frame(left, right, eps=1e-9):
+    """Reference frame of E (x) F: the plain loop over (j, k), nothing kept."""
+    b, c = left.dst, right.dst
+    r = np.zeros((b.nblocks, c.nblocks), dtype=np.int64)
+    proj = [[None] * c.nblocks for _ in range(b.nblocks)]
+    onb = [[None] * c.nblocks for _ in range(b.nblocks)]
+    for j in range(b.nblocks):
+        e11 = b.matrix_unit(j, 0, 0)
+        for k in range(c.nblocks):
+            proj[j][k] = right.lam_block(e11, k)
+            onb[j][k] = gram_onb(proj[j][k], eps)
+            r[j, k] = onb[j][k].shape[1]
+    return r, proj, onb
+
+
+def bit_equal(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_shared_frames_are_bit_equal_to_fresh_builds(seed):
+    s = random_simplex(np.random.default_rng(300 + seed), 3, twist=bool(seed % 2), max_mult=2)
+    nerve.validate_simplex(s)
+    for i, j, k in combinations_with_replacement(range(s.n + 1), 3):
+        s.cell(i, j, k)
+    assert s._tps
+    for tp in s._tps.values():
+        r, proj, onb = fresh_frame(tp.left, tp.right)
+        assert bit_equal(tp.r, r)
+        for j, k in np.ndindex(*r.shape):
+            assert bit_equal(tp.proj[j][k], proj[j][k])
+            assert bit_equal(tp.onb[j][k], onb[j][k])
+        # a copy of F has no frame yet, so this product builds its own
+        right = Correspondence(tp.right.src, tp.right.module, tp.right.lam)
+        assert bit_equal(tensor_corrs(tp.left, right).corr.lam.matrix, tp.corr.lam.matrix)
+
+
+def test_frames_are_shared_and_read_only():
+    s = random_simplex(np.random.default_rng(5), 3, twist=True, max_mult=2)
+    # both products have E_13 on the right
+    t, t2 = s.tp(0, 1, 3), s.tp(1, 1, 3)
+    assert t.r is t2.r and t.proj is t2.proj and t.onb is t2.onb
+    assert tensor_corrs(s.edge(0, 1), s.edge(1, 3), eps=1e-7).onb is not t.onb
+    for a in [t.r, *[x for row in t.proj + t.onb for x in row]]:
+        assert not a.flags.writeable
+    with pytest.raises(ValueError):
+        t.onb[0][0][...] = 0
+
+
+def test_failing_rank_check_raises_every_time():
+    """lambda(e^(j)_11) = diag(1/2, 1/2) has trace 1 but rank 2: an unchecked
+    action that is no *-hom; the rank check refuses it on every call."""
+    a = make_algebra((1, 1))
+    module = make_module(make_algebra((1,)), (2,))
+    half = np.zeros((4, 2), dtype=complex)
+    half[[0, 3], :] = 0.5
+    bad = Correspondence(a, module, StarHom(a, module.compacts, half))
+    for _ in range(2):
+        with pytest.raises(ShapeMismatch, match="rank of lambda"):
+            tensor_corrs(identity_corr(a), bad)
+    assert bad._frames == {}
+
+
+def test_identity_corr_is_kept_on_its_algebra():
+    b = make_algebra((2, 1))
+    assert identity_corr(b) is identity_corr(b)
+    assert identity_corr(make_algebra((2, 1))) is not identity_corr(b)
+    assert corr_close(identity_corr(make_algebra((2, 1))), identity_corr(b), eps=0.0)
+
+
+@settings(max_examples=25)
+@given(st.integers(0, 2**32 - 1))
+def test_certified_tensor_iso_passes_the_checking_constructor(seed):
+    """tensor_iso builds through CorrIso._trusted: a tensor of valid
+    intertwiners in the frames of valid correspondences is unitary and
+    intertwining to rounding."""
+    rng = np.random.default_rng(seed)
+    s = random_simplex(rng, 3, twist=bool(seed % 2), max_mult=2)
+    pairs = [
+        (s.cell(0, 1, 2), s.cell(2, 2, 3)),  # u_012 (x) lambda
+        (s.cell(0, 1, 2), identity_iso(s.edge(2, 3))),
+        (identity_iso(s.edge(0, 1)), s.cell(1, 2, 3)),
+        (s.cell(0, 1, 1).inverse(), conjugate_iso(s.edge(1, 3), rng)),
+    ]
+    for u, v in pairs:
+        t_src, t_dst = tensor_corrs(u.src, v.src), tensor_corrs(u.dst, v.dst)
+        w = tensor_iso(u, v, t_src, t_dst)
+        CorrIso(w.src, w.dst, w.blocks, eps=1e-12)

@@ -494,9 +494,10 @@ def test_nan_cell_fails_validation(blocks):
     with pytest.raises(PentagonViolated) as err:
         validate_simplex(nan_cell_simplex((0, 1, 3), blocks))
     assert math.isnan(err.value.residual)
-    # u_012 goes through tensor_iso, whose checked result refuses it
-    with pytest.raises(NotUnitary):
+    # u_012 reaches it through the certified tensor_iso
+    with pytest.raises(PentagonViolated) as err:
         validate_simplex(nan_cell_simplex((0, 1, 2), blocks))
+    assert math.isnan(err.value.residual)
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -538,3 +539,17 @@ def test_reading_a_simplex_does_not_depend_on_eps():
     d = degeneracy(degeneracy(s, 0), 2)
     assert d.cell(0, 1, 2) is s.cell(0, 0, 1)
     assert same_bits(d.cell(1, 2, 3), s.cell(0, 1, 1))
+
+
+@pytest.mark.parametrize("key", [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
+def test_one_negated_block_is_a_pentagon_violation(key):
+    """A strict cell that is a valid unitary intertwiner but the wrong one
+    (one block negated) passes the checking constructor and fails the
+    pentagon, whether it enters it directly or through tensor_iso."""
+    s = validate_simplex(random_simplex(np.random.default_rng(5), 3, max_mult=2))
+    c = s.cell(*key)
+    for b in [b for b, u in enumerate(c.blocks) if u.size]:
+        blocks = [-u if p == b else u for p, u in enumerate(c.blocks)]
+        bad = with_cell(s, key, CorrIso(c.src, c.dst, blocks))
+        with pytest.raises(PentagonViolated):
+            validate_simplex(bad)

@@ -40,6 +40,7 @@ from corrlab.serialize import (
     hom_to_json,
     horn_to_json,
     load_value,
+    matrix_to_json,
     module_to_json,
     simplex_to_json,
 )
@@ -465,3 +466,16 @@ def test_cli_selftest_single_suite(tmp_path, capsys):
     assert [s["suite"] for s in doc["suites"]] == ["csd-combinatorics"]
     err = capsys.readouterr().err
     assert "csd-combinatorics" in err
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_matrix_to_json_matches_the_entry_loop(order):
+    """The vectorised writer prints the text the per-entry loop printed,
+    signed zeros, real input and both memory layouts included."""
+    rng = np.random.default_rng(8)
+    m = rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3))
+    m[0, 0], m[1, 1], m[2, 2] = complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)
+    for x in (m, m.real, m[:, ::2]):
+        x = np.array(x, order=order)
+        old = [[float(z.real), float(z.imag)] for z in np.asarray(x, dtype=complex).ravel(order="C")]
+        assert json.dumps(matrix_to_json(x)) == json.dumps(old)
