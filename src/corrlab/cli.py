@@ -12,6 +12,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -293,7 +294,10 @@ def cmd_selftest(args) -> int:
 # wiring
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument tree, built once per process; it names each command
+    and holds no handler, so ``main`` finds ``cmd_<command>`` per call."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--eps", type=float, default=argparse.SUPPRESS,
                         help="residual tolerance (default 1e-9)")
@@ -310,7 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("validate", parents=[common], help="check every invariant of a JSON file")
     v.add_argument("path", nargs="?", help="file to check")
     v.add_argument("--simplex", dest="simplex_path", help="alias for the positional path")
-    v.set_defaults(fn=cmd_validate)
 
     m = sub.add_parser("make", parents=[common], help="emit a seeded random value")
     m.add_argument("kind", choices=["algebra", "hom", "corr", "simplex"])
@@ -322,47 +325,41 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--n", type=int, default=2, help="simplex dimension")
     m.add_argument("--twist", action="store_true", help="conjugate an edge off the chain image")
     m.add_argument("--max-mult", type=int, default=1, dest="max_mult")
-    m.set_defaults(fn=cmd_make)
 
     g = sub.add_parser("gamma", parents=[common], help="correspondence of a star-hom")
     g.add_argument("--hom", required=True)
-    g.set_defaults(fn=cmd_gamma)
 
     mo = sub.add_parser("morita", parents=[common], help="inverse and counits of an equivalence")
     mo.add_argument("--module", required=True, help="correspondence file")
-    mo.set_defaults(fn=cmd_morita)
 
     f = sub.add_parser("fill", parents=[common], help="fill a horn file")
     f.add_argument("--horn", required=True)
-    f.set_defaults(fn=cmd_fill)
 
     sd = sub.add_parser("subdivide", parents=[common], help="vertex algebras and connecting homs")
     sd.add_argument("--simplex", required=True)
     sd.add_argument("--n", type=int, default=None, help="expected simplex dimension")
-    sd.set_defaults(fn=cmd_subdivide)
 
     e = sub.add_parser("extend", parents=[common], help="run the extension engine on a simplex")
     e.add_argument("--simplex", required=True)
     e.add_argument("--functor", choices=["k0", "gamma"], required=True)
     e.add_argument("--target", choices=["k0nerve", "ncorr"], required=True)
     e.add_argument("--guided", action="store_true")
-    e.set_defaults(fn=cmd_extend)
 
     st = sub.add_parser("selftest", parents=[common], help="run the acceptance sweeps")
     st.add_argument("--suite", action="append", help="run only this suite (repeatable)")
-    st.set_defaults(fn=cmd_selftest)
     return p
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.fn is cmd_validate:
+    command = globals()[f"cmd_{args.command}"]  # a rebound cmd_* is the one that runs
+    if args.command == "validate":
         args.path = args.path or getattr(args, "simplex_path", None)
         if not args.path:
             print("validate: a file path is required", file=sys.stderr)
             return 2
     try:
-        return args.fn(args)
+        return command(args)
     except (ParseError, SchemaError, DimensionTooLarge) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

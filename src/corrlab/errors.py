@@ -32,7 +32,6 @@ __all__ = [
     "NotMultiplicative",
     "NotStarPreserving",
     "NotProjection",
-    "LengthMismatch",
     "BaseMismatch",
     "EndpointMismatch",
     "NotUnitary",
@@ -88,10 +87,6 @@ class NotStarPreserving(ValidationError):
 
 
 class NotProjection(ValidationError):
-    pass
-
-
-class LengthMismatch(ValidationError):
     pass
 
 

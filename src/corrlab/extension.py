@@ -20,6 +20,7 @@ prisms to extend a homotopy between two such functors.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable
@@ -512,6 +513,30 @@ def _chains_to_top(cur: frozenset, top: frozenset):
     return out
 
 
+@functools.cache
+def _fill_targets(n: int) -> tuple:
+    """Stage k's fill targets, for k = 1..n: every chain of k + 1 distinct
+    vertices followed by subsets up to the top, in fill order."""
+    full = frozenset(range(n + 1))
+    stages = []
+    for k in range(1, n + 1):
+        targets = [
+            AugChain(prefix, suffix)
+            for prefix in itertools.combinations(range(n + 1), k + 1)
+            for suffix in _chains_to_top(frozenset(prefix), full)
+        ]
+        targets.sort(key=lambda c: (c.dim, c.vertices, c.subsets))
+        stages.append((k, tuple(targets)))
+    return tuple(stages)
+
+
+@functools.cache
+def _csd_table(n: int) -> tuple:
+    """enumerate_csd(n) as (dimension, chains) pairs, dimensions ascending."""
+    table = sdv.enumerate_csd(n)
+    return tuple((d, tuple(table[d])) for d in sorted(table))
+
+
 class _Builder:
     """One extension run over the augmented subdivision of a single simplex."""
 
@@ -524,7 +549,13 @@ class _Builder:
         self.eps = eps
         self.full = tuple(range(sigma.n + 1))
         self.full_set = set(self.full)
-        self.sd = subdivision_functor(sigma, eps=eps, check=True)
+        # a child run restricts the subdivision its parent left in the memo
+        parent = memo.get(("sd", eps, structural_hash(sigma)))
+        if parent is None:
+            self.sd = subdivision_functor(sigma, eps=eps, check=True)
+        else:
+            self.sd = parent[0].restrict(sigma, parent[1])
+        self.children = {}
         self.vals = {}
         self.assigned = {}
         self.gcache = {}
@@ -544,21 +575,13 @@ class _Builder:
                 return out
         support = set(c.subsets[-1]) if c.subsets else set(c.vertices)
         if support != self.full_set:
-            sub = sorted(support)
+            sub = tuple(sorted(support))
             pos = {v: i for i, v in enumerate(sub)}
             rel = AugChain._trusted(
                 tuple(pos[x] for x in c.vertices),
                 tuple(tuple(pos[x] for x in s) for s in c.subsets),
             )
-            child = extend_bar_G(
-                nerve.apply_map(self.sigma, sub),
-                self.functor,
-                self.oracle,
-                self.memo,
-                guided=self.guided,
-                eps=self.eps,
-            )
-            out = child.value(rel)
+            out = self._child(sub).value(rel)
         elif not c.vertices:
             out = self._g_value(c.subsets)
         elif len(c.vertices) == 1:
@@ -569,6 +592,18 @@ class _Builder:
             )
         self.vals[c] = out
         return out
+
+    def _child(self, sub: tuple) -> "BarExtension":
+        """The run over the face on the vertices ``sub``, looked up once."""
+        child = self.children.get(sub)
+        if child is None:
+            face = nerve.apply_map(self.sigma, sub)
+            self.memo.setdefault(("sd", self.eps, structural_hash(face)), (self.sd, sub))
+            child = extend_bar_G(
+                face, self.functor, self.oracle, self.memo, guided=self.guided, eps=self.eps
+            )
+            self.children[sub] = child
+        return child
 
     def _g_value(self, subsets: tuple):
         hit = self.gcache.get(subsets)
@@ -594,13 +629,7 @@ class _Builder:
     # -- the staged fills ---------------------------------------------------
 
     def run(self) -> "BarExtension":
-        n = self.sigma.n
-        for k in range(1, n + 1):
-            targets = []
-            for prefix in itertools.combinations(range(n + 1), k + 1):
-                for suffix in _chains_to_top(frozenset(prefix), frozenset(self.full)):
-                    targets.append(AugChain(prefix, suffix))
-            targets.sort(key=lambda c: (c.dim, c.vertices, c.subsets))
+        for k, targets in _fill_targets(self.sigma.n):
             for c in targets:
                 self._fill(c, k)
         self._check_compat()
@@ -675,9 +704,8 @@ class _Builder:
         need none.  The first repeated entry of degeneracy(c, i) is at i, with
         c as its face, so ``value`` gives it ``oracle.degeneracy(value(c), i)``,
         the very call a check would compare with.  Fills assign no degenerate chain."""
-        table = sdv.enumerate_csd(self.sigma.n)
-        for d in sorted(table):
-            for c in table[d]:
+        for d, chains in _csd_table(self.sigma.n):
+            for c in chains:
                 v = self.value(c)
                 for i in range(d + 1 if d else 0):
                     fv = self.oracle.face(v, i)
@@ -726,7 +754,11 @@ def extend_bar_G(
     n + 1, checked against the oracle's limit up front).  Results are
     memoised per functor and oracle by the structural hash of sigma, so
     faces shared between runs are extended once; pass the same memo dict to
-    share across calls.
+    share across calls.  The memo also holds, under ``("sd", eps, hash)``,
+    the subdivision a run hands to the runs over its faces: one
+    ``subdivision_functor`` build and check per top-level run, which each
+    child restricts (``SdFunctor.restrict``).  A run enters each face's run
+    once and keeps it.
     """
     if memo is None:
         memo = {}

@@ -468,6 +468,8 @@ class TensorProduct:
             raise EndpointMismatch("tensor product needs matching middle algebra")
         self.left, self.right = left, right
         self.r, self.proj, self.onb = right._frame(eps)
+        rows = np.asarray(left.module.mult, dtype=np.int64)[:, None] * self.r
+        self._row0 = (np.cumsum(rows, axis=0) - rows).tolist()  # [j][k]: row_start(k, j, 0)
         q = tuple(int(x) for x in np.dot(left.module.mult, self.r))
         if all(x == 0 for x in q):
             raise InvalidAlgebra("tensor product collapses to the zero module")
@@ -483,32 +485,26 @@ class TensorProduct:
         """
         e_mod = self.left.module
         ke, kg = e_mod.compacts, module.compacts
-        # each row of the embedding holds at most one 1, so iota @ lam is a
-        # row gather of lam's matrix
-        rows, cols = [], []
-        for p, jp, a, a2 in ke.basis_triples():
-            j = e_mod.kept[jp]
-            for kp, k in enumerate(module.kept):
-                rjk = int(self.r[j, k])
-                if rjk == 0:
+        lam_e = self.left.lam.matrix
+        ncol = lam_e.shape[1]
+        matrix = np.zeros((kg.dim, ncol), dtype=complex)
+        for kp, k in enumerate(module.kept):
+            g = kg.block_rows(matrix, kp)
+            for jp, j in enumerate(e_mod.kept):
+                m, r = e_mod.mult[j], int(self.r[j, k])
+                if r == 0:
                     continue
-                o = self.row_start(k, j, 0)
-                size = kg.blocks[kp]
-                base = kg.offset(kp)
-                for t in range(rjk):
-                    rows.append(base + (o + a * rjk + t) * size + (o + a2 * rjk + t))
-                    cols.append(p)
-        lam_e = self.left.lam
-        matrix = np.zeros((kg.dim, lam_e.matrix.shape[1]), dtype=complex)
-        if rows:
-            matrix[np.asarray(rows, dtype=np.intp)] = lam_e.matrix[np.asarray(cols, dtype=np.intp)]
+                o = self._row0[j][k]
+                # rows (a, t), columns (a2, t) of group j; copy=False: a view
+                blk = np.reshape(g[o : o + m * r, o : o + m * r], (m, r, m, r, ncol), copy=False)
+                src = ke.block_rows(lam_e, jp)
+                for t in range(r):
+                    blk[:, t, :, t] = src
         return StarHom(self.left.src, kg, matrix)
 
     def row_start(self, k: int, j: int, a: int) -> int:
         """First block-k row of group (j, a)."""
-        e_mult = self.left.module.mult
-        o = sum(e_mult[j2] * int(self.r[j2, k]) for j2 in range(j))
-        return o + a * int(self.r[j, k])
+        return self._row0[j][k] + a * int(self.r[j, k])
 
     def embed(self, j: int, a: int, w: ModElement) -> ModElement:
         """Coordinates of e^(j)_{a1} (x) w."""
@@ -561,6 +557,14 @@ def tensor_corrs(left: Correspondence, right: Correspondence, *, eps: float = EP
     return TensorProduct(left, right, eps=eps)
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of two matrices: the same products, so the same bits, without
+    its handling of arbitrary axes."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
+        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1]
+    )
+
+
 def tensor_iso(
     u: CorrIso, v: CorrIso, tp_src: TensorProduct, tp_dst: TensorProduct, *, eps: float = EPS
 ) -> CorrIso:
@@ -589,7 +593,7 @@ def tensor_iso(
             )
             o_s = tp_src.row_start(k, j, 0)
             o_d = tp_dst.row_start(k, j, 0)
-            blk = np.kron(u.blocks[j], t_jk)
+            blk = _kron(u.blocks[j], t_jk)
             out[o_d : o_d + blk.shape[0], o_s : o_s + blk.shape[1]] = blk
         blocks.append(out)
     return CorrIso._trusted(tp_src.corr, tp_dst.corr, blocks)
@@ -689,7 +693,7 @@ def associator(
                     continue
                 fg = tp_fg.onb[j2][l].conj().T @ tp_fg.proj[j2][l] @ tp_efg.onb[j2][l]
                 g0 = tp_fg.row_start(l, j2, 0)
-                blk = into[:, g0 : g0 + f_mult[j2] * fg.shape[0]] @ np.kron(tp_ef.onb[j][j2], fg)
+                blk = into[:, g0 : g0 + f_mult[j2] * fg.shape[0]] @ _kron(tp_ef.onb[j][j2], fg)
                 for a in range(e_mult[j]):
                     o = tp_e_fg.row_start(l, j, a)
                     c = tp_efg.row_start(l, j2, tp_ef.row_start(j2, j, a))

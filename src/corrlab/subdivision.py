@@ -27,7 +27,7 @@ these and checks f_TU . f_ST = f_SU for every strictly nested triple.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -374,6 +374,23 @@ class SdFunctor:
 
     def hom(self, s, t) -> StarHom:
         return self.homs[(_check_subset(s), _check_subset(t))]
+
+    def restrict(self, face: NCorrSimplex, vertices) -> "SdFunctor":
+        """The functor of ``face = apply_map(base, vertices)``, vertices
+        strictly increasing: this functor's algebras and homs at the
+        relabelled subsets, each vertex datum carrying the face's label.
+
+        The bits are those of a fresh build: module_E_S and _isometries
+        read only edge, cell and tp over T, and apply_map is a pure lookup.
+        It needs no check of its own: a checked functor (or one restricted
+        from it) covered every strictly nested triple, the images of the
+        face's included, and these are the same homs.
+        """
+        vs = tuple(vertices)
+        up = {s: tuple(vs[i] for i in s) for s in _nonempty_subsets(face.n)}
+        data = {s: replace(self.data[t], subset=s) for s, t in up.items()}
+        homs = {(s, t): self.homs[(up[s], up[t])] for s in up for t in up if set(s) <= set(t)}
+        return SdFunctor(face, tuple(up), data, homs)
 
 
 def subdivision_functor(sigma: NCorrSimplex, *, eps: float = EPS, check: bool = True) -> SdFunctor:

@@ -6,13 +6,15 @@ import weakref
 import numpy as np
 import pytest
 
+from corrlab import extension, subdivision
 from corrlab.acceptance import conjugated_k0, k0_of_corr
-from corrlab.algebra import compose_homs
+from corrlab.algebra import StarHom, compose_homs
 from corrlab.bicategory import u_of_corr
 from corrlab.errors import (
     BoundaryMismatch,
     CompatibilityViolated,
     DimensionTooLarge,
+    FunctorialityViolated,
     OracleFillFailed,
     ShapeMismatch,
     Unfillable,
@@ -387,3 +389,48 @@ def test_extension_takes_no_degeneracies(n, seed, target):
     D = type("Counting", (CountDegeneracies, oracle), {})()
     extend_bar_G(small_simplex(n, seed), functor(), D, {})
     assert D.degeneracies == 0
+
+
+# -- one subdivision per top-level run -----------------------------------------
+
+
+@pytest.mark.parametrize("pair", [((0,), (0, 1)), ((1,), (1, 2)), ((0,), (0, 2))])
+def test_a_corrupted_face_hom_is_still_rejected(monkeypatch, pair):
+    """Child runs restrict the parent's subdivision unchecked; a face hom
+    moved by 1e-6 is caught by the top-level run's check."""
+    s = random_simplex(np.random.default_rng(21), 2, max_mult=1)
+    connecting = subdivision._connecting
+
+    def corrupted(sigma, data_s, data_t):
+        f = connecting(sigma, data_s, data_t)
+        if (data_s.subset, data_t.subset) != pair:
+            return f
+        m = f.matrix.copy()
+        m[np.unravel_index(np.argmax(np.abs(m)), m.shape)] += 1e-6
+        return StarHom(f.src, f.dst, m)
+
+    monkeypatch.setattr(subdivision, "_connecting", corrupted)
+    with pytest.raises(FunctorialityViolated):
+        extend_bar_G(s, k0_functor(), K0Oracle(), {})
+
+
+@pytest.mark.parametrize("target", sorted(TARGETS))
+def test_one_subdivision_per_top_level_run(monkeypatch, target):
+    calls = []
+
+    def counting(sigma, **kw):
+        calls.append(sigma.n)
+        return subdivision_functor(sigma, **kw)
+
+    monkeypatch.setattr(extension, "subdivision_functor", counting)
+    functor, oracle = TARGETS[target]
+    F, D, memo = functor(), oracle(), {}
+    s = small_simplex(2, 1)
+    ext = extend_bar_G(s, F, D, memo)
+    assert calls == [2]
+    # memo hits, the second on a face the run extended for itself
+    assert extend_bar_G(s, F, D, memo) is ext
+    assert extend_bar_G(face(s, 0), F, D, memo) is ext._builder.children[(1, 2)]
+    assert calls == [2]
+    extend_bar_G(s, F, D, {})
+    assert calls == [2, 2]

@@ -527,3 +527,51 @@ def test_certified_tensor_iso_passes_the_checking_constructor(seed):
         t_src, t_dst = tensor_corrs(u.src, v.src), tensor_corrs(u.dst, v.dst)
         w = tensor_iso(u, v, t_src, t_dst)
         CorrIso(w.src, w.dst, w.blocks, eps=1e-12)
+
+
+def row_gather_left_action(tp):
+    """lambda_G as the row gather the block copies replaced: one row of
+    lambda_E per basis triple of K(E), per block k of G and per t < r_jk."""
+    e_mod, kg = tp.left.module, tp.corr.module.compacts
+    rows, cols = [], []
+    for p, jp, a, a2 in e_mod.compacts.basis_triples():
+        j = e_mod.kept[jp]
+        for kp, k in enumerate(tp.module.kept):
+            rjk = int(tp.r[j, k])
+            if rjk == 0:
+                continue
+            o = sum(e_mod.mult[j2] * int(tp.r[j2, k]) for j2 in range(j))
+            size, base = kg.blocks[kp], kg.offset(kp)
+            for t in range(rjk):
+                rows.append(base + (o + a * rjk + t) * size + (o + a2 * rjk + t))
+                cols.append(p)
+    lam_e = tp.left.lam.matrix
+    matrix = np.zeros((kg.dim, lam_e.shape[1]), dtype=complex)
+    matrix[np.asarray(rows, dtype=np.intp)] = lam_e[np.asarray(cols, dtype=np.intp)]
+    return matrix
+
+
+@settings(max_examples=40)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3))
+def test_left_action_matches_the_row_gather(seed, max_mult):
+    e, f, tp = composable_pair(np.random.default_rng(seed), max_mult=max_mult)
+    old = row_gather_left_action(tp)
+    assert np.array_equal(tp.corr.lam.matrix, old)
+    kg = tp.corr.module.compacts
+    assert np.array_equal(tp.corr.lam.mult_matrix, StarHom(e.src, kg, old).mult_matrix)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_private_kron_is_bit_equal_to_np_kron(seed):
+    rng = np.random.default_rng(seed)
+
+    def draw(shape, order):
+        x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        x[rng.random(shape) < 0.2] = -0.0
+        return np.asarray(x, order=order)
+
+    for _ in range(50):
+        sa, sb = tuple(rng.integers(0, 4, size=2)), tuple(rng.integers(0, 4, size=2))
+        a, b = draw(sa, "CF"[rng.integers(2)]), draw(sb, "CF"[rng.integers(2)])
+        want, got = np.kron(a, b), modules._kron(a, b)
+        assert bit_equal(got, want) and got.flags.c_contiguous == want.flags.c_contiguous

@@ -479,3 +479,24 @@ def test_matrix_to_json_matches_the_entry_loop(order):
         x = np.array(x, order=order)
         old = [[float(z.real), float(z.imag)] for z in np.asarray(x, dtype=complex).ravel(order="C")]
         assert json.dumps(matrix_to_json(x)) == json.dumps(old)
+
+
+def test_cli_finds_its_command_per_call(tmp_path, capsys, monkeypatch):
+    """The parser is built once per process; the handler is looked up on
+    every call, so one rebound between two calls is the one that runs."""
+    from corrlab import cli
+
+    apath = str(tmp_path / "a.json")
+    assert main(["make", "algebra", "--blocks", "2", "--out", apath]) == 0
+    assert main(["validate", apath]) == 0
+    seen = []
+
+    def patched(args):
+        seen.append(args.path)
+        return 1
+
+    monkeypatch.setattr(cli, "cmd_validate", patched)
+    assert main(["validate", apath]) == 1
+    assert seen == [apath]
+    assert cli.build_parser() is cli.build_parser()
+    capsys.readouterr()

@@ -21,6 +21,7 @@ from corrlab.errors import (
 )
 from corrlab.generators import random_simplex
 from corrlab.linalg import frob
+from corrlab.nerve import apply_map
 from corrlab.subdivision import (
     AugChain,
     SubsetChain,
@@ -337,3 +338,37 @@ def test_dimension_caps():
         enumerate_csd(5)
     with pytest.raises(DimensionTooLarge):
         enumerate_sd(5)
+
+
+def proper_faces(n):
+    return [sub for r in range(1, n + 1) for sub in itertools.combinations(range(n + 1), r)]
+
+
+def assert_same_functor(got, want):
+    assert got.subsets == want.subsets
+    for t in want.subsets:
+        assert got.data[t].subset == t
+        assert got.data[t].starts == want.data[t].starts
+        assert got.algebra(t).blocks == want.algebra(t).blocks
+        assert got.data[t].module == want.data[t].module
+    assert got.homs.keys() == want.homs.keys()
+    for key, h in want.homs.items():
+        g = got.homs[key]
+        assert g.matrix.shape == h.matrix.shape and g.matrix.tobytes() == h.matrix.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("twist", [False, True])
+def test_restricted_functor_equals_a_fresh_build_of_the_face(n, twist):
+    """Every proper face, and every face of a face, restricted from the
+    checked functor is byte-equal to the face's own build."""
+    s = random_simplex(np.random.default_rng(40 + n), n, twist=twist, max_mult=2)
+    sd = subdivision_functor(s)
+    for sub in proper_faces(n):
+        f = apply_map(s, sub)
+        got = sd.restrict(f, sub)
+        assert got.base is f
+        assert_same_functor(got, subdivision_functor(f, check=False))
+        for sub2 in proper_faces(f.n):
+            f2 = apply_map(f, sub2)
+            assert_same_functor(got.restrict(f2, sub2), subdivision_functor(f2, check=False))
