@@ -7,13 +7,12 @@ the serialize module; everything is deterministic given (seed, eps, input
 files).
 
 Exit codes: 0 all checks passed, 1 a validation failed, 2 usage or parse
-error.
+error, including an --out or --trace path that cannot be written.
 """
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 
 import numpy as np
@@ -38,6 +37,7 @@ from .generators import (
 from .modules import CorrIso, Correspondence, HilbertModule
 from .nerve import HornSpec, NCorrSimplex, _simplex_residuals, fill_inner_horn, fill_special_outer_horn
 from .serialize import (
+    _json_text,
     corr_to_json,
     hom_to_json,
     iso_to_json,
@@ -45,20 +45,28 @@ from .serialize import (
     algebra_to_json,
     simplex_to_json,
     load_value,
-    value_to_json,
 )
 from .subdivision import subdivision_functor
 
 _CLI_MAX_N = 3
 
 
-def _emit(doc: dict, out) -> None:
-    text = json.dumps(doc)
-    if out:
-        with open(out, "w") as f:
+def _write(path, doc: dict) -> None:
+    """Write doc's JSON text to path; a path that cannot be written is a
+    usage error (exit 2)."""
+    text = _json_text(doc)
+    try:
+        with open(path, "w") as f:
             f.write(text + "\n")
+    except OSError as e:
+        raise ParseError(f"{path}: {e}") from e
+
+
+def _emit(doc: dict, out) -> None:
+    if out:
+        _write(out, doc)
     else:
-        print(text)
+        print(_json_text(doc))
 
 
 # ---------------------------------------------------------------------------
@@ -155,18 +163,18 @@ def cmd_make(args) -> int:
         src = load_value(args.src, eps=args.eps) if args.src else random_algebra(rng)
         if not isinstance(src, FdCstarAlgebra):
             raise SchemaError("--src must be an algebra file")
-        _emit(hom_to_json(random_unital_hom(src, rng, max_mult=args.max_mult)), args.out)
+        _emit(hom_to_json.doc(random_unital_hom(src, rng, max_mult=args.max_mult)), args.out)
     elif args.kind == "corr":
         src = load_value(args.src, eps=args.eps) if args.src else random_algebra(rng)
         dst = load_value(args.dst, eps=args.eps) if args.dst else random_algebra(rng)
         if not (isinstance(src, FdCstarAlgebra) and isinstance(dst, FdCstarAlgebra)):
             raise SchemaError("--src and --dst must be algebra files")
-        _emit(corr_to_json(random_correspondence(src, dst, rng)), args.out)
+        _emit(corr_to_json.doc(random_correspondence(src, dst, rng)), args.out)
     elif args.kind == "simplex":
         if args.n > _CLI_MAX_N:
             raise DimensionTooLarge(f"simplex dimension is capped at {_CLI_MAX_N}")
         s = random_simplex(rng, args.n, twist=args.twist, max_mult=args.max_mult)
-        _emit(simplex_to_json(s), args.out)
+        _emit(simplex_to_json.doc(s), args.out)
     return 0
 
 
@@ -174,7 +182,7 @@ def cmd_gamma(args) -> int:
     phi = load_value(args.hom, eps=args.eps)
     if not isinstance(phi, StarHom):
         raise SchemaError(f"{args.hom}: expected a star_hom file")
-    _emit(corr_to_json(gamma_of_hom(phi, eps=args.eps)), args.out)
+    _emit(corr_to_json.doc(gamma_of_hom(phi, eps=args.eps)), args.out)
     return 0
 
 
@@ -185,9 +193,9 @@ def cmd_morita(args) -> int:
     w = equivalence_inverse(corr, eps=args.eps)
     _emit(
         {
-            "inverse": corr_to_json(w.inverse),
-            "counit_left": iso_to_json(w.counit_left),
-            "counit_right": iso_to_json(w.counit_right),
+            "inverse": corr_to_json.doc(w.inverse),
+            "counit_left": iso_to_json.doc(w.counit_left),
+            "counit_right": iso_to_json.doc(w.counit_right),
         },
         args.out,
     )
@@ -204,7 +212,7 @@ def cmd_fill(args) -> int:
         filled = fill_special_outer_horn(horn, eps=args.eps)
     else:
         raise SchemaError("only inner horns and final-vertex outer horns can be filled")
-    _emit(simplex_to_json(filled), args.out)
+    _emit(simplex_to_json.doc(filled), args.out)
     return 0
 
 
@@ -221,7 +229,7 @@ def cmd_subdivide(args) -> int:
         "vertices": [list(sub) for sub in sd.subsets],
         "algebras": [algebra_to_json(sd.algebra(sub)) for sub in sd.subsets],
         "homs": [
-            {"s": list(a), "t": list(b), "hom": hom_to_json(sd.hom(a, b))}
+            {"s": list(a), "t": list(b), "hom": hom_to_json.doc(sd.hom(a, b))}
             for a in sd.subsets
             for b in sd.subsets
             if set(a) <= set(b)
@@ -265,10 +273,8 @@ def cmd_extend(args) -> int:
             }
             for e in ext.trace
         ]
-        with open(args.trace, "w") as f:
-            json.dump({"simplex_dim": s.n, "fills": fills}, f)
-            f.write("\n")
-    _emit(_k0_to_json(top) if isinstance(top, K0Simplex) else simplex_to_json(top), args.out)
+        _write(args.trace, {"simplex_dim": s.n, "fills": fills})
+    _emit(_k0_to_json(top) if isinstance(top, K0Simplex) else simplex_to_json.doc(top), args.out)
     return 0
 
 
@@ -308,7 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = argparse.ArgumentParser(prog="corrlab", parents=[common],
                                 description="correspondence nerve toolkit")
-    p.set_defaults(eps=1e-9, seed=42, out=None, trace=None)
     sub = p.add_subparsers(dest="command", required=True)
 
     v = sub.add_parser("validate", parents=[common], help="check every invariant of a JSON file")
@@ -351,7 +356,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    # the flag defaults start the namespace: every parser shares the flag
+    # actions, so a default set on them would let the subcommand's parser
+    # overwrite a flag given before the subcommand
+    args = build_parser().parse_args(argv, argparse.Namespace(eps=1e-9, seed=42, out=None, trace=None))
     command = globals()[f"cmd_{args.command}"]  # a rebound cmd_* is the one that runs
     if args.command == "validate":
         args.path = args.path or getattr(args, "simplex_path", None)

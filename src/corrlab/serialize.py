@@ -21,6 +21,17 @@ edges and unit cells are derived from the unitors.  The tensor-product
 presentations are recomputed on parse, which is safe because that
 construction is deterministic.
 
+Each schema is written by one function, which builds the document with its
+matrices as arrays; the public ``*_to_json`` and ``value_to_json`` return
+that document with each matrix as ``matrix_to_json`` lists, and a public
+writer of a schema with matrices keeps the function as ``.doc``.  Every JSON text corrlab writes (``dump_value`` and
+each CLI output) comes from one writer, ``_json_text``, and is
+byte-identical to ``json.dumps`` of the public list document.  The writer
+leaves dicts, ints and strings to ``json.dumps`` and writes each matrix in
+bulk: every distinct float bit pattern is printed once, by the json encoder
+itself (so ``-0.0``, ``NaN`` and ``Infinity`` print as json prints them),
+and the entries are joined in one pass.
+
 Malformed JSON raises ParseError; structurally wrong documents, numbers
 that are not finite (NaN, Infinity, integers too large for a float), and
 ``true`` / ``false`` where a number is expected, raise SchemaError naming
@@ -32,8 +43,9 @@ caller that checks every invariant itself (``corrlab validate``).
 """
 from __future__ import annotations
 
+import functools
 import json
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -111,6 +123,82 @@ def matrix_to_json(m) -> list:
     return np.ascontiguousarray(m, dtype=complex).view(np.float64).reshape(-1, 2).tolist()
 
 
+def _matrix_text(m) -> str:
+    """``json.dumps(matrix_to_json(m))``, built from the distinct entries.
+
+    Floats are told apart by their bits, so -0.0 and 0.0 print apart; each
+    distinct one is printed once by the json encoder and scattered between
+    the separators.  A sort and a search find the distinct bits and each
+    entry's place among them (``np.unique`` with its inverse costs several
+    times more on the small matrices the CLI writes).
+    """
+    bits = np.ascontiguousarray(m, dtype=complex).view(np.uint64).ravel()
+    if not bits.size:
+        return "[]"
+    s = np.sort(bits)
+    u = s[np.concatenate(([True], s[1:] != s[:-1]))]
+    text = np.array(json.dumps(u.view(np.float64).tolist())[1:-1].split(", "), dtype=object)
+    # "[[" re ", " im "], [" re ", " im ... "]]"
+    parts = np.empty(2 * bits.size + 1, dtype=object)
+    parts[0::2] = ", "
+    parts[0::4] = "], ["
+    parts[0], parts[-1] = "[[", "]]"
+    parts[1::2] = text[np.searchsorted(u, bits)]
+    return "".join(parts.tolist())
+
+
+def _json_text(doc) -> str:
+    """``json.dumps`` of ``doc`` with its array leaves as matrix_to_json
+    lists, without building those lists.
+
+    json.dumps writes the rest of the document with a mark string in place
+    of each array, and the text is split at the marks.  Like a MIME
+    boundary, the mark is lengthened until no string of the document
+    reproduces it, that is until there is one mark per array.
+    """
+    mark = "\0"
+    while True:
+        arrays = []
+
+        def leaf(x):
+            if not isinstance(x, np.ndarray):
+                raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+            arrays.append(x)
+            return mark
+
+        pieces = json.dumps(doc, default=leaf).split(json.dumps(mark))
+        if len(pieces) == len(arrays) + 1:
+            break
+        mark += "\0"
+    return "".join(chain.from_iterable(zip(pieces, map(_matrix_text, arrays)))) + pieces[-1]
+
+
+def _lists(doc):
+    """``doc`` with each array leaf as matrix_to_json lists; the writers
+    build plain dicts and lists, so their exact types are tested."""
+    kind = type(doc)
+    if kind is dict:
+        return {k: _lists(v) for k, v in doc.items()}
+    if kind is list:
+        return [_lists(v) for v in doc]
+    if kind is np.ndarray:
+        return matrix_to_json(doc)
+    return doc
+
+
+def _writer(doc):
+    """The public writer of a schema whose document ``doc`` builds with
+    array matrices: it returns plain lists, and keeps ``doc`` as ``.doc``
+    for nested documents and the text writer."""
+
+    @functools.wraps(doc)
+    def to_json(value) -> dict:
+        return _lists(doc(value))
+
+    to_json.doc = doc
+    return to_json
+
+
 def matrix_from_json(data, shape, where="matrix") -> np.ndarray:
     rows, cols = shape
     if not isinstance(data, list):
@@ -147,11 +235,12 @@ def algebra_from_json(doc, where="algebra") -> FdCstarAlgebra:
     return make_algebra(blocks, label)
 
 
+@_writer
 def hom_to_json(phi: StarHom) -> dict:
     return {
         "src": algebra_to_json(phi.src),
         "dst": algebra_to_json(phi.dst),
-        "matrix": matrix_to_json(phi.matrix),
+        "matrix": phi.matrix,
     }
 
 
@@ -171,12 +260,13 @@ def module_from_json(doc, where="module") -> HilbertModule:
     return make_module(base, _int_list(doc, "mult", where))
 
 
+@_writer
 def corr_to_json(c: Correspondence) -> dict:
     return {
         "src": algebra_to_json(c.src),
         "dst": algebra_to_json(c.dst),
         "mult": list(c.module.mult),
-        "left_action": hom_to_json(c.lam),
+        "left_action": hom_to_json.doc(c.lam),
     }
 
 
@@ -201,11 +291,12 @@ def corr_from_json(doc, *, eps: float = EPS, validate: bool = True, where="corre
     return Correspondence(src, module, StarHom(src, module.compacts, m))
 
 
+@_writer
 def iso_to_json(u: CorrIso) -> dict:
     return {
-        "src": corr_to_json(u.src),
-        "dst": corr_to_json(u.dst),
-        "unitary": matrix_to_json(u.dense()),
+        "src": corr_to_json.doc(u.src),
+        "dst": corr_to_json.doc(u.dst),
+        "unitary": u.dense(),
     }
 
 
@@ -218,10 +309,11 @@ def iso_from_json(doc, *, eps: float = EPS, validate: bool = True, where="iso") 
     return make_iso(src, dst, m, eps=eps)
 
 
+@_writer
 def simplex_to_json(s: NCorrSimplex) -> dict:
-    edges = [{"i": i, "j": j, "corr": corr_to_json(e)} for (i, j), e in sorted(s.edges.items())]
+    edges = [{"i": i, "j": j, "corr": corr_to_json.doc(e)} for (i, j), e in sorted(s.edges.items())]
     cells = [
-        {"i": i, "j": j, "k": k, "unitary": matrix_to_json(u.dense())}
+        {"i": i, "j": j, "k": k, "unitary": u.dense()}
         for (i, j, k), u in sorted(s.cells.items())
     ]
     return {
@@ -275,11 +367,12 @@ def simplex_from_json(doc, *, eps: float = EPS, validate: bool = True, where="nc
     return make_simplex(algebras, edges, cells, eps=eps, validate=validate)
 
 
+@_writer
 def horn_to_json(h: HornSpec) -> dict:
     return {
         "n": h.n,
         "k": h.k,
-        "faces": [{"j": j, "simplex": simplex_to_json(f)} for j, f in sorted(h.faces.items())],
+        "faces": [{"j": j, "simplex": simplex_to_json.doc(f)} for j, f in sorted(h.faces.items())],
     }
 
 
@@ -338,12 +431,13 @@ def detect_schema(doc) -> str:
     raise SchemaError(f"no schema matches keys {sorted(doc)}")
 
 
-_TO_JSON = (
-    (NCorrSimplex, simplex_to_json),
-    (HornSpec, horn_to_json),
-    (CorrIso, iso_to_json),
-    (Correspondence, corr_to_json),
-    (StarHom, hom_to_json),
+# the document of each value kind, matrices as arrays
+_TO_DOC = (
+    (NCorrSimplex, simplex_to_json.doc),
+    (HornSpec, horn_to_json.doc),
+    (CorrIso, iso_to_json.doc),
+    (Correspondence, corr_to_json.doc),
+    (StarHom, hom_to_json.doc),
     (HilbertModule, module_to_json),
     (FdCstarAlgebra, algebra_to_json),
 )
@@ -359,11 +453,15 @@ _FROM_JSON = {
 }
 
 
-def value_to_json(obj) -> dict:
-    for cls, enc in _TO_JSON:
+def _value_doc(obj) -> dict:
+    for cls, doc in _TO_DOC:
         if isinstance(obj, cls):
-            return enc(obj)
+            return doc(obj)
     raise SchemaError(f"no JSON schema for {type(obj).__name__}")
+
+
+def value_to_json(obj) -> dict:
+    return _lists(_value_doc(obj))
 
 
 def value_from_json(doc, *, eps: float = EPS, validate: bool = True):
@@ -371,9 +469,9 @@ def value_from_json(doc, *, eps: float = EPS, validate: bool = True):
 
 
 def dump_value(obj, path) -> None:
+    text = _json_text(_value_doc(obj))
     with open(path, "w") as f:
-        json.dump(value_to_json(obj), f)
-        f.write("\n")
+        f.write(text + "\n")
 
 
 def load_value(path, *, eps: float = EPS, validate: bool = True):

@@ -61,6 +61,10 @@ __all__ = [
 ]
 
 _MAX_N = 4
+# Bound on the bytes of all dense connecting homs of one subdivision, checked
+# from the vertex algebras before any is built.  The largest subdivision of
+# the tests takes 157 MB, blockscale's n = 3 chain 144 MiB.
+MAX_HOM_BYTES = 512 * 2**20
 
 
 def _check_subset(s) -> tuple:
@@ -396,6 +400,8 @@ class SdFunctor:
 def subdivision_functor(sigma: NCorrSimplex, *, eps: float = EPS, check: bool = True) -> SdFunctor:
     """All vertex algebras and connecting homs of the subdivided simplex.
 
+    A subdivision whose dense homs (16 dim A_S dim A_T bytes each) would
+    exceed MAX_HOM_BYTES raises DimensionTooLarge before any is built.
     With ``check`` on, every strictly nested triple S < T < U is tested for
     f_TU . f_ST = f_SU.  The other nested triples need no test: f_SS is the
     exact identity matrix, so with S = T or T = U both sides are the same
@@ -403,11 +409,14 @@ def subdivision_functor(sigma: NCorrSimplex, *, eps: float = EPS, check: bool = 
     """
     subsets = tuple(_nonempty_subsets(sigma.n))
     data = {s: module_E_S(sigma, s) for s in subsets}
-    homs = {}
-    for s in subsets:
-        for t in subsets:
-            if set(s) <= set(t):
-                homs[(s, t)] = _connecting(sigma, data[s], data[t])
+    pairs = [(s, t) for s in subsets for t in subsets if set(s) <= set(t)]
+    nbytes = sum(16 * data[s].algebra.dim * data[t].algebra.dim for s, t in pairs)
+    if nbytes > MAX_HOM_BYTES:
+        raise DimensionTooLarge(
+            f"the subdivision's connecting homs would take {nbytes / 2**20:.0f} MiB,"
+            f" over the bound of {MAX_HOM_BYTES // 2**20} MiB"
+        )
+    homs = {(s, t): _connecting(sigma, data[s], data[t]) for s, t in pairs}
     if check:
         for s in subsets:
             for t in subsets:

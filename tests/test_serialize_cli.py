@@ -8,10 +8,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from corrlab.algebra import StarHom
+from corrlab.algebra import StarHom, make_algebra
+from corrlab.bicategory import equivalence_inverse, gamma_of_hom
 from corrlab.cli import main
 from corrlab.errors import ParseError, SchemaError
+from corrlab.extension import NCorrOracle, extend_bar_G, gamma_functor
 from corrlab.generators import (
     embedding_hom,
     random_algebra,
@@ -26,6 +31,7 @@ from corrlab.modules import corr_close, iso_distance, make_iso, tensor_corrs
 from corrlab.nerve import (
     HornSpec,
     face,
+    fill_inner_horn,
     gamma_simplex,
     identity_iso,
     make_simplex,
@@ -34,16 +40,21 @@ from corrlab.nerve import (
     validate_simplex,
 )
 from corrlab.serialize import (
+    _json_text,
+    _matrix_text,
     algebra_to_json,
     corr_to_json,
     dump_value,
+    hom_from_json,
     hom_to_json,
     horn_to_json,
+    iso_to_json,
     load_value,
     matrix_to_json,
     module_to_json,
     simplex_to_json,
 )
+from corrlab.subdivision import subdivision_functor
 
 
 # ---------------------------------------------------------------------------
@@ -147,9 +158,12 @@ def test_cli_make_and_validate(tmp_path, capsys):
     spath = str(tmp_path / "s.json")
     assert main(["make", "simplex", "--n", "2", "--twist", "--out", spath]) == 0
     assert main(["validate", spath]) == 0
-    # flag placement before the subcommand is accepted too
+    # flag placement before the subcommand is accepted too, and takes effect
     assert main(["--seed", "7", "make", "simplex", "--out", spath]) == 0
     assert main(["--eps", "1e-9", "validate", spath]) == 0
+    after = tmp_path / "after.json"
+    assert main(["make", "simplex", "--seed", "7", "--out", str(after)]) == 0
+    assert after.read_text() == (tmp_path / "s.json").read_text()
 
 
 def test_cli_make_hom_and_gamma(tmp_path, capsys):
@@ -381,6 +395,11 @@ def test_cli_subdivide(tmp_path, capsys):
         for b in doc["vertices"]
         if set(tuple(a)) <= set(tuple(b))
     )
+    # every written hom reads back to the bits of the hom it was written from
+    sd = subdivision_functor(load_value(spath))
+    for rec in doc["homs"]:
+        back = hom_from_json(rec["hom"], validate=False)
+        assert back.matrix.tobytes() == sd.hom(rec["s"], rec["t"]).matrix.tobytes()
     assert main(["subdivide", "--simplex", spath, "--n", "3"]) == 2
     capsys.readouterr()
 
@@ -449,6 +468,118 @@ def test_cli_extend_gamma_guided(tmp_path, capsys):
     )
 
 
+def _public_docs(command, path):
+    """The document a command writes, built independently of the CLI from
+    the public list writers."""
+    if command == "make":
+        return simplex_to_json(random_simplex(np.random.default_rng(7), 2, twist=True, max_mult=1))
+    value = load_value(path)
+    if command == "gamma":
+        return corr_to_json(gamma_of_hom(value))
+    if command == "morita":
+        w = equivalence_inverse(value)
+        return {
+            "inverse": corr_to_json(w.inverse),
+            "counit_left": iso_to_json(w.counit_left),
+            "counit_right": iso_to_json(w.counit_right),
+        }
+    if command == "fill":
+        return simplex_to_json(fill_inner_horn(value))
+    if command == "subdivide":
+        sd = subdivision_functor(value)
+        return {
+            "vertices": [list(a) for a in sd.subsets],
+            "algebras": [algebra_to_json(sd.algebra(a)) for a in sd.subsets],
+            "homs": [
+                {"s": list(a), "t": list(b), "hom": hom_to_json(sd.hom(a, b))}
+                for a in sd.subsets
+                for b in sd.subsets
+                if set(a) <= set(b)
+            ],
+        }
+    ext = extend_bar_G(value, gamma_functor(), NCorrOracle(), {}, guided=True)
+    return simplex_to_json(ext.top())
+
+
+DIFF_CASES = [
+    ("make", ["--seed", "7", "make", "simplex", "--n", "2", "--twist"]),
+    ("gamma", ["gamma", "--hom", "{path}"]),
+    ("morita", ["morita", "--module", "{path}"]),
+    ("fill", ["fill", "--horn", "{path}"]),
+    ("subdivide", ["subdivide", "--simplex", "{path}"]),
+    ("extend", ["extend", "--simplex", "{path}", "--functor", "gamma", "--target", "ncorr", "--guided"]),
+]
+
+
+@pytest.mark.parametrize("command,argv", DIFF_CASES, ids=[c[0] for c in DIFF_CASES])
+def test_cli_output_is_json_dumps_of_the_public_documents(tmp_path, capsys, command, argv):
+    """Every output the CLI writes is byte for byte json.dumps of the same
+    value's public list documents, on stdout and through --out."""
+    rng = np.random.default_rng(11)
+    s = random_simplex(rng, 2, twist=True, max_mult=1)
+    inputs = {
+        "gamma": random_unital_hom(random_algebra(rng, max_blocks=2, max_size=2), rng),
+        "morita": random_equivalence(random_algebra(rng, max_blocks=2, max_size=2), rng),
+        "fill": HornSpec(2, 1, {0: face(s, 0), 2: face(s, 2)}),
+        "subdivide": s,
+        "extend": gamma_simplex(random_chain(rng, 2, max_mult=1)),
+    }
+    path = tmp_path / "in.json"
+    if command in inputs:
+        dump_value(inputs[command], path)
+    argv = [a.format(path=path) for a in argv]
+    want = json.dumps(_public_docs(command, path)) + "\n"
+    assert main(argv) == 0
+    assert capsys.readouterr().out == want
+    out = tmp_path / "out.json"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert out.read_text() == want
+
+
+@pytest.mark.parametrize("target", ["directory", "missing-parent"])
+@pytest.mark.parametrize("flag", ["--out", "--trace"])
+def test_cli_unwritable_output_path_is_a_usage_error(tmp_path, capsys, flag, target):
+    spath = str(tmp_path / "s.json")
+    assert main(["make", "simplex", "--n", "2", "--out", spath]) == 0
+    bad = str(tmp_path if target == "directory" else tmp_path / "missing" / "x.json")
+    if flag == "--out":
+        argv = ["make", "algebra", "--blocks", "2", "--out", bad]
+    else:
+        argv = ["extend", "--simplex", spath, "--functor", "k0", "--target", "k0nerve", "--trace", bad]
+    assert main(argv) == 2
+    assert f"error: {bad}: " in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def oversized_simplex(tmp_path_factory):
+    """A 3-simplex within the parse cap, A_3 = M_16 and every edge into
+    vertex 3 of multiplicity 16: its subdivision algebras reach M_64, and
+    its dense connecting homs would take 1.4 GiB."""
+    one, big = make_algebra((1,)), make_algebra((16,))
+    chain = [
+        embedding_hom(one, one, np.array([[1]])),
+        embedding_hom(one, one, np.array([[1]])),
+        embedding_hom(one, big, np.array([[16]])),
+    ]
+    path = tmp_path_factory.mktemp("oversized") / "s.json"
+    dump_value(gamma_simplex(chain), path)
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["subdivide", "extend-k0"])
+def test_cli_bounds_the_subdivision_before_building(oversized_simplex, capsys, monkeypatch, command):
+    from corrlab import subdivision
+
+    built = []
+    monkeypatch.setattr(subdivision, "_connecting", lambda *args: built.append(args))
+    argv = ["subdivide", "--simplex", oversized_simplex]
+    if command == "extend-k0":
+        argv = ["extend", "--simplex", oversized_simplex, "--functor", "k0", "--target", "k0nerve"]
+    assert main(argv) == 2
+    assert "connecting homs would take 1445 MiB, over the bound of 512 MiB" in capsys.readouterr().err
+    assert built == []
+
+
 def test_cli_usage_errors(tmp_path, capsys):
     assert main(["validate", str(tmp_path / "missing.json")]) == 2
     empty = tmp_path / "empty.json"
@@ -469,16 +600,29 @@ def test_cli_selftest_single_suite(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
-def test_matrix_to_json_matches_the_entry_loop(order):
-    """The vectorised writer prints the text the per-entry loop printed,
-    signed zeros, real input and both memory layouts included."""
+@settings(max_examples=30)
+@given(drawn=hnp.arrays(
+    complex,
+    hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=6),
+    elements=st.complex_numbers(allow_nan=True, allow_infinity=True),
+))
+def test_matrix_to_json_matches_the_entry_loop(order, drawn):
+    """matrix_to_json prints the text the per-entry loop printed, and the
+    text writer prints exactly that text: signed zeros, real input, both
+    memory layouts, non-finite and subnormal entries, the exponent edges of
+    float repr, an empty matrix and a drawn one included."""
     rng = np.random.default_rng(8)
     m = rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3))
     m[0, 0], m[1, 1], m[2, 2] = complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)
-    for x in (m, m.real, m[:, ::2]):
+    m[3] = [complex(np.nan, np.inf), complex(-np.inf, 5e-324), complex(1e16, 1e-5)]
+    m[4, 0] = complex(-1e16, -1e-5)
+    for x in (m, m.real, m[:, ::2], np.zeros((0, 4)), drawn):
         x = np.array(x, order=order)
         old = [[float(z.real), float(z.imag)] for z in np.asarray(x, dtype=complex).ravel(order="C")]
-        assert json.dumps(matrix_to_json(x)) == json.dumps(old)
+        text = json.dumps(matrix_to_json(x))
+        assert text == json.dumps(old)
+        assert _matrix_text(x) == text
+        assert _json_text({"matrix": x}) == json.dumps({"matrix": matrix_to_json(x)})
 
 
 def test_cli_finds_its_command_per_call(tmp_path, capsys, monkeypatch):
