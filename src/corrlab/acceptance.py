@@ -455,7 +455,7 @@ def suite_section(*, seed: int = 42, eps: float = EPS, trials: int = 3) -> Suite
         for p, sig in enumerate(sims):
             tc = time.perf_counter()
             try:
-                bar = bar_F(sig, F, D, memo, guided=True, eps=eps)
+                bar = bar_F(sig, F, D, memo, eps=eps)
                 exact = structural_hash(bar) == structural_hash(sig)
                 resid, ok = (0.0, True) if exact else (1.0, False)
             except ValidationError:

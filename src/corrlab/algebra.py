@@ -232,11 +232,7 @@ class StarHom:
             if x.algebra != self.src:
                 raise EndpointMismatch("element not in the source algebra")
             x = x.to_vec()
-        v = np.asarray(x, dtype=complex).ravel()
-        nz = np.flatnonzero(v)
-        if nz.size * 4 < v.size:
-            return self.dst.from_vec(self.matrix[:, nz] @ v[nz])
-        return self.dst.from_vec(self.matrix @ v)
+        return self.dst.from_vec(self.matrix @ np.asarray(x, dtype=complex).ravel())
 
     def __call__(self, x) -> AlgElement:
         return self.apply(x)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import FdCstarAlgebra, StarHom, _conjugation_matrix, compose_homs, identity_hom
-from .errors import EndpointMismatch, InvalidAlgebra, NotAnEquivalence
+from .errors import EndpointMismatch, InvalidAlgebra, NotAnEquivalence, ValidationError
 from .linalg import EPS, fix_phase, frob, orthonormal_range
 from .modules import (
     CorrIso,
@@ -303,5 +303,5 @@ def find_corr_iso(c1: Correspondence, c2: Correspondence, *, eps: float = EPS):
             blocks.append(w2[pos] @ w1[pos].conj().T)
     try:
         return CorrIso(c1, c2, blocks, eps=eps)
-    except Exception:
+    except ValidationError:
         return None

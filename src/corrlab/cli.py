@@ -46,9 +46,7 @@ from .serialize import (
     simplex_to_json,
     load_value,
 )
-from .subdivision import subdivision_functor
-
-_CLI_MAX_N = 3
+from .subdivision import _nonempty_subsets, subdivision_functor
 
 
 def _write(path, doc: dict) -> None:
@@ -171,8 +169,7 @@ def cmd_make(args) -> int:
             raise SchemaError("--src and --dst must be algebra files")
         _emit(corr_to_json.doc(random_correspondence(src, dst, rng)), args.out)
     elif args.kind == "simplex":
-        if args.n > _CLI_MAX_N:
-            raise DimensionTooLarge(f"simplex dimension is capped at {_CLI_MAX_N}")
+        _nonempty_subsets(args.n)  # raises above the shared dimension bound
         s = random_simplex(rng, args.n, twist=args.twist, max_mult=args.max_mult)
         _emit(simplex_to_json.doc(s), args.out)
     return 0
@@ -222,8 +219,6 @@ def cmd_subdivide(args) -> int:
         raise SchemaError(f"{args.simplex}: expected an ncorr_simplex file")
     if args.n is not None and args.n != s.n:
         raise SchemaError(f"--n {args.n} does not match the simplex dimension {s.n}")
-    if s.n > _CLI_MAX_N:
-        raise DimensionTooLarge(f"subdivision is capped at n = {_CLI_MAX_N} here")
     sd = subdivision_functor(s, eps=args.eps)
     doc = {
         "vertices": [list(sub) for sub in sd.subsets],
@@ -260,7 +255,7 @@ def cmd_extend(args) -> int:
         F, D = k0_functor(), K0Oracle()
     else:
         F, D = gamma_functor(eps=args.eps), NCorrOracle(eps=args.eps)
-    ext = extend_bar_G(s, F, D, {}, guided=args.guided, eps=args.eps)
+    ext = extend_bar_G(s, F, D, {}, eps=args.eps)
     top = ext.top()
     if args.trace:
         fills = [
@@ -348,7 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--simplex", required=True)
     e.add_argument("--functor", choices=["k0", "gamma"], required=True)
     e.add_argument("--target", choices=["k0nerve", "ncorr"], required=True)
-    e.add_argument("--guided", action="store_true")
+    e.add_argument("--guided", action="store_true",
+                   help="accepted and ignored: a functor with a section always guides its run")
 
     st = sub.add_parser("selftest", parents=[common], help="run the acceptance sweeps")
     st.add_argument("--suite", action="append", help="run only this suite (repeatable)")

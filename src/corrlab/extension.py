@@ -82,11 +82,9 @@ class QCOracle:
 
     Simplices are opaque values; the engine only moves them along faces and
     degeneracies, compares them, and asks for horn fills.  Fills must return
-    simplices carrying the supplied faces exactly.  ``max_fill_dim`` bounds
-    the dimension the oracle can fill and is checked before a run starts.
+    simplices carrying the supplied faces exactly, in every dimension: the
+    run's dimension is bounded by its subdivision alone.
     """
-
-    max_fill_dim: int = 0
 
     def face(self, s, i: int):
         raise NotImplementedError
@@ -216,8 +214,6 @@ class K0Oracle(QCOracle):
     equivalence certificate.
     """
 
-    max_fill_dim = 8
-
     def face(self, s: K0Simplex, i: int) -> K0Simplex:
         return s.face(i)
 
@@ -291,8 +287,6 @@ class K0Oracle(QCOracle):
 class NCorrOracle(QCOracle):
     """The correspondence nerve as its own extension target."""
 
-    max_fill_dim = 4
-
     def __init__(self, *, eps: float = EPS):
         self.eps = eps
 
@@ -347,7 +341,7 @@ class NCorrOracle(QCOracle):
                     {(0, 1, 2): u},
                     eps=self.eps,
                 )
-            if horn.n in (3, 4):
+            if horn.n >= 3:
                 faces = dict(horn.faces)
                 faces[horn.k] = preferred_face
                 return nerve.assemble_boundary(faces, eps=self.eps, prefer=horn.k)
@@ -368,8 +362,9 @@ class CstFunctor:
     composable hom chains (a chain of one hom is the image edge).
     ``certificate`` returns invertibility data for the image of a marked
     corner-like hom and raises when the hom is not invertible in the target.
-    ``section``, when set, proposes the exact simplex a guided run should
-    land on for a given input simplex, or None to decline.
+    ``section``, when set, guides every run of the functor: it proposes the
+    exact simplex the run should land on for a given input simplex, or None
+    to decline.
     """
 
     name: str
@@ -434,8 +429,9 @@ def gamma_functor(arrows=(), *, eps: float = EPS) -> CstFunctor:
 
     Composites of the listed arrows (up to three long, folded left to right)
     are indexed by their image correspondence, so the section can recognise
-    simplices produced from the diagram and a guided run lands on them
-    exactly.
+    simplices produced from the diagram and every run lands on them
+    exactly.  With no arrows the section declines every simplex above
+    dimension 0.
     """
     homs = list(arrows)
     level = {1: homs}
@@ -540,12 +536,11 @@ def _csd_table(n: int) -> tuple:
 class _Builder:
     """One extension run over the augmented subdivision of a single simplex."""
 
-    def __init__(self, sigma, functor, oracle, memo, guided, eps):
+    def __init__(self, sigma, functor, oracle, memo, eps):
         self.sigma = sigma
         self.functor = functor
         self.oracle = oracle
         self.memo = memo
-        self.guided = guided
         self.eps = eps
         self.full = tuple(range(sigma.n + 1))
         self.full_set = set(self.full)
@@ -599,9 +594,7 @@ class _Builder:
         if child is None:
             face = nerve.apply_map(self.sigma, sub)
             self.memo.setdefault(("sd", self.eps, structural_hash(face)), (self.sd, sub))
-            child = extend_bar_G(
-                face, self.functor, self.oracle, self.memo, guided=self.guided, eps=self.eps
-            )
+            child = extend_bar_G(face, self.functor, self.oracle, self.memo, eps=self.eps)
             self.children[sub] = child
         return child
 
@@ -660,7 +653,7 @@ class _Builder:
                 if not self.oracle.is_equivalence(last_edge):
                     raise Unfillable("the last edge of the special horn is not an equivalence")
                 fill = None
-                if self.guided and self.functor.section is not None:
+                if self.functor.section is not None:
                     pref = self.functor.section(self.sigma)
                     if pref is not None:
                         fill = self.oracle.guided_fill(
@@ -745,14 +738,15 @@ def extend_bar_G(
     D: QCOracle,
     memo: dict = None,
     *,
-    guided: bool = False,
     eps: float = EPS,
 ) -> BarExtension:
     """Extend F from the subdivision diagram of sigma over all augmented chains.
 
-    Works dimensionwise up to n = 3 (the fills involved reach dimension
-    n + 1, checked against the oracle's limit up front).  Results are
-    memoised per functor and oracle by the structural hash of sigma, so
+    The one dimension bound is the subdivision's (``subdivision._MAX_N``),
+    checked when the run builds it, before any chain is filled; the fills
+    reach dimension n + 1.  A functor with a ``section`` guides every
+    special fill it recognises (``CstFunctor``).  Results are memoised per
+    functor and oracle by the structural hash of sigma, so
     faces shared between runs are extended once; pass the same memo dict to
     share across calls.  The memo also holds, under ``("sd", eps, hash)``,
     the subdivision a run hands to the runs over its faces: one
@@ -764,17 +758,11 @@ def extend_bar_G(
         memo = {}
     # ids are safe keys: each memo value's builder holds F and D, so neither
     # can be collected (and its id reused) while its entry exists
-    key = ("g" if guided else "p", id(F), id(D), structural_hash(sigma))
+    key = (id(F), id(D), structural_hash(sigma))
     hit = memo.get(key)
     if hit is not None:
         return hit
-    if sigma.n > 3:
-        raise DimensionTooLarge(f"extension runs are capped at n = 3, got {sigma.n}")
-    if D.max_fill_dim < sigma.n + 1:
-        raise DimensionTooLarge(
-            f"oracle fills up to dimension {D.max_fill_dim}, need {sigma.n + 1}"
-        )
-    ext = _Builder(sigma, F, D, memo, guided, eps).run()
+    ext = _Builder(sigma, F, D, memo, eps).run()
     memo[key] = ext
     return ext
 
@@ -785,11 +773,10 @@ def bar_F(
     D: QCOracle,
     memo: dict = None,
     *,
-    guided: bool = False,
     eps: float = EPS,
 ):
     """The extended functor's value on sigma itself."""
-    return extend_bar_G(sigma, F, D, memo, guided=guided, eps=eps).top()
+    return extend_bar_G(sigma, F, D, memo, eps=eps).top()
 
 
 # ---------------------------------------------------------------------------
@@ -899,7 +886,9 @@ def extend_relative(
     (computed via bar_F when None), and the prisms are filled shuffle by
     shuffle: inner horns produce the diagonals, and the final cell of each
     prism is assembled from its full boundary, which is exactly where
-    non-natural data fails.  Simplices are capped at dimension 2.
+    non-natural data fails.  Each family member is held to the
+    subdivision's dimension bound up front: with explicit boundary data no
+    subdivision is built that would check it.
     """
     if m not in (0, 1):
         raise DimensionTooLarge(f"relative extension is capped at m = 1, got {m}")
@@ -917,8 +906,7 @@ def extend_relative(
         order.append(s)
 
     for s in family:
-        if s.n > 2:
-            raise DimensionTooLarge("relative extension is capped at simplex dimension 2")
+        sdv._nonempty_subsets(s.n)  # raises above the shared dimension bound
         add(s)
     order.sort(key=lambda s: s.n)
 

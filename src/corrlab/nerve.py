@@ -19,8 +19,9 @@ Fills: an inner (2,1)-horn composes its two edges; (3,k)-horns solve the
 pentagon for the one missing intertwiner, where k = 3 extracts it from a
 tensor-with-identity ansatz (well posed because the last edge is an
 equivalence); a special (2,2)-horn inverts its last edge through the Morita
-counit.  Dimension-4 horns carry no new data and are filled by assembling
-the shared boundary and revalidating.
+counit.  From dimension 4 up a horn carries no new data, since the nerve is
+3-coskeletal (Duskin 2002): every edge and cell lies on a present face, so
+the fill is the merged face data, revalidated.
 """
 from __future__ import annotations
 
@@ -449,10 +450,10 @@ def _merge_face_data(n: int, faces: dict, eps: float = EPS, prefer=None):
 
 
 def fill_inner_horn(horn: HornSpec, *, eps: float = EPS) -> NCorrSimplex:
-    """Fill L^n_k for 0 < k < n, n in {2, 3, 4}.
+    """Fill L^n_k for 0 < k < n.
 
     n=2 composes the edges, n=3 solves the pentagon for the missing
-    intertwiner, n=4 assembles the boundary (no new data at that dimension).
+    intertwiner, n >= 4 assembles the boundary (no new data from there up).
     """
     n, k = horn.n, horn.k
     if not (0 < k < n):
@@ -462,26 +463,25 @@ def fill_inner_horn(horn: HornSpec, *, eps: float = EPS) -> NCorrSimplex:
         t = tensor_corrs(edges[(0, 1)], edges[(1, 2)], eps=eps)
         edges[(0, 2)] = t.corr
         cells[(0, 1, 2)] = identity_iso(t.corr)
-        return make_simplex(algebras, edges, cells, eps=eps)
-    if n == 3:
+    elif n == 3:
         cells[_missing_triple(k)] = _solve_pentagon(edges, cells, k, eps)
-        return make_simplex(algebras, edges, cells, eps=eps)
-    if n == 4:
-        return make_simplex(algebras, edges, cells, eps=eps)
-    raise Unfillable(f"horn dimension {n} not supported")
+    return make_simplex(algebras, edges, cells, eps=eps)
 
 
 def fill_special_outer_horn(horn: HornSpec, witness=None, *, eps: float = EPS) -> NCorrSimplex:
-    """Fill L^n_n whose last edge is an equivalence, n in {2, 3, 4}.
+    """Fill L^n_n, n >= 2, whose last edge is an equivalence.
 
     ``witness`` may carry the equivalence data of E_{n-1,n}; it is computed
-    (and the edge thereby certified) when absent.
+    (and the edge thereby certified) when absent.  From n = 4 up the fill
+    assembles the boundary.
     """
     n, k = horn.n, horn.k
     if k != n:
         raise Unfillable(f"L^{n}_{k} is not a special outer horn")
+    if n < 2:
+        raise Unfillable("a special outer horn below dimension 2 has no last edge")
     algebras, edges, cells = _merge_face_data(horn.n, horn.faces, eps)
-    if n == 4:
+    if n >= 4:
         return make_simplex(algebras, edges, cells, eps=eps)
     last = edges[(n - 1, n)]
     if witness is None or not corr_close(witness.corr, last, eps):
@@ -501,11 +501,9 @@ def fill_special_outer_horn(horn: HornSpec, witness=None, *, eps: float = EPS) -
         )
         u = compose_isos(right_unitor(t_unit, eps=eps), compose_isos(mid, ass))
         cells[(0, 1, 2)] = u
-        return make_simplex(algebras, edges, cells, eps=eps)
-    if n == 3:
+    else:
         cells[(0, 1, 2)] = _solve_pentagon(edges, cells, 3, eps)
-        return make_simplex(algebras, edges, cells, eps=eps)
-    raise Unfillable(f"horn dimension {n} not supported")
+    return make_simplex(algebras, edges, cells, eps=eps)
 
 
 def assemble_boundary(faces: dict, *, eps: float = EPS, prefer=None) -> NCorrSimplex:

@@ -153,6 +153,27 @@ def test_find_corr_iso():
     assert find_corr_iso(e, other) is None
 
 
+def test_find_corr_iso_declines_only_on_validation_errors(monkeypatch):
+    from corrlab import bicategory
+    from corrlab.errors import NotUnitary
+
+    rng = np.random.default_rng(9)
+    e = random_equivalence(random_algebra(rng, max_blocks=2, max_size=2), rng)
+
+    def not_unitary(*args, **kw):
+        raise NotUnitary("blocks are not unitary", 1.0)
+
+    monkeypatch.setattr(bicategory, "CorrIso", not_unitary)
+    assert find_corr_iso(e, e) is None
+
+    def broken(*args, **kw):
+        raise TypeError("a programming error")
+
+    monkeypatch.setattr(bicategory, "CorrIso", broken)
+    with pytest.raises(TypeError):
+        find_corr_iso(e, e)
+
+
 def assert_certified(h):
     """The validating constructor accepts h and derives the same data."""
     checked = make_star_hom(h.src, h.dst, h.matrix)

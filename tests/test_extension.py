@@ -162,9 +162,9 @@ def test_extension_memo_keeps_its_functor_alive():
 
 def test_extension_dimension_cap():
     rng = np.random.default_rng(3)
-    s4 = random_simplex(rng, 4, max_blocks=1, max_size=2, max_mult=1)
+    s5 = random_simplex(rng, 5, max_blocks=1, max_size=2, max_mult=1)
     with pytest.raises(DimensionTooLarge):
-        extend_bar_G(s4, k0_functor(), K0Oracle(), {})
+        extend_bar_G(s5, k0_functor(), K0Oracle(), {})
 
 
 @pytest.mark.parametrize("length", [1, 2])
@@ -179,10 +179,27 @@ def test_guided_extension_is_a_section(length):
     memo = {}
     for a in (homs[0].src, homs[0].dst):
         v = make_simplex([a], {}, {})
-        assert structural_hash(bar_F(v, F, D, memo, guided=True)) == structural_hash(v)
+        assert structural_hash(bar_F(v, F, D, memo)) == structural_hash(v)
     sig = gamma_simplex(homs)
-    bar = bar_F(sig, F, D, memo, guided=True)
+    bar = bar_F(sig, F, D, memo)
     assert structural_hash(bar) == structural_hash(sig)
+
+
+def test_k0_extension_at_dimension_4_is_the_rank_matrix():
+    s = random_simplex(np.random.default_rng(2), 4, twist=True, max_blocks=2, max_size=1, max_mult=1)
+    top = bar_F(s, k0_functor(), K0Oracle(), {})
+    assert top.n == 4
+    for (i, j), e in s.edges.items():
+        assert np.array_equal(top.edge(i, j), k0_of_corr(e))
+
+
+def test_guided_extension_is_a_section_at_dimension_4():
+    # the functor has a section, so the run is guided and lands on sig
+    homs = random_chain(np.random.default_rng(0), 4, max_blocks=1, max_size=1, max_mult=1)
+    sig = gamma_simplex(homs)
+    ext = extend_bar_G(sig, gamma_functor(homs), NCorrOracle(), {})
+    assert any(e["guided"] for e in ext.trace)
+    assert structural_hash(ext.top()) == structural_hash(sig)
 
 
 def relative_setup(rng, n, twist):
@@ -196,7 +213,7 @@ def relative_setup(rng, n, twist):
     return sig, F0, F1, P, eta
 
 
-@pytest.mark.parametrize("n,twist", [(1, False), (1, True), (2, False), (2, True)])
+@pytest.mark.parametrize("n,twist", [(1, False), (1, True), (2, False), (2, True), (3, False)])
 def test_relative_extension_boundaries(n, twist):
     rng = np.random.default_rng(10 * n + twist)
     sig, F0, F1, P, eta = relative_setup(rng, n, twist)
@@ -230,10 +247,7 @@ def test_relative_extension_identity_homotopy():
     assert np.array_equal(rel.value(sig, (0, 1)).edge(0, 1), bar.edge(0, 1))
 
 
-def test_relative_extension_rejects_non_natural_data():
-    rng = np.random.default_rng(88)
-    sig = random_simplex(rng, 1, max_blocks=2, max_size=2, max_mult=1)
-    F = k0_functor()
+def non_natural_eta(rng):
     mats = {}
 
     def eta(a):
@@ -249,8 +263,23 @@ def test_relative_extension_rejects_non_natural_data():
             mats[key] = m
         return K0Simplex((a.nblocks, a.nblocks), {(0, 1): mats[key]})
 
+    return eta
+
+
+def test_relative_extension_rejects_non_natural_data():
+    rng = np.random.default_rng(88)
+    sig = random_simplex(rng, 1, max_blocks=2, max_size=2, max_mult=1)
+    F = k0_functor()
     with pytest.raises(BoundaryMismatch):
-        extend_relative(CstHomotopy(F, F, eta), None, [sig], K0Oracle())
+        extend_relative(CstHomotopy(F, F, non_natural_eta(rng)), None, [sig], K0Oracle())
+
+
+def test_relative_extension_rejects_non_natural_data_at_dimension_3():
+    rng = np.random.default_rng(89)
+    sig = random_simplex(rng, 3, max_blocks=2, max_size=2, max_mult=1)
+    F = k0_functor()
+    with pytest.raises(BoundaryMismatch):
+        extend_relative(CstHomotopy(F, F, non_natural_eta(rng)), None, [sig], K0Oracle())
 
 
 def test_relative_extension_m0_is_bar():
@@ -269,10 +298,10 @@ def test_relative_extension_caps():
     F = k0_functor()
     with pytest.raises(DimensionTooLarge):
         extend_relative(F, None, [sig], K0Oracle(), m=2)
-    s3 = random_simplex(rng, 3, max_blocks=1, max_size=2, max_mult=1)
+    s5 = random_simplex(rng, 5, max_blocks=1, max_size=2, max_mult=1)
     with pytest.raises(DimensionTooLarge):
         extend_relative(
-            CstHomotopy(F, F, lambda a: None), None, [s3], K0Oracle(), m=1
+            CstHomotopy(F, F, lambda a: None), None, [s5], K0Oracle(), m=1
         )
 
 

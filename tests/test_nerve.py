@@ -328,6 +328,16 @@ def test_dim4_assembly_fills():
         assert simplex_close(filled, s4)
 
 
+def test_dim5_assembly_fills():
+    # above dimension 4 too, every edge and cell of the fill lies on a face
+    rng = np.random.default_rng(43)
+    s5 = random_simplex(rng, 5, twist=True, max_blocks=1, max_size=2, max_mult=1)
+    for k in (3, 5):
+        horn = HornSpec(5, k, {j: face(s5, j) for j in range(6) if j != k})
+        filled = fill_inner_horn(horn) if 0 < k < 5 else fill_special_outer_horn(horn)
+        assert simplex_close(filled, s5)
+
+
 def test_structural_hash_is_stable():
     rng = np.random.default_rng(15)
     s = random_simplex(rng, 2, max_mult=1)

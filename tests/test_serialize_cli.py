@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from corrlab.acceptance import k0_of_corr
 from corrlab.algebra import StarHom, make_algebra
 from corrlab.bicategory import equivalence_inverse, gamma_of_hom
 from corrlab.cli import main
@@ -289,7 +290,7 @@ def test_cli_make_algebra_rejects_non_integer_blocks(capsys):
 
 
 def test_cli_simplex_dimension_cap(tmp_path, capsys):
-    assert main(["make", "simplex", "--n", "4", "--out", str(tmp_path / "x.json")]) == 2
+    assert main(["make", "simplex", "--n", "5", "--out", str(tmp_path / "x.json")]) == 2
     assert "error" in capsys.readouterr().err
 
 
@@ -380,6 +381,48 @@ def test_cli_fill_inner_and_outer(tmp_path, capsys):
     assert main(["fill", "--horn", str(h2path), "--out", str(fpath)]) == 0
     assert main(["validate", str(fpath)]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_cli_fill_rejects_a_final_vertex_horn_below_dimension_2(tmp_path, capsys, n):
+    s = random_simplex(np.random.default_rng(7), 1, max_blocks=1, max_size=2, max_mult=1)
+    horn = HornSpec(1, 1, {0: face(s, 0)}) if n == 1 else HornSpec(0, 0, {})
+    hpath = tmp_path / "horn.json"
+    dump_value(horn, hpath)
+    assert main(["fill", "--horn", str(hpath)]) == 1
+    assert "special outer horn below dimension 2" in capsys.readouterr().err
+
+
+def test_cli_works_at_dimension_4(tmp_path, capsys):
+    # the seed draws a small 4-simplex at the generator's default sizes
+    spath = str(tmp_path / "s4.json")
+    assert main(["make", "simplex", "--n", "4", "--seed", "2", "--out", spath]) == 0
+    s = load_value(spath)
+    assert s.n == 4
+    assert main(["subdivide", "--simplex", spath, "--out", str(tmp_path / "sd.json")]) == 0
+    assert len(json.loads((tmp_path / "sd.json").read_text())["vertices"]) == 31
+    opath = tmp_path / "k0.json"
+    argv = ["extend", "--simplex", spath, "--functor", "k0", "--target", "k0nerve"]
+    assert main(argv + ["--out", str(opath)]) == 0
+    got = {(e["i"], e["j"]): e["matrix"] for e in json.loads(opath.read_text())["edges"]}
+    assert got == {key: k0_of_corr(e).tolist() for key, e in s.edges.items()}
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["subdivide", "extend-k0"])
+def test_cli_refuses_dimension_5_before_building(tmp_path, capsys, monkeypatch, command):
+    from corrlab import subdivision
+
+    path = str(tmp_path / "s5.json")
+    dump_value(random_simplex(np.random.default_rng(1), 5, max_blocks=1, max_size=1, max_mult=1), path)
+    built = []
+    monkeypatch.setattr(subdivision, "module_E_S", lambda *args: built.append(args))
+    argv = ["subdivide", "--simplex", path]
+    if command == "extend-k0":
+        argv = ["extend", "--simplex", path, "--functor", "k0", "--target", "k0nerve"]
+    assert main(argv) == 2
+    assert "exceeds the supported bound 4" in capsys.readouterr().err
+    assert built == []
 
 
 def test_cli_subdivide(tmp_path, capsys):
@@ -497,7 +540,7 @@ def _public_docs(command, path):
                 if set(a) <= set(b)
             ],
         }
-    ext = extend_bar_G(value, gamma_functor(), NCorrOracle(), {}, guided=True)
+    ext = extend_bar_G(value, gamma_functor(), NCorrOracle(), {})
     return simplex_to_json(ext.top())
 
 
