@@ -9,9 +9,12 @@ constant vertex prefix come straight from F, and the rest are produced by
 the staged recursion below (inner horns while the prefix is shorter than
 the chain, one special outer horn at the very end, certified by the corner
 embedding's inverse).  The value on the plain chain (0..n) is then the
-extension's value on the simplex itself.  A final sweep checks every face
-of every nondegenerate chain's value; degenerate chains' values are
-degeneracies by definition, so they need no check (``_Builder._check_compat``).
+extension's value on the simplex itself.  Each nondegenerate chain's value
+is checked against its faces' values once, where it is made (``_bad_face``):
+a fill carries its horn's faces, the missing face it produces and every
+functor value agree with theirs, and a chain whose support misses a vertex
+was checked by the run over that face.  Degenerate chains' values are
+degeneracies by definition, so they need no check.
 
 Two targets are provided: the nerve of integer matrices (K-theory) and the
 correspondence nerve itself.  `extend_relative` runs the same machinery on
@@ -30,12 +33,7 @@ import numpy as np
 from . import nerve
 from . import subdivision as sdv
 from .algebra import StarHom, compose_homs
-from .bicategory import (
-    equivalence_inverse,
-    find_corr_iso,
-    gamma_of_hom,
-    is_equivalence,
-)
+from .bicategory import equivalence_inverse, find_corr_iso, gamma_of_hom
 from .errors import (
     BoundaryMismatch,
     CompatibilityViolated,
@@ -83,7 +81,9 @@ class QCOracle:
     Simplices are opaque values; the engine only moves them along faces and
     degeneracies, compares them, and asks for horn fills.  Fills must return
     simplices carrying the supplied faces exactly, in every dimension: the
-    run's dimension is bounded by its subdivision alone.
+    run's dimension is bounded by its subdivision alone.  A special outer
+    horn's last edge needs no test of its own: it is the functor's image of
+    a corner, whose ``certificate`` raises when that image is not invertible.
     """
 
     def face(self, s, i: int):
@@ -93,9 +93,6 @@ class QCOracle:
         raise NotImplementedError
 
     def equal(self, s, t) -> bool:
-        raise NotImplementedError
-
-    def is_equivalence(self, edge) -> bool:
         raise NotImplementedError
 
     def fill_inner_horn(self, horn: HornSpec):
@@ -223,13 +220,6 @@ class K0Oracle(QCOracle):
     def equal(self, s: K0Simplex, t: K0Simplex) -> bool:
         return s == t
 
-    def is_equivalence(self, edge: K0Simplex) -> bool:
-        try:
-            int_inverse(edge.edge(0, 1))
-        except ValueError:
-            return False
-        return True
-
     def fill_inner_horn(self, horn: HornSpec) -> K0Simplex:
         n, k = horn.n, horn.k
         if not (0 < k < n):
@@ -298,9 +288,6 @@ class NCorrOracle(QCOracle):
 
     def equal(self, s, t) -> bool:
         return s is t or nerve.simplex_close(s, t, self.eps)
-
-    def is_equivalence(self, edge) -> bool:
-        return is_equivalence(edge.edge(0, 1), eps=self.eps)
 
     def fill_inner_horn(self, horn: HornSpec):
         return nerve.fill_inner_horn(horn, eps=self.eps)
@@ -526,11 +513,10 @@ def _fill_targets(n: int) -> tuple:
     return tuple(stages)
 
 
-@functools.cache
-def _csd_table(n: int) -> tuple:
-    """enumerate_csd(n) as (dimension, chains) pairs, dimensions ascending."""
-    table = sdv.enumerate_csd(n)
-    return tuple((d, tuple(table[d])) for d in sorted(table))
+def _bad_face(D: QCOracle, value, faces: dict):
+    """The first j whose face of value differs from faces[j], or None: the one
+    face comparison both engines make, once, where each value is made."""
+    return next((j for j, f in faces.items() if not D.equal(D.face(value, j), f)), None)
 
 
 class _Builder:
@@ -550,6 +536,8 @@ class _Builder:
             self.sd = subdivision_functor(sigma, eps=eps, check=True)
         else:
             self.sd = parent[0].restrict(sigma, parent[1])
+        # the section's proposal for sigma, asked once for every special fill
+        self.pref = None if functor.section is None else functor.section(sigma)
         self.children = {}
         self.vals = {}
         self.assigned = {}
@@ -577,16 +565,23 @@ class _Builder:
                 tuple(tuple(pos[x] for x in s) for s in c.subsets),
             )
             out = self._child(sub).value(rel)
-        elif not c.vertices:
-            out = self._g_value(c.subsets)
-        elif len(c.vertices) == 1:
-            out = self._g_value(((c.vertices[0],),) + c.subsets)
+        elif len(c.vertices) <= 1:
+            out = self._g_value(tuple((v,) for v in c.vertices) + c.subsets)
+            self._check_chain(c, out)
         else:
             raise CompatibilityViolated(
                 f"chain {_chain_str(c)} was needed before its fill"
             )
         self.vals[c] = out
         return out
+
+    def _check_chain(self, c: AugChain, v):
+        """Check v, the value just made for the nondegenerate chain c, against
+        the values of c's faces."""
+        faces = {i: self.value(sdv.face(c, i)) for i in range(c.dim + 1 if c.dim else 0)}
+        i = _bad_face(self.oracle, v, faces)
+        if i is not None:
+            raise CompatibilityViolated(f"face {i} of {_chain_str(c)} disagrees with its value")
 
     def _child(self, sub: tuple) -> "BarExtension":
         """The run over the face on the vertices ``sub``, looked up once."""
@@ -625,7 +620,6 @@ class _Builder:
         for k, targets in _fill_targets(self.sigma.n):
             for c in targets:
                 self._fill(c, k)
-        self._check_compat()
         return BarExtension(self)
 
     def _fill(self, c: AugChain, k: int):
@@ -647,19 +641,12 @@ class _Builder:
                 corner = self.sd.hom((c.vertices[-1],), self.full)
                 cert = self.functor.certificate(corner)
                 cert_id = _cert_id(cert)
-                last_edge = faces[0]
-                for _ in range(ell - 2):
-                    last_edge = self.oracle.face(last_edge, 0)
-                if not self.oracle.is_equivalence(last_edge):
-                    raise Unfillable("the last edge of the special horn is not an equivalence")
                 fill = None
-                if self.functor.section is not None:
-                    pref = self.functor.section(self.sigma)
-                    if pref is not None:
-                        fill = self.oracle.guided_fill(
-                            horn, certificate=cert, preferred_face=pref
-                        )
-                        guided_used = fill is not None
+                if self.pref is not None:
+                    fill = self.oracle.guided_fill(
+                        horn, certificate=cert, preferred_face=self.pref
+                    )
+                    guided_used = fill is not None
                 if fill is None:
                     fill = self.oracle.fill_special_outer_horn(horn, certificate=cert)
             else:
@@ -670,14 +657,15 @@ class _Builder:
             raise OracleFillFailed(
                 f"horn ({ell},{kk}) at {_chain_str(c)}: {err}"
             ) from err
-        for j, f in faces.items():
-            if not self.oracle.equal(self.oracle.face(fill, j), f):
-                raise OracleFillFailed(
-                    f"oracle changed face {j} of horn ({ell},{kk}) at {_chain_str(c)}"
-                )
+        j = _bad_face(self.oracle, fill, faces)
+        if j is not None:
+            raise OracleFillFailed(
+                f"oracle changed face {j} of horn ({ell},{kk}) at {_chain_str(c)}"
+            )
         self.assigned[c] = fill
         self.vals[c] = fill
         got = self.oracle.face(fill, kk)
+        self._check_chain(missing_chain, got)
         self.assigned[missing_chain] = got
         self.vals[missing_chain] = got
         self.trace.append(
@@ -689,23 +677,6 @@ class _Builder:
                 "certificate": cert_id,
             }
         )
-
-    # -- exhaustive face compatibility ---------------------------------------
-
-    def _check_compat(self):
-        """Check every face of every nondegenerate chain's value; degeneracies
-        need none.  The first repeated entry of degeneracy(c, i) is at i, with
-        c as its face, so ``value`` gives it ``oracle.degeneracy(value(c), i)``,
-        the very call a check would compare with.  Fills assign no degenerate chain."""
-        for d, chains in _csd_table(self.sigma.n):
-            for c in chains:
-                v = self.value(c)
-                for i in range(d + 1 if d else 0):
-                    fv = self.oracle.face(v, i)
-                    if not self.oracle.equal(fv, self.value(sdv.face(c, i))):
-                        raise CompatibilityViolated(
-                            f"face {i} of {_chain_str(c)} disagrees with its value"
-                        )
 
 
 class BarExtension:
@@ -806,8 +777,7 @@ class RelExtension:
     value on a simplex at a monotone time word.
     """
 
-    def __init__(self, m: int, oracle: QCOracle, homotopy, boundary, family: dict):
-        self.m = m
+    def __init__(self, oracle: QCOracle, homotopy, boundary, family: dict):
         self.oracle = oracle
         self.homotopy = homotopy
         self.boundary = boundary
@@ -827,6 +797,10 @@ class RelExtension:
             alpha = tuple(int(x) for x in alpha)
         if len(alpha) != len(w):
             raise ShapeMismatch("alpha and w must have equal length")
+        if any(b < a for a, b in zip(alpha, alpha[1:])):
+            raise NotMonotone(f"{list(alpha)} is not weakly increasing")
+        if alpha and (alpha[0] < 0 or alpha[-1] > sigma.n):
+            raise NotMonotone(f"{list(alpha)} does not land in [0, {sigma.n}]")
         if any(x not in (0, 1) for x in w) or any(b < a for a, b in zip(w, w[1:])):
             raise ShapeMismatch(f"bad interval word {w}")
         return self._value(sigma, alpha, w)
@@ -850,8 +824,6 @@ class RelExtension:
             pos = {v: i for i, v in enumerate(used)}
             return self._value(child, tuple(pos[a] for a in alpha), w)
         if w[0] == w[-1]:
-            if w[0] >= len(self.boundary):
-                raise BoundaryMismatch(f"no boundary map at interval vertex {w[0]}")
             try:
                 return self.boundary[w[0]][structural_hash(sig)]
             except KeyError:
@@ -874,24 +846,20 @@ def extend_relative(
     family,
     D: QCOracle,
     *,
-    m: int = 1,
     eps: float = EPS,
 ) -> RelExtension:
     """Extend functor-level homotopy data over the prisms of a simplex family.
 
-    ``m = 0``: ``h`` is a CstFunctor, ``boundary`` must be None, and the
-    result is just the bar extension packaged per simplex.  ``m = 1``:
     ``h`` is a CstHomotopy, ``boundary`` is a pair of dicts mapping the
     structural hash of each family member to its value under the two ends
     (computed via bar_F when None), and the prisms are filled shuffle by
     shuffle: inner horns produce the diagonals, and the final cell of each
     prism is assembled from its full boundary, which is exactly where
-    non-natural data fails.  Each family member is held to the
+    non-natural data fails.  Each cell is checked against its faces' values
+    where it is made (``_bad_face``).  Each family member is held to the
     subdivision's dimension bound up front: with explicit boundary data no
     subdivision is built that would check it.
     """
-    if m not in (0, 1):
-        raise DimensionTooLarge(f"relative extension is capped at m = 1, got {m}")
     closed = {}
     order = []
 
@@ -910,16 +878,8 @@ def extend_relative(
         add(s)
     order.sort(key=lambda s: s.n)
 
-    if m == 0:
-        if boundary is not None:
-            raise BoundaryMismatch("m = 0 takes no boundary data")
-        memo = {}
-        atlas = {structural_hash(s): bar_F(s, h, D, memo, eps=eps) for s in order}
-        rel = RelExtension(0, D, h, (atlas,), closed)
-        return rel
-
     if not isinstance(h, CstHomotopy):
-        raise ShapeMismatch("m = 1 needs a CstHomotopy")
+        raise ShapeMismatch("relative extension needs a CstHomotopy")
     if boundary is None:
         memo = {}
         boundary = (
@@ -932,17 +892,14 @@ def extend_relative(
         if key not in b0 or key not in b1:
             raise BoundaryMismatch("boundary data does not cover the family")
 
-    rel = RelExtension(1, D, h, (b0, b1), closed)
+    rel = RelExtension(D, h, (b0, b1), closed)
 
     # eta must connect the two boundary values on every object
     for s in order:
         if s.n != 0:
             continue
-        e = rel._eta(s.algebras[0])
         key = structural_hash(s)
-        if not (
-            D.equal(D.face(e, 1), b0[key]) and D.equal(D.face(e, 0), b1[key])
-        ):
+        if _bad_face(D, rel._eta(s.algebras[0]), {1: b0[key], 0: b1[key]}) is not None:
             raise BoundaryMismatch("eta does not connect the two boundary values")
 
     for sig in order:
@@ -961,13 +918,21 @@ def extend_relative(
                 cell = D.fill_inner_horn(HornSpec(q + 1, t, faces))
             except CorrLabError as err:
                 raise OracleFillFailed(f"prism horn ({q + 1},{t}): {err}") from err
-            for j, f in faces.items():
-                if not D.equal(D.face(cell, j), f):
-                    raise OracleFillFailed(f"oracle changed face {j} of a prism horn")
+            j = _bad_face(D, cell, faces)
+            if j is not None:
+                raise OracleFillFailed(f"oracle changed face {j} of a prism horn")
             key = structural_hash(sig)
             rel.cells[(key, alpha_t, w_t)] = cell
+            diag_a = tuple(range(q + 1))
             diag_w = (0,) * t + (1,) * (q + 1 - t)
-            rel.cells[(key, tuple(range(q + 1)), diag_w)] = D.face(cell, t)
+            diag = D.face(cell, t)
+            diag_faces = {
+                i: rel._value(sig, _drop(diag_a, i), _drop(diag_w, i)) for i in range(q + 1)
+            }
+            i = _bad_face(D, diag, diag_faces)
+            if i is not None:
+                raise CompatibilityViolated(f"face {i} of prism cell {diag_a}/{diag_w} disagrees")
+            rel.cells[(key, diag_a, diag_w)] = diag
         alpha_0 = tuple([0] + list(range(q + 1)))
         w_0 = (0,) + (1,) * (q + 1)
         faces = {
@@ -979,15 +944,8 @@ def extend_relative(
             raise BoundaryMismatch(
                 f"homotopy data is not natural on a {q}-simplex: {err}"
             ) from err
+        i = _bad_face(D, cell, faces)
+        if i is not None:
+            raise CompatibilityViolated(f"face {i} of prism cell {alpha_0}/{w_0} disagrees")
         rel.cells[(structural_hash(sig), alpha_0, w_0)] = cell
-
-    # exhaustive face check over every built prism cell
-    for (key, alpha, w), v in list(rel.cells.items()):
-        sig = closed[key]
-        for i in range(len(w)):
-            fv = D.face(v, i)
-            if not D.equal(fv, rel._value(sig, _drop(alpha, i), _drop(w, i))):
-                raise CompatibilityViolated(
-                    f"face {i} of prism cell {alpha}/{w} disagrees"
-                )
     return rel

@@ -542,29 +542,18 @@ def _solve_pentagon(edges, cells, k, eps):
     t02_23 = tensor_corrs(e02, e23, eps=eps)
     t01_13 = tensor_corrs(e01, e13, eps=eps)
     ass = associator(t01_12, t_l, t12_23, t_r)
-    if k == 1:
-        right = compose_isos(
-            cells[(0, 1, 3)],
-            compose_isos(
-                tensor_iso(identity_iso(e01), cells[(1, 2, 3)], t_r, t01_13, eps=eps), ass
-            ),
-        )
-        left_part = tensor_iso(cells[(0, 1, 2)], identity_iso(e23), t_l, t02_23, eps=eps)
-        return compose_isos(right, left_part.inverse())
+    step = tensor_iso(identity_iso(e01), cells[(1, 2, 3)], t_r, t01_13, eps=eps)
     if k == 2:
         left = compose_isos(
             cells[(0, 2, 3)],
             tensor_iso(cells[(0, 1, 2)], identity_iso(e23), t_l, t02_23, eps=eps),
         )
-        step = tensor_iso(identity_iso(e01), cells[(1, 2, 3)], t_r, t01_13, eps=eps)
         return compose_isos(left, compose_isos(ass.inverse(), step.inverse()))
+    right = compose_isos(cells[(0, 1, 3)], compose_isos(step, ass))
+    if k == 1:
+        left_part = tensor_iso(cells[(0, 1, 2)], identity_iso(e23), t_l, t02_23, eps=eps)
+        return compose_isos(right, left_part.inverse())
     # k == 3: solve u (x) id = T for u: E01 (x) E12 -> E02
-    right = compose_isos(
-        cells[(0, 1, 3)],
-        compose_isos(
-            tensor_iso(identity_iso(e01), cells[(1, 2, 3)], t_r, t01_13, eps=eps), ass
-        ),
-    )
     t_mat = compose_isos(cells[(0, 2, 3)].inverse(), right)
     a2 = e02.dst
     blocks = []

@@ -15,6 +15,8 @@ from corrlab.errors import (
     CompatibilityViolated,
     DimensionTooLarge,
     FunctorialityViolated,
+    NotMonotone,
+    NotStableOnDiagram,
     OracleFillFailed,
     ShapeMismatch,
     Unfillable,
@@ -232,15 +234,15 @@ def test_relative_extension_boundaries(n, twist):
         assert np.array_equal(diag.edge(0, 1), want)
 
 
+def identity_eta(a):
+    return K0Simplex((a.nblocks, a.nblocks), {(0, 1): np.eye(a.nblocks, dtype=np.int64)})
+
+
 def test_relative_extension_identity_homotopy():
     rng = np.random.default_rng(77)
     sig = random_simplex(rng, 1, max_blocks=2, max_size=2, max_mult=1)
     F = k0_functor()
-
-    def eta(a):
-        return K0Simplex((a.nblocks, a.nblocks), {(0, 1): np.eye(a.nblocks, dtype=np.int64)})
-
-    rel = extend_relative(CstHomotopy(F, F, eta), None, [sig], K0Oracle())
+    rel = extend_relative(CstHomotopy(F, F, identity_eta), None, [sig], K0Oracle())
     bar = bar_F(sig, F, K0Oracle(), {})
     assert rel.value(sig, (0, 0)) == bar
     assert rel.value(sig, (1, 1)) == bar
@@ -282,36 +284,35 @@ def test_relative_extension_rejects_non_natural_data_at_dimension_3():
         extend_relative(CstHomotopy(F, F, non_natural_eta(rng)), None, [sig], K0Oracle())
 
 
-def test_relative_extension_m0_is_bar():
-    rng = np.random.default_rng(5)
-    sig = random_simplex(rng, 2, max_blocks=2, max_size=2, max_mult=1)
-    F, D = k0_functor(), K0Oracle()
-    rel = extend_relative(F, None, [sig], D, m=0)
-    memo = {}
-    for s in closure(sig):
-        assert rel.value(s, (0,) * (s.n + 1)) == bar_F(s, F, D, memo)
-
-
 def test_relative_extension_caps():
     rng = np.random.default_rng(6)
-    sig = random_simplex(rng, 1, max_blocks=2, max_size=2, max_mult=1)
     F = k0_functor()
-    with pytest.raises(DimensionTooLarge):
-        extend_relative(F, None, [sig], K0Oracle(), m=2)
     s5 = random_simplex(rng, 5, max_blocks=1, max_size=2, max_mult=1)
     with pytest.raises(DimensionTooLarge):
-        extend_relative(
-            CstHomotopy(F, F, lambda a: None), None, [s5], K0Oracle(), m=1
-        )
+        extend_relative(CstHomotopy(F, F, lambda a: None), None, [s5], K0Oracle())
 
 
 def test_relative_extension_unknown_simplex():
     rng = np.random.default_rng(9)
     sig = random_simplex(rng, 1, max_blocks=2, max_size=2, max_mult=1)
     other = random_simplex(rng, 1, max_blocks=2, max_size=2, max_mult=1)
-    rel = extend_relative(k0_functor(), None, [sig], K0Oracle(), m=0)
+    F = k0_functor()
+    rel = extend_relative(CstHomotopy(F, F, identity_eta), None, [sig], K0Oracle())
     with pytest.raises(BoundaryMismatch):
         rel.value(other, (0, 0))
+
+
+@pytest.mark.parametrize(
+    "alpha,w",
+    [((1, 0), (0, 0)), ((0, 5), (0, 0)), ((-1, 0), (0, 0)), ((0, 5), (0, 1)), ((1, 0), (0, 1))],
+)
+def test_relative_extension_rejects_a_bad_vertex_map(alpha, w):
+    rng = np.random.default_rng(77)
+    sig = random_simplex(rng, 1, max_blocks=2, max_size=2, max_mult=1)
+    F = k0_functor()
+    rel = extend_relative(CstHomotopy(F, F, identity_eta), None, [sig], K0Oracle())
+    with pytest.raises(NotMonotone):
+        rel.value(sig, w, alpha)
 
 
 # -- the engine's remaining checks ---------------------------------------------
@@ -322,7 +323,8 @@ def negated_k0():
 
     The corruption is consistent: each such value is a valid K0 simplex,
     horns built from it still fill, and the corner edges stay invertible.
-    Only the face sweep compares a chain's value with its faces' values.
+    Only the face check on each functor value, made where ``value`` builds
+    it, compares a chain's value with its faces' values.
     """
     base = k0_functor()
 
@@ -418,6 +420,83 @@ def test_extension_takes_no_degeneracies(n, seed, target):
     D = type("Counting", (CountDegeneracies, oracle), {})()
     extend_bar_G(small_simplex(n, seed), functor(), D, {})
     assert D.degeneracies == 0
+
+
+# -- each value is checked where it is made -----------------------------------
+
+
+def negate_last_step(s):
+    """The K0 simplex s with every edge into its last vertex negated: still
+    multiplicative, and different from s whenever such an edge is nonzero."""
+    return K0Simplex(s.ranks, {e: -m if e[1] == s.n else m for e, m in s.mats.items()})
+
+
+def k0_corrupting(bad=None, seen=None):
+    """K-theory, except that the chain of homs keyed ``bad`` gets its last
+    step negated; every chain's key goes into ``seen``."""
+    base = k0_functor()
+
+    def chain(homs, composites=None):
+        s = base.chain(homs)
+        key = tuple(structural_hash(h) for h in homs)
+        if seen is not None:
+            seen[key] = None
+        return negate_last_step(s) if key == bad else s
+
+    return CstFunctor("K0", base.vertex, chain, base.certificate)
+
+
+@pytest.mark.parametrize("n,seed", [(2, 0), (2, 1), (3, 0)])
+def test_every_corrupted_functor_value_is_rejected(n, seed):
+    """A value that is wrong in any one chain fails the run, and fails it
+    where a value is made and compared with its faces, not at a later fill
+    (``OracleFillFailed``) that happens to use it."""
+    sig = small_simplex(n, seed)
+    seen = {}
+    extend_bar_G(sig, k0_corrupting(seen=seen), K0Oracle(), {})
+    assert seen
+    for key in seen:
+        with pytest.raises(CompatibilityViolated, match="disagrees with its value"):
+            extend_bar_G(sig, k0_corrupting(bad=key), K0Oracle(), {})
+
+
+@pytest.mark.parametrize("target", sorted(TARGETS))
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_every_full_support_chain_is_made_by_the_run(n, target):
+    """A full-support chain is checked where its value is made, so the run
+    must make every one; lower-support chains are made by the face runs."""
+    functor, oracle = TARGETS[target]
+    ext = extend_bar_G(small_simplex(n, 0), functor(), oracle(), {})
+    full = frozenset(range(n + 1))
+    for chains in enumerate_csd(n).values():
+        for c in chains:
+            if frozenset(c.subsets[-1] if c.subsets else c.vertices) == full:
+                assert c in ext._builder.vals
+
+
+def test_a_failing_certificate_fails_the_special_fill():
+    def certificate(phi):
+        raise NotStableOnDiagram("corner is not invertible in the target")
+
+    base = k0_functor()
+    F = CstFunctor("K0", base.vertex, base.chain, certificate)
+    with pytest.raises(OracleFillFailed, match="corner is not invertible"):
+        extend_bar_G(small_simplex(1, 0), F, K0Oracle(), {})
+
+
+class MovedBoundaryOracle(K0Oracle):
+    """Assembles each prism's last cell, then negates the edges into its last
+    vertex, so the cell no longer carries the boundary it was given."""
+
+    def fill_boundary(self, faces):
+        return negate_last_step(super().fill_boundary(faces))
+
+
+def test_prism_cell_check_rejects_a_moved_boundary():
+    sig = random_simplex(np.random.default_rng(77), 1, max_blocks=2, max_size=2, max_mult=1)
+    F = k0_functor()
+    with pytest.raises(CompatibilityViolated, match="face .* of prism cell"):
+        extend_relative(CstHomotopy(F, F, identity_eta), None, [sig], MovedBoundaryOracle())
 
 
 # -- one subdivision per top-level run -----------------------------------------
