@@ -16,7 +16,9 @@ A *-hom is fixed by Bratteli data: its multiplicities and, per target
 block, one isometry.  ``hom_normal_form`` extracts that data from a matrix
 and ``_conjugation_matrix`` builds the matrix from it, one product per
 pair of blocks; every constructor that starts from such data builds its
-matrix there.
+matrix there, through ``_bratteli_hom``, which keeps the data on the hom.
+``_compose_ws`` composes such data and ``_composite_residual`` compares a
+composite with a third hom on it, block by block.
 """
 from __future__ import annotations
 
@@ -207,6 +209,9 @@ class StarHom:
     phi(1) fills every dst block.
 
     ``_gamma`` keeps Gamma(phi) and its range isometries per eps (bicategory).
+
+    ``_ws`` keeps the Bratteli data the matrix was built from, when it was
+    built from such data (``_bratteli_hom``), and is None otherwise.
     """
 
     src: FdCstarAlgebra
@@ -215,6 +220,7 @@ class StarHom:
     mult_matrix: np.ndarray = field(init=False)
     unital: bool = field(init=False)
     _gamma: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    _ws: list = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         src, dst = self.src, self.dst
@@ -329,7 +335,11 @@ def make_star_hom(src, dst, matrix, *, eps: float = EPS) -> StarHom:
 
 
 def identity_hom(a: FdCstarAlgebra) -> StarHom:
-    return StarHom(a, a, np.eye(a.dim, dtype=complex))
+    """The identity, with its Bratteli data W_ii = I_{n_i}, one copy each.
+    The identity matrix is _conjugation_matrix of that data to the bit, at
+    a fraction of the cost."""
+    ws = [{i: np.eye(n, dtype=complex)[:, :, None]} for i, n in enumerate(a.blocks)]
+    return _bratteli_hom(a, a, ws, np.eye(a.dim, dtype=complex))
 
 
 def compose_homs(psi: StarHom, phi: StarHom) -> StarHom:
@@ -386,7 +396,7 @@ def corner_algebra(p: AlgElement, b: FdCstarAlgebra, *, eps: float = EPS) -> Cor
     ws = [{} for _ in b.blocks]
     for t, i in enumerate(kept):
         ws[i] = {t: isos[t][:, :, None]}
-    inclusion = StarHom(corner, b, _conjugation_matrix(corner, b, ws))
+    inclusion = _bratteli_hom(corner, b, ws)
     return CornerPresentation(corner, inclusion, tuple(isos), tuple(kept))
 
 
@@ -433,8 +443,8 @@ def _conjugation_matrix(src: FdCstarAlgebra, dst: FdCstarAlgebra, ws) -> np.ndar
 
     ``ws[l]`` maps a source block i to W_li of shape (m_l, n_i, r_il):
     phi(e^(i)_pq) has block l sum_rho W[:, p, rho] W[:, q, rho]^*, so block
-    (l, i) of the matrix is one product of W_li, as an (m_l n_i) x r_il
-    matrix, with its adjoint.  The result is a *-hom when, for each l, the
+    (l, i) of the matrix is the Gram matrix of W_li (``_gram``), with its
+    rows and columns regrouped.  The result is a *-hom when, for each l, the
     W_li are isometries (as m_l x n_i r_il matrices) with orthogonal ranges.
     """
     matrix = np.zeros((dst.dim, src.dim), dtype=complex)
@@ -442,7 +452,63 @@ def _conjugation_matrix(src: FdCstarAlgebra, dst: FdCstarAlgebra, ws) -> np.ndar
         o = dst.offset(l)
         for i, w in ws[l].items():
             n, c = src.blocks[i], src.offset(i)
-            w2 = w.reshape(m * n, w.shape[2])
-            g = (w2 @ w2.conj().T).reshape(m, n, m, n).transpose(0, 2, 1, 3)
+            g = _gram(w).reshape(m, n, m, n).transpose(0, 2, 1, 3)
             matrix[o : o + m * m, c : c + n * n] = g.reshape(m * m, n * n)
     return matrix
+
+
+def _gram(w) -> np.ndarray:
+    """W W^* for W of shape (m, n, r), read as an (m n) x r matrix."""
+    m, n, r = w.shape
+    w2 = w.reshape(m * n, r)
+    return w2 @ w2.conj().T
+
+
+def _bratteli_hom(src: FdCstarAlgebra, dst: FdCstarAlgebra, ws, matrix=None) -> StarHom:
+    """The certified StarHom of Bratteli data ``ws`` in the format of
+    ``_conjugation_matrix``, keeping ``ws`` on it.  ``matrix``, when given,
+    is that function's result, known without computing it."""
+    if matrix is None:
+        matrix = _conjugation_matrix(src, dst, ws)
+    phi = StarHom(src, dst, matrix)
+    object.__setattr__(phi, "_ws", ws)
+    return phi
+
+
+def _compose_ws(psi_ws, phi_ws):
+    """The Bratteli data of psi . phi: W_li concatenates, over the middle
+    blocks j, the products W^psi_lj (W^phi_ji (x) I_s), so its multiplicity
+    is sum_j r^phi_ij r^psi_jl.  Block (l, i) is present when some middle
+    block j has both W^psi_lj and W^phi_ji."""
+    out = []
+    for per_j in psi_ws:
+        per_i = {}
+        for j, v in per_j.items():
+            for i, w in phi_ws[j].items():
+                p = np.einsum("ajs,jbr->abrs", v, w)
+                a, b, r, s = p.shape
+                per_i.setdefault(i, []).append(p.reshape(a, b, r * s))
+        out.append({i: np.concatenate(ps, axis=2) for i, ps in per_i.items()})
+    return out
+
+
+def _composite_residual(psi: StarHom, phi: StarHom, chi: StarHom) -> float:
+    """The largest absolute entry of the matrix of psi . phi - chi, computed
+    from the Bratteli data of the three homs, without their dense matrices.
+
+    Block (l, i) of each side is the Gram matrix of its W_li, regrouped the
+    same way on both sides, which leaves the largest entry of the difference
+    unchanged; a block that only one side has is compared with zero.  A NaN
+    entry makes the result NaN.
+    """
+    worst = [0.0]
+    for lhs, rhs in zip(_compose_ws(psi._ws, phi._ws), chi._ws):
+        for i in lhs.keys() | rhs.keys():
+            if i not in rhs:
+                d = _gram(lhs[i])
+            elif i not in lhs:
+                d = _gram(rhs[i])
+            else:
+                d = _gram(lhs[i]) - _gram(rhs[i])
+            worst.append(np.abs(d).max())
+    return float(np.max(worst))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import FdCstarAlgebra, StarHom, _conjugation_matrix, compose_homs, identity_hom
+from .algebra import FdCstarAlgebra, StarHom, _bratteli_hom, compose_homs, identity_hom
 from .errors import EndpointMismatch, InvalidAlgebra, NotAnEquivalence, ValidationError
 from .linalg import EPS, fix_phase, frob, orthonormal_range
 from .modules import (
@@ -157,7 +157,7 @@ def u_of_corr(corr: Correspondence, *, eps: float = EPS) -> CornerFactorization:
     ws = [
         {k: np.eye(m + n, n, -m)[:, :, None]} for k, (m, n) in enumerate(zip(e_mod.mult, b.blocks))
     ]
-    i_hom = StarHom(b, linking, _conjugation_matrix(b, linking, ws))
+    i_hom = _bratteli_hom(b, linking, ws)
 
     gamma_j = gamma_of_hom(j_hom, eps=eps)
     x_corr = Correspondence(linking, sum_mod, identity_hom(linking))
@@ -239,7 +239,7 @@ def equivalence_inverse(corr: Correspondence, *, eps: float = EPS) -> Equivalenc
     inv_mod = make_module(a, [b.blocks[k] for k in block_map])
     # compact block i of the inverse is a copy of B block block_map[i]
     ws = [{k: np.eye(b.blocks[k])[:, :, None]} for k in block_map]
-    inv_lam = StarHom(b, inv_mod.compacts, _conjugation_matrix(b, inv_mod.compacts, ws))
+    inv_lam = _bratteli_hom(b, inv_mod.compacts, ws)
     if not inv_lam.unital:
         raise NotAnEquivalence("correspondence is not full")
     inverse = Correspondence(b, inv_mod, inv_lam)

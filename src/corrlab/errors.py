@@ -8,8 +8,9 @@ constructions from valid inputs are certified by construction and not
 re-checked: the ``StarHom`` built by ``identity_hom``, ``compose_homs``,
 ``gamma_of_hom``, ``u_of_corr``, ``equivalence_inverse``,
 ``direct_sum_corrs``, tensor products, corner inclusions and subdivision
-connecting homs (from Bratteli data through ``_conjugation_matrix``, or
-by a block map over an existing action), and the canonical intertwiners:
+connecting homs (from Bratteli data through ``_bratteli_hom``, which keeps
+the data on the hom, or by a block map over an existing action), and the
+canonical intertwiners:
 ``identity_iso``, ``left_unitor``, ``right_unitor``, ``associator``,
 ``gamma_multiplicativity``, the ``u_of_corr`` factorization iso, the
 ``equivalence_inverse`` counits, ``tensor_iso``, and the adjoints and
@@ -18,6 +19,9 @@ simplex's identity edges and unit cells are not data at all:
 ``NCorrSimplex`` derives them from the unitors and refuses them as input,
 so normality needs no check.  JSON parse bounds every ``blocks`` and
 ``mult`` list before building anything (``DimensionTooLarge``).
+``subdivision_functor`` checks the functoriality of its connecting homs on
+their Bratteli data, not on their dense matrices, which are built from
+that data (``FunctorialityViolated``).
 Validation errors carry the offending residual where one exists, so
 callers (and the CLI ``validate`` command) can report how badly an
 invariant failed.

@@ -163,7 +163,15 @@ class K0Simplex:
             for a in range(m + 1)
             for b in range(a + 1, m + 1)
         }
-        return K0Simplex(ranks, mats, validate=False)
+        return K0Simplex._trusted(ranks, mats)
+
+    @classmethod
+    def _trusted(cls, ranks, mats) -> "K0Simplex":
+        """Unchecked; only for a relabelling of a simplex's own edges, whose
+        shapes follow from its ranks and which compose as its edges do."""
+        out = cls.__new__(cls)
+        out.n, out.ranks, out.mats = len(ranks) - 1, ranks, mats
+        return out
 
     def face(self, i: int) -> "K0Simplex":
         return self.apply_map([x for x in range(self.n + 1) if x != i])

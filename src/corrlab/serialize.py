@@ -199,28 +199,50 @@ def _writer(doc):
     return to_json
 
 
+_NUMBER = {int, float}  # the types json gives numbers
+
+
 def matrix_from_json(data, shape, where="matrix") -> np.ndarray:
+    """A (rows x cols) complex matrix from a row-major list of [re, im]
+    pairs of JSON numbers.  One pass checks the types, then numpy converts
+    the whole list at once; each rejection names the first bad entry."""
     rows, cols = shape
     if not isinstance(data, list):
         raise SchemaError(f"{where}: expected a list of [re, im] pairs")
     if len(data) != rows * cols:
         raise SchemaError(f"{where}: expected {rows * cols} entries for shape {rows}x{cols}, got {len(data)}")
-    out = np.empty(rows * cols, dtype=complex)
-    for p, entry in enumerate(data):
-        if (
-            not isinstance(entry, list)
-            or len(entry) != 2
-            or not all(_is_int(x) or isinstance(x, float) for x in entry)
-        ):
-            raise SchemaError(f"{where}[{p}]: expected an [re, im] pair")
-        try:
-            out[p] = complex(entry[0], entry[1])
-        except OverflowError:
-            raise SchemaError(f"{where}[{p}]: number too large for a float") from None
+    # exact types: true and false load as bool, a subclass of int
+    bad = next(
+        (
+            p
+            for p, e in enumerate(data)
+            if type(e) is not list
+            or len(e) != 2
+            or type(e[0]) not in _NUMBER
+            or type(e[1]) not in _NUMBER
+        ),
+        None,
+    )
+    if bad is not None:
+        raise SchemaError(f"{where}[{bad}]: expected an [re, im] pair")
+    try:
+        out = np.array(data, dtype=np.float64).reshape(rows * cols, 2)
+    except OverflowError:
+        bad = next(p for p, entry in enumerate(data) if not _fits_float(entry))
+        raise SchemaError(f"{where}[{bad}]: number too large for a float") from None
+    out = out.view(complex).ravel()
     bad = np.flatnonzero(~np.isfinite(out))
     if bad.size:
         raise SchemaError(f"{where}[{bad[0]}]: expected finite numbers, got {data[bad[0]]}")
     return out.reshape(rows, cols)
+
+
+def _fits_float(entry) -> bool:
+    try:
+        float(entry[0]), float(entry[1])
+    except OverflowError:
+        return False
+    return True
 
 
 def algebra_to_json(a: FdCstarAlgebra) -> dict:

@@ -21,9 +21,12 @@ S inside T, with top M, the hom f_ST: A_S -> A_T sends x to x (x) id along
 the connecting edge E_{m M}, rewritten through the structure cells u_{v m M}
 and included.  When the tops agree, E_{m m} is the identity and the cells
 are unitors, so f_ST conjugates by the summand inclusion.  Either way f_ST
-is given by Bratteli data, one isometry per pair of blocks, and built by
-``algebra._conjugation_matrix``.  subdivision_functor materializes all of
-these and checks f_TU . f_ST = f_SU for every strictly nested triple.
+is given by Bratteli data, one isometry per pair of blocks, and built from
+it by ``algebra._bratteli_hom``, which keeps the data on the hom.
+subdivision_functor materializes all of these and checks f_TU . f_ST = f_SU
+for every strictly nested triple on that data: the composite's isometries
+are products of the factors', and each block of the two sides is compared
+as a Gram matrix; no dense hom matrix is multiplied.
 """
 from __future__ import annotations
 
@@ -31,7 +34,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .algebra import FdCstarAlgebra, StarHom, _conjugation_matrix, compose_homs, identity_hom
+from .algebra import FdCstarAlgebra, StarHom, _bratteli_hom, _composite_residual, identity_hom
 from .errors import (
     DimensionTooLarge,
     FunctorialityViolated,
@@ -302,11 +305,21 @@ class SdVertexData:
         return self.subset[-1]
 
 
+def _fitting_subset(subset, n: int) -> tuple:
+    s = _check_subset(subset)
+    if s[-1] > n:
+        raise IndexOutOfRange(f"subset {s} does not fit in [0, {n}]")
+    return s
+
+
+def _check_nested(s: tuple, t: tuple):
+    if not set(s) <= set(t):
+        raise NotNested(f"{s} is not contained in {t}")
+
+
 def module_E_S(sigma: NCorrSimplex, subset) -> SdVertexData:
     """E_S = (+)_{v in S} E_{v, max S} as a module over the top algebra."""
-    s = _check_subset(subset)
-    if s[-1] > sigma.n:
-        raise IndexOutOfRange(f"subset {s} does not fit in [0, {sigma.n}]")
+    s = _fitting_subset(subset, sigma.n)
     m = s[-1]
     mods = [sigma.edge(v, m).module for v in s]
     module, starts = direct_sum_modules(mods)
@@ -356,12 +369,10 @@ def _connecting(sigma, data_s, data_t) -> StarHom:
     """f_ST, certified by construction: x -> x (x) id along a valid edge,
     rewritten through unitary cells and included."""
     s, t = data_s.subset, data_t.subset
-    if not set(s) <= set(t):
-        raise NotNested(f"{s} is not contained in {t}")
+    _check_nested(s, t)
     if s == t:
         return identity_hom(data_s.algebra)
-    a_s, a_t = data_s.algebra, data_t.algebra
-    return StarHom(a_s, a_t, _conjugation_matrix(a_s, a_t, _isometries(sigma, data_s, data_t)))
+    return _bratteli_hom(data_s.algebra, data_t.algebra, _isometries(sigma, data_s, data_t))
 
 
 @dataclass(frozen=True)
@@ -374,10 +385,14 @@ class SdFunctor:
     homs: dict
 
     def algebra(self, s) -> FdCstarAlgebra:
-        return self.data[_check_subset(s)].algebra
+        return self.data[_fitting_subset(s, self.base.n)].algebra
 
     def hom(self, s, t) -> StarHom:
-        return self.homs[(_check_subset(s), _check_subset(t))]
+        """f_ST; raises like connecting_hom for subsets that do not fit the
+        base simplex or are not nested."""
+        s, t = _fitting_subset(s, self.base.n), _fitting_subset(t, self.base.n)
+        _check_nested(s, t)
+        return self.homs[(s, t)]
 
     def restrict(self, face: NCorrSimplex, vertices) -> "SdFunctor":
         """The functor of ``face = apply_map(base, vertices)``, vertices
@@ -403,9 +418,13 @@ def subdivision_functor(sigma: NCorrSimplex, *, eps: float = EPS, check: bool = 
     A subdivision whose dense homs (16 dim A_S dim A_T bytes each) would
     exceed MAX_HOM_BYTES raises DimensionTooLarge before any is built.
     With ``check`` on, every strictly nested triple S < T < U is tested for
-    f_TU . f_ST = f_SU.  The other nested triples need no test: f_SS is the
-    exact identity matrix, so with S = T or T = U both sides are the same
-    matrix multiplied by an identity, equal to the last bit.
+    f_TU . f_ST = f_SU on the Bratteli data each hom keeps: the residual is
+    the largest absolute entry of the dense difference, computed block by
+    block (``algebra._composite_residual``), and one that is not <= eps
+    raises FunctorialityViolated.  No dense matrix is read: each one is
+    built from the data it is checked on.  The other nested triples need no
+    test: f_SS is the exact identity, so with S = T or T = U the composite
+    is f_SU itself.
     """
     subsets = tuple(_nonempty_subsets(sigma.n))
     data = {s: module_E_S(sigma, s) for s in subsets}
@@ -425,8 +444,7 @@ def subdivision_functor(sigma: NCorrSimplex, *, eps: float = EPS, check: bool = 
                 for u in subsets:
                     if not set(t) < set(u):
                         continue
-                    lhs = compose_homs(homs[(t, u)], homs[(s, t)])
-                    resid = float(np.abs(lhs.matrix - homs[(s, u)].matrix).max())
-                    if resid > eps:
+                    resid = _composite_residual(homs[(t, u)], homs[(s, t)], homs[(s, u)])
+                    if not resid <= eps:
                         raise FunctorialityViolated(s, t, u, resid)
     return SdFunctor(sigma, subsets, data, homs)

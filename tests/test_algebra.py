@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from corrlab.algebra import (
     EPS,
+    FdCstarAlgebra,
     StarHom,
     _conjugation_matrix,
     _mult_residual,
@@ -314,6 +315,13 @@ def test_conjugation_matrix_inverts_the_normal_form(phi):
         ws.append(pieces)
     rebuilt = _conjugation_matrix(phi.src, phi.dst, ws)
     assert np.abs(rebuilt - phi.matrix).max() <= 1e-12
+
+
+@pytest.mark.parametrize("blocks", [[1], [3, 1], [7, 2, 5]])
+def test_identity_matrix_is_the_conjugation_matrix_of_its_data(blocks):
+    a = FdCstarAlgebra(blocks)
+    idty = identity_hom(a)
+    assert _conjugation_matrix(a, a, idty._ws).tobytes() == idty.matrix.tobytes()
 
 
 @settings(max_examples=40)

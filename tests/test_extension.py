@@ -6,9 +6,9 @@ import weakref
 import numpy as np
 import pytest
 
-from corrlab import extension, subdivision
+from corrlab import extension
 from corrlab.acceptance import conjugated_k0, k0_of_corr
-from corrlab.algebra import StarHom, compose_homs
+from corrlab.algebra import compose_homs
 from corrlab.bicategory import u_of_corr
 from corrlab.errors import (
     BoundaryMismatch,
@@ -39,6 +39,7 @@ from corrlab.linalg import int_inverse
 from corrlab.modules import make_iso
 from corrlab.nerve import HornSpec, face, gamma_simplex, make_simplex, structural_hash
 from corrlab.subdivision import degeneracy, enumerate_csd, subdivision_functor
+from test_subdivision import corrupt_isometries
 
 
 def closure(sig):
@@ -504,20 +505,10 @@ def test_prism_cell_check_rejects_a_moved_boundary():
 
 @pytest.mark.parametrize("pair", [((0,), (0, 1)), ((1,), (1, 2)), ((0,), (0, 2))])
 def test_a_corrupted_face_hom_is_still_rejected(monkeypatch, pair):
-    """Child runs restrict the parent's subdivision unchecked; a face hom
-    moved by 1e-6 is caught by the top-level run's check."""
+    """Child runs restrict the parent's subdivision unchecked; the Bratteli
+    data of a face hom moved by 1e-6 is caught by the top-level run's check."""
     s = random_simplex(np.random.default_rng(21), 2, max_mult=1)
-    connecting = subdivision._connecting
-
-    def corrupted(sigma, data_s, data_t):
-        f = connecting(sigma, data_s, data_t)
-        if (data_s.subset, data_t.subset) != pair:
-            return f
-        m = f.matrix.copy()
-        m[np.unravel_index(np.argmax(np.abs(m)), m.shape)] += 1e-6
-        return StarHom(f.src, f.dst, m)
-
-    monkeypatch.setattr(subdivision, "_connecting", corrupted)
+    corrupt_isometries(monkeypatch, pair)
     with pytest.raises(FunctorialityViolated):
         extend_bar_G(s, k0_functor(), K0Oracle(), {})
 

@@ -51,6 +51,7 @@ from corrlab.serialize import (
     horn_to_json,
     iso_to_json,
     load_value,
+    matrix_from_json,
     matrix_to_json,
     module_to_json,
     simplex_to_json,
@@ -205,6 +206,43 @@ def test_cli_rejects_non_finite_numbers(tmp_path, capsys, entry, command):
     argv = ["validate", str(path)] if command == "validate" else ["gamma", "--hom", str(path)]
     assert main(argv) == 2
     assert "star_hom.matrix[0]" in capsys.readouterr().err
+
+
+GOOD_ENTRIES = [[1, 0.5], [-2.0, 3], [0, -0.0], [2**60, 1e-300]]
+PAIR = r"expected an \[re, im\] pair"
+
+
+@pytest.mark.parametrize(
+    "k, entry, message",
+    [
+        (2, [1, 2, 3], PAIR),
+        (3, [1], PAIR),
+        (1, 1.0, PAIR),
+        (1, {"re": 1, "im": 0}, PAIR),
+        (1, [1, "0"], PAIR),
+        (2, [None, 0], PAIR),
+        (2, [0, False], PAIR),
+        (3, [1, -(10**400)], "number too large for a float"),
+        (1, [float("-inf"), 0], "expected finite numbers"),
+    ],
+    ids=["triple", "single", "bare-number", "object", "string", "null", "bool", "huge-int", "-inf"],
+)
+def test_matrix_from_json_names_the_first_bad_entry(k, entry, message):
+    data = [*GOOD_ENTRIES[:k], entry, *GOOD_ENTRIES[k + 1 :]]
+    with pytest.raises(SchemaError, match=rf"m\[{k}\]: {message}"):
+        matrix_from_json(data, (2, 2), "m")
+    with pytest.raises(SchemaError, match=r"m: expected a list of \[re, im\] pairs"):
+        matrix_from_json(dict(enumerate(data)), (2, 2), "m")
+    with pytest.raises(SchemaError, match="m: expected 4 entries for shape 2x2, got 5"):
+        matrix_from_json(data + [[0, 0]], (2, 2), "m")
+
+
+def test_matrix_from_json_reads_json_numbers_exactly():
+    data = json.loads(json.dumps(GOOD_ENTRIES))
+    got = matrix_from_json(data, (2, 2))
+    want = np.array([complex(re, im) for re, im in data]).reshape(2, 2)
+    assert got.tobytes() == want.tobytes()
+    assert matrix_from_json([], (0, 3)).shape == (0, 3)
 
 
 def _set_bool(seq, key):

@@ -10,7 +10,13 @@ import numpy as np
 import pytest
 
 from corrlab import subdivision
-from corrlab.algebra import StarHom, compose_homs
+from corrlab.algebra import (
+    FdCstarAlgebra,
+    _bratteli_hom,
+    _compose_ws,
+    _composite_residual,
+    compose_homs,
+)
 from corrlab.errors import (
     DimensionTooLarge,
     FunctorialityViolated,
@@ -19,9 +25,9 @@ from corrlab.errors import (
     NotNested,
     ShapeViolation,
 )
-from corrlab.generators import random_simplex
+from corrlab.generators import embedding_hom, random_simplex
 from corrlab.linalg import frob
-from corrlab.nerve import apply_map
+from corrlab.nerve import apply_map, gamma_simplex
 from corrlab.subdivision import (
     AugChain,
     SubsetChain,
@@ -304,23 +310,133 @@ def test_subdivision_functor_triples(seed):
     assert worst < 1e-9
 
 
-@pytest.mark.parametrize("pair", [((0,), (0, 1)), ((0, 1), (0, 1, 2)), ((0,), (0, 1, 2))])
-def test_subdivision_check_rejects_a_corrupted_hom(monkeypatch, pair):
-    """Moving one entry of one connecting hom by 1e-6 breaks a strict triple."""
-    s = random_simplex(np.random.default_rng(21), 2, max_mult=1)
-    connecting = subdivision._connecting
+def scaling_chain_simplex(n, seed=0):
+    """Gamma of the chain [n,1] -> [2n+1,n] -> [4n+2,n+1], multiplicities
+    [[2,1],[1,0]] and [[2,0],[0,1]], conjugated by seeded unitaries."""
+    rng = np.random.default_rng(seed)
+    a, b, c = (FdCstarAlgebra(x) for x in ([n, 1], [2 * n + 1, n], [4 * n + 2, n + 1]))
+    homs = [embedding_hom(a, b, [[2, 1], [1, 0]], rng), embedding_hom(b, c, [[2, 0], [0, 1]], rng)]
+    return gamma_simplex(homs)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        *(
+            lambda n=n: random_simplex(np.random.default_rng(60 + n), n, twist=n == 2, max_mult=1)
+            for n in (1, 2, 3)
+        ),
+        lambda: scaling_chain_simplex(2),
+    ],
+    ids=["random-n1", "random-n2", "random-n3", "scaling-chain-n2"],
+)
+def test_bratteli_residual_matches_the_dense_one(make):
+    """The check's residual of every strict triple, computed from Bratteli
+    data, equals the largest entry of the dense difference; the composite's
+    multiplicities are the product of the factors'."""
+    sd = subdivision_functor(make(), check=False)
+    strict = [
+        (a, b, c)
+        for a in sd.subsets
+        for b in sd.subsets
+        for c in sd.subsets
+        if set(a) < set(b) < set(c)
+    ]
+    assert len(strict) == {1: 0, 2: 6, 3: 60}[sd.base.n]
+    for a, b, c in strict:
+        f_ab, f_bc, f_ac = sd.hom(a, b), sd.hom(b, c), sd.hom(a, c)
+        dense = np.abs(compose_homs(f_bc, f_ab).matrix - f_ac.matrix).max()
+        assert abs(_composite_residual(f_bc, f_ab, f_ac) - dense) <= 1e-12, (a, b, c)
+        ws = _compose_ws(f_bc._ws, f_ab._ws)
+        mult = np.zeros_like(f_ac.mult_matrix)
+        for l, per_i in enumerate(ws):
+            for i, w in per_i.items():
+                mult[i, l] = w.shape[2]
+        assert np.array_equal(mult, f_ab.mult_matrix @ f_bc.mult_matrix), (a, b, c)
+
+
+def without_blocks(f, l, keep=lambda i: False):
+    """f with the Bratteli blocks (l, i) it does not keep dropped: a
+    smaller *-hom."""
+    ws = [dict(per_i) for per_i in f._ws]
+    ws[l] = {i: w for i, w in ws[l].items() if keep(i)}
+    return _bratteli_hom(f.src, f.dst, ws)
+
+
+def test_bratteli_residual_compares_a_one_sided_block_with_zero():
+    """Where only the composite or only the third hom has a block, the
+    residual is still the dense one."""
+    sd = subdivision_functor(scaling_chain_simplex(2), check=False)
+    f01, f12, f02 = sd.hom((0,), (0, 1)), sd.hom((0, 1), (0, 1, 2)), sd.hom((0,), (0, 1, 2))
+    l, i = next((l, i) for l, per_i in enumerate(f02._ws) for i in per_i)
+    only_lhs = (f12, without_blocks(f02, l, keep=lambda k: k != i))
+    only_rhs = (without_blocks(f12, l), f02)
+    for psi, chi in (only_lhs, only_rhs):
+        dense = np.abs(compose_homs(psi, f01).matrix - chi.matrix).max()
+        assert dense > 1e-3
+        assert abs(_composite_residual(psi, f01, chi) - dense) <= 1e-12
+
+
+def corrupt_isometries(monkeypatch, pair, move=lambda x: x + 1e-6 * x / abs(x)):
+    """Make the Bratteli data of f_ST, for (S, T) = pair, move its largest
+    entry, by default by 1e-6 along its own phase.  The check reads the
+    data, not the dense matrices: a dense f_ST is _conjugation_matrix of its
+    data by construction, which the dense oracles over all triples cover."""
+    isometries = subdivision._isometries
 
     def corrupted(sigma, data_s, data_t):
-        f = connecting(sigma, data_s, data_t)
-        if (data_s.subset, data_t.subset) != pair:
-            return f
-        m = f.matrix.copy()
-        m[np.unravel_index(np.argmax(np.abs(m)), m.shape)] += 1e-6
-        return StarHom(f.src, f.dst, m)
+        ws = isometries(sigma, data_s, data_t)
+        if (data_s.subset, data_t.subset) == pair:
+            w = next(w for per_i in ws for w in per_i.values())
+            k = np.unravel_index(np.argmax(np.abs(w)), w.shape)
+            w[k] = move(w[k])
+        return ws
 
-    monkeypatch.setattr(subdivision, "_connecting", corrupted)
+    monkeypatch.setattr(subdivision, "_isometries", corrupted)
+
+
+STRICT_PAIRS_N2 = [
+    (s, t) for t in nonempty_subsets(2) for s in nonempty_subsets(2) if set(s) < set(t)
+]
+
+
+@pytest.mark.parametrize("pair", STRICT_PAIRS_N2)
+def test_subdivision_check_rejects_a_corrupted_hom(monkeypatch, pair):
+    """Moving one entry of the Bratteli data of any strictly nested pair by
+    1e-6 breaks a strict triple: every such pair lies in one."""
+    assert len(STRICT_PAIRS_N2) == 12
+    s = random_simplex(np.random.default_rng(21), 2, max_mult=1)
+    corrupt_isometries(monkeypatch, pair)
     with pytest.raises(FunctorialityViolated):
         subdivision_functor(s, check=True)
+
+
+def test_subdivision_check_rejects_a_nan_entry(monkeypatch):
+    s = random_simplex(np.random.default_rng(21), 2, max_mult=1)
+    corrupt_isometries(monkeypatch, ((0,), (0, 1)), move=lambda x: np.nan)
+    with pytest.raises(FunctorialityViolated, match="nan"):
+        subdivision_functor(s, check=True)
+
+
+@pytest.mark.parametrize(
+    "lookup, error",
+    [
+        (("hom", (1,), (0,)), NotNested),
+        (("hom", (0,), (0, 7)), IndexOutOfRange),
+        (("hom", (2, 5), (0, 2)), IndexOutOfRange),
+        (("algebra", (5,)), IndexOutOfRange),
+        (("hom", (), (0,)), ShapeViolation),
+    ],
+)
+def test_functor_lookups_raise_like_connecting_hom(lookup, error):
+    s = random_simplex(np.random.default_rng(1), 2, max_mult=1)
+    sd = subdivision_functor(s, check=False)
+    name, *subsets = lookup
+    with pytest.raises(error):
+        getattr(sd, name)(*subsets)
+    with pytest.raises(error):
+        connecting_hom(s, *subsets) if name == "hom" else module_E_S(s, *subsets)
+    assert sd.hom((0,), (0, 2)) is sd.homs[((0,), (0, 2))]
 
 
 def test_subdivision_functor_self_check_passes():
