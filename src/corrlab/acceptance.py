@@ -202,19 +202,12 @@ def conjugated_k0(rng):
         return ps[key]
 
     def vertex(a):
-        return K0Simplex((a.nblocks,), {}, validate=False)
+        return K0Simplex((a.nblocks,), ())
 
     def chain(homs, composites=None):
         homs = list(homs)
         ranks = (homs[0].src.nblocks,) + tuple(h.dst.nblocks for h in homs)
-        steps = [P(h.dst) @ k0_matrix(h) @ int_inverse(P(h.src)) for h in homs]
-        mats = {}
-        for i in range(len(ranks)):
-            acc = np.eye(ranks[i], dtype=np.int64)
-            for j in range(i + 1, len(ranks)):
-                acc = steps[j - 1] @ acc
-                mats[(i, j)] = acc
-        return K0Simplex(ranks, mats)
+        return K0Simplex(ranks, [P(h.dst) @ k0_matrix(h) @ int_inverse(P(h.src)) for h in homs])
 
     def certificate(phi):
         return int_inverse(P(phi.dst) @ k0_matrix(phi) @ int_inverse(P(phi.src)))
@@ -403,10 +396,10 @@ def suite_k0_extension(
             for i in range(n + 1):
                 for j in range(i + 1, n + 1):
                     want = k0_of_corr(s.edges[(i, j)])
-                    worst = max(worst, int(np.abs(bar.mats[(i, j)] - want).max()))
+                    worst = max(worst, int(np.abs(bar.edge(i, j) - want).max()))
             fact = u_of_corr(s.edges[(0, 1)], eps=eps)
             direct = int_inverse(k0_matrix(fact.i_hom)) @ k0_matrix(fact.j_hom)
-            worst = max(worst, int(np.abs(bar.mats[(0, 1)] - direct).max()))
+            worst = max(worst, int(np.abs(bar.edge(0, 1) - direct).max()))
             resid, ok = float(worst), worst == 0
         except (ValidationError, ValueError):
             resid, ok = float("inf"), False
@@ -497,7 +490,7 @@ def suite_relative(*, seed: int = 42, eps: float = EPS, trials: int = 10) -> Sui
             F1, P = conjugated_k0(rng)
 
             def eta(a, P=P):
-                return K0Simplex((a.nblocks, a.nblocks), {(0, 1): P(a)})
+                return K0Simplex((a.nblocks, a.nblocks), [P(a)])
 
             D = K0Oracle()
             rel = extend_relative(CstHomotopy(F0, F1, eta), None, [sig], D, eps=eps)

@@ -238,8 +238,9 @@ def _k0_to_json(s: K0Simplex) -> dict:
     return {
         "ranks": list(s.ranks),
         "edges": [
-            {"i": i, "j": j, "matrix": [[int(x) for x in row] for row in m]}
-            for (i, j), m in sorted(s.mats.items())
+            {"i": i, "j": j, "matrix": s.edge(i, j).tolist()}
+            for i in range(s.n + 1)
+            for j in range(i + 1, s.n + 1)
         ],
     }
 

@@ -40,8 +40,8 @@ from .errors import (
     CorrLabError,
     DimensionTooLarge,
     IncompatibleFaces,
+    IndexOutOfRange,
     NotMonotone,
-    NotMultiplicative,
     NotStableOnDiagram,
     OracleFillFailed,
     ShapeMismatch,
@@ -112,68 +112,68 @@ class QCOracle:
 class K0Simplex:
     """A simplex in the nerve of free abelian groups and integer matrices.
 
-    Vertices carry a rank, the edge (i,j) carries an integer matrix of shape
-    (rank_j, rank_i), and higher cells carry no data: a simplex is exactly a
-    strictly compatible family, M_ik = M_jk M_ij.  Identity edges on the
-    diagonal are implicit.
+    Vertices carry a rank, the edge (i,j) an integer matrix of shape
+    (rank_j, rank_i), and higher cells carry no data.  This is the nerve of
+    a category, so a simplex is exactly its spine (Segal): the n steps
+    M_{i,i+1}, every other edge being their product M_ij = M_{j-1,j} ...
+    M_{i,i+1}.  Any steps of the right shapes therefore make a simplex, and
+    ``key``, the steps' bytes, decides equality together with the ranks.
     """
 
-    __slots__ = ("n", "ranks", "mats")
+    __slots__ = ("n", "ranks", "steps", "key")
 
-    def __init__(self, ranks, mats, *, validate: bool = True):
+    def __init__(self, ranks, steps):
         ranks = tuple(int(r) for r in ranks)
         if not ranks or any(r < 0 for r in ranks):
             raise ShapeMismatch(f"bad rank vector {ranks}")
-        n = len(ranks) - 1
-        store = {}
-        for i in range(n + 1):
-            for j in range(i + 1, n + 1):
+        steps = list(steps)
+        if len(steps) != len(ranks) - 1:
+            raise ShapeMismatch(f"{len(ranks)} ranks need {len(ranks) - 1} steps, got {len(steps)}")
+        for i, m in enumerate(steps):
+            m = np.asarray(m)
+            if m.dtype != np.int64:
                 try:
-                    m = np.asarray(mats[(i, j)], dtype=np.int64)
-                except KeyError:
-                    raise ShapeMismatch(f"edge ({i},{j}) is missing") from None
-                if m.shape != (ranks[j], ranks[i]):
-                    raise ShapeMismatch(
-                        f"edge ({i},{j}) has shape {m.shape}, expected ({ranks[j]}, {ranks[i]})"
-                    )
-                store[(i, j)] = m
-        self.n = n
+                    with np.errstate(invalid="ignore"):
+                        exact = m.astype(np.int64)
+                except (TypeError, ValueError, OverflowError):
+                    exact = None
+                if exact is None or not np.array_equal(exact, m):
+                    raise ShapeMismatch(f"step ({i},{i + 1}) has entries that are not int64 integers")
+                m = exact
+            if m.shape != (ranks[i + 1], ranks[i]):
+                raise ShapeMismatch(
+                    f"step ({i},{i + 1}) has shape {m.shape}, expected ({ranks[i + 1]}, {ranks[i]})"
+                )
+            steps[i] = np.ascontiguousarray(m)
+        self.n = len(ranks) - 1
         self.ranks = ranks
-        self.mats = store
-        if validate:
-            for i, j, k in itertools.combinations(range(n + 1), 3):
-                if not np.array_equal(store[(j, k)] @ store[(i, j)], store[(i, k)]):
-                    raise NotMultiplicative(f"edges ({i},{j},{k}) do not compose")
+        self.steps = tuple(steps)
+        self.key = b"".join(m.tobytes() for m in steps)
 
     def edge(self, i: int, j: int) -> np.ndarray:
+        if not 0 <= i <= j <= self.n:
+            raise IndexOutOfRange(f"edge ({i},{j}) out of range for dimension {self.n}")
         if i == j:
             return np.eye(self.ranks[i], dtype=np.int64)
-        return self.mats[(i, j)]
+        out = self.steps[i]
+        for m in self.steps[i + 1 : j]:
+            out = m @ out
+        return out
 
     def apply_map(self, phi) -> "K0Simplex":
         phi = [int(x) for x in phi]
+        if not phi:
+            raise ShapeMismatch("a simplex needs at least one vertex")
         if any(b < a for a, b in zip(phi, phi[1:])):
             raise NotMonotone(f"vertex map {phi} is not monotone")
-        if phi and (phi[0] < 0 or phi[-1] > self.n):
+        if phi[0] < 0 or phi[-1] > self.n:
             raise NotMonotone(f"vertex map {phi} leaves 0..{self.n}")
-        ranks = tuple(self.ranks[p] for p in phi)
-        m = len(phi) - 1
-        mats = {
-            (a, b): self.edge(phi[a], phi[b])
-            for a in range(m + 1)
-            for b in range(a + 1, m + 1)
-        }
-        return K0Simplex._trusted(ranks, mats)
-
-    @classmethod
-    def _trusted(cls, ranks, mats) -> "K0Simplex":
-        """Unchecked; only for a relabelling of a simplex's own edges, whose
-        shapes follow from its ranks and which compose as its edges do."""
-        out = cls.__new__(cls)
-        out.n, out.ranks, out.mats = len(ranks) - 1, ranks, mats
-        return out
+        ranks = [self.ranks[p] for p in phi]
+        return K0Simplex(ranks, [self.edge(a, b) for a, b in zip(phi, phi[1:])])
 
     def face(self, i: int) -> "K0Simplex":
+        if not 0 <= i <= self.n:
+            raise IndexOutOfRange(f"face index {i} out of range for dimension {self.n}")
         return self.apply_map([x for x in range(self.n + 1) if x != i])
 
     def degeneracy(self, i: int) -> "K0Simplex":
@@ -182,33 +182,28 @@ class K0Simplex:
     def __eq__(self, other) -> bool:
         if not isinstance(other, K0Simplex):
             return NotImplemented
-        return self.ranks == other.ranks and all(
-            np.array_equal(self.mats[k], other.mats[k]) for k in self.mats
-        )
+        return self.ranks == other.ranks and self.key == other.key
 
     def __repr__(self) -> str:
         return f"K0Simplex(n={self.n}, ranks={self.ranks})"
 
 
 def _merge_k0_faces(n: int, faces: dict):
-    """Pool ranks and edge matrices of the faces; shared data must agree."""
+    """Pool the faces' ranks, which must agree, and their spine steps, each
+    read off the first face that has it.  Whether the steps agree is left
+    to the caller, which compares each face with the simplex they make."""
     ranks = [None] * (n + 1)
-    mats = {}
+    steps = [None] * n
     for j, f in faces.items():
         d = [x for x in range(n + 1) if x != j]
-        for a in range(n):
-            if ranks[d[a]] is None:
-                ranks[d[a]] = f.ranks[a]
-            elif ranks[d[a]] != f.ranks[a]:
-                raise IncompatibleFaces(f"faces disagree on the rank at vertex {d[a]}")
-        for (a, b), m in f.mats.items():
-            key = (d[a], d[b])
-            if key in mats:
-                if not np.array_equal(mats[key], m):
-                    raise IncompatibleFaces(f"faces disagree on edge {key}")
-            else:
-                mats[key] = m
-    return ranks, mats
+        for a, v in enumerate(d):
+            if ranks[v] is None:
+                ranks[v] = f.ranks[a]
+            elif ranks[v] != f.ranks[a]:
+                raise IncompatibleFaces(f"faces disagree on the rank at vertex {v}")
+            if a < f.n and d[a + 1] == v + 1 and steps[v] is None:
+                steps[v] = f.steps[a]
+    return ranks, steps
 
 
 class K0Oracle(QCOracle):
@@ -232,18 +227,16 @@ class K0Oracle(QCOracle):
         n, k = horn.n, horn.k
         if not (0 < k < n):
             raise Unfillable(f"L^{n}_{k} is not an inner horn")
-        ranks, mats = _merge_k0_faces(n, horn.faces)
-        if n == 2:
-            mats[(0, 2)] = mats[(1, 2)] @ mats[(0, 1)]
-        return self._build(ranks, mats)
+        ranks, steps = _merge_k0_faces(n, horn.faces)
+        return self._build(ranks, steps, horn.faces)
 
     def fill_special_outer_horn(self, horn: HornSpec, certificate=None) -> K0Simplex:
         n, k = horn.n, horn.k
         if k != n:
             raise Unfillable(f"L^{n}_{k} is not a special outer horn")
-        ranks, mats = _merge_k0_faces(n, horn.faces)
+        ranks, steps = _merge_k0_faces(n, horn.faces)
         if n == 2:
-            last = mats[(1, 2)]
+            last = steps[1]
             inv = certificate
             if (
                 inv is None
@@ -254,15 +247,15 @@ class K0Oracle(QCOracle):
                     inv = int_inverse(last)
                 except ValueError as err:
                     raise Unfillable(f"last edge is not invertible: {err}") from err
-            mats[(0, 1)] = inv @ mats[(0, 2)]
-        return self._build(ranks, mats)
+            steps[0] = inv @ horn.faces[1].steps[0]
+        return self._build(ranks, steps, horn.faces)
 
     def fill_boundary(self, faces: dict) -> K0Simplex:
         n = len(faces) - 1
         if n < 2:
             raise Unfillable("a boundary below dimension 2 does not determine the simplex")
-        ranks, mats = _merge_k0_faces(n, faces)
-        return self._build(ranks, mats)
+        ranks, steps = _merge_k0_faces(n, faces)
+        return self._build(ranks, steps, faces)
 
     def guided_fill(self, horn: HornSpec, certificate=None, preferred_face=None):
         # fills here are unique, so guiding can only ever confirm
@@ -274,12 +267,16 @@ class K0Oracle(QCOracle):
             return None
         return fill
 
-    @staticmethod
-    def _build(ranks, mats) -> K0Simplex:
-        try:
-            return K0Simplex(ranks, mats)
-        except NotMultiplicative as err:
-            raise IncompatibleFaces(f"no simplex matches the given faces: {err}") from err
+    def _build(self, ranks, steps, faces: dict) -> K0Simplex:
+        """The simplex with these ranks and steps, which must carry each of
+        the given faces.  From dimension 3 up every edge lies in a given
+        face, so this is the whole of the faces' compatibility; at dimension
+        2 it compares the horn's composite edge with the steps' product."""
+        s = K0Simplex(ranks, steps)
+        j = _bad_face(self, s, faces)
+        if j is not None:
+            raise IncompatibleFaces(f"face {j} disagrees with the simplex the other faces make")
+        return s
 
 
 class NCorrOracle(QCOracle):
@@ -385,7 +382,7 @@ def k0_functor(diagram=None) -> CstFunctor:
     """
 
     def vertex(a):
-        return K0Simplex((a.nblocks,), {}, validate=False)
+        return K0Simplex((a.nblocks,), ())
 
     def chain(homs, composites=None):
         homs = list(homs)
@@ -395,14 +392,7 @@ def k0_functor(diagram=None) -> CstFunctor:
             if f.dst != g.src:
                 raise ShapeMismatch("homs do not compose")
         ranks = (homs[0].src.nblocks,) + tuple(h.dst.nblocks for h in homs)
-        steps = [k0_matrix(h) for h in homs]
-        mats = {}
-        for i in range(len(ranks)):
-            acc = np.eye(ranks[i], dtype=np.int64)
-            for j in range(i + 1, len(ranks)):
-                acc = steps[j - 1] @ acc
-                mats[(i, j)] = acc
-        return K0Simplex(ranks, mats)
+        return K0Simplex(ranks, [k0_matrix(h) for h in homs])
 
     def certificate(phi):
         m = k0_matrix(phi)

@@ -36,6 +36,7 @@ from .bicategory import equivalence_inverse, gamma_multiplicativity, gamma_of_ho
 from .errors import (
     EndpointMismatch,
     IncompatibleFaces,
+    IndexOutOfRange,
     NotMonotone,
     PentagonViolated,
     ShapeMismatch,
@@ -246,6 +247,8 @@ def apply_map(s: NCorrSimplex, phi) -> NCorrSimplex:
 
 
 def face(s: NCorrSimplex, i: int) -> NCorrSimplex:
+    if not 0 <= i <= s.n:
+        raise IndexOutOfRange(f"face index {i} out of range for dimension {s.n}")
     return apply_map(s, [x for x in range(s.n + 1) if x != i])
 
 

@@ -6,8 +6,10 @@ and n = 3 steps through the benchmark's own code, with its span tracer
 installed, and check each result against the recorded reference; and they
 run the untrusted-io setup, which replays the generators' random draws (its
 size probe fails if they drift), reads ``sigma.edges`` and serialises
-twisted simplices.  They read ``perfbench/`` and never edit it; a subprocess keeps
-the tracer's rebinding of corrlab names out of the test session.
+twisted simplices, and its ``extend-k0`` steps, whose judge parses the
+``edges`` that ``extend --functor k0`` writes.  They read ``perfbench/``
+and never edit it; a subprocess keeps the tracer's rebinding of corrlab
+names out of the test session.
 """
 
 import os
@@ -45,6 +47,19 @@ assert [len(jobs) for jobs in plan] == [87], [len(jobs) for jobs in plan]
 print("contract ok")
 """
 
+K0_SCRIPT = """
+import sys, workloads
+
+bench = workloads.UntrustedIO()
+plan = bench.setup(42, 1, sys.argv[1])
+steps = [s for s in bench.steps(plan, 0) if s[0].startswith("extend-k0")]
+assert len(steps) == 18, len(steps)
+for label, work, judge in steps:
+    [(_, ok)] = judge(work(), 0.0)
+    assert ok, f"untrusted-io {label} fails the benchmark's judge"
+print("contract ok")
+"""
+
 
 def run_in_perfbench(script, *args):
     env = dict(os.environ)
@@ -73,3 +88,7 @@ def test_blockscale_n3_step_matches_reference():
 
 def test_untrusted_io_setup_replays_the_generators(tmp_path):
     run_in_perfbench(IO_SCRIPT, str(tmp_path))
+
+
+def test_untrusted_io_k0_steps_pass_the_judge(tmp_path):
+    run_in_perfbench(K0_SCRIPT, str(tmp_path))

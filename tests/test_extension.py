@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from corrlab import extension
-from corrlab.acceptance import conjugated_k0, k0_of_corr
+from corrlab.acceptance import conjugated_k0, k0_of_corr, random_unimodular
 from corrlab.algebra import compose_homs
 from corrlab.bicategory import u_of_corr
 from corrlab.errors import (
@@ -15,6 +15,7 @@ from corrlab.errors import (
     CompatibilityViolated,
     DimensionTooLarge,
     FunctorialityViolated,
+    IncompatibleFaces,
     NotMonotone,
     NotStableOnDiagram,
     OracleFillFailed,
@@ -64,42 +65,89 @@ M12 = np.array([[2, 0], [1, 1]], dtype=np.int64)
 
 
 def test_k0_simplex_basics():
-    s = K0Simplex((2, 2, 2), {(0, 1): M01, (1, 2): M12, (0, 2): M12 @ M01})
+    s = K0Simplex((2, 2, 2), [M01, M12])
     assert s.n == 2
     assert np.array_equal(s.edge(0, 2), M12 @ M01)
-    assert s.face(1) == K0Simplex((2, 2), {(0, 1): M12 @ M01})
+    assert s.face(1) == K0Simplex((2, 2), [M12 @ M01])
     d = s.degeneracy(0)
     assert d.face(0) == s and d.face(1) == s
     assert np.array_equal(d.edge(0, 1), np.eye(2, dtype=np.int64))
     with pytest.raises(ShapeMismatch):
-        K0Simplex((2, 3), {(0, 1): M01})
+        K0Simplex((2, 3), [M01])
 
 
 def test_k0_simplex_apply_map():
-    s = K0Simplex((2, 2, 2), {(0, 1): M01, (1, 2): M12, (0, 2): M12 @ M01})
+    s = K0Simplex((2, 2, 2), [M01, M12])
     sub = s.apply_map((0, 2))
-    assert sub == K0Simplex((2, 2), {(0, 1): M12 @ M01})
+    assert sub == K0Simplex((2, 2), [M12 @ M01])
     deg = s.apply_map((0, 0, 1, 2))
     assert deg == s.degeneracy(0)
 
 
 def test_k0_oracle_fills():
     o = K0Oracle()
-    e01 = K0Simplex((2, 2), {(0, 1): M01})
-    e12 = K0Simplex((2, 2), {(0, 1): M12})
+    e01 = K0Simplex((2, 2), [M01])
+    e12 = K0Simplex((2, 2), [M12])
     filled = o.fill_inner_horn(HornSpec(2, 1, {0: e12, 2: e01}))
     assert np.array_equal(filled.edge(0, 2), M12 @ M01)
 
     perm = np.array([[0, 1], [1, 0]], dtype=np.int64)
-    comp = K0Simplex((2, 2), {(0, 1): perm @ M01})
-    last = K0Simplex((2, 2), {(0, 1): perm})
+    comp = K0Simplex((2, 2), [perm @ M01])
+    last = K0Simplex((2, 2), [perm])
     out = o.fill_special_outer_horn(HornSpec(2, 2, {0: last, 1: comp}))
     assert np.array_equal(out.edge(0, 1), M01)
     # last edge must be invertible over the integers
     with pytest.raises(Unfillable):
         o.fill_special_outer_horn(
-            HornSpec(2, 2, {0: K0Simplex((2, 2), {(0, 1): M01 + 1}), 1: comp})
+            HornSpec(2, 2, {0: K0Simplex((2, 2), [M01 + 1]), 1: comp})
         )
+
+
+def unimodular_simplex(n, seed):
+    """A K0 n-simplex of rank-2 vertices whose steps are invertible, so that
+    moving any one entry of any edge changes every product through it."""
+    rng = np.random.default_rng(seed)
+    return K0Simplex((2,) * (n + 1), [random_unimodular(2, rng) for _ in range(n)])
+
+
+def moved_step(f, a):
+    """The simplex f with entry (0, 0) of its step a moved by one."""
+    steps = [m.copy() for m in f.steps]
+    steps[a][0, 0] += 1
+    return K0Simplex(f.ranks, steps)
+
+
+def test_k0_merge_rejects_a_rank_disagreement():
+    s = K0Simplex((2, 2, 2, 2), [M01, M12, M01])
+    wide = K0Simplex((2, 2, 3), [M12, np.ones((3, 2), dtype=np.int64)])
+    o = K0Oracle()
+    with pytest.raises(IncompatibleFaces, match="rank at vertex 3"):
+        o.fill_inner_horn(HornSpec(3, 1, {0: wide, 2: s.face(2), 3: s.face(3)}))
+    # a special horn whose edges disagree on their shared vertex
+    with pytest.raises(IncompatibleFaces, match="rank at vertex 2"):
+        o.fill_special_outer_horn(HornSpec(2, 2, {0: s.face(0).face(0), 1: wide.face(1)}))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_k0_inner_horn_rejects_one_moved_step(k):
+    s = unimodular_simplex(4, k)
+    faces = {j: s.face(j) for j in range(5) if j != k}
+    assert K0Oracle().fill_inner_horn(HornSpec(4, k, faces)) == s
+    for j, f in faces.items():
+        for a in range(3):
+            with pytest.raises(IncompatibleFaces):
+                K0Oracle().fill_inner_horn(HornSpec(4, k, {**faces, j: moved_step(f, a)}))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_k0_boundary_rejects_faces_that_do_not_compose(n):
+    s = unimodular_simplex(n, 10 + n)
+    faces = {j: s.face(j) for j in range(n + 1)}
+    assert K0Oracle().fill_boundary(faces) == s
+    for j, f in faces.items():
+        for a in range(n - 1):
+            with pytest.raises(IncompatibleFaces):
+                K0Oracle().fill_boundary({**faces, j: moved_step(f, a)})
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -211,7 +259,7 @@ def relative_setup(rng, n, twist):
     F1, P = conjugated_k0(rng)
 
     def eta(a, P=P):
-        return K0Simplex((a.nblocks, a.nblocks), {(0, 1): P(a)})
+        return K0Simplex((a.nblocks, a.nblocks), [P(a)])
 
     return sig, F0, F1, P, eta
 
@@ -236,7 +284,7 @@ def test_relative_extension_boundaries(n, twist):
 
 
 def identity_eta(a):
-    return K0Simplex((a.nblocks, a.nblocks), {(0, 1): np.eye(a.nblocks, dtype=np.int64)})
+    return K0Simplex((a.nblocks, a.nblocks), [np.eye(a.nblocks, dtype=np.int64)])
 
 
 def test_relative_extension_identity_homotopy():
@@ -264,7 +312,7 @@ def non_natural_eta(rng):
                 if i != j:
                     m[i] += int(rng.integers(1, 3)) * m[j]
             mats[key] = m
-        return K0Simplex((a.nblocks, a.nblocks), {(0, 1): mats[key]})
+        return K0Simplex((a.nblocks, a.nblocks), [mats[key]])
 
     return eta
 
@@ -320,7 +368,7 @@ def test_relative_extension_rejects_a_bad_vertex_map(alpha, w):
 
 
 def negated_k0():
-    """K-theory, except that every two-hom chain negates its last edge.
+    """K-theory, except that every two-hom chain negates its last step.
 
     The corruption is consistent: each such value is a valid K0 simplex,
     horns built from it still fill, and the corner edges stay invertible.
@@ -331,10 +379,7 @@ def negated_k0():
 
     def chain(homs, composites=None):
         s = base.chain(homs)
-        if len(homs) != 2:
-            return s
-        m01, m12 = s.mats[(0, 1)], -s.mats[(1, 2)]
-        return K0Simplex(s.ranks, {(0, 1): m01, (1, 2): m12, (0, 2): m12 @ m01})
+        return negate_last_step(s) if len(homs) == 2 else s
 
     return CstFunctor("negated K0", base.vertex, chain, base.certificate)
 
@@ -427,9 +472,9 @@ def test_extension_takes_no_degeneracies(n, seed, target):
 
 
 def negate_last_step(s):
-    """The K0 simplex s with every edge into its last vertex negated: still
-    multiplicative, and different from s whenever such an edge is nonzero."""
-    return K0Simplex(s.ranks, {e: -m if e[1] == s.n else m for e, m in s.mats.items()})
+    """The K0 simplex s with its last step negated, and so every edge into
+    its last vertex: still a simplex, and not s when that step is nonzero."""
+    return K0Simplex(s.ranks, s.steps[:-1] + (-s.steps[-1],))
 
 
 def k0_corrupting(bad=None, seen=None):
