@@ -18,7 +18,9 @@ and ``_conjugation_matrix`` builds the matrix from it, one product per
 pair of blocks; every constructor that starts from such data builds its
 matrix there, through ``_bratteli_hom``, which keeps the data on the hom.
 ``_compose_ws`` composes such data and ``_composite_residual`` compares a
-composite with a third hom on it, block by block.
+composite with a third hom on it, block by block: each pair of blocks is
+compared through the r x r overlap of its two isometries, and no Gram matrix
+is built.
 """
 from __future__ import annotations
 
@@ -452,8 +454,10 @@ def _conjugation_matrix(src: FdCstarAlgebra, dst: FdCstarAlgebra, ws) -> np.ndar
         o = dst.offset(l)
         for i, w in ws[l].items():
             n, c = src.blocks[i], src.offset(i)
-            g = _gram(w).reshape(m, n, m, n).transpose(0, 2, 1, 3)
-            matrix[o : o + m * m, c : c + n * n] = g.reshape(m * m, n * n)
+            # splitting each axis of the slice in two is a view, so the
+            # regrouped Gram is written into the matrix in one copy
+            block = matrix[o : o + m * m, c : c + n * n].reshape(m, m, n, n)
+            block[...] = _gram(w).reshape(m, n, m, n).transpose(0, 2, 1, 3)
     return matrix
 
 
@@ -493,22 +497,51 @@ def _compose_ws(psi_ws, phi_ws):
 
 
 def _composite_residual(psi: StarHom, phi: StarHom, chi: StarHom) -> float:
-    """The largest absolute entry of the matrix of psi . phi - chi, computed
-    from the Bratteli data of the three homs, without their dense matrices.
+    """A bound, never below it, on the largest absolute entry of the matrix
+    of psi . phi - chi, computed from the Bratteli data of the three homs
+    without their dense matrices or any Gram matrix.
 
     Block (l, i) of each side is the Gram matrix of its W_li, regrouped the
     same way on both sides, which leaves the largest entry of the difference
-    unchanged; a block that only one side has is compared with zero.  A NaN
-    entry makes the result NaN.
+    unchanged; ``_gram_gap`` bounds that entry from the r x r overlap of the
+    two sides' W_li.  A NaN entry makes the result NaN.
     """
     worst = [0.0]
     for lhs, rhs in zip(_compose_ws(psi._ws, phi._ws), chi._ws):
         for i in lhs.keys() | rhs.keys():
-            if i not in rhs:
-                d = _gram(lhs[i])
-            elif i not in lhs:
-                d = _gram(rhs[i])
-            else:
-                d = _gram(lhs[i]) - _gram(rhs[i])
-            worst.append(np.abs(d).max())
+            worst.append(_gram_gap(lhs.get(i), rhs.get(i)))
     return float(np.max(worst))
+
+
+def _gram_gap(w1, w2) -> float:
+    """A bound on max |W1 W1^* - W2 W2^*| for W1, W2 of shape (m, n, r),
+    read as (m n) x r matrices with rows W_x; None stands for a zero block.
+
+    Multiplicities are compared first.  A PSD Gram's largest entry is its
+    largest squared row norm, so for unequal r, a block that one side lacks
+    included, the bound is the sum of the two sides' largest squared row
+    norms, exact when one side is zero.
+    For equal r, let U be the polar factor of the overlap W2^* W1 (the
+    unitary minimizing ||W1 - W2 U||_F) and D = W1 - W2 U.  Then
+    W1 W1^* - W2 W2^* = D W1^* + (W2 U) D^*, whose (x, y) entry is at most
+    ||D_x|| ||W1_y|| + ||W2_x|| ||D_y||, so the bound is
+    2 max_x ||D_x|| max_y max(||W1_y||, ||W2_y||), at O(m n r^2 + r^3).
+    For r = 1 the overlap's polar factor is its phase and a row's norm its
+    entry's modulus.  A non-finite entry gives NaN, not an SVD that cannot
+    converge.
+    """
+    if w1 is None or w2 is None or w1.shape != w2.shape:
+        return sum(np.linalg.norm(w, axis=2).max() ** 2 for w in (w1, w2) if w is not None)
+    m, n, r = w1.shape
+    if r == 1:
+        x, y = w1.ravel(), w2.ravel()
+        z = complex(np.vdot(y, x))
+        u = z / abs(z) if z else 1.0
+        return 2.0 * np.abs(x - u * y).max() * np.maximum(np.abs(x), np.abs(y)).max()
+    w1, w2 = w1.reshape(m * n, r), w2.reshape(m * n, r)
+    z = w2.conj().T @ w1
+    if not np.isfinite(z).all():
+        return np.nan
+    p, _, vh = np.linalg.svd(z)
+    d = np.linalg.norm(w1 - w2 @ (p @ vh), axis=1).max()
+    return 2.0 * d * np.maximum(np.linalg.norm(w1, axis=1), np.linalg.norm(w2, axis=1)).max()

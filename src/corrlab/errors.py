@@ -153,6 +153,8 @@ class NotNested(ValidationError):
 
 
 class FunctorialityViolated(ValidationError):
+    """``residual`` bounds the largest entry of the dense difference."""
+
     def __init__(self, s, t, u, residual: float):
         super().__init__(f"f_TU . f_ST != f_SU at S={set(s)}, T={set(t)}, U={set(u)}", residual)
         self.chain = (s, t, u)

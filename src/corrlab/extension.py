@@ -596,17 +596,20 @@ class _Builder:
         if hit is not None:
             return hit
         if len(subsets) == 1:
-            out = self.functor.vertex(self.sd.algebra(subsets[0]))
+            out = self.functor.vertex(self.sd.data[subsets[0]].algebra)
         else:
             # composites come from the subdivision's own hom table so that
-            # the same geometric edge has the same bits in every chain
+            # the same geometric edge has the same bits in every chain; the
+            # table is read directly, as the engine's chains are valid and
+            # their subsets nested
+            homs = self.sd.homs
             comp = {
-                (i, j): self.sd.hom(subsets[i], subsets[j])
+                (i, j): homs[(subsets[i], subsets[j])]
                 for i in range(len(subsets))
                 for j in range(i + 1, len(subsets))
             }
             out = self.functor.chain(
-                [self.sd.hom(s, t) for s, t in zip(subsets, subsets[1:])],
+                [homs[(s, t)] for s, t in zip(subsets, subsets[1:])],
                 composites=comp,
             )
         self.gcache[subsets] = out

@@ -26,7 +26,9 @@ it by ``algebra._bratteli_hom``, which keeps the data on the hom.
 subdivision_functor materializes all of these and checks f_TU . f_ST = f_SU
 for every strictly nested triple on that data: the composite's isometries
 are products of the factors', and each block of the two sides is compared
-as a Gram matrix; no dense hom matrix is multiplied.
+through the r x r overlap of their isometries, which bounds the block's
+largest dense entry; no dense hom matrix is multiplied and no Gram matrix
+built.
 """
 from __future__ import annotations
 
@@ -419,9 +421,11 @@ def subdivision_functor(sigma: NCorrSimplex, *, eps: float = EPS, check: bool = 
     exceed MAX_HOM_BYTES raises DimensionTooLarge before any is built.
     With ``check`` on, every strictly nested triple S < T < U is tested for
     f_TU . f_ST = f_SU on the Bratteli data each hom keeps: the residual is
-    the largest absolute entry of the dense difference, computed block by
-    block (``algebra._composite_residual``), and one that is not <= eps
-    raises FunctorialityViolated.  No dense matrix is read: each one is
+    a bound, never below it, on the largest absolute entry of the dense
+    difference, computed block by block from the r x r overlap of the two
+    sides' isometries (``algebra._composite_residual``), exact where one
+    side lacks the block; one that is not <= eps raises
+    FunctorialityViolated with it.  No dense matrix is read: each one is
     built from the data it is checked on.  The other nested triples need no
     test: f_SS is the exact identity, so with S = T or T = U the composite
     is f_SU itself.

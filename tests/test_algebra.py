@@ -10,6 +10,7 @@ from corrlab.algebra import (
     FdCstarAlgebra,
     StarHom,
     _conjugation_matrix,
+    _gram,
     _mult_residual,
     corner_algebra,
     compose_homs,
@@ -37,6 +38,8 @@ from corrlab.generators import (
 )
 from corrlab.linalg import frob
 from corrlab.nerve import structural_hash
+from corrlab.subdivision import subdivision_functor
+from test_subdivision import scaling_chain_simplex
 
 
 def test_algebra_shape():
@@ -299,12 +302,10 @@ def test_hom_normal_form(seed):
         assert frob(got - want) < 1e-9
 
 
-@settings(max_examples=40)
-@given(phi=homs())
-def test_conjugation_matrix_inverts_the_normal_form(phi):
-    """Bratteli round trip: split each W_j of hom_normal_form into the
+def normal_form_ws(phi):
+    """Bratteli data of phi: each W_j of hom_normal_form split into the
     (m_j, n_i, r_ij) pieces of its source blocks, zero multiplicities
-    included, and rebuild phi's matrix from them."""
+    included."""
     ws = []
     for j, w in enumerate(hom_normal_form(phi)):
         m, o, pieces = phi.dst.blocks[j], 0, {}
@@ -313,8 +314,43 @@ def test_conjugation_matrix_inverts_the_normal_form(phi):
             pieces[i] = w[:, o : o + n * r].reshape(m, n, r)
             o += n * r
         ws.append(pieces)
-    rebuilt = _conjugation_matrix(phi.src, phi.dst, ws)
+    return ws
+
+
+@settings(max_examples=40)
+@given(phi=homs())
+def test_conjugation_matrix_inverts_the_normal_form(phi):
+    """Bratteli round trip: rebuild phi's matrix from its normal form."""
+    rebuilt = _conjugation_matrix(phi.src, phi.dst, normal_form_ws(phi))
     assert np.abs(rebuilt - phi.matrix).max() <= 1e-12
+
+
+def two_copy_conjugation_matrix(src, dst, ws):
+    """The dense build as it was before each block was written in place:
+    the regrouped Gram copied to a contiguous array, then into the matrix."""
+    matrix = np.zeros((dst.dim, src.dim), dtype=complex)
+    for l, m in enumerate(dst.blocks):
+        o = dst.offset(l)
+        for i, w in ws[l].items():
+            n, c = src.blocks[i], src.offset(i)
+            g = _gram(w).reshape(m, n, m, n).transpose(0, 2, 1, 3)
+            matrix[o : o + m * m, c : c + n * n] = g.reshape(m * m, n * n)
+    return matrix
+
+
+@settings(max_examples=40)
+@given(phi=homs())
+def test_conjugation_matrix_is_the_two_copy_build(phi):
+    ws = normal_form_ws(phi)
+    got = _conjugation_matrix(phi.src, phi.dst, ws)
+    assert got.tobytes() == two_copy_conjugation_matrix(phi.src, phi.dst, ws).tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_subdivision_homs_are_the_two_copy_build_on_the_scaling_chain(n):
+    sd = subdivision_functor(scaling_chain_simplex(n), check=False)
+    for f in sd.homs.values():
+        assert f.matrix.tobytes() == two_copy_conjugation_matrix(f.src, f.dst, f._ws).tobytes()
 
 
 @pytest.mark.parametrize("blocks", [[1], [3, 1], [7, 2, 5]])

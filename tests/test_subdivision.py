@@ -5,9 +5,13 @@ itertools, independently of the library's own generators.
 """
 
 import itertools
+import tracemalloc
+import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corrlab import subdivision
 from corrlab.algebra import (
@@ -15,6 +19,8 @@ from corrlab.algebra import (
     _bratteli_hom,
     _compose_ws,
     _composite_residual,
+    _gram,
+    _gram_gap,
     compose_homs,
 )
 from corrlab.errors import (
@@ -26,7 +32,7 @@ from corrlab.errors import (
     ShapeViolation,
 )
 from corrlab.generators import embedding_hom, random_simplex
-from corrlab.linalg import frob
+from corrlab.linalg import EPS, frob
 from corrlab.nerve import apply_map, gamma_simplex
 from corrlab.subdivision import (
     AugChain,
@@ -319,6 +325,37 @@ def scaling_chain_simplex(n, seed=0):
     return gamma_simplex(homs)
 
 
+def strict_triples(subsets):
+    return [
+        (a, b, c) for a in subsets for b in subsets for c in subsets if set(a) < set(b) < set(c)
+    ]
+
+
+def gram_residual(psi, phi, chi):
+    """The check's residual before the overlap bound: each block's Gram
+    matrices compared entrywise, a block that one side lacks with zero."""
+    worst = [0.0]
+    for lhs, rhs in zip(_compose_ws(psi._ws, phi._ws), chi._ws):
+        for i in lhs.keys() | rhs.keys():
+            if i not in rhs:
+                d = _gram(lhs[i])
+            elif i not in lhs:
+                d = _gram(rhs[i])
+            else:
+                d = _gram(lhs[i]) - _gram(rhs[i])
+            worst.append(np.abs(d).max())
+    return float(np.max(worst))
+
+
+def passes_like_the_gram_residual(psi, phi, chi):
+    """Whether the check passes psi . phi = chi, after asserting that its
+    residual is at least the Gram residual and gives the same verdict."""
+    old, new = gram_residual(psi, phi, chi), _composite_residual(psi, phi, chi)
+    assert new >= old - 1e-14
+    assert (new <= EPS) == (old <= EPS), (old, new)
+    return new <= EPS
+
+
 @pytest.mark.parametrize(
     "make",
     [
@@ -327,26 +364,31 @@ def scaling_chain_simplex(n, seed=0):
             for n in (1, 2, 3)
         ),
         lambda: scaling_chain_simplex(2),
+        *(
+            # block sizes shrink as n grows, so that multiplicity 2 fits
+            lambda n=n: random_simplex(
+                np.random.default_rng(74 + 3 * n), n, twist=True, max_size=4 - n, max_mult=2
+            )
+            for n in (1, 2, 3)
+        ),
     ],
-    ids=["random-n1", "random-n2", "random-n3", "scaling-chain-n2"],
+    ids=["random-n1", "random-n2", "random-n3", "scaling-chain-n2"]
+    + [f"random-n{n}-mult2" for n in (1, 2, 3)],
 )
 def test_bratteli_residual_matches_the_dense_one(make):
     """The check's residual of every strict triple, computed from Bratteli
-    data, equals the largest entry of the dense difference; the composite's
-    multiplicities are the product of the factors'."""
+    data, bounds the largest entry of the dense difference from above and,
+    on valid data, is within 1e-12 of it; the composite's multiplicities are
+    the product of the factors'."""
     sd = subdivision_functor(make(), check=False)
-    strict = [
-        (a, b, c)
-        for a in sd.subsets
-        for b in sd.subsets
-        for c in sd.subsets
-        if set(a) < set(b) < set(c)
-    ]
+    strict = strict_triples(sd.subsets)
     assert len(strict) == {1: 0, 2: 6, 3: 60}[sd.base.n]
     for a, b, c in strict:
         f_ab, f_bc, f_ac = sd.hom(a, b), sd.hom(b, c), sd.hom(a, c)
         dense = np.abs(compose_homs(f_bc, f_ab).matrix - f_ac.matrix).max()
-        assert abs(_composite_residual(f_bc, f_ab, f_ac) - dense) <= 1e-12, (a, b, c)
+        resid = _composite_residual(f_bc, f_ab, f_ac)
+        assert dense <= resid + 1e-14 and resid <= 1e-12, (a, b, c)
+        assert passes_like_the_gram_residual(f_bc, f_ab, f_ac), (a, b, c)
         ws = _compose_ws(f_bc._ws, f_ab._ws)
         mult = np.zeros_like(f_ac.mult_matrix)
         for l, per_i in enumerate(ws):
@@ -363,18 +405,36 @@ def without_blocks(f, l, keep=lambda i: False):
     return _bratteli_hom(f.src, f.dst, ws)
 
 
-def test_bratteli_residual_compares_a_one_sided_block_with_zero():
-    """Where only the composite or only the third hom has a block, the
-    residual is still the dense one."""
+def scaling_chain_homs():
+    """f_01, f_12 and f_02 of the subdivided scaling chain at n = 2, with
+    the first Bratteli block (l, i) of f_02."""
     sd = subdivision_functor(scaling_chain_simplex(2), check=False)
     f01, f12, f02 = sd.hom((0,), (0, 1)), sd.hom((0, 1), (0, 1, 2)), sd.hom((0,), (0, 1, 2))
     l, i = next((l, i) for l, per_i in enumerate(f02._ws) for i in per_i)
+    return f01, f12, f02, l, i
+
+
+def test_bratteli_residual_compares_a_one_sided_block_with_zero():
+    """Where only the composite or only the third hom has a block, the
+    residual is still the dense one."""
+    f01, f12, f02, l, i = scaling_chain_homs()
     only_lhs = (f12, without_blocks(f02, l, keep=lambda k: k != i))
     only_rhs = (without_blocks(f12, l), f02)
     for psi, chi in (only_lhs, only_rhs):
         dense = np.abs(compose_homs(psi, f01).matrix - chi.matrix).max()
         assert dense > 1e-3
         assert abs(_composite_residual(psi, f01, chi) - dense) <= 1e-12
+        assert not passes_like_the_gram_residual(psi, f01, chi)
+
+
+def test_bratteli_residual_fails_a_multiplicity_mismatch():
+    """A block of f_02 with one column fewer than the composite's fails, as
+    it did with Grams."""
+    f01, f12, f02, l, i = scaling_chain_homs()
+    fewer = [dict(per_i) for per_i in f02._ws]
+    assert fewer[l][i].shape[2] == 4
+    fewer[l][i] = fewer[l][i][:, :, :3]
+    assert not passes_like_the_gram_residual(f12, f01, _bratteli_hom(f02.src, f02.dst, fewer))
 
 
 def corrupt_isometries(monkeypatch, pair, move=lambda x: x + 1e-6 * x / abs(x)):
@@ -403,10 +463,17 @@ STRICT_PAIRS_N2 = [
 @pytest.mark.parametrize("pair", STRICT_PAIRS_N2)
 def test_subdivision_check_rejects_a_corrupted_hom(monkeypatch, pair):
     """Moving one entry of the Bratteli data of any strictly nested pair by
-    1e-6 breaks a strict triple: every such pair lies in one."""
+    1e-6 breaks a strict triple: every such pair lies in one.  On every
+    triple the check's verdict is the Gram residual's."""
     assert len(STRICT_PAIRS_N2) == 12
     s = random_simplex(np.random.default_rng(21), 2, max_mult=1)
     corrupt_isometries(monkeypatch, pair)
+    sd = subdivision_functor(s, check=False)
+    verdicts = [
+        passes_like_the_gram_residual(sd.homs[(b, c)], sd.homs[(a, b)], sd.homs[(a, c)])
+        for a, b, c in strict_triples(sd.subsets)
+    ]
+    assert not all(verdicts)
     with pytest.raises(FunctorialityViolated):
         subdivision_functor(s, check=True)
 
@@ -416,6 +483,89 @@ def test_subdivision_check_rejects_a_nan_entry(monkeypatch):
     corrupt_isometries(monkeypatch, ((0,), (0, 1)), move=lambda x: np.nan)
     with pytest.raises(FunctorialityViolated, match="nan"):
         subdivision_functor(s, check=True)
+
+
+def test_subdivision_check_rejects_a_nan_entry_of_the_third_hom(monkeypatch):
+    """A NaN in the data of f_SU, in a block that the composite also has
+    with the same multiplicity r = 4, is reported as a NaN residual; the
+    polar step never runs an SVD on it."""
+    pair = ((0,), (0, 1, 2))
+    corrupt_isometries(monkeypatch, pair, move=lambda x: np.nan)
+    sigma = scaling_chain_simplex(2)
+    with np.errstate(invalid="ignore"):  # the NaN reaches chi's multiplicity traces
+        sd = subdivision_functor(sigma, check=False)
+        with pytest.raises(FunctorialityViolated, match="nan"):
+            subdivision_functor(sigma, check=True)
+    chi = sd.homs[pair]
+    lhs = _compose_ws(sd.homs[((0, 1), (0, 1, 2))]._ws, sd.homs[((0,), (0, 1))]._ws)
+    l, i = next((l, i) for l, per_i in enumerate(chi._ws) for i in per_i)
+    assert np.isnan(chi._ws[l][i]).any()
+    assert chi._ws[l][i].shape == lhs[l][i].shape and lhs[l][i].shape[2] == 4
+    assert np.isnan(_gram_gap(lhs[l][i], chi._ws[l][i]))
+
+
+@st.composite
+def gram_pairs(draw):
+    """Two complex arrays of one shape (m, n, r), isometries or not: the
+    second unrelated to the first, or the first rotated by a unitary and
+    moved by a perturbation of a drawn size."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (draw(st.integers(1, 6)), draw(st.integers(1, 4)), draw(st.integers(1, 5)))
+    m, n, r = shape
+
+    def gaussian(scale):
+        return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+    w1 = gaussian(draw(st.sampled_from([1e-9, 1.0, 3.0])))
+    if m * n >= r and draw(st.booleans()):
+        w1 = np.linalg.qr(w1.reshape(m * n, r))[0].reshape(shape)
+    if draw(st.booleans()):
+        return w1, gaussian(draw(st.sampled_from([0.0, 1e-9, 1.0, 3.0])))
+    u = np.linalg.qr(rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r)))[0]
+    w2 = (w1.reshape(m * n, r) @ u).reshape(shape)
+    return w1, w2 + gaussian(draw(st.sampled_from([0.0, 1e-12, 1e-6, 1.0])))
+
+
+@settings(max_examples=200)
+@given(pair=gram_pairs())
+def test_gram_gap_bounds_the_dense_gap(pair):
+    """The overlap bound is never below max |W1 W1^* - W2 W2^*|, up to the
+    rounding of the dense difference, and a one-sided block is exact."""
+    w1, w2 = pair
+    scale = 1.0 + max(np.abs(w1).max(), np.abs(w2).max()) ** 2
+    dense = np.abs(_gram(w1) - _gram(w2)).max()
+    assert _gram_gap(w1, w2) >= dense - 1e-13 * scale
+    assert abs(_gram_gap(w1, None) - np.abs(_gram(w1)).max()) <= 1e-13 * scale
+    assert _gram_gap(None, w2) == _gram_gap(w2, None)
+
+
+def test_bratteli_check_runs_at_the_generator_default_sizes():
+    """All 60 strict triples of a 3-simplex at random_simplex's default
+    sizes, whose dense homs would take 8.9 GiB, checked on objects that hold
+    only their Bratteli data, under a traced peak of 64 MiB."""
+    sigma = random_simplex(np.random.default_rng(5), 3)
+    subsets = nonempty_subsets(3)
+    tracemalloc.start()
+    try:
+        data = {s: module_E_S(sigma, s) for s in subsets}
+        pairs = [(s, t) for s in subsets for t in subsets if set(s) <= set(t)]
+        homs = {
+            (s, t): types.SimpleNamespace(_ws=subdivision._isometries(sigma, data[s], data[t]))
+            for s, t in pairs
+            if s != t
+        }
+        triples = strict_triples(subsets)
+        worst = max(
+            _composite_residual(homs[(b, c)], homs[(a, b)], homs[(a, c)]) for a, b, c in triples
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    dense = sum(16 * data[s].algebra.dim * data[t].algebra.dim for s, t in pairs)
+    assert dense > 8 * 2**30 > subdivision.MAX_HOM_BYTES
+    assert len(triples) == 60
+    assert worst <= EPS
+    assert peak < 64 * 2**20
 
 
 @pytest.mark.parametrize(
