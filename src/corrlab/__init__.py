@@ -50,7 +50,6 @@ from .modules import (
     CorrIso,
     Correspondence,
     HilbertModule,
-    ModElement,
     TensorProduct,
     associator,
     compose_isos,

@@ -71,7 +71,6 @@ __all__ = [
     "SuiteReport",
     "SUITES",
     "run_suite",
-    "run_all",
     "report_json",
     "k0_of_corr",
     "random_unimodular",
@@ -580,11 +579,6 @@ SUITES = {
 
 def run_suite(name: str, *, seed: int = 42, eps: float = EPS, **kw) -> SuiteReport:
     return SUITES[name](seed=seed, eps=eps, **kw)
-
-
-def run_all(*, seed: int = 42, eps: float = EPS, names=None) -> list:
-    names = list(SUITES) if names is None else list(names)
-    return [run_suite(name, seed=seed, eps=eps) for name in names]
 
 
 def report_json(reports, *, seed: int, eps: float) -> dict:

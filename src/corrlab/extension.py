@@ -11,10 +11,15 @@ the chain, one special outer horn at the very end, certified by the corner
 embedding's inverse).  The value on the plain chain (0..n) is then the
 extension's value on the simplex itself.  Each nondegenerate chain's value
 is checked against its faces' values once, where it is made (``_bad_face``):
-a fill carries its horn's faces, the missing face it produces and every
-functor value agree with theirs, and a chain whose support misses a vertex
-was checked by the run over that face.  Degenerate chains' values are
-degeneracies by definition, so they need no check.
+a fill carries its horn's faces and every functor value agrees with theirs,
+and a chain whose support misses a vertex was checked by the run over that
+face.  Degenerate chains' values are degeneracies by definition, so they
+need no check.  The missing face a fill produces is not compared again: by
+the simplicial identities d_i d_k = d_{k-1} d_i (i < k) and d_i d_k = d_k
+d_{i+1} (i >= k), each of its faces is a face of a horn face, which the
+fill carries and whose own faces were compared when it was made (Duskin,
+TAC 9, 2002).  This holds for every target whose ``face`` satisfies those
+identities, as both oracles here do.
 
 Two targets are provided: the nerve of integer matrices (K-theory) and the
 correspondence nerve itself.  `extend_relative` runs the same machinery on
@@ -177,6 +182,8 @@ class K0Simplex:
         return self.apply_map([x for x in range(self.n + 1) if x != i])
 
     def degeneracy(self, i: int) -> "K0Simplex":
+        if not 0 <= i <= self.n:
+            raise IndexOutOfRange(f"degeneracy index {i} out of range for dimension {self.n}")
         return self.apply_map(list(range(i + 1)) + list(range(i, self.n + 1)))
 
     def __eq__(self, other) -> bool:
@@ -251,7 +258,7 @@ class K0Oracle(QCOracle):
         return self._build(ranks, steps, horn.faces)
 
     def fill_boundary(self, faces: dict) -> K0Simplex:
-        n = len(faces) - 1
+        n = nerve._boundary_dim(faces)
         if n < 2:
             raise Unfillable("a boundary below dimension 2 does not determine the simplex")
         ranks, steps = _merge_k0_faces(n, faces)
@@ -565,21 +572,17 @@ class _Builder:
             out = self._child(sub).value(rel)
         elif len(c.vertices) <= 1:
             out = self._g_value(tuple((v,) for v in c.vertices) + c.subsets)
-            self._check_chain(c, out)
+            # the one check a functor value gets: against its faces' values
+            faces = {i: self.value(sdv.face(c, i)) for i in range(c.dim + 1 if c.dim else 0)}
+            i = _bad_face(self.oracle, out, faces)
+            if i is not None:
+                raise CompatibilityViolated(f"face {i} of {_chain_str(c)} disagrees with its value")
         else:
             raise CompatibilityViolated(
                 f"chain {_chain_str(c)} was needed before its fill"
             )
         self.vals[c] = out
         return out
-
-    def _check_chain(self, c: AugChain, v):
-        """Check v, the value just made for the nondegenerate chain c, against
-        the values of c's faces."""
-        faces = {i: self.value(sdv.face(c, i)) for i in range(c.dim + 1 if c.dim else 0)}
-        i = _bad_face(self.oracle, v, faces)
-        if i is not None:
-            raise CompatibilityViolated(f"face {i} of {_chain_str(c)} disagrees with its value")
 
     def _child(self, sub: tuple) -> "BarExtension":
         """The run over the face on the vertices ``sub``, looked up once."""
@@ -665,8 +668,9 @@ class _Builder:
             )
         self.assigned[c] = fill
         self.vals[c] = fill
+        # face i of the missing face is face k-1 of horn face i (i < k) or
+        # face k of horn face i + 1 (i >= k): already compared, so no check
         got = self.oracle.face(fill, kk)
-        self._check_chain(missing_chain, got)
         self.assigned[missing_chain] = got
         self.vals[missing_chain] = got
         self.trace.append(
@@ -856,8 +860,12 @@ def extend_relative(
     (computed via bar_F when None), and the prisms are filled shuffle by
     shuffle: inner horns produce the diagonals, and the final cell of each
     prism is assembled from its full boundary, which is exactly where
-    non-natural data fails.  Each cell is checked against its faces' values
-    where it is made (``_bad_face``).  Each family member is held to the
+    non-natural data fails.  Each filled cell is checked against its faces'
+    values where it is made (``_bad_face``).  A diagonal, the missing face
+    of a fill, is not compared again: by the simplicial identities each of
+    its faces is a face of a horn face the fill carries, as in ``_fill``,
+    and a diagonal is itself a face of the next horn or of the boundary
+    cell, whose fill compares it.  Each family member is held to the
     subdivision's dimension bound up front: with explicit boundary data no
     subdivision is built that would check it.
     """
@@ -926,14 +934,7 @@ def extend_relative(
             rel.cells[(key, alpha_t, w_t)] = cell
             diag_a = tuple(range(q + 1))
             diag_w = (0,) * t + (1,) * (q + 1 - t)
-            diag = D.face(cell, t)
-            diag_faces = {
-                i: rel._value(sig, _drop(diag_a, i), _drop(diag_w, i)) for i in range(q + 1)
-            }
-            i = _bad_face(D, diag, diag_faces)
-            if i is not None:
-                raise CompatibilityViolated(f"face {i} of prism cell {diag_a}/{diag_w} disagrees")
-            rel.cells[(key, diag_a, diag_w)] = diag
+            rel.cells[(key, diag_a, diag_w)] = D.face(cell, t)
         alpha_0 = tuple([0] + list(range(q + 1)))
         w_0 = (0,) + (1,) * (q + 1)
         faces = {

@@ -36,7 +36,6 @@ from .linalg import EPS, frob, gram_onb, worse
 
 __all__ = [
     "HilbertModule",
-    "ModElement",
     "make_module",
     "direct_sum_modules",
     "Correspondence",
@@ -104,67 +103,10 @@ class HilbertModule:
     def offset(self, k: int) -> int:
         return self._offsets[k]
 
-    def zero(self) -> "ModElement":
-        return ModElement(
-            self,
-            [np.zeros((m, n), dtype=complex) for m, n in zip(self.mult, self.base.blocks)],
-        )
-
-    def from_vec(self, v) -> "ModElement":
-        v = np.asarray(v, dtype=complex).ravel()
-        if v.size != self.dim:
-            raise ShapeMismatch(f"expected {self.dim} coordinates, got {v.size}")
-        mats = []
-        for k, (m, n) in enumerate(zip(self.mult, self.base.blocks)):
-            o = self._offsets[k]
-            mats.append(v[o : o + m * n].reshape(m, n).copy())
-        return ModElement(self, mats)
 
 
 def make_module(base: FdCstarAlgebra, mult) -> HilbertModule:
     return HilbertModule(base, mult)
-
-
-class ModElement:
-    """Element of a HilbertModule, one m_k x n_k matrix per base block."""
-
-    __slots__ = ("module", "mats")
-
-    def __init__(self, module: HilbertModule, mats):
-        if len(mats) != module.base.nblocks:
-            raise ShapeMismatch("wrong number of blocks")
-        for x, m, n in zip(mats, module.mult, module.base.blocks):
-            if x.shape != (m, n):
-                raise ShapeMismatch(f"block of shape {x.shape}, expected ({m}, {n})")
-        self.module = module
-        self.mats = [np.asarray(x, dtype=complex) for x in mats]
-
-    def to_vec(self) -> np.ndarray:
-        if self.module.dim == 0:
-            return np.zeros(0, dtype=complex)
-        return np.concatenate([x.ravel() for x in self.mats])
-
-    def __add__(self, other):
-        return ModElement(self.module, [a + b for a, b in zip(self.mats, other.mats)])
-
-    def right_mul(self, b: AlgElement) -> "ModElement":
-        if b.algebra != self.module.base:
-            raise BaseMismatch("element does not live in the base algebra")
-        return ModElement(self.module, [x @ bb for x, bb in zip(self.mats, b.mats)])
-
-    def inner(self, other: "ModElement") -> AlgElement:
-        """<self, other> in the base algebra, conjugate-linear in self."""
-        if other.module != self.module:
-            raise BaseMismatch("inner product needs a common module")
-        return AlgElement(
-            self.module.base, [x.conj().T @ y for x, y in zip(self.mats, other.mats)]
-        )
-
-    def norm(self) -> float:
-        return frob(self.to_vec())
-
-    def __repr__(self):
-        return f"ModElement({self.module!r})"
 
 
 def direct_sum_modules(modules):
@@ -221,14 +163,6 @@ class Correspondence:
         if pos is None:
             return np.zeros((0, 0), dtype=complex)
         return self.lam.apply(a).mats[pos]
-
-    def left_mul(self, a: AlgElement, x: ModElement) -> ModElement:
-        img = self.lam.apply(a)
-        mats = []
-        for k in range(self.dst.nblocks):
-            pos = self.module.compact_pos(k)
-            mats.append(img.mats[pos] @ x.mats[k] if pos is not None else x.mats[k] * 0.0)
-        return ModElement(self.module, mats)
 
     def _frame(self, eps: float):
         """Read-only (r, proj, onb) of this F in any E (x)_B F: P_jk, its R_jk
@@ -379,11 +313,6 @@ class CorrIso:
         out.src, out.dst, out.blocks = src, dst, tuple(blocks)
         return out
 
-    def apply(self, x: ModElement) -> ModElement:
-        if x.module != self.src.module:
-            raise BaseMismatch("element not in the source module")
-        return ModElement(self.dst.module, [u @ m for u, m in zip(self.blocks, x.mats)])
-
     def inverse(self) -> "CorrIso":
         return CorrIso._trusted(self.dst, self.src, [u.conj().T for u in self.blocks])
 
@@ -506,51 +435,6 @@ class TensorProduct:
         """First block-k row of group (j, a)."""
         return self._row0[j][k] + a * int(self.r[j, k])
 
-    def embed(self, j: int, a: int, w: ModElement) -> ModElement:
-        """Coordinates of e^(j)_{a1} (x) w."""
-        if w.module != self.right.module:
-            raise BaseMismatch("second factor not in the right module")
-        z = self.module.zero()
-        for k in self.module.kept:
-            rjk = int(self.r[j, k])
-            if rjk == 0:
-                continue
-            o = self.row_start(k, j, a)
-            z.mats[k][o : o + rjk, :] = (
-                self.onb[j][k].conj().T @ self.proj[j][k] @ w.mats[k]
-            )
-        return z
-
-    def section(self, z: ModElement):
-        """Representative { (j, a) -> F element } with sum of embeds == z."""
-        if z.module != self.module:
-            raise BaseMismatch("element not in the tensor module")
-        out = {}
-        for j in range(self.left.dst.nblocks):
-            for a in range(self.left.module.mult[j]):
-                w = self.right.module.zero()
-                for k in self.module.kept:
-                    rjk = int(self.r[j, k])
-                    if rjk == 0:
-                        continue
-                    o = self.row_start(k, j, a)
-                    w.mats[k][:, :] = self.onb[j][k] @ z.mats[k][o : o + rjk, :]
-                out[(j, a)] = w
-        return out
-
-    def pure_tensor(self, x: ModElement, y: ModElement) -> ModElement:
-        """Coordinates of x (x) y for arbitrary module elements."""
-        if x.module != self.left.module:
-            raise BaseMismatch("first factor not in the left module")
-        b = self.left.dst
-        z = self.module.zero()
-        for j, (m, n) in enumerate(zip(self.left.module.mult, b.blocks)):
-            for a in range(m):
-                row = b.zero()
-                row.mats[j][0, :] = x.mats[j][a, :]
-                w = self.right.left_mul(row, y)
-                z = z + self.embed(j, a, w)
-        return z
 
 
 def tensor_corrs(left: Correspondence, right: Correspondence, *, eps: float = EPS) -> TensorProduct:

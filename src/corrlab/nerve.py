@@ -253,6 +253,8 @@ def face(s: NCorrSimplex, i: int) -> NCorrSimplex:
 
 
 def degeneracy(s: NCorrSimplex, i: int) -> NCorrSimplex:
+    if not 0 <= i <= s.n:
+        raise IndexOutOfRange(f"degeneracy index {i} out of range for dimension {s.n}")
     return apply_map(s, sorted(list(range(s.n + 1)) + [i]))
 
 
@@ -509,6 +511,17 @@ def fill_special_outer_horn(horn: HornSpec, witness=None, *, eps: float = EPS) -
     return make_simplex(algebras, edges, cells, eps=eps)
 
 
+def _boundary_dim(faces: dict) -> int:
+    """The n of a boundary: faces keyed 0..n, each of dimension n - 1."""
+    n = len(faces) - 1
+    if set(faces) != set(range(n + 1)):
+        raise ShapeMismatch(f"boundary needs faces 0..{n}, got {sorted(faces)}")
+    for j, f in faces.items():
+        if f.n != n - 1:
+            raise ShapeMismatch(f"face {j} has dimension {f.n}, expected {n - 1}")
+    return n
+
+
 def assemble_boundary(faces: dict, *, eps: float = EPS, prefer=None) -> NCorrSimplex:
     """Rebuild an n-simplex from all n+1 of its faces.
 
@@ -518,12 +531,7 @@ def assemble_boundary(faces: dict, *, eps: float = EPS, prefer=None) -> NCorrSim
     rejected. ``prefer`` names a face whose copy of shared data wins the
     vote; callers that later extract that face get its bits back unchanged.
     """
-    n = len(faces) - 1
-    if set(faces) != set(range(n + 1)):
-        raise ShapeMismatch(f"boundary needs faces 0..{n}, got {sorted(faces)}")
-    for j, f in faces.items():
-        if f.n != n - 1:
-            raise ShapeMismatch(f"face {j} has dimension {f.n}, expected {n - 1}")
+    n = _boundary_dim(faces)
     if n < 3:
         raise Unfillable("a boundary below dimension 3 does not determine the simplex")
     algebras, edges, cells = _merge_face_data(n, faces, eps, prefer)

@@ -32,7 +32,8 @@ bulk: every distinct float bit pattern is printed once, by the json encoder
 itself (so ``-0.0``, ``NaN`` and ``Infinity`` print as json prints them),
 and the entries are joined in one pass.
 
-Malformed JSON raises ParseError; structurally wrong documents, numbers
+Malformed JSON, including text that is not UTF-8 or is nested too deeply
+for the parser, raises ParseError; structurally wrong documents, numbers
 that are not finite (NaN, Infinity, integers too large for a float), and
 ``true`` / ``false`` where a number is expected, raise SchemaError naming
 the offending location.  A ``blocks`` or ``mult`` list that describes more
@@ -500,8 +501,10 @@ def load_value(path, *, eps: float = EPS, validate: bool = True):
     try:
         with open(path) as f:
             doc = json.load(f)
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ParseError(f"{path}: {e}") from e
     except json.JSONDecodeError as e:
         raise ParseError(f"{path}: invalid JSON at line {e.lineno}, column {e.colno}") from e
+    except RecursionError as e:
+        raise ParseError(f"{path}: JSON nested too deeply") from e
     return value_from_json(doc, eps=eps, validate=validate)

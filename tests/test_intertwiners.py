@@ -5,10 +5,10 @@ The reference builds each intertwiner one column (k, j, a, t) at a time:
 it makes the module element w with R_jk[:, t] in column 0 of block k,
 applies the defining action to e^(j)_{a1} (x) w and copies column 0 back.
 The reference associator evaluates (e (x) f) (x) g -> e (x) (f (x) g) on the
-same spanning family through pure_tensor and embed.  Every closed form must
-match the reference to 1e-12 and pass the checking CorrIso constructor at
-eps = 1e-12; the coordinate renamings (right unitor, corner factorization)
-must match it bit for bit.
+same spanning family through pure_tensor and embed, from the element-level
+model in reference.py.  Every closed form must match the reference to 1e-12
+and pass the checking CorrIso constructor at eps = 1e-12; the coordinate
+renamings (right unitor, corner factorization) must match it bit for bit.
 """
 
 import numpy as np
@@ -39,6 +39,7 @@ from corrlab.modules import (
     right_unitor,
     tensor_corrs,
 )
+from reference import embed, left_mul, pure_tensor, zero
 
 
 def reference_blocks(tp, dst, action):
@@ -53,7 +54,7 @@ def reference_blocks(tp, dst, action):
             for a in range(tp.left.module.mult[j]):
                 o = tp.row_start(k, j, a)
                 for t in range(rjk):
-                    w = tp.right.module.zero()
+                    w = zero(tp.right.module)
                     w.mats[k][:, 0] = tp.onb[j][k][:, t]
                     out[:, o + t] = action(j, a, w).mats[k][:, 0]
         blocks.append(out)
@@ -72,12 +73,12 @@ def reference_associator(tp_ef, tp_efg, tp_fg, tp_e_fg):
             cols, col_meta = [], []
             for j2 in range(tp_ef.module.base.nblocks):
                 for t in range(int(tp_ef.r[j, j2])):
-                    w = tp_ef.right.module.zero()
+                    w = zero(tp_ef.right.module)
                     w.mats[j2][:, 0] = tp_ef.onb[j][j2][:, t]
                     for t2 in range(int(tp_efg.r[j2, l])):
-                        y = tp_efg.right.module.zero()
+                        y = zero(tp_efg.right.module)
                         y.mats[l][:, 0] = tp_efg.onb[j2][l][:, t2]
-                        img = tp_e_fg.embed(j, 0, tp_fg.pure_tensor(w, y))
+                        img = embed(tp_e_fg, j, 0, pure_tensor(tp_fg, w, y))
                         o = tp_e_fg.row_start(l, j, 0)
                         cols.append(img.mats[l][o : o + r_dst, 0])
                         col_meta.append((j2, t, t2))
@@ -114,13 +115,13 @@ def check_unitors(rng):
     def lam(i, s, w):
         row = a.zero()
         row.mats[i][s, 0] = 1.0
-        return e.left_mul(row, w)
+        return left_mul(e, row, w)
 
     assert_matches(left_unitor(tp), reference_blocks(tp, e, lam))
 
     # x (x) b -> x b, for E (x) id_B and for (Gamma j_E) (x) X
     def rename(j, a2, w):
-        x = e.module.zero()
+        x = zero(e.module)
         x.mats[j][a2, :] = w.mats[j][0, :]
         return x
 
@@ -160,7 +161,7 @@ def check_gamma_multiplicativity(rng):
         b = phi.dst.zero()
         b.mats[j][:, 0] = v_phi[j][:, a]
         img = psi.apply(b)
-        out = u.dst.module.zero()
+        out = zero(u.dst.module)
         for k in range(psi.dst.nblocks):
             if u.dst.module.mult[k]:
                 out.mats[k][:, :] = v_comp[k].conj().T @ img.mats[k] @ v_psi[k] @ w.mats[k]
@@ -177,14 +178,14 @@ def check_counits(rng):
     id_a, id_b = w.counit_left.dst, w.counit_right.dst
 
     def act_left(k, r, x):
-        out = id_a.module.zero()
+        out = zero(id_a.module)
         for i in range(a.nblocks):
             if block_map[i] == k:
                 out.mats[i][:, :] = np.outer(us[i].conj().T[:, r], x.mats[i][0, :])
         return out
 
     def act_right(i, r, x):
-        out = id_b.module.zero()
+        out = zero(id_b.module)
         k = block_map[i]
         out.mats[k][r, :] = us[i][:, 0].conj() @ x.mats[k]
         return out

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from corrlab import nerve
 from corrlab.errors import IndexOutOfRange, ShapeMismatch
-from corrlab.extension import K0Simplex
+from corrlab.extension import K0Oracle, K0Simplex, NCorrOracle
 from corrlab.generators import random_simplex
 
 
@@ -106,24 +106,40 @@ M12 = np.array([[2, 0], [1, 1]], dtype=np.int64)
 
 
 def k0_two_simplex():
-    return K0Simplex((2, 2, 2), [M01, M12]), K0Simplex.face, K0Simplex.apply_map
+    s = K0Simplex((2, 2, 2), [M01, M12])
+    return s, K0Simplex.face, K0Simplex.degeneracy, K0Simplex.apply_map
 
 
 def ncorr_two_simplex():
     s = random_simplex(np.random.default_rng(0), 2, max_blocks=2, max_size=2, max_mult=1)
-    return s, nerve.face, nerve.apply_map
+    return s, nerve.face, nerve.degeneracy, nerve.apply_map
 
 
 @pytest.mark.parametrize("make", [k0_two_simplex, ncorr_two_simplex], ids=["k0", "ncorr"])
 def test_face_index_out_of_range_and_empty_map_raise(make):
-    s, face, apply_map = make()
+    s, face, degeneracy, apply_map = make()
     for i in (7, 3, -1):
         with pytest.raises(IndexOutOfRange):
             face(s, i)
+        with pytest.raises(IndexOutOfRange):
+            degeneracy(s, i)
     with pytest.raises(ShapeMismatch):
         apply_map(s, [])
     with pytest.raises(ShapeMismatch):
         face(apply_map(s, [1]), 0)
+
+
+@pytest.mark.parametrize("oracle", [K0Oracle, NCorrOracle], ids=["k0", "ncorr"])
+def test_fill_boundary_rejects_a_malformed_boundary(oracle):
+    """Face keys other than 0..n and a face of the wrong dimension raise
+    ShapeMismatch, a CorrLabError, before any face is read."""
+    s = k0_two_simplex()[0] if oracle is K0Oracle else ncorr_two_simplex()[0]
+    D = oracle()
+    e = D.face(s, 0)
+    with pytest.raises(ShapeMismatch, match=r"boundary needs faces 0..2, got \[0, 1, 5\]"):
+        D.fill_boundary({0: e, 1: e, 5: e})
+    with pytest.raises(ShapeMismatch, match="face 2 has dimension 0, expected 1"):
+        D.fill_boundary({0: e, 1: e, 2: D.face(e, 0)})
 
 
 @pytest.mark.parametrize("bad", [[[1.5]], [[np.nan]], [[np.inf]], [[1e30]], [[2**70]], [["a"]]])

