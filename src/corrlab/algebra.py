@@ -205,7 +205,8 @@ class StarHom:
 
     ``mult_matrix``, the (src.nblocks x dst.nblocks) integer matrix of block
     multiplicities: r_ij is the rounded real trace of phi(e^(i)_00) in dst
-    block j, a projection of rank r_ij (Bratteli's structure theorem);
+    block j, a projection of rank r_ij <= m_j (Bratteli's structure
+    theorem); a larger |r_ij| cannot be cast and raises NotProjection;
 
     ``unital``, true iff sum_i r_ij n_i = m_j for every dst block j, i.e.
     phi(1) fills every dst block.
@@ -229,8 +230,10 @@ class StarHom:
         matrix = np.ascontiguousarray(self.matrix, dtype=complex).view()
         matrix.setflags(write=False)
         diag = matrix[dst._diag[:, None], src._offsets].real
-        traces = np.add.reduceat(diag, dst._diag_starts, axis=0)
-        mult = np.rint(traces.T).astype(np.int64)
+        ranks = np.rint(np.add.reduceat(diag, dst._diag_starts, axis=0))
+        if (np.abs(ranks) > np.array(dst.blocks)[:, None]).any():
+            raise NotProjection("a trace of phi(e_00) is not a rank in its block")
+        mult = ranks.T.astype(np.int64)
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "mult_matrix", mult)
         object.__setattr__(self, "unital", bool((np.dot(src.blocks, mult) == dst.blocks).all()))

@@ -24,6 +24,7 @@ from .errors import (
     CorrLabError,
     DimensionTooLarge,
     ParseError,
+    PentagonViolated,
     SchemaError,
     ValidationError,
 )
@@ -35,7 +36,7 @@ from .generators import (
     random_unital_hom,
 )
 from .modules import CorrIso, Correspondence, HilbertModule
-from .nerve import HornSpec, NCorrSimplex, _simplex_residuals, fill_inner_horn, fill_special_outer_horn
+from .nerve import HornSpec, NCorrSimplex, _check_uncovered, fill_inner_horn, fill_special_outer_horn
 from .serialize import (
     _json_text,
     corr_to_json,
@@ -111,9 +112,10 @@ def _simplex_checks(s: NCorrSimplex, eps: float) -> bool:
     edges = sorted(s.edges.items())
     if not all([_action_check(e, eps, f"edge {key} left action is a star-hom") for key, e in edges]):
         return False
-    worst, where = _simplex_residuals(s, eps)
-    if not worst <= eps:
-        print(f"pentagon: FAIL at {where} (residual {worst:.3e})")
+    try:
+        worst = _check_uncovered(s, (), eps)
+    except PentagonViolated as err:
+        print(f"pentagon: FAIL at {err.indices} (residual {err.residual:.3e})")
         return False
     return _line("pentagon", True, worst)
 

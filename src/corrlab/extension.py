@@ -363,7 +363,8 @@ class CstFunctor:
     corner-like hom and raises when the hom is not invertible in the target.
     ``section``, when set, guides every run of the functor: it proposes the
     exact simplex the run should land on for a given input simplex, or None
-    to decline.
+    to decline.  The engine compares each chain value with all of its faces'
+    values, so ``chain`` need check a value only where no face covers it.
     """
 
     name: str
@@ -443,7 +444,9 @@ def gamma_functor(arrows=(), *, eps: float = EPS) -> CstFunctor:
         return make_simplex([a], {}, {}, eps=eps)
 
     def chain(homs_, composites=None):
-        return gamma_simplex(homs_, eps=eps, composites=composites)
+        s = gamma_simplex(homs_, eps=eps, composites=composites, validate=False)
+        nerve._check_uncovered(s, range(s.n + 1), eps)
+        return s
 
     def certificate(phi):
         return equivalence_inverse(gamma_of_hom(phi, eps=eps), eps=eps)

@@ -347,8 +347,7 @@ def make_iso(src: Correspondence, dst: Correspondence, data, *, eps: float = EPS
             sub = data[o_r : o_r + m_r * n, o_c : o_c + m_c * n]
             u = np.zeros((m_r, m_c), dtype=complex)
             if n > 0 and m_r > 0 and m_c > 0:
-                t = sub.reshape(m_r, n, m_c, n)
-                u = np.einsum("rcsc->rs", t) / n
+                u = sub.reshape(m_r, n, m_c, n)[:, 0, :, 0].copy()
             blocks.append(u)
         rebuilt = CorrIso.__new__(CorrIso)
         rebuilt.src, rebuilt.dst, rebuilt.blocks = src, dst, tuple(blocks)

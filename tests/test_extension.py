@@ -6,7 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
-from corrlab import extension
+from corrlab import extension, nerve
 from corrlab.acceptance import conjugated_k0, k0_of_corr, random_unimodular
 from corrlab.algebra import compose_homs
 from corrlab.bicategory import u_of_corr
@@ -19,6 +19,7 @@ from corrlab.errors import (
     NotMonotone,
     NotStableOnDiagram,
     OracleFillFailed,
+    PentagonViolated,
     ShapeMismatch,
     Unfillable,
 )
@@ -37,8 +38,16 @@ from corrlab.extension import (
 )
 from corrlab.generators import random_chain, random_simplex
 from corrlab.linalg import int_inverse
-from corrlab.modules import make_iso
-from corrlab.nerve import HornSpec, face, gamma_simplex, make_simplex, structural_hash
+from corrlab.modules import CorrIso, make_iso
+from corrlab.nerve import (
+    HornSpec,
+    NCorrSimplex,
+    face,
+    gamma_simplex,
+    make_simplex,
+    structural_hash,
+    validate_simplex,
+)
 from corrlab.subdivision import degeneracy, enumerate_csd, subdivision_functor
 from test_subdivision import corrupt_isometries
 
@@ -504,6 +513,62 @@ def test_every_corrupted_functor_value_is_rejected(n, seed):
     for key in seen:
         with pytest.raises(CompatibilityViolated, match="disagrees with its value"):
             extend_bar_G(sig, k0_corrupting(bad=key), K0Oracle(), {})
+
+
+@pytest.mark.parametrize("d,want", [(1, 0), (2, 0), (3, 1), (4, 0)])
+def test_a_gamma_chain_value_computes_only_the_pentagons_no_face_covers(d, want, monkeypatch):
+    """The engine compares a chain value with all of its faces' values, so
+    Gamma's ``chain`` computes only the pentagon on all d + 1 vertices."""
+    homs = random_chain(np.random.default_rng(90 + d), d, max_blocks=1, max_size=1)
+    calls = []
+    real = nerve.pentagon_residual
+
+    def counting(simplex, *quad):
+        calls.append(quad)
+        return real(simplex, *quad)
+
+    monkeypatch.setattr(nerve, "pentagon_residual", counting)
+    gamma_functor().chain(homs)
+    assert len(calls) == want
+
+
+def twisting_gamma_simplex(dim):
+    """gamma_simplex, except that the first simplex of dimension ``dim`` has
+    its cell (0, 1, 2) multiplied by i before any check: still a valid
+    CorrIso, but not Gamma's value."""
+    twisted = []
+
+    def wrapped(homs, *, validate=True, **kw):
+        s = gamma_simplex(homs, validate=False, **kw)
+        if s.n == dim and not twisted:
+            c = s.cells[(0, 1, 2)]
+            cells = dict(s.cells)
+            cells[(0, 1, 2)] = CorrIso(c.src, c.dst, [1j * u for u in c.blocks])
+            s = NCorrSimplex(s.algebras, s.edges, cells)
+            twisted.append(s)
+        return validate_simplex(s) if validate else s
+
+    return wrapped, twisted
+
+
+@pytest.mark.parametrize(
+    "dim,error", [(2, CompatibilityViolated), (3, PentagonViolated), (4, CompatibilityViolated)]
+)
+def test_every_twisted_gamma_chain_value_is_rejected(dim, error, monkeypatch):
+    """The Gamma analogue of the test above.  At dimension 3 the value's one
+    uncovered pentagon fails; at 2 and 4 no pentagon of the value is
+    computed, and the comparison of a value with its faces' values rejects
+    it.  A 3-simplex makes no chain value above dimension 3, so dimension 4
+    runs on a 4-simplex of algebras C."""
+    wrapped, twisted = twisting_gamma_simplex(dim)
+    monkeypatch.setattr(extension, "gamma_simplex", wrapped)
+    if dim < 4:
+        sig = small_simplex(3, 0)
+    else:
+        sig = random_simplex(np.random.default_rng(34), 4, max_blocks=1, max_size=1, max_mult=1)
+    with pytest.raises(error):
+        extend_bar_G(sig, gamma_functor(), NCorrOracle(), {})
+    assert twisted
 
 
 @pytest.mark.parametrize("target", sorted(TARGETS))

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from corrlab import nerve
 from corrlab.algebra import FdCstarAlgebra, StarHom, make_algebra
 from corrlab.bicategory import find_corr_iso, is_equivalence
+from corrlab.cli import main
 from corrlab.errors import (
     EndpointMismatch,
     NotAnEquivalence,
@@ -62,6 +63,7 @@ from corrlab.nerve import (
     structural_hash,
     validate_simplex,
 )
+from corrlab.serialize import dump_value, load_value
 
 
 def weak_quadruples(n):
@@ -350,6 +352,96 @@ def test_dim5_assembly_fills():
         horn = HornSpec(5, k, {j: face(s5, j) for j in range(6) if j != k})
         filled = fill_inner_horn(horn) if 0 < k < 5 else fill_special_outer_horn(horn)
         assert simplex_close(filled, s5)
+
+
+# ---------------------------------------------------------------------------
+# a fill checks only the triples and quadruples that none of its faces covers
+
+
+def counting_pentagons(monkeypatch):
+    calls = []
+    real = nerve.pentagon_residual
+
+    def counting(simplex, *quad):
+        calls.append(quad)
+        return real(simplex, *quad)
+
+    monkeypatch.setattr(nerve, "pentagon_residual", counting)
+    return calls
+
+
+def horn_of(s, k):
+    return HornSpec(s.n, k, {j: face(s, j) for j in range(s.n + 1) if j != k})
+
+
+def fill(horn):
+    return fill_inner_horn(horn) if horn.k < horn.n else fill_special_outer_horn(horn)
+
+
+@pytest.mark.parametrize("n,want", [(3, 1), (4, 1), (5, 0)])
+def test_a_fill_computes_only_the_pentagons_no_face_covers(n, want, monkeypatch):
+    rng = np.random.default_rng(80 + n)
+    s = random_simplex(rng, n, twist=True, max_blocks=1, max_size=2, max_mult=1)
+    horns = [horn_of(s, k) for k in range(1, n + (n >= 4))]
+    if n == 3:
+        horns.append(horn_of(equivalence_tail_simplex(rng, 2), 3))
+    calls = counting_pentagons(monkeypatch)
+    for horn in horns:
+        calls.clear()
+        fill(horn)
+        assert len(calls) == want, horn.k
+        if n == 4:  # the quadruple of the missing face
+            assert calls == [tuple(x for x in range(5) if x != horn.k)]
+
+
+@pytest.mark.parametrize("n,want", [(3, 1), (4, 0)])
+def test_a_boundary_computes_only_the_pentagons_no_face_covers(n, want, monkeypatch):
+    s = random_simplex(np.random.default_rng(85 + n), n, max_blocks=1, max_size=2, max_mult=1)
+    calls = counting_pentagons(monkeypatch)
+    assemble_boundary({j: face(s, j) for j in range(n + 1)})
+    assert len(calls) == want
+
+
+def test_the_trust_boundary_computes_every_strict_pentagon(tmp_path, monkeypatch, capsys):
+    s = random_simplex(np.random.default_rng(88), 4, max_blocks=1, max_size=2, max_mult=1)
+    path = tmp_path / "s.json"
+    dump_value(s, path)
+    checks = [
+        lambda: validate_simplex(s),
+        lambda: make_simplex(s.algebras, s.edges, s.cells),
+        lambda: load_value(path),
+        lambda: main(["validate", str(path)]),
+    ]
+    calls = counting_pentagons(monkeypatch)
+    for check in checks:
+        calls.clear()
+        check()
+        assert len(calls) == 5
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_a_horn_with_a_twisted_face_cell_fills_only_to_a_valid_simplex(n):
+    """One cell of one face replaced by a phase-twisted copy, a valid
+    CorrIso: each fill either raises or returns a simplex the full check
+    accepts, the verdict of the check on every strict quadruple.  From n = 4
+    up the twisted face is itself invalid and every such horn is refused,
+    by the merge or by the missing face's pentagon."""
+    rng = np.random.default_rng(95 + n)
+    s = random_simplex(rng, n, max_blocks=1, max_size=2, max_mult=1)
+    for k in range(1, n + (n >= 4)):
+        for j in set(range(n + 1)) - {k}:
+            f = face(s, j)
+            for key, c in f.cells.items():
+                z = phases(rng, len(c.blocks))
+                faces = dict(horn_of(s, k).faces)
+                faces[j] = with_cell(f, key, CorrIso(c.src, c.dst, [p * u for p, u in zip(z, c.blocks)]))
+                try:
+                    filled = fill(HornSpec(n, k, faces))
+                except ValidationError:
+                    continue
+                assert n == 3, (k, j, key)
+                validate_simplex(filled)
 
 
 def test_structural_hash_is_stable():

@@ -11,6 +11,7 @@ import io
 import json
 import os
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -70,16 +71,15 @@ from corrlab.subdivision import subdivision_functor
 # serialization
 
 
-def redump(tmp_path_factory, value, *, byte_stable=True):
-    """Dump value, load it back and return the loaded value.  For a
-    byte-stable schema, dumping the loaded value must write the same text."""
+def redump(tmp_path_factory, value):
+    """Dump value, load it back and return the loaded value.  Every schema
+    is byte-stable: dumping the loaded value must write the same text."""
     d = tmp_path_factory.mktemp("roundtrip")
     path = d / "value.json"
     dump_value(value, path)
     back = load_value(path)
-    if byte_stable:
-        dump_value(back, d / "again.json")
-        assert (d / "again.json").read_bytes() == path.read_bytes()
+    dump_value(back, d / "again.json")
+    assert (d / "again.json").read_bytes() == path.read_bytes()
     return back
 
 
@@ -129,17 +129,17 @@ def test_iso_roundtrip(tmp_path_factory, seed, size):
 @settings(max_examples=15)
 @given(seed=SEEDS, n=st.integers(2, 3), twist=st.booleans())
 def test_simplex_and_horn_roundtrip(tmp_path_factory, seed, n, twist):
-    """Not byte-stable: a cell is written as its dense matrix and read back
-    by averaging the n_k copies of each block, which can round unless n_k is
-    a power of two, so these keep the closeness assertions alone."""
+    """Byte-stable: a cell is written as its dense matrix and read back from
+    the first of the n_k copies of each block, which the load checks the
+    others against."""
     rng = np.random.default_rng(seed)
     s = random_simplex(rng, n, twist=twist, max_mult=1)
-    back = redump(tmp_path_factory, s, byte_stable=False)
+    back = redump(tmp_path_factory, s)
     assert simplex_close(back, s)
     validate_simplex(back)
 
     horn = HornSpec(n, 1, {j: face(s, j) for j in range(n + 1) if j != 1})
-    hback = redump(tmp_path_factory, horn, byte_stable=False)
+    hback = redump(tmp_path_factory, horn)
     assert hback.n == n and hback.k == 1
     assert simplex_close(hback.faces[0], horn.faces[0])
 
@@ -230,6 +230,33 @@ def test_cli_make_hom_and_gamma(tmp_path, capsys):
     assert main(["gamma", "--hom", hpath, "--out", cpath]) == 0
     assert main(["validate", cpath]) == 0
     capsys.readouterr()
+
+
+def huge_trace_hom() -> bytes:
+    """``make hom --seed 1`` with matrix[0][0] set to 2**70: a trace no
+    integer multiplicity can hold."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        main(["make", "hom", "--seed", "1"])
+    doc = json.loads(out.getvalue())
+    doc["matrix"][0][0] = 2**70
+    return json.dumps(doc).encode()
+
+
+HUGE_TRACE_HOM = huge_trace_hom()
+
+
+def test_cli_validate_rejects_a_trace_beyond_its_block(tmp_path, capsys):
+    """Refused before the cast to int64, which would warn and make up
+    multiplicities."""
+    path = tmp_path / "hom.json"
+    path.write_bytes(HUGE_TRACE_HOM)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["validate", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert "not a rank in its block" in captured.err
+    assert "unital:" not in captured.out
 
 
 def test_cli_validate_flags_non_multiplicative_hom(tmp_path, capsys):
@@ -831,6 +858,7 @@ FUZZ_ARGV = [
 @given(text=mutated_files())
 @example(text=DEEP_JSON)
 @example(text=NOT_UTF8)
+@example(text=HUGE_TRACE_HOM)
 def test_cli_exit_code_contract_on_mutated_files(text):
     """Each command returns 0, 1 or 2 on a mutated file and raises nothing."""
     with tempfile.TemporaryDirectory() as d:
