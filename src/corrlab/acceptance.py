@@ -20,12 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import EPS, compose_homs, is_full_hom
-from .bicategory import (
-    equivalence_inverse,
-    gamma_multiplicativity,
-    gamma_of_hom,
-    u_of_corr,
-)
+from .bicategory import equivalence_inverse, gamma_multiplicativity, u_of_corr
 from .errors import ValidationError
 from .extension import (
     CstHomotopy,
@@ -47,7 +42,7 @@ from .generators import (
     random_simplex,
 )
 from .linalg import frob, int_inverse
-from .modules import corr_close, identity_corr, iso_distance, tensor_corrs
+from .modules import corr_close, identity_corr, iso_distance
 from .nerve import (
     HornSpec,
     face as simplex_face,
@@ -238,8 +233,7 @@ def suite_gamma_mult(*, seed: int = 42, eps: float = EPS, trials: int = 200) -> 
         tc = time.perf_counter()
         phi, psi = _small_pair(rng)
         try:
-            tp = tensor_corrs(gamma_of_hom(phi, eps=eps), gamma_of_hom(psi, eps=eps), eps=eps)
-            u = gamma_multiplicativity(psi, phi, tp, eps=eps)
+            u = gamma_multiplicativity(psi, phi, eps=eps)
             resid = max(_iso_residuals(u))
             ok = resid <= eps
         except ValidationError:

@@ -27,7 +27,6 @@ from .linalg import EPS, fix_phase, frob, orthonormal_range
 from .modules import (
     CorrIso,
     Correspondence,
-    TensorProduct,
     _intertwiner_blocks,
     _renaming_blocks,
     identity_corr,
@@ -91,15 +90,13 @@ def gamma_of_hom(phi: StarHom, *, eps: float = EPS) -> Correspondence:
     return corr
 
 
-def gamma_multiplicativity(
-    psi: StarHom, phi: StarHom, tp: TensorProduct, *, comp=None, eps: float = EPS
-) -> CorrIso:
+def gamma_multiplicativity(psi: StarHom, phi: StarHom, *, comp=None, eps: float = EPS) -> CorrIso:
     """Canonical intertwiner (Gamma phi) (x) (Gamma psi) -> Gamma(psi . phi).
 
     On representatives it is b (x) c -> psi(b) c, written in the range
     coordinates of the three correspondences.  ``comp`` may supply the
     composite hom; the result lands on its Gamma, the object kept on that
-    hom.  Certified: for ``tp`` = (Gamma phi) (x) (Gamma psi) it is unitary
+    hom, and starts at the product kept on Gamma phi.  Certified: unitary
     and intertwining up to rounding because phi and psi are *-homs.
     """
     if phi.dst != psi.src:
@@ -109,6 +106,7 @@ def gamma_multiplicativity(
     elif comp.src != phi.src or comp.dst != psi.dst:
         raise EndpointMismatch("comp does not have the composite endpoints")
     target = gamma_of_hom(comp, eps=eps)
+    tp = tensor_corrs(gamma_of_hom(phi, eps=eps), gamma_of_hom(psi, eps=eps), eps=eps)
     v_phi = gamma_isometries(phi, eps=eps)
     v_psi = gamma_isometries(psi, eps=eps)
     v_comp = gamma_isometries(comp, eps=eps)
@@ -128,8 +126,8 @@ class CornerFactorization:
     ``linking`` is K(E (+) B); ``j_hom`` maps the source into the E corner,
     ``i_hom`` embeds B into the complementary corner (a full corner
     embedding), ``x_corr`` is the tautological correspondence L -> B, and
-    ``iso: tp.corr -> E`` is the exact factorization intertwiner, a
-    certified coordinate renaming.
+    ``iso`` is the exact factorization intertwiner from
+    tensor_corrs(gamma_j, x_corr).corr to E, a certified coordinate renaming.
     """
 
     linking: FdCstarAlgebra
@@ -137,7 +135,6 @@ class CornerFactorization:
     i_hom: StarHom
     gamma_j: Correspondence
     x_corr: Correspondence
-    tp: TensorProduct
     iso: CorrIso
 
 
@@ -164,7 +161,7 @@ def u_of_corr(corr: Correspondence, *, eps: float = EPS) -> CornerFactorization:
     tp = tensor_corrs(gamma_j, x_corr, eps=eps)
 
     iso = CorrIso._trusted(tp.corr, corr, _renaming_blocks(tp, corr))
-    return CornerFactorization(linking, j_hom, i_hom, gamma_j, x_corr, tp, iso)
+    return CornerFactorization(linking, j_hom, i_hom, gamma_j, x_corr, iso)
 
 
 @dataclass(frozen=True)
@@ -174,16 +171,14 @@ class EquivalenceWitness:
     ``block_map[i]`` is the B block matched to A block i by the left action,
     ``unitaries[i]`` conjugates A block i onto the corresponding compact
     block.  The counits contract E (x) inverse -> id_A and
-    inverse (x) E -> id_B.
+    inverse (x) E -> id_B; they start at the products tensor_corrs keeps.
     """
 
     corr: Correspondence
     inverse: Correspondence
     block_map: tuple
     unitaries: tuple
-    tp_left: TensorProduct
     counit_left: CorrIso
-    tp_right: TensorProduct
     counit_right: CorrIso
 
 
@@ -266,9 +261,7 @@ def equivalence_inverse(corr: Correspondence, *, eps: float = EPS) -> Equivalenc
     counit_right = CorrIso._trusted(
         tp_right.corr, id_b, _intertwiner_blocks(tp_right, id_b, act_right)
     )
-    return EquivalenceWitness(
-        corr, inverse, tuple(block_map), tuple(us), tp_left, counit_left, tp_right, counit_right
-    )
+    return EquivalenceWitness(corr, inverse, tuple(block_map), tuple(us), counit_left, counit_right)
 
 
 def is_equivalence(corr: Correspondence, *, eps: float = EPS) -> bool:

@@ -17,6 +17,8 @@ projections P_jk = lambda_F(e^(j)_{11}) restricted to base block k.  An
 orthonormalisation R_jk of P_jk turns each group into r_jk = rank(P_jk)
 coordinate rows, so the tensor module has multiplicity
 Q_k = sum_j m_j r_jk with rows ordered (j, a, t), j and a and t ascending.
+tensor_corrs is the one place a product is built: it keeps E (x) F on E, one
+per (F, eps), for as long as E lives.
 """
 from __future__ import annotations
 
@@ -134,10 +136,11 @@ class Correspondence:
     """A proper correspondence: a module plus a unital left action by compacts.
 
     Immutable.  Its data as the right factor of a tensor product is derived
-    once per eps on first use (``_frame``) and shared by every product.
+    once per eps on first use (``_frame``) and shared by every product; the
+    products with it on the left are kept in ``_products`` (tensor_corrs).
     """
 
-    __slots__ = ("src", "module", "lam", "_frames", "__weakref__")
+    __slots__ = ("src", "module", "lam", "_frames", "_products", "__weakref__")
 
     def __init__(self, src: FdCstarAlgebra, module: HilbertModule, lam: StarHom):
         if lam.src != src or lam.dst != module.compacts:
@@ -148,6 +151,7 @@ class Correspondence:
         self.module = module
         self.lam = lam
         self._frames = {}
+        self._products = {}
 
     @property
     def dst(self) -> FdCstarAlgebra:
@@ -437,7 +441,14 @@ class TensorProduct:
 
 
 def tensor_corrs(left: Correspondence, right: Correspondence, *, eps: float = EPS) -> TensorProduct:
-    return TensorProduct(left, right, eps=eps)
+    """E (x)_B F, built on first use and kept on E under (id(F), eps), so
+    every caller shares one product per pair; one that raises is not kept.
+    The id is a safe key: the kept product holds F, so it is not reused."""
+    key = (id(right), eps)
+    tp = left._products.get(key)
+    if tp is None:
+        tp = left._products[key] = TensorProduct(left, right, eps=eps)
+    return tp
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:

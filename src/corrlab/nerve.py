@@ -13,7 +13,8 @@ validate_simplex).
 
 Monotone reindexing (apply_map) is pure lookup, so shared faces of two
 simplices are shared objects, byte for byte; horn assembly relies on that
-and rejects faces that merely look alike numerically.
+and rejects faces that merely look alike numerically.  Simplices store no
+tensor products: all read the one tensor_corrs keeps on the left edge.
 
 Fills: an inner (2,1)-horn composes its two edges; (3,k)-horns solve the
 pentagon for the one missing intertwiner, where k = 3 extracts it from a
@@ -96,7 +97,7 @@ class NCorrSimplex:
     and endpoints only; numeric validity is validate_simplex's job.
     """
 
-    __slots__ = ("n", "algebras", "edges", "cells", "_units", "_tps", "_shash")
+    __slots__ = ("n", "algebras", "edges", "cells", "_units", "_shash")
 
     def __init__(self, algebras, edges, cells):
         algebras = tuple(algebras)
@@ -116,7 +117,6 @@ class NCorrSimplex:
         self.edges = dict(edges)
         self.cells = dict(cells)
         self._units = {}  # built unitor cells
-        self._tps = {}
         self._shash = None
 
     def edge(self, i: int, j: int) -> Correspondence:
@@ -140,23 +140,8 @@ class NCorrSimplex:
         return u
 
     def tp(self, i: int, j: int, k: int) -> TensorProduct:
-        """Cached E_ij (x) E_jk."""
-        key = (i, j, k)
-        if key not in self._tps:
-            self._tps[key] = tensor_corrs(self.edge(i, j), self.edge(j, k))
-        return self._tps[key]
-
-    def tp_left(self, i, j, k, l) -> TensorProduct:
-        key = ("L", i, j, k, l)
-        if key not in self._tps:
-            self._tps[key] = tensor_corrs(self.tp(i, j, k).corr, self.edge(k, l))
-        return self._tps[key]
-
-    def tp_right(self, i, j, k, l) -> TensorProduct:
-        key = ("R", i, j, k, l)
-        if key not in self._tps:
-            self._tps[key] = tensor_corrs(self.edge(i, j), self.tp(j, k, l).corr)
-        return self._tps[key]
+        """E_ij (x) E_jk, the product kept on E_ij (tensor_corrs)."""
+        return tensor_corrs(self.edge(i, j), self.edge(j, k))
 
     def __repr__(self):
         return f"NCorrSimplex(n={self.n}, algebras={[a.blocks for a in self.algebras]})"
@@ -184,7 +169,8 @@ def make_simplex(algebras, edges, cells, *, eps: float = EPS, validate: bool = T
 def pentagon_residual(s: NCorrSimplex, i, j, k, l) -> float:
     """Residual of u_ikl . (u_ijk (x) id) = u_ijl . (id (x) u_jkl) . assoc
     as maps (E_ij (x) E_jk) (x) E_kl -> E_il."""
-    t_l, t_r = s.tp_left(i, j, k, l), s.tp_right(i, j, k, l)
+    t_l = tensor_corrs(s.tp(i, j, k).corr, s.edge(k, l))
+    t_r = tensor_corrs(s.edge(i, j), s.tp(j, k, l).corr)
     ass = associator(s.tp(i, j, k), t_l, s.tp(j, k, l), t_r)
     left = tensor_iso(s.cell(i, j, k), identity_iso(s.edge(k, l)), t_l, s.tp(i, k, l))
     right = tensor_iso(identity_iso(s.edge(i, j)), s.cell(j, k, l), t_r, s.tp(i, j, l))
@@ -200,9 +186,10 @@ def _check_uncovered(s: NCorrSimplex, faces, eps: float) -> float:
     pentagon at t must hold (PentagonViolated).  With no faces this is
     validate_simplex.  Sound when the faces are valid simplices that s
     agrees with, as the horn merge (IncompatibleFaces) and the extension's
-    face comparison ensure: a covered t's data are then that face's copies
-    (within eps; bit-identical in every run measured), and that face was
-    checked where it was made.
+    face comparison ensure: each skipped t's data are then within eps of a
+    checked face's copies, so its residual is within a few eps of the one
+    checked there.  Not always the same bits: a guided fill at n = 4 keeps
+    the preferred face's copy of an edge that another face rounds otherwise.
     """
     uncovered = set(faces).issubset
     ids = range(s.n + 1)
@@ -382,9 +369,8 @@ def gamma_simplex(phis, *, eps: float = EPS, validate: bool = True, composites=N
     for i in range(n + 1):
         for j in range(i + 1, n + 1):
             for k in range(j + 1, n + 1):
-                t = tensor_corrs(edges[(i, j)], edges[(j, k)], eps=eps)
                 cells[(i, j, k)] = gamma_multiplicativity(
-                    comp[(j, k)], comp[(i, j)], t, comp=comp[(i, k)], eps=eps
+                    comp[(j, k)], comp[(i, j)], comp=comp[(i, k)], eps=eps
                 )
     return make_simplex(algebras, edges, cells, eps=eps, validate=validate)
 
@@ -511,7 +497,7 @@ def fill_special_outer_horn(horn: HornSpec, witness=None, *, eps: float = EPS) -
             e01 = t1.corr
             edges[(0, 1)] = e01
             t2 = tensor_corrs(e01, edges[(1, 2)], eps=eps)
-            t_r = witness.tp_right
+            t_r = tensor_corrs(inv, witness.corr, eps=eps)
             t_e_fg = tensor_corrs(edges[(0, 2)], t_r.corr, eps=eps)
             ass = associator(t1, t2, t_r, t_e_fg)
             t_unit = tensor_corrs(edges[(0, 2)], identity_corr(algebras[2]), eps=eps)
@@ -562,7 +548,13 @@ def _missing_triple(k: int):
 
 
 def _solve_pentagon(edges, cells, k, eps):
-    """The unique u making the (0,1,2,3) pentagon commute, k in {1, 2, 3}."""
+    """The unique u making the (0,1,2,3) pentagon commute, k in {1, 2, 3}.
+
+    At k = 3, u solves u (x) id = T = u_023^* u_013 (id (x) u_123) a and is
+    checked only as a CorrIso: u_023 is block-unitary, so |u (x) id - T| is
+    the pentagon residual at (0, 1, 2, 3) up to rounding, which the fill
+    checks as no face of the horn covers it.
+    """
     e01, e12, e23 = edges[(0, 1)], edges[(1, 2)], edges[(2, 3)]
     e02, e13 = edges[(0, 2)], edges[(1, 3)]
     t01_12 = tensor_corrs(e01, e12, eps=eps)
@@ -608,8 +600,4 @@ def _solve_pentagon(edges, cells, k, eps):
         if m_dst > 0 and den == 0:
             raise Unfillable(f"extraction ill posed at block {j}: last edge acts by zero")
         blocks.append(num / den if den else num)
-    u = CorrIso(t01_12.corr, e02, blocks, eps=eps)
-    resid = iso_distance(tensor_iso(u, identity_iso(e23), t_l, t02_23, eps=eps), t_mat)
-    if resid > eps:
-        raise IncompatibleFaces("no fill matches the given faces", resid)
-    return u
+    return CorrIso(t01_12.corr, e02, blocks, eps=eps)

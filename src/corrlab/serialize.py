@@ -372,9 +372,8 @@ def simplex_from_json(doc, *, eps: float = EPS, validate: bool = True, where="nc
         i, j, k = _index_pair(rec, ("i", "j", "k"), n, here)
         if not i < j < k:
             raise SchemaError(f"{here}: needs i < j < k")
-        # the cell source is the tensor product of the two edges, rebuilt here;
-        # the presentation is deterministic so the coordinates agree with the
-        # ones the unitary was written in
+        # the cell source is the tensor product of the two edges, whose
+        # deterministic coordinates are the ones the unitary was written in
         tp = tensor_corrs(edges[(i, j)], edges[(j, k)], eps=eps)
         target = edges[(i, k)]
         m = matrix_from_json(

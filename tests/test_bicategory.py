@@ -72,14 +72,14 @@ def test_gamma_of_corner_embedding_cuts_the_module():
 def test_gamma_multiplicativity_residuals(seed):
     rng = np.random.default_rng(seed)
     phi, psi = random_chain(rng, 2, max_blocks=2, max_size=2, max_mult=1)
-    tp = tensor_corrs(gamma_of_hom(phi), gamma_of_hom(psi))
-    w = gamma_multiplicativity(psi, phi, tp)
+    w = gamma_multiplicativity(psi, phi)
     assert max(_iso_residuals(w)) < 1e-9
-    assert corr_close(w.src, tp.corr)
+    # it starts at the product kept on Gamma phi
+    assert w.src is tensor_corrs(gamma_of_hom(phi), gamma_of_hom(psi)).corr
     # with a supplied composite it lands on the Gamma kept on that hom
     comp = compose_homs(psi, phi)
     target = gamma_of_hom(comp)
-    w2 = gamma_multiplicativity(psi, phi, tp, comp=comp)
+    w2 = gamma_multiplicativity(psi, phi, comp=comp)
     assert w2.dst is target
 
 
@@ -87,9 +87,8 @@ def test_gamma_multiplicativity_rejects_non_composable():
     rng = np.random.default_rng(1)
     a, b = make_algebra((2,)), make_algebra((3,))
     phi = embedding_hom(a, b, np.array([[1]]), rng)
-    tp = tensor_corrs(gamma_of_hom(phi), gamma_of_hom(identity_hom(b)))
     with pytest.raises(EndpointMismatch):
-        gamma_multiplicativity(phi, phi, tp)
+        gamma_multiplicativity(phi, phi)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -192,7 +191,7 @@ def test_certified_constructions_pass_validation(seed):
     fact = u_of_corr(corr)
     assert_certified(fact.j_hom)
     assert_certified(fact.i_hom)
-    assert_certified(fact.tp.corr.lam)
+    assert_certified(tensor_corrs(fact.gamma_j, fact.x_corr).corr.lam)
     assert_certified(tensor_corrs(gamma_of_hom(phi), gamma_of_hom(psi)).corr.lam)
     assert_certified(direct_sum_corrs([corr, corr])[0].lam)
     e = random_equivalence(random_algebra(rng, max_blocks=2, max_size=2), rng)

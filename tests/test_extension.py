@@ -2,11 +2,12 @@
 
 import gc
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from corrlab import extension, nerve
+from corrlab import extension, modules, nerve
 from corrlab.acceptance import conjugated_k0, k0_of_corr, random_unimodular
 from corrlab.algebra import compose_homs
 from corrlab.bicategory import u_of_corr
@@ -253,13 +254,42 @@ def test_k0_extension_at_dimension_4_is_the_rank_matrix():
         assert np.array_equal(top.edge(i, j), k0_of_corr(e))
 
 
-def test_guided_extension_is_a_section_at_dimension_4():
+def test_guided_extension_is_a_section_at_dimension_4(monkeypatch):
     # the functor has a section, so the run is guided and lands on sig
     homs = random_chain(np.random.default_rng(0), 4, max_blocks=1, max_size=1, max_mult=1)
     sig = gamma_simplex(homs)
+    built = []
+    init = NCorrSimplex.__init__
+
+    def recording(self, *args):
+        init(self, *args)
+        built.append(self)
+
+    monkeypatch.setattr(NCorrSimplex, "__init__", recording)
     ext = extend_bar_G(sig, gamma_functor(homs), NCorrOracle(), {})
     assert any(e["guided"] for e in ext.trace)
     assert structural_hash(ext.top()) == structural_hash(sig)
+    # the fills skip what their faces cover, though shared edges may differ
+    # from a face's copy in bits (nerve._check_uncovered): the full check
+    # passes on every simplex the run built all the same
+    assert max(s.n for s in built) >= 4
+    for s in built:
+        validate_simplex(s)
+
+
+def test_gamma_extension_builds_each_tensor_product_once(monkeypatch):
+    built, alive = Counter(), []
+
+    class Counting(modules.TensorProduct):
+        def __init__(self, left, right, *, eps):
+            alive.append((left, right))  # no id is reused while the run counts
+            built[id(left), id(right), eps] += 1
+            super().__init__(left, right, eps=eps)
+
+    monkeypatch.setattr(modules, "TensorProduct", Counting)
+    homs = random_chain(np.random.default_rng(1), 3, max_blocks=1, max_size=1)
+    extend_bar_G(gamma_simplex(homs), gamma_functor(homs), NCorrOracle(), {})
+    assert built and set(built.values()) == {1}
 
 
 def relative_setup(rng, n, twist):

@@ -128,7 +128,8 @@ def check_unitors(rng):
     tp = tensor_corrs(e, identity_corr(b))
     assert_matches(right_unitor(tp), reference_blocks(tp, e, rename), exact=True)
     fact = u_of_corr(e)
-    assert_matches(fact.iso, reference_blocks(fact.tp, e, rename), exact=True)
+    tp = tensor_corrs(fact.gamma_j, fact.x_corr)
+    assert_matches(fact.iso, reference_blocks(tp, e, rename), exact=True)
 
 
 def random_hom(src, rng):
@@ -149,11 +150,11 @@ def check_gamma_multiplicativity(rng):
         phi = random_hom(small_algebra(rng), rng)
         psi = random_hom(phi.dst, rng)
         try:
-            tp = tensor_corrs(gamma_of_hom(phi), gamma_of_hom(psi))
-            u = gamma_multiplicativity(psi, phi, tp)
+            u = gamma_multiplicativity(psi, phi)
             break
         except InvalidAlgebra:
             continue
+    tp = tensor_corrs(gamma_of_hom(phi), gamma_of_hom(psi))
     v_phi, v_psi = gamma_isometries(phi), gamma_isometries(psi)
     v_comp = gamma_isometries(compose_homs(psi, phi))
 
@@ -190,8 +191,9 @@ def check_counits(rng):
         out.mats[k][r, :] = us[i][:, 0].conj() @ x.mats[k]
         return out
 
-    assert_matches(w.counit_left, reference_blocks(w.tp_left, id_a, act_left))
-    assert_matches(w.counit_right, reference_blocks(w.tp_right, id_b, act_right))
+    tp_left, tp_right = tensor_corrs(e, w.inverse), tensor_corrs(w.inverse, e)
+    assert_matches(w.counit_left, reference_blocks(tp_left, id_a, act_left))
+    assert_matches(w.counit_right, reference_blocks(tp_right, id_b, act_right))
 
 
 def check_associator(rng):

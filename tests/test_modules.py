@@ -459,14 +459,30 @@ def bit_equal(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def kept_products(s):
+    """Every product kept on s's edges, and on those products' correspondences."""
+    todo = [*s.edges.values(), *(s.edge(i, i) for i in range(s.n + 1))]
+    seen, out = set(), []
+    while todo:
+        e = todo.pop()
+        if id(e) not in seen:
+            seen.add(id(e))
+            out += e._products.values()
+            todo += [tp.corr for tp in e._products.values()]
+    return out
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_shared_frames_are_bit_equal_to_fresh_builds(seed):
     s = random_simplex(np.random.default_rng(300 + seed), 3, twist=bool(seed % 2), max_mult=2)
     nerve.validate_simplex(s)
     for i, j, k in combinations_with_replacement(range(s.n + 1), 3):
         s.cell(i, j, k)
-    assert s._tps
-    for tp in s._tps.values():
+    tps = kept_products(s)
+    # the pentagons read (E_ij (x) E_jk) (x) E_kl, kept on a product
+    corrs = {id(tp.corr) for tp in tps}
+    assert any(id(tp.left) in corrs for tp in tps)
+    for tp in tps:
         r, proj, onb = fresh_frame(tp.left, tp.right)
         assert bit_equal(tp.r, r)
         for j, k in np.ndindex(*r.shape):
@@ -501,6 +517,24 @@ def test_failing_rank_check_raises_every_time():
         with pytest.raises(ShapeMismatch, match="rank of lambda"):
             tensor_corrs(identity_corr(a), bad)
     assert bad._frames == {}
+    assert identity_corr(a)._products == {}
+
+
+def test_products_are_kept_once_per_pair_and_eps():
+    s = random_simplex(np.random.default_rng(8), 2, twist=True, max_mult=2)
+    e, f = s.edge(0, 1), s.edge(1, 2)
+    t = tensor_corrs(e, f)
+    assert tensor_corrs(e, f) is t and s.tp(0, 1, 2) is t
+    assert tensor_corrs(e, f, eps=1e-7) is not t
+    f2 = Correspondence(f.src, f.module, f.lam)
+    assert tensor_corrs(e, f2) is not t
+    # bit-equal to a product built afresh from copies, frame and all
+    e2 = Correspondence(e.src, e.module, e.lam)
+    fresh = modules.TensorProduct(e2, Correspondence(f.src, f.module, f.lam))
+    assert fresh.onb is not t.onb
+    assert bit_equal(fresh.corr.lam.matrix, t.corr.lam.matrix)
+    for j, k in np.ndindex(*t.r.shape):
+        assert bit_equal(fresh.onb[j][k], t.onb[j][k])
 
 
 def test_identity_corr_is_kept_on_its_algebra():

@@ -20,6 +20,7 @@ from corrlab.cli import main
 from corrlab.errors import (
     EndpointMismatch,
     NotAnEquivalence,
+    NotIntertwining,
     NotUnitary,
     IncompatibleFaces,
     PentagonViolated,
@@ -246,6 +247,30 @@ def test_special_outer_fill_dim3(seed):
     horn = HornSpec(3, 3, {j: face(s, j) for j in range(3)})
     filled = fill_special_outer_horn(horn)
     assert iso_distance(filled.cells[(0, 1, 2)], s.cells[(0, 1, 2)]) < 1e-9
+
+
+def test_special_3_horn_with_a_moved_face_cell_is_refused():
+    """u_012 is read off T = u_023^* u_013 (id (x) u_123) a and no longer
+    compared with T afterwards (see nerve._solve_pentagon).  A face cell moved
+    1e-6 by a unitary, so no longer intertwining, is still refused: by the
+    CorrIso check of u_012 or by the pentagon at (0, 1, 2, 3)."""
+    rng = np.random.default_rng(501)
+    s = equivalence_tail_simplex(rng, 2)
+    refused = 0
+    for j in range(3):
+        f = face(s, j)
+        ((key, c),) = f.cells.items()
+        for b, u in enumerate(c.blocks):
+            z = rng.standard_normal(u.shape) + 1j * rng.standard_normal(u.shape)
+            w, v = np.linalg.eigh(1e-6 * (z + z.conj().T))
+            blocks = list(c.blocks)
+            blocks[b] = (v * np.exp(1j * w)) @ v.conj().T @ u
+            moved = with_cell(f, key, CorrIso._trusted(c.src, c.dst, blocks))
+            faces = {**horn_of(s, 3).faces, j: moved}
+            with pytest.raises((NotUnitary, NotIntertwining, PentagonViolated)):
+                fill_special_outer_horn(HornSpec(3, 3, faces))
+            refused += 1
+    assert refused == 6
 
 
 @pytest.mark.parametrize("seed", range(3))

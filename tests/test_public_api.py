@@ -1,7 +1,10 @@
 """Every name a corrlab module exports in ``__all__`` exists, so a stale
-export of a removed name fails here rather than at a user's import."""
+export of a removed name fails here rather than at a user's import; and
+tensor products have one constructor call."""
 
+import ast
 import importlib
+import pathlib
 import pkgutil
 
 import pytest
@@ -20,3 +23,33 @@ def test_every_exported_name_resolves(name):
     module = importlib.import_module(name)
     missing = [x for x in getattr(module, "__all__", ()) if not hasattr(module, x)]
     assert not missing, f"{name}.__all__ names {missing}"
+
+
+def callers(tree, name):
+    """Names of the functions (or <module>) holding a call of ``name``."""
+    out = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                f = child.func
+                if getattr(f, "id", getattr(f, "attr", None)) == name:
+                    out.append(scope)
+            visit(child, scope)
+
+    visit(tree, "<module>")
+    return out
+
+
+def test_tensor_products_are_built_only_by_tensor_corrs():
+    """The product kept per pair, and the per-layer benchmark's span around
+    tensor_corrs, both count on TensorProduct(...) being called nowhere else."""
+    found = [
+        (path.name, scope)
+        for path in sorted(pathlib.Path(corrlab.__file__).parent.glob("*.py"))
+        for scope in callers(ast.parse(path.read_text()), "TensorProduct")
+    ]
+    assert found == [("modules.py", "tensor_corrs")]
