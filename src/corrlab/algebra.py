@@ -137,12 +137,10 @@ class FdCstarAlgebra:
         return AlgElement(self, mats)
 
     def adjoint_perm(self) -> np.ndarray:
-        """Permutation p with vec(x*) = conj(vec(x))[p]."""
-        p = np.empty(self.dim, dtype=np.intp)
-        for flat, i, a, c in self.basis_triples():
-            n = self.blocks[i]
-            p[flat] = self._offsets[i] + c * n + a
-        return p
+        """Permutation p with vec(x*) = conj(vec(x))[p]: per block, its
+        entries' flat indices, transposed."""
+        runs = [np.arange(o, o + n * n, dtype=np.intp) for o, n in zip(self._offsets, self.blocks)]
+        return np.concatenate([r.reshape(n, n).T.ravel() for r, n in zip(runs, self.blocks)])
 
 
 def make_algebra(blocks, label: str = "") -> FdCstarAlgebra:

@@ -7,14 +7,15 @@ with ``validate=True``.  They raise one of these on failure.  Canonical
 constructions from valid inputs are certified by construction and not
 re-checked: the ``StarHom`` built by ``identity_hom``, ``compose_homs``,
 ``gamma_of_hom``, ``u_of_corr``, ``equivalence_inverse``,
-``direct_sum_corrs``, tensor products, corner inclusions and subdivision
-connecting homs (from Bratteli data through ``_bratteli_hom``, which keeps
-the data on the hom, or by a block map over an existing action), and the
-canonical intertwiners:
-``identity_iso``, ``left_unitor``, ``right_unitor``, ``associator``,
-``gamma_multiplicativity``, the ``u_of_corr`` factorization iso, the
-``equivalence_inverse`` counits, ``tensor_iso``, and the adjoints and
-composites of valid intertwiners.  ``make_iso`` stays checking.  A
+``direct_sum_corrs``, tensor products, corner inclusions, subdivision
+connecting homs and the generators ``embedding_hom`` and ``twist_edge``
+(from Bratteli data through ``_bratteli_hom``, which keeps the data on the
+hom, or by a block map over an existing action), and the canonical
+intertwiners: ``identity_iso``, ``left_unitor``, ``right_unitor``,
+``associator``, ``gamma_multiplicativity``, the ``u_of_corr``
+factorization iso, the ``equivalence_inverse`` counits, ``tensor_iso``,
+``twist_edge``'s cells, and the adjoints and composites of valid
+intertwiners.  ``make_iso`` stays checking.  A
 simplex's identity edges and unit cells are not data at all:
 ``NCorrSimplex`` derives them from the unitors and refuses them as input,
 so normality needs no check.  JSON parse bounds every ``blocks`` and

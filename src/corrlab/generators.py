@@ -3,23 +3,18 @@
 Everything takes an explicit numpy Generator so test sweeps are
 reproducible.  Sizes are kept small by default; tensor products grow
 multiplicatively and the point of a sweep is coverage, not bulk.
+
+Generators build certified values from QR unitaries (each docstring says
+why they are valid up to rounding) and do not re-check them; checks run on
+data from outside, in the ``make_*`` constructors and at JSON load.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .algebra import AlgElement, FdCstarAlgebra, StarHom, _conjugation_matrix, make_star_hom
+from .algebra import AlgElement, FdCstarAlgebra, StarHom, _bratteli_hom
 from .errors import ShapeMismatch
-from .linalg import EPS
-from .modules import (
-    Correspondence,
-    CorrIso,
-    compose_isos,
-    make_correspondence,
-    make_module,
-    tensor_corrs,
-    tensor_iso,
-)
+from .modules import Correspondence, CorrIso, compose_isos, make_module, tensor_corrs, tensor_iso
 from .nerve import NCorrSimplex, apply_map, gamma_simplex, identity_iso
 
 __all__ = [
@@ -67,6 +62,10 @@ def embedding_hom(src: FdCstarAlgebra, dst: FdCstarAlgebra, mult, rng=None) -> S
     block l, zero-padded if room is left; conjugated by a random unitary per
     block when rng is given.  Unital exactly when the multiplicities fill
     every dst block.
+
+    Certified, keeping its Bratteli data as ``_ws`` (nonzero r only): each
+    W_li is r n_i columns of one unitary, and the columns of a unitary are
+    isometries with orthogonal ranges, so this is a *-hom up to rounding.
     """
     mult = np.asarray(mult, dtype=np.int64)
     if mult.shape != (src.nblocks, dst.nblocks):
@@ -84,10 +83,11 @@ def embedding_hom(src: FdCstarAlgebra, dst: FdCstarAlgebra, mult, rng=None) -> S
         o, w_l = 0, {}
         for i, n in enumerate(src.blocks):
             r = int(mult[i, l])
-            w_l[i] = u[:, o : o + r * n].reshape(nl, r, n).transpose(0, 2, 1)
+            if r:
+                w_l[i] = u[:, o : o + r * n].reshape(nl, r, n).transpose(0, 2, 1)
             o += r * n
         ws.append(w_l)
-    return make_star_hom(src, dst, _conjugation_matrix(src, dst, ws))
+    return _bratteli_hom(src, dst, ws)
 
 
 def random_unital_hom(src: FdCstarAlgebra, rng, max_blocks: int = 2, max_mult: int = 2) -> StarHom:
@@ -157,7 +157,11 @@ def random_simplex(rng, n: int, twist: bool = False, **chain_kw) -> NCorrSimplex
 def twist_edge(s: NCorrSimplex, i0: int, j0: int, rng) -> NCorrSimplex:
     """Conjugate edge (i0, j0) by a random unitary and fix up every strict
     cell that touches it; the result is a valid simplex with the same shape
-    (its unit cells are derived from the new edge)."""
+    (its unit cells are derived from the new edge).
+
+    Certified: conjugating the *-hom lam by block unitaries V gives a *-hom
+    that V intertwines with lam, and a product of unitaries that lands on the
+    new edge stays unitary and intertwining, all up to rounding."""
     if not (0 <= i0 < j0 <= s.n):
         raise ShapeMismatch(f"({i0}, {j0}) is not a strict edge")
     old = s.edges[(i0, j0)]
@@ -169,8 +173,8 @@ def twist_edge(s: NCorrSimplex, i0: int, j0: int, rng) -> NCorrSimplex:
         u, o = blocks[old.module.kept[kp]], d.offset(kp)
         imgs = old.lam.matrix[o : o + mk * mk].T.copy().reshape(-1, mk, mk)
         d.block_rows(lam_new, kp)[:] = (u @ imgs @ u.conj().T).transpose(1, 2, 0)
-    new = make_correspondence(old.src, old.module, lam_new)
-    v_iso = CorrIso(old, new, blocks)
+    new = Correspondence(old.src, old.module, StarHom(old.src, d, lam_new))
+    v_iso = CorrIso._trusted(old, new, blocks)
     edges = dict(s.edges)
     edges[(i0, j0)] = new
     cells = dict(s.cells)
@@ -182,20 +186,17 @@ def twist_edge(s: NCorrSimplex, i0: int, j0: int, rng) -> NCorrSimplex:
             continue
         cur = u
         if touches_target:
-            cur = CorrIso(cur.src, new, [blocks[p] @ b for p, b in enumerate(cur.blocks)])
+            cur = CorrIso._trusted(cur.src, new, [blocks[p] @ b for p, b in enumerate(cur.blocks)])
         if touches_left or touches_right:
-            lft = edges[(i, j)]
-            rgt = edges[(j, k)]
+            lft, rgt = edges[(i, j)], edges[(j, k)]
             t_new = tensor_corrs(lft, rgt)
-            t_old = tensor_corrs(
-                old if touches_left else lft, old if touches_right else rgt
-            )
+            t_old = tensor_corrs(old if touches_left else lft, old if touches_right else rgt)
             back = tensor_iso(
                 v_iso.inverse() if touches_left else identity_iso(lft),
                 v_iso.inverse() if touches_right else identity_iso(rgt),
                 t_new,
                 t_old,
             )
-            cur = compose_isos(CorrIso(t_old.corr, cur.dst, cur.blocks), back)
+            cur = compose_isos(cur, back)
         cells[(i, j, k)] = cur
     return NCorrSimplex(s.algebras, edges, cells)

@@ -97,6 +97,16 @@ def test_adjoint_perm_is_involutive():
     assert frob(x.adjoint().to_vec() - x.to_vec().conj()[p]) < 1e-12
 
 
+@pytest.mark.parametrize("blocks", [(1,), (3, 1), (7, 2, 5), (14, 4)])
+def test_adjoint_perm_matches_the_basis_loop(blocks):
+    a = make_algebra(blocks)
+    p = np.empty(a.dim, dtype=np.intp)
+    for flat, i, r, c in a.basis_triples():
+        p[flat] = a.offset(i) + c * a.blocks[i] + r
+    assert a.adjoint_perm().dtype == np.intp
+    assert np.array_equal(a.adjoint_perm(), p)
+
+
 def test_embedding_hom_validates():
     rng = np.random.default_rng(7)
     src, dst = make_algebra((2,)), make_algebra((2, 1))

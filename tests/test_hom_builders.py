@@ -10,24 +10,50 @@ or by one batched block map over every column of an existing action
 reference to 1e-12 entrywise, bit for bit where the reference only copied
 0/1 entries or entries of an existing matrix, and pass make_star_hom at
 eps = 1e-12 with the reference's multiplicities and unitality.
+
+The generators (embedding_hom, twist_edge) build certified values and run
+no check on them.  The last section is the differential test for the
+checks they skip: their outputs pass make_star_hom and CorrIso at
+eps = 1e-12, and the trust boundary still refuses a corrupted output.
 """
 
+import contextlib
+import io
+import os
+import tempfile
+
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from corrlab.algebra import FdCstarAlgebra, StarHom, corner_algebra, make_star_hom
+from corrlab.algebra import (
+    FdCstarAlgebra,
+    StarHom,
+    _bratteli_hom,
+    _composite_residual,
+    _compose_ws,
+    _star_residual,
+    compose_homs,
+    corner_algebra,
+    make_star_hom,
+)
 from corrlab.bicategory import equivalence_inverse, gamma_isometries, gamma_of_hom, u_of_corr
+from corrlab.cli import main
+from corrlab.errors import NotMultiplicative
 from corrlab.generators import (
     embedding_hom,
     random_algebra,
     random_correspondence,
     random_equivalence,
     random_simplex,
+    random_unital_hom,
     random_unitary,
     twist_edge,
 )
-from corrlab.modules import direct_sum_corrs, make_module
+from corrlab.modules import CorrIso, direct_sum_corrs, make_module
+from corrlab.nerve import validate_simplex
+from corrlab.serialize import dump_value
 from corrlab.subdivision import _nonempty_subsets, connecting_hom, module_E_S
 
 
@@ -322,3 +348,116 @@ def test_hom_builders_match_the_column_reference(seed):
     check_linking_and_inverse(rng)
     check_direct_sum(rng)
     check_connecting_and_twist(rng, seed)
+
+
+# ---------------------------------------------------------------------------
+# the generators skip make_star_hom and CorrIso: what those would check holds
+
+
+@st.composite
+def embeddings(draw):
+    """(src, dst, mult, seed): multiplicities 0..2, a zero row or column
+    allowed, and up to one spare dimension per dst block (non-unital)."""
+    src = FdCstarAlgebra(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
+    nd = draw(st.integers(1, 3))
+    row = st.lists(st.integers(0, 2), min_size=nd, max_size=nd)
+    mult = np.array(draw(st.lists(row, min_size=src.nblocks, max_size=src.nblocks)))
+    spare = draw(st.lists(st.integers(0, 1), min_size=nd, max_size=nd))
+    sizes = mult.T @ np.array(src.blocks) + np.array(spare)
+    dst = FdCstarAlgebra(tuple(max(int(x), 1) for x in sizes))
+    return src, dst, mult, draw(st.integers(0, 2**32 - 1))
+
+
+def ws_keys(phi):
+    return {(l, i) for l, w_l in enumerate(phi._ws) for i in w_l}
+
+
+def nonzero_keys(phi):
+    return {(int(l), int(i)) for i, l in zip(*np.nonzero(phi.mult_matrix))}
+
+
+def assert_star_hom(phi):
+    checked = make_star_hom(phi.src, phi.dst, phi.matrix, eps=1e-12)
+    assert np.array_equal(checked.mult_matrix, phi.mult_matrix)
+
+
+@settings(max_examples=60)
+@given(embeddings())
+@example((FdCstarAlgebra((2, 1)), FdCstarAlgebra((3, 2)), np.array([[1, 0], [0, 0]]), 0))
+@example((FdCstarAlgebra((1,)), FdCstarAlgebra((1, 1)), np.array([[1, 0]]), 1))
+def test_generator_homs_pass_the_checks_they_skip(case):
+    src, dst, mult, seed = case
+    rng = np.random.default_rng(seed)
+    phi = embedding_hom(src, dst, mult, rng)
+    assert np.array_equal(phi.mult_matrix, mult)
+    assert_star_hom(phi)
+    # one _ws convention: an entry for each nonzero multiplicity, no (m, n, 0)
+    assert ws_keys(phi) == nonzero_keys(phi)
+    for hom in (
+        random_unital_hom(src, rng),
+        random_correspondence(src, dst, rng, max_mult=2).lam,
+        random_equivalence(dst, rng).lam,
+    ):
+        assert_star_hom(hom)
+        assert ws_keys(hom) == nonzero_keys(hom)
+
+
+@settings(max_examples=40)
+@given(embeddings(), st.integers(1, 3))
+def test_generator_homs_compose_on_their_bratteli_data(case, nc):
+    """f and g each unital or not: the composite of their kept data is the
+    composite hom, up to rounding."""
+    a, b, mult_f, seed = case
+    rng = np.random.default_rng(seed)
+    f = embedding_hom(a, b, mult_f, rng)
+    mult_g, c = random_mult(rng, b, nc)
+    g = embedding_hom(b, c, mult_g, rng)
+    gf = _bratteli_hom(a, c, _compose_ws(g._ws, f._ws))
+    assert _composite_residual(g, f, gf) <= 1e-12
+    assert np.abs(gf.matrix - compose_homs(g, f).matrix).max(initial=0.0) <= 1e-12
+    assert ws_keys(gf) == nonzero_keys(gf)
+
+
+@settings(max_examples=25)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 3))
+def test_twist_edge_passes_the_checks_it_skips(seed, n):
+    rng = np.random.default_rng(seed)
+    s = random_simplex(rng, n, max_blocks=2, max_size=2, max_mult=2 if n == 2 else 1)
+    i0, j0 = sorted(int(x) for x in rng.choice(n + 1, size=2, replace=False))
+    twisted = twist_edge(s, i0, j0, np.random.default_rng(seed))
+    old, new = s.edges[(i0, j0)], twisted.edges[(i0, j0)]
+    assert_star_hom(new.lam)
+    draws = np.random.default_rng(seed)
+    CorrIso(old, new, [random_unitary(m, draws) for m in old.module.mult], eps=1e-12)
+    rewritten = [u for key, u in twisted.cells.items() if u is not s.cells[key]]
+    assert rewritten
+    for u in rewritten:
+        CorrIso(u.src, u.dst, u.blocks, eps=1e-12)
+    validate_simplex(twisted)
+
+
+@settings(max_examples=25)
+@given(embeddings())
+def test_trust_boundary_refuses_a_moved_generator_entry(case):
+    """Move the largest entry of one W outward by 1e-6: the data stops
+    being an isometry, so its hom is not multiplicative; its Gram blocks
+    stay Hermitian, so the star check alone would pass it."""
+    src, dst, mult, seed = case
+    assume(mult.any())
+    phi = embedding_hom(src, dst, mult, np.random.default_rng(seed))
+    ws = [{i: w.copy() for i, w in w_l.items()} for w_l in phi._ws]
+    w = next(w for w_l in ws for w in w_l.values())
+    x = np.unravel_index(np.abs(w).argmax(), w.shape)
+    w[x] += 1e-6 * w[x] / abs(w[x])
+    bad = _bratteli_hom(src, dst, ws)
+    assert _star_residual(src, dst, bad.matrix) <= 1e-12
+    with pytest.raises(NotMultiplicative):
+        make_star_hom(src, dst, bad.matrix)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "hom.json")
+        dump_value(bad, path)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert main(["validate", path]) == 1
+    assert "star-preserving: ok" in out.getvalue()
+    assert "multiplicative: FAIL" in out.getvalue()

@@ -1,6 +1,7 @@
 """Every name a corrlab module exports in ``__all__`` exists, so a stale
-export of a removed name fails here rather than at a user's import; and
-tensor products have one constructor call."""
+export of a removed name fails here rather than at a user's import;
+tensor products have one constructor call; and the validating
+constructors are called only at the trust boundary."""
 
 import ast
 import importlib
@@ -53,3 +54,26 @@ def test_tensor_products_are_built_only_by_tensor_corrs():
         for scope in callers(ast.parse(path.read_text()), "TensorProduct")
     ]
     assert found == [("modules.py", "tensor_corrs")]
+
+
+def test_validating_constructors_are_called_only_at_the_trust_boundary():
+    """make_star_hom, make_correspondence, make_iso and a checked CorrIso(...)
+    run where data comes from outside: JSON load and the CLI, the make_*
+    bodies, and the two intertwiners the library solves for rather than
+    writes in closed form.  What the library and its generators build goes
+    through the certified constructors (StarHom, _bratteli_hom,
+    Correspondence, CorrIso._trusted), so a generator that starts
+    re-validating its own output fails here."""
+    found = {
+        (path.name, scope)
+        for path in sorted(pathlib.Path(corrlab.__file__).parent.glob("*.py"))
+        if path.name not in ("serialize.py", "cli.py")
+        for name in ("make_star_hom", "make_correspondence", "make_iso", "CorrIso")
+        for scope in callers(ast.parse(path.read_text()), name)
+    }
+    assert found == {
+        ("modules.py", "make_correspondence"),
+        ("modules.py", "make_iso"),
+        ("bicategory.py", "find_corr_iso"),
+        ("nerve.py", "_solve_pentagon"),
+    }
