@@ -360,8 +360,8 @@ def is_full_hom(phi: StarHom, *, eps: float = EPS) -> bool:
     norm ||p||_F, so its span is the whole block exactly when ||p||_F > eps:
     the rank test at eps * max(sigma_max, 1) reduces to that norm test.
     """
-    p = phi.apply(phi.src.identity())
-    return all(frob(pj) > eps for pj in p.mats)
+    p = (phi.matrix @ phi.src.identity().to_vec())[:, None]
+    return all(frob(phi.dst.block_rows(p, j)) > eps for j in range(phi.dst.nblocks))
 
 
 @dataclass(frozen=True)
@@ -409,23 +409,28 @@ def hom_normal_form(phi: StarHom, *, eps: float = EPS):
     Canonical form in dst block j: for src blocks i in order, r_ij copies of
     x_i arranged as x_i (x) I_{r_ij} (row index (a, t), a major), then zero
     padding.  Returns the list of W_j.
+
+    phi(e^(i)_a0) in block j is column offset(i) + a n_i of the matrix, read
+    through ``block_rows``; ``+ 0.0`` copies it and turns -0.0 into 0.0, as
+    the matvec of phi with that basis vector does.
     """
     src, dst = phi.src, phi.dst
     ws = []
     for j, m in enumerate(dst.blocks):
+        imgs = dst.block_rows(phi.matrix, j)
         cols = []
         for i, n in enumerate(src.blocks):
             r = int(phi.mult_matrix[i, j])
             if r == 0:
                 continue
-            p11 = phi.apply(src.matrix_unit(i, 0, 0)).mats[j]
-            v = orthonormal_range(p11, eps)
+            o = src.offset(i)
+            v = orthonormal_range(imgs[:, :, o] + 0.0, eps)
             if v.shape[1] != r:
                 raise NotMultiplicative(
                     f"rank of phi(e11) in block {j} is {v.shape[1]}, expected {r}"
                 )
             for a in range(n):
-                ea1 = phi.apply(src.matrix_unit(i, a, 0)).mats[j]
+                ea1 = imgs[:, :, o + a * n] + 0.0
                 for t in range(r):
                     cols.append(ea1 @ v[:, t])
         w = np.column_stack(cols) if cols else np.zeros((m, 0), dtype=complex)

@@ -53,9 +53,10 @@ def gamma_isometries(phi: StarHom, *, eps: float = EPS):
     once per (phi, eps) and kept on phi."""
     vs = phi._gamma.get(("range", eps))
     if vs is None:
-        p = phi.apply(phi.src.identity())
+        p = (phi.matrix @ phi.src.identity().to_vec())[:, None]
         vs = phi._gamma[("range", eps)] = tuple(
-            orthonormal_range(p.mats[j], eps) for j in range(phi.dst.nblocks)
+            orthonormal_range(phi.dst.block_rows(p, j)[:, :, 0], eps)
+            for j in range(phi.dst.nblocks)
         )
         for v in vs:
             v.setflags(write=False)

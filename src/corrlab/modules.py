@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import AlgElement, FdCstarAlgebra, StarHom, make_star_hom, identity_hom
+from .algebra import FdCstarAlgebra, StarHom, make_star_hom, identity_hom
 from .errors import (
     BaseMismatch,
     EndpointMismatch,
@@ -161,22 +161,21 @@ class Correspondence:
     def dim(self) -> int:
         return self.module.dim
 
-    def lam_block(self, a: AlgElement, k: int) -> np.ndarray:
-        """Block k of lambda(a), as an m_k x m_k matrix (0 x 0 if dropped)."""
-        pos = self.module.compact_pos(k)
-        if pos is None:
-            return np.zeros((0, 0), dtype=complex)
-        return self.lam.apply(a).mats[pos]
-
     def _frame(self, eps: float):
         """Read-only (r, proj, onb) of this F in any E (x)_B F: P_jk, its R_jk
         and its rank r_jk, which must equal lambda_F's multiplicity (else
-        raise, keeping nothing); see TensorProduct."""
+        raise, keeping nothing); see TensorProduct.  P_jk is column offset(j)
+        of lambda_F's matrix at block k, 0 x 0 at a dropped k; ``+ 0.0``
+        copies it and turns -0.0 into 0.0, as a matvec with e^(j)_11 does."""
         frame = self._frames.get(eps)
         if frame is None:
-            b, nc = self.src, self.dst.nblocks
-            units = [b.matrix_unit(j, 0, 0) for j in range(b.nblocks)]
-            proj = tuple(tuple(self.lam_block(e11, k) for k in range(nc)) for e11 in units)
+            kc, lam = self.module.compacts, self.lam.matrix
+            zero = np.zeros((0, 0), dtype=complex)
+            pos = [self.module.compact_pos(k) for k in range(self.dst.nblocks)]
+            proj = tuple(
+                tuple(zero if p is None else kc.block_rows(lam, p)[:, :, c] + 0.0 for p in pos)
+                for c in self.src._offsets
+            )
             onb = tuple(tuple(gram_onb(p, eps) for p in row) for row in proj)
             ranks = [[x.shape[1] for x in row] for row in onb]
             # a dropped block k has P_jk of size 0, so r_jk = 0 there always
@@ -538,9 +537,12 @@ def left_unitor(tp: TensorProduct, *, eps: float = EPS) -> CorrIso:
     a = tp.left.src
     _check_identity_factor(tp.left, eps, "left")
     e = tp.right
+    ke, pos = e.module.compacts, e.module.compact_pos
 
     def action(i, s, k, w):
-        return e.lam_block(a.matrix_unit(i, s, 0), k) @ w
+        # lambda_E(e^(i)_s0) at block k (kept, as r_ik > 0): one column
+        img = ke.block_rows(e.lam.matrix, pos(k))[:, :, a.offset(i) + s * a.blocks[i]]
+        return (img + 0.0) @ w
 
     return CorrIso._trusted(tp.corr, e, _intertwiner_blocks(tp, e, action))
 

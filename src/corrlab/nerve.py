@@ -589,14 +589,13 @@ def _solve_pentagon(edges, cells, k, eps):
             if r == 0:
                 continue
             den += r
-            tb = t_mat.blocks[kk]
             o_d = t02_23.row_start(kk, j, 0)
             o_s = t_l.row_start(kk, j, 0)
-            for a in range(m_dst):
-                for a2_ in range(m_src):
-                    num[a, a2_] += np.trace(
-                        tb[o_d + a * r : o_d + (a + 1) * r, o_s + a2_ * r : o_s + (a2_ + 1) * r]
-                    )
+            sub = t_mat.blocks[kk][o_d : o_d + m_dst * r, o_s : o_s + m_src * r]
+            # the trace of each r x r block (a, a2); summed over a contiguous
+            # copy of the diagonals, in the order np.trace sums one block
+            diag = sub.reshape(m_dst, r, m_src, r).diagonal(axis1=1, axis2=3)
+            num += np.ascontiguousarray(diag).sum(axis=2)
         if m_dst > 0 and den == 0:
             raise Unfillable(f"extraction ill posed at block {j}: last edge acts by zero")
         blocks.append(num / den if den else num)

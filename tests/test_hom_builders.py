@@ -19,6 +19,7 @@ eps = 1e-12, and the trust boundary still refuses a corrupted output.
 
 import contextlib
 import io
+import json
 import os
 import tempfile
 
@@ -36,6 +37,8 @@ from corrlab.algebra import (
     _star_residual,
     compose_homs,
     corner_algebra,
+    hom_normal_form,
+    is_full_hom,
     make_star_hom,
 )
 from corrlab.bicategory import equivalence_inverse, gamma_isometries, gamma_of_hom, u_of_corr
@@ -51,9 +54,18 @@ from corrlab.generators import (
     random_unitary,
     twist_edge,
 )
-from corrlab.modules import CorrIso, direct_sum_corrs, make_module
+from corrlab.linalg import frob, orthonormal_range
+from corrlab.modules import (
+    CorrIso,
+    _intertwiner_blocks,
+    direct_sum_corrs,
+    identity_corr,
+    left_unitor,
+    make_module,
+    tensor_corrs,
+)
 from corrlab.nerve import validate_simplex
-from corrlab.serialize import dump_value
+from corrlab.serialize import dump_value, value_from_json, value_to_json
 from corrlab.subdivision import _nonempty_subsets, connecting_hom, module_E_S
 
 
@@ -461,3 +473,101 @@ def test_trust_boundary_refuses_a_moved_generator_entry(case):
             assert main(["validate", path]) == 1
     assert "star-preserving: ok" in out.getvalue()
     assert "multiplicative: FAIL" in out.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# a hom's values on matrix units are read off its matrix columns
+
+
+def bit_equal(x, y):
+    return x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def ref_normal_form(phi, eps=1e-9):
+    """hom_normal_form through apply on matrix units, as it was written."""
+    src, dst = phi.src, phi.dst
+    ws = []
+    for j, m in enumerate(dst.blocks):
+        cols = []
+        for i, n in enumerate(src.blocks):
+            r = int(phi.mult_matrix[i, j])
+            if r == 0:
+                continue
+            v = orthonormal_range(phi.apply(src.matrix_unit(i, 0, 0)).mats[j], eps)
+            assert v.shape[1] == r
+            for a in range(n):
+                ea1 = phi.apply(src.matrix_unit(i, a, 0)).mats[j]
+                cols += [ea1 @ v[:, t] for t in range(r)]
+        w = np.column_stack(cols) if cols else np.zeros((m, 0), dtype=complex)
+        if w.shape[1] < m:
+            w = np.column_stack([w, orthonormal_range(np.eye(m) - w @ w.conj().T, eps)])
+        ws.append(w)
+    return ws
+
+
+def assert_columns_are_the_element_route(phi):
+    """Each column read, with + 0.0, is apply on its matrix unit to the bit,
+    and phi(1) as matrix @ one is apply on the identity; so are the library
+    reads built on them."""
+    src, dst = phi.src, phi.dst
+    one = phi.apply(src.identity())
+    p = (phi.matrix @ src.identity().to_vec())[:, None]
+    for j in range(dst.nblocks):
+        assert bit_equal(dst.block_rows(p, j)[:, :, 0], one.mats[j])
+        assert bit_equal(gamma_isometries(phi)[j], orthonormal_range(one.mats[j]))
+    for c, i, a, b in src.basis_triples():
+        img = phi.apply(src.matrix_unit(i, a, b))
+        for j in range(dst.nblocks):
+            assert bit_equal(dst.block_rows(phi.matrix, j)[:, :, c] + 0.0, img.mats[j])
+    assert is_full_hom(phi) == all(frob(x) > 1e-9 for x in one.mats)
+    for w, ref in zip(hom_normal_form(phi), ref_normal_form(phi)):
+        assert bit_equal(w, ref)
+
+
+def assert_action_reads_are_the_element_route(corr):
+    """The tensor frame's P_jk and the left unitor's action, against apply."""
+    a, kc = corr.src, corr.module.compacts
+    proj = corr._frame(1e-9)[1]
+    for j in range(a.nblocks):
+        img = corr.lam.apply(a.matrix_unit(j, 0, 0))
+        for k in range(corr.dst.nblocks):
+            pos = corr.module.compact_pos(k)
+            assert bit_equal(proj[j][k], np.zeros((0, 0)) if pos is None else img.mats[pos])
+    tp = tensor_corrs(identity_corr(a), corr)
+
+    def action(i, s, k, w):
+        return corr.lam.apply(a.matrix_unit(i, s, 0)).mats[corr.module.compact_pos(k)] @ w
+
+    ref = _intertwiner_blocks(tp, corr, action)
+    assert all(bit_equal(u, r) for u, r in zip(left_unitor(tp).blocks, ref))
+    assert_columns_are_the_element_route(corr.lam)
+
+
+def from_json(value):
+    return value_from_json(json.loads(json.dumps(value_to_json(value))))
+
+
+@settings(max_examples=40)
+@given(embeddings(), st.booleans())
+@example((FdCstarAlgebra((2, 1)), FdCstarAlgebra((3, 2)), np.array([[1, 0], [0, 0]]), 0), False)
+def test_matrix_unit_values_are_column_reads(case, loaded):
+    """Zero multiplicities and spare dimensions (non-unital embedding_hom),
+    with and without a JSON round trip."""
+    src, dst, mult, seed = case
+    rng = np.random.default_rng(seed)
+    phi = embedding_hom(src, dst, mult, rng)
+    corr = random_correspondence(src, dst, rng)
+    if loaded:
+        phi, corr = from_json(phi), from_json(corr)
+    assert_columns_are_the_element_route(phi)
+    assert_action_reads_are_the_element_route(corr)
+
+
+@settings(max_examples=15)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 3))
+def test_twisted_simplex_actions_are_column_reads(seed, n):
+    """Twisted edges and the left actions of 3-simplices (which hold
+    negative zeros), loaded back from JSON."""
+    s = random_simplex(np.random.default_rng(seed), n, twist=True, max_mult=1)
+    for corr in {**s.edges, **from_json(s).edges}.values():
+        assert_action_reads_are_the_element_route(corr)

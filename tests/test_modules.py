@@ -447,9 +447,10 @@ def fresh_frame(left, right, eps=1e-9):
     proj = [[None] * c.nblocks for _ in range(b.nblocks)]
     onb = [[None] * c.nblocks for _ in range(b.nblocks)]
     for j in range(b.nblocks):
-        e11 = b.matrix_unit(j, 0, 0)
+        img = right.lam.apply(b.matrix_unit(j, 0, 0))
         for k in range(c.nblocks):
-            proj[j][k] = right.lam_block(e11, k)
+            pos = right.module.compact_pos(k)
+            proj[j][k] = np.zeros((0, 0), dtype=complex) if pos is None else img.mats[pos]
             onb[j][k] = gram_onb(proj[j][k], eps)
             r[j, k] = onb[j][k].shape[1]
     return r, proj, onb
