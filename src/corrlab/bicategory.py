@@ -12,8 +12,8 @@ intertwiner (Gamma j_E) (x) X -> E, where X inverts the B corner.
 
 Equivalences (full correspondences whose left action is a *-isomorphism)
 get explicit inverses via conjugate modules; the unitaries carrying each
-source block onto its matched compact block are extracted from the images
-of matrix units, which also powers find_corr_iso.
+source block onto its matched compact block are the normal form of the
+left action (hom_normal_form), which also powers find_corr_iso.
 """
 from __future__ import annotations
 
@@ -21,9 +21,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import FdCstarAlgebra, StarHom, _bratteli_hom, compose_homs, identity_hom
+from .algebra import (
+    FdCstarAlgebra,
+    StarHom,
+    _bratteli_hom,
+    compose_homs,
+    hom_normal_form,
+    identity_hom,
+)
 from .errors import EndpointMismatch, InvalidAlgebra, NotAnEquivalence, ValidationError
-from .linalg import EPS, fix_phase, frob, orthonormal_range
+from .linalg import EPS, orthonormal_range
 from .modules import (
     CorrIso,
     Correspondence,
@@ -111,11 +118,14 @@ def gamma_multiplicativity(psi: StarHom, phi: StarHom, *, comp=None, eps: float 
     v_phi = gamma_isometries(phi, eps=eps)
     v_psi = gamma_isometries(psi, eps=eps)
     v_comp = gamma_isometries(comp, eps=eps)
+    mid = psi.src
 
     def action(j, a, k, w):
-        b = phi.dst.zero()
-        b.mats[j][:, 0] = v_phi[j][:, a]
-        return v_comp[k].conj().T @ psi.apply(b).mats[k] @ v_psi[k] @ w
+        # b = v e_0^T in block j is sum_p v[p] e^(j)_p0, so psi(b) at block
+        # k is psi's columns at those n_j matrix units times v
+        n, o = mid.blocks[j], mid.offset(j)
+        img = psi.dst.block_rows(psi.matrix, k)[:, :, o : o + n * n : n] @ v_phi[j][:, a]
+        return v_comp[k].conj().T @ img @ v_psi[k] @ w
 
     return CorrIso._trusted(tp.corr, target, _intertwiner_blocks(tp, target, action))
 
@@ -183,25 +193,16 @@ class EquivalenceWitness:
     counit_right: CorrIso
 
 
-def _ad_unitary(lam: StarHom, i: int, k_pos: int, *, eps: float) -> np.ndarray:
-    """Unitary u with lam(x)|_{block k} = u x_i u^* for a multiplicity-one
-    block pair; built from the images of the matrix units of row one."""
-    n = lam.src.blocks[i]
-    p11 = lam.apply(lam.src.matrix_unit(i, 0, 0)).mats[k_pos]
-    v = orthonormal_range(p11, eps)
-    if v.shape[1] != 1:
-        raise NotAnEquivalence(f"left action is not multiplicity one at block {i}")
-    v1 = fix_phase(v[:, 0], eps)
-    cols = [lam.apply(lam.src.matrix_unit(i, b2, 0)).mats[k_pos] @ v1 for b2 in range(n)]
-    return np.column_stack(cols)
-
-
 def equivalence_inverse(corr: Correspondence, *, eps: float = EPS) -> EquivalenceWitness:
     """Explicit inverse of an equivalence, via the conjugate module.
 
     Raises NotAnEquivalence unless the correspondence is full and its left
-    action is a *-isomorphism onto the compacts.  The counits are certified:
-    unitary and intertwining up to rounding because the action is a *-hom.
+    action is a *-isomorphism onto the compacts.  The action's multiplicities
+    are then a permutation, so its normal form at compact block k is the
+    unitary u with lambda(x)_k = u x_i u^*, i the source block matched to k;
+    an unchecked action whose e_00 image has the wrong rank raises
+    NotMultiplicative there.  The counits are certified: unitary and
+    intertwining up to rounding because the action is a *-hom.
     """
     a, b = corr.src, corr.dst
     if not is_full_corr(corr):
@@ -227,10 +228,8 @@ def equivalence_inverse(corr: Correspondence, *, eps: float = EPS) -> Equivalenc
                 f" matched compact block has size {corr.module.mult[k]}"
             )
         block_map.append(k)
-    us = []
-    for i in range(a.nblocks):
-        k = block_map[i]
-        us.append(_ad_unitary(lam, i, corr.module.compact_pos(k), eps=eps))
+    nf = hom_normal_form(lam, eps=eps)
+    us = [nf[corr.module.compact_pos(k)] for k in block_map]
 
     inv_mod = make_module(a, [b.blocks[k] for k in block_map])
     # compact block i of the inverse is a copy of B block block_map[i]
@@ -280,8 +279,6 @@ def find_corr_iso(c1: Correspondence, c2: Correspondence, *, eps: float = EPS):
     when their left actions have the same block multiplicities; the
     intertwiner is assembled from the normal forms of both actions.
     """
-    from .algebra import hom_normal_form
-
     if c1.src != c2.src or c1.dst != c2.dst or c1.module.mult != c2.module.mult:
         return None
     if not np.array_equal(c1.lam.mult_matrix, c2.lam.mult_matrix):

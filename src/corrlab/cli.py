@@ -169,7 +169,8 @@ def cmd_make(args) -> int:
         dst = load_value(args.dst, eps=args.eps) if args.dst else random_algebra(rng)
         if not (isinstance(src, FdCstarAlgebra) and isinstance(dst, FdCstarAlgebra)):
             raise SchemaError("--src and --dst must be algebra files")
-        _emit(corr_to_json.doc(random_correspondence(src, dst, rng)), args.out)
+        corr = random_correspondence(src, dst, rng, max_mult=args.max_mult)
+        _emit(corr_to_json.doc(corr), args.out)
     elif args.kind == "simplex":
         _nonempty_subsets(args.n)  # raises above the shared dimension bound
         s = random_simplex(rng, args.n, twist=args.twist, max_mult=args.max_mult)
@@ -298,12 +299,25 @@ def cmd_selftest(args) -> int:
 # wiring
 
 
+def _positive(kind):
+    """An argparse type for a finite ``kind`` > 0: else a usage error (exit 2)."""
+
+    def parse(text):
+        x = kind(text)
+        if not (np.isfinite(x) and x > 0):
+            raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text!r}")
+        return x
+
+    parse.__name__ = kind.__name__  # argparse's "invalid float value" names it
+    return parse
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument tree, built once per process; it names each command
     and holds no handler, so ``main`` finds ``cmd_<command>`` per call."""
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--eps", type=float, default=argparse.SUPPRESS,
+    common.add_argument("--eps", type=_positive(float), default=argparse.SUPPRESS,
                         help="residual tolerance (default 1e-9)")
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                         help="generator seed (default 42)")
@@ -325,9 +339,9 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--label", default="")
     m.add_argument("--src", help="source algebra file (hom, corr)")
     m.add_argument("--dst", help="target algebra file (corr)")
-    m.add_argument("--n", type=int, default=2, help="simplex dimension")
+    m.add_argument("--n", type=_positive(int), default=2, help="simplex dimension")
     m.add_argument("--twist", action="store_true", help="conjugate an edge off the chain image")
-    m.add_argument("--max-mult", type=int, default=1, dest="max_mult")
+    m.add_argument("--max-mult", type=_positive(int), default=1, dest="max_mult")
 
     g = sub.add_parser("gamma", parents=[common], help="correspondence of a star-hom")
     g.add_argument("--hom", required=True)

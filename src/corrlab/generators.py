@@ -92,6 +92,8 @@ def embedding_hom(src: FdCstarAlgebra, dst: FdCstarAlgebra, mult, rng=None) -> S
 
 def random_unital_hom(src: FdCstarAlgebra, rng, max_blocks: int = 2, max_mult: int = 2) -> StarHom:
     """A random unital hom out of src, onto a freshly built target."""
+    if max_mult < 1:  # each column would draw zeros and be redrawn forever
+        raise ShapeMismatch(f"max_mult must be >= 1, got {max_mult}")
     nb = int(rng.integers(1, max_blocks + 1))
     mult = np.zeros((src.nblocks, nb), dtype=np.int64)
     for l in range(nb):
@@ -118,6 +120,8 @@ def random_correspondence(
     src: FdCstarAlgebra, dst: FdCstarAlgebra, rng, max_mult: int = 1
 ) -> Correspondence:
     """A random correspondence src -> dst with unital left action."""
+    if max_mult < 1:  # each draw would be all zero and be redrawn forever
+        raise ShapeMismatch(f"max_mult must be >= 1, got {max_mult}")
     while True:
         m = rng.integers(0, max_mult + 1, size=(src.nblocks, dst.nblocks))
         q = [int(sum(m[i, k] * src.blocks[i] for i in range(src.nblocks))) for k in range(dst.nblocks)]

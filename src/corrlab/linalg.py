@@ -19,7 +19,6 @@ __all__ = [
     "worse",
     "orthonormal_range",
     "gram_onb",
-    "fix_phase",
     "int_inverse",
 ]
 
@@ -123,16 +122,6 @@ def gram_onb(g, eps: float = EPS) -> np.ndarray:
     if not cols:
         return np.zeros((q, 0), dtype=complex)
     return np.column_stack(cols)
-
-
-def fix_phase(v, eps: float = EPS) -> np.ndarray:
-    """Rescale a vector by a unit scalar so its first sizable entry is real > 0."""
-    v = np.asarray(v, dtype=complex)
-    idx = np.nonzero(np.abs(v) > eps * max(float(np.abs(v).max()), 1.0))[0]
-    if idx.size == 0:
-        return v
-    z = v[idx[0]]
-    return v * (abs(z) / z)
 
 
 def int_inverse(m) -> np.ndarray:

@@ -6,6 +6,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corrlab.acceptance import _iso_residuals, k0_of_corr
 from corrlab.algebra import (
@@ -26,19 +28,28 @@ from corrlab.bicategory import (
     is_equivalence,
     u_of_corr,
 )
-from corrlab.errors import EndpointMismatch, NotAnEquivalence, ValidationError
+from corrlab.errors import EndpointMismatch, NotAnEquivalence, NotMultiplicative, ValidationError
 from corrlab.extension import k0_matrix
 from corrlab.generators import (
     embedding_hom,
     random_algebra,
     random_chain,
     random_correspondence,
+    random_element,
     random_equivalence,
     random_simplex,
     random_unital_hom,
 )
 from corrlab.linalg import int_inverse
-from corrlab.modules import corr_close, direct_sum_corrs, identity_corr, tensor_corrs
+from corrlab.modules import (
+    CorrIso,
+    Correspondence,
+    corr_close,
+    direct_sum_corrs,
+    identity_corr,
+    make_module,
+    tensor_corrs,
+)
 from corrlab.nerve import gamma_simplex
 from corrlab.subdivision import subdivision_functor
 
@@ -127,6 +138,35 @@ def test_equivalence_inverse_counits(seed):
     assert max(_iso_residuals(w.counit_right)) < 1e-9
     assert corr_close(w.counit_left.dst, identity_corr(e.src))
     assert corr_close(w.counit_right.dst, identity_corr(e.dst))
+
+
+@settings(max_examples=30)
+@given(st.integers(0, 2**32 - 1))
+def test_equivalence_unitaries_conjugate_their_blocks(seed):
+    """Each unitary is the normal form of the action at its compact block:
+    lambda(x)_k = u x_i u^*; both counits pass the CorrIso check."""
+    rng = np.random.default_rng(seed)
+    e = random_equivalence(random_algebra(rng), rng)
+    w = equivalence_inverse(e)
+    x = random_element(e.src, rng)
+    lam_x = e.lam.apply(x)
+    for i, (k, u) in enumerate(zip(w.block_map, w.unitaries)):
+        got = lam_x.mats[e.module.compact_pos(k)]
+        assert np.abs(got - u @ x.mats[i] @ u.conj().T).max() <= 1e-12
+    for c in (w.counit_left, w.counit_right):
+        CorrIso(c.src, c.dst, c.blocks, eps=1e-12)
+
+
+def test_equivalence_inverse_refuses_an_unchecked_action_of_the_wrong_rank():
+    """lambda(e_00) = lambda(e_11) = 1/2 on M_2: trace 1, so the
+    multiplicities pass as a permutation, but the image has rank 2."""
+    a = make_algebra((2,))
+    module = make_module(make_algebra((1,)), [2])
+    lam = np.zeros((4, 4), dtype=complex)
+    lam[[0, 3], 0] = lam[[0, 3], 3] = 0.5
+    corr = Correspondence(a, module, StarHom(a, module.compacts, lam))
+    with pytest.raises(NotMultiplicative):
+        equivalence_inverse(corr)
 
 
 def test_is_equivalence():

@@ -526,7 +526,7 @@ def assert_columns_are_the_element_route(phi):
 
 def assert_action_reads_are_the_element_route(corr):
     """The tensor frame's P_jk and the left unitor's action, against apply."""
-    a, kc = corr.src, corr.module.compacts
+    a = corr.src
     proj = corr._frame(1e-9)[1]
     for j in range(a.nblocks):
         img = corr.lam.apply(a.matrix_unit(j, 0, 0))

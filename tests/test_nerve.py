@@ -38,6 +38,8 @@ from corrlab.generators import (
 from corrlab.modules import (
     CorrIso,
     Correspondence,
+    associator,
+    compose_isos,
     corr_close,
     identity_corr,
     iso_distance,
@@ -46,6 +48,8 @@ from corrlab.modules import (
     make_iso,
     make_module,
     right_unitor,
+    tensor_corrs,
+    tensor_iso,
 )
 from corrlab.nerve import (
     HornSpec,
@@ -237,6 +241,54 @@ def equivalence_tail_simplex(rng, length):
         mult[i, int(p[i])] = 1
     chain.append(embedding_hom(a, a, mult, rng))
     return gamma_simplex(chain, validate=False)
+
+
+def loop_extraction(edges, cells):
+    """_solve_pentagon's k = 3 solve as it was written: T from the same
+    pentagon, then one np.trace per r x r block (a, a2)."""
+    e01, e12, e23, e02, e13 = (edges[k] for k in [(0, 1), (1, 2), (2, 3), (0, 2), (1, 3)])
+    t01_12, t12_23 = tensor_corrs(e01, e12), tensor_corrs(e12, e23)
+    t_l, t_r = tensor_corrs(t01_12.corr, e23), tensor_corrs(e01, t12_23.corr)
+    t02_23, t01_13 = tensor_corrs(e02, e23), tensor_corrs(e01, e13)
+    ass = associator(t01_12, t_l, t12_23, t_r)
+    step = tensor_iso(identity_iso(e01), cells[(1, 2, 3)], t_r, t01_13)
+    right = compose_isos(cells[(0, 1, 3)], compose_isos(step, ass))
+    t_mat = compose_isos(cells[(0, 2, 3)].inverse(), right)
+    blocks = []
+    for j in range(e02.dst.nblocks):
+        m_dst, m_src = e02.module.mult[j], t01_12.module.mult[j]
+        num, den = np.zeros((m_dst, m_src), dtype=complex), 0
+        for kk in range(e23.dst.nblocks):
+            r = int(t02_23.r[j, kk])
+            if r == 0:
+                continue
+            den += r
+            tb, o_d, o_s = t_mat.blocks[kk], t02_23.row_start(kk, j, 0), t_l.row_start(kk, j, 0)
+            for a in range(m_dst):
+                for a2 in range(m_src):
+                    num[a, a2] += np.trace(
+                        tb[o_d + a * r : o_d + (a + 1) * r, o_s + a2 * r : o_s + (a2 + 1) * r]
+                    )
+        blocks.append(num / den if den else num)
+    return blocks
+
+
+def test_pentagon_extraction_matches_the_trace_loop():
+    """Bit for bit, multiplicities r = 4 included: there a strided
+    reshape(...).trace sums in another order than np.trace of one block."""
+    seen_r = set()
+    cases = [(seed, {"max_mult": 2}) for seed in range(8)]
+    cases += [(seed, {"max_size": 1, "max_mult": 4}) for seed in (1, 2, 5, 6, 9)]  # r = 4, small
+    for seed, kw in cases:
+        s = random_simplex(np.random.default_rng(seed), 3, **kw)
+        seen_r.update(tensor_corrs(s.edges[(0, 2)], s.edges[(2, 3)]).r.ravel().tolist())
+        try:
+            u = nerve._solve_pentagon(dict(s.edges), dict(s.cells), 3, 1e-9)
+        except Unfillable:
+            continue
+        ref = loop_extraction(s.edges, s.cells)
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(u.blocks, ref))
+    assert max(seen_r) >= 4
 
 
 @pytest.mark.parametrize("seed", range(3))

@@ -77,3 +77,18 @@ def test_validating_constructors_are_called_only_at_the_trust_boundary():
         ("bicategory.py", "find_corr_iso"),
         ("nerve.py", "_solve_pentagon"),
     }
+
+
+def test_no_library_path_applies_a_hom():
+    """A hom's value on a matrix unit is a column of its matrix, read through
+    FdCstarAlgebra.block_rows, and phi(1) is the matrix times the identity's
+    coordinates; StarHom.apply (and __call__, which is apply) and matrix_unit
+    stay public for callers, but no module builds an element to push
+    through a whole hom."""
+    found = [
+        (path.name, scope, name)
+        for path in sorted(pathlib.Path(corrlab.__file__).parent.glob("*.py"))
+        for name in ("apply", "matrix_unit")
+        for scope in callers(ast.parse(path.read_text()), name)
+    ]
+    assert found == [("algebra.py", "__call__", "apply")]

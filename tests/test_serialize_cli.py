@@ -10,6 +10,7 @@ import functools
 import io
 import json
 import os
+import signal
 import tempfile
 import warnings
 
@@ -23,7 +24,7 @@ from corrlab.acceptance import k0_of_corr
 from corrlab.algebra import StarHom, make_algebra
 from corrlab.bicategory import equivalence_inverse, gamma_of_hom
 from corrlab.cli import main
-from corrlab.errors import ParseError, SchemaError
+from corrlab.errors import ParseError, SchemaError, ShapeMismatch
 from corrlab.extension import NCorrOracle, extend_bar_G, gamma_functor
 from corrlab.generators import (
     embedding_hom,
@@ -744,6 +745,94 @@ def test_cli_usage_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+def run_cli(argv, seconds=None):
+    """(exit code, stdout, stderr) of one in-process run: main's return
+    value, or the code argparse exits with on a usage error.  Any other
+    exception escapes, as it would print a traceback.  ``seconds`` arms an
+    alarm, so a run that hangs fails instead of stalling the suite."""
+
+    def hang(signum, frame):
+        raise TimeoutError(f"corrlab {argv} still running after {seconds} s")
+
+    out, err = io.StringIO(), io.StringIO()
+    old = signal.signal(signal.SIGALRM, hang)
+    try:
+        if seconds:
+            signal.alarm(seconds)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as e:
+                code = e.code
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+    assert "Traceback" not in err.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["make", "hom", "--max-mult", "0"],
+        ["make", "hom", "--max-mult", "-1"],
+        ["make", "simplex", "--n", "2", "--max-mult", "0"],
+        ["make", "corr", "--max-mult", "0"],
+        ["make", "simplex", "--n", "0"],
+        ["make", "simplex", "--n", "-1"],
+    ],
+)
+def test_cli_make_refuses_sizes_below_one(argv):
+    """--max-mult 0 made the generators redraw an all-zero column forever
+    and -1 crashed in numpy; --n 0 and -1 failed deep in the build."""
+    code, out, err = run_cli(argv, seconds=5)
+    assert code == 2 and out == ""
+    assert "must be finite and > 0" in err
+
+
+def test_generators_refuse_max_mult_below_one():
+    rng = np.random.default_rng(0)
+    a = make_algebra((2, 1))
+    for max_mult in (0, -1):
+        with pytest.raises(ShapeMismatch):
+            random_unital_hom(a, rng, max_mult=max_mult)
+        with pytest.raises(ShapeMismatch):
+            random_correspondence(a, a, rng, max_mult=max_mult)
+        with pytest.raises(ShapeMismatch):
+            random_simplex(rng, 2, max_mult=max_mult)
+
+
+def test_cli_make_corr_passes_max_mult_through():
+    """The default of 1 is the generator's default, so the output is what it
+    was before the flag reached the generator."""
+    texts = []
+    for max_mult in (1, 2):
+        rng = np.random.default_rng(5)
+        src, dst = random_algebra(rng), random_algebra(rng)
+        corr = random_correspondence(src, dst, rng, max_mult=max_mult)
+        code, out, _ = run_cli(["make", "corr", "--seed", "5", "--max-mult", str(max_mult)])
+        assert code == 0 and out == _json_text(corr_to_json(corr)) + "\n"
+        texts.append(out)
+    assert run_cli(["make", "corr", "--seed", "5"])[1] == texts[0] != texts[1]
+
+
+@pytest.mark.parametrize("eps", ["nan", "inf", "-inf", "0", "-0.0", "-1", "1e-400"])
+def test_cli_refuses_an_eps_that_is_not_finite_and_positive(tmp_path, eps):
+    """--eps inf passed validate's star-hom checks and then failed a rank
+    check; --eps -1 ran the sweeps into numpy RuntimeWarnings."""
+    path = str(tmp_path / "s.json")
+    assert run_cli(["make", "simplex", "--out", path])[0] == 0
+    for argv in (
+        [f"--eps={eps}", "validate", path],
+        ["validate", path, f"--eps={eps}"],
+        [f"--eps={eps}", "selftest", "--suite", "gamma-mult"],
+    ):
+        code, out, err = run_cli(argv, seconds=5)
+        assert code == 2 and out == "", argv
+        assert "argument --eps" in err
+    assert run_cli(["--eps=1e-6", "validate", path])[0] == 0
+
+
 def test_cli_selftest_single_suite(tmp_path, capsys):
     rpath = tmp_path / "report.json"
     assert main(["selftest", "--suite", "csd-combinatorics", "--out", str(rpath)]) == 0
@@ -870,3 +959,38 @@ def test_cli_exit_code_contract_on_mutated_files(text):
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = main(argv + [path])
             assert code in (0, 1, 2), (argv, code)
+
+
+# ---------------------------------------------------------------------------
+# a bounded fuzzer: flag values never escape the exit-code contract
+
+
+@functools.cache
+def fuzz_simplex_file():
+    """One small valid simplex file, written once per process."""
+    path = os.path.join(tempfile.mkdtemp(), "s.json")
+    assert run_cli(["make", "simplex", "--out", path])[0] == 0
+    return path
+
+
+EPS_TEXT = st.floats().map(repr)  # finite, +-inf, NaN, zero and negative values
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    kind=st.sampled_from(["algebra", "hom", "corr", "simplex", "validate"]),
+    eps=st.one_of(st.none(), EPS_TEXT),
+    max_mult=st.integers(-1, 2),
+    n=st.sampled_from([-1, 0, 1, 2, 3, 5]),
+    blocks=st.one_of(st.none(), st.text(max_size=4)),
+)
+def test_cli_exit_code_contract_on_flag_values(kind, eps, max_mult, n, blocks):
+    """Each run returns 0, 1 or 2 within its alarm and prints no traceback."""
+    argv = [] if eps is None else [f"--eps={eps}"]
+    if kind == "validate":
+        argv += ["validate", fuzz_simplex_file()]
+    else:
+        argv += ["make", kind, f"--max-mult={max_mult}", f"--n={n}"]
+        argv += [] if blocks is None else [f"--blocks={blocks}"]
+    code, _, _ = run_cli(argv, seconds=5)
+    assert code in (0, 1, 2), argv
