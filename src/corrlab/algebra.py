@@ -16,7 +16,8 @@ A *-hom is fixed by Bratteli data: its multiplicities and, per target
 block, one isometry.  ``hom_normal_form`` extracts that data from a matrix
 and ``_conjugation_matrix`` builds the matrix from it, one product per
 pair of blocks; every constructor that starts from such data builds its
-matrix there, through ``_bratteli_hom``, which keeps the data on the hom.
+matrix there, through ``_bratteli_hom``, which keeps the data on the hom
+and reads its multiplicities off the data, not the matrix.
 ``_compose_ws`` composes such data and ``_composite_residual`` compares a
 composite with a third hom on it, block by block: each pair of blocks is
 compared through the r x r overlap of its two isometries, and no Gram matrix
@@ -24,7 +25,7 @@ is built.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, InitVar, dataclass, field
 
 import numpy as np
 
@@ -204,7 +205,9 @@ class StarHom:
     ``mult_matrix``, the (src.nblocks x dst.nblocks) integer matrix of block
     multiplicities: r_ij is the rounded real trace of phi(e^(i)_00) in dst
     block j, a projection of rank r_ij <= m_j (Bratteli's structure
-    theorem); a larger |r_ij| cannot be cast and raises NotProjection;
+    theorem); a larger |r_ij| cannot be cast and raises NotProjection.
+    The builders that know r from construction (_bratteli_hom and
+    TensorProduct._left_action) pass it as the internal ``_mult`` instead;
 
     ``unital``, true iff sum_i r_ij n_i = m_j for every dst block j, i.e.
     phi(1) fills every dst block.
@@ -222,19 +225,21 @@ class StarHom:
     unital: bool = field(init=False)
     _gamma: dict = field(init=False, repr=False, compare=False, default_factory=dict)
     _ws: list = field(init=False, repr=False, compare=False, default=None)
+    _: KW_ONLY
+    _mult: InitVar[np.ndarray] = None
 
-    def __post_init__(self):
+    def __post_init__(self, mult):
         src, dst = self.src, self.dst
         matrix = np.ascontiguousarray(self.matrix, dtype=complex).view()
         matrix.setflags(write=False)
-        diag = matrix[dst._diag[:, None], src._offsets].real
-        ranks = np.rint(np.add.reduceat(diag, dst._diag_starts, axis=0))
-        if (np.abs(ranks) > np.array(dst.blocks)[:, None]).any():
-            raise NotProjection("a trace of phi(e_00) is not a rank in its block")
-        mult = ranks.T.astype(np.int64)
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "mult_matrix", mult)
-        object.__setattr__(self, "unital", bool((np.dot(src.blocks, mult) == dst.blocks).all()))
+        if mult is None:
+            diag = matrix[dst._diag[:, None], src._offsets].real
+            ranks = np.rint(np.add.reduceat(diag, dst._diag_starts, axis=0))
+            if (np.abs(ranks) > np.array(dst.blocks)[:, None]).any():
+                raise NotProjection("a trace of phi(e_00) is not a rank in its block")
+            mult = ranks.T.astype(np.int64)
+        unital = bool((np.dot(src.blocks, mult) == dst.blocks).all())
+        self.__dict__.update(matrix=matrix, mult_matrix=mult, unital=unital)
 
     def apply(self, x) -> AlgElement:
         if isinstance(x, AlgElement):
@@ -477,10 +482,14 @@ def _gram(w) -> np.ndarray:
 def _bratteli_hom(src: FdCstarAlgebra, dst: FdCstarAlgebra, ws, matrix=None) -> StarHom:
     """The certified StarHom of Bratteli data ``ws`` in the format of
     ``_conjugation_matrix``, keeping ``ws`` on it.  ``matrix``, when given,
-    is that function's result, known without computing it."""
+    is that function's result, known without computing it.  Its
+    multiplicities are r_il = W_li.shape[2] (0 if absent): the trace of
+    phi(e^(i)_00) in block l is sum_rho |W_li[:, 0, rho]|^2, which is r_il
+    up to rounding for an isometry W_li, so the dense trace rounds to it."""
     if matrix is None:
         matrix = _conjugation_matrix(src, dst, ws)
-    phi = StarHom(src, dst, matrix)
+    mult = [[w[i].shape[2] if i in w else 0 for w in ws] for i in range(src.nblocks)]
+    phi = StarHom(src, dst, matrix, _mult=np.array(mult, dtype=np.int64))
     object.__setattr__(phi, "_ws", ws)
     return phi
 

@@ -242,7 +242,7 @@ def equivalence_inverse(corr: Correspondence, *, eps: float = EPS) -> Equivalenc
     tp_left = tensor_corrs(corr, inverse, eps=eps)
     id_a = identity_corr(a)
 
-    # tp_left.r[k, i] and tp_right.r[i, k] vanish unless k = block_map[i]
+    # tp_left.r[k][i] and tp_right.r[i][k] vanish unless k = block_map[i]
     def act_left(k, r, i, w):
         return np.outer(us[i].conj().T[:, r], w[0])
 

@@ -38,6 +38,7 @@ from .generators import (
 from .modules import CorrIso, Correspondence, HilbertModule
 from .nerve import HornSpec, NCorrSimplex, _check_uncovered, fill_inner_horn, fill_special_outer_horn
 from .serialize import (
+    MAX_PARSED_DIM,
     _json_text,
     corr_to_json,
     hom_to_json,
@@ -153,6 +154,7 @@ def cmd_validate(args) -> int:
 
 def cmd_make(args) -> int:
     rng = np.random.default_rng(args.seed)
+    bound = dict(max_mult=args.max_mult, max_dim=MAX_PARSED_DIM)  # what a load would refuse
     if args.kind == "algebra":
         if args.blocks:
             a = algebra_from_json({"blocks": args.blocks, "label": args.label}, "--blocks")
@@ -163,17 +165,17 @@ def cmd_make(args) -> int:
         src = load_value(args.src, eps=args.eps) if args.src else random_algebra(rng)
         if not isinstance(src, FdCstarAlgebra):
             raise SchemaError("--src must be an algebra file")
-        _emit(hom_to_json.doc(random_unital_hom(src, rng, max_mult=args.max_mult)), args.out)
+        _emit(hom_to_json.doc(random_unital_hom(src, rng, **bound)), args.out)
     elif args.kind == "corr":
         src = load_value(args.src, eps=args.eps) if args.src else random_algebra(rng)
         dst = load_value(args.dst, eps=args.eps) if args.dst else random_algebra(rng)
         if not (isinstance(src, FdCstarAlgebra) and isinstance(dst, FdCstarAlgebra)):
             raise SchemaError("--src and --dst must be algebra files")
-        corr = random_correspondence(src, dst, rng, max_mult=args.max_mult)
+        corr = random_correspondence(src, dst, rng, **bound)
         _emit(corr_to_json.doc(corr), args.out)
     elif args.kind == "simplex":
         _nonempty_subsets(args.n)  # raises above the shared dimension bound
-        s = random_simplex(rng, args.n, twist=args.twist, max_mult=args.max_mult)
+        s = random_simplex(rng, args.n, twist=args.twist, **bound)
         _emit(simplex_to_json.doc(s), args.out)
     return 0
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import AlgElement, FdCstarAlgebra, StarHom, _bratteli_hom
-from .errors import ShapeMismatch
+from .errors import DimensionTooLarge, ShapeMismatch
 from .modules import Correspondence, CorrIso, compose_isos, make_module, tensor_corrs, tensor_iso
 from .nerve import NCorrSimplex, apply_map, gamma_simplex, identity_iso
 
@@ -90,8 +90,11 @@ def embedding_hom(src: FdCstarAlgebra, dst: FdCstarAlgebra, mult, rng=None) -> S
     return _bratteli_hom(src, dst, ws)
 
 
-def random_unital_hom(src: FdCstarAlgebra, rng, max_blocks: int = 2, max_mult: int = 2) -> StarHom:
-    """A random unital hom out of src, onto a freshly built target."""
+def random_unital_hom(
+    src: FdCstarAlgebra, rng, max_blocks: int = 2, max_mult: int = 2, max_dim=None
+) -> StarHom:
+    """A random unital hom out of src, onto a freshly built target; a target
+    of more than max_dim dimensions raises before anything is built."""
     if max_mult < 1:  # each column would draw zeros and be redrawn forever
         raise ShapeMismatch(f"max_mult must be >= 1, got {max_mult}")
     nb = int(rng.integers(1, max_blocks + 1))
@@ -102,24 +105,29 @@ def random_unital_hom(src: FdCstarAlgebra, rng, max_blocks: int = 2, max_mult: i
     dst = FdCstarAlgebra(
         tuple(int(sum(mult[i, l] * src.blocks[i] for i in range(src.nblocks))) for l in range(nb))
     )
+    if max_dim is not None and dst.dim > max_dim:
+        raise DimensionTooLarge(f"drawn algebra {list(dst.blocks)} exceeds {max_dim} dimensions")
     return embedding_hom(src, dst, mult, rng)
 
 
-def random_chain(rng, length: int, max_blocks: int = 2, max_size: int = 2, max_mult: int = 2):
+def random_chain(
+    rng, length: int, max_blocks: int = 2, max_size: int = 2, max_mult: int = 2, max_dim=None
+):
     """A composable chain of unital homs, small enough for tensor sweeps."""
     a = random_algebra(rng, max_blocks=max_blocks, max_size=max_size)
     chain = []
     for _ in range(length):
-        f = random_unital_hom(a, rng, max_blocks=max_blocks, max_mult=max_mult)
+        f = random_unital_hom(a, rng, max_blocks=max_blocks, max_mult=max_mult, max_dim=max_dim)
         chain.append(f)
         a = f.dst
     return chain
 
 
 def random_correspondence(
-    src: FdCstarAlgebra, dst: FdCstarAlgebra, rng, max_mult: int = 1
+    src: FdCstarAlgebra, dst: FdCstarAlgebra, rng, max_mult: int = 1, max_dim=None
 ) -> Correspondence:
-    """A random correspondence src -> dst with unital left action."""
+    """A random correspondence src -> dst with unital left action; a module
+    whose multiplicities describe more than max_dim dimensions raises."""
     if max_mult < 1:  # each draw would be all zero and be redrawn forever
         raise ShapeMismatch(f"max_mult must be >= 1, got {max_mult}")
     while True:
@@ -127,6 +135,8 @@ def random_correspondence(
         q = [int(sum(m[i, k] * src.blocks[i] for i in range(src.nblocks))) for k in range(dst.nblocks)]
         if any(q):
             break
+    if max_dim is not None and sum(x * x for x in q) > max_dim:
+        raise DimensionTooLarge(f"drawn module {q} exceeds {max_dim} dimensions")
     module = make_module(dst, q)
     kept = [k for k in range(dst.nblocks) if q[k] > 0]
     lam = embedding_hom(src, module.compacts, m[:, kept], rng)

@@ -18,7 +18,10 @@ orthonormalisation R_jk of P_jk turns each group into r_jk = rank(P_jk)
 coordinate rows, so the tensor module has multiplicity
 Q_k = sum_j m_j r_jk with rows ordered (j, a, t), j and a and t ascending.
 tensor_corrs is the one place a product is built: it keeps E (x) F on E, one
-per (F, eps), for as long as E lives.
+per (F, eps), for as long as E lives.  E (x) id_B with the identity_corr kept
+on B is E itself: there P_jk is e^(j)_00 at k = j and 0 elsewhere, so r is
+the identity, Q = mult(E), each group starts at row 0 and lambda_G copies
+lambda_E, and the general construction would rebuild E to the bit.
 """
 from __future__ import annotations
 
@@ -177,7 +180,7 @@ class Correspondence:
                 for c in self.src._offsets
             )
             onb = tuple(tuple(gram_onb(p, eps) for p in row) for row in proj)
-            ranks = [[x.shape[1] for x in row] for row in onb]
+            ranks = tuple(tuple(x.shape[1] for x in row) for row in onb)
             # a dropped block k has P_jk of size 0, so r_jk = 0 there always
             mult, kept = self.lam.mult_matrix.tolist(), self.module.kept
             for j, row in enumerate(ranks):
@@ -185,10 +188,9 @@ class Correspondence:
                     raise ShapeMismatch(
                         f"rank of lambda(e11) disagrees with multiplicities at row {j}"
                     )
-            r = np.array(ranks, dtype=np.int64)
-            for x in [r, *[p for row in proj + onb for p in row]]:
+            for x in [p for row in proj + onb for p in row]:
                 x.setflags(write=False)
-            frame = self._frames[eps] = (r, proj, onb)
+            frame = self._frames[eps] = (ranks, proj, onb)
         return frame
 
     def __repr__(self):
@@ -385,7 +387,7 @@ class TensorProduct:
     Fields:
       left, right    the two correspondences
       corr           the resulting correspondence src(E) -> dst(F)
-      r              integer matrix of ranks r_jk over (B block, C block)
+      r              ranks r_jk over (B block, C block), a tuple of int tuples
       onb[j][k]      q_k x r_jk orthonormalising coefficients R_jk
       proj[j][k]     the projection P_jk = lambda_F(e^(j)_11) at block k
 
@@ -399,11 +401,13 @@ class TensorProduct:
             raise EndpointMismatch("tensor product needs matching middle algebra")
         self.left, self.right = left, right
         self.r, self.proj, self.onb = right._frame(eps)
-        rows = np.asarray(left.module.mult, dtype=np.int64)[:, None] * self.r
-        self._row0 = (np.cumsum(rows, axis=0) - rows).tolist()  # [j][k]: row_start(k, j, 0)
-        q = tuple(int(x) for x in np.dot(left.module.mult, self.r))
-        if all(x == 0 for x in q):
-            raise InvalidAlgebra("tensor product collapses to the zero module")
+        self._row0, q = [], (0,) * right.dst.nblocks  # _row0[j][k]: row_start(k, j, 0)
+        for m, r_j in zip(left.module.mult, self.r):
+            self._row0.append(q)
+            q = tuple(x + m * r for x, r in zip(q, r_j))
+        if right is right.src._identity:  # E (x) id_B is E to the bit: see the module docstring
+            self.module, self.corr = left.module, left
+            return
         self.module = module = make_module(right.dst, q)
         self.corr = Correspondence(left.src, module, self._left_action(module))
 
@@ -412,7 +416,8 @@ class TensorProduct:
 
         The embedding places T in K(E) block j as blockwise T (x) I_{r_jk};
         it is an exact 0/1 isometric unital *-hom, so the composite is a
-        *-hom whenever lambda_E is and needs no re-validation.
+        *-hom whenever lambda_E is and needs no re-validation.  Its
+        multiplicities are mult(lambda_E) r, read off the construction.
         """
         e_mod = self.left.module
         ke, kg = e_mod.compacts, module.compacts
@@ -422,7 +427,7 @@ class TensorProduct:
         for kp, k in enumerate(module.kept):
             g = kg.block_rows(matrix, kp)
             for jp, j in enumerate(e_mod.kept):
-                m, r = e_mod.mult[j], int(self.r[j, k])
+                m, r = e_mod.mult[j], self.r[j][k]
                 if r == 0:
                     continue
                 o = self._row0[j][k]
@@ -431,11 +436,12 @@ class TensorProduct:
                 src = ke.block_rows(lam_e, jp)
                 for t in range(r):
                     blk[:, t, :, t] = src
-        return StarHom(self.left.src, kg, matrix)
+        r = [[self.r[j][k] for k in module.kept] for j in e_mod.kept]
+        return StarHom(self.left.src, kg, matrix, _mult=np.dot(self.left.lam.mult_matrix, r))
 
     def row_start(self, k: int, j: int, a: int) -> int:
         """First block-k row of group (j, a)."""
-        return self._row0[j][k] + a * int(self.r[j, k])
+        return self._row0[j][k] + a * self.r[j][k]
 
 
 
@@ -475,7 +481,7 @@ def tensor_iso(
         qk = tp_src.module.mult[k]
         out = np.zeros((tp_dst.module.mult[k], qk), dtype=complex)
         for j in range(tp_src.left.dst.nblocks):
-            rjk = int(tp_src.r[j, k])
+            rjk = tp_src.r[j][k]
             if rjk == 0 or tp_src.left.module.mult[j] == 0:
                 continue
             t_jk = (
@@ -501,7 +507,7 @@ def _intertwiner_blocks(tp: TensorProduct, dst: Correspondence, action) -> list:
     for k in range(tp.module.base.nblocks):
         out = np.zeros((dst.module.mult[k], tp.module.mult[k]), dtype=complex)
         for j in range(tp.left.dst.nblocks):
-            rjk = int(tp.r[j, k])
+            rjk = tp.r[j][k]
             if rjk == 0:
                 continue
             for a in range(tp.left.module.mult[j]):
@@ -580,12 +586,12 @@ def associator(
     for l in range(tp_efg.module.base.nblocks):
         out = np.zeros((tp_e_fg.module.mult[l], tp_efg.module.mult[l]), dtype=complex)
         for j in range(tp_ef.left.dst.nblocks):
-            r_dst = int(tp_e_fg.r[j, l])
+            r_dst = tp_e_fg.r[j][l]
             if r_dst == 0 or e_mult[j] == 0:
                 continue
             into = tp_e_fg.onb[j][l].conj().T @ tp_e_fg.proj[j][l]
             for j2 in range(tp_ef.module.base.nblocks):
-                if tp_ef.r[j, j2] == 0 or tp_efg.r[j2, l] == 0:
+                if tp_ef.r[j][j2] == 0 or tp_efg.r[j2][l] == 0:
                     continue
                 fg = tp_fg.onb[j2][l].conj().T @ tp_fg.proj[j2][l] @ tp_efg.onb[j2][l]
                 g0 = tp_fg.row_start(l, j2, 0)

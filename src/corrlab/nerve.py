@@ -585,7 +585,7 @@ def _solve_pentagon(edges, cells, k, eps):
         num = np.zeros((m_dst, m_src), dtype=complex)
         den = 0
         for kk in range(e23.dst.nblocks):
-            r = int(t02_23.r[j, kk])
+            r = t02_23.r[j][kk]
             if r == 0:
                 continue
             den += r

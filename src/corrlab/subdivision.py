@@ -345,9 +345,9 @@ def _isometries(sigma, data_s, data_t):
     for l in data_t.module.kept:
         per_j = {}
         for jp, j in enumerate(data_s.module.kept):
-            if r[j, l] == 0:
+            if r[j][l] == 0:
                 continue
-            w = np.zeros((data_t.module.mult[l], data_s.module.mult[j], r[j, l]), dtype=complex)
+            w = np.zeros((data_t.module.mult[l], data_s.module.mult[j], r[j][l]), dtype=complex)
             for si, v in enumerate(data_s.subset):
                 mv = sigma.edge(v, m).module.mult[j]
                 u_l = sigma.cell(v, m, top).blocks[l]
@@ -355,8 +355,8 @@ def _isometries(sigma, data_s, data_t):
                 # the tensor rows (j, a, rho) of summand v, a < mv
                 src0 = sigma.tp(v, m, top).row_start(l, j, 0)
                 w[o_t : o_t + u_l.shape[0], o_s : o_s + mv] = u_l[
-                    :, src0 : src0 + mv * r[j, l]
-                ].reshape(u_l.shape[0], mv, r[j, l])
+                    :, src0 : src0 + mv * r[j][l]
+                ].reshape(u_l.shape[0], mv, r[j][l])
             per_j[jp] = w
         out.append(per_j)
     return out

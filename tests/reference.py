@@ -14,7 +14,8 @@ import numpy as np
 
 from corrlab.algebra import AlgElement
 from corrlab.errors import BaseMismatch, ShapeMismatch
-from corrlab.linalg import frob
+from corrlab.linalg import frob, gram_onb
+from corrlab.modules import make_module
 
 
 class ModElement:
@@ -100,7 +101,7 @@ def embed(tp, j: int, a: int, w: ModElement) -> ModElement:
         raise BaseMismatch("second factor not in the right module")
     z = zero(tp.module)
     for k in tp.module.kept:
-        rjk = int(tp.r[j, k])
+        rjk = tp.r[j][k]
         if rjk == 0:
             continue
         o = tp.row_start(k, j, a)
@@ -117,7 +118,7 @@ def section(tp, z: ModElement):
         for a in range(tp.left.module.mult[j]):
             w = zero(tp.right.module)
             for k in tp.module.kept:
-                rjk = int(tp.r[j, k])
+                rjk = tp.r[j][k]
                 if rjk == 0:
                     continue
                 o = tp.row_start(k, j, a)
@@ -138,3 +139,32 @@ def pure_tensor(tp, x: ModElement, y: ModElement) -> ModElement:
             row.mats[j][0, :] = x.mats[j][a, :]
             z = z + embed(tp, j, a, left_mul(tp.right, row, y))
     return z
+
+
+def general_product(left, right, eps=1e-9):
+    """(module, left action matrix) of E (x)_B F by the general construction,
+    for any F, kept identity included: r_jk is the rank of
+    P_jk = lambda_F(e^(j)_00) at block k, Q_k = sum_j m_j r_jk, and
+    lambda_G(x) at block k holds lambda_E(x)_j (x) I_{r_jk} on the rows
+    (j, a, t), each entry of lambda_E copied, every other entry +0.0."""
+    b, c = left.dst, right.dst
+    ranks = [[0] * c.nblocks for _ in range(b.nblocks)]
+    for j in range(b.nblocks):
+        img = right.lam.apply(b.matrix_unit(j, 0, 0))
+        for k in right.module.kept:
+            ranks[j][k] = gram_onb(img.mats[right.module.compact_pos(k)], eps).shape[1]
+    mult = left.module.mult
+    module = make_module(c, [sum(m * ranks[j][k] for j, m in enumerate(mult)) for k in range(c.nblocks)])
+    ke, kg = left.module.compacts, module.compacts
+    lam = np.zeros((kg.dim, left.src.dim), dtype=complex)
+    for kp, k in enumerate(module.kept):
+        size, base, o = kg.blocks[kp], kg.offset(kp), 0
+        for jp, j in enumerate(left.module.kept):
+            m, r = mult[j], ranks[j][k]
+            x = ke.block_rows(left.lam.matrix, jp)
+            for a in range(m):
+                for a2 in range(m):
+                    for t in range(r):
+                        lam[base + (o + a * r + t) * size + o + a2 * r + t] = x[a, a2]
+            o += m * r
+    return module, lam

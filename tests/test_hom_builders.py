@@ -38,6 +38,7 @@ from corrlab.algebra import (
     compose_homs,
     corner_algebra,
     hom_normal_form,
+    identity_hom,
     is_full_hom,
     make_star_hom,
 )
@@ -230,7 +231,7 @@ def ref_tensor_isometries(sigma, data_s, data_t, base):
             q_s = data_s.module.mult[j]
             if q_s == 0:
                 continue
-            r = int(sigma.tp(data_s.subset[0], m, top).r[j, l])
+            r = sigma.tp(data_s.subset[0], m, top).r[j][l]
             if r == 0:
                 continue
             w = np.zeros((dim_t, q_s, r), dtype=complex)
@@ -571,3 +572,43 @@ def test_twisted_simplex_actions_are_column_reads(seed, n):
     s = random_simplex(np.random.default_rng(seed), n, twist=True, max_mult=1)
     for corr in {**s.edges, **from_json(s).edges}.values():
         assert_action_reads_are_the_element_route(corr)
+
+
+# ---------------------------------------------------------------------------
+# multiplicities from construction: _bratteli_hom and the product left
+# actions pass mult_matrix to StarHom as _mult instead of the dense trace
+
+
+def assert_trace_agrees(phi):
+    traced = StarHom(phi.src, phi.dst, phi.matrix)
+    assert bit_equal(phi.mult_matrix, traced.mult_matrix)
+    assert phi.mult_matrix.dtype == np.int64 and phi.unital is traced.unital
+
+
+@settings(max_examples=40)
+@given(embeddings())
+@example((FdCstarAlgebra((2, 1)), FdCstarAlgebra((3, 2)), np.array([[1, 0], [0, 0]]), 0))
+def test_passed_multiplicities_match_the_dense_trace(case):
+    """embedding_hom (non-unital with a spare dimension), identity_hom,
+    corner inclusions, the Morita and linking homs, the subdivision
+    connecting homs and the left actions of tensor products, on a twisted
+    simplex and on products of products."""
+    src, dst, mult, seed = case
+    rng = np.random.default_rng(seed)
+    homs = [embedding_hom(src, dst, mult, rng), identity_hom(src), identity_hom(dst)]
+    p = dst.zero()
+    for i, n in enumerate(dst.blocks):
+        v = random_unitary(n, rng)[:, : int(rng.integers(1, n + 1))]
+        p.mats[i][:, :] = v @ v.conj().T
+    homs.append(corner_algebra(p, dst).inclusion)
+    corr = random_correspondence(src, dst, rng, max_mult=2)
+    homs += [u_of_corr(corr).i_hom, equivalence_inverse(random_equivalence(dst, rng)).inverse.lam]
+    sigma = random_simplex(rng, 2, twist=True, max_mult=2)
+    subsets = _nonempty_subsets(2)
+    homs += [connecting_hom(sigma, s, t) for s in subsets for t in subsets if set(s) < set(t)]
+    products = [sigma.tp(i, j, k) for i in range(3) for j in range(i, 3) for k in range(j, 3)]
+    products.append(tensor_corrs(sigma.tp(0, 1, 2).corr, identity_corr(sigma.algebras[2])))
+    products.append(tensor_corrs(sigma.edge(0, 1), sigma.tp(1, 1, 2).corr))
+    homs += [t.corr.lam for t in products]
+    for phi in homs:
+        assert_trace_agrees(phi)

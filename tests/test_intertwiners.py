@@ -48,7 +48,7 @@ def reference_blocks(tp, dst, action):
     for k in range(tp.module.base.nblocks):
         out = np.zeros((dst.module.mult[k], tp.module.mult[k]), dtype=complex)
         for j in range(tp.left.dst.nblocks):
-            rjk = int(tp.r[j, k])
+            rjk = tp.r[j][k]
             if rjk == 0:
                 continue
             for a in range(tp.left.module.mult[j]):
@@ -69,13 +69,13 @@ def reference_associator(tp_ef, tp_efg, tp_fg, tp_e_fg):
         for j in range(tp_ef.left.dst.nblocks):
             if e_mod.mult[j] == 0:
                 continue
-            r_dst = int(tp_e_fg.r[j, l])
+            r_dst = tp_e_fg.r[j][l]
             cols, col_meta = [], []
             for j2 in range(tp_ef.module.base.nblocks):
-                for t in range(int(tp_ef.r[j, j2])):
+                for t in range(tp_ef.r[j][j2]):
                     w = zero(tp_ef.right.module)
                     w.mats[j2][:, 0] = tp_ef.onb[j][j2][:, t]
-                    for t2 in range(int(tp_efg.r[j2, l])):
+                    for t2 in range(tp_efg.r[j2][l]):
                         y = zero(tp_efg.right.module)
                         y.mats[l][:, 0] = tp_efg.onb[j2][l][:, t2]
                         img = embed(tp_e_fg, j, 0, pure_tensor(tp_fg, w, y))

@@ -10,7 +10,7 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from corrlab.algebra import StarHom, make_algebra, make_star_hom
@@ -28,8 +28,10 @@ from corrlab.generators import (
     random_algebra,
     random_correspondence,
     random_element,
+    random_equivalence,
     random_simplex,
     random_unitary,
+    twist_edge,
 )
 from corrlab.linalg import frob, gram_onb
 from corrlab.modules import (
@@ -52,7 +54,16 @@ from corrlab.modules import (
     tensor_iso,
 )
 from corrlab.nerve import identity_iso
-from reference import apply_iso, embed, from_vec, left_mul, pure_tensor, section, zero
+from reference import (
+    apply_iso,
+    embed,
+    from_vec,
+    general_product,
+    left_mul,
+    pure_tensor,
+    section,
+    zero,
+)
 
 
 def module_basis(module):
@@ -485,7 +496,8 @@ def test_shared_frames_are_bit_equal_to_fresh_builds(seed):
     assert any(id(tp.left) in corrs for tp in tps)
     for tp in tps:
         r, proj, onb = fresh_frame(tp.left, tp.right)
-        assert bit_equal(tp.r, r)
+        assert tp.r == tuple(map(tuple, r.tolist()))
+        assert {type(x) for row in tp.r for x in row} == {int}
         for j, k in np.ndindex(*r.shape):
             assert bit_equal(tp.proj[j][k], proj[j][k])
             assert bit_equal(tp.onb[j][k], onb[j][k])
@@ -500,7 +512,8 @@ def test_frames_are_shared_and_read_only():
     t, t2 = s.tp(0, 1, 3), s.tp(1, 1, 3)
     assert t.r is t2.r and t.proj is t2.proj and t.onb is t2.onb
     assert tensor_corrs(s.edge(0, 1), s.edge(1, 3), eps=1e-7).onb is not t.onb
-    for a in [t.r, *[x for row in t.proj + t.onb for x in row]]:
+    assert type(t.r) is tuple and {type(row) for row in t.r} == {tuple}
+    for a in [x for row in t.proj + t.onb for x in row]:
         assert not a.flags.writeable
     with pytest.raises(ValueError):
         t.onb[0][0][...] = 0
@@ -534,7 +547,7 @@ def test_products_are_kept_once_per_pair_and_eps():
     fresh = modules.TensorProduct(e2, Correspondence(f.src, f.module, f.lam))
     assert fresh.onb is not t.onb
     assert bit_equal(fresh.corr.lam.matrix, t.corr.lam.matrix)
-    for j, k in np.ndindex(*t.r.shape):
+    for j, k in np.ndindex(len(t.r), len(t.r[0])):
         assert bit_equal(fresh.onb[j][k], t.onb[j][k])
 
 
@@ -543,6 +556,53 @@ def test_identity_corr_is_kept_on_its_algebra():
     assert identity_corr(b) is identity_corr(b)
     assert identity_corr(make_algebra((2, 1))) is not identity_corr(b)
     assert corr_close(identity_corr(make_algebra((2, 1))), identity_corr(b), eps=0.0)
+
+
+@st.composite
+def generator_corrs(draw):
+    """A generator correspondence: random_correspondence's construction with
+    multiplicities 0..2, so zero module blocks (dropped from the compacts)
+    and zero action multiplicities occur; an equivalence; or a twisted edge."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["embedding", "equivalence", "twisted"]))
+    if kind == "twisted":
+        s = random_simplex(rng, 2, max_mult=2)
+        return twist_edge(s, 0, 2, rng).edges[(0, 2)]
+    dst = make_algebra(draw(st.lists(st.integers(1, 2), min_size=1, max_size=3)))
+    if kind == "equivalence":
+        return random_equivalence(dst, rng)
+    src = make_algebra(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
+    row = st.lists(st.integers(0, 2), min_size=dst.nblocks, max_size=dst.nblocks)
+    m = np.array(draw(st.lists(row, min_size=src.nblocks, max_size=src.nblocks)))
+    assume(m.any())
+    q = m.T @ np.array(src.blocks)
+    module = make_module(dst, q)
+    return Correspondence(src, module, embedding_hom(src, module.compacts, m[:, q > 0], rng))
+
+
+@settings(max_examples=40)
+@given(generator_corrs())
+def test_product_with_the_kept_identity_is_the_left_factor(e):
+    """tensor_corrs(E, identity_corr(B)) keeps E itself.  The general
+    construction gives E's module and left action bit for bit, and so does
+    the library's general path on a copy of id_B, which is not the kept
+    object; the right unitor on either product has exact identity blocks."""
+    b = e.dst
+    tp = tensor_corrs(e, identity_corr(b))
+    assert tp.corr is e and tp.module is e.module
+    module, lam = general_product(e, identity_corr(b))
+    assert module == e.module and bit_equal(lam, e.lam.matrix)
+    copy = Correspondence(b, identity_corr(b).module, identity_corr(b).lam)
+    general = tensor_corrs(e, copy)
+    assert general.corr is not e and general.module == e.module
+    assert bit_equal(general.corr.lam.matrix, e.lam.matrix)
+    assert bit_equal(general.corr.lam.mult_matrix, e.lam.mult_matrix)
+    assert general.corr.lam.unital
+    for t in (tp, general):
+        rho = right_unitor(t)
+        assert rho.src is t.corr and rho.dst is e
+        for u, m in zip(rho.blocks, e.module.mult):
+            assert bit_equal(u, np.eye(m, dtype=complex))
 
 
 @settings(max_examples=25)
@@ -573,10 +633,10 @@ def row_gather_left_action(tp):
     for p, jp, a, a2 in e_mod.compacts.basis_triples():
         j = e_mod.kept[jp]
         for kp, k in enumerate(tp.module.kept):
-            rjk = int(tp.r[j, k])
+            rjk = tp.r[j][k]
             if rjk == 0:
                 continue
-            o = sum(e_mod.mult[j2] * int(tp.r[j2, k]) for j2 in range(j))
+            o = sum(e_mod.mult[j2] * tp.r[j2][k] for j2 in range(j))
             size, base = kg.blocks[kp], kg.offset(kp)
             for t in range(rjk):
                 rows.append(base + (o + a * rjk + t) * size + (o + a2 * rjk + t))

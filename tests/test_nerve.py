@@ -7,13 +7,14 @@ category rather than a bare coherence bookkeeping device.
 
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corrlab import nerve
+from corrlab import modules, nerve
 from corrlab.algebra import FdCstarAlgebra, StarHom, make_algebra
 from corrlab.bicategory import find_corr_iso, is_equivalence
 from corrlab.cli import main
@@ -87,6 +88,33 @@ def test_gamma_simplex_validates(seed):
     s = gamma_simplex(random_chain(rng, 3, max_mult=1), validate=True)
     for quad in weak_quadruples(3):
         assert pentagon_residual(s, *quad) < 1e-9
+
+
+def test_pentagon_sweep_builds_a_fixed_number_of_products(monkeypatch):
+    """One nerve-coherence case: gamma_simplex of a 3-chain, validate_simplex
+    and the pentagon at all 35 weak quadruples.  E (x) id_B is E itself, so
+    it builds no left action, and every product with it on the left is one
+    E already keeps: 50 products and 30 left actions, where building
+    E (x) id_B afresh took 90 of each."""
+    counts = Counter()
+
+    def counted(name, f):
+        def wrapper(*args, **kw):
+            counts[name] += 1
+            return f(*args, **kw)
+
+        return wrapper
+
+    tp_class = modules.TensorProduct
+    monkeypatch.setattr(tp_class, "__init__", counted("products", tp_class.__init__))
+    monkeypatch.setattr(tp_class, "_left_action", counted("left actions", tp_class._left_action))
+    for seed in (0, 4):
+        counts.clear()
+        chain = random_chain(np.random.default_rng(seed), 3, max_blocks=2, max_size=2, max_mult=1)
+        s = gamma_simplex(chain, validate=False)
+        validate_simplex(s)
+        assert max(pentagon_residual(s, *quad) for quad in weak_quadruples(3)) <= 1e-9
+        assert counts == {"products": 50, "left actions": 30}
 
 
 def test_identity_edges_and_unit_cells():
@@ -259,7 +287,7 @@ def loop_extraction(edges, cells):
         m_dst, m_src = e02.module.mult[j], t01_12.module.mult[j]
         num, den = np.zeros((m_dst, m_src), dtype=complex), 0
         for kk in range(e23.dst.nblocks):
-            r = int(t02_23.r[j, kk])
+            r = t02_23.r[j][kk]
             if r == 0:
                 continue
             den += r
@@ -281,7 +309,7 @@ def test_pentagon_extraction_matches_the_trace_loop():
     cases += [(seed, {"max_size": 1, "max_mult": 4}) for seed in (1, 2, 5, 6, 9)]  # r = 4, small
     for seed, kw in cases:
         s = random_simplex(np.random.default_rng(seed), 3, **kw)
-        seen_r.update(tensor_corrs(s.edges[(0, 2)], s.edges[(2, 3)]).r.ravel().tolist())
+        seen_r.update(x for row in tensor_corrs(s.edges[(0, 2)], s.edges[(2, 3)]).r for x in row)
         try:
             u = nerve._solve_pentagon(dict(s.edges), dict(s.cells), 3, 1e-9)
         except Unfillable:

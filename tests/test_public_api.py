@@ -26,8 +26,9 @@ def test_every_exported_name_resolves(name):
     assert not missing, f"{name}.__all__ names {missing}"
 
 
-def callers(tree, name):
-    """Names of the functions (or <module>) holding a call of ``name``."""
+def callers(tree, name, keyword=None):
+    """Names of the functions (or <module>) holding a call of ``name``,
+    only those passing ``keyword`` when one is given."""
     out = []
 
     def visit(node, scope):
@@ -37,7 +38,8 @@ def callers(tree, name):
                 continue
             if isinstance(child, ast.Call):
                 f = child.func
-                if getattr(f, "id", getattr(f, "attr", None)) == name:
+                passes = keyword is None or any(k.arg == keyword for k in child.keywords)
+                if getattr(f, "id", getattr(f, "attr", None)) == name and passes:
                     out.append(scope)
             visit(child, scope)
 
@@ -63,7 +65,10 @@ def test_validating_constructors_are_called_only_at_the_trust_boundary():
     writes in closed form.  What the library and its generators build goes
     through the certified constructors (StarHom, _bratteli_hom,
     Correspondence, CorrIso._trusted), so a generator that starts
-    re-validating its own output fails here."""
+    re-validating its own output fails here.  StarHom's internal _mult
+    keyword, which takes the multiplicities instead of tracing the matrix,
+    is passed only by the two builders that know them from construction,
+    anywhere in the package, serialize and cli included."""
     found = {
         (path.name, scope)
         for path in sorted(pathlib.Path(corrlab.__file__).parent.glob("*.py"))
@@ -77,6 +82,12 @@ def test_validating_constructors_are_called_only_at_the_trust_boundary():
         ("bicategory.py", "find_corr_iso"),
         ("nerve.py", "_solve_pentagon"),
     }
+    trusted = {
+        (path.name, scope)
+        for path in sorted(pathlib.Path(corrlab.__file__).parent.glob("*.py"))
+        for scope in callers(ast.parse(path.read_text()), "StarHom", keyword="_mult")
+    }
+    assert trusted == {("algebra.py", "_bratteli_hom"), ("modules.py", "_left_action")}
 
 
 def test_no_library_path_applies_a_hom():

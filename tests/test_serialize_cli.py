@@ -816,6 +816,51 @@ def test_cli_make_corr_passes_max_mult_through():
     assert run_cli(["make", "corr", "--seed", "5"])[1] == texts[0] != texts[1]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["make", "simplex", "--n", "3", "--max-mult", "2", "--seed", "1"],
+        ["make", "hom", "--max-mult", "40"],
+        ["make", "corr", "--max-mult", "40"],
+    ],
+)
+def test_cli_make_refuses_what_a_load_would_refuse(tmp_path, argv):
+    """make simplex --n 3 --max-mult 2 --seed 1 drew algebras of dimension
+    320 and 3,328, and took about 15 s and 1.9 GB to write a file that
+    validate refuses.  The generators now raise the loader's
+    DimensionTooLarge, with its exit code, as soon as the sizes are drawn."""
+    path = tmp_path / "x.json"
+    code, out, err = run_cli(argv + ["--out", str(path)], seconds=5)
+    assert code == 2 and out == "" and not path.exists()
+    assert "exceeds 256 dimensions" in err
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({"blocks": [16, 1]}))
+    assert run_cli(["validate", str(big)])[0] == code
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 42])
+def test_cli_make_size_guard_draws_nothing(seed):
+    """Under the bound, make writes what the generators draw without it:
+    the guard reads sizes already drawn and takes nothing from the rng."""
+
+    def made(*argv):
+        code, out, _ = run_cli(["make", *argv, "--seed", str(seed)], seconds=20)
+        assert code == 0
+        return out
+
+    def text(doc):
+        return _json_text(doc) + "\n"
+
+    rng = np.random.default_rng(seed)
+    assert made("simplex") == text(simplex_to_json(random_simplex(rng, 2, max_mult=1)))
+    rng = np.random.default_rng(seed)
+    sigma = random_simplex(rng, 3, twist=True, max_mult=1)
+    assert made("simplex", "--n", "3", "--twist") == text(simplex_to_json(sigma))
+    rng = np.random.default_rng(seed)
+    phi = random_unital_hom(random_algebra(rng), rng, max_mult=1)
+    assert made("hom") == text(hom_to_json(phi))
+
+
 @pytest.mark.parametrize("eps", ["nan", "inf", "-inf", "0", "-0.0", "-1", "1e-400"])
 def test_cli_refuses_an_eps_that_is_not_finite_and_positive(tmp_path, eps):
     """--eps inf passed validate's star-hom checks and then failed a rank
