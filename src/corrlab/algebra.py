@@ -3,14 +3,14 @@
 An algebra is a direct sum of full matrix blocks, held in its canonical
 matrix-unit basis (blocks in order, entries row-major).  A *-homomorphism is
 stored as the dense matrix of the underlying linear map in those bases,
-together with its integer block-multiplicity matrix, read off as traces:
-the image of a minimal projection e_00 of a source block is a projection in
-each target block, and its trace there is the multiplicity.
+together with its integer block-multiplicity matrix: the image of a minimal
+projection e_00 of a source block is a projection in each target block, and
+its rank there is the multiplicity.
 
-``make_star_hom`` validates a matrix from outside and raises on invalid
-data; ``StarHom`` itself is the certified constructor that canonical
-constructions from valid inputs (identities, composites, corner inclusions)
-build through without re-checking.
+``make_star_hom`` validates a matrix from outside, raises on invalid data
+and traces its multiplicities (``_traced_mult``); ``StarHom`` itself is the
+certified constructor that canonical constructions from valid inputs build
+through without re-checking, passing the multiplicities they know.
 
 A *-hom is fixed by Bratteli data: its multiplicities and, per target
 block, one isometry.  ``hom_normal_form`` extracts that data from a matrix
@@ -25,7 +25,7 @@ is built.
 """
 from __future__ import annotations
 
-from dataclasses import KW_ONLY, InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -56,7 +56,7 @@ __all__ = [
 class FdCstarAlgebra:
     """A direct sum of matrix blocks M_{n_1} (+) ... (+) M_{n_r}."""
 
-    __slots__ = ("blocks", "label", "dim", "_offsets", "_diag", "_diag_starts", "_identity")
+    __slots__ = ("blocks", "label", "dim", "_offsets", "_identity")
 
     def __init__(self, blocks, label: str = ""):
         blocks = tuple(int(b) for b in blocks)
@@ -66,18 +66,12 @@ class FdCstarAlgebra:
             raise InvalidAlgebra(f"block sizes must be >= 1, got {blocks}")
         self.blocks = blocks
         self.label = label
-        self.dim = sum(b * b for b in blocks)
-        offs, diag, starts, o = [], [], [], 0
+        offs, o = [], 0
         for b in blocks:
             offs.append(o)
-            starts.append(len(diag))
-            diag.extend(range(o, o + b * b, b + 1))
             o += b * b
+        self.dim = o
         self._offsets = tuple(offs)
-        # flat indices of the diagonal entries, and where each block's run
-        # starts among them: a block trace is one gather and one reduceat
-        self._diag = np.array(diag, dtype=np.intp)
-        self._diag_starts = tuple(starts)
         self._identity = None  # modules.identity_corr(self), built on first use
 
     @property
@@ -200,14 +194,10 @@ class StarHom:
     canonical bases, stored C-ordered so that nothing computed from it depends
     on the caller's memory layout; it must already be a *-hom, so this is for
     canonical constructions from valid inputs, and ``make_star_hom`` is the
-    one that checks.  Derived at construction:
-
-    ``mult_matrix``, the (src.nblocks x dst.nblocks) integer matrix of block
-    multiplicities: r_ij is the rounded real trace of phi(e^(i)_00) in dst
-    block j, a projection of rank r_ij <= m_j (Bratteli's structure
-    theorem); a larger |r_ij| cannot be cast and raises NotProjection.
-    The builders that know r from construction (_bratteli_hom and
-    TensorProduct._left_action) pass it as the internal ``_mult`` instead;
+    one that checks.  ``mult_matrix`` is the (src.nblocks x dst.nblocks)
+    int64 matrix of block multiplicities: r_ij is the rank of phi(e^(i)_00)
+    in dst block j (Bratteli's structure theorem), as each builder knows it
+    from its inputs (its docstring says why).  Derived at construction:
 
     ``unital``, true iff sum_i r_ij n_i = m_j for every dst block j, i.e.
     phi(1) fills every dst block.
@@ -221,25 +211,16 @@ class StarHom:
     src: FdCstarAlgebra
     dst: FdCstarAlgebra
     matrix: np.ndarray
-    mult_matrix: np.ndarray = field(init=False)
+    mult_matrix: np.ndarray
     unital: bool = field(init=False)
     _gamma: dict = field(init=False, repr=False, compare=False, default_factory=dict)
     _ws: list = field(init=False, repr=False, compare=False, default=None)
-    _: KW_ONLY
-    _mult: InitVar[np.ndarray] = None
 
-    def __post_init__(self, mult):
-        src, dst = self.src, self.dst
+    def __post_init__(self):
         matrix = np.ascontiguousarray(self.matrix, dtype=complex).view()
         matrix.setflags(write=False)
-        if mult is None:
-            diag = matrix[dst._diag[:, None], src._offsets].real
-            ranks = np.rint(np.add.reduceat(diag, dst._diag_starts, axis=0))
-            if (np.abs(ranks) > np.array(dst.blocks)[:, None]).any():
-                raise NotProjection("a trace of phi(e_00) is not a rank in its block")
-            mult = ranks.T.astype(np.int64)
-        unital = bool((np.dot(src.blocks, mult) == dst.blocks).all())
-        self.__dict__.update(matrix=matrix, mult_matrix=mult, unital=unital)
+        unital = bool((np.dot(self.src.blocks, self.mult_matrix) == self.dst.blocks).all())
+        self.__dict__.update(matrix=matrix, unital=unital)
 
     def apply(self, x) -> AlgElement:
         if isinstance(x, AlgElement):
@@ -326,10 +307,24 @@ def _mult_residual(src, dst, matrix):
     return float(np.sqrt(worst)), where
 
 
+def _traced_mult(src, dst, matrix) -> np.ndarray:
+    """The multiplicities of a matrix from outside, read as traces: r_ij is
+    the rounded real trace of phi(e^(i)_00) in dst block j, which for a
+    *-hom is a projection of rank r_ij <= m_j.  A larger |r_ij| cannot be a
+    rank (nor, past 2**63, be cast) and raises NotProjection."""
+    diag = [d for o, m in zip(dst._offsets, dst.blocks) for d in range(o, o + m * m, m + 1)]
+    starts = np.cumsum((0,) + dst.blocks[:-1])  # where each block's run starts in diag
+    traces = np.add.reduceat(matrix[np.array(diag)[:, None], src._offsets].real, starts, axis=0)
+    ranks = np.rint(traces)
+    if (np.abs(ranks) > np.array(dst.blocks)[:, None]).any():
+        raise NotProjection("a trace of phi(e_00) is not a rank in its block")
+    return ranks.T.astype(np.int64)
+
+
 def make_star_hom(src, dst, matrix, *, eps: float = EPS) -> StarHom:
     """The StarHom of a matrix from outside, after the star and
     multiplicativity checks; a residual that is not <= eps (NaN included)
-    raises."""
+    raises.  Its multiplicities are traced (``_traced_mult``)."""
     matrix = np.array(matrix, dtype=complex)
     if matrix.shape != (dst.dim, src.dim):
         raise ShapeMismatch(f"expected a {dst.dim} x {src.dim} matrix, got {matrix.shape}")
@@ -339,7 +334,7 @@ def make_star_hom(src, dst, matrix, *, eps: float = EPS) -> StarHom:
     resid, where = _mult_residual(src, dst, matrix)
     if not resid <= eps:
         raise NotMultiplicative(f"fails {where}", resid)
-    return StarHom(src, dst, matrix)
+    return StarHom(src, dst, matrix, _traced_mult(src, dst, matrix))
 
 
 def identity_hom(a: FdCstarAlgebra) -> StarHom:
@@ -351,10 +346,12 @@ def identity_hom(a: FdCstarAlgebra) -> StarHom:
 
 
 def compose_homs(psi: StarHom, phi: StarHom) -> StarHom:
-    """psi . phi; a composite of *-homs is one, so it is not re-checked."""
+    """psi . phi; a composite of *-homs is one, so it is not re-checked.
+    Multiplicities: mult(phi) mult(psi), as ranks add over the middle blocks."""
     if phi.dst != psi.src:
         raise EndpointMismatch("homs are not composable")
-    return StarHom(phi.src, psi.dst, psi.matrix @ phi.matrix)
+    mult = np.dot(phi.mult_matrix, psi.mult_matrix)
+    return StarHom(phi.src, psi.dst, psi.matrix @ phi.matrix, mult)
 
 
 def is_full_hom(phi: StarHom, *, eps: float = EPS) -> bool:
@@ -483,13 +480,11 @@ def _bratteli_hom(src: FdCstarAlgebra, dst: FdCstarAlgebra, ws, matrix=None) -> 
     """The certified StarHom of Bratteli data ``ws`` in the format of
     ``_conjugation_matrix``, keeping ``ws`` on it.  ``matrix``, when given,
     is that function's result, known without computing it.  Its
-    multiplicities are r_il = W_li.shape[2] (0 if absent): the trace of
-    phi(e^(i)_00) in block l is sum_rho |W_li[:, 0, rho]|^2, which is r_il
-    up to rounding for an isometry W_li, so the dense trace rounds to it."""
+    multiplicities are r_il = W_li.shape[2] (0 if absent), the rank of W_li[:, 0, :]."""
     if matrix is None:
         matrix = _conjugation_matrix(src, dst, ws)
     mult = [[w[i].shape[2] if i in w else 0 for w in ws] for i in range(src.nblocks)]
-    phi = StarHom(src, dst, matrix, _mult=np.array(mult, dtype=np.int64))
+    phi = StarHom(src, dst, matrix, np.array(mult, dtype=np.int64))
     object.__setattr__(phi, "_ws", ws)
     return phi
 

@@ -75,6 +75,7 @@ def gamma_of_hom(phi: StarHom, *, eps: float = EPS) -> Correspondence:
 
     Module multiplicity at block j is rank(phi(1)_j); the left action is
     a -> V_j^* phi(a)_j V_j on the isometries V_j spanning those ranges.
+    Multiplicities: mult(phi) at the kept blocks, as V_j keeps phi(1)_j's range.
     Computed once per (phi, eps) and kept on phi: repeated calls return the
     same object, so sibling chains share edges and their tensor frames.
     """
@@ -94,7 +95,8 @@ def gamma_of_hom(phi: StarHom, *, eps: float = EPS) -> Correspondence:
         # images, so each product runs the same kernel as on one image
         imgs = phi.matrix[o : o + m * m].T.copy().reshape(-1, m, m)
         kc.block_rows(lam, t)[:] = (v.conj().T @ imgs @ v).transpose(1, 2, 0)
-    corr = phi._gamma[("corr", eps)] = Correspondence(phi.src, module, StarHom(phi.src, kc, lam))
+    lam_hom = StarHom(phi.src, kc, lam, phi.mult_matrix[:, list(module.kept)])
+    corr = phi._gamma[("corr", eps)] = Correspondence(phi.src, module, lam_hom)
     return corr
 
 
@@ -150,6 +152,7 @@ class CornerFactorization:
 
 
 def u_of_corr(corr: Correspondence, *, eps: float = EPS) -> CornerFactorization:
+    """E = (Gamma j_E) (x) X; j_hom has lambda_E's multiplicities, on their blocks."""
     a, b = corr.src, corr.dst
     e_mod = corr.module
     sum_mod = make_module(b, [m + n for m, n in zip(e_mod.mult, b.blocks)])
@@ -158,10 +161,12 @@ def u_of_corr(corr: Correspondence, *, eps: float = EPS) -> CornerFactorization:
     # block k of the linking algebra is M_{m_k + n_k} (all are kept):
     # lambda_E(x) in the upper left corner, B in the lower right one
     j_matrix = np.zeros((linking.dim, a.dim), dtype=complex)
+    mult = np.zeros((a.nblocks, linking.nblocks), dtype=np.int64)
     for pos, k in enumerate(e_mod.kept):
         m = e_mod.mult[k]
         linking.block_rows(j_matrix, k)[:m, :m] = e_mod.compacts.block_rows(corr.lam.matrix, pos)
-    j_hom = StarHom(a, linking, j_matrix)
+        mult[:, k] = corr.lam.mult_matrix[:, pos]
+    j_hom = StarHom(a, linking, j_matrix, mult)
     ws = [
         {k: np.eye(m + n, n, -m)[:, :, None]} for k, (m, n) in enumerate(zip(e_mod.mult, b.blocks))
     ]

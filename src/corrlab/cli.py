@@ -264,17 +264,7 @@ def cmd_extend(args) -> int:
     ext = extend_bar_G(s, F, D, {}, eps=args.eps)
     top = ext.top()
     if args.trace:
-        fills = [
-            {
-                "chain": e["chain"],
-                "horn": list(e["horn"]),
-                "kind": e["kind"],
-                "guided": e["guided"],
-                "certificate": e["certificate"],
-            }
-            for e in ext.trace
-        ]
-        _write(args.trace, {"simplex_dim": s.n, "fills": fills})
+        _write(args.trace, {"simplex_dim": s.n, "fills": ext.trace})
     _emit(_k0_to_json(top) if isinstance(top, K0Simplex) else simplex_to_json.doc(top), args.out)
     return 0
 
@@ -336,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     m = sub.add_parser("make", parents=[common], help="emit a seeded random value")
     m.add_argument("kind", choices=["algebra", "hom", "corr", "simplex"])
-    m.add_argument("--blocks", type=lambda s: [int(x) for x in s.split(",")],
+    m.add_argument("--blocks", type=lambda s: [_positive(int)(x) for x in s.split(",")],
                    help="algebra blocks, e.g. 2,1")
     m.add_argument("--label", default="")
     m.add_argument("--src", help="source algebra file (hom, corr)")

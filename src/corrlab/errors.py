@@ -10,7 +10,8 @@ re-checked: the ``StarHom`` built by ``identity_hom``, ``compose_homs``,
 ``direct_sum_corrs``, tensor products, corner inclusions, subdivision
 connecting homs and the generators ``embedding_hom`` and ``twist_edge``
 (from Bratteli data through ``_bratteli_hom``, which keeps the data on the
-hom, or by a block map over an existing action), and the canonical
+hom, or by a block map over an existing action), each passing the
+multiplicities it knows from its inputs, and the canonical
 intertwiners: ``identity_iso``, ``left_unitor``, ``right_unitor``,
 ``associator``, ``gamma_multiplicativity``, the ``u_of_corr``
 factorization iso, the ``equivalence_inverse`` counits, ``tensor_iso``,
@@ -92,7 +93,7 @@ class NotStarPreserving(ValidationError):
 
 
 class NotProjection(ValidationError):
-    pass
+    """A corner's p, or a trace of phi(e_00) no rank in its block (``_traced_mult``)."""
 
 
 class BaseMismatch(ValidationError):

@@ -548,8 +548,6 @@ class _Builder:
         self.pref = None if functor.section is None else functor.section(sigma)
         self.children = {}
         self.vals = {}
-        self.assigned = {}
-        self.gcache = {}
         self.trace = []
 
     # -- value resolution ---------------------------------------------------
@@ -598,28 +596,22 @@ class _Builder:
         return child
 
     def _g_value(self, subsets: tuple):
-        hit = self.gcache.get(subsets)
-        if hit is not None:
-            return hit
         if len(subsets) == 1:
-            out = self.functor.vertex(self.sd.data[subsets[0]].algebra)
-        else:
-            # composites come from the subdivision's own hom table so that
-            # the same geometric edge has the same bits in every chain; the
-            # table is read directly, as the engine's chains are valid and
-            # their subsets nested
-            homs = self.sd.homs
-            comp = {
-                (i, j): homs[(subsets[i], subsets[j])]
-                for i in range(len(subsets))
-                for j in range(i + 1, len(subsets))
-            }
-            out = self.functor.chain(
-                [homs[(s, t)] for s, t in zip(subsets, subsets[1:])],
-                composites=comp,
-            )
-        self.gcache[subsets] = out
-        return out
+            return self.functor.vertex(self.sd.data[subsets[0]].algebra)
+        # composites come from the subdivision's own hom table so that the
+        # same geometric edge has the same bits in every chain; the table is
+        # read directly, as the engine's chains are valid and their subsets
+        # nested
+        homs = self.sd.homs
+        comp = {
+            (i, j): homs[(subsets[i], subsets[j])]
+            for i in range(len(subsets))
+            for j in range(i + 1, len(subsets))
+        }
+        return self.functor.chain(
+            [homs[(s, t)] for s, t in zip(subsets, subsets[1:])],
+            composites=comp,
+        )
 
     # -- the staged fills ---------------------------------------------------
 
@@ -633,7 +625,9 @@ class _Builder:
         ell = c.dim
         kk = k + 1
         missing_chain = sdv.face(c, kk)
-        if missing_chain in self.assigned or c in self.assigned:
+        # both have two or more vertices and full support, so only a fill
+        # puts them in vals
+        if missing_chain in self.vals or c in self.vals:
             raise CompatibilityViolated(
                 f"fill target {_chain_str(c)} or its face was assigned twice"
             )
@@ -669,13 +663,10 @@ class _Builder:
             raise OracleFillFailed(
                 f"oracle changed face {j} of horn ({ell},{kk}) at {_chain_str(c)}"
             )
-        self.assigned[c] = fill
         self.vals[c] = fill
         # face i of the missing face is face k-1 of horn face i (i < k) or
         # face k of horn face i + 1 (i >= k): already compared, so no check
-        got = self.oracle.face(fill, kk)
-        self.assigned[missing_chain] = got
-        self.vals[missing_chain] = got
+        self.vals[missing_chain] = self.oracle.face(fill, kk)
         self.trace.append(
             {
                 "chain": _chain_str(c),
@@ -814,11 +805,9 @@ class RelExtension:
         return self._value(sigma, alpha, w)
 
     def _eta(self, algebra):
-        key = structural_hash(algebra)
-        hit = self._eta_cache.get(key)
+        hit = self._eta_cache.get(algebra)
         if hit is None:
-            hit = self.homotopy.eta(algebra)
-            self._eta_cache[key] = hit
+            hit = self._eta_cache[algebra] = self.homotopy.eta(algebra)
         return hit
 
     def _value(self, sig, alpha, w):

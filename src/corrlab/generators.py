@@ -175,7 +175,8 @@ def twist_edge(s: NCorrSimplex, i0: int, j0: int, rng) -> NCorrSimplex:
 
     Certified: conjugating the *-hom lam by block unitaries V gives a *-hom
     that V intertwines with lam, and a product of unitaries that lands on the
-    new edge stays unitary and intertwining, all up to rounding."""
+    new edge stays unitary and intertwining, all up to rounding, and
+    conjugation keeps the action's multiplicities."""
     if not (0 <= i0 < j0 <= s.n):
         raise ShapeMismatch(f"({i0}, {j0}) is not a strict edge")
     old = s.edges[(i0, j0)]
@@ -187,7 +188,7 @@ def twist_edge(s: NCorrSimplex, i0: int, j0: int, rng) -> NCorrSimplex:
         u, o = blocks[old.module.kept[kp]], d.offset(kp)
         imgs = old.lam.matrix[o : o + mk * mk].T.copy().reshape(-1, mk, mk)
         d.block_rows(lam_new, kp)[:] = (u @ imgs @ u.conj().T).transpose(1, 2, 0)
-    new = Correspondence(old.src, old.module, StarHom(old.src, d, lam_new))
+    new = Correspondence(old.src, old.module, StarHom(old.src, d, lam_new, old.lam.mult_matrix))
     v_iso = CorrIso._trusted(old, new, blocks)
     edges = dict(s.edges)
     edges[(i0, j0)] = new

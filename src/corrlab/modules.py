@@ -213,7 +213,8 @@ def identity_corr(b: FdCstarAlgebra) -> Correspondence:
 
 
 def direct_sum_corrs(corrs):
-    """Direct sum of correspondences with common endpoints, diagonal action."""
+    """Direct sum of correspondences with common endpoints, diagonal action;
+    its multiplicities are the summands' lambda's, added on their blocks."""
     first = corrs[0]
     for c in corrs:
         if c.src != first.src:
@@ -221,13 +222,15 @@ def direct_sum_corrs(corrs):
     module, starts = direct_sum_modules([c.module for c in corrs])
     kg = module.compacts
     lam = np.zeros((kg.dim, first.src.dim), dtype=complex)
+    mult = np.zeros((first.src.nblocks, kg.nblocks), dtype=np.int64)
     for s, c in enumerate(corrs):
         for pos, k in enumerate(c.module.kept):
-            o, m = starts[s][k], c.module.mult[k]
-            kg.block_rows(lam, module.compact_pos(k))[o : o + m, o : o + m] = (
+            o, m, kp = starts[s][k], c.module.mult[k], module.compact_pos(k)
+            kg.block_rows(lam, kp)[o : o + m, o : o + m] = (
                 c.module.compacts.block_rows(c.lam.matrix, pos)
             )
-    return Correspondence(first.src, module, StarHom(first.src, kg, lam)), starts
+            mult[:, kp] += c.lam.mult_matrix[:, pos]
+    return Correspondence(first.src, module, StarHom(first.src, kg, lam, mult)), starts
 
 
 def corr_close(c1: Correspondence, c2: Correspondence, eps: float = EPS) -> bool:
@@ -437,7 +440,7 @@ class TensorProduct:
                 for t in range(r):
                     blk[:, t, :, t] = src
         r = [[self.r[j][k] for k in module.kept] for j in e_mod.kept]
-        return StarHom(self.left.src, kg, matrix, _mult=np.dot(self.left.lam.mult_matrix, r))
+        return StarHom(self.left.src, kg, matrix, np.dot(self.left.lam.mult_matrix, r))
 
     def row_start(self, k: int, j: int, a: int) -> int:
         """First block-k row of group (j, a)."""

@@ -307,8 +307,14 @@ def _h_update(h, obj):
         for x in obj:
             _h_update(h, x)
         h.update(b")")
-    else:
+    elif isinstance(obj, (str, int, float, complex, np.generic)):
         h.update(repr(obj).encode())
+    else:
+        from .extension import K0Simplex  # extension imports this module
+
+        if not isinstance(obj, K0Simplex):
+            raise TypeError(f"structural_hash has no rule for {type(obj).__name__}")
+        h.update(b"k0" + repr(obj.ranks).encode() + obj.key)
 
 
 def structural_hash(obj) -> str:
@@ -316,6 +322,8 @@ def structural_hash(obj) -> str:
 
     Equal hashes mean bit-identical data. Used for memo keys, trace ids and
     exact-recovery checks; tolerance-based comparisons live in simplex_close.
+    A K0Simplex hashes its ranks and ``key``, the data its equality
+    compares; a type with no rule raises TypeError.
     A simplex hashes its algebras and its stored strict edges and cells: its
     identity edges and unit cells are a function of those, so hashing builds
     none of them.

@@ -40,7 +40,9 @@ the offending location.  A ``blocks`` or ``mult`` list that describes more
 than MAX_PARSED_DIM dimensions raises DimensionTooLarge before anything is
 built from it.  Numeric validation is left to the ordinary
 constructors; with ``validate=False`` values are built unchecked, for a
-caller that checks every invariant itself (``corrlab validate``).
+caller that checks every invariant itself (``corrlab validate``), save
+that a hom's or left action's multiplicities are read off its matrix as
+traces, and a trace that is no rank in its block raises NotProjection.
 """
 from __future__ import annotations
 
@@ -50,7 +52,7 @@ from itertools import chain, combinations
 
 import numpy as np
 
-from .algebra import EPS, FdCstarAlgebra, StarHom, make_algebra, make_star_hom
+from .algebra import EPS, FdCstarAlgebra, StarHom, _traced_mult, make_algebra, make_star_hom
 from .errors import DimensionTooLarge, ParseError, SchemaError
 from .modules import (
     CorrIso,
@@ -271,7 +273,9 @@ def hom_from_json(doc, *, eps: float = EPS, validate: bool = True, where="star_h
     src = algebra_from_json(_need(doc, "src", where), f"{where}.src")
     dst = algebra_from_json(_need(doc, "dst", where), f"{where}.dst")
     m = matrix_from_json(_need(doc, "matrix", where), (dst.dim, src.dim), f"{where}.matrix")
-    return make_star_hom(src, dst, m, eps=eps) if validate else StarHom(src, dst, m)
+    if validate:
+        return make_star_hom(src, dst, m, eps=eps)
+    return StarHom(src, dst, m, _traced_mult(src, dst, m))
 
 
 def module_to_json(mod: HilbertModule) -> dict:
@@ -311,7 +315,8 @@ def corr_from_json(doc, *, eps: float = EPS, validate: bool = True, where="corre
     )
     if validate:
         return make_correspondence(src, module, m, eps=eps)
-    return Correspondence(src, module, StarHom(src, module.compacts, m))
+    lam = StarHom(src, module.compacts, m, _traced_mult(src, module.compacts, m))
+    return Correspondence(src, module, lam)
 
 
 @_writer

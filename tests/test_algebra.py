@@ -12,6 +12,7 @@ from corrlab.algebra import (
     _conjugation_matrix,
     _gram,
     _mult_residual,
+    _traced_mult,
     corner_algebra,
     compose_homs,
     hom_normal_form,
@@ -248,7 +249,8 @@ def test_is_full_hom():
         for scale, full in ((1.0, True), (1e-8, True), (1e-10, False), (0.0, False)):
             p = dst.zero()
             p.mats[0][0, 0] = scale
-            phi = StarHom(src, dst, p.to_vec()[:, None])
+            mat = p.to_vec()[:, None]
+            phi = StarHom(src, dst, mat, _traced_mult(src, dst, mat))
             assert is_full_hom(phi) == full, (m, scale)
 
 
@@ -374,7 +376,8 @@ def test_identity_matrix_is_the_conjugation_matrix_of_its_data(blocks):
 @given(phi=homs())
 def test_star_hom_bits_do_not_depend_on_memory_layout(phi):
     assume(phi.mult_matrix.any())  # the zero hom has no correspondence
-    fortran = StarHom(phi.src, phi.dst, np.asfortranarray(phi.matrix))
+    mat = np.asfortranarray(phi.matrix)
+    fortran = StarHom(phi.src, phi.dst, mat, _traced_mult(phi.src, phi.dst, mat))
     assert fortran.matrix.flags.c_contiguous
     assert structural_hash(gamma_of_hom(fortran)) == structural_hash(gamma_of_hom(phi))
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from corrlab.acceptance import _iso_residuals, k0_of_corr
 from corrlab.algebra import (
     StarHom,
+    _traced_mult,
     compose_homs,
     corner_algebra,
     identity_hom,
@@ -164,7 +165,8 @@ def test_equivalence_inverse_refuses_an_unchecked_action_of_the_wrong_rank():
     module = make_module(make_algebra((1,)), [2])
     lam = np.zeros((4, 4), dtype=complex)
     lam[[0, 3], 0] = lam[[0, 3], 3] = 0.5
-    corr = Correspondence(a, module, StarHom(a, module.compacts, lam))
+    kc = module.compacts
+    corr = Correspondence(a, module, StarHom(a, kc, lam, _traced_mult(a, kc, lam)))
     with pytest.raises(NotMultiplicative):
         equivalence_inverse(corr)
 
@@ -260,7 +262,7 @@ def test_gamma_of_hom_is_kept_on_the_hom():
     assert g7 is not g and gamma_of_hom(phi, eps=1e-7) is g7
     assert corr_close(g7, g, eps=0.0)
     # an equal-valued hom object starts empty and rebuilds the same bits
-    twin = StarHom(phi.src, phi.dst, phi.matrix)
+    twin = StarHom(phi.src, phi.dst, phi.matrix, _traced_mult(phi.src, phi.dst, phi.matrix))
     assert gamma_of_hom(twin) is not g
     assert gamma_of_hom(twin).lam.matrix.tobytes() == g.lam.matrix.tobytes()
 

@@ -94,6 +94,19 @@ def test_k0_simplex_apply_map():
     assert deg == s.degeneracy(0)
 
 
+def test_structural_hash_of_a_k0_simplex_is_its_equality():
+    """Equal hashes mean equal data: a K0Simplex hashes the ranks and steps
+    its equality compares, and a type with no rule is refused."""
+    one, two = K0Simplex((1, 1), [[[1]]]), K0Simplex((1, 1), [[[2]]])
+    assert one != two and structural_hash(one) != structural_hash(two)
+    assert structural_hash(one) == structural_hash(K0Simplex((1, 1), [[[1]]]))
+    wide, tall = K0Simplex((2, 1), [np.zeros((1, 2))]), K0Simplex((1, 2), [np.zeros((2, 1))])
+    assert structural_hash(wide) != structural_hash(tall)
+    for obj in (object(), {"blocks": (1,)}, (1, None)):
+        with pytest.raises(TypeError, match="no rule"):
+            structural_hash(obj)
+
+
 def test_k0_oracle_fills():
     o = K0Oracle()
     e01 = K0Simplex((2, 2), [M01])

@@ -35,6 +35,7 @@ from corrlab.algebra import (
     _composite_residual,
     _compose_ws,
     _star_residual,
+    _traced_mult,
     compose_homs,
     corner_algebra,
     hom_normal_form,
@@ -77,7 +78,7 @@ def assert_matches(h, ref_matrix, *, exact=False):
     else:
         assert np.abs(h.matrix - ref_matrix).max(initial=0.0) <= 1e-12
     checked = make_star_hom(h.src, h.dst, h.matrix, eps=1e-12)
-    ref = StarHom(h.src, h.dst, ref_matrix)
+    ref = StarHom(h.src, h.dst, ref_matrix, _traced_mult(h.src, h.dst, ref_matrix))
     assert np.array_equal(checked.mult_matrix, ref.mult_matrix)
     assert checked.unital == ref.unital
 
@@ -575,14 +576,22 @@ def test_twisted_simplex_actions_are_column_reads(seed, n):
 
 
 # ---------------------------------------------------------------------------
-# multiplicities from construction: _bratteli_hom and the product left
-# actions pass mult_matrix to StarHom as _mult instead of the dense trace
+# multiplicities from construction: every certified builder passes the
+# mult_matrix it knows from its inputs, which the dense trace reproduces
 
 
 def assert_trace_agrees(phi):
-    traced = StarHom(phi.src, phi.dst, phi.matrix)
-    assert bit_equal(phi.mult_matrix, traced.mult_matrix)
-    assert phi.mult_matrix.dtype == np.int64 and phi.unital is traced.unital
+    traced = _traced_mult(phi.src, phi.dst, phi.matrix)
+    assert bit_equal(phi.mult_matrix, traced) and phi.mult_matrix.dtype == np.int64
+
+
+def random_projection(a, rng):
+    """A projection with a nonzero range of random rank in every block."""
+    p = a.zero()
+    for i, n in enumerate(a.blocks):
+        v = random_unitary(n, rng)[:, : int(rng.integers(1, n + 1))]
+        p.mats[i][:, :] = v @ v.conj().T
+    return p
 
 
 @settings(max_examples=40)
@@ -590,20 +599,28 @@ def assert_trace_agrees(phi):
 @example((FdCstarAlgebra((2, 1)), FdCstarAlgebra((3, 2)), np.array([[1, 0], [0, 0]]), 0))
 def test_passed_multiplicities_match_the_dense_trace(case):
     """embedding_hom (non-unital with a spare dimension), identity_hom,
-    corner inclusions, the Morita and linking homs, the subdivision
-    connecting homs and the left actions of tensor products, on a twisted
-    simplex and on products of products."""
+    corner inclusions, composites, gamma_of_hom (of a non-unital hom too),
+    the Morita homs, both homs of the corner factorization, direct sums,
+    twisted edges, the subdivision connecting homs and the left actions of
+    tensor products, on a twisted simplex and on products of products."""
     src, dst, mult, seed = case
     rng = np.random.default_rng(seed)
-    homs = [embedding_hom(src, dst, mult, rng), identity_hom(src), identity_hom(dst)]
-    p = dst.zero()
-    for i, n in enumerate(dst.blocks):
-        v = random_unitary(n, rng)[:, : int(rng.integers(1, n + 1))]
-        p.mats[i][:, :] = v @ v.conj().T
-    homs.append(corner_algebra(p, dst).inclusion)
+    phi = embedding_hom(src, dst, mult, rng)
+    homs = [phi, identity_hom(src), identity_hom(dst)]
+    homs.append(corner_algebra(random_projection(dst, rng), dst).inclusion)
+    inc = corner_algebra(random_projection(src, rng), src).inclusion
     corr = random_correspondence(src, dst, rng, max_mult=2)
-    homs += [u_of_corr(corr).i_hom, equivalence_inverse(random_equivalence(dst, rng)).inverse.lam]
+    u = u_of_corr(corr)
+    homs += [u.i_hom, u.j_hom, equivalence_inverse(random_equivalence(dst, rng)).inverse.lam]
+    homs += [compose_homs(phi, inc), compose_homs(u.j_hom, inc), compose_homs(u.i_hom, phi)]
+    corrs = [corr, random_correspondence(src, dst, rng, max_mult=2)]
+    if mult.any():  # the zero hom has no correspondence
+        corrs.append(gamma_of_hom(phi))
+        homs.append(compose_homs(corrs[-1].lam, inc))
+    homs += [gamma_of_hom(random_unital_hom(src, rng, max_mult=2)).lam, u.gamma_j.lam]
+    homs += [c.lam for c in corrs] + [direct_sum_corrs(cs)[0].lam for cs in (corrs, corrs[::-1])]
     sigma = random_simplex(rng, 2, twist=True, max_mult=2)
+    homs += [twist_edge(sigma, i, j, rng).edge(i, j).lam for i, j in ((0, 1), (0, 2), (1, 2))]
     subsets = _nonempty_subsets(2)
     homs += [connecting_hom(sigma, s, t) for s in subsets for t in subsets if set(s) < set(t)]
     products = [sigma.tp(i, j, k) for i in range(3) for j in range(i, 3) for k in range(j, 3)]

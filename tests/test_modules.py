@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from corrlab.algebra import StarHom, make_algebra, make_star_hom
+from corrlab.algebra import StarHom, _traced_mult, make_algebra, make_star_hom
 from corrlab.errors import (
     EndpointMismatch,
     InvalidAlgebra,
@@ -157,7 +157,8 @@ def test_corr_missing_a_block_is_not_full():
     src = make_algebra((1,))
     c = random_correspondence(src, b, rng)
     m = make_module(b, (max(c.module.mult[0], 1), 0))
-    lam = StarHom(src, m.compacts, c.lam.matrix[: m.compacts.dim])
+    lam_m = c.lam.matrix[: m.compacts.dim]
+    lam = StarHom(src, m.compacts, lam_m, _traced_mult(src, m.compacts, lam_m))
     assert not is_full_corr(Correspondence(src, m, lam))
     # block sizes on both sides of 6: full exactly when no multiplicity is zero
     b = make_algebra((6, 7))
@@ -526,7 +527,8 @@ def test_failing_rank_check_raises_every_time():
     module = make_module(make_algebra((1,)), (2,))
     half = np.zeros((4, 2), dtype=complex)
     half[[0, 3], :] = 0.5
-    bad = Correspondence(a, module, StarHom(a, module.compacts, half))
+    kc = module.compacts
+    bad = Correspondence(a, module, StarHom(a, kc, half, _traced_mult(a, kc, half)))
     for _ in range(2):
         with pytest.raises(ShapeMismatch, match="rank of lambda"):
             tensor_corrs(identity_corr(a), bad)
@@ -654,7 +656,7 @@ def test_left_action_matches_the_row_gather(seed, max_mult):
     old = row_gather_left_action(tp)
     assert np.array_equal(tp.corr.lam.matrix, old)
     kg = tp.corr.module.compacts
-    assert np.array_equal(tp.corr.lam.mult_matrix, StarHom(e.src, kg, old).mult_matrix)
+    assert np.array_equal(tp.corr.lam.mult_matrix, _traced_mult(e.src, kg, old))
 
 
 @pytest.mark.parametrize("seed", range(4))

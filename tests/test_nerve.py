@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corrlab import modules, nerve
-from corrlab.algebra import FdCstarAlgebra, StarHom, make_algebra
+from corrlab.algebra import FdCstarAlgebra, StarHom, _traced_mult, make_algebra
 from corrlab.bicategory import find_corr_iso, is_equivalence
 from corrlab.cli import main
 from corrlab.errors import (
@@ -744,8 +744,9 @@ def conjugated_edge(off: float):
     module = make_module(b, [2])
     s = np.array([[1.0, off], [0.0, 1.0]], dtype=complex)
     units = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
-    lam = np.stack([(s @ e @ np.linalg.inv(s)).ravel() for e in units], axis=1)
-    return Correspondence(a, module, StarHom(a, module.compacts, lam.astype(complex)))
+    lam = np.stack([(s @ e @ np.linalg.inv(s)).ravel() for e in units], axis=1).astype(complex)
+    kc = module.compacts
+    return Correspondence(a, module, StarHom(a, kc, lam, _traced_mult(a, kc, lam)))
 
 
 def test_reading_a_simplex_does_not_depend_on_eps():

@@ -26,9 +26,8 @@ def test_every_exported_name_resolves(name):
     assert not missing, f"{name}.__all__ names {missing}"
 
 
-def callers(tree, name, keyword=None):
-    """Names of the functions (or <module>) holding a call of ``name``,
-    only those passing ``keyword`` when one is given."""
+def callers(tree, name):
+    """Names of the functions (or <module>) holding a call of ``name``."""
     out = []
 
     def visit(node, scope):
@@ -38,8 +37,7 @@ def callers(tree, name, keyword=None):
                 continue
             if isinstance(child, ast.Call):
                 f = child.func
-                passes = keyword is None or any(k.arg == keyword for k in child.keywords)
-                if getattr(f, "id", getattr(f, "attr", None)) == name and passes:
+                if getattr(f, "id", getattr(f, "attr", None)) == name:
                     out.append(scope)
             visit(child, scope)
 
@@ -65,10 +63,10 @@ def test_validating_constructors_are_called_only_at_the_trust_boundary():
     writes in closed form.  What the library and its generators build goes
     through the certified constructors (StarHom, _bratteli_hom,
     Correspondence, CorrIso._trusted), so a generator that starts
-    re-validating its own output fails here.  StarHom's internal _mult
-    keyword, which takes the multiplicities instead of tracing the matrix,
-    is passed only by the two builders that know them from construction,
-    anywhere in the package, serialize and cli included."""
+    re-validating its own output fails here.  The dense trace that reads a
+    hom's multiplicities off its matrix, _traced_mult, runs only on a matrix
+    from outside: in make_star_hom and in the two unchecked parses of a hom
+    and a left action; every builder passes the multiplicities it knows."""
     found = {
         (path.name, scope)
         for path in sorted(pathlib.Path(corrlab.__file__).parent.glob("*.py"))
@@ -82,12 +80,16 @@ def test_validating_constructors_are_called_only_at_the_trust_boundary():
         ("bicategory.py", "find_corr_iso"),
         ("nerve.py", "_solve_pentagon"),
     }
-    trusted = {
+    traced = [
         (path.name, scope)
         for path in sorted(pathlib.Path(corrlab.__file__).parent.glob("*.py"))
-        for scope in callers(ast.parse(path.read_text()), "StarHom", keyword="_mult")
-    }
-    assert trusted == {("algebra.py", "_bratteli_hom"), ("modules.py", "_left_action")}
+        for scope in callers(ast.parse(path.read_text()), "_traced_mult")
+    ]
+    assert traced == [
+        ("algebra.py", "make_star_hom"),
+        ("serialize.py", "hom_from_json"),
+        ("serialize.py", "corr_from_json"),
+    ]
 
 
 def test_no_library_path_applies_a_hom():

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from corrlab.acceptance import k0_of_corr
-from corrlab.algebra import StarHom, make_algebra
+from corrlab.algebra import StarHom, _traced_mult, make_algebra
 from corrlab.bicategory import equivalence_inverse, gamma_of_hom
 from corrlab.cli import main
 from corrlab.errors import ParseError, SchemaError, ShapeMismatch
@@ -260,10 +260,29 @@ def test_cli_validate_rejects_a_trace_beyond_its_block(tmp_path, capsys):
     assert "unital:" not in captured.out
 
 
+@pytest.mark.parametrize("kind", ["corr", "simplex"])
+def test_cli_validate_rejects_a_left_action_trace_beyond_its_block(tmp_path, capsys, kind):
+    """The unchecked parse of a left action, alone or as a simplex edge,
+    traces its multiplicities as the hom parse does, and refuses the same
+    corruption."""
+    code, out, _ = run_cli(["make", kind, "--seed", "1"])
+    assert code == 0
+    doc = json.loads(out)
+    corr = doc if kind == "corr" else doc["edges"][0]["corr"]
+    corr["left_action"]["matrix"][0][0] = 2**70
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["validate", str(path)]) == 1
+    assert "not a rank in its block" in capsys.readouterr().err
+
+
 def test_cli_validate_flags_non_multiplicative_hom(tmp_path, capsys):
     phi = random_unital_hom(random_algebra(np.random.default_rng(3)), np.random.default_rng(4))
     path = tmp_path / "doubled.json"
-    dump_value(StarHom(phi.src, phi.dst, 2.0 * phi.matrix), path)
+    doubled = 2.0 * phi.matrix
+    dump_value(StarHom(phi.src, phi.dst, doubled, _traced_mult(phi.src, phi.dst, doubled)), path)
     assert main(["validate", str(path)]) == 1
     out = capsys.readouterr().out
     assert "star-preserving: ok" in out
@@ -591,6 +610,30 @@ def test_cli_extend_k0_with_trace(tmp_path, capsys):
     capsys.readouterr()
 
 
+# the trace files of ``make simplex --n 2 --seed 3`` (with --twist for k0)
+EXTEND_TRACE = (
+    '{"simplex_dim": 2, "fills": ['
+    '{"chain": "(0, 1, {0,1}, {0,1,2})", "horn": [3, 2], "kind": "inner", "guided": false, "certificate": "none"}, '
+    '{"chain": "(0, 2, {0,2}, {0,1,2})", "horn": [3, 2], "kind": "inner", "guided": false, "certificate": "none"}, '
+    '{"chain": "(1, 2, {1,2}, {0,1,2})", "horn": [3, 2], "kind": "inner", "guided": false, "certificate": "none"}, '
+    '{"chain": "(0, 1, 2, {0,1,2})", "horn": [3, 3], "kind": "special", "guided": false, "certificate": "%s"}]}\n'
+)
+
+
+@pytest.mark.parametrize(
+    "functor, target, twist, cert",
+    [("k0", "k0nerve", ["--twist"], "c469cbd0003c"), ("gamma", "ncorr", [], "40bb08fd4395")],
+)
+def test_cli_extend_trace_file_is_byte_stable(tmp_path, functor, target, twist, cert):
+    """ext.trace is written as the engine keeps it: its horn tuples print as
+    lists, and the keys keep their order."""
+    spath, tpath = str(tmp_path / "s.json"), tmp_path / "trace.json"
+    assert run_cli(["make", "simplex", "--n", "2", "--seed", "3", "--out", spath, *twist])[0] == 0
+    argv = ["extend", "--simplex", spath, "--functor", functor, "--target", target]
+    assert run_cli(argv + ["--trace", str(tpath), "--out", str(tmp_path / "top.json")])[0] == 0
+    assert tpath.read_bytes() == (EXTEND_TRACE % cert).encode()
+
+
 def test_cli_extend_gamma_guided(tmp_path, capsys):
     rng = np.random.default_rng(8)
     sig = gamma_simplex(random_chain(rng, 2, max_mult=1))
@@ -780,11 +823,15 @@ def run_cli(argv, seconds=None):
         ["make", "corr", "--max-mult", "0"],
         ["make", "simplex", "--n", "0"],
         ["make", "simplex", "--n", "-1"],
+        ["make", "algebra", "--blocks", "0"],
+        ["make", "algebra", "--blocks", "-1"],
+        ["make", "algebra", "--blocks", "2,0"],
     ],
 )
 def test_cli_make_refuses_sizes_below_one(argv):
     """--max-mult 0 made the generators redraw an all-zero column forever
-    and -1 crashed in numpy; --n 0 and -1 failed deep in the build."""
+    and -1 crashed in numpy; --n 0 and -1 failed deep in the build; a block
+    size below 1 was refused by the algebra, as a validation error (1)."""
     code, out, err = run_cli(argv, seconds=5)
     assert code == 2 and out == ""
     assert "must be finite and > 0" in err
