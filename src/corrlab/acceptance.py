@@ -41,7 +41,7 @@ from .generators import (
     random_equivalence,
     random_simplex,
 )
-from .linalg import frob, int_inverse
+from .linalg import frob, int_inverse, worse
 from .modules import corr_close, identity_corr, iso_distance
 from .nerve import (
     HornSpec,
@@ -356,7 +356,8 @@ def suite_horn_uniqueness(*, seed: int = 42, eps: float = EPS, trials: int = 50)
                 horn = HornSpec(3, k, {j: simplex_face(s, j) for j in range(4) if j != k})
                 refill = fill_inner_horn(horn, eps=eps)
                 missing = tuple(x for x in range(4) if x != k)
-                resid = max(resid, iso_distance(refill.cells[missing], s.cells[missing]))
+                d = iso_distance(refill.cells[missing], s.cells[missing])
+                resid = d if worse(d, resid) else resid
                 ok = ok and simplex_close(refill, s, eps)
             ok = ok and resid <= eps
         except ValidationError:

@@ -14,10 +14,10 @@ through without re-checking, passing the multiplicities they know.
 
 A *-hom is fixed by Bratteli data: its multiplicities and, per target
 block, one isometry.  ``hom_normal_form`` extracts that data from a matrix
-and ``_conjugation_matrix`` builds the matrix from it, one product per
-pair of blocks; every constructor that starts from such data builds its
-matrix there, through ``_bratteli_hom``, which keeps the data on the hom
-and reads its multiplicities off the data, not the matrix.
+and ``_conjugation_matrix`` builds the matrix from it, one Gram of the data's
+nonzero rows per pair of blocks; every constructor that starts from such
+data builds its matrix there, through ``_bratteli_hom``, which keeps the
+data on the hom and reads its multiplicities off the data, not the matrix.
 ``_compose_ws`` composes such data and ``_composite_residual`` compares a
 composite with a third hom on it, block by block: each pair of blocks is
 compared through the r x r overlap of its two isometries, and no Gram matrix
@@ -456,15 +456,26 @@ def _conjugation_matrix(src: FdCstarAlgebra, dst: FdCstarAlgebra, ws) -> np.ndar
     (l, i) of the matrix is the Gram matrix of W_li (``_gram``), with its
     rows and columns regrouped.  The result is a *-hom when, for each l, the
     W_li are isometries (as m_l x n_i r_il matrices) with orthogonal ranges.
+
+    A zero row of W (read as (m n) x r) is a zero row and column of its
+    Gram, which the zeroed matrix holds, so a W with zero rows writes the
+    Gram of its nonzero rows only: entries may move in the last bit, -0.0
+    becomes +0.0, and a NaN stays in its row's entries, not spread through
+    0 * NaN.  A W with no zero row (a dense unitary) keeps the product's bits.
     """
     matrix = np.zeros((dst.dim, src.dim), dtype=complex)
     for l, m in enumerate(dst.blocks):
         o = dst.offset(l)
         for i, w in ws[l].items():
             n, c = src.blocks[i], src.offset(i)
-            # splitting each axis of the slice in two is a view, so the
-            # regrouped Gram is written into the matrix in one copy
+            # splitting each axis of the slice in two is a view, written in place
             block = matrix[o : o + m * m, c : c + n * n].reshape(m, m, n, n)
+            if np.count_nonzero(w) < w.size:
+                a, p = np.nonzero(w.any(axis=2))
+                if len(a) < m * n:
+                    x = w[a, p]
+                    block[a[:, None], a, p[:, None], p] = x @ x.conj().T
+                    continue
             block[...] = _gram(w).reshape(m, n, m, n).transpose(0, 2, 1, 3)
     return matrix
 

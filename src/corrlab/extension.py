@@ -150,10 +150,16 @@ class K0Simplex:
                     f"step ({i},{i + 1}) has shape {m.shape}, expected ({ranks[i + 1]}, {ranks[i]})"
                 )
             steps[i] = np.ascontiguousarray(m)
-        self.n = len(ranks) - 1
-        self.ranks = ranks
-        self.steps = tuple(steps)
+        self.n, self.ranks, self.steps = len(ranks) - 1, ranks, tuple(steps)
         self.key = b"".join(m.tobytes() for m in steps)
+
+    @classmethod
+    def _trusted(cls, ranks, steps) -> "K0Simplex":
+        """Unchecked; only for the ranks and int64 edges of a valid simplex."""
+        out = cls.__new__(cls)
+        out.n, out.ranks, out.steps = len(ranks) - 1, tuple(ranks), tuple(steps)
+        out.key = b"".join(m.tobytes() for m in steps)
+        return out
 
     def edge(self, i: int, j: int) -> np.ndarray:
         if not 0 <= i <= j <= self.n:
@@ -166,6 +172,8 @@ class K0Simplex:
         return out
 
     def apply_map(self, phi) -> "K0Simplex":
+        """Built unchecked: the ranks are this simplex's own, and each step
+        is an edge, a product of its int64 steps (or an int64 identity)."""
         phi = [int(x) for x in phi]
         if not phi:
             raise ShapeMismatch("a simplex needs at least one vertex")
@@ -174,7 +182,7 @@ class K0Simplex:
         if phi[0] < 0 or phi[-1] > self.n:
             raise NotMonotone(f"vertex map {phi} leaves 0..{self.n}")
         ranks = [self.ranks[p] for p in phi]
-        return K0Simplex(ranks, [self.edge(a, b) for a, b in zip(phi, phi[1:])])
+        return K0Simplex._trusted(ranks, [self.edge(a, b) for a, b in zip(phi, phi[1:])])
 
     def face(self, i: int) -> "K0Simplex":
         if not 0 <= i <= self.n:

@@ -265,7 +265,7 @@ def simplex_close(s1: NCorrSimplex, s2: NCorrSimplex, eps: float = EPS) -> bool:
     for key, u in s1.cells.items():
         if u.src.module != s2.cells[key].src.module:
             return False
-        if iso_distance(u, s2.cells[key]) > eps:
+        if not iso_distance(u, s2.cells[key]) <= eps:
             return False
     return True
 
@@ -448,7 +448,7 @@ def _merge_face_data(n: int, faces: dict, eps: float = EPS, prefer=None):
                     if (
                         prev.src.module != u.src.module
                         or prev.dst.module != u.dst.module
-                        or iso_distance(prev, u) > eps
+                        or not iso_distance(prev, u) <= eps
                     ):
                         raise IncompatibleFaces(
                             f"faces {owner[key]} and {j} disagree on cell {key}"

@@ -6,9 +6,15 @@ worst residual and wall time.  The time budgets in the table below are
 asserted, as are exact-zero residuals for the integer-arithmetic sweeps.
 """
 
+import math
+
+import numpy as np
 import pytest
 
+from corrlab import acceptance
 from corrlab.acceptance import run_suite
+from corrlab.modules import CorrIso
+from corrlab.nerve import NCorrSimplex
 
 # (criterion, suite, time budget in seconds, exact-arithmetic suite)
 CRITERIA = [
@@ -60,3 +66,23 @@ def test_criterion(cid, suite, budget, exact):
         assert report.worst <= 1e-9
     if budget is not None:
         assert report.seconds < budget, f"{suite} took {report.seconds:.1f}s"
+
+
+def test_horn_uniqueness_refuses_a_nan_refill(monkeypatch):
+    """A refill whose recovered cell is NaN fails its case, and the case's
+    residual is NaN, not the 0.0 that the builtin max(0.0, nan) gives."""
+    real = acceptance.fill_inner_horn
+
+    def nan_refill(horn, *, eps):
+        s = real(horn, eps=eps)
+        missing = tuple(x for x in range(4) if x != horn.k)
+        c = s.cells[missing]
+        cells = dict(s.cells)
+        cells[missing] = CorrIso._trusted(
+            c.src, c.dst, [np.full(u.shape, np.nan, dtype=complex) for u in c.blocks]
+        )
+        return NCorrSimplex(s.algebras, s.edges, cells)
+
+    monkeypatch.setattr(acceptance, "fill_inner_horn", nan_refill)
+    (case,) = acceptance.suite_horn_uniqueness(trials=1).cases
+    assert not case.ok and math.isnan(case.residual)

@@ -1,5 +1,7 @@
 """Block algebras, *-homomorphisms, corners and normal forms."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -358,11 +360,123 @@ def test_conjugation_matrix_is_the_two_copy_build(phi):
     assert got.tobytes() == two_copy_conjugation_matrix(phi.src, phi.dst, ws).tobytes()
 
 
+def nonzero_row_build(src, dst, ws):
+    """Reference for the dense build: a block whose W has no zero row is
+    the two-copy build's; otherwise the Gram of W's nonzero rows, entry
+    (x, y) with x = (a_x, p_x), y = (a_y, p_y) written to row a_x m + a_y,
+    column p_x n + p_y of the block.  Also returns the support (the entries
+    written) and, per block, whether its W has a zero row."""
+    matrix = np.zeros((dst.dim, src.dim), dtype=complex)
+    support = np.zeros(matrix.shape, dtype=bool)
+    sparse = {}
+    for l, m in enumerate(dst.blocks):
+        o = dst.offset(l)
+        for i, w in ws[l].items():
+            n, c = src.blocks[i], src.offset(i)
+            w2 = w.reshape(m * n, w.shape[2])
+            rows = np.flatnonzero([row.any() for row in w2])
+            sparse[l, i] = len(rows) < m * n
+            if not sparse[l, i]:
+                only = [{i: w} if k == l else {} for k in range(len(ws))]
+                one = two_copy_conjugation_matrix(src, dst, only)
+                matrix[o : o + m * m, c : c + n * n] = one[o : o + m * m, c : c + n * n]
+                support[o : o + m * m, c : c + n * n] = True
+                continue
+            a, p = np.divmod(rows, n)
+            x = w2[rows]
+            at = (o + np.add.outer(a * m, a), c + np.add.outer(p * n, p))
+            matrix[at] = x @ x.conj().T
+            support[at] = True
+    return matrix, support, sparse
+
+
+def is_plus_zero(z):
+    """Entrywise: both parts of a complex array are +0.0, sign bit clear."""
+    return (z.view(np.int64).reshape(*z.shape, 2) == 0).all(axis=-1)
+
+
+def check_nonzero_row_build(src, dst, ws, *, tol):
+    got = _conjugation_matrix(src, dst, ws)
+    ref, support, sparse = nonzero_row_build(src, dst, ws)
+    assert got.tobytes() == ref.tobytes()
+    assert is_plus_zero(got[~support]).all()
+    dense = two_copy_conjugation_matrix(src, dst, ws)
+    assert np.abs(got - dense).max() <= tol
+    for l, m in enumerate(dst.blocks):
+        o = dst.offset(l)
+        for i in ws[l]:
+            if not sparse[l, i]:
+                n, c = src.blocks[i], src.offset(i)
+                rows, cols = slice(o, o + m * m), slice(c, c + n * n)
+                assert got[rows, cols].tobytes() == dense[rows, cols].tobytes()
+    return sparse
+
+
 @pytest.mark.parametrize("n", [2, 3])
-def test_subdivision_homs_are_the_two_copy_build_on_the_scaling_chain(n):
+def test_subdivision_homs_are_the_nonzero_row_build_on_the_scaling_chain(n):
+    """Each connecting hom's matrix is the Gram of its W's nonzero rows, to
+    the bit; a block whose W has no zero row is the two-copy build's, to
+    the bit, and every other block is within 1e-15 of it; what lies outside
+    the nonzero rows' support is +0.0."""
     sd = subdivision_functor(scaling_chain_simplex(n), check=False)
+    sparse = [check_nonzero_row_build(f.src, f.dst, f._ws, tol=1e-15) for f in sd.homs.values()]
+    assert any(any(s.values()) for s in sparse)
+    assert any(not all(s.values()) for s in sparse if s)
+
+
+@settings(max_examples=60)
+@given(data=st.data())
+def test_conjugation_matrix_writes_the_gram_of_the_nonzero_rows(data):
+    """W of shape (m, n, r), r in {1, 2, 3}, with some rows zero, placed as
+    block (1, 1) of [2, m] <- [1, n] so that both offsets are nonzero."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    m, n = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 4))
+    r = data.draw(st.sampled_from([1, 2, 3]))
+    w = rng.standard_normal((m, n, r)) + 1j * rng.standard_normal((m, n, r))
+    zero = data.draw(st.lists(st.booleans(), min_size=m * n, max_size=m * n))
+    assume(any(zero))
+    w[np.array(zero).reshape(m, n)] = 0.0
+    if data.draw(st.booleans()):
+        w.real[..., 0] = -0.0  # signed zeros, in zero and kept rows
+    src, dst = FdCstarAlgebra([1, n]), FdCstarAlgebra([2, m])
+    sparse = check_nonzero_row_build(src, dst, [{}, {1: w}], tol=1e-13 * (1 + np.abs(w).max() ** 2))
+    assert sparse == {(1, 1): True}
+
+
+def test_nan_in_bratteli_data_stays_in_its_rows():
+    """A NaN in W makes the matrix non-finite; with zero rows it reaches only
+    the entries of its own row's Gram row and column, not the structural
+    zeros (the full product spread it there through 0 * NaN)."""
+    w = np.zeros((3, 2, 2), dtype=complex)
+    w[0, 0] = [1.0, 0.0]
+    w[1, 1] = [0.0, np.nan]
+    src, dst = FdCstarAlgebra([2]), FdCstarAlgebra([3])
+    got = _conjugation_matrix(src, dst, [{0: w}])
+    ref, support, _ = nonzero_row_build(src, dst, [{0: w}])
+    assert not np.isfinite(got).all()
+    assert np.array_equal(np.isnan(got), np.isnan(ref))
+    assert is_plus_zero(got[~support]).all()
+    assert np.isnan(two_copy_conjugation_matrix(src, dst, [{0: w}])[~support]).any()
+    dense = np.full((3, 2, 1), 0.5, dtype=complex)
+    dense[2, 1, 0] = np.nan
+    assert not np.isfinite(_conjugation_matrix(FdCstarAlgebra([2]), dst, [{0: dense}])).all()
+
+
+def test_scaling_chain_dense_build_needs_little_beyond_its_output():
+    """Building each n = 3 connecting hom's matrix allocates under 2 MiB
+    beyond the matrix itself: no Gram of a whole W with zero rows is formed
+    (the largest such Gram took 21 MiB)."""
+    sd = subdivision_functor(scaling_chain_simplex(3), check=False)
+    worst = 0
     for f in sd.homs.values():
-        assert f.matrix.tobytes() == two_copy_conjugation_matrix(f.src, f.dst, f._ws).tobytes()
+        tracemalloc.start()
+        try:
+            _conjugation_matrix(f.src, f.dst, f._ws)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        worst = max(worst, peak - f.matrix.nbytes)
+    assert worst < 2 * 2**20
 
 
 @pytest.mark.parametrize("blocks", [[1], [3, 1], [7, 2, 5]])

@@ -94,6 +94,23 @@ def test_k0_simplex_apply_map():
     assert deg == s.degeneracy(0)
 
 
+def test_k0_faces_and_degeneracies_match_validated_simplices():
+    """apply_map builds its result unchecked; each face and degeneracy of a
+    3-simplex equals the checking constructor's simplex on the same data."""
+    s = K0Simplex((2, 2, 2, 2), [M01, M12, M01.T.copy()])
+    for t in [s.face(i) for i in range(4)] + [s.degeneracy(i) for i in range(4)]:
+        checked = K0Simplex(t.ranks, t.steps)
+        assert t == checked and t.n == checked.n and t.key == checked.key
+        assert all(m.dtype == np.int64 and m.flags.c_contiguous for m in t.steps)
+
+
+@pytest.mark.parametrize("step", [[[1.5]], [[2.0**70]], [[np.nan]]])
+def test_k0_simplex_from_outside_needs_int64_steps(step):
+    with pytest.raises(ShapeMismatch, match="not int64"):
+        K0Simplex((1, 1), [step])
+    assert K0Simplex((1, 1), [[[2.0]]]) == K0Simplex((1, 1), [[[2]]])
+
+
 def test_structural_hash_of_a_k0_simplex_is_its_equality():
     """Equal hashes mean equal data: a K0Simplex hashes the ranks and steps
     its equality compares, and a type with no rule is refused."""

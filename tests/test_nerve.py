@@ -721,6 +721,29 @@ def test_nan_cell_fails_validation(blocks):
     assert math.isnan(err.value.residual)
 
 
+def nan_copy(cell):
+    nan = [np.full(u.shape, np.nan, dtype=complex) for u in cell.blocks]
+    return CorrIso._trusted(cell.src, cell.dst, nan)
+
+
+def test_simplex_close_refuses_a_nan_cell():
+    s = random_simplex(np.random.default_rng(92), 2, max_mult=2)
+    bad = with_cell(s, (0, 1, 2), nan_copy(s.cells[(0, 1, 2)]))
+    assert simplex_close(s, s)
+    assert not simplex_close(s, bad) and not simplex_close(bad, s)
+
+
+def test_boundary_merge_refuses_a_nan_cell():
+    """Faces 0 and 4 of a 4-simplex share the cell on vertices (1, 2, 3);
+    a NaN copy of it on face 0 disagrees with face 4's."""
+    s = random_simplex(np.random.default_rng(93), 4, max_blocks=1, max_size=1, max_mult=1)
+    faces = {j: face(s, j) for j in range(5)}
+    assemble_boundary(faces)
+    faces[0] = with_cell(faces[0], (0, 1, 2), nan_copy(faces[0].cells[(0, 1, 2)]))
+    with pytest.raises(IncompatibleFaces, match=r"disagree on cell \(1, 2, 3\)"):
+        assemble_boundary(faces)
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_identity_iso_passes_the_checking_constructor(seed):
     rng = np.random.default_rng(80 + seed)
