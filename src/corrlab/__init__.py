@@ -8,7 +8,6 @@ that extends corner-stable functors across it.
 """
 from .algebra import (
     EPS,
-    AlgElement,
     FdCstarAlgebra,
     StarHom,
     compose_homs,
@@ -87,10 +86,8 @@ from .nerve import (
 from .subdivision import (
     AugChain,
     SdFunctor,
-    SubsetChain,
     connecting_hom,
     enumerate_csd,
-    enumerate_sd,
     is_nondegenerate,
     module_E_S,
     phi_star,

@@ -1,7 +1,8 @@
 """Finite-dimensional C*-algebras and *-homomorphisms.
 
 An algebra is a direct sum of full matrix blocks, held in its canonical
-matrix-unit basis (blocks in order, entries row-major).  A *-homomorphism is
+matrix-unit basis (blocks in order, entries row-major); an element is its
+coordinate vector in that basis.  A *-homomorphism is
 stored as the dense matrix of the underlying linear map in those bases,
 together with its integer block-multiplicity matrix: the image of a minimal
 projection e_00 of a source block is a projection in each target block, and
@@ -37,11 +38,10 @@ from .errors import (
     NotStarPreserving,
     ShapeMismatch,
 )
-from .linalg import EPS, frob, orthonormal_range
+from .linalg import EPS, frob, orthonormal_range, worse
 
 __all__ = [
     "FdCstarAlgebra",
-    "AlgElement",
     "StarHom",
     "make_algebra",
     "make_star_hom",
@@ -96,41 +96,6 @@ class FdCstarAlgebra:
         n, o = self.blocks[i], self._offsets[i]
         return matrix[o : o + n * n].reshape(n, n, matrix.shape[1])
 
-    def zero(self) -> "AlgElement":
-        return AlgElement(self, [np.zeros((b, b), dtype=complex) for b in self.blocks])
-
-    def identity(self) -> "AlgElement":
-        return AlgElement(self, [np.eye(b, dtype=complex) for b in self.blocks])
-
-    def block_unit(self, i: int) -> "AlgElement":
-        mats = [np.zeros((b, b), dtype=complex) for b in self.blocks]
-        mats[i] = np.eye(self.blocks[i], dtype=complex)
-        return AlgElement(self, mats)
-
-    def matrix_unit(self, i: int, a: int, b: int) -> "AlgElement":
-        mats = [np.zeros((n, n), dtype=complex) for n in self.blocks]
-        mats[i][a, b] = 1.0
-        return AlgElement(self, mats)
-
-    def basis_triples(self):
-        """Yield (flat_index, block, row, col) over the canonical basis."""
-        p = 0
-        for i, n in enumerate(self.blocks):
-            for a in range(n):
-                for c in range(n):
-                    yield p, i, a, c
-                    p += 1
-
-    def from_vec(self, v) -> "AlgElement":
-        v = np.asarray(v, dtype=complex).ravel()
-        if v.size != self.dim:
-            raise ShapeMismatch(f"expected coordinate vector of length {self.dim}, got {v.size}")
-        mats = []
-        for i, n in enumerate(self.blocks):
-            o = self._offsets[i]
-            mats.append(v[o : o + n * n].reshape(n, n).copy())
-        return AlgElement(self, mats)
-
     def adjoint_perm(self) -> np.ndarray:
         """Permutation p with vec(x*) = conj(vec(x))[p]: per block, its
         entries' flat indices, transposed."""
@@ -140,50 +105,6 @@ class FdCstarAlgebra:
 
 def make_algebra(blocks, label: str = "") -> FdCstarAlgebra:
     return FdCstarAlgebra(blocks, label)
-
-
-class AlgElement:
-    """An element of an FdCstarAlgebra, one matrix per block."""
-
-    __slots__ = ("algebra", "mats")
-
-    def __init__(self, algebra: FdCstarAlgebra, mats):
-        if len(mats) != algebra.nblocks:
-            raise ShapeMismatch("wrong number of blocks")
-        for m, n in zip(mats, algebra.blocks):
-            if m.shape != (n, n):
-                raise ShapeMismatch(f"block of shape {m.shape}, expected ({n}, {n})")
-        self.algebra = algebra
-        self.mats = [np.asarray(m, dtype=complex) for m in mats]
-
-    def to_vec(self) -> np.ndarray:
-        return np.concatenate([m.ravel() for m in self.mats])
-
-    def __add__(self, other):
-        return AlgElement(self.algebra, [a + b for a, b in zip(self.mats, other.mats)])
-
-    def __sub__(self, other):
-        return AlgElement(self.algebra, [a - b for a, b in zip(self.mats, other.mats)])
-
-    def __mul__(self, scalar):
-        return AlgElement(self.algebra, [scalar * m for m in self.mats])
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        return AlgElement(self.algebra, [a @ b for a, b in zip(self.mats, other.mats)])
-
-    def adjoint(self) -> "AlgElement":
-        return AlgElement(self.algebra, [m.conj().T for m in self.mats])
-
-    def norm(self) -> float:
-        return frob(self.to_vec())
-
-    def is_close(self, other, eps: float = EPS) -> bool:
-        return (self - other).norm() <= eps
-
-    def __repr__(self):
-        return f"AlgElement({self.algebra!r})"
 
 
 @dataclass(frozen=True)
@@ -221,16 +142,6 @@ class StarHom:
         matrix.setflags(write=False)
         unital = bool((np.dot(self.src.blocks, self.mult_matrix) == self.dst.blocks).all())
         self.__dict__.update(matrix=matrix, unital=unital)
-
-    def apply(self, x) -> AlgElement:
-        if isinstance(x, AlgElement):
-            if x.algebra != self.src:
-                raise EndpointMismatch("element not in the source algebra")
-            x = x.to_vec()
-        return self.dst.from_vec(self.matrix @ np.asarray(x, dtype=complex).ravel())
-
-    def __call__(self, x) -> AlgElement:
-        return self.apply(x)
 
     def __repr__(self):
         return f"StarHom({self.src!r} -> {self.dst!r})"
@@ -354,6 +265,13 @@ def compose_homs(psi: StarHom, phi: StarHom) -> StarHom:
     return StarHom(phi.src, psi.dst, psi.matrix @ phi.matrix, mult)
 
 
+def _unit_image(phi: StarHom) -> np.ndarray:
+    """phi(1) as a coordinate vector of dst: the matrix times the unit's
+    coordinates, 1 on each source block's diagonal and 0 elsewhere."""
+    one = np.concatenate([np.eye(n, dtype=complex).ravel() for n in phi.src.blocks])
+    return phi.matrix @ one
+
+
 def is_full_hom(phi: StarHom, *, eps: float = EPS) -> bool:
     """True iff span{ b phi(1) b' } = dst.
 
@@ -362,7 +280,7 @@ def is_full_hom(phi: StarHom, *, eps: float = EPS) -> bool:
     norm ||p||_F, so its span is the whole block exactly when ||p||_F > eps:
     the rank test at eps * max(sigma_max, 1) reduces to that norm test.
     """
-    p = (phi.matrix @ phi.src.identity().to_vec())[:, None]
+    p = _unit_image(phi)[:, None]
     return all(frob(phi.dst.block_rows(p, j)) > eps for j in range(phi.dst.nblocks))
 
 
@@ -382,16 +300,21 @@ class CornerPresentation:
     kept: tuple
 
 
-def corner_algebra(p: AlgElement, b: FdCstarAlgebra, *, eps: float = EPS) -> CornerPresentation:
-    if p.algebra != b:
-        raise EndpointMismatch("projection does not live in the given algebra")
-    r1 = frob((p @ p - p).to_vec())
-    r2 = frob((p.adjoint() - p).to_vec())
-    if max(r1, r2) > eps:
-        raise NotProjection("p is not a projection", max(r1, r2))
+def corner_algebra(p, b: FdCstarAlgebra, *, eps: float = EPS) -> CornerPresentation:
+    """The corner of the projection with coordinate vector ``p`` in b; a
+    residual of p^2 = p or p^* = p that is not <= eps (NaN included) raises."""
+    p = np.asarray(p, dtype=complex)
+    if p.shape != (b.dim,):
+        raise ShapeMismatch(f"expected a coordinate vector of length {b.dim}, got shape {p.shape}")
+    mats = [b.block_rows(p[:, None], i)[:, :, 0] for i in range(b.nblocks)]
+    r1 = frob(np.concatenate([(x @ x - x).ravel() for x in mats]))
+    r2 = frob(np.concatenate([(x.conj().T - x).ravel() for x in mats]))
+    worst = r2 if worse(r2, r1) else r1
+    if not worst <= eps:
+        raise NotProjection("p is not a projection", worst)
     kept, isos = [], []
     for i, n in enumerate(b.blocks):
-        v = orthonormal_range(p.mats[i], eps)
+        v = orthonormal_range(mats[i], eps)
         if v.shape[1] > 0:
             kept.append(i)
             isos.append(v)

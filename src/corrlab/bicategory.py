@@ -25,6 +25,7 @@ from .algebra import (
     FdCstarAlgebra,
     StarHom,
     _bratteli_hom,
+    _unit_image,
     compose_homs,
     hom_normal_form,
     identity_hom,
@@ -60,7 +61,7 @@ def gamma_isometries(phi: StarHom, *, eps: float = EPS):
     once per (phi, eps) and kept on phi."""
     vs = phi._gamma.get(("range", eps))
     if vs is None:
-        p = (phi.matrix @ phi.src.identity().to_vec())[:, None]
+        p = _unit_image(phi)[:, None]
         vs = phi._gamma[("range", eps)] = tuple(
             orthonormal_range(phi.dst.block_rows(p, j)[:, :, 0], eps)
             for j in range(phi.dst.nblocks)

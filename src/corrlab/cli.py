@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from .acceptance import SUITES, _iso_residuals, report_json, run_suite
+from .acceptance import SUITES, _iso_residuals, _worst, report_json, run_suite
 from .algebra import FdCstarAlgebra, StarHom, _mult_residual, _star_residual, make_star_hom
 from .bicategory import equivalence_inverse, gamma_of_hom
 from .errors import (
@@ -104,7 +104,8 @@ def _corr_checks(c: Correspondence, eps: float) -> bool:
 
 def _iso_checks(u: CorrIso, eps: float) -> bool:
     r1, r2, r3 = _iso_residuals(u)
-    ok = _line("unitary", max(r1, r2) <= eps, max(r1, r2))
+    r = _worst((r1, r2))
+    ok = _line("unitary", r <= eps, r)
     return _line("intertwining", r3 <= eps, r3) and ok
 
 

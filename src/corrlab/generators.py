@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import AlgElement, FdCstarAlgebra, StarHom, _bratteli_hom
+from .algebra import FdCstarAlgebra, StarHom, _bratteli_hom
 from .errors import DimensionTooLarge, ShapeMismatch
 from .modules import Correspondence, CorrIso, compose_isos, make_module, tensor_corrs, tensor_iso
 from .nerve import NCorrSimplex, apply_map, gamma_simplex, identity_iso
@@ -20,7 +20,6 @@ from .nerve import NCorrSimplex, apply_map, gamma_simplex, identity_iso
 __all__ = [
     "random_unitary",
     "random_algebra",
-    "random_element",
     "embedding_hom",
     "random_unital_hom",
     "random_chain",
@@ -43,16 +42,6 @@ def random_algebra(rng, max_blocks: int = 3, max_size: int = 3, label: str = "")
     nb = int(rng.integers(1, max_blocks + 1))
     blocks = tuple(int(rng.integers(1, max_size + 1)) for _ in range(nb))
     return FdCstarAlgebra(blocks, label=label)
-
-
-def random_element(algebra: FdCstarAlgebra, rng, hermitian: bool = False) -> AlgElement:
-    mats = []
-    for n in algebra.blocks:
-        m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        if hermitian:
-            m = (m + m.conj().T) / 2
-        mats.append(m)
-    return AlgElement(algebra, mats)
 
 
 def embedding_hom(src: FdCstarAlgebra, dst: FdCstarAlgebra, mult, rng=None) -> StarHom:

@@ -1,16 +1,17 @@
 """Barycentric chains over a base simplex and the induced algebra diagram.
 
-Two combinatorial simplex types live here.  A SubsetChain is a nested list
-of nonempty subsets of {0..n}: the simplices of the subdivided n-simplex.
-An AugChain prepends a weakly increasing run of vertices i_0 <= ... <= i_k,
-all members of the first subset; these augmented chains interpolate between
-the subdivided simplex (no vertex prefix) and the simplex itself (no subset
-suffix).  Faces drop an entry, degeneracies double one, and monotone
-reindexing acts entrywise, turning any subset that collapses to a point
-into a vertex entry.
+The one combinatorial simplex type is the AugChain: a weakly increasing
+run of vertices i_0 <= ... <= i_k, all members of the first subset,
+followed by a nested run of subsets of {0..n} with at least two elements
+each.  These augmented chains interpolate between the subdivided simplex
+and the simplex itself (no subset suffix); a chain of the subdivided
+simplex is one with at most one distinct vertex, which stands for a
+singleton subset.  Faces drop an entry, degeneracies double one,
+and monotone reindexing acts entrywise, turning any subset that collapses
+to a point into a vertex entry.
 
-Chains are validated where they enter: the public constructors, phi_star
-and the enumerations.  face and degeneracy build their results unchecked
+Chains are validated where they enter: the public constructor, phi_star
+and the enumeration.  face and degeneracy build their results unchecked
 (``_trusted``): dropping or doubling an entry of a valid chain keeps the
 vertices weakly increasing, the subsets nested (nesting is transitive and
 allows equal entries) and the vertices inside the first subset.
@@ -50,13 +51,11 @@ from .modules import HilbertModule, direct_sum_modules
 from .nerve import NCorrSimplex
 
 __all__ = [
-    "SubsetChain",
     "AugChain",
     "face",
     "degeneracy",
     "is_nondegenerate",
     "phi_star",
-    "enumerate_sd",
     "enumerate_csd",
     "SdVertexData",
     "module_E_S",
@@ -81,39 +80,6 @@ def _check_subset(s) -> tuple:
     if t[0] < 0:
         raise ShapeViolation("vertices must be nonnegative")
     return t
-
-
-@dataclass(frozen=True)
-class SubsetChain:
-    """A nested chain of nonempty subsets; dimension = number of entries - 1."""
-
-    entries: tuple
-
-    def __post_init__(self):
-        entries = tuple(_check_subset(s) for s in self.entries)
-        if not entries:
-            raise ShapeViolation("a chain needs at least one entry")
-        for a, b in zip(entries, entries[1:]):
-            if not set(a) <= set(b):
-                raise NotNested(f"{a} is not contained in {b}")
-        object.__setattr__(self, "entries", entries)
-
-    @classmethod
-    def _trusted(cls, entries):
-        """Skip validation; only for entries sliced from a valid chain."""
-        out = cls.__new__(cls)
-        object.__setattr__(out, "entries", entries)
-        return out
-
-    @property
-    def dim(self) -> int:
-        return len(self.entries) - 1
-
-    def entry(self, i: int):
-        return self.entries[i]
-
-    def _splice(self, i: int, op):
-        return SubsetChain._trusted(op(self.entries, i))
 
 
 @dataclass(frozen=True)
@@ -219,8 +185,6 @@ def phi_star(phi, chain):
             raise IndexOutOfRange(f"vertex {v} outside the domain of the map")
         return phi[v]
 
-    if isinstance(chain, SubsetChain):
-        return SubsetChain(tuple(tuple(sorted({img(v) for v in s})) for s in chain.entries))
     vs = [img(v) for v in chain.vertices]
     ss = []
     for s in chain.subsets:
@@ -241,22 +205,6 @@ def _nonempty_subsets(n):
     if n < 0:
         raise ShapeViolation("n must be nonnegative")
     return [tuple(i for i in range(n + 1) if mask >> i & 1) for mask in range(1, 1 << (n + 1))]
-
-
-def enumerate_sd(n: int):
-    """Nondegenerate chains of the subdivided n-simplex, keyed by dimension."""
-    subsets = _nonempty_subsets(n)
-    by_dim: dict = {}
-    stack = [(s,) for s in subsets]
-    while stack:
-        c = stack.pop()
-        by_dim.setdefault(len(c) - 1, []).append(SubsetChain(c))
-        for t in subsets:
-            if len(t) > len(c[-1]) and set(c[-1]) < set(t):
-                stack.append(c + (t,))
-    for d in by_dim:
-        by_dim[d].sort(key=lambda ch: ch.entries)
-    return by_dim
 
 
 def enumerate_csd(n: int):

@@ -1,21 +1,126 @@
-"""The element-level model of Hilbert modules, correspondences and tensor
-products: the textbook definitions the closed forms of corrlab.modules are
-tested against.
+"""The element-level model of algebras, Hilbert modules, correspondences
+and tensor products: the textbook definitions the coordinate forms of
+corrlab.algebra and corrlab.modules are tested against.
 
-A module element is one m_k x n_k matrix per base block; a correspondence
-acts on it from the left through its *-hom into the compacts, an
-intertwiner through its per-block unitaries, and E (x)_B F is reached
-through e^(j)_{a1} (x) w (``embed``), whose sums are every element
-(``section``) and which spans the pure tensors x (x) y (``pure_tensor``).
-No library path uses this model; only the tests do.
+An algebra element is one n_i x n_i matrix per block, and a *-hom acts on
+it through its matrix on coordinate vectors (``apply``).  A module element
+is one m_k x n_k matrix per base block; a correspondence acts on it from the
+left through its *-hom into the compacts, an intertwiner through its
+per-block unitaries, and E (x)_B F is reached through e^(j)_{a1} (x) w
+(``embed``), whose sums are every element (``section``) and which spans the
+pure tensors x (x) y (``pure_tensor``).  No library path uses this model;
+only the tests do.
 """
 
 import numpy as np
 
-from corrlab.algebra import AlgElement
-from corrlab.errors import BaseMismatch, ShapeMismatch
-from corrlab.linalg import frob, gram_onb
+from corrlab.errors import BaseMismatch, EndpointMismatch, ShapeMismatch
+from corrlab.linalg import EPS, frob, gram_onb
 from corrlab.modules import make_module
+
+
+class AlgElement:
+    """An element of an FdCstarAlgebra, one matrix per block."""
+
+    __slots__ = ("algebra", "mats")
+
+    def __init__(self, algebra, mats):
+        if len(mats) != algebra.nblocks:
+            raise ShapeMismatch("wrong number of blocks")
+        for m, n in zip(mats, algebra.blocks):
+            if m.shape != (n, n):
+                raise ShapeMismatch(f"block of shape {m.shape}, expected ({n}, {n})")
+        self.algebra = algebra
+        self.mats = [np.asarray(m, dtype=complex) for m in mats]
+
+    def to_vec(self) -> np.ndarray:
+        return np.concatenate([m.ravel() for m in self.mats])
+
+    def __add__(self, other):
+        return AlgElement(self.algebra, [a + b for a, b in zip(self.mats, other.mats)])
+
+    def __sub__(self, other):
+        return AlgElement(self.algebra, [a - b for a, b in zip(self.mats, other.mats)])
+
+    def __mul__(self, scalar):
+        return AlgElement(self.algebra, [scalar * m for m in self.mats])
+
+    __rmul__ = __mul__
+
+    def __matmul__(self, other):
+        return AlgElement(self.algebra, [a @ b for a, b in zip(self.mats, other.mats)])
+
+    def adjoint(self) -> "AlgElement":
+        return AlgElement(self.algebra, [m.conj().T for m in self.mats])
+
+    def norm(self) -> float:
+        return frob(self.to_vec())
+
+    def is_close(self, other, eps: float = EPS) -> bool:
+        return (self - other).norm() <= eps
+
+    def __repr__(self):
+        return f"AlgElement({self.algebra!r})"
+
+
+def alg_zero(a) -> AlgElement:
+    return AlgElement(a, [np.zeros((b, b), dtype=complex) for b in a.blocks])
+
+
+def identity(a) -> AlgElement:
+    return AlgElement(a, [np.eye(b, dtype=complex) for b in a.blocks])
+
+
+def block_unit(a, i: int) -> AlgElement:
+    mats = [np.zeros((b, b), dtype=complex) for b in a.blocks]
+    mats[i] = np.eye(a.blocks[i], dtype=complex)
+    return AlgElement(a, mats)
+
+
+def matrix_unit(a, i: int, r: int, c: int) -> AlgElement:
+    mats = [np.zeros((n, n), dtype=complex) for n in a.blocks]
+    mats[i][r, c] = 1.0
+    return AlgElement(a, mats)
+
+
+def basis_triples(a):
+    """Yield (flat_index, block, row, col) over the canonical basis."""
+    p = 0
+    for i, n in enumerate(a.blocks):
+        for r in range(n):
+            for c in range(n):
+                yield p, i, r, c
+                p += 1
+
+
+def alg_from_vec(a, v) -> AlgElement:
+    v = np.asarray(v, dtype=complex).ravel()
+    if v.size != a.dim:
+        raise ShapeMismatch(f"expected coordinate vector of length {a.dim}, got {v.size}")
+    mats = []
+    for i, n in enumerate(a.blocks):
+        o = a.offset(i)
+        mats.append(v[o : o + n * n].reshape(n, n).copy())
+    return AlgElement(a, mats)
+
+
+def apply(phi, x) -> AlgElement:
+    """phi(x) for an element or a coordinate vector of phi's source."""
+    if isinstance(x, AlgElement):
+        if x.algebra != phi.src:
+            raise EndpointMismatch("element not in the source algebra")
+        x = x.to_vec()
+    return alg_from_vec(phi.dst, phi.matrix @ np.asarray(x, dtype=complex).ravel())
+
+
+def random_element(algebra, rng, hermitian: bool = False) -> AlgElement:
+    mats = []
+    for n in algebra.blocks:
+        m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        if hermitian:
+            m = (m + m.conj().T) / 2
+        mats.append(m)
+    return AlgElement(algebra, mats)
 
 
 class ModElement:
@@ -80,7 +185,7 @@ def from_vec(module, v) -> ModElement:
 
 def left_mul(corr, a: AlgElement, x: ModElement) -> ModElement:
     """lambda(a) x for a correspondence ``corr``."""
-    img = corr.lam.apply(a)
+    img = apply(corr.lam, a)
     mats = []
     for k in range(corr.dst.nblocks):
         pos = corr.module.compact_pos(k)
@@ -135,7 +240,7 @@ def pure_tensor(tp, x: ModElement, y: ModElement) -> ModElement:
     z = zero(tp.module)
     for j, m in enumerate(tp.left.module.mult):
         for a in range(m):
-            row = b.zero()
+            row = alg_zero(b)
             row.mats[j][0, :] = x.mats[j][a, :]
             z = z + embed(tp, j, a, left_mul(tp.right, row, y))
     return z
@@ -150,7 +255,7 @@ def general_product(left, right, eps=1e-9):
     b, c = left.dst, right.dst
     ranks = [[0] * c.nblocks for _ in range(b.nblocks)]
     for j in range(b.nblocks):
-        img = right.lam.apply(b.matrix_unit(j, 0, 0))
+        img = apply(right.lam, matrix_unit(b, j, 0, 0))
         for k in right.module.kept:
             ranks[j][k] = gram_onb(img.mats[right.module.compact_pos(k)], eps).shape[1]
     mult = left.module.mult

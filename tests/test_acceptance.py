@@ -6,15 +6,18 @@ worst residual and wall time.  The time budgets in the table below are
 asserted, as are exact-zero residuals for the integer-arithmetic sweeps.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from corrlab import acceptance
-from corrlab.acceptance import run_suite
-from corrlab.modules import CorrIso
-from corrlab.nerve import NCorrSimplex
+from corrlab.acceptance import CaseReport, run_suite
+from corrlab.algebra import StarHom, make_algebra
+from corrlab.cli import _iso_checks
+from corrlab.modules import CorrIso, identity_corr
+from corrlab.nerve import NCorrSimplex, identity_iso
 
 # (criterion, suite, time budget in seconds, exact-arithmetic suite)
 CRITERIA = [
@@ -68,6 +71,12 @@ def test_criterion(cid, suite, budget, exact):
         assert report.seconds < budget, f"{suite} took {report.seconds:.1f}s"
 
 
+def nan_copy(u):
+    """The intertwiner u with every block entry NaN, built unchecked."""
+    nan = [np.full(b.shape, np.nan, dtype=complex) for b in u.blocks]
+    return CorrIso._trusted(u.src, u.dst, nan)
+
+
 def test_horn_uniqueness_refuses_a_nan_refill(monkeypatch):
     """A refill whose recovered cell is NaN fails its case, and the case's
     residual is NaN, not the 0.0 that the builtin max(0.0, nan) gives."""
@@ -76,13 +85,98 @@ def test_horn_uniqueness_refuses_a_nan_refill(monkeypatch):
     def nan_refill(horn, *, eps):
         s = real(horn, eps=eps)
         missing = tuple(x for x in range(4) if x != horn.k)
-        c = s.cells[missing]
         cells = dict(s.cells)
-        cells[missing] = CorrIso._trusted(
-            c.src, c.dst, [np.full(u.shape, np.nan, dtype=complex) for u in c.blocks]
-        )
+        cells[missing] = nan_copy(s.cells[missing])
         return NCorrSimplex(s.algebras, s.edges, cells)
 
     monkeypatch.setattr(acceptance, "fill_inner_horn", nan_refill)
     (case,) = acceptance.suite_horn_uniqueness(trials=1).cases
     assert not case.ok and math.isnan(case.residual)
+
+
+# Each judge below gathered its residuals with the builtin max, which drops
+# a NaN that follows a number; each now fails the case and reports NaN.
+
+
+def assert_nan_case(report):
+    (case,) = report.cases
+    assert not case.ok and math.isnan(case.residual)
+    assert not report.ok and math.isnan(report.worst)
+
+
+def test_iso_residuals_report_nan_blocks():
+    a = make_algebra((2, 1))
+    u = nan_copy(identity_iso(identity_corr(a)))
+    assert all(math.isnan(r) for r in acceptance._iso_residuals(u))
+
+
+def test_finish_keeps_a_nan_case_as_the_worst():
+    cases = [CaseReport("a", True, 2e-15, 0.0), CaseReport("b", False, math.nan, 0.0)]
+    assert math.isnan(acceptance._finish("x", cases, 0.0).worst)
+    cases = [CaseReport("a", True, 2e-15, 0.0), CaseReport("b", True, 3e-15, 0.0)]
+    assert repr(acceptance._finish("x", cases, 0.0).worst) == repr(3e-15)
+
+
+def test_gamma_mult_refuses_a_nan_intertwiner(monkeypatch):
+    real = acceptance.gamma_multiplicativity
+
+    def nan_cell(psi, phi, *, eps):
+        return nan_copy(real(psi, phi, eps=eps))
+
+    monkeypatch.setattr(acceptance, "gamma_multiplicativity", nan_cell)
+    assert_nan_case(acceptance.suite_gamma_mult(trials=1))
+
+
+def test_corner_unitary_refuses_a_nan_factorization(monkeypatch):
+    real = acceptance.u_of_corr
+
+    def nan_fact(corr, *, eps):
+        fact = real(corr, eps=eps)
+        return dataclasses.replace(fact, iso=nan_copy(fact.iso))
+
+    monkeypatch.setattr(acceptance, "u_of_corr", nan_fact)
+    assert_nan_case(acceptance.suite_corner_unitary(trials=1))
+
+
+def test_morita_refuses_a_nan_counit(monkeypatch):
+    real = acceptance.equivalence_inverse
+
+    def nan_counit(e, *, eps):
+        w = real(e, eps=eps)
+        return dataclasses.replace(w, counit_right=nan_copy(w.counit_right))
+
+    monkeypatch.setattr(acceptance, "equivalence_inverse", nan_counit)
+    assert_nan_case(acceptance.suite_morita(trials=1))
+
+
+def test_nerve_coherence_refuses_a_nan_pentagon(monkeypatch):
+    real = acceptance.pentagon_residual
+
+    def nan_after_first(s, *ijkl):
+        return real(s, *ijkl) if ijkl == (0, 0, 0, 0) else math.nan
+
+    monkeypatch.setattr(acceptance, "pentagon_residual", nan_after_first)
+    assert_nan_case(acceptance.suite_nerve_coherence(trials=1))
+
+
+def test_subdivision_refuses_a_nan_connecting_hom(monkeypatch):
+    real = acceptance.subdivision_functor
+
+    def nan_hom(s, *, eps, check):
+        sd = real(s, eps=eps, check=check)
+        f = sd.homs[((0,), (0, 1))]
+        nan = np.full(f.matrix.shape, np.nan)
+        sd.homs[((0,), (0, 1))] = StarHom(f.src, f.dst, nan, f.mult_matrix)
+        return sd
+
+    monkeypatch.setattr(acceptance, "subdivision_functor", nan_hom)
+    with np.errstate(invalid="ignore"):
+        assert_nan_case(acceptance.suite_subdivision(trials=1))
+
+
+def test_cli_iso_check_refuses_nan_blocks(capsys):
+    u = nan_copy(identity_iso(identity_corr(make_algebra((2, 1)))))
+    assert not _iso_checks(u, 1e-9)
+    assert capsys.readouterr().out == (
+        "unitary: FAIL (residual nan)\nintertwining: FAIL (residual nan)\n"
+    )

@@ -1,5 +1,6 @@
 """Block algebras, *-homomorphisms, corners and normal forms."""
 
+import functools
 import tracemalloc
 
 import numpy as np
@@ -15,6 +16,7 @@ from corrlab.algebra import (
     _gram,
     _mult_residual,
     _traced_mult,
+    _unit_image,
     corner_algebra,
     compose_homs,
     hom_normal_form,
@@ -33,15 +35,20 @@ from corrlab.errors import (
     ShapeMismatch,
     ValidationError,
 )
-from corrlab.generators import (
-    embedding_hom,
-    random_algebra,
-    random_element,
-    random_unital_hom,
-)
+from corrlab.generators import embedding_hom, random_algebra, random_unital_hom
 from corrlab.linalg import frob
 from corrlab.nerve import structural_hash
 from corrlab.subdivision import subdivision_functor
+from reference import (
+    alg_from_vec,
+    alg_zero,
+    apply,
+    basis_triples,
+    block_unit,
+    identity,
+    matrix_unit,
+    random_element,
+)
 from test_subdivision import scaling_chain_simplex
 
 
@@ -63,17 +70,17 @@ def test_algebra_rejects_bad_blocks(blocks):
 
 def test_matrix_unit_relations():
     a = make_algebra((2, 2))
-    e = a.matrix_unit
+    e = functools.partial(matrix_unit, a)
     # e_ab e_cd = delta_bc e_ad within a block, zero across blocks
     assert (e(0, 0, 1) @ e(0, 1, 0)).is_close(e(0, 0, 0))
-    assert (e(0, 0, 1) @ e(0, 0, 1)).is_close(a.zero())
-    assert (e(0, 0, 1) @ e(1, 1, 0)).is_close(a.zero())
+    assert (e(0, 0, 1) @ e(0, 0, 1)).is_close(alg_zero(a))
+    assert (e(0, 0, 1) @ e(1, 1, 0)).is_close(alg_zero(a))
     assert sum(e(i, t, t).to_vec().sum() for i in range(2) for t in range(2)) == 4.0
 
 
 def test_basis_triples_cover():
     a = make_algebra((2, 3))
-    triples = list(a.basis_triples())
+    triples = list(basis_triples(a))
     assert len(triples) == a.dim == 13
     assert [p for p, *_ in triples] == list(range(13))
 
@@ -88,7 +95,7 @@ def test_element_arithmetic_matches_numpy():
     assert x.adjoint().adjoint().is_close(x)
     assert ((x + y) - y).is_close(x)
     assert (x * 2.0).is_close(x + x)
-    assert a.from_vec(x.to_vec()).is_close(x)
+    assert alg_from_vec(a, x.to_vec()).is_close(x)
 
 
 def test_adjoint_perm_is_involutive():
@@ -104,7 +111,7 @@ def test_adjoint_perm_is_involutive():
 def test_adjoint_perm_matches_the_basis_loop(blocks):
     a = make_algebra(blocks)
     p = np.empty(a.dim, dtype=np.intp)
-    for flat, i, r, c in a.basis_triples():
+    for flat, i, r, c in basis_triples(a):
         p[flat] = a.offset(i) + c * a.blocks[i] + r
     assert a.adjoint_perm().dtype == np.intp
     assert np.array_equal(a.adjoint_perm(), p)
@@ -117,8 +124,8 @@ def test_embedding_hom_validates():
     assert phi.mult_matrix.tolist() == [[1, 0]]
     assert not phi.unital
     x, y = random_element(src, rng), random_element(src, rng)
-    assert phi(x @ y).is_close(phi(x) @ phi(y))
-    assert phi(x.adjoint()).is_close(phi(x).adjoint())
+    assert apply(phi, x @ y).is_close(apply(phi, x) @ apply(phi, y))
+    assert apply(phi, x.adjoint()).is_close(apply(phi, x).adjoint())
 
 
 def test_star_hom_violations():
@@ -143,7 +150,7 @@ def test_identity_and_composition():
     psi = random_unital_hom(phi.dst, rng)
     comp = compose_homs(psi, phi)
     x = random_element(a, rng)
-    assert comp(x).is_close(psi(phi(x)))
+    assert apply(comp, x).is_close(apply(psi, apply(phi, x)))
     # multiplicities compose covariantly in the (src rows, dst cols) layout
     assert np.array_equal(comp.mult_matrix, phi.mult_matrix @ psi.mult_matrix)
     with pytest.raises(EndpointMismatch):
@@ -152,12 +159,12 @@ def test_identity_and_composition():
 
 def all_pairs_residual(src, dst, matrix):
     """The definition: max over basis pairs of ||phi(e_p) phi(e_q) - phi(e_p e_q)||_F."""
-    units = [src.matrix_unit(i, a, c) for _, i, a, c in src.basis_triples()]
-    images = [dst.from_vec(matrix @ x.to_vec()) for x in units]
+    units = [matrix_unit(src, i, a, c) for _, i, a, c in basis_triples(src)]
+    images = [alg_from_vec(dst, matrix @ x.to_vec()) for x in units]
     worst = 0.0
     for x, fx in zip(units, images):
         for y, fy in zip(units, images):
-            fxy = dst.from_vec(matrix @ (x @ y).to_vec())
+            fxy = alg_from_vec(dst, matrix @ (x @ y).to_vec())
             worst = max(worst, (fx @ fy - fxy).norm())
     return worst
 
@@ -165,10 +172,10 @@ def all_pairs_residual(src, dst, matrix):
 def star_reference_residual(src, dst, matrix):
     """The definition: max over basis elements of ||phi(e_p^*) - phi(e_p)^*||_F."""
     worst = 0.0
-    for _, i, a, c in src.basis_triples():
-        x = src.matrix_unit(i, a, c)
-        fx = dst.from_vec(matrix @ x.to_vec())
-        fxs = dst.from_vec(matrix @ x.adjoint().to_vec())
+    for _, i, a, c in basis_triples(src):
+        x = matrix_unit(src, i, a, c)
+        fx = alg_from_vec(dst, matrix @ x.to_vec())
+        fxs = alg_from_vec(dst, matrix @ x.adjoint().to_vec())
         worst = max(worst, (fxs - fx.adjoint()).norm())
     return worst
 
@@ -249,7 +256,7 @@ def test_is_full_hom():
     for m in (6, 7):
         dst = make_algebra((m,))
         for scale, full in ((1.0, True), (1e-8, True), (1e-10, False), (0.0, False)):
-            p = dst.zero()
+            p = alg_zero(dst)
             p.mats[0][0, 0] = scale
             mat = p.to_vec()[:, None]
             phi = StarHom(src, dst, mat, _traced_mult(src, dst, mat))
@@ -258,26 +265,27 @@ def test_is_full_hom():
 
 def test_corner_of_identity_is_everything():
     b = make_algebra((2, 2))
-    pres = corner_algebra(b.identity(), b)
+    pres = corner_algebra(identity(b).to_vec(), b)
     assert pres.algebra.blocks == b.blocks
     assert pres.kept == (0, 1)
     rng = np.random.default_rng(4)
     x = random_element(pres.algebra, rng)
     y = random_element(pres.algebra, rng)
-    assert pres.inclusion(x @ y).is_close(pres.inclusion(x) @ pres.inclusion(y))
+    inc = pres.inclusion
+    assert apply(inc, x @ y).is_close(apply(inc, x) @ apply(inc, y))
 
 
 def test_corner_drops_zero_blocks():
     b = make_algebra((3, 2))
-    p = b.zero()
+    p = alg_zero(b)
     p.mats[0][0, 0] = 1.0
     p.mats[0][1, 1] = 1.0
-    pres = corner_algebra(p, b)
+    pres = corner_algebra(p.to_vec(), b)
     assert pres.kept == (0,)
     assert pres.algebra.blocks == (2,)
     # inclusion lands under p
     x = random_element(pres.algebra, np.random.default_rng(1))
-    img = pres.inclusion(x)
+    img = apply(pres.inclusion, x)
     assert frob((p @ img @ p - img).to_vec()) < 1e-12
 
 
@@ -285,7 +293,21 @@ def test_corner_rejects_non_projection():
     b = make_algebra((2,))
     x = random_element(b, np.random.default_rng(9))
     with pytest.raises(NotProjection):
-        corner_algebra(x + x.adjoint(), b)
+        corner_algebra((x + x.adjoint()).to_vec(), b)
+
+
+def test_corner_rejects_a_nan_or_misshapen_projection():
+    """A NaN entry fails the projection check (not an IndexError from the
+    range basis), and a vector of the wrong length is refused."""
+    b = make_algebra((2, 1))
+    p = identity(b).to_vec()
+    p[0] = np.nan
+    with pytest.raises(NotProjection) as err, np.errstate(invalid="ignore"):
+        corner_algebra(p, b)
+    assert np.isnan(err.value.residual)
+    for bad in (identity(b).to_vec()[:-1], identity(b).to_vec()[:, None]):
+        with pytest.raises(ShapeMismatch):
+            corner_algebra(bad, b)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -295,7 +317,7 @@ def test_hom_normal_form(seed):
     phi = random_unital_hom(src, rng)
     ws = hom_normal_form(phi)
     x = random_element(src, rng, hermitian=True)
-    img = phi(x)
+    img = apply(phi, x)
     for j, m in enumerate(phi.dst.blocks):
         w = ws[j]
         assert frob(w.conj().T @ w - np.eye(m)) < 1e-9
@@ -504,7 +526,7 @@ def test_hom_normal_form_pads_nonunital():
     (w,) = hom_normal_form(phi)
     assert frob(w.conj().T @ w - np.eye(3)) < 1e-9
     x = random_element(src, rng)
-    got = w.conj().T @ phi(x).mats[0] @ w
+    got = w.conj().T @ apply(phi, x).mats[0] @ w
     assert frob(got[:2, :2] - x.mats[0]) < 1e-9
     assert frob(got[2:, :]) < 1e-9 and frob(got[:, 2:]) < 1e-9
 
@@ -514,18 +536,25 @@ def rank_multiplicities(phi):
     src, dst = phi.src, phi.dst
     r = np.zeros((src.nblocks, dst.nblocks), dtype=np.int64)
     for i, n in enumerate(src.blocks):
-        img = phi(src.block_unit(i))
+        img = apply(phi, block_unit(src, i))
         for j in range(dst.nblocks):
             r[i, j] = np.linalg.matrix_rank(img.mats[j], tol=1e-7) // n
     return r
+
+
+@given(phi=homs())
+def test_unit_image_is_the_reference_value_at_one(phi):
+    """The library's one read of phi(1) is the reference apply(phi, 1), to the bit."""
+    want = apply(phi, identity(phi.src)).to_vec()
+    assert _unit_image(phi).tobytes() == want.tobytes()
 
 
 @settings(max_examples=60)
 @given(phi=homs())
 def test_trace_multiplicities_agree_with_ranks(phi):
     assert np.array_equal(phi.mult_matrix, rank_multiplicities(phi))
-    one = phi(phi.src.identity())
-    assert phi.unital == one.is_close(phi.dst.identity(), EPS)
+    one = apply(phi, identity(phi.src))
+    assert phi.unital == one.is_close(identity(phi.dst), EPS)
 
 
 def test_make_star_hom_rejects_non_finite_entries():

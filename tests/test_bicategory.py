@@ -36,7 +36,6 @@ from corrlab.generators import (
     random_algebra,
     random_chain,
     random_correspondence,
-    random_element,
     random_equivalence,
     random_simplex,
     random_unital_hom,
@@ -53,6 +52,7 @@ from corrlab.modules import (
 )
 from corrlab.nerve import gamma_simplex
 from corrlab.subdivision import subdivision_functor
+from reference import apply, random_element
 
 
 def test_gamma_of_identity_is_the_identity_corr():
@@ -150,7 +150,7 @@ def test_equivalence_unitaries_conjugate_their_blocks(seed):
     e = random_equivalence(random_algebra(rng), rng)
     w = equivalence_inverse(e)
     x = random_element(e.src, rng)
-    lam_x = e.lam.apply(x)
+    lam_x = apply(e.lam, x)
     for i, (k, u) in enumerate(zip(w.block_map, w.unitaries)):
         got = lam_x.mats[e.module.compact_pos(k)]
         assert np.abs(got - u @ x.mats[i] @ u.conj().T).max() <= 1e-12
@@ -238,8 +238,8 @@ def test_certified_constructions_pass_validation(seed):
     assert_certified(direct_sum_corrs([corr, corr])[0].lam)
     e = random_equivalence(random_algebra(rng, max_blocks=2, max_size=2), rng)
     assert_certified(equivalence_inverse(e).inverse.lam)
-    p = phi.dst.zero()
-    p.mats[0][0, 0] = 1.0
+    p = np.zeros(phi.dst.dim, dtype=complex)
+    p[0] = 1.0  # e_00 of block 0
     assert_certified(corner_algebra(p, phi.dst).inclusion)
     sd = subdivision_functor(random_simplex(rng, 2, twist=bool(seed % 2), max_mult=1))
     for h in sd.homs.values():

@@ -1,7 +1,7 @@
 """The *-hom constructors, against the column-by-column loops they replaced.
 
 Each reference below is a copy of the old construction: one source basis
-element at a time, with one zero() and one to_vec() per column.  The new
+element at a time, with one alg_zero() and one to_vec() per column.  The new
 constructors build the same matrix from Bratteli data through
 ``_conjugation_matrix`` (corner inclusion, the linking embedding i_E, the
 inverse of an equivalence, the subdivision connecting homs, embedding_hom)
@@ -36,6 +36,7 @@ from corrlab.algebra import (
     _compose_ws,
     _star_residual,
     _traced_mult,
+    _unit_image,
     compose_homs,
     corner_algebra,
     hom_normal_form,
@@ -69,6 +70,7 @@ from corrlab.modules import (
 from corrlab.nerve import validate_simplex
 from corrlab.serialize import dump_value, value_from_json, value_to_json
 from corrlab.subdivision import _nonempty_subsets, connecting_hom, module_E_S
+from reference import alg_from_vec, alg_zero, apply, basis_triples, identity, matrix_unit
 
 
 def assert_matches(h, ref_matrix, *, exact=False):
@@ -105,7 +107,7 @@ def random_mult(rng, src, nd):
 def ref_embedding(src, dst, mult, rng):
     cols = []
     units = [random_unitary(nl, rng) for nl in dst.blocks]
-    for i, r, c in ((t[1], t[2], t[3]) for t in src.basis_triples()):
+    for i, r, c in ((t[1], t[2], t[3]) for t in basis_triples(src)):
         img = []
         for l, nl in enumerate(dst.blocks):
             b = np.zeros((nl, nl), dtype=complex)
@@ -126,8 +128,8 @@ def ref_gamma(phi):
     module = make_module(phi.dst, [v.shape[1] for v in vs])
     cols = []
     for p in range(phi.src.dim):
-        img = phi.dst.from_vec(phi.matrix[:, p])
-        y = module.compacts.zero()
+        img = alg_from_vec(phi.dst, phi.matrix[:, p])
+        y = alg_zero(module.compacts)
         for t, j in enumerate(module.kept):
             y.mats[t][:, :] = vs[j].conj().T @ img.mats[j] @ vs[j]
         cols.append(y.to_vec())
@@ -141,7 +143,7 @@ def ref_corner(pres, b):
         k = v.shape[1]
         for a in range(k):
             for c in range(k):
-                y = b.zero()
+                y = alg_zero(b)
                 y.mats[i][:, :] = np.outer(v[:, a], v[:, c].conj())
                 cols.append(y.to_vec())
     return np.array(cols).T
@@ -152,8 +154,8 @@ def ref_linking(corr, linking):
     sum_mod = make_module(b, [m + n for m, n in zip(e_mod.mult, b.blocks)])
     j_cols = []
     for p in range(a.dim):
-        lam_img = e_mod.compacts.from_vec(corr.lam.matrix[:, p])
-        y = linking.zero()
+        lam_img = alg_from_vec(e_mod.compacts, corr.lam.matrix[:, p])
+        y = alg_zero(linking)
         for t, k in enumerate(sum_mod.kept):
             pos = e_mod.compact_pos(k)
             if pos is not None:
@@ -161,8 +163,8 @@ def ref_linking(corr, linking):
                 y.mats[t][:m, :m] = lam_img.mats[pos]
         j_cols.append(y.to_vec())
     i_cols = []
-    for p, k, r, c2 in b.basis_triples():
-        y = linking.zero()
+    for p, k, r, c2 in basis_triples(b):
+        y = alg_zero(linking)
         t = sum_mod.compact_pos(k)
         m = e_mod.mult[k]
         y.mats[t][m + r, m + c2] = 1.0
@@ -172,8 +174,8 @@ def ref_linking(corr, linking):
 
 def ref_inverse_action(a, b, block_map, inv_mod):
     inv_cols = []
-    for p, k, r, c2 in b.basis_triples():
-        y = inv_mod.compacts.zero()
+    for p, k, r, c2 in basis_triples(b):
+        y = alg_zero(inv_mod.compacts)
         for i in range(a.nblocks):
             if block_map[i] == k:
                 y.mats[inv_mod.compact_pos(i)][r, c2] = 1.0
@@ -187,7 +189,7 @@ def ref_direct_sum(corrs, module, starts):
     for p in range(corrs[0].src.dim):
         out = [np.zeros((module.mult[k], module.mult[k]), dtype=complex) for k in module.kept]
         for s, c in enumerate(corrs):
-            v = c.module.compacts.from_vec(lam_mats[s][:, p])
+            v = alg_from_vec(c.module.compacts, lam_mats[s][:, p])
             for k in c.module.kept:
                 o = starts[s][k]
                 m = c.module.mult[k]
@@ -263,10 +265,10 @@ def ref_connecting(sigma, data_s, data_t):
         mats = ref_tensor_isometries(sigma, data_s, data_t, base)
     ks, kt = data_s.module, data_t.module
     cols = []
-    for tr in data_s.algebra.basis_triples():
+    for tr in basis_triples(data_s.algebra):
         j, p, q = tr[1], tr[2], tr[3]
         jk = ks.kept[j]
-        y = kt.compacts.zero()
+        y = alg_zero(kt.compacts)
         for lt, l in enumerate(kt.kept):
             w = mats[l].get(jk)
             if w is None:
@@ -307,12 +309,12 @@ def check_embedding_and_gamma(rng, seed):
 
 def check_corner(rng):
     b = small_algebra(rng)
-    p = b.zero()
+    p = alg_zero(b)
     while not any(p.mats[i].any() for i in range(b.nblocks)):
         for i, n in enumerate(b.blocks):
             v = random_unitary(n, rng)[:, : int(rng.integers(0, n + 1))]
             p.mats[i][:, :] = v @ v.conj().T
-    pres = corner_algebra(p, b)
+    pres = corner_algebra(p.to_vec(), b)
     assert_matches(pres.inclusion, ref_corner(pres, b))
 
 
@@ -495,10 +497,10 @@ def ref_normal_form(phi, eps=1e-9):
             r = int(phi.mult_matrix[i, j])
             if r == 0:
                 continue
-            v = orthonormal_range(phi.apply(src.matrix_unit(i, 0, 0)).mats[j], eps)
+            v = orthonormal_range(apply(phi, matrix_unit(src, i, 0, 0)).mats[j], eps)
             assert v.shape[1] == r
             for a in range(n):
-                ea1 = phi.apply(src.matrix_unit(i, a, 0)).mats[j]
+                ea1 = apply(phi, matrix_unit(src, i, a, 0)).mats[j]
                 cols += [ea1 @ v[:, t] for t in range(r)]
         w = np.column_stack(cols) if cols else np.zeros((m, 0), dtype=complex)
         if w.shape[1] < m:
@@ -512,13 +514,13 @@ def assert_columns_are_the_element_route(phi):
     and phi(1) as matrix @ one is apply on the identity; so are the library
     reads built on them."""
     src, dst = phi.src, phi.dst
-    one = phi.apply(src.identity())
-    p = (phi.matrix @ src.identity().to_vec())[:, None]
+    one = apply(phi, identity(src))
+    p = _unit_image(phi)[:, None]
     for j in range(dst.nblocks):
         assert bit_equal(dst.block_rows(p, j)[:, :, 0], one.mats[j])
         assert bit_equal(gamma_isometries(phi)[j], orthonormal_range(one.mats[j]))
-    for c, i, a, b in src.basis_triples():
-        img = phi.apply(src.matrix_unit(i, a, b))
+    for c, i, a, b in basis_triples(src):
+        img = apply(phi, matrix_unit(src, i, a, b))
         for j in range(dst.nblocks):
             assert bit_equal(dst.block_rows(phi.matrix, j)[:, :, c] + 0.0, img.mats[j])
     assert is_full_hom(phi) == all(frob(x) > 1e-9 for x in one.mats)
@@ -531,14 +533,14 @@ def assert_action_reads_are_the_element_route(corr):
     a = corr.src
     proj = corr._frame(1e-9)[1]
     for j in range(a.nblocks):
-        img = corr.lam.apply(a.matrix_unit(j, 0, 0))
+        img = apply(corr.lam, matrix_unit(a, j, 0, 0))
         for k in range(corr.dst.nblocks):
             pos = corr.module.compact_pos(k)
             assert bit_equal(proj[j][k], np.zeros((0, 0)) if pos is None else img.mats[pos])
     tp = tensor_corrs(identity_corr(a), corr)
 
     def action(i, s, k, w):
-        return corr.lam.apply(a.matrix_unit(i, s, 0)).mats[corr.module.compact_pos(k)] @ w
+        return apply(corr.lam, matrix_unit(a, i, s, 0)).mats[corr.module.compact_pos(k)] @ w
 
     ref = _intertwiner_blocks(tp, corr, action)
     assert all(bit_equal(u, r) for u, r in zip(left_unitor(tp).blocks, ref))
@@ -587,11 +589,11 @@ def assert_trace_agrees(phi):
 
 def random_projection(a, rng):
     """A projection with a nonzero range of random rank in every block."""
-    p = a.zero()
+    p = alg_zero(a)
     for i, n in enumerate(a.blocks):
         v = random_unitary(n, rng)[:, : int(rng.integers(1, n + 1))]
         p.mats[i][:, :] = v @ v.conj().T
-    return p
+    return p.to_vec()
 
 
 @settings(max_examples=40)

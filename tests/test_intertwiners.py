@@ -39,7 +39,7 @@ from corrlab.modules import (
     right_unitor,
     tensor_corrs,
 )
-from reference import embed, left_mul, pure_tensor, zero
+from reference import alg_zero, apply, embed, left_mul, pure_tensor, zero
 
 
 def reference_blocks(tp, dst, action):
@@ -113,7 +113,7 @@ def check_unitors(rng):
     tp = tensor_corrs(identity_corr(a), e)
 
     def lam(i, s, w):
-        row = a.zero()
+        row = alg_zero(a)
         row.mats[i][s, 0] = 1.0
         return left_mul(e, row, w)
 
@@ -159,9 +159,9 @@ def check_gamma_multiplicativity(rng):
     v_comp = gamma_isometries(compose_homs(psi, phi))
 
     def action(j, a, w):
-        b = phi.dst.zero()
+        b = alg_zero(phi.dst)
         b.mats[j][:, 0] = v_phi[j][:, a]
-        img = psi.apply(b)
+        img = apply(psi, b)
         out = zero(u.dst.module)
         for k in range(psi.dst.nblocks):
             if u.dst.module.mult[k]:

@@ -27,7 +27,6 @@ from corrlab.generators import (
     embedding_hom,
     random_algebra,
     random_correspondence,
-    random_element,
     random_equivalence,
     random_simplex,
     random_unitary,
@@ -55,12 +54,18 @@ from corrlab.modules import (
 )
 from corrlab.nerve import identity_iso
 from reference import (
+    alg_from_vec,
+    apply,
     apply_iso,
+    basis_triples,
     embed,
     from_vec,
     general_product,
+    identity,
     left_mul,
+    matrix_unit,
     pure_tensor,
+    random_element,
     section,
     zero,
 )
@@ -80,7 +85,7 @@ def algebra_basis(algebra):
     for p in range(algebra.dim):
         v = np.zeros(algebra.dim, dtype=complex)
         v[p] = 1.0
-        out.append(algebra.from_vec(v))
+        out.append(alg_from_vec(algebra, v))
     return out
 
 
@@ -164,7 +169,7 @@ def test_corr_missing_a_block_is_not_full():
     b = make_algebra((6, 7))
     for mult, full in (((1, 1), True), ((2, 1), True), ((1, 0), False), ((0, 1), False)):
         m = make_module(b, mult)
-        lam = make_star_hom(src, m.compacts, m.compacts.identity().to_vec()[:, None])
+        lam = make_star_hom(src, m.compacts, identity(m.compacts).to_vec()[:, None])
         assert is_full_corr(Correspondence(src, m, lam)) == full, mult
 
 
@@ -459,7 +464,7 @@ def fresh_frame(left, right, eps=1e-9):
     proj = [[None] * c.nblocks for _ in range(b.nblocks)]
     onb = [[None] * c.nblocks for _ in range(b.nblocks)]
     for j in range(b.nblocks):
-        img = right.lam.apply(b.matrix_unit(j, 0, 0))
+        img = apply(right.lam, matrix_unit(b, j, 0, 0))
         for k in range(c.nblocks):
             pos = right.module.compact_pos(k)
             proj[j][k] = np.zeros((0, 0), dtype=complex) if pos is None else img.mats[pos]
@@ -632,7 +637,7 @@ def row_gather_left_action(tp):
     lambda_E per basis triple of K(E), per block k of G and per t < r_jk."""
     e_mod, kg = tp.left.module, tp.corr.module.compacts
     rows, cols = [], []
-    for p, jp, a, a2 in e_mod.compacts.basis_triples():
+    for p, jp, a, a2 in basis_triples(e_mod.compacts):
         j = e_mod.kept[jp]
         for kp, k in enumerate(tp.module.kept):
             rjk = tp.r[j][k]

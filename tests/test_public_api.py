@@ -1,5 +1,6 @@
 """Every name a corrlab module exports in ``__all__`` exists, so a stale
-export of a removed name fails here rather than at a user's import;
+export of a removed name fails here rather than at a user's import, and
+the names moved to tests/reference.py resolve nowhere in the library;
 tensor products have one constructor call; and the validating
 constructors are called only at the trust boundary."""
 
@@ -94,14 +95,42 @@ def test_validating_constructors_are_called_only_at_the_trust_boundary():
 
 def test_no_library_path_applies_a_hom():
     """A hom's value on a matrix unit is a column of its matrix, read through
-    FdCstarAlgebra.block_rows, and phi(1) is the matrix times the identity's
-    coordinates; StarHom.apply (and __call__, which is apply) and matrix_unit
-    stay public for callers, but no module builds an element to push
-    through a whole hom."""
+    FdCstarAlgebra.block_rows, and phi(1) is the matrix times the unit's
+    coordinates (algebra._unit_image); no module calls an ``apply`` or
+    ``matrix_unit`` to push an element through a whole hom."""
     found = [
         (path.name, scope, name)
         for path in sorted(pathlib.Path(corrlab.__file__).parent.glob("*.py"))
         for name in ("apply", "matrix_unit")
         for scope in callers(ast.parse(path.read_text()), name)
     ]
-    assert found == [("algebra.py", "__call__", "apply")]
+    assert found == []
+
+
+# Moved to tests/reference.py (the chains are AugChains): module-level
+# names, then methods.
+REMOVED = ("AlgElement", "SubsetChain", "enumerate_sd", "random_element")
+REMOVED_METHODS = {
+    "FdCstarAlgebra": (
+        "zero", "identity", "block_unit", "matrix_unit", "basis_triples", "from_vec"
+    ),
+    "StarHom": ("apply", "__call__"),
+}
+
+
+@pytest.mark.parametrize("name", ["corrlab"] + MODULES)
+def test_removed_names_do_not_resolve(name):
+    module = importlib.import_module(name)
+    found = [x for x in REMOVED if hasattr(module, x) or x in getattr(module, "__all__", ())]
+    assert not found, f"{name} still has {found}"
+
+
+def test_removed_methods_do_not_resolve():
+    # dir, not hasattr: every class object has the metaclass's __call__
+    found = [
+        (cls, x)
+        for cls, names in REMOVED_METHODS.items()
+        for x in names
+        if x in dir(getattr(corrlab, cls))
+    ]
+    assert not found

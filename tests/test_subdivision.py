@@ -36,11 +36,9 @@ from corrlab.linalg import EPS, frob
 from corrlab.nerve import apply_map, gamma_simplex
 from corrlab.subdivision import (
     AugChain,
-    SubsetChain,
     connecting_hom,
     degeneracy,
     enumerate_csd,
-    enumerate_sd,
     face,
     is_nondegenerate,
     module_E_S,
@@ -97,12 +95,40 @@ def brute_csd_chains(n):
     return by_dim
 
 
+def as_aug(entries):
+    """A chain of subsets as an AugChain: its singletons become vertices."""
+    vs = tuple(s[0] for s in entries if len(s) == 1)
+    return AugChain(vs, tuple(s for s in entries if len(s) > 1))
+
+
+def sd_chains(n):
+    """The chains of the subdivided n-simplex: the nondegenerate augmented
+    chains with at most one vertex, keyed by dimension."""
+    by_dim = {d: [c for c in cs if len(c.vertices) <= 1] for d, cs in enumerate_csd(n).items()}
+    return {d: cs for d, cs in by_dim.items() if cs}
+
+
 def test_sd2_counts():
-    by_dim = enumerate_sd(2)
+    by_dim = sd_chains(2)
     assert {d: len(v) for d, v in by_dim.items()} == {0: 7, 1: 12, 2: 6}
     brute = brute_sd_chains(2)
     for d, chains in by_dim.items():
-        assert {c.entries for c in chains} == brute[d]
+        assert set(chains) == {as_aug(c) for c in brute[d]}
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_sd_chains_are_the_augmented_chains_with_one_vertex(n):
+    """A nested run of subsets is the AugChain of its singletons and its
+    larger subsets; dropping or doubling an entry commutes with that."""
+    brute = brute_sd_chains(n)
+    assert {d: {as_aug(c) for c in cs} for d, cs in brute.items()} == {
+        d: set(cs) for d, cs in sd_chains(n).items()
+    }
+    for c in set().union(*brute.values()):
+        for i in range(len(c)):
+            assert degeneracy(as_aug(c), i) == as_aug(c[: i + 1] + c[i:])
+            if len(c) > 1:
+                assert face(as_aug(c), i) == as_aug(c[:i] + c[i + 1 :])
 
 
 def test_csd_counts():
@@ -118,13 +144,9 @@ def test_csd_counts():
 
 def test_chain_shape_rules():
     with pytest.raises(ShapeViolation):
-        SubsetChain(())
-    with pytest.raises(ShapeViolation):
-        SubsetChain(((),))
-    with pytest.raises(NotNested):
-        SubsetChain(((0, 1), (0, 2)))
-    with pytest.raises(ShapeViolation):
         AugChain((), ())
+    with pytest.raises(ShapeViolation):
+        AugChain((), ((),))
     with pytest.raises(ShapeViolation):
         AugChain((1, 0), ())
     with pytest.raises(ShapeViolation):
@@ -189,8 +211,6 @@ def test_face_bounds():
 
 def validated(chain):
     """The same entries passed through the validating public constructor."""
-    if isinstance(chain, SubsetChain):
-        return SubsetChain(chain.entries)
     return AugChain(chain.vertices, chain.subsets)
 
 
@@ -199,7 +219,6 @@ def test_trusted_faces_and_degeneracies_match_validated_chains(n):
     """face and degeneracy skip validation; their results must be exactly
     what the validating constructors build from the same entries."""
     pool = [c for chains in enumerate_csd(n).values() for c in chains]
-    pool += [c for chains in enumerate_sd(n).values() for c in chains]
     pool += [degeneracy(c, i) for c in list(pool) for i in range(c.dim + 1)]
     for c in pool:
         derived = [degeneracy(c, i) for i in range(c.dim + 1)]
@@ -214,7 +233,7 @@ def test_trusted_faces_and_degeneracies_match_validated_chains(n):
 MALFORMED = [
     (ShapeViolation, lambda: AugChain((1, 0), ((0, 1),))),  # vertices not monotone
     (NotNested, lambda: AugChain((0,), ((0, 1), (0, 2)))),
-    (NotNested, lambda: SubsetChain(((0,), (1, 2)))),
+    (NotNested, lambda: AugChain((), ((0, 1), (1, 2)))),
     (ShapeViolation, lambda: AugChain((2,), ((0, 1), (0, 1, 2)))),  # vertex outside
     (ShapeViolation, lambda: AugChain((0,), ((0,), (0, 1)))),  # singleton subset
 ]
@@ -228,7 +247,7 @@ def test_public_chain_constructors_still_validate(err, build):
 
 @pytest.mark.parametrize("point,chain", [
     (AugChain((0,), ()), AugChain((0,), ((0, 1),))),
-    (SubsetChain(((0, 1),)), SubsetChain(((0,), (0, 1)))),
+    (AugChain((), ((0, 1),)), AugChain((), ((0, 1), (0, 1, 2)))),
 ])
 def test_face_and_degeneracy_bounds(point, chain):
     with pytest.raises(ShapeViolation):
@@ -602,8 +621,6 @@ def test_dimension_caps():
         subdivision_functor(s5)
     with pytest.raises(DimensionTooLarge):
         enumerate_csd(5)
-    with pytest.raises(DimensionTooLarge):
-        enumerate_sd(5)
 
 
 def proper_faces(n):
