@@ -11,7 +11,6 @@ from .algebra import (
     FdCstarAlgebra,
     StarHom,
     compose_homs,
-    corner_algebra,
     hom_normal_form,
     identity_hom,
     is_full_hom,

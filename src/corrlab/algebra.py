@@ -2,11 +2,12 @@
 
 An algebra is a direct sum of full matrix blocks, held in its canonical
 matrix-unit basis (blocks in order, entries row-major); an element is its
-coordinate vector in that basis.  A *-homomorphism is
-stored as the dense matrix of the underlying linear map in those bases,
-together with its integer block-multiplicity matrix: the image of a minimal
-projection e_00 of a source block is a projection in each target block, and
-its rank there is the multiplicity.
+coordinate vector in that basis.  A *-homomorphism carries its integer
+block-multiplicity matrix (the image of a minimal projection e_00 of a
+source block is a projection in each target block, and its rank there is
+the multiplicity) and the dense matrix of the underlying linear map in
+those bases: given by its builder, or, for a hom built from Bratteli data,
+a dense view built on first read.
 
 ``make_star_hom`` validates a matrix from outside, raises on invalid data
 and traces its multiplicities (``_traced_mult``); ``StarHom`` itself is the
@@ -17,8 +18,8 @@ A *-hom is fixed by Bratteli data: its multiplicities and, per target
 block, one isometry.  ``hom_normal_form`` extracts that data from a matrix
 and ``_conjugation_matrix`` builds the matrix from it, one Gram of the data's
 nonzero rows per pair of blocks; every constructor that starts from such
-data builds its matrix there, through ``_bratteli_hom``, which keeps the
-data on the hom and reads its multiplicities off the data, not the matrix.
+data goes through ``_bratteli_hom``, which keeps the data on the hom, reads
+its multiplicities off the data and leaves the matrix to the first read.
 ``_compose_ws`` composes such data and ``_composite_residual`` compares a
 composite with a third hom on it, block by block: each pair of blocks is
 compared through the r x r overlap of its two isometries, and no Gram matrix
@@ -26,7 +27,7 @@ is built.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -38,7 +39,7 @@ from .errors import (
     NotStarPreserving,
     ShapeMismatch,
 )
-from .linalg import EPS, frob, orthonormal_range, worse
+from .linalg import EPS, frob, orthonormal_range
 
 __all__ = [
     "FdCstarAlgebra",
@@ -48,8 +49,6 @@ __all__ = [
     "identity_hom",
     "compose_homs",
     "is_full_hom",
-    "corner_algebra",
-    "CornerPresentation",
     "hom_normal_form",
 ]
 
@@ -107,44 +106,56 @@ def make_algebra(blocks, label: str = "") -> FdCstarAlgebra:
     return FdCstarAlgebra(blocks, label)
 
 
-@dataclass(frozen=True)
 class StarHom:
     """A *-homomorphism between finite-dimensional C*-algebras.
 
     ``matrix`` is the (dst.dim x src.dim) matrix of the linear map in the
-    canonical bases, stored C-ordered so that nothing computed from it depends
-    on the caller's memory layout; it must already be a *-hom, so this is for
-    canonical constructions from valid inputs, and ``make_star_hom`` is the
-    one that checks.  ``mult_matrix`` is the (src.nblocks x dst.nblocks)
-    int64 matrix of block multiplicities: r_ij is the rank of phi(e^(i)_00)
-    in dst block j (Bratteli's structure theorem), as each builder knows it
-    from its inputs (its docstring says why).  Derived at construction:
+    canonical bases, C-ordered and read-only so that nothing computed from
+    it depends on the caller's memory layout; it must already be a *-hom,
+    so this is for canonical constructions from valid inputs, and
+    ``make_star_hom`` is the one that checks.  ``mult_matrix`` is the
+    (src.nblocks x dst.nblocks) int64 matrix of block multiplicities: r_ij
+    is the rank of phi(e^(i)_00) in dst block j (Bratteli's structure
+    theorem), as each builder knows it from its inputs (its docstring says
+    why).  Derived at construction:
 
     ``unital``, true iff sum_i r_ij n_i = m_j for every dst block j, i.e.
     phi(1) fills every dst block.
 
     ``_gamma`` keeps Gamma(phi) and its range isometries per eps (bicategory).
 
-    ``_ws`` keeps the Bratteli data the matrix was built from, when it was
-    built from such data (``_bratteli_hom``), and is None otherwise.
+    ``_ws`` keeps the Bratteli data of a hom built from it
+    (``_bratteli_hom``), and is None otherwise.  Such a hom is given no
+    matrix: ``matrix`` is a dense view built from ``_ws`` on first read,
+    by ``_dense(src, dst, _ws)``, and kept, so every later read is a plain
+    attribute read.
+
+    Homs compare and hash by identity, so ``==`` never raises and never
+    builds a matrix; whether two homs are the same map is a residual's
+    question (``corr_close``) or a hash's (``structural_hash``).
     """
 
-    src: FdCstarAlgebra
-    dst: FdCstarAlgebra
-    matrix: np.ndarray
-    mult_matrix: np.ndarray
-    unital: bool = field(init=False)
-    _gamma: dict = field(init=False, repr=False, compare=False, default_factory=dict)
-    _ws: list = field(init=False, repr=False, compare=False, default=None)
+    def __init__(self, src: FdCstarAlgebra, dst: FdCstarAlgebra, matrix, mult_matrix):
+        self.src, self.dst, self.mult_matrix = src, dst, mult_matrix
+        self.unital = bool((np.dot(src.blocks, mult_matrix) == dst.blocks).all())
+        self._gamma = {}
+        self._ws = self._dense = None
+        if matrix is not None:
+            self.matrix = _read_only(matrix)
 
-    def __post_init__(self):
-        matrix = np.ascontiguousarray(self.matrix, dtype=complex).view()
-        matrix.setflags(write=False)
-        unital = bool((np.dot(self.src.blocks, self.mult_matrix) == self.dst.blocks).all())
-        self.__dict__.update(matrix=matrix, unital=unital)
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        return _read_only(self._dense(self.src, self.dst, self._ws))
 
     def __repr__(self):
         return f"StarHom({self.src!r} -> {self.dst!r})"
+
+
+def _read_only(matrix) -> np.ndarray:
+    """A C-ordered complex read-only view of ``matrix``."""
+    matrix = np.ascontiguousarray(matrix, dtype=complex).view()
+    matrix.setflags(write=False)
+    return matrix
 
 
 def _star_residual(src, dst, matrix) -> float:
@@ -250,10 +261,14 @@ def make_star_hom(src, dst, matrix, *, eps: float = EPS) -> StarHom:
 
 def identity_hom(a: FdCstarAlgebra) -> StarHom:
     """The identity, with its Bratteli data W_ii = I_{n_i}, one copy each.
-    The identity matrix is _conjugation_matrix of that data to the bit, at
-    a fraction of the cost."""
+    Its dense view, built on first read, is the identity matrix:
+    _conjugation_matrix of that data to the bit, at a fraction of the cost."""
     ws = [{i: np.eye(n, dtype=complex)[:, :, None]} for i, n in enumerate(a.blocks)]
-    return _bratteli_hom(a, a, ws, np.eye(a.dim, dtype=complex))
+    return _bratteli_hom(a, a, ws, _identity_matrix)
+
+
+def _identity_matrix(src: FdCstarAlgebra, dst: FdCstarAlgebra, ws) -> np.ndarray:
+    return np.eye(src.dim, dtype=complex)
 
 
 def compose_homs(psi: StarHom, phi: StarHom) -> StarHom:
@@ -282,50 +297,6 @@ def is_full_hom(phi: StarHom, *, eps: float = EPS) -> bool:
     """
     p = _unit_image(phi)[:, None]
     return all(frob(phi.dst.block_rows(p, j)) > eps for j in range(phi.dst.nblocks))
-
-
-@dataclass(frozen=True)
-class CornerPresentation:
-    """The corner p B p presented as a canonical algebra.
-
-    ``isometries[t]`` has orthonormal columns spanning the range of the
-    corresponding block of p; ``kept`` lists the original block indices with
-    nonzero corner (zero blocks are dropped from the presentation).
-    ``inclusion`` is the (typically non-unital) embedding back into B.
-    """
-
-    algebra: FdCstarAlgebra
-    inclusion: StarHom
-    isometries: tuple
-    kept: tuple
-
-
-def corner_algebra(p, b: FdCstarAlgebra, *, eps: float = EPS) -> CornerPresentation:
-    """The corner of the projection with coordinate vector ``p`` in b; a
-    residual of p^2 = p or p^* = p that is not <= eps (NaN included) raises."""
-    p = np.asarray(p, dtype=complex)
-    if p.shape != (b.dim,):
-        raise ShapeMismatch(f"expected a coordinate vector of length {b.dim}, got shape {p.shape}")
-    mats = [b.block_rows(p[:, None], i)[:, :, 0] for i in range(b.nblocks)]
-    r1 = frob(np.concatenate([(x @ x - x).ravel() for x in mats]))
-    r2 = frob(np.concatenate([(x.conj().T - x).ravel() for x in mats]))
-    worst = r2 if worse(r2, r1) else r1
-    if not worst <= eps:
-        raise NotProjection("p is not a projection", worst)
-    kept, isos = [], []
-    for i, n in enumerate(b.blocks):
-        v = orthonormal_range(mats[i], eps)
-        if v.shape[1] > 0:
-            kept.append(i)
-            isos.append(v)
-    if not kept:
-        raise InvalidAlgebra("the corner of a zero projection is not an algebra")
-    corner = FdCstarAlgebra([v.shape[1] for v in isos], label=f"{b.label}-corner" if b.label else "")
-    ws = [{} for _ in b.blocks]
-    for t, i in enumerate(kept):
-        ws[i] = {t: isos[t][:, :, None]}
-    inclusion = _bratteli_hom(corner, b, ws)
-    return CornerPresentation(corner, inclusion, tuple(isos), tuple(kept))
 
 
 def hom_normal_form(phi: StarHom, *, eps: float = EPS):
@@ -410,16 +381,20 @@ def _gram(w) -> np.ndarray:
     return w2 @ w2.conj().T
 
 
-def _bratteli_hom(src: FdCstarAlgebra, dst: FdCstarAlgebra, ws, matrix=None) -> StarHom:
+def _bratteli_hom(src: FdCstarAlgebra, dst: FdCstarAlgebra, ws, dense=None) -> StarHom:
     """The certified StarHom of Bratteli data ``ws`` in the format of
-    ``_conjugation_matrix``, keeping ``ws`` on it.  ``matrix``, when given,
-    is that function's result, known without computing it.  Its
-    multiplicities are r_il = W_li.shape[2] (0 if absent), the rank of W_li[:, 0, :]."""
-    if matrix is None:
-        matrix = _conjugation_matrix(src, dst, ws)
+    ``_conjugation_matrix``, holding ``ws`` and no matrix: its dense view is
+    built on first read by ``dense(src, dst, ws)``, that function unless
+    the caller knows its result without computing it.  Each W is made
+    read-only, so the view is built from the data the hom was certified on.
+    Its multiplicities are r_il = W_li.shape[2] (0 if absent), the rank of
+    W_li[:, 0, :]."""
+    for w_l in ws:
+        for w in w_l.values():
+            w.setflags(write=False)
     mult = [[w[i].shape[2] if i in w else 0 for w in ws] for i in range(src.nblocks)]
-    phi = StarHom(src, dst, matrix, np.array(mult, dtype=np.int64))
-    object.__setattr__(phi, "_ws", ws)
+    phi = StarHom(src, dst, None, np.array(mult, dtype=np.int64))
+    phi._ws, phi._dense = ws, dense or _conjugation_matrix
     return phi
 
 

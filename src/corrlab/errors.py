@@ -7,11 +7,11 @@ with ``validate=True``.  They raise one of these on failure.  Canonical
 constructions from valid inputs are certified by construction and not
 re-checked: the ``StarHom`` built by ``identity_hom``, ``compose_homs``,
 ``gamma_of_hom``, ``u_of_corr``, ``equivalence_inverse``,
-``direct_sum_corrs``, tensor products, corner inclusions, subdivision
-connecting homs and the generators ``embedding_hom`` and ``twist_edge``
-(from Bratteli data through ``_bratteli_hom``, which keeps the data on the
-hom, or by a block map over an existing action), each passing the
-multiplicities it knows from its inputs, and the canonical
+``direct_sum_corrs``, tensor products, subdivision connecting homs and
+the generators ``embedding_hom`` and ``twist_edge`` (from Bratteli data
+through ``_bratteli_hom``, which keeps the data on the hom and builds its
+dense view on first read, or by a block map over an existing action), each
+passing the multiplicities it knows from its inputs, and the canonical
 intertwiners: ``identity_iso``, ``left_unitor``, ``right_unitor``,
 ``associator``, ``gamma_multiplicativity``, the ``u_of_corr``
 factorization iso, the ``equivalence_inverse`` counits, ``tensor_iso``,
@@ -22,8 +22,8 @@ simplex's identity edges and unit cells are not data at all:
 so normality needs no check.  JSON parse bounds every ``blocks`` and
 ``mult`` list before building anything (``DimensionTooLarge``).
 ``subdivision_functor`` checks the functoriality of its connecting homs on
-their Bratteli data, not on their dense matrices, which are built from
-that data (``FunctorialityViolated``).
+their Bratteli data, not on their dense matrices, which are views built
+from that data on first read (``FunctorialityViolated``).
 Validation errors carry the offending residual where one exists, so
 callers (and the CLI ``validate`` command) can report how badly an
 invariant failed.
@@ -93,7 +93,7 @@ class NotStarPreserving(ValidationError):
 
 
 class NotProjection(ValidationError):
-    """A corner's p, or a trace of phi(e_00) no rank in its block (``_traced_mult``)."""
+    """A trace of phi(e_00) no rank in its block (``_traced_mult``)."""
 
 
 class BaseMismatch(ValidationError):

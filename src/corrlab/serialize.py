@@ -91,9 +91,10 @@ __all__ = [
 
 
 # Bound on sum(n^2) of a parsed ``blocks`` or ``mult`` list: an algebra [n]
-# alone makes a simplex build the dense identity eye(n^2).  The largest in
-# the tests is 61 ([6, 5]), in the untrusted-io benchmark 8; 256 also admits
-# the largest algebra of the blockscale chain at n = 3, [14, 4] (212).
+# alone gives a simplex an identity hom whose dense view, built on first
+# read, is eye(n^2).  The largest in the tests is 61 ([6, 5]), in the
+# untrusted-io benchmark 8; 256 also admits the largest algebra of the
+# blockscale chain at n = 3, [14, 4] (212).
 MAX_PARSED_DIM = 256
 
 

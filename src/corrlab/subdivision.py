@@ -23,13 +23,13 @@ the connecting edge E_{m M}, rewritten through the structure cells u_{v m M}
 and included.  When the tops agree, E_{m m} is the identity and the cells
 are unitors, so f_ST conjugates by the summand inclusion.  Either way f_ST
 is given by Bratteli data, one isometry per pair of blocks, and built from
-it by ``algebra._bratteli_hom``, which keeps the data on the hom.
-subdivision_functor materializes all of these and checks f_TU . f_ST = f_SU
-for every strictly nested triple on that data: the composite's isometries
-are products of the factors', and each block of the two sides is compared
-through the r x r overlap of their isometries, which bounds the block's
-largest dense entry; no dense hom matrix is multiplied and no Gram matrix
-built.
+it by ``algebra._bratteli_hom``, which keeps the data on the hom; its dense
+matrix is a view built on first read.  subdivision_functor builds all of
+these homs and checks f_TU . f_ST = f_SU for every strictly nested triple
+on that data: the composite's isometries are products of the factors', and
+each block of the two sides is compared through the r x r overlap of their
+isometries, which bounds the block's largest dense entry; no dense hom
+matrix is built or multiplied and no Gram matrix built.
 """
 from __future__ import annotations
 
@@ -65,9 +65,10 @@ __all__ = [
 ]
 
 _MAX_N = 4
-# Bound on the bytes of all dense connecting homs of one subdivision, checked
-# from the vertex algebras before any is built.  The largest subdivision of
-# the tests takes 157 MB, blockscale's n = 3 chain 144 MiB.
+# Bound on the bytes of all dense connecting homs of one subdivision, the
+# views a reader would build on first read, checked from the vertex algebras
+# before any hom is built.  The largest subdivision of the tests takes
+# 157 MB, blockscale's n = 3 chain 144 MiB.
 MAX_HOM_BYTES = 512 * 2**20
 
 
@@ -365,18 +366,19 @@ class SdFunctor:
 def subdivision_functor(sigma: NCorrSimplex, *, eps: float = EPS, check: bool = True) -> SdFunctor:
     """All vertex algebras and connecting homs of the subdivided simplex.
 
-    A subdivision whose dense homs (16 dim A_S dim A_T bytes each) would
-    exceed MAX_HOM_BYTES raises DimensionTooLarge before any is built.
+    A subdivision whose dense homs (16 dim A_S dim A_T bytes each), if all
+    read, would exceed MAX_HOM_BYTES raises DimensionTooLarge before any hom
+    is built.
     With ``check`` on, every strictly nested triple S < T < U is tested for
     f_TU . f_ST = f_SU on the Bratteli data each hom keeps: the residual is
     a bound, never below it, on the largest absolute entry of the dense
     difference, computed block by block from the r x r overlap of the two
     sides' isometries (``algebra._composite_residual``), exact where one
     side lacks the block; one that is not <= eps raises
-    FunctorialityViolated with it.  No dense matrix is read: each one is
-    built from the data it is checked on.  The other nested triples need no
-    test: f_SS is the exact identity, so with S = T or T = U the composite
-    is f_SU itself.
+    FunctorialityViolated with it.  No dense matrix is read or built: each
+    is a view built on first read from the data it is checked on.  The
+    other nested triples need no test: f_SS is the exact identity, so with
+    S = T or T = U the composite is f_SU itself.
     """
     subsets = tuple(_nonempty_subsets(sigma.n))
     data = {s: module_E_S(sigma, s) for s in subsets}

@@ -8,14 +8,24 @@ is one m_k x n_k matrix per base block; a correspondence acts on it from the
 left through its *-hom into the compacts, an intertwiner through its
 per-block unitaries, and E (x)_B F is reached through e^(j)_{a1} (x) w
 (``embed``), whose sums are every element (``section``) and which spans the
-pure tensors x (x) y (``pure_tensor``).  No library path uses this model;
-only the tests do.
+pure tensors x (x) y (``pure_tensor``).  The corner p B p of a projection
+(``corner_algebra``) is presented with its inclusion, a hom built from
+Bratteli data.  No library path uses this model; only the tests do.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
-from corrlab.errors import BaseMismatch, EndpointMismatch, ShapeMismatch
-from corrlab.linalg import EPS, frob, gram_onb
+from corrlab.algebra import FdCstarAlgebra, StarHom, _bratteli_hom
+from corrlab.errors import (
+    BaseMismatch,
+    EndpointMismatch,
+    InvalidAlgebra,
+    NotProjection,
+    ShapeMismatch,
+)
+from corrlab.linalg import EPS, frob, gram_onb, orthonormal_range, worse
 from corrlab.modules import make_module
 
 
@@ -121,6 +131,50 @@ def random_element(algebra, rng, hermitian: bool = False) -> AlgElement:
             m = (m + m.conj().T) / 2
         mats.append(m)
     return AlgElement(algebra, mats)
+
+
+@dataclass(frozen=True)
+class CornerPresentation:
+    """The corner p B p presented as a canonical algebra.
+
+    ``isometries[t]`` has orthonormal columns spanning the range of the
+    corresponding block of p; ``kept`` lists the original block indices with
+    nonzero corner (zero blocks are dropped from the presentation).
+    ``inclusion`` is the (typically non-unital) embedding back into B.
+    """
+
+    algebra: FdCstarAlgebra
+    inclusion: StarHom
+    isometries: tuple
+    kept: tuple
+
+
+def corner_algebra(p, b: FdCstarAlgebra, *, eps: float = EPS) -> CornerPresentation:
+    """The corner of the projection with coordinate vector ``p`` in b; a
+    residual of p^2 = p or p^* = p that is not <= eps (NaN included) raises."""
+    p = np.asarray(p, dtype=complex)
+    if p.shape != (b.dim,):
+        raise ShapeMismatch(f"expected a coordinate vector of length {b.dim}, got shape {p.shape}")
+    mats = [b.block_rows(p[:, None], i)[:, :, 0] for i in range(b.nblocks)]
+    r1 = frob(np.concatenate([(x @ x - x).ravel() for x in mats]))
+    r2 = frob(np.concatenate([(x.conj().T - x).ravel() for x in mats]))
+    worst = r2 if worse(r2, r1) else r1
+    if not worst <= eps:
+        raise NotProjection("p is not a projection", worst)
+    kept, isos = [], []
+    for i, n in enumerate(b.blocks):
+        v = orthonormal_range(mats[i], eps)
+        if v.shape[1] > 0:
+            kept.append(i)
+            isos.append(v)
+    if not kept:
+        raise InvalidAlgebra("the corner of a zero projection is not an algebra")
+    corner = FdCstarAlgebra([v.shape[1] for v in isos], label=f"{b.label}-corner" if b.label else "")
+    ws = [{} for _ in b.blocks]
+    for t, i in enumerate(kept):
+        ws[i] = {t: isos[t][:, :, None]}
+    inclusion = _bratteli_hom(corner, b, ws)
+    return CornerPresentation(corner, inclusion, tuple(isos), tuple(kept))
 
 
 class ModElement:

@@ -17,7 +17,6 @@ from corrlab.algebra import (
     _mult_residual,
     _traced_mult,
     _unit_image,
-    corner_algebra,
     compose_homs,
     hom_normal_form,
     identity_hom,
@@ -45,6 +44,7 @@ from reference import (
     apply,
     basis_triples,
     block_unit,
+    corner_algebra,
     identity,
     matrix_unit,
     random_element,

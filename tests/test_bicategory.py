@@ -14,7 +14,6 @@ from corrlab.algebra import (
     StarHom,
     _traced_mult,
     compose_homs,
-    corner_algebra,
     identity_hom,
     is_full_hom,
     make_algebra,
@@ -52,7 +51,7 @@ from corrlab.modules import (
 )
 from corrlab.nerve import gamma_simplex
 from corrlab.subdivision import subdivision_functor
-from reference import apply, random_element
+from reference import apply, corner_algebra, random_element
 
 
 def test_gamma_of_identity_is_the_identity_corr():

@@ -12,9 +12,13 @@ reference to 1e-12 entrywise, bit for bit where the reference only copied
 eps = 1e-12 with the reference's multiplicities and unitality.
 
 The generators (embedding_hom, twist_edge) build certified values and run
-no check on them.  The last section is the differential test for the
+no check on them.  A later section is the differential test for the
 checks they skip: their outputs pass make_star_hom and CorrIso at
 eps = 1e-12, and the trust boundary still refuses a corrupted output.
+
+A hom built from Bratteli data holds that data and builds its dense
+matrix on first read; the last section checks that view against the eager
+build and counts the builds of a checked subdivision and a K0 extension.
 """
 
 import contextlib
@@ -28,25 +32,28 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from corrlab import algebra, subdivision
 from corrlab.algebra import (
     FdCstarAlgebra,
     StarHom,
     _bratteli_hom,
     _composite_residual,
     _compose_ws,
+    _conjugation_matrix,
     _star_residual,
     _traced_mult,
     _unit_image,
     compose_homs,
-    corner_algebra,
     hom_normal_form,
     identity_hom,
     is_full_hom,
+    make_algebra,
     make_star_hom,
 )
 from corrlab.bicategory import equivalence_inverse, gamma_isometries, gamma_of_hom, u_of_corr
 from corrlab.cli import main
-from corrlab.errors import NotMultiplicative
+from corrlab.errors import FunctorialityViolated, NotMultiplicative
+from corrlab.extension import K0Oracle, bar_F, k0_functor
 from corrlab.generators import (
     embedding_hom,
     random_algebra,
@@ -69,8 +76,22 @@ from corrlab.modules import (
 )
 from corrlab.nerve import validate_simplex
 from corrlab.serialize import dump_value, value_from_json, value_to_json
-from corrlab.subdivision import _nonempty_subsets, connecting_hom, module_E_S
-from reference import alg_from_vec, alg_zero, apply, basis_triples, identity, matrix_unit
+from corrlab.subdivision import (
+    _nonempty_subsets,
+    connecting_hom,
+    module_E_S,
+    subdivision_functor,
+)
+from reference import (
+    alg_from_vec,
+    alg_zero,
+    apply,
+    basis_triples,
+    corner_algebra,
+    identity,
+    matrix_unit,
+)
+from test_subdivision import corrupt_isometries, scaling_chain_simplex
 
 
 def assert_matches(h, ref_matrix, *, exact=False):
@@ -631,3 +652,122 @@ def test_passed_multiplicities_match_the_dense_trace(case):
     homs += [t.corr.lam for t in products]
     for phi in homs:
         assert_trace_agrees(phi)
+
+
+# ---------------------------------------------------------------------------
+# a hom built from Bratteli data holds it; its dense matrix is built on first read
+
+
+def bratteli_homs(seed):
+    """One hom of each builder that goes through _bratteli_hom, and every
+    connecting hom of a subdivision (f_SS is identity_hom), keyed by name."""
+    rng = np.random.default_rng(seed)
+    src = small_algebra(rng)
+    mult, dst = random_mult(rng, src, 2)
+    homs = {
+        "embedding_hom": embedding_hom(src, dst, mult, rng),
+        "identity_hom": identity_hom(dst),
+        "corner inclusion": corner_algebra(random_projection(dst, rng), dst).inclusion,
+        "u_of_corr i_hom": u_of_corr(random_correspondence(src, dst, rng, max_mult=2)).i_hom,
+        "Morita inverse": equivalence_inverse(random_equivalence(dst, rng)).inverse.lam,
+    }
+    sd = subdivision_functor(random_simplex(rng, 2, max_blocks=2, max_size=2, max_mult=2))
+    homs.update({("f_ST", s, t): f for (s, t), f in sd.homs.items()})
+    return homs
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_dense_view_is_the_eager_build(seed):
+    """Each view is byte-equal to _conjugation_matrix of the hom's data (to
+    np.eye for an identity), C-ordered, read-only and built once."""
+    for name, h in bratteli_homs(seed).items():
+        if name == "identity_hom" or name[0] == "f_ST" and name[1] == name[2]:
+            eager = np.eye(h.src.dim, dtype=complex)
+        else:
+            eager = _conjugation_matrix(h.src, h.dst, h._ws)
+        m = h.matrix
+        assert m.tobytes() == eager.tobytes() and m.dtype == complex, name
+        assert m.flags.c_contiguous and not m.flags.writeable, name
+        assert h.matrix is m and vars(h)["matrix"] is m, name
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_kept_bratteli_data_is_read_only(seed):
+    for name, h in bratteli_homs(seed).items():
+        for w_l in h._ws:
+            for w in w_l.values():
+                with pytest.raises(ValueError, match="read-only"):
+                    w[0, 0, 0] = 0
+                assert not w.flags.writeable, name
+
+
+def test_homs_compare_and_hash_by_identity():
+    """== never raises and never builds a matrix; a hom is a dict key."""
+    a = make_algebra((2, 1))
+    f, g = identity_hom(a), identity_hom(a)
+    assert f == f and f != g and not f == g
+    assert hash(f) == hash(f) and len({f, g, f}) == 2
+    assert "matrix" not in vars(f) and "matrix" not in vars(g)
+
+
+def count_dense_builds(monkeypatch):
+    """The list every later dense view build appends (builder name, source
+    algebra) to."""
+    calls = []
+    for name in ("_conjugation_matrix", "_identity_matrix"):
+
+        def counted(src, dst, ws, real=getattr(algebra, name), name=name):
+            calls.append((name, src))
+            return real(src, dst, ws)
+
+        monkeypatch.setattr(algebra, name, counted)
+    return calls
+
+
+def assert_only_base_identities(calls, sigma):
+    """The one dense build left is the identity of a vertex algebra of the
+    base simplex, the left factor of its products E_mm (x) E_mM, each built
+    once; no connecting hom and no other Bratteli hom is built densely."""
+    built = [src for name, src in calls if name == "_identity_matrix"]
+    assert len(built) == len(calls) and len(set(map(id, built))) == len(built)
+    assert all(any(a is src for a in sigma.algebras) for src in built)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_checked_subdivision_builds_no_dense_matrix(monkeypatch, n):
+    sigma = scaling_chain_simplex(n)
+    calls = count_dense_builds(monkeypatch)
+    sd = subdivision_functor(sigma, check=True)
+    assert_only_base_identities(calls, sigma)
+    assert not any("matrix" in vars(f) for f in sd.homs.values())
+    calls.clear()
+    sd.hom((0,), (0, 1, 2)).matrix
+    sd.hom((0, 1, 2), (0, 1, 2)).matrix
+    assert [name for name, _ in calls] == ["_conjugation_matrix", "_identity_matrix"]
+
+
+def test_k0_extension_builds_no_dense_matrix(monkeypatch):
+    """K0 reads multiplicities only, so no connecting hom is ever dense."""
+    s = random_simplex(np.random.default_rng(1), 4, max_blocks=2, max_size=2, max_mult=1)
+    calls = count_dense_builds(monkeypatch)
+    top = bar_F(s, k0_functor(), K0Oracle(), {})
+    assert_only_base_identities(calls, s)
+    assert top.n == 4
+
+
+def test_a_nan_in_unread_data_is_refused(monkeypatch):
+    """The check reads the data, so a NaN W whose hom was never read
+    densely still fails functoriality."""
+    built, real = [], subdivision._bratteli_hom
+
+    def kept(src, dst, ws):
+        built.append(real(src, dst, ws))
+        return built[-1]
+
+    monkeypatch.setattr(subdivision, "_bratteli_hom", kept)
+    corrupt_isometries(monkeypatch, ((0,), (0, 1)), move=lambda x: np.nan)
+    s = random_simplex(np.random.default_rng(21), 2, max_mult=1)
+    with pytest.raises(FunctorialityViolated, match="nan"):
+        subdivision_functor(s, check=True)
+    assert any(np.isnan(w).any() for f in built for w_l in f._ws for w in w_l.values())
+    assert not any("matrix" in vars(f) for f in built)

@@ -109,7 +109,14 @@ def test_no_library_path_applies_a_hom():
 
 # Moved to tests/reference.py (the chains are AugChains): module-level
 # names, then methods.
-REMOVED = ("AlgElement", "SubsetChain", "enumerate_sd", "random_element")
+REMOVED = (
+    "AlgElement",
+    "SubsetChain",
+    "enumerate_sd",
+    "random_element",
+    "corner_algebra",
+    "CornerPresentation",
+)
 REMOVED_METHODS = {
     "FdCstarAlgebra": (
         "zero", "identity", "block_unit", "matrix_unit", "basis_triples", "from_vec"
