@@ -5,12 +5,16 @@ randomized cases, and reports one record per case: name, pass/fail, the
 worst residual observed, and wall time.  The sweeps are what the
 ``selftest`` command runs and what the acceptance tests assert on;
 tolerances come in through ``eps`` so a deliberately tight run can show
-where double precision gives out.
+where double precision gives out.  ``_sweep`` runs the one-draw-per-case
+suites; a case that raises fails with residual inf, and its sweep goes on.
 
-Cross-checks are computed from scratch here rather than read back from the
+Cross-checks are computed here rather than read back from the
 constructors: unitarity and intertwining residuals are recomputed from the
-raw blocks, and K-theory matrices of bimodules are obtained by ranking the
-images of the source units, independently of the extension engine.
+raw blocks with the constructor's own function (``modules._iso_residuals``).
+The intertwiners judged are certified ones (``CorrIso._trusted``), which
+never run that constructor, so the judge is still their only check.
+K-theory matrices of bimodules are obtained by ranking the images of the
+source units, independently of the extension engine.
 """
 from __future__ import annotations
 
@@ -23,8 +27,10 @@ from .algebra import EPS, compose_homs, is_full_hom
 from .bicategory import equivalence_inverse, gamma_multiplicativity, u_of_corr
 from .errors import ValidationError
 from .extension import (
+    CstFunctor,
     CstHomotopy,
     K0Oracle,
+    K0Simplex,
     NCorrOracle,
     bar_F,
     extend_bar_G,
@@ -33,7 +39,6 @@ from .extension import (
     k0_functor,
     k0_matrix,
 )
-from .extension import K0Simplex
 from .generators import (
     random_algebra,
     random_chain,
@@ -42,7 +47,7 @@ from .generators import (
     random_simplex,
 )
 from .linalg import frob, int_inverse, worse
-from .modules import corr_close, identity_corr, iso_distance
+from .modules import _iso_residuals, corr_close, identity_corr, iso_distance
 from .nerve import (
     HornSpec,
     face as simplex_face,
@@ -123,38 +128,26 @@ def _finish(name: str, cases: list, t0: float) -> SuiteReport:
     )
 
 
+def _sweep(name: str, seed: int, labels, case) -> SuiteReport:
+    """One case per label, each ``case(rng, t) -> (residual, ok)`` on the
+    seed's one generator and timed from before its draws.  A case that
+    raises ``ValidationError`` or ``ValueError`` fails with residual inf,
+    and the sweep goes on."""
+    rng = np.random.default_rng(seed)
+    t0 = time.perf_counter()
+    cases = []
+    for t, label in enumerate(labels):
+        tc = time.perf_counter()
+        try:
+            resid, ok = case(rng, t)
+        except (ValidationError, ValueError):
+            resid, ok = float("inf"), False
+        cases.append(CaseReport(label, ok, resid, time.perf_counter() - tc))
+    return _finish(name, cases, t0)
+
+
 # ---------------------------------------------------------------------------
 # independent recomputations
-
-
-def _iso_residuals(u) -> tuple:
-    """(U*U - 1, U U* - 1, intertwining) worst Frobenius norms.
-
-    Recomputed from the raw blocks and left-action matrices; the same
-    numbers the constructor bounds, but reported instead of thresholded.
-    """
-    r1 = _worst(frob(b.conj().T @ b - np.eye(len(b))) for b in u.blocks if len(b))
-    r2 = _worst(frob(b @ b.conj().T - np.eye(len(b))) for b in u.blocks if len(b))
-    r3 = 0.0
-    a_dim = u.src.src.dim
-    cs, cd = u.src.module.compacts, u.dst.module.compacts
-    for k in u.src.module.kept:
-        blk = u.blocks[k]
-        ps = u.src.module.compact_pos(k)
-        m_s, o_s = cs.blocks[ps], cs.offset(ps)
-        s3 = u.src.lam.matrix[o_s : o_s + m_s * m_s, :].reshape(m_s, m_s, a_dim)
-        pd = u.dst.module.compact_pos(k)
-        if pd is None:
-            d3 = np.zeros((blk.shape[0], m_s, a_dim), dtype=complex)
-        else:
-            m_d, o_d = cd.blocks[pd], cd.offset(pd)
-            d3 = u.dst.lam.matrix[o_d : o_d + m_d * m_d, :].reshape(m_d, m_d, a_dim)
-        lhs = np.tensordot(blk, s3, axes=(1, 0))
-        rhs = np.tensordot(d3, blk, axes=(1, 0)).transpose(0, 2, 1)
-        if lhs.size:
-            d = float(np.sqrt((np.abs(lhs - rhs) ** 2).sum(axis=(0, 1))).max())
-            r3 = d if worse(d, r3) else r3
-    return r1, r2, r3
 
 
 def k0_of_corr(corr) -> np.ndarray:
@@ -215,8 +208,6 @@ def conjugated_k0(rng):
     def certificate(phi):
         return int_inverse(P(phi.dst) @ k0_matrix(phi) @ int_inverse(P(phi.src)))
 
-    from .extension import CstFunctor
-
     return CstFunctor("K0conj", vertex, chain, certificate), P
 
 
@@ -235,142 +226,107 @@ def _small_pair(rng):
 
 def suite_gamma_mult(*, seed: int = 42, eps: float = EPS, trials: int = 200) -> SuiteReport:
     """Multiplicativity intertwiners exist and validate on random pairs."""
-    rng = np.random.default_rng(seed)
-    t0 = time.perf_counter()
-    cases = []
-    for t in range(trials):
-        tc = time.perf_counter()
+
+    def case(rng, t):
         phi, psi = _small_pair(rng)
-        try:
-            u = gamma_multiplicativity(psi, phi, eps=eps)
-            resid = _worst(_iso_residuals(u))
-            ok = resid <= eps
-        except ValidationError:
-            resid, ok = float("inf"), False
-        cases.append(CaseReport(f"pair-{t:03d}", ok, resid, time.perf_counter() - tc))
-    return _finish("gamma-mult", cases, t0)
+        resid = _worst(_iso_residuals(gamma_multiplicativity(psi, phi, eps=eps)))
+        return resid, resid <= eps
+
+    return _sweep("gamma-mult", seed, [f"pair-{t:03d}" for t in range(trials)], case)
 
 
 def suite_nerve_coherence(*, seed: int = 42, eps: float = EPS, trials: int = 100) -> SuiteReport:
     """3-chain simplices validate and satisfy every pentagon instance."""
-    rng = np.random.default_rng(seed)
-    t0 = time.perf_counter()
-    cases = []
-    for t in range(trials):
-        tc = time.perf_counter()
+
+    def case(rng, t):
         chain = random_chain(rng, 3, max_blocks=2, max_size=2, max_mult=1)
-        try:
-            s = gamma_simplex(chain, eps=eps, validate=False)
-            validate_simplex(s, eps=eps)
-            resid = _worst(
-                pentagon_residual(s, i, j, k, l)
-                for i in range(4)
-                for j in range(i, 4)
-                for k in range(j, 4)
-                for l in range(k, 4)
-            )
-            ok = resid <= eps
-        except ValidationError:
-            resid, ok = float("inf"), False
-        cases.append(CaseReport(f"chain-{t:03d}", ok, resid, time.perf_counter() - tc))
-    return _finish("nerve-coherence", cases, t0)
+        s = gamma_simplex(chain, eps=eps, validate=False)
+        validate_simplex(s, eps=eps)
+        resid = _worst(
+            pentagon_residual(s, i, j, k, l)
+            for i in range(4)
+            for j in range(i, 4)
+            for k in range(j, 4)
+            for l in range(k, 4)
+        )
+        return resid, resid <= eps
+
+    return _sweep("nerve-coherence", seed, [f"chain-{t:03d}" for t in range(trials)], case)
 
 
 def suite_subdivision(*, seed: int = 42, eps: float = EPS, trials: int = 50) -> SuiteReport:
     """Connecting homs compose on the nose over every nested subset triple."""
-    rng = np.random.default_rng(seed)
-    t0 = time.perf_counter()
-    cases = []
-    for t in range(trials):
-        tc = time.perf_counter()
-        n = (t % 3) + 1
-        s = random_simplex(rng, n, twist=bool(t % 2), max_blocks=2, max_size=2, max_mult=1)
-        try:
-            sd = subdivision_functor(s, eps=eps, check=False)
-            resid = _worst(
-                frob(sd.hom(b, c).matrix @ sd.hom(a, b).matrix - sd.hom(a, c).matrix)
-                for a in sd.subsets
-                for b in sd.subsets
-                if set(a) <= set(b)
-                for c in sd.subsets
-                if set(b) <= set(c)
-            )
-            ok = resid <= eps
-        except ValidationError:
-            resid, ok = float("inf"), False
-        cases.append(CaseReport(f"simplex-{t:02d}-n{n}", ok, resid, time.perf_counter() - tc))
-    return _finish("subdivision-functor", cases, t0)
+
+    def case(rng, t):
+        s = random_simplex(rng, t % 3 + 1, twist=bool(t % 2), max_blocks=2, max_size=2, max_mult=1)
+        sd = subdivision_functor(s, eps=eps, check=False)
+        resid = _worst(
+            frob(sd.hom(b, c).matrix @ sd.hom(a, b).matrix - sd.hom(a, c).matrix)
+            for a in sd.subsets
+            for b in sd.subsets
+            if set(a) <= set(b)
+            for c in sd.subsets
+            if set(b) <= set(c)
+        )
+        return resid, resid <= eps
+
+    labels = [f"simplex-{t:02d}-n{t % 3 + 1}" for t in range(trials)]
+    return _sweep("subdivision-functor", seed, labels, case)
 
 
 def suite_corner_unitary(*, seed: int = 42, eps: float = EPS, trials: int = 100) -> SuiteReport:
     """Every correspondence factors through its linking algebra corner."""
-    rng = np.random.default_rng(seed)
-    t0 = time.perf_counter()
-    cases = []
-    for t in range(trials):
-        tc = time.perf_counter()
+
+    def case(rng, t):
         a = random_algebra(rng, max_blocks=2, max_size=2)
         b = random_algebra(rng, max_blocks=2, max_size=2)
-        try:
-            corr = random_correspondence(a, b, rng)
-            fact = u_of_corr(corr, eps=eps)
-            resid = _worst(_iso_residuals(fact.iso))
-            ok = (
-                resid <= eps
-                and corr_close(fact.iso.dst, corr, eps)
-                and is_full_hom(fact.i_hom, eps=eps)
-            )
-        except ValidationError:
-            resid, ok = float("inf"), False
-        cases.append(CaseReport(f"corr-{t:03d}", ok, resid, time.perf_counter() - tc))
-    return _finish("corner-unitary", cases, t0)
+        corr = random_correspondence(a, b, rng)
+        fact = u_of_corr(corr, eps=eps)
+        resid = _worst(_iso_residuals(fact.iso))
+        ok = (
+            resid <= eps
+            and corr_close(fact.iso.dst, corr, eps)
+            and is_full_hom(fact.i_hom, eps=eps)
+        )
+        return resid, ok
+
+    return _sweep("corner-unitary", seed, [f"corr-{t:03d}" for t in range(trials)], case)
 
 
 def suite_morita(*, seed: int = 42, eps: float = EPS, trials: int = 50) -> SuiteReport:
     """Equivalence inverses contract to the identity on both sides."""
-    rng = np.random.default_rng(seed)
-    t0 = time.perf_counter()
-    cases = []
-    for t in range(trials):
-        tc = time.perf_counter()
+
+    def case(rng, t):
         b = random_algebra(rng, max_blocks=2, max_size=2)
-        try:
-            e = random_equivalence(b, rng)
-            w = equivalence_inverse(e, eps=eps)
-            resid = _worst(_iso_residuals(w.counit_left) + _iso_residuals(w.counit_right))
-            ok = (
-                resid <= eps
-                and corr_close(w.counit_left.dst, identity_corr(e.src), eps)
-                and corr_close(w.counit_right.dst, identity_corr(e.dst), eps)
-            )
-        except ValidationError:
-            resid, ok = float("inf"), False
-        cases.append(CaseReport(f"equiv-{t:02d}", ok, resid, time.perf_counter() - tc))
-    return _finish("morita-inverse", cases, t0)
+        e = random_equivalence(b, rng)
+        w = equivalence_inverse(e, eps=eps)
+        resid = _worst(_iso_residuals(w.counit_left) + _iso_residuals(w.counit_right))
+        ok = (
+            resid <= eps
+            and corr_close(w.counit_left.dst, identity_corr(e.src), eps)
+            and corr_close(w.counit_right.dst, identity_corr(e.dst), eps)
+        )
+        return resid, ok
+
+    return _sweep("morita-inverse", seed, [f"equiv-{t:02d}" for t in range(trials)], case)
 
 
 def suite_horn_uniqueness(*, seed: int = 42, eps: float = EPS, trials: int = 50) -> SuiteReport:
     """Refilling a deleted inner face of a 3-simplex recovers its unitary."""
-    rng = np.random.default_rng(seed)
-    t0 = time.perf_counter()
-    cases = []
-    for t in range(trials):
-        tc = time.perf_counter()
+
+    def case(rng, t):
         s = random_simplex(rng, 3, twist=bool(t % 2), max_blocks=2, max_size=2, max_mult=1)
         resid, ok = 0.0, True
-        try:
-            for k in (1, 2):
-                horn = HornSpec(3, k, {j: simplex_face(s, j) for j in range(4) if j != k})
-                refill = fill_inner_horn(horn, eps=eps)
-                missing = tuple(x for x in range(4) if x != k)
-                d = iso_distance(refill.cells[missing], s.cells[missing])
-                resid = d if worse(d, resid) else resid
-                ok = ok and simplex_close(refill, s, eps)
-            ok = ok and resid <= eps
-        except ValidationError:
-            resid, ok = float("inf"), False
-        cases.append(CaseReport(f"simplex-{t:02d}", ok, resid, time.perf_counter() - tc))
-    return _finish("horn-uniqueness", cases, t0)
+        for k in (1, 2):
+            horn = HornSpec(3, k, {j: simplex_face(s, j) for j in range(4) if j != k})
+            refill = fill_inner_horn(horn, eps=eps)
+            missing = tuple(x for x in range(4) if x != k)
+            d = iso_distance(refill.cells[missing], s.cells[missing])
+            resid = d if worse(d, resid) else resid
+            ok = ok and simplex_close(refill, s, eps)
+        return resid, ok and resid <= eps
+
+    return _sweep("horn-uniqueness", seed, [f"simplex-{t:02d}" for t in range(trials)], case)
 
 
 def suite_k0_extension(
@@ -381,31 +337,24 @@ def suite_k0_extension(
     Checked edge by edge against k0_of_corr and, on the leading edge,
     against the product K(i)^-1 K(f) of the corner factorization.
     """
-    rng = np.random.default_rng(seed)
-    t0 = time.perf_counter()
-    cases = []
-    F = k0_functor()
-    D = K0Oracle()
-    memo: dict = {}
-    for t in range(trials + trials2):
-        tc = time.perf_counter()
+    F, D, memo = k0_functor(), K0Oracle(), {}
+
+    def case(rng, t):
         n = 1 if t < trials else 2
         s = random_simplex(rng, n, twist=bool(t % 2), max_blocks=2, max_size=2, max_mult=1)
-        try:
-            bar = bar_F(s, F, D, memo, eps=eps)
-            worst = 0
-            for i in range(n + 1):
-                for j in range(i + 1, n + 1):
-                    want = k0_of_corr(s.edges[(i, j)])
-                    worst = max(worst, int(np.abs(bar.edge(i, j) - want).max()))
-            fact = u_of_corr(s.edges[(0, 1)], eps=eps)
-            direct = int_inverse(k0_matrix(fact.i_hom)) @ k0_matrix(fact.j_hom)
-            worst = max(worst, int(np.abs(bar.edge(0, 1) - direct).max()))
-            resid, ok = float(worst), worst == 0
-        except (ValidationError, ValueError):
-            resid, ok = float("inf"), False
-        cases.append(CaseReport(f"simplex-{t:02d}-n{n}", ok, resid, time.perf_counter() - tc))
-    return _finish("k0-extension", cases, t0)
+        bar = bar_F(s, F, D, memo, eps=eps)
+        diffs = [
+            bar.edge(i, j) - k0_of_corr(s.edges[(i, j)])
+            for i in range(n + 1)
+            for j in range(i + 1, n + 1)
+        ]
+        fact = u_of_corr(s.edges[(0, 1)], eps=eps)
+        diffs.append(bar.edge(0, 1) - int_inverse(k0_matrix(fact.i_hom)) @ k0_matrix(fact.j_hom))
+        worst = max(int(np.abs(d).max()) for d in diffs)
+        return float(worst), worst == 0
+
+    labels = [f"simplex-{t:02d}-n{1 if t < trials else 2}" for t in range(trials + trials2)]
+    return _sweep("k0-extension", seed, labels, case)
 
 
 def _diagram(rng):
@@ -479,32 +428,28 @@ def _simplex_closure(sig):
 
 def suite_relative(*, seed: int = 42, eps: float = EPS, trials: int = 10) -> SuiteReport:
     """Prism extensions restrict to the two bar extensions on the boundary."""
-    rng = np.random.default_rng(seed)
-    t0 = time.perf_counter()
-    cases = []
-    for t in range(trials):
-        tc = time.perf_counter()
-        n = (t % 2) + 1
+
+    def case(rng, t):
+        n = t % 2 + 1
         sig = random_simplex(rng, n, twist=bool(t % 2), max_blocks=2, max_size=2, max_mult=1)
-        try:
-            F0 = k0_functor()
-            F1, P = conjugated_k0(rng)
+        F0 = k0_functor()
+        F1, P = conjugated_k0(rng)
 
-            def eta(a, P=P):
-                return K0Simplex((a.nblocks, a.nblocks), [P(a)])
+        def eta(a):
+            return K0Simplex((a.nblocks, a.nblocks), [P(a)])
 
-            D = K0Oracle()
-            rel = extend_relative(CstHomotopy(F0, F1, eta), None, [sig], D, eps=eps)
-            memo: dict = {}
-            ok = True
-            for s in _simplex_closure(sig):
-                ok = ok and rel.value(s, (0,) * (s.n + 1)) == bar_F(s, F0, D, memo, eps=eps)
-                ok = ok and rel.value(s, (1,) * (s.n + 1)) == bar_F(s, F1, D, memo, eps=eps)
-            resid = 0.0 if ok else 1.0
-        except ValidationError:
-            resid, ok = float("inf"), False
-        cases.append(CaseReport(f"prism-{t:02d}-n{n}", ok, resid, time.perf_counter() - tc))
-    return _finish("relative-prism", cases, t0)
+        D = K0Oracle()
+        rel = extend_relative(CstHomotopy(F0, F1, eta), None, [sig], D, eps=eps)
+        memo: dict = {}
+        ok = all(
+            rel.value(s, (0,) * (s.n + 1)) == bar_F(s, F0, D, memo, eps=eps)
+            and rel.value(s, (1,) * (s.n + 1)) == bar_F(s, F1, D, memo, eps=eps)
+            for s in _simplex_closure(sig)
+        )
+        return (0.0 if ok else 1.0), ok
+
+    labels = [f"prism-{t:02d}-n{t % 2 + 1}" for t in range(trials)]
+    return _sweep("relative-prism", seed, labels, case)
 
 
 def suite_combinatorics(*, seed: int = 42, eps: float = EPS, trials: int = 4) -> SuiteReport:

@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from .acceptance import SUITES, _iso_residuals, _worst, report_json, run_suite
+from .acceptance import SUITES, _worst, report_json, run_suite
 from .algebra import FdCstarAlgebra, StarHom, _mult_residual, _star_residual, make_star_hom
 from .bicategory import equivalence_inverse, gamma_of_hom
 from .errors import (
@@ -35,7 +35,7 @@ from .generators import (
     random_simplex,
     random_unital_hom,
 )
-from .modules import CorrIso, Correspondence, HilbertModule
+from .modules import CorrIso, Correspondence, HilbertModule, _iso_residuals
 from .nerve import HornSpec, NCorrSimplex, _check_uncovered, fill_inner_horn, fill_special_outer_horn
 from .serialize import (
     MAX_PARSED_DIM,

@@ -16,7 +16,9 @@ intertwiners: ``identity_iso``, ``left_unitor``, ``right_unitor``,
 ``associator``, ``gamma_multiplicativity``, the ``u_of_corr``
 factorization iso, the ``equivalence_inverse`` counits, ``tensor_iso``,
 ``twist_edge``'s cells, and the adjoints and composites of valid
-intertwiners.  ``make_iso`` stays checking.  A
+intertwiners.  ``make_iso`` stays checking.  The ``CorrIso`` constructor
+bounds ``modules._iso_residuals``, the function the acceptance judges
+recompute on certified intertwiners, which never run it.  A
 simplex's identity edges and unit cells are not data at all:
 ``NCorrSimplex`` derives them from the unitors and refuses them as input,
 so normality needs no check.  JSON parse bounds every ``blocks`` and

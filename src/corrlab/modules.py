@@ -8,7 +8,9 @@ compacts, with ``kept`` recording the surviving base indices.
 
 A correspondence A -> B is such a module together with a unital
 *-homomorphism A -> K(E).  Unitary intertwiners are stored per base block,
-which encodes right linearity structurally.
+which encodes right linearity structurally; ``_iso_residuals`` measures
+their unitarity and intertwining, for the constructor and the acceptance
+judges alike.
 
 The balanced tensor product E (x)_B F is computed in closed form.  Writing
 e^(j)_{a1} for the module matrix units of E, every simple tensor reduces to
@@ -254,11 +256,41 @@ def is_full_corr(corr: Correspondence) -> bool:
     return all(m > 0 for m in corr.module.mult)
 
 
+def _iso_residuals(u) -> tuple:
+    """(U*U - 1, U U* - 1, intertwining) worst Frobenius norms of the blocks
+    of an intertwiner, each gathered with ``linalg.worse``, so a NaN shows.
+
+    The one definition: the ``CorrIso`` constructor bounds these numbers, and
+    the acceptance judges and ``corrlab validate`` report them.  The blocks
+    must be square, of the shapes the modules give; then a kept source block
+    is kept in the target too.
+    """
+    r1 = r2 = r3 = 0.0
+    for b in u.blocks:
+        one = np.eye(len(b))
+        d1, d2 = frob(b.conj().T @ b - one), frob(b @ b.conj().T - one)
+        r1 = d1 if worse(d1, r1) else r1
+        r2 = d2 if worse(d2, r2) else r2
+    src, dst = u.src, u.dst
+    cs, cd = src.module.compacts, dst.module.compacts
+    for k in src.module.kept:
+        b = u.blocks[k]
+        s3 = cs.block_rows(src.lam.matrix, src.module.compact_pos(k))
+        d3 = cd.block_rows(dst.lam.matrix, dst.module.compact_pos(k))
+        lhs = np.tensordot(b, s3, axes=(1, 0))
+        rhs = np.tensordot(d3, b, axes=(1, 0)).transpose(0, 2, 1)
+        if lhs.size:
+            d = float(np.sqrt((np.abs(lhs - rhs) ** 2).sum(axis=(0, 1))).max())
+            r3 = d if worse(d, r3) else r3
+    return r1, r2, r3
+
+
 class CorrIso:
     """Unitary intertwiner of correspondences, one matrix per base block.
 
     Block k maps C^{m_k x n_k} by x -> U_k x, so right linearity holds by
-    construction; the constructor checks unitarity and that the left actions
+    construction; the constructor checks that the blocks are square, then
+    bounds their ``_iso_residuals``: unitarity, and that the left actions
     are intertwined.
     """
 
@@ -276,38 +308,16 @@ class CorrIso:
                     f"block {k} has shape {u.shape}, expected"
                     f" ({dst.module.mult[k]}, {src.module.mult[k]})"
                 )
-        worst = 0.0
         for k, u in enumerate(blocks):
             if u.shape[0] != u.shape[1]:
                 raise NotUnitary(f"block {k} is not square: {u.shape}")
-            m = u.shape[0]
-            for r in (frob(u.conj().T @ u - np.eye(m)), frob(u @ u.conj().T - np.eye(m))):
-                if worse(r, worst):
-                    worst = r
+        self.src, self.dst, self.blocks = src, dst, blocks
+        r1, r2, r3 = _iso_residuals(self)
+        worst = r1 if worse(r1, r2) else r2
         if not worst <= eps:
             raise NotUnitary("blocks are not unitary", worst)
-        worst = 0.0
-        a_dim = src.src.dim
-        cs, cd = src.module.compacts, dst.module.compacts
-        for k in src.module.kept:
-            u = blocks[k]
-            s3 = cs.block_rows(src.lam.matrix, src.module.compact_pos(k))
-            pd = dst.module.compact_pos(k)
-            if pd is None:
-                d3 = np.zeros((u.shape[0], s3.shape[1], a_dim), dtype=complex)
-            else:
-                d3 = cd.block_rows(dst.lam.matrix, pd)
-            lhs = np.tensordot(u, s3, axes=(1, 0))
-            rhs = np.tensordot(d3, u, axes=(1, 0)).transpose(0, 2, 1)
-            if lhs.size:
-                r = float(np.sqrt((np.abs(lhs - rhs) ** 2).sum(axis=(0, 1))).max())
-                if worse(r, worst):
-                    worst = r
-        if not worst <= eps:
-            raise NotIntertwining("left actions are not intertwined", worst)
-        self.src = src
-        self.dst = dst
-        self.blocks = blocks
+        if not r3 <= eps:
+            raise NotIntertwining("left actions are not intertwined", r3)
 
     @classmethod
     def _trusted(cls, src, dst, blocks):
@@ -357,10 +367,8 @@ def make_iso(src: Correspondence, dst: Correspondence, data, *, eps: float = EPS
             if n > 0 and m_r > 0 and m_c > 0:
                 u = sub.reshape(m_r, n, m_c, n)[:, 0, :, 0].copy()
             blocks.append(u)
-        rebuilt = CorrIso.__new__(CorrIso)
-        rebuilt.src, rebuilt.dst, rebuilt.blocks = src, dst, tuple(blocks)
-        resid = frob(data - rebuilt.dense())
-        if resid > eps:
+        resid = frob(data - CorrIso._trusted(src, dst, blocks).dense())
+        if not resid <= eps:
             raise NotRightLinear("matrix does not commute with the right action", resid)
         return CorrIso(src, dst, blocks, eps=eps)
     return CorrIso(src, dst, list(data), eps=eps)

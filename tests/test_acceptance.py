@@ -15,7 +15,8 @@ import pytest
 from corrlab import acceptance
 from corrlab.acceptance import CaseReport, run_suite
 from corrlab.algebra import StarHom, make_algebra
-from corrlab.cli import _iso_checks
+from corrlab.cli import _iso_checks, main
+from corrlab.errors import NotIntertwining, NotUnitary
 from corrlab.modules import CorrIso, identity_corr
 from corrlab.nerve import NCorrSimplex, identity_iso
 
@@ -180,3 +181,55 @@ def test_cli_iso_check_refuses_nan_blocks(capsys):
     assert capsys.readouterr().out == (
         "unitary: FAIL (residual nan)\nintertwining: FAIL (residual nan)\n"
     )
+
+
+# The CorrIso constructor and the judges share modules._iso_residuals, so a
+# refused intertwiner carries the number a judge reports for its blocks.
+
+MOVED = np.exp(0.3j) * np.eye(2, dtype=complex)
+MOVED[0, 1] += 1e-6
+SWAP = np.array([[0, 1], [1, 0]], dtype=complex)
+
+
+@pytest.mark.parametrize(
+    "block,error", [(MOVED, NotUnitary), (SWAP, NotIntertwining)], ids=["moved-1e-6", "swap"]
+)
+def test_constructor_and_judge_report_the_same_residual(block, error):
+    ic = identity_corr(make_algebra((2, 1)))
+    blocks = [block, np.eye(1, dtype=complex)]
+    with pytest.raises(error) as err:
+        CorrIso(ic, ic, blocks)
+    r1, r2, r3 = acceptance._iso_residuals(CorrIso._trusted(ic, ic, blocks))
+    want = acceptance._worst((r1, r2)) if error is NotUnitary else r3
+    assert want > 1e-9
+    assert err.value.residual.hex() == want.hex()
+
+
+def raise_on_second_call(monkeypatch):
+    """Patch the gamma-mult cell builder to raise ValueError once."""
+    real, calls = acceptance.gamma_multiplicativity, []
+
+    def flaky(psi, phi, *, eps):
+        calls.append(None)
+        if len(calls) == 2:
+            raise ValueError("injected")
+        return real(psi, phi, eps=eps)
+
+    monkeypatch.setattr(acceptance, "gamma_multiplicativity", flaky)
+
+
+def test_a_raising_case_fails_its_sweep(monkeypatch):
+    raise_on_second_call(monkeypatch)
+    report = acceptance.suite_gamma_mult(trials=3)
+    assert [c.case for c in report.cases] == ["pair-000", "pair-001", "pair-002"]
+    assert [c.ok for c in report.cases] == [True, False, True]
+    assert report.cases[1].residual == math.inf
+    assert not report.ok and report.worst == math.inf
+
+
+def test_selftest_exits_1_on_a_raising_case(monkeypatch, capsys):
+    raise_on_second_call(monkeypatch)
+    assert main(["selftest", "--suite", "gamma-mult"]) == 1
+    err = capsys.readouterr().err
+    assert "gamma-mult: FAIL (200 cases, worst residual inf" in err
+    assert "Traceback" not in err

@@ -402,6 +402,19 @@ def test_make_iso_rejections():
     assert iso_distance(w, identity_iso(ic)) > 0.1
 
 
+@pytest.mark.parametrize("x", [0.5, math.nan], ids=["half", "nan"])
+def test_make_iso_refuses_an_entry_off_the_right_linear_pattern(x):
+    """Entry [1, 0] lies off the U_k (x) I_2 sample that the blocks are read
+    from, so it shows only in the right-linearity residual: a NaN there
+    must be refused like 0.5."""
+    ic = identity_corr(make_algebra((2, 1)))
+    dense = identity_iso(ic).dense()
+    dense[1, 0] = x
+    with pytest.raises(NotRightLinear) as err:
+        make_iso(ic, ic, dense)
+    assert not err.value.residual <= 1e-9
+
+
 def test_nan_blocks_are_rejected():
     """max(0.0, nan) is 0.0, so a residual accumulated with max drops a NaN."""
     ic = identity_corr(make_algebra((2, 1)))
