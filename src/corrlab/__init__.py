@@ -24,7 +24,6 @@ from .bicategory import (
     find_corr_iso,
     gamma_multiplicativity,
     gamma_of_hom,
-    is_equivalence,
     u_of_corr,
 )
 from .errors import *  # noqa: F401,F403  (the exception vocabulary)
@@ -52,7 +51,6 @@ from .modules import (
     associator,
     compose_isos,
     corr_close,
-    direct_sum_corrs,
     direct_sum_modules,
     identity_corr,
     is_full_corr,
@@ -85,11 +83,8 @@ from .nerve import (
 from .subdivision import (
     AugChain,
     SdFunctor,
-    connecting_hom,
     enumerate_csd,
-    is_nondegenerate,
     module_E_S,
-    phi_star,
     subdivision_functor,
 )
 

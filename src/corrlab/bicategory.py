@@ -50,7 +50,6 @@ __all__ = [
     "CornerFactorization",
     "u_of_corr",
     "EquivalenceWitness",
-    "is_equivalence",
     "equivalence_inverse",
     "find_corr_iso",
 ]
@@ -268,14 +267,6 @@ def equivalence_inverse(corr: Correspondence, *, eps: float = EPS) -> Equivalenc
         tp_right.corr, id_b, _intertwiner_blocks(tp_right, id_b, act_right)
     )
     return EquivalenceWitness(corr, inverse, tuple(block_map), tuple(us), counit_left, counit_right)
-
-
-def is_equivalence(corr: Correspondence, *, eps: float = EPS) -> bool:
-    try:
-        equivalence_inverse(corr, eps=eps)
-        return True
-    except NotAnEquivalence:
-        return False
 
 
 def find_corr_iso(c1: Correspondence, c2: Correspondence, *, eps: float = EPS):

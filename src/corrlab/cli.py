@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from .acceptance import SUITES, _worst, report_json, run_suite
+from .acceptance import SUITES, report_json, run_suite
 from .algebra import FdCstarAlgebra, StarHom, _mult_residual, _star_residual, make_star_hom
 from .bicategory import equivalence_inverse, gamma_of_hom
 from .errors import (
@@ -35,6 +35,7 @@ from .generators import (
     random_simplex,
     random_unital_hom,
 )
+from .linalg import worst_of
 from .modules import CorrIso, Correspondence, HilbertModule, _iso_residuals
 from .nerve import HornSpec, NCorrSimplex, _check_uncovered, fill_inner_horn, fill_special_outer_horn
 from .serialize import (
@@ -104,7 +105,7 @@ def _corr_checks(c: Correspondence, eps: float) -> bool:
 
 def _iso_checks(u: CorrIso, eps: float) -> bool:
     r1, r2, r3 = _iso_residuals(u)
-    r = _worst((r1, r2))
+    r = worst_of((r1, r2))
     ok = _line("unitary", r <= eps, r)
     return _line("intertwining", r3 <= eps, r3) and ok
 

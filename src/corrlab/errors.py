@@ -6,8 +6,8 @@ public ``make_*`` constructors (``make_star_hom``, ``make_correspondence``,
 with ``validate=True``.  They raise one of these on failure.  Canonical
 constructions from valid inputs are certified by construction and not
 re-checked: the ``StarHom`` built by ``identity_hom``, ``compose_homs``,
-``gamma_of_hom``, ``u_of_corr``, ``equivalence_inverse``,
-``direct_sum_corrs``, tensor products, subdivision connecting homs and
+``gamma_of_hom``, ``u_of_corr``, ``equivalence_inverse``, tensor
+products, subdivision connecting homs and
 the generators ``embedding_hom`` and ``twist_edge`` (from Bratteli data
 through ``_bratteli_hom``, which keeps the data on the hom and builds its
 dense view on first read, or by a block map over an existing action), each

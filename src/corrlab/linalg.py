@@ -17,6 +17,7 @@ __all__ = [
     "EPS",
     "frob",
     "worse",
+    "worst_of",
     "orthonormal_range",
     "gram_onb",
     "int_inverse",
@@ -36,6 +37,17 @@ def worse(r: float, worst: float) -> bool:
     A NaN ``worst`` stays, so a NaN anywhere fails a ``worst <= eps`` check
     (the builtin ``max(0.0, nan)`` is 0.0 and would drop it)."""
     return r > worst or r != r
+
+
+def worst_of(residuals) -> float:
+    """The worst of ``residuals`` by ``worse`` (0.0 for none): a NaN anywhere
+    is the result; on finite nonnegative residuals the builtin max's, to the
+    bit."""
+    worst = 0.0
+    for r in residuals:
+        if worse(r, worst):
+            worst = r
+    return worst
 
 
 def orthonormal_range(a, eps: float = EPS) -> np.ndarray:

@@ -24,8 +24,8 @@ construction is deterministic.
 Each schema is written by one function, which builds the document with its
 matrices as arrays; the public ``*_to_json`` and ``value_to_json`` return
 that document with each matrix as ``matrix_to_json`` lists, and a public
-writer of a schema with matrices keeps the function as ``.doc``.  Every JSON text corrlab writes (``dump_value`` and
-each CLI output) comes from one writer, ``_json_text``, and is
+writer of a schema with matrices keeps the function as ``.doc``.  Every JSON text corrlab writes (each
+CLI output) comes from one writer, ``_json_text``, and is
 byte-identical to ``json.dumps`` of the public list document.  The writer
 leaves dicts, ints and strings to ``json.dumps`` and writes each matrix in
 bulk: every distinct float bit pattern is printed once, by the json encoder
@@ -85,7 +85,6 @@ __all__ = [
     "detect_schema",
     "value_to_json",
     "value_from_json",
-    "dump_value",
     "load_value",
 ]
 
@@ -494,12 +493,6 @@ def value_to_json(obj) -> dict:
 
 def value_from_json(doc, *, eps: float = EPS, validate: bool = True):
     return _FROM_JSON[detect_schema(doc)](doc, eps, validate)
-
-
-def dump_value(obj, path) -> None:
-    text = _json_text(_value_doc(obj))
-    with open(path, "w") as f:
-        f.write(text + "\n")
 
 
 def load_value(path, *, eps: float = EPS, validate: bool = True):

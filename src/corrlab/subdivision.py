@@ -6,15 +6,14 @@ followed by a nested run of subsets of {0..n} with at least two elements
 each.  These augmented chains interpolate between the subdivided simplex
 and the simplex itself (no subset suffix); a chain of the subdivided
 simplex is one with at most one distinct vertex, which stands for a
-singleton subset.  Faces drop an entry, degeneracies double one,
-and monotone reindexing acts entrywise, turning any subset that collapses
-to a point into a vertex entry.
+singleton subset.  Faces drop an entry, degeneracies double one.
 
-Chains are validated where they enter: the public constructor, phi_star
-and the enumeration.  face and degeneracy build their results unchecked
+Chains are validated where they enter: the public constructor and the
+enumeration.  face and degeneracy build their results unchecked
 (``_trusted``): dropping or doubling an entry of a valid chain keeps the
 vertices weakly increasing, the subsets nested (nesting is transitive and
-allows equal entries) and the vertices inside the first subset.
+allows equal entries) and the vertices inside the first subset.  Both are
+pure functions of the chain and the index.
 
 On the algebra side, a subset S with top vertex m picks out the module
 E_S = (+)_{v in S} E_{v m} over A_m; A_S is its compact operators.  For
@@ -42,7 +41,6 @@ from .errors import (
     DimensionTooLarge,
     FunctorialityViolated,
     IndexOutOfRange,
-    NotMonotone,
     NotNested,
     ShapeViolation,
 )
@@ -54,12 +52,9 @@ __all__ = [
     "AugChain",
     "face",
     "degeneracy",
-    "is_nondegenerate",
-    "phi_star",
     "enumerate_csd",
     "SdVertexData",
     "module_E_S",
-    "connecting_hom",
     "SdFunctor",
     "subdivision_functor",
 ]
@@ -133,70 +128,37 @@ class AugChain:
             return self.vertices[i]
         return self.subsets[i - nv]
 
-    def _splice(self, i: int, op):
-        nv = len(self.vertices)
-        if i < nv:
-            return AugChain._trusted(op(self.vertices, i), self.subsets)
-        return AugChain._trusted(self.vertices, op(self.subsets, i - nv))
-
 
 def _drop(t: tuple, i: int) -> tuple:
     return t[:i] + t[i + 1 :]
 
 
-def _double(t: tuple, i: int) -> tuple:
-    return t[: i + 1] + t[i:]
-
-
 def face(chain, i: int):
     """Drop entry i.  Built unchecked: the vertices stay weakly increasing,
     the subsets nested and the vertices inside the first subset."""
-    if chain.dim == 0:
+    vs, ss = chain.vertices, chain.subsets
+    nv, dim = len(vs), len(vs) + len(ss) - 1
+    if dim == 0:
         raise ShapeViolation("a point has no faces")
-    if not 0 <= i <= chain.dim:
-        raise IndexOutOfRange(f"face index {i} out of range for dimension {chain.dim}")
-    return chain._splice(i, _drop)
+    if not 0 <= i <= dim:
+        raise IndexOutOfRange(f"face index {i} out of range for dimension {dim}")
+    if i < nv:
+        return AugChain._trusted(vs[:i] + vs[i + 1 :], ss)
+    i -= nv
+    return AugChain._trusted(vs, ss[:i] + ss[i + 1 :])
 
 
 def degeneracy(chain, i: int):
     """Double entry i.  Built unchecked like ``face``: ``<=`` allows equal
     vertices and nesting allows equal subsets."""
-    if not 0 <= i <= chain.dim:
-        raise IndexOutOfRange(f"degeneracy index {i} out of range for dimension {chain.dim}")
-    return chain._splice(i, _double)
-
-
-def is_nondegenerate(chain) -> bool:
-    return all(chain.entry(i) != chain.entry(i + 1) for i in range(chain.dim))
-
-
-def phi_star(phi, chain):
-    """Reindex a chain along a weakly increasing vertex map.
-
-    ``phi`` maps by position; subset entries whose image is a single vertex
-    become vertex entries, which keeps the result well formed (only an
-    initial run of subsets can collapse).
-    """
-    phi = [int(x) for x in phi]
-    if any(b < a for a, b in zip(phi, phi[1:])):
-        raise NotMonotone(f"{phi} is not weakly increasing")
-
-    def img(v):
-        if not 0 <= v < len(phi):
-            raise IndexOutOfRange(f"vertex {v} outside the domain of the map")
-        return phi[v]
-
-    vs = [img(v) for v in chain.vertices]
-    ss = []
-    for s in chain.subsets:
-        t = tuple(sorted({img(v) for v in s}))
-        if len(t) == 1:
-            if ss:
-                raise ShapeViolation("a collapsed subset after a surviving one")
-            vs.append(t[0])
-        else:
-            ss.append(t)
-    return AugChain(tuple(vs), tuple(ss))
+    vs, ss = chain.vertices, chain.subsets
+    nv, dim = len(vs), len(vs) + len(ss) - 1
+    if not 0 <= i <= dim:
+        raise IndexOutOfRange(f"degeneracy index {i} out of range for dimension {dim}")
+    if i < nv:
+        return AugChain._trusted(vs[: i + 1] + vs[i:], ss)
+    i -= nv
+    return AugChain._trusted(vs, ss[: i + 1] + ss[i:])
 
 
 def _nonempty_subsets(n):
@@ -311,11 +273,6 @@ def _isometries(sigma, data_s, data_t):
     return out
 
 
-def connecting_hom(sigma: NCorrSimplex, sub_s, sub_t) -> StarHom:
-    """f_ST: A_S -> A_T for nested subsets S inside T of the base simplex."""
-    return _connecting(sigma, module_E_S(sigma, sub_s), module_E_S(sigma, sub_t))
-
-
 def _connecting(sigma, data_s, data_t) -> StarHom:
     """f_ST, certified by construction: x -> x (x) id along a valid edge,
     rewritten through unitary cells and included."""
@@ -339,8 +296,9 @@ class SdFunctor:
         return self.data[_fitting_subset(s, self.base.n)].algebra
 
     def hom(self, s, t) -> StarHom:
-        """f_ST; raises like connecting_hom for subsets that do not fit the
-        base simplex or are not nested."""
+        """f_ST; raises IndexOutOfRange or ShapeViolation for subsets that
+        do not fit the base simplex, NotNested for subsets that are not
+        nested."""
         s, t = _fitting_subset(s, self.base.n), _fitting_subset(t, self.base.n)
         _check_nested(s, t)
         return self.homs[(s, t)]

@@ -10,7 +10,10 @@ per-block unitaries, and E (x)_B F is reached through e^(j)_{a1} (x) w
 (``embed``), whose sums are every element (``section``) and which spans the
 pure tensors x (x) y (``pure_tensor``).  The corner p B p of a projection
 (``corner_algebra``) is presented with its inclusion, a hom built from
-Bratteli data.  No library path uses this model; only the tests do.
+Bratteli data.  No library path uses this model; only the tests do.  The
+helpers at the end (``is_equivalence``, ``direct_sum_corrs``,
+``is_nondegenerate``, ``phi_star``, ``connecting_hom`` and ``dump_value``)
+left the library for the same reason.
 """
 
 from dataclasses import dataclass
@@ -18,15 +21,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from corrlab.algebra import FdCstarAlgebra, StarHom, _bratteli_hom
+from corrlab.bicategory import equivalence_inverse
 from corrlab.errors import (
     BaseMismatch,
     EndpointMismatch,
+    IndexOutOfRange,
     InvalidAlgebra,
+    NotAnEquivalence,
+    NotMonotone,
     NotProjection,
     ShapeMismatch,
+    ShapeViolation,
 )
 from corrlab.linalg import EPS, frob, gram_onb, orthonormal_range, worse
-from corrlab.modules import make_module
+from corrlab.modules import Correspondence, direct_sum_modules, make_module
+from corrlab.serialize import _json_text, _value_doc
+from corrlab.subdivision import AugChain, _connecting, module_E_S
 
 
 class AlgElement:
@@ -327,3 +337,81 @@ def general_product(left, right, eps=1e-9):
                         lam[base + (o + a * r + t) * size + o + a2 * r + t] = x[a, a2]
             o += m * r
     return module, lam
+
+
+# ---------------------------------------------------------------------------
+# Helpers no library path needs, kept for the tests that use them.
+
+
+def is_equivalence(corr, *, eps: float = EPS) -> bool:
+    try:
+        equivalence_inverse(corr, eps=eps)
+        return True
+    except NotAnEquivalence:
+        return False
+
+
+def direct_sum_corrs(corrs):
+    """Direct sum of correspondences with common endpoints, diagonal action;
+    its multiplicities are the summands' lambda's, added on their blocks."""
+    first = corrs[0]
+    for c in corrs:
+        if c.src != first.src:
+            raise EndpointMismatch("summands must share the source algebra")
+    module, starts = direct_sum_modules([c.module for c in corrs])
+    kg = module.compacts
+    lam = np.zeros((kg.dim, first.src.dim), dtype=complex)
+    mult = np.zeros((first.src.nblocks, kg.nblocks), dtype=np.int64)
+    for s, c in enumerate(corrs):
+        for pos, k in enumerate(c.module.kept):
+            o, m, kp = starts[s][k], c.module.mult[k], module.compact_pos(k)
+            kg.block_rows(lam, kp)[o : o + m, o : o + m] = (
+                c.module.compacts.block_rows(c.lam.matrix, pos)
+            )
+            mult[:, kp] += c.lam.mult_matrix[:, pos]
+    return Correspondence(first.src, module, StarHom(first.src, kg, lam, mult)), starts
+
+
+def is_nondegenerate(chain) -> bool:
+    return all(chain.entry(i) != chain.entry(i + 1) for i in range(chain.dim))
+
+
+def phi_star(phi, chain):
+    """Reindex a chain along a weakly increasing vertex map.
+
+    ``phi`` maps by position; subset entries whose image is a single vertex
+    become vertex entries, which keeps the result well formed (only an
+    initial run of subsets can collapse).
+    """
+    phi = [int(x) for x in phi]
+    if any(b < a for a, b in zip(phi, phi[1:])):
+        raise NotMonotone(f"{phi} is not weakly increasing")
+
+    def img(v):
+        if not 0 <= v < len(phi):
+            raise IndexOutOfRange(f"vertex {v} outside the domain of the map")
+        return phi[v]
+
+    vs = [img(v) for v in chain.vertices]
+    ss = []
+    for s in chain.subsets:
+        t = tuple(sorted({img(v) for v in s}))
+        if len(t) == 1:
+            if ss:
+                raise ShapeViolation("a collapsed subset after a surviving one")
+            vs.append(t[0])
+        else:
+            ss.append(t)
+    return AugChain(tuple(vs), tuple(ss))
+
+
+def connecting_hom(sigma, sub_s, sub_t) -> StarHom:
+    """f_ST: A_S -> A_T for nested subsets S inside T of the base simplex."""
+    return _connecting(sigma, module_E_S(sigma, sub_s), module_E_S(sigma, sub_t))
+
+
+def dump_value(obj, path) -> None:
+    """Write ``obj`` as the JSON text corrlab's CLI writes for it."""
+    text = _json_text(_value_doc(obj))
+    with open(path, "w") as f:
+        f.write(text + "\n")

@@ -17,14 +17,16 @@ from corrlab.acceptance import CaseReport, run_suite
 from corrlab.algebra import StarHom, make_algebra
 from corrlab.cli import _iso_checks, main
 from corrlab.errors import NotIntertwining, NotUnitary
+from corrlab.linalg import frob, worst_of
 from corrlab.modules import CorrIso, identity_corr
 from corrlab.nerve import NCorrSimplex, identity_iso
+from corrlab.subdivision import AugChain
 
 # (criterion, suite, time budget in seconds, exact-arithmetic suite)
 CRITERIA = [
     ("c01", "gamma-mult", 30.0, False),
     ("c02", "nerve-coherence", 60.0, False),
-    ("c03", "subdivision-functor", 120.0, False),
+    ("c03", "subdivision-functor", 10.0, False),
     ("c04", "corner-unitary", None, False),
     ("c05", "morita-inverse", None, False),
     ("c06", "horn-uniqueness", None, False),
@@ -200,7 +202,7 @@ def test_constructor_and_judge_report_the_same_residual(block, error):
     with pytest.raises(error) as err:
         CorrIso(ic, ic, blocks)
     r1, r2, r3 = acceptance._iso_residuals(CorrIso._trusted(ic, ic, blocks))
-    want = acceptance._worst((r1, r2)) if error is NotUnitary else r3
+    want = worst_of((r1, r2)) if error is NotUnitary else r3
     assert want > 1e-9
     assert err.value.residual.hex() == want.hex()
 
@@ -233,3 +235,156 @@ def test_selftest_exits_1_on_a_raising_case(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "gamma-mult: FAIL (200 cases, worst residual inf" in err
     assert "Traceback" not in err
+
+
+# section-exact and csd-combinatorics run their own loops; a raising case
+# fails there too, with exit 1 and no traceback.
+
+
+def raise_value_error(*args, **kwargs):
+    raise ValueError("injected")
+
+
+@pytest.mark.parametrize(
+    "suite,target", [("section-exact", "bar_F"), ("csd-combinatorics", "chain_face")]
+)
+def test_selftest_exits_1_when_a_looping_sweep_raises(monkeypatch, capsys, suite, target):
+    monkeypatch.setattr(acceptance, target, raise_value_error)
+    assert main(["selftest", "--suite", suite]) == 1
+    err = capsys.readouterr().err
+    assert f"{suite}: FAIL" in err and "worst residual inf" in err
+    assert "Traceback" not in err
+
+
+# The subdivision judge reads each hom's matrix once into its nonzero
+# entries (acceptance._entries) and sums the products of listed entries
+# (acceptance._product_residual); it must agree with the dense
+# frob(X @ Y - Z) it replaces.
+
+
+def sparse(rng, p, q, density):
+    m = np.zeros((p, q), dtype=complex)
+    mask = rng.random((p, q)) < density
+    m[mask] = rng.normal(size=mask.sum()) + 1j * rng.normal(size=mask.sum())
+    return m
+
+
+def kernel(x, y, z):
+    e = acceptance._entries
+    return acceptance._product_residual(e(x), e(y), e(z))
+
+
+def dense(x, y, z):
+    with np.errstate(invalid="ignore", over="ignore"):
+        return frob(x @ y - z)
+
+
+def test_product_residual_matches_the_dense_product():
+    """Random sparse complex matrices with a zero row and column, empty
+    shapes, identity factors and exact composites, to 1e-12 of the scale."""
+    rng = np.random.default_rng(0)
+    checked = 0
+    for p, m, n in [(5, 7, 3), (0, 4, 3), (4, 0, 3), (4, 3, 0), (1, 1, 1), (16, 40, 9)]:
+        for density in (0.0, 0.05, 0.3, 1.0):
+            x, y, z = sparse(rng, p, m, density), sparse(rng, m, n, density), sparse(rng, p, n, density)
+            if p and m:
+                x[rng.integers(p)], x[:, rng.integers(m)] = 0, 0
+            if m and n:
+                y[rng.integers(m)], y[:, rng.integers(n)] = 0, 0
+            for args in [(x, y, z), (x, y, x @ y), (np.eye(p), z, z), (x, np.eye(m), x)]:
+                scale = frob(args[0]) * frob(args[1]) + frob(args[2]) + 1.0
+                assert abs(kernel(*args) - dense(*args)) <= 1e-12 * scale
+                checked += 1
+    assert checked == 96
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("where", ["x", "y"])
+def test_product_residual_is_nan_where_the_other_factor_is_zero(bad, where):
+    """A non-finite entry of Y in a row that X annihilates (or of X in a
+    column that meets a zero row of Y) makes the dense product NaN; a kernel
+    that visits only products of two nonzero entries would miss it."""
+    rng = np.random.default_rng(1)
+    x, y = sparse(rng, 4, 5, 0.5), sparse(rng, 5, 3, 0.5)
+    z = x @ y
+    x[:, 2], y[2] = 0, 0
+    if where == "x":
+        x[1, 2] = bad
+    else:
+        y[2, 1] = bad
+    assert math.isnan(dense(x, y, z))
+    assert math.isnan(kernel(x, y, z))
+
+
+def corrupt_third_case(monkeypatch, key, edit):
+    """Patch the third subdivision a sweep draws (an n = 3 simplex): hom
+    ``key``'s matrix through ``edit(sd, m)``, its multiplicities kept."""
+    real, calls = acceptance.subdivision_functor, []
+
+    def patched(s, *, eps, check):
+        sd = real(s, eps=eps, check=check)
+        calls.append(None)
+        if len(calls) == 3:
+            f = sd.homs[key]
+            m = np.array(f.matrix)
+            edit(sd, m)
+            sd.homs[key] = StarHom(f.src, f.dst, m, f.mult_matrix)
+        return sd
+
+    monkeypatch.setattr(acceptance, "subdivision_functor", patched)
+
+
+def first(mask):
+    return tuple(np.argwhere(mask)[0])
+
+
+def add_where_zero(sd, m):
+    m[first(m == 0)] += 1e-6
+
+
+def move_a_nonzero(sd, m):
+    m[first(m != 0)] += 1e-6
+
+
+def nan_in_an_annihilated_row(sd, m):
+    # m is the identity of A_(1); f_(1),(1,2) kills one of its blocks
+    (k,) = np.flatnonzero(~sd.homs[((1,), (1, 2))].matrix.any(axis=0))
+    m[k, k] = np.nan
+
+
+def inf_where_zero(sd, m):
+    m[first(m == 0)] = np.inf
+
+
+@pytest.mark.parametrize(
+    "key,edit,nan",
+    [
+        (((0,), (0, 1)), add_where_zero, False),
+        (((0,), (0, 1)), move_a_nonzero, False),
+        (((1,), (1,)), nan_in_an_annihilated_row, True),
+        (((0, 1), (0, 1, 2)), inf_where_zero, True),
+    ],
+    ids=["zero-plus-1e-6", "nonzero-plus-1e-6", "nan-in-annihilated-row", "inf"],
+)
+def test_subdivision_refuses_a_corrupted_connecting_hom(monkeypatch, key, edit, nan):
+    corrupt_third_case(monkeypatch, key, edit)
+    report = acceptance.suite_subdivision(trials=3)
+    assert [c.ok for c in report.cases] == [True, True, False]
+    resid = report.cases[2].residual
+    assert math.isnan(resid) if nan else resid >= 1e-7
+
+
+@pytest.mark.parametrize("name", ["chain_face", "chain_degeneracy"])
+def test_csd_refuses_a_map_corrupted_at_one_chain(monkeypatch, name):
+    """d_0 (or s_0) of the one chain (0 | 01) answers with index 1's value;
+    faces and degeneracies are shared between identity instances, and the
+    sweep still fails."""
+    real, target = getattr(acceptance, name), AugChain((0,), ((0, 1),))
+
+    def corrupted(c, i):
+        return real(c, 1) if (c, i) == (target, 0) else real(c, i)
+
+    monkeypatch.setattr(acceptance, name, corrupted)
+    report = acceptance.suite_combinatorics(trials=2)
+    assert [c.ok for c in report.cases] == [True, False, True]
+    assert 0 < report.cases[1].residual < math.inf

@@ -25,7 +25,6 @@ from corrlab.bicategory import (
     gamma_isometries,
     gamma_multiplicativity,
     gamma_of_hom,
-    is_equivalence,
     u_of_corr,
 )
 from corrlab.errors import EndpointMismatch, NotAnEquivalence, NotMultiplicative, ValidationError
@@ -44,14 +43,13 @@ from corrlab.modules import (
     CorrIso,
     Correspondence,
     corr_close,
-    direct_sum_corrs,
     identity_corr,
     make_module,
     tensor_corrs,
 )
 from corrlab.nerve import gamma_simplex
 from corrlab.subdivision import subdivision_functor
-from reference import apply, corner_algebra, random_element
+from reference import apply, corner_algebra, direct_sum_corrs, is_equivalence, random_element
 
 
 def test_gamma_of_identity_is_the_identity_corr():

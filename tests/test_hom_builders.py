@@ -68,17 +68,15 @@ from corrlab.linalg import frob, orthonormal_range
 from corrlab.modules import (
     CorrIso,
     _intertwiner_blocks,
-    direct_sum_corrs,
     identity_corr,
     left_unitor,
     make_module,
     tensor_corrs,
 )
 from corrlab.nerve import validate_simplex
-from corrlab.serialize import dump_value, value_from_json, value_to_json
+from corrlab.serialize import value_from_json, value_to_json
 from corrlab.subdivision import (
     _nonempty_subsets,
-    connecting_hom,
     module_E_S,
     subdivision_functor,
 )
@@ -87,7 +85,10 @@ from reference import (
     alg_zero,
     apply,
     basis_triples,
+    connecting_hom,
     corner_algebra,
+    direct_sum_corrs,
+    dump_value,
     identity,
     matrix_unit,
 )

@@ -39,7 +39,6 @@ from corrlab.modules import (
     associator,
     compose_isos,
     corr_close,
-    direct_sum_corrs,
     direct_sum_modules,
     identity_corr,
     is_full_corr,
@@ -57,6 +56,7 @@ from reference import (
     alg_from_vec,
     apply,
     apply_iso,
+    direct_sum_corrs,
     basis_triples,
     embed,
     from_vec,

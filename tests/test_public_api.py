@@ -107,8 +107,8 @@ def test_no_library_path_applies_a_hom():
     assert found == []
 
 
-# Moved to tests/reference.py (the chains are AugChains): module-level
-# names, then methods.
+# Moved to tests/reference.py (the chains are AugChains; the helpers at the
+# end have no library caller): module-level names, then methods.
 REMOVED = (
     "AlgElement",
     "SubsetChain",
@@ -116,6 +116,12 @@ REMOVED = (
     "random_element",
     "corner_algebra",
     "CornerPresentation",
+    "is_equivalence",
+    "direct_sum_corrs",
+    "phi_star",
+    "is_nondegenerate",
+    "connecting_hom",
+    "dump_value",
 )
 REMOVED_METHODS = {
     "FdCstarAlgebra": (

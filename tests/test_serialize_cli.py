@@ -53,7 +53,6 @@ from corrlab.serialize import (
     _matrix_text,
     algebra_to_json,
     corr_to_json,
-    dump_value,
     hom_from_json,
     hom_to_json,
     horn_to_json,
@@ -66,6 +65,7 @@ from corrlab.serialize import (
     value_to_json,
 )
 from corrlab.subdivision import subdivision_functor
+from reference import dump_value
 
 
 # ---------------------------------------------------------------------------

