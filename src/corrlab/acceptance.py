@@ -502,16 +502,9 @@ def _identity_faults(pool) -> int:
     value, and shared by every instance that needs them; every instance is
     still compared.
     """
-    def once(op):
+    def once(op):  # a hit has c.dim + 1 >= 1 entries, so it is truthy
         memo: dict = {}
-
-        def of(c):
-            hit = memo.get(c)
-            if hit is None:
-                hit = memo[c] = [op(c, j) for j in range(c.dim + 1)]
-            return hit
-
-        return of
+        return lambda c: memo.get(c) or memo.setdefault(c, [op(c, j) for j in range(c.dim + 1)])
 
     d, s = once(chain_face), once(chain_degeneracy)
     bad = 0

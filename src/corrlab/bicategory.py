@@ -2,6 +2,7 @@
 
 gamma_of_hom sends phi: A -> B to the correspondence phi(1)B, with left
 action the compression of phi by isometries onto the ranges of phi(1).
+Where phi's multiplicities say phi(1) fills a block, that isometry is I.
 Composition of homs and tensor product of their correspondences agree up to
 the canonical intertwiner produced by gamma_multiplicativity.
 
@@ -57,16 +58,27 @@ __all__ = [
 
 def gamma_isometries(phi: StarHom, *, eps: float = EPS):
     """Per-dst-block isometries onto the ranges of phi(1), read-only; computed
-    once per (phi, eps) and kept on phi."""
+    once per (phi, eps) and kept on phi.
+
+    phi is a *-hom (certified by its builder, or checked at the trust
+    boundary, which traces its multiplicities), so phi(1)_j is a projection
+    of rank sum_i r_ij n_i.  At rank m_j it is the unit and V_j is I, the
+    basis orthonormal_range gives for the exact unit; at rank 0, V_j is
+    (m_j, 0), as it gives for a zero block.  Homs that differ by rounding (a
+    composite reached along two paths) have equal multiplicities, so both
+    get exactly these; only a proper partial range goes to orthonormal_range.
+    """
     vs = phi._gamma.get(("range", eps))
     if vs is None:
-        p = _unit_image(phi)[:, None]
-        vs = phi._gamma[("range", eps)] = tuple(
-            orthonormal_range(phi.dst.block_rows(p, j)[:, :, 0], eps)
-            for j in range(phi.dst.nblocks)
-        )
-        for v in vs:
-            v.setflags(write=False)
+        p, vs = None, []
+        for j, (m, r) in enumerate(zip(phi.dst.blocks, np.dot(phi.src.blocks, phi.mult_matrix))):
+            if 0 < r < m:
+                p = _unit_image(phi)[:, None] if p is None else p
+                vs.append(orthonormal_range(phi.dst.block_rows(p, j)[:, :, 0], eps))
+            else:
+                vs.append(np.eye(m, r, dtype=complex))  # I if filled, (m, 0) if missed
+            vs[-1].setflags(write=False)
+        vs = phi._gamma[("range", eps)] = tuple(vs)
     return vs
 
 
@@ -74,7 +86,9 @@ def gamma_of_hom(phi: StarHom, *, eps: float = EPS) -> Correspondence:
     """The correspondence phi(1)B of a *-homomorphism phi: A -> B.
 
     Module multiplicity at block j is rank(phi(1)_j); the left action is
-    a -> V_j^* phi(a)_j V_j on the isometries V_j spanning those ranges.
+    a -> V_j^* phi(a)_j V_j on the isometries V_j spanning those ranges
+    (gamma_isometries).  Where phi(1) fills block j, V_j = I, and the rows
+    are phi's own block rows (+ 0.0, so -0.0 reads as 0.0).
     Multiplicities: mult(phi) at the kept blocks, as V_j keeps phi(1)_j's range.
     Computed once per (phi, eps) and kept on phi: repeated calls return the
     same object, so sibling chains share edges and their tensor frames.
@@ -89,8 +103,12 @@ def gamma_of_hom(phi: StarHom, *, eps: float = EPS) -> Correspondence:
     module = make_module(phi.dst, mult)
     kc = module.compacts
     lam = np.zeros((kc.dim, phi.src.dim), dtype=complex)
+    filled = np.dot(phi.src.blocks, phi.mult_matrix) == phi.dst.blocks
     for t, j in enumerate(module.kept):
         m, o, v = phi.dst.blocks[j], phi.dst.offset(j), vs[j]
+        if filled[j]:
+            kc.block_rows(lam, t)[:] = phi.dst.block_rows(phi.matrix, j) + 0.0
+            continue
         # block j of every column at once, as a C-ordered stack of m x m
         # images, so each product runs the same kernel as on one image
         imgs = phi.matrix[o : o + m * m].T.copy().reshape(-1, m, m)

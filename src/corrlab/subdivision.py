@@ -33,6 +33,7 @@ matrix is built or multiplied and no Gram matrix built.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import combinations
 
 import numpy as np
 
@@ -78,13 +79,13 @@ def _check_subset(s) -> tuple:
     return t
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AugChain:
     """A vertex run followed by a nested subset run.
 
     Vertices are weakly increasing and contained in the first subset; the
     subsets have at least two elements each.  Either run may be empty, not
-    both.
+    both.  Chains are equal when both runs are, and hash as the pair of runs.
     """
 
     vertices: tuple
@@ -117,6 +118,14 @@ class AugChain:
         object.__setattr__(out, "vertices", vs)
         object.__setattr__(out, "subsets", ss)
         return out
+
+    def __eq__(self, other):
+        if other.__class__ is not AugChain:
+            return NotImplemented
+        return self.vertices == other.vertices and self.subsets == other.subsets
+
+    def __hash__(self):
+        return hash((self.vertices, self.subsets))
 
     @property
     def dim(self) -> int:
@@ -184,24 +193,13 @@ def enumerate_csd(n: int):
     by_dim: dict = {}
     for suf in suffixes:
         pool = suf[0] if suf else tuple(range(n + 1))
-        for r in range(0, len(pool) + 1):
-            if r == 0 and not suf:
-                continue
-            for vs in _increasing_tuples(pool, r):
+        for r in range(0 if suf else 1, len(pool) + 1):
+            for vs in combinations(pool, r):
                 ch = AugChain(vs, suf)
                 by_dim.setdefault(ch.dim, []).append(ch)
     for d in by_dim:
         by_dim[d].sort(key=lambda ch: (ch.vertices, ch.subsets))
     return by_dim
-
-
-def _increasing_tuples(pool, r):
-    if r == 0:
-        yield ()
-        return
-    for i, v in enumerate(pool):
-        for rest in _increasing_tuples(pool[i + 1 :], r - 1):
-            yield (v,) + rest
 
 
 @dataclass(frozen=True)

@@ -8,10 +8,11 @@ is one m_k x n_k matrix per base block; a correspondence acts on it from the
 left through its *-hom into the compacts, an intertwiner through its
 per-block unitaries, and E (x)_B F is reached through e^(j)_{a1} (x) w
 (``embed``), whose sums are every element (``section``) and which spans the
-pure tensors x (x) y (``pure_tensor``).  The corner p B p of a projection
-(``corner_algebra``) is presented with its inclusion, a hom built from
-Bratteli data.  No library path uses this model; only the tests do.  The
-helpers at the end (``is_equivalence``, ``direct_sum_corrs``,
+pure tensors x (x) y (``pure_tensor``).  Gamma(phi)'s left action is
+compressed by the ranges of apply(phi, 1) (``gamma_action``).  The corner
+p B p of a projection (``corner_algebra``) is presented with its inclusion,
+a hom built from Bratteli data.  No library path uses this model; only the
+tests do.  The helpers at the end (``is_equivalence``, ``direct_sum_corrs``,
 ``is_nondegenerate``, ``phi_star``, ``connecting_hom`` and ``dump_value``)
 left the library for the same reason.
 """
@@ -141,6 +142,18 @@ def random_element(algebra, rng, hermitian: bool = False) -> AlgElement:
             m = (m + m.conj().T) / 2
         mats.append(m)
     return AlgElement(algebra, mats)
+
+
+def gamma_action(phi, eps: float = EPS) -> np.ndarray:
+    """The left action of Gamma(phi) through the element model: V_j is
+    orthonormal_range of block j of apply(phi, 1), a block with V_j of rank
+    0 is dropped, and column p is (+)_j V_j^* phi(e_p)_j V_j."""
+    vs = [orthonormal_range(x, eps) for x in apply(phi, identity(phi.src)).mats]
+    cols = []
+    for _, i, r, c in basis_triples(phi.src):
+        img = apply(phi, matrix_unit(phi.src, i, r, c)).mats
+        cols.append([(v.conj().T @ x @ v).ravel() for v, x in zip(vs, img) if v.shape[1]])
+    return np.array([np.concatenate(c) for c in cols]).T
 
 
 @dataclass(frozen=True)

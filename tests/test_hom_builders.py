@@ -534,13 +534,22 @@ def ref_normal_form(phi, eps=1e-9):
 def assert_columns_are_the_element_route(phi):
     """Each column read, with + 0.0, is apply on its matrix unit to the bit,
     and phi(1) as matrix @ one is apply on the identity; so are the library
-    reads built on them."""
+    reads built on them.  Gamma's isometry is I where phi(1) fills the
+    block, (m, 0) where phi misses it, and the range of apply on the
+    identity elsewhere."""
     src, dst = phi.src, phi.dst
     one = apply(phi, identity(src))
     p = _unit_image(phi)[:, None]
-    for j in range(dst.nblocks):
+    ranks = np.dot(src.blocks, phi.mult_matrix)
+    for j, m in enumerate(dst.blocks):
         assert bit_equal(dst.block_rows(p, j)[:, :, 0], one.mats[j])
-        assert bit_equal(gamma_isometries(phi)[j], orthonormal_range(one.mats[j]))
+        v = gamma_isometries(phi)[j]
+        if ranks[j] == m:
+            assert bit_equal(v, np.eye(m, dtype=complex))
+        elif ranks[j] == 0:
+            assert v.shape == (m, 0)
+        else:
+            assert bit_equal(v, orthonormal_range(one.mats[j]))
     for c, i, a, b in basis_triples(src):
         img = apply(phi, matrix_unit(src, i, a, b))
         for j in range(dst.nblocks):

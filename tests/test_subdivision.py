@@ -228,6 +228,16 @@ def test_trusted_faces_and_degeneracies_match_validated_chains(n):
             assert got == want and hash(got) == hash(want)
 
 
+def test_chains_hash_as_the_pair_of_runs():
+    """A chain hashes as hash((vertices, subsets)), the value the generated
+    dataclass hash gave, so sets and dicts of chains keep their order;
+    equality compares the two runs, and a chain is never equal to a tuple."""
+    c, t = AugChain((0, 1), ((0, 1, 2),)), face(AugChain((0, 1, 1), ((0, 1, 2),)), 2)
+    assert c == t and hash(c) == hash(t) == hash(((0, 1), ((0, 1, 2),)))
+    assert AugChain((0,), ((0, 1),)) != AugChain((1,), ((0, 1),))
+    assert AugChain((0,), ()) != ((0,), ())
+
+
 MALFORMED = [
     (ShapeViolation, lambda: AugChain((1, 0), ((0, 1),))),  # vertices not monotone
     (NotNested, lambda: AugChain((0,), ((0, 1), (0, 2)))),
