@@ -481,7 +481,7 @@ def suite_relative(*, seed: int = 42, eps: float = EPS, trials: int = 10) -> Sui
             return K0Simplex((a.nblocks, a.nblocks), [P(a)])
 
         D = K0Oracle()
-        rel = extend_relative(CstHomotopy(F0, F1, eta), None, [sig], D, eps=eps)
+        rel = extend_relative(CstHomotopy(F0, F1, eta), [sig], D, eps=eps)
         memo: dict = {}
         ok = all(
             rel.value(s, (0,) * (s.n + 1)) == bar_F(s, F0, D, memo, eps=eps)

@@ -3,27 +3,27 @@
 Subdividing an n-simplex of the nerve yields a diagram of algebras indexed
 by nonempty subsets of {0..n}.  A functor F into a quasi-category target
 that sends corner embeddings to equivalences extends from that diagram to
-every chain of the augmented subdivision, one horn fill at a time: chains
-whose support misses a vertex are pulled back from the faces, chains with a
-constant vertex prefix come straight from F, and the rest are produced by
-the staged recursion below (inner horns while the prefix is shorter than
-the chain, one special outer horn at the very end, certified by the corner
-embedding's inverse).  The value on the plain chain (0..n) is then the
-extension's value on the simplex itself.  Each nondegenerate chain's value
-is checked against its faces' values once, where it is made (``_bad_face``):
-a fill carries its horn's faces and every functor value agrees with theirs,
-and a chain whose support misses a vertex was checked by the run over that
-face.  Degenerate chains' values are degeneracies by definition, so they
-need no check.  The missing face a fill produces is not compared again: by
-the simplicial identities d_i d_k = d_{k-1} d_i (i < k) and d_i d_k = d_k
-d_{i+1} (i >= k), each of its faces is a face of a horn face, which the
-fill carries and whose own faces were compared when it was made (Duskin,
-TAC 9, 2002).  This holds for every target whose ``face`` satisfies those
-identities, as both oracles here do.
+every chain of the augmented subdivision, one horn fill at a time, in one
+run (`BarExtension`, made by `extend_bar_G`): chains whose support misses a
+vertex come from the runs over the faces, chains with a constant vertex
+prefix straight from F, and the rest from the staged fills (inner horns
+while the prefix is shorter than the chain, one special outer horn at the
+end, certified by the corner embedding's inverse).  The value on the plain
+chain (0..n) is the extension's value on the simplex.  Each nondegenerate
+chain's value is checked against its faces' values once, where it is made
+(``_bad_face``): a fill carries its horn's faces and every functor value
+agrees with theirs, and a chain whose support misses a vertex was checked
+by the run over that face.  Degenerate chains' values are degeneracies by
+definition, so they need no check.  The missing face a fill produces is not
+compared again: by the simplicial identities d_i d_k = d_{k-1} d_i (i < k)
+and d_i d_k = d_k d_{i+1} (i >= k), each of its faces is a face of a horn
+face, which the fill carries and whose own faces were compared when it was
+made (Duskin, TAC 9, 2002).  This holds for every target whose ``face``
+satisfies those identities, as both oracles here do.
 
 Two targets are provided: the nerve of integer matrices (K-theory) and the
-correspondence nerve itself.  `extend_relative` runs the same machinery on
-prisms to extend a homotopy between two such functors.
+correspondence nerve itself.  `extend_relative` extends a homotopy between
+two such functors over prisms, from both functors' runs (`bar_F`).
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from .errors import (
     BoundaryMismatch,
     CompatibilityViolated,
     CorrLabError,
-    DimensionTooLarge,
     IncompatibleFaces,
     IndexOutOfRange,
     NotMonotone,
@@ -381,21 +380,14 @@ class CstFunctor:
     certificate: Callable
     section: Callable = None
 
-    def edge(self, phi: StarHom):
-        return self.chain([phi])
-
 
 def k0_matrix(phi: StarHom) -> np.ndarray:
     """The induced map on K-theory classes, dst blocks by src blocks."""
     return np.ascontiguousarray(phi.mult_matrix.T)
 
 
-def k0_functor(diagram=None) -> CstFunctor:
-    """K-theory as a target: objects to Z^blocks, homs to multiplicity matrices.
-
-    ``diagram`` may list homs meant to become equivalences; their integer
-    inverses are computed up front and a failure raises NotStableOnDiagram.
-    """
+def k0_functor() -> CstFunctor:
+    """K-theory as a target: objects to Z^blocks, homs to multiplicity matrices."""
 
     def vertex(a):
         return K0Simplex((a.nblocks,), ())
@@ -419,9 +411,6 @@ def k0_functor(diagram=None) -> CstFunctor:
                 f"hom has no integer inverse on K-theory classes: {err}"
             ) from err
 
-    if diagram is not None:
-        for phi in diagram:
-            certificate(phi)
     return CstFunctor("K0", vertex, chain, certificate)
 
 
@@ -535,11 +524,18 @@ def _bad_face(D: QCOracle, value, faces: dict):
     return next((j for j, f in faces.items() if not D.equal(D.face(value, j), f)), None)
 
 
-class _Builder:
-    """One extension run over the augmented subdivision of a single simplex."""
+class BarExtension:
+    """One run of ``extend_bar_G``: target simplices on the augmented chains.
+
+    ``value`` resolves any chain: assigned fills, functor values on subset
+    chains, pullbacks to faces, and degeneracies.  ``trace`` records every
+    horn fill of this run in order, and ``top()`` is the value on the plain
+    vertex chain (0..n), i.e. the extended functor applied to the simplex.
+    """
 
     def __init__(self, sigma, functor, oracle, memo, eps):
         self.sigma = sigma
+        self.n = sigma.n
         self.functor = functor
         self.oracle = oracle
         self.memo = memo
@@ -558,14 +554,16 @@ class _Builder:
         self.vals = {}
         self.trace = []
 
+    def top(self):
+        return self.value(AugChain(self.full, ()))
+
     # -- value resolution ---------------------------------------------------
 
     def value(self, c: AugChain):
         hit = self.vals.get(c)
         if hit is not None:
             return hit
-        d = c.dim
-        for i in range(d):
+        for i in range(c.dim):
             if c.entry(i) == c.entry(i + 1):
                 out = self.oracle.degeneracy(self.value(sdv.face(c, i)), i)
                 self.vals[c] = out
@@ -623,12 +621,6 @@ class _Builder:
 
     # -- the staged fills ---------------------------------------------------
 
-    def run(self) -> "BarExtension":
-        for k, targets in _fill_targets(self.sigma.n):
-            for c in targets:
-                self._fill(c, k)
-        return BarExtension(self)
-
     def _fill(self, c: AugChain, k: int):
         ell = c.dim
         kk = k + 1
@@ -643,13 +635,11 @@ class _Builder:
         horn = HornSpec(ell, kk, faces)
         special = kk == ell
         cert = None
-        cert_id = "none"
         guided_used = False
         try:
             if special:
                 corner = self.sd.hom((c.vertices[-1],), self.full)
                 cert = self.functor.certificate(corner)
-                cert_id = _cert_id(cert)
                 fill = None
                 if self.pref is not None:
                     fill = self.oracle.guided_fill(
@@ -660,8 +650,6 @@ class _Builder:
                     fill = self.oracle.fill_special_outer_horn(horn, certificate=cert)
             else:
                 fill = self.oracle.fill_inner_horn(horn)
-        except DimensionTooLarge:
-            raise
         except CorrLabError as err:
             raise OracleFillFailed(
                 f"horn ({ell},{kk}) at {_chain_str(c)}: {err}"
@@ -681,33 +669,9 @@ class _Builder:
                 "horn": (ell, kk),
                 "kind": "special" if special else "inner",
                 "guided": guided_used,
-                "certificate": cert_id,
+                "certificate": _cert_id(cert),
             }
         )
-
-
-class BarExtension:
-    """A total assignment of target simplices to augmented-subdivision chains.
-
-    ``value`` resolves any chain: assigned fills, functor values on subset
-    chains, pullbacks to faces, and degeneracies.  ``trace`` records every
-    horn fill of this run in order, and ``top()`` is the value on the plain
-    vertex chain (0..n), i.e. the extended functor applied to the simplex.
-    """
-
-    def __init__(self, builder: _Builder):
-        self.sigma = builder.sigma
-        self.n = builder.sigma.n
-        self.trace = builder.trace
-        self._builder = builder
-
-    def value(self, chain: AugChain):
-        return self._builder.value(chain)
-
-    __call__ = value
-
-    def top(self):
-        return self.value(AugChain(tuple(range(self.n + 1)), ()))
 
 
 def extend_bar_G(
@@ -720,27 +684,31 @@ def extend_bar_G(
 ) -> BarExtension:
     """Extend F from the subdivision diagram of sigma over all augmented chains.
 
+    Builds the run (``BarExtension``) and makes its fills stage by stage.
     The one dimension bound is the subdivision's (``subdivision._MAX_N``),
     checked when the run builds it, before any chain is filled; the fills
     reach dimension n + 1.  A functor with a ``section`` guides every
-    special fill it recognises (``CstFunctor``).  Results are memoised per
-    functor and oracle by the structural hash of sigma, so
-    faces shared between runs are extended once; pass the same memo dict to
-    share across calls.  The memo also holds, under ``("sd", eps, hash)``,
-    the subdivision a run hands to the runs over its faces: one
-    ``subdivision_functor`` build and check per top-level run, which each
-    child restricts (``SdFunctor.restrict``).  A run enters each face's run
-    once and keeps it.
+    special fill it recognises (``CstFunctor``).  Runs are memoised per
+    functor and oracle by the structural hash of sigma; pass the same memo
+    dict to share faces across calls.  The memo also holds, under
+    ``("sd", eps, hash)``, the subdivision a run hands to the runs over its
+    faces: one ``subdivision_functor`` build and check per top-level run,
+    which each child restricts (``SdFunctor.restrict``), even a child run
+    with another functor or oracle (both ends of ``extend_relative``).  A
+    run enters each face's run once and keeps it.
     """
     if memo is None:
         memo = {}
-    # ids are safe keys: each memo value's builder holds F and D, so neither
-    # can be collected (and its id reused) while its entry exists
+    # ids are safe keys: each memo value holds F and D, so neither can be
+    # collected (and its id reused) while its entry exists
     key = (id(F), id(D), structural_hash(sigma))
     hit = memo.get(key)
     if hit is not None:
         return hit
-    ext = _Builder(sigma, F, D, memo, eps).run()
+    ext = BarExtension(sigma, F, D, memo, eps)
+    for k, targets in _fill_targets(sigma.n):
+        for c in targets:
+            ext._fill(c, k)
     memo[key] = ext
     return ext
 
@@ -829,12 +797,7 @@ class RelExtension:
             pos = {v: i for i, v in enumerate(used)}
             return self._value(child, tuple(pos[a] for a in alpha), w)
         if w[0] == w[-1]:
-            try:
-                return self.boundary[w[0]][structural_hash(sig)]
-            except KeyError:
-                raise BoundaryMismatch(
-                    "boundary data does not cover a face of the family"
-                ) from None
+            return self.boundary[w[0]][structural_hash(sig)]
         hit = self.cells.get((structural_hash(sig), alpha, w))
         if hit is None:
             if sig.n == 0 and alpha == (0, 0) and w == (0, 1):
@@ -845,29 +808,22 @@ class RelExtension:
         return hit
 
 
-def extend_relative(
-    h,
-    boundary,
-    family,
-    D: QCOracle,
-    *,
-    eps: float = EPS,
-) -> RelExtension:
+def extend_relative(h, family, D: QCOracle, *, eps: float = EPS) -> RelExtension:
     """Extend functor-level homotopy data over the prisms of a simplex family.
 
-    ``h`` is a CstHomotopy, ``boundary`` is a pair of dicts mapping the
-    structural hash of each family member to its value under the two ends
-    (computed via bar_F when None), and the prisms are filled shuffle by
-    shuffle: inner horns produce the diagonals, and the final cell of each
-    prism is assembled from its full boundary, which is exactly where
-    non-natural data fails.  Each filled cell is checked against its faces'
-    values where it is made (``_bad_face``).  A diagonal, the missing face
-    of a fill, is not compared again: by the simplicial identities each of
-    its faces is a face of a horn face the fill carries, as in ``_fill``,
-    and a diagonal is itself a face of the next horn or of the boundary
-    cell, whose fill compares it.  Each family member is held to the
-    subdivision's dimension bound up front: with explicit boundary data no
-    subdivision is built that would check it.
+    ``h`` is a CstHomotopy.  The family is closed under faces, and the two
+    boundaries are ``bar_F`` of ``h.f0`` and ``h.f1`` on each member of the
+    closure, on one memo.  The prisms are filled shuffle by shuffle: inner
+    horns produce the diagonals, and the final cell of each prism is
+    assembled from its full boundary, which is exactly where non-natural
+    data fails.  Each filled cell is checked against its faces' values where
+    it is made (``_bad_face``).  A diagonal, the missing face of a fill, is
+    not compared again: by the simplicial identities each of its faces is a
+    face of a horn face the fill carries, as in ``_fill``, and a diagonal is
+    itself a face of the next horn or of the boundary cell, whose fill
+    compares it.  Each family member is held to the subdivision's dimension
+    bound up front, so an oversized member fails before the boundary runs
+    over its faces.
     """
     closed = {}
     order = []
@@ -883,24 +839,15 @@ def extend_relative(
         order.append(s)
 
     for s in family:
-        sdv._nonempty_subsets(s.n)  # raises above the shared dimension bound
+        sdv._nonempty_subsets(s.n)  # raises above the bound, before any run
         add(s)
     order.sort(key=lambda s: s.n)
 
     if not isinstance(h, CstHomotopy):
         raise ShapeMismatch("relative extension needs a CstHomotopy")
-    if boundary is None:
-        memo = {}
-        boundary = (
-            {structural_hash(s): bar_F(s, h.f0, D, memo, eps=eps) for s in order},
-            {structural_hash(s): bar_F(s, h.f1, D, memo, eps=eps) for s in order},
-        )
-    b0, b1 = boundary
-    for s in order:
-        key = structural_hash(s)
-        if key not in b0 or key not in b1:
-            raise BoundaryMismatch("boundary data does not cover the family")
-
+    memo = {}
+    b0 = {structural_hash(s): bar_F(s, h.f0, D, memo, eps=eps) for s in order}
+    b1 = {structural_hash(s): bar_F(s, h.f1, D, memo, eps=eps) for s in order}
     rel = RelExtension(D, h, (b0, b1), closed)
 
     # eta must connect the two boundary values on every object

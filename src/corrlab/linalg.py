@@ -58,7 +58,8 @@ def orthonormal_range(a, eps: float = EPS) -> np.ndarray:
     orthogonalize twice against the accepted basis and normalize.  The tie
     window makes the pivot order stable under roundoff-level perturbations
     of the input; columns that are already exact standard unit vectors pass
-    through unchanged, which keeps canonical projections canonical.
+    through unchanged, which keeps canonical projections canonical.  A
+    column with a non-finite norm (NaN or inf) raises ``ValueError``.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2:
@@ -68,6 +69,8 @@ def orthonormal_range(a, eps: float = EPS) -> np.ndarray:
         return np.zeros((n, 0), dtype=complex)
     work = a.copy()
     norms = np.linalg.norm(work, axis=0)
+    if not np.isfinite(norms).all():
+        raise ValueError("a column of the matrix has a non-finite norm")
     thr = eps * max(float(norms.max()) if norms.size else 0.0, 1.0)
     basis: list[np.ndarray] = []
     for _ in range(min(n, m)):

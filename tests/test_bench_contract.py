@@ -6,10 +6,11 @@ and n = 3 steps through the benchmark's own code, with its span tracer
 installed, and check each result against the recorded reference; and they
 run the untrusted-io setup, which replays the generators' random draws (its
 size probe fails if they drift), reads ``sigma.edges`` and serialises
-twisted simplices, and its ``extend-k0`` steps, whose judge parses the
-``edges`` that ``extend --functor k0`` writes.  They read ``perfbench/``
-and never edit it; a subprocess keeps the tracer's rebinding of corrlab
-names out of the test session.
+twisted simplices, its ``extend-k0`` steps, whose judge parses the
+``edges`` that ``extend --functor k0`` writes, and its ``extend-gamma``
+steps, which pass ``--guided`` and run the guided special fills.  They
+read ``perfbench/`` and never edit it; a subprocess keeps the tracer's
+rebinding of corrlab names out of the test session.
 """
 
 import os
@@ -60,6 +61,19 @@ for label, work, judge in steps:
 print("contract ok")
 """
 
+GAMMA_SCRIPT = """
+import sys, workloads
+
+bench = workloads.UntrustedIO()
+plan = bench.setup(42, 1, sys.argv[1])
+steps = [s for s in bench.steps(plan, 0) if s[0].startswith("extend-gamma")]
+assert len(steps) == 6, len(steps)
+for label, work, judge in steps:
+    [(_, ok)] = judge(work(), 0.0)
+    assert ok, f"untrusted-io {label} fails the benchmark's judge"
+print("contract ok")
+"""
+
 
 def run_in_perfbench(script, *args):
     env = dict(os.environ)
@@ -92,3 +106,7 @@ def test_untrusted_io_setup_replays_the_generators(tmp_path):
 
 def test_untrusted_io_k0_steps_pass_the_judge(tmp_path):
     run_in_perfbench(K0_SCRIPT, str(tmp_path))
+
+
+def test_untrusted_io_gamma_steps_pass_the_judge(tmp_path):
+    run_in_perfbench(GAMMA_SCRIPT, str(tmp_path))

@@ -338,7 +338,7 @@ def test_relative_extension_boundaries(n, twist):
     rng = np.random.default_rng(10 * n + twist)
     sig, F0, F1, P, eta = relative_setup(rng, n, twist)
     D = K0Oracle()
-    rel = extend_relative(CstHomotopy(F0, F1, eta), None, [sig], D)
+    rel = extend_relative(CstHomotopy(F0, F1, eta), [sig], D)
     memo = {}
     for s in closure(sig):
         assert rel.value(s, (0,) * (s.n + 1)) == bar_F(s, F0, D, memo)
@@ -360,7 +360,7 @@ def test_relative_extension_identity_homotopy():
     rng = np.random.default_rng(77)
     sig = random_simplex(rng, 1, max_blocks=2, max_size=2, max_mult=1)
     F = k0_functor()
-    rel = extend_relative(CstHomotopy(F, F, identity_eta), None, [sig], K0Oracle())
+    rel = extend_relative(CstHomotopy(F, F, identity_eta), [sig], K0Oracle())
     bar = bar_F(sig, F, K0Oracle(), {})
     assert rel.value(sig, (0, 0)) == bar
     assert rel.value(sig, (1, 1)) == bar
@@ -391,7 +391,7 @@ def test_relative_extension_rejects_non_natural_data():
     sig = random_simplex(rng, 1, max_blocks=2, max_size=2, max_mult=1)
     F = k0_functor()
     with pytest.raises(BoundaryMismatch):
-        extend_relative(CstHomotopy(F, F, non_natural_eta(rng)), None, [sig], K0Oracle())
+        extend_relative(CstHomotopy(F, F, non_natural_eta(rng)), [sig], K0Oracle())
 
 
 def test_relative_extension_rejects_non_natural_data_at_dimension_3():
@@ -399,7 +399,7 @@ def test_relative_extension_rejects_non_natural_data_at_dimension_3():
     sig = random_simplex(rng, 3, max_blocks=2, max_size=2, max_mult=1)
     F = k0_functor()
     with pytest.raises(BoundaryMismatch):
-        extend_relative(CstHomotopy(F, F, non_natural_eta(rng)), None, [sig], K0Oracle())
+        extend_relative(CstHomotopy(F, F, non_natural_eta(rng)), [sig], K0Oracle())
 
 
 def test_relative_extension_caps():
@@ -407,7 +407,7 @@ def test_relative_extension_caps():
     F = k0_functor()
     s5 = random_simplex(rng, 5, max_blocks=1, max_size=2, max_mult=1)
     with pytest.raises(DimensionTooLarge):
-        extend_relative(CstHomotopy(F, F, lambda a: None), None, [s5], K0Oracle())
+        extend_relative(CstHomotopy(F, F, lambda a: None), [s5], K0Oracle())
 
 
 def test_relative_extension_unknown_simplex():
@@ -415,7 +415,7 @@ def test_relative_extension_unknown_simplex():
     sig = random_simplex(rng, 1, max_blocks=2, max_size=2, max_mult=1)
     other = random_simplex(rng, 1, max_blocks=2, max_size=2, max_mult=1)
     F = k0_functor()
-    rel = extend_relative(CstHomotopy(F, F, identity_eta), None, [sig], K0Oracle())
+    rel = extend_relative(CstHomotopy(F, F, identity_eta), [sig], K0Oracle())
     with pytest.raises(BoundaryMismatch):
         rel.value(other, (0, 0))
 
@@ -428,7 +428,7 @@ def test_relative_extension_rejects_a_bad_vertex_map(alpha, w):
     rng = np.random.default_rng(77)
     sig = random_simplex(rng, 1, max_blocks=2, max_size=2, max_mult=1)
     F = k0_functor()
-    rel = extend_relative(CstHomotopy(F, F, identity_eta), None, [sig], K0Oracle())
+    rel = extend_relative(CstHomotopy(F, F, identity_eta), [sig], K0Oracle())
     with pytest.raises(NotMonotone):
         rel.value(sig, w, alpha)
 
@@ -642,7 +642,7 @@ def test_every_full_support_chain_is_made_by_the_run(n, target):
     for chains in enumerate_csd(n).values():
         for c in chains:
             if frozenset(c.subsets[-1] if c.subsets else c.vertices) == full:
-                assert c in ext._builder.vals
+                assert c in ext.vals
 
 
 def test_a_failing_certificate_fails_the_special_fill():
@@ -667,7 +667,7 @@ def test_prism_cell_check_rejects_a_moved_boundary():
     sig = random_simplex(np.random.default_rng(77), 1, max_blocks=2, max_size=2, max_mult=1)
     F = k0_functor()
     with pytest.raises(CompatibilityViolated, match="face .* of prism cell"):
-        extend_relative(CstHomotopy(F, F, identity_eta), None, [sig], MovedBoundaryOracle())
+        extend_relative(CstHomotopy(F, F, identity_eta), [sig], MovedBoundaryOracle())
 
 
 # -- one subdivision per top-level run -----------------------------------------
@@ -699,7 +699,28 @@ def test_one_subdivision_per_top_level_run(monkeypatch, target):
     assert calls == [2]
     # memo hits, the second on a face the run extended for itself
     assert extend_bar_G(s, F, D, memo) is ext
-    assert extend_bar_G(face(s, 0), F, D, memo) is ext._builder.children[(1, 2)]
+    assert extend_bar_G(face(s, 0), F, D, memo) is ext.children[(1, 2)]
     assert calls == [2]
     extend_bar_G(s, F, D, {})
     assert calls == [2, 2]
+
+
+def test_a_run_with_another_functor_restricts_the_subdivision_left_in_the_memo(monkeypatch):
+    """The memo's ("sd", eps, hash) entries are not tied to a functor: a
+    later run over a face, with a second functor instance, restricts the
+    subdivision the first run left there, as the two ends of
+    extend_relative do."""
+    calls = []
+
+    def counting(sigma, **kw):
+        calls.append(sigma.n)
+        return subdivision_functor(sigma, **kw)
+
+    monkeypatch.setattr(extension, "subdivision_functor", counting)
+    D, memo = K0Oracle(), {}
+    s = small_simplex(2, 1)
+    extend_bar_G(s, k0_functor(), D, memo)
+    assert calls == [2]
+    top = extend_bar_G(face(s, 0), k0_functor(), D, memo).top()
+    assert calls == [2]
+    assert top == bar_F(face(s, 0), k0_functor(), D, {})

@@ -17,12 +17,12 @@ import pytest
 from hypothesis import assume, example, given, settings
 
 from corrlab import bicategory
-from corrlab.acceptance import _iso_residuals
+from corrlab.acceptance import _iso_residuals, _sweep
 from corrlab.algebra import FdCstarAlgebra, StarHom, compose_homs, make_star_hom
 from corrlab.bicategory import gamma_isometries, gamma_multiplicativity, gamma_of_hom
 from corrlab.errors import ValidationError
 from corrlab.generators import embedding_hom, random_chain
-from corrlab.linalg import worst_of
+from corrlab.linalg import orthonormal_range, worst_of
 from corrlab.modules import corr_close
 from corrlab.nerve import gamma_simplex
 from corrlab.serialize import hom_from_json, hom_to_json
@@ -190,3 +190,33 @@ def cells_fail(chain, at) -> bool:
     hit = [u for (i, _, k), u in cells.items() if i <= at < k]
     assert len(hit) == {0: 3, 1: 4, 2: 3}[at]
     return all(fails(lambda: worst_of(_iso_residuals(u))) for u in hit)
+
+
+def test_orthonormal_range_refuses_a_nan_column():
+    a = np.eye(3)
+    a[1, 1] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        orthonormal_range(a)
+
+
+def nan_composite():
+    """f12 . f01 on the scaling chain with a NaN in block 0 of f01: the
+    product spreads it into block 1 of the composite (0 * NaN is NaN),
+    a proper partial range (rank 2 of 3), so Gamma reaches Gram-Schmidt."""
+    f01, f12 = scaling_chain()
+    comp = compose_homs(f12, with_nan(f01, 0))
+    assert np.isnan(comp.dst.block_rows(comp.matrix, 1)).any()
+    return comp
+
+
+def test_a_nan_reaching_a_partial_range_raises_value_error():
+    with pytest.raises(ValueError, match="non-finite"):
+        gamma_of_hom(nan_composite())
+
+
+def test_a_sweep_fails_a_case_whose_partial_range_holds_a_nan():
+    comp = nan_composite()
+    report = _sweep("nan-range", 0, ["nan"], lambda rng, t: (gamma_of_hom(comp), True))
+    [case] = report.cases
+    assert not case.ok and case.residual == math.inf
+    assert not report.ok

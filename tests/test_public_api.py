@@ -6,6 +6,7 @@ constructors are called only at the trust boundary."""
 
 import ast
 import importlib
+import inspect
 import pathlib
 import pkgutil
 
@@ -128,6 +129,8 @@ REMOVED_METHODS = {
         "zero", "identity", "block_unit", "matrix_unit", "basis_triples", "from_vec"
     ),
     "StarHom": ("apply", "__call__"),
+    "CstFunctor": ("edge",),
+    "BarExtension": ("__call__",),
 }
 
 
@@ -147,3 +150,14 @@ def test_removed_methods_do_not_resolve():
         if x in dir(getattr(corrlab, cls))
     ]
     assert not found
+
+
+def test_the_extension_run_is_one_class_with_no_unused_options():
+    """``BarExtension`` is the run (no ``_Builder`` behind it), the relative
+    extension always takes its boundaries from ``bar_F``, and K-theory takes
+    no diagram."""
+    from corrlab import extension
+
+    assert not hasattr(extension, "_Builder")
+    assert "boundary" not in inspect.signature(extension.extend_relative).parameters
+    assert list(inspect.signature(extension.k0_functor).parameters) == []
