@@ -233,7 +233,7 @@ def suite_gamma_mult(*, seed: int = 42, eps: float = EPS, trials: int = 200) -> 
 
     def case(rng, t):
         phi, psi = _small_pair(rng)
-        resid = worst_of(_iso_residuals(gamma_multiplicativity(psi, phi, eps=eps)))
+        resid = worst_of(_iso_residuals(gamma_multiplicativity(psi, phi)))
         return resid, resid <= eps
 
     return _sweep("gamma-mult", seed, [f"pair-{t:03d}" for t in range(trials)], case)
@@ -323,7 +323,7 @@ def suite_corner_unitary(*, seed: int = 42, eps: float = EPS, trials: int = 100)
         a = random_algebra(rng, max_blocks=2, max_size=2)
         b = random_algebra(rng, max_blocks=2, max_size=2)
         corr = random_correspondence(a, b, rng)
-        fact = u_of_corr(corr, eps=eps)
+        fact = u_of_corr(corr)
         resid = worst_of(_iso_residuals(fact.iso))
         ok = (
             resid <= eps
@@ -390,7 +390,7 @@ def suite_k0_extension(
             for i in range(n + 1)
             for j in range(i + 1, n + 1)
         ]
-        fact = u_of_corr(s.edges[(0, 1)], eps=eps)
+        fact = u_of_corr(s.edges[(0, 1)])
         diffs.append(bar.edge(0, 1) - int_inverse(k0_matrix(fact.i_hom)) @ k0_matrix(fact.j_hom))
         worst = max(int(np.abs(d).max()) for d in diffs)
         return float(worst), worst == 0

@@ -122,7 +122,7 @@ class StarHom:
     ``unital``, true iff sum_i r_ij n_i = m_j for every dst block j, i.e.
     phi(1) fills every dst block.
 
-    ``_gamma`` keeps Gamma(phi) and its range isometries per eps (bicategory).
+    ``_gamma`` keeps Gamma(phi) and its range isometries (bicategory).
 
     ``_ws`` keeps the Bratteli data of a hom built from it
     (``_bratteli_hom``), and is None otherwise.  Such a hom is given no
@@ -232,13 +232,13 @@ def _mult_residual(src, dst, matrix):
 def _traced_mult(src, dst, matrix) -> np.ndarray:
     """The multiplicities of a matrix from outside, read as traces: r_ij is
     the rounded real trace of phi(e^(i)_00) in dst block j, which for a
-    *-hom is a projection of rank r_ij <= m_j.  A larger |r_ij| cannot be a
-    rank (nor, past 2**63, be cast) and raises NotProjection."""
+    *-hom is a projection of rank 0 <= r_ij <= m_j.  Any other r_ij cannot
+    be a rank (nor, past 2**63, be cast) and raises NotProjection."""
     diag = [d for o, m in zip(dst._offsets, dst.blocks) for d in range(o, o + m * m, m + 1)]
     starts = np.cumsum((0,) + dst.blocks[:-1])  # where each block's run starts in diag
     traces = np.add.reduceat(matrix[np.array(diag)[:, None], src._offsets].real, starts, axis=0)
     ranks = np.rint(traces)
-    if (np.abs(ranks) > np.array(dst.blocks)[:, None]).any():
+    if not ((ranks >= 0) & (ranks <= np.array(dst.blocks)[:, None])).all():  # NaN too
         raise NotProjection("a trace of phi(e_00) is not a rank in its block")
     return ranks.T.astype(np.int64)
 
@@ -308,7 +308,10 @@ def hom_normal_form(phi: StarHom, *, eps: float = EPS):
 
     phi(e^(i)_a0) in block j is column offset(i) + a n_i of the matrix, read
     through ``block_rows``; ``+ 0.0`` copies it and turns -0.0 into 0.0, as
-    the matvec of phi with that basis vector does.
+    the matvec of phi with that basis vector does.  The ranks are phi's
+    multiplicities: P = phi(e^(i)_00)_j gets r_ij pivots, and eps bounds
+    only the check that they span it, frob(P - V V^* P), else
+    NotMultiplicative.  The padding gets m_j minus the filled columns.
     """
     src, dst = phi.src, phi.dst
     ws = []
@@ -320,11 +323,11 @@ def hom_normal_form(phi: StarHom, *, eps: float = EPS):
             if r == 0:
                 continue
             o = src.offset(i)
-            v = orthonormal_range(imgs[:, :, o] + 0.0, eps)
-            if v.shape[1] != r:
-                raise NotMultiplicative(
-                    f"rank of phi(e11) in block {j} is {v.shape[1]}, expected {r}"
-                )
+            p = imgs[:, :, o] + 0.0
+            v = orthonormal_range(p, r)
+            resid = frob(p - v @ (v.conj().T @ p))
+            if not resid <= eps:
+                raise NotMultiplicative(f"phi(e11) in block {j} is not of rank {r}", resid)
             for a in range(n):
                 ea1 = imgs[:, :, o + a * n] + 0.0
                 for t in range(r):
@@ -332,10 +335,10 @@ def hom_normal_form(phi: StarHom, *, eps: float = EPS):
         w = np.column_stack(cols) if cols else np.zeros((m, 0), dtype=complex)
         fill = w.shape[1]
         if fill < m:
-            comp = np.eye(m, dtype=complex) - w @ w.conj().T
-            extra = orthonormal_range(comp, eps)
-            if extra.shape[1] != m - fill:
-                raise ShapeMismatch("could not complete normal-form unitary")
+            try:
+                extra = orthonormal_range(np.eye(m, dtype=complex) - w @ w.conj().T, m - fill)
+            except ValueError as err:
+                raise ShapeMismatch(f"could not complete normal-form unitary: {err}") from err
             w = np.column_stack([w, extra])
         ws.append(w)
     return ws

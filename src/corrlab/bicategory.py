@@ -2,7 +2,11 @@
 
 gamma_of_hom sends phi: A -> B to the correspondence phi(1)B, with left
 action the compression of phi by isometries onto the ranges of phi(1).
-Where phi's multiplicities say phi(1) fills a block, that isometry is I.
+Every rank these need is read off phi's multiplicities: where phi(1) fills
+a block the isometry is I, and a proper partial range gets exactly its
+rank's pivots.  So Gamma, its isometries, the products they enter and the
+factorization u_of_corr are functions of their inputs alone, built once
+and kept; eps enters only the checks (hom_normal_form's, CorrIso's).
 Composition of homs and tensor product of their correspondences agree up to
 the canonical intertwiner produced by gamma_multiplicativity.
 
@@ -56,9 +60,9 @@ __all__ = [
 ]
 
 
-def gamma_isometries(phi: StarHom, *, eps: float = EPS):
+def gamma_isometries(phi: StarHom):
     """Per-dst-block isometries onto the ranges of phi(1), read-only; computed
-    once per (phi, eps) and kept on phi.
+    once per phi and kept on it.
 
     phi is a *-hom (certified by its builder, or checked at the trust
     boundary, which traces its multiplicities), so phi(1)_j is a projection
@@ -66,23 +70,24 @@ def gamma_isometries(phi: StarHom, *, eps: float = EPS):
     basis orthonormal_range gives for the exact unit; at rank 0, V_j is
     (m_j, 0), as it gives for a zero block.  Homs that differ by rounding (a
     composite reached along two paths) have equal multiplicities, so both
-    get exactly these; only a proper partial range goes to orthonormal_range.
+    get exactly these; only a proper partial range goes to orthonormal_range,
+    at that rank.
     """
-    vs = phi._gamma.get(("range", eps))
+    vs = phi._gamma.get("range")
     if vs is None:
         p, vs = None, []
         for j, (m, r) in enumerate(zip(phi.dst.blocks, np.dot(phi.src.blocks, phi.mult_matrix))):
             if 0 < r < m:
                 p = _unit_image(phi)[:, None] if p is None else p
-                vs.append(orthonormal_range(phi.dst.block_rows(p, j)[:, :, 0], eps))
+                vs.append(orthonormal_range(phi.dst.block_rows(p, j)[:, :, 0], r))
             else:
                 vs.append(np.eye(m, r, dtype=complex))  # I if filled, (m, 0) if missed
             vs[-1].setflags(write=False)
-        vs = phi._gamma[("range", eps)] = tuple(vs)
+        vs = phi._gamma["range"] = tuple(vs)
     return vs
 
 
-def gamma_of_hom(phi: StarHom, *, eps: float = EPS) -> Correspondence:
+def gamma_of_hom(phi: StarHom) -> Correspondence:
     """The correspondence phi(1)B of a *-homomorphism phi: A -> B.
 
     Module multiplicity at block j is rank(phi(1)_j); the left action is
@@ -90,13 +95,13 @@ def gamma_of_hom(phi: StarHom, *, eps: float = EPS) -> Correspondence:
     (gamma_isometries).  Where phi(1) fills block j, V_j = I, and the rows
     are phi's own block rows (+ 0.0, so -0.0 reads as 0.0).
     Multiplicities: mult(phi) at the kept blocks, as V_j keeps phi(1)_j's range.
-    Computed once per (phi, eps) and kept on phi: repeated calls return the
-    same object, so sibling chains share edges and their tensor frames.
+    Computed once per phi and kept on it: repeated calls return the same
+    object, so sibling chains share edges and their tensor frames.
     """
-    corr = phi._gamma.get(("corr", eps))
+    corr = phi._gamma.get("corr")
     if corr is not None:
         return corr
-    vs = gamma_isometries(phi, eps=eps)
+    vs = gamma_isometries(phi)
     mult = [v.shape[1] for v in vs]
     if all(m == 0 for m in mult):
         raise InvalidAlgebra("the zero homomorphism has no correspondence")
@@ -114,11 +119,11 @@ def gamma_of_hom(phi: StarHom, *, eps: float = EPS) -> Correspondence:
         imgs = phi.matrix[o : o + m * m].T.copy().reshape(-1, m, m)
         kc.block_rows(lam, t)[:] = (v.conj().T @ imgs @ v).transpose(1, 2, 0)
     lam_hom = StarHom(phi.src, kc, lam, phi.mult_matrix[:, list(module.kept)])
-    corr = phi._gamma[("corr", eps)] = Correspondence(phi.src, module, lam_hom)
+    corr = phi._gamma["corr"] = Correspondence(phi.src, module, lam_hom)
     return corr
 
 
-def gamma_multiplicativity(psi: StarHom, phi: StarHom, *, comp=None, eps: float = EPS) -> CorrIso:
+def gamma_multiplicativity(psi: StarHom, phi: StarHom, *, comp=None) -> CorrIso:
     """Canonical intertwiner (Gamma phi) (x) (Gamma psi) -> Gamma(psi . phi).
 
     On representatives it is b (x) c -> psi(b) c, written in the range
@@ -133,11 +138,9 @@ def gamma_multiplicativity(psi: StarHom, phi: StarHom, *, comp=None, eps: float 
         comp = compose_homs(psi, phi)
     elif comp.src != phi.src or comp.dst != psi.dst:
         raise EndpointMismatch("comp does not have the composite endpoints")
-    target = gamma_of_hom(comp, eps=eps)
-    tp = tensor_corrs(gamma_of_hom(phi, eps=eps), gamma_of_hom(psi, eps=eps), eps=eps)
-    v_phi = gamma_isometries(phi, eps=eps)
-    v_psi = gamma_isometries(psi, eps=eps)
-    v_comp = gamma_isometries(comp, eps=eps)
+    target = gamma_of_hom(comp)
+    tp = tensor_corrs(gamma_of_hom(phi), gamma_of_hom(psi))
+    v_phi, v_psi, v_comp = gamma_isometries(phi), gamma_isometries(psi), gamma_isometries(comp)
     mid = psi.src
 
     def action(j, a, k, w):
@@ -169,7 +172,7 @@ class CornerFactorization:
     iso: CorrIso
 
 
-def u_of_corr(corr: Correspondence, *, eps: float = EPS) -> CornerFactorization:
+def u_of_corr(corr: Correspondence) -> CornerFactorization:
     """E = (Gamma j_E) (x) X; j_hom has lambda_E's multiplicities, on their blocks."""
     a, b = corr.src, corr.dst
     e_mod = corr.module
@@ -190,9 +193,9 @@ def u_of_corr(corr: Correspondence, *, eps: float = EPS) -> CornerFactorization:
     ]
     i_hom = _bratteli_hom(b, linking, ws)
 
-    gamma_j = gamma_of_hom(j_hom, eps=eps)
+    gamma_j = gamma_of_hom(j_hom)
     x_corr = Correspondence(linking, sum_mod, identity_hom(linking))
-    tp = tensor_corrs(gamma_j, x_corr, eps=eps)
+    tp = tensor_corrs(gamma_j, x_corr)
 
     iso = CorrIso._trusted(tp.corr, corr, _renaming_blocks(tp, corr))
     return CornerFactorization(linking, j_hom, i_hom, gamma_j, x_corr, iso)
@@ -262,7 +265,7 @@ def equivalence_inverse(corr: Correspondence, *, eps: float = EPS) -> Equivalenc
         raise NotAnEquivalence("correspondence is not full")
     inverse = Correspondence(b, inv_mod, inv_lam)
 
-    tp_left = tensor_corrs(corr, inverse, eps=eps)
+    tp_left = tensor_corrs(corr, inverse)
     id_a = identity_corr(a)
 
     # tp_left.r[k][i] and tp_right.r[i][k] vanish unless k = block_map[i]
@@ -273,7 +276,7 @@ def equivalence_inverse(corr: Correspondence, *, eps: float = EPS) -> Equivalenc
         tp_left.corr, id_a, _intertwiner_blocks(tp_left, id_a, act_left)
     )
 
-    tp_right = tensor_corrs(inverse, corr, eps=eps)
+    tp_right = tensor_corrs(inverse, corr)
     id_b = identity_corr(b)
 
     def act_right(i, r, k, w):

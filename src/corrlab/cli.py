@@ -186,7 +186,7 @@ def cmd_gamma(args) -> int:
     phi = load_value(args.hom, eps=args.eps)
     if not isinstance(phi, StarHom):
         raise SchemaError(f"{args.hom}: expected a star_hom file")
-    _emit(corr_to_json.doc(gamma_of_hom(phi, eps=args.eps)), args.out)
+    _emit(corr_to_json.doc(gamma_of_hom(phi)), args.out)
     return 0
 
 

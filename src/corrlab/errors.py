@@ -26,6 +26,11 @@ so normality needs no check.  JSON parse bounds every ``blocks`` and
 ``subdivision_functor`` checks the functoriality of its connecting homs on
 their Bratteli data, not on their dense matrices, which are views built
 from that data on first read (``FunctorialityViolated``).
+Derived data (Gamma, tensor frames and products) takes every rank from
+the multiplicities a ``StarHom`` carries, which its builder knows or the
+boundary traces, and so depends on no eps; a pivot of norm 0, which only
+an unchecked action with an overstated multiplicity reaches, raises
+``ShapeMismatch``.
 Validation errors carry the offending residual where one exists, so
 callers (and the CLI ``validate`` command) can report how badly an
 invariant failed.

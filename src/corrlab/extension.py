@@ -332,7 +332,7 @@ class NCorrOracle(QCOracle):
                 e01 = preferred_face.edge(0, 1)
                 e12 = horn.faces[0].edge(0, 1)
                 e02 = horn.faces[1].edge(0, 1)
-                t = tensor_corrs(e01, e12, eps=self.eps)
+                t = tensor_corrs(e01, e12)
                 u = find_corr_iso(t.corr, e02, eps=self.eps)
                 if u is None:
                     return None
@@ -435,7 +435,7 @@ def gamma_functor(arrows=(), *, eps: float = EPS) -> CstFunctor:
     table = {}
     for length in (1, 2, 3):
         for h in level[length]:
-            table.setdefault(structural_hash(gamma_of_hom(h, eps=eps)), h)
+            table.setdefault(structural_hash(gamma_of_hom(h)), h)
 
     def vertex(a):
         return make_simplex([a], {}, {}, eps=eps)
@@ -446,7 +446,7 @@ def gamma_functor(arrows=(), *, eps: float = EPS) -> CstFunctor:
         return s
 
     def certificate(phi):
-        return equivalence_inverse(gamma_of_hom(phi, eps=eps), eps=eps)
+        return equivalence_inverse(gamma_of_hom(phi), eps=eps)
 
     def section(sig):
         if sig.n == 0:

@@ -6,6 +6,8 @@ given bit-identical input they must return bit-identical output, pivoting by
 largest residual with ties broken by lowest index, and they must map exact
 0/1 projection patterns to exact canonical unit vectors (so that canonical
 constructions like Gamma(id) come out on the nose, not merely up to phase).
+They take the rank they are to find, a *-hom's multiplicity in every
+caller, and have no threshold: a tolerance belongs to the checks.
 """
 from __future__ import annotations
 
@@ -50,93 +52,75 @@ def worst_of(residuals) -> float:
     return worst
 
 
-def orthonormal_range(a, eps: float = EPS) -> np.ndarray:
-    """Orthonormal basis of the column space of ``a``, deterministically.
+def orthonormal_range(a, rank: int) -> np.ndarray:
+    """Orthonormal basis of a column space of known ``rank``, deterministically.
 
-    Pivoted modified Gram-Schmidt: at each step take the lowest-index column
-    whose residual norm is within a relative 1e-6 of the largest, then
-    orthogonalize twice against the accepted basis and normalize.  The tie
-    window makes the pivot order stable under roundoff-level perturbations
-    of the input; columns that are already exact standard unit vectors pass
-    through unchanged, which keeps canonical projections canonical.  A
-    column with a non-finite norm (NaN or inf) raises ``ValueError``.
+    Pivoted modified Gram-Schmidt, ``rank`` pivots: at each step take the
+    lowest-index column whose residual norm is within a relative 1e-6 of the
+    largest, then orthogonalize twice against the accepted basis and
+    normalize.  The tie window makes the pivot order stable under
+    roundoff-level perturbations of the input; columns that are already
+    exact standard unit vectors pass through unchanged, which keeps
+    canonical projections canonical.  A column with a non-finite norm (NaN
+    or inf), or a pivot of norm 0 (the rank overstated), raises
+    ``ValueError``.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2:
         raise ValueError("need a matrix")
-    n, m = a.shape
-    if n == 0 or m == 0:
-        return np.zeros((n, 0), dtype=complex)
     work = a.copy()
-    norms = np.linalg.norm(work, axis=0)
-    if not np.isfinite(norms).all():
+    if not np.isfinite(np.linalg.norm(work, axis=0)).all():
         raise ValueError("a column of the matrix has a non-finite norm")
-    thr = eps * max(float(norms.max()) if norms.size else 0.0, 1.0)
     basis: list[np.ndarray] = []
-    for _ in range(min(n, m)):
+    for _ in range(rank):
         norms = np.linalg.norm(work, axis=0)
-        top = float(norms.max())
-        if top <= thr:
-            break
-        j = int(np.flatnonzero(norms >= top * (1.0 - 1e-6))[0])
+        j = int(np.flatnonzero(norms >= norms.max() * (1.0 - 1e-6))[0])
         v = work[:, j]
         for _ in range(2):
             for b in basis:
                 v = v - b * (b.conj() @ v)
         nv = np.linalg.norm(v)
-        if nv <= thr:
-            work[:, j] = 0.0
-            continue
+        if nv <= 0:
+            raise ValueError(f"pivot {len(basis)} of {rank} has norm 0")
         v = v / nv
         basis.append(v)
         # deflate remaining columns against the new direction
         work -= np.outer(v, v.conj() @ work)
         work[:, j] = 0.0
-    if not basis:
-        return np.zeros((n, 0), dtype=complex)
-    return np.column_stack(basis)
+    return np.column_stack(basis) if basis else np.zeros((len(a), 0), dtype=complex)
 
 
-def gram_onb(g, eps: float = EPS) -> np.ndarray:
-    """Coefficient vectors orthonormal w.r.t. a PSD Gram matrix.
+def gram_onb(g, rank: int) -> np.ndarray:
+    """Coefficient vectors orthonormal w.r.t. a PSD Gram matrix of known ``rank``.
 
     Given the Gram matrix ``g`` of a spanning family, returns R of shape
-    (len(family), r) with R^H g R = I, where r is the rank of the form at
-    threshold eps.  Column t of R expresses the t-th orthonormal vector as a
-    combination of family members.  Pivot: largest residual diagonal, ties ->
-    lowest index.  For an exact 0/1 diagonal ``g`` the columns of R are exact
-    standard unit vectors in pivot order.
+    (len(family), rank) with R^H g R = I.  Column t of R expresses the t-th
+    orthonormal vector as a combination of family members.  Pivot: largest
+    residual diagonal, ties -> lowest index.  For an exact 0/1 diagonal
+    ``g`` the columns of R are exact standard unit vectors in pivot order.
+    A pivot of norm <= 0 (the rank overstated) raises ``ValueError``; a NaN
+    pivot flows through into R.
     """
     g = np.asarray(g, dtype=complex)
     q = g.shape[0]
-    if q == 0:
-        return np.zeros((0, 0), dtype=complex)
-    diag0 = np.real(np.diag(g)).copy()
-    thr = eps * max(float(diag0.max()) if q else 0.0, 1.0)
     cols: list[np.ndarray] = []
-    resid = diag0.copy()
-    for _ in range(q):
+    resid = np.real(np.diag(g)).copy()
+    for _ in range(rank):
         e = int(np.argmax(resid))
-        if resid[e] <= thr:
-            break
         c = np.zeros(q, dtype=complex)
         c[e] = 1.0
         for _ in range(2):
             for b in cols:
                 c = c - b * (b.conj() @ (g @ c))
         nrm2 = np.real(c.conj() @ (g @ c))
-        if nrm2 <= thr:
-            resid[e] = 0.0
-            continue
+        if nrm2 <= 0:
+            raise ValueError(f"pivot {len(cols)} of {rank} has norm 0")
         c = c / np.sqrt(nrm2)
         cols.append(c)
-        gc = g @ c
-        resid = resid - np.abs(gc) ** 2 / 1.0
+        resid = resid - np.abs(g @ c) ** 2
         np.maximum(resid, 0.0, out=resid)
         resid[e] = 0.0
-    if not cols:
-        return np.zeros((q, 0), dtype=complex)
-    return np.column_stack(cols)
+    return np.column_stack(cols) if cols else np.zeros((q, 0), dtype=complex)
 
 
 def int_inverse(m) -> np.ndarray:

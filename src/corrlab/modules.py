@@ -19,8 +19,10 @@ projections P_jk = lambda_F(e^(j)_{11}) restricted to base block k.  An
 orthonormalisation R_jk of P_jk turns each group into r_jk = rank(P_jk)
 coordinate rows, so the tensor module has multiplicity
 Q_k = sum_j m_j r_jk with rows ordered (j, a, t), j and a and t ascending.
+r_jk is lambda_F's multiplicity, which every StarHom carries, so a frame,
+and so a product, is a function of E and F alone.
 tensor_corrs is the one place a product is built: it keeps E (x) F on E, one
-per (F, eps), for as long as E lives.  E (x) id_B with the identity_corr kept
+per F, for as long as E lives.  E (x) id_B with the identity_corr kept
 on B is E itself: there P_jk is e^(j)_00 at k = j and 0 elsewhere, so r is
 the identity, Q = mult(E), each group starts at row 0 and lambda_G copies
 lambda_E, and the general construction would rebuild E to the bit.
@@ -140,11 +142,11 @@ class Correspondence:
     """A proper correspondence: a module plus a unital left action by compacts.
 
     Immutable.  Its data as the right factor of a tensor product is derived
-    once per eps on first use (``_frame``) and shared by every product; the
+    once on first use (``_frame``) and shared by every product; the
     products with it on the left are kept in ``_products`` (tensor_corrs).
     """
 
-    __slots__ = ("src", "module", "lam", "_frames", "_products", "__weakref__")
+    __slots__ = ("src", "module", "lam", "_kept_frame", "_products", "__weakref__")
 
     def __init__(self, src: FdCstarAlgebra, module: HilbertModule, lam: StarHom):
         if lam.src != src or lam.dst != module.compacts:
@@ -154,7 +156,7 @@ class Correspondence:
         self.src = src
         self.module = module
         self.lam = lam
-        self._frames = {}
+        self._kept_frame = None
         self._products = {}
 
     @property
@@ -165,34 +167,35 @@ class Correspondence:
     def dim(self) -> int:
         return self.module.dim
 
-    def _frame(self, eps: float):
-        """Read-only (r, proj, onb) of this F in any E (x)_B F: P_jk, its R_jk
-        and its rank r_jk, which must equal lambda_F's multiplicity (else
-        raise, keeping nothing); see TensorProduct.  P_jk is column offset(j)
-        of lambda_F's matrix at block k, 0 x 0 at a dropped k; ``+ 0.0``
-        copies it and turns -0.0 into 0.0, as a matvec with e^(j)_11 does."""
-        frame = self._frames.get(eps)
-        if frame is None:
+    def _frame(self):
+        """Read-only (r, proj, onb) of this F in any E (x)_B F: r_jk is
+        lambda_F's multiplicity (0 at a dropped k), P_jk and its R_jk of r_jk
+        columns; see TensorProduct.  P_jk is column offset(j) of lambda_F's
+        matrix at block k, 0 x 0 at a dropped k; ``+ 0.0`` copies it and
+        turns -0.0 into 0.0, as a matvec with e^(j)_11 does.  lambda_F is a
+        *-hom (certified, or checked at the trust boundary, which traces its
+        multiplicities), so P_jk is a projection of rank r_jk; a zero pivot
+        (an overstated rank) raises ShapeMismatch, keeping nothing."""
+        if self._kept_frame is None:
             kc, lam = self.module.compacts, self.lam.matrix
-            zero = np.zeros((0, 0), dtype=complex)
             pos = [self.module.compact_pos(k) for k in range(self.dst.nblocks)]
+            mult = self.lam.mult_matrix.tolist()
+            ranks = tuple(tuple(0 if p is None else row[p] for p in pos) for row in mult)
+            zero = np.zeros((0, 0), dtype=complex)
             proj = tuple(
                 tuple(zero if p is None else kc.block_rows(lam, p)[:, :, c] + 0.0 for p in pos)
                 for c in self.src._offsets
             )
-            onb = tuple(tuple(gram_onb(p, eps) for p in row) for row in proj)
-            ranks = tuple(tuple(x.shape[1] for x in row) for row in onb)
-            # a dropped block k has P_jk of size 0, so r_jk = 0 there always
-            mult, kept = self.lam.mult_matrix.tolist(), self.module.kept
-            for j, row in enumerate(ranks):
-                if [row[k] for k in kept] != mult[j]:
-                    raise ShapeMismatch(
-                        f"rank of lambda(e11) disagrees with multiplicities at row {j}"
-                    )
+            try:
+                onb = tuple(
+                    tuple(gram_onb(p, r) for p, r in zip(ps, rs)) for ps, rs in zip(proj, ranks)
+                )
+            except ValueError as err:
+                raise ShapeMismatch(f"lambda(e11) has rank below its multiplicity: {err}") from err
             for x in [p for row in proj + onb for p in row]:
                 x.setflags(write=False)
-            frame = self._frames[eps] = (ranks, proj, onb)
-        return frame
+            self._kept_frame = (ranks, proj, onb)
+        return self._kept_frame
 
     def __repr__(self):
         return f"Correspondence({self.src!r} -> {self.dst!r}, mult={list(self.module.mult)})"
@@ -378,11 +381,11 @@ class TensorProduct:
     F's read-only frame (Correspondence._frame), shared by all its products.
     """
 
-    def __init__(self, left: Correspondence, right: Correspondence, *, eps: float = EPS):
+    def __init__(self, left: Correspondence, right: Correspondence):
         if left.dst != right.src:
             raise EndpointMismatch("tensor product needs matching middle algebra")
         self.left, self.right = left, right
-        self.r, self.proj, self.onb = right._frame(eps)
+        self.r, self.proj, self.onb = right._frame()
         self._row0, q = [], (0,) * right.dst.nblocks  # _row0[j][k]: row_start(k, j, 0)
         for m, r_j in zip(left.module.mult, self.r):
             self._row0.append(q)
@@ -427,14 +430,13 @@ class TensorProduct:
 
 
 
-def tensor_corrs(left: Correspondence, right: Correspondence, *, eps: float = EPS) -> TensorProduct:
-    """E (x)_B F, built on first use and kept on E under (id(F), eps), so
-    every caller shares one product per pair; one that raises is not kept.
+def tensor_corrs(left: Correspondence, right: Correspondence) -> TensorProduct:
+    """E (x)_B F, built on first use and kept on E under id(F), so every
+    caller shares one product per pair; one that raises is not kept.
     The id is a safe key: the kept product holds F, so it is not reused."""
-    key = (id(right), eps)
-    tp = left._products.get(key)
+    tp = left._products.get(id(right))
     if tp is None:
-        tp = left._products[key] = TensorProduct(left, right, eps=eps)
+        tp = left._products[id(right)] = TensorProduct(left, right)
     return tp
 
 

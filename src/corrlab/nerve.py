@@ -372,13 +372,13 @@ def gamma_simplex(phis, *, eps: float = EPS, validate: bool = True, composites=N
     edges = {}
     for i in range(n + 1):
         for j in range(i + 1, n + 1):
-            edges[(i, j)] = gamma_of_hom(comp[(i, j)], eps=eps)
+            edges[(i, j)] = gamma_of_hom(comp[(i, j)])
     cells = {}
     for i in range(n + 1):
         for j in range(i + 1, n + 1):
             for k in range(j + 1, n + 1):
                 cells[(i, j, k)] = gamma_multiplicativity(
-                    comp[(j, k)], comp[(i, j)], comp=comp[(i, k)], eps=eps
+                    comp[(j, k)], comp[(i, j)], comp=comp[(i, k)]
                 )
     return make_simplex(algebras, edges, cells, eps=eps, validate=validate)
 
@@ -471,7 +471,7 @@ def fill_inner_horn(horn: HornSpec, *, eps: float = EPS) -> NCorrSimplex:
         raise Unfillable(f"L^{n}_{k} is not an inner horn")
     algebras, edges, cells = _merge_face_data(horn.n, horn.faces, eps)
     if n == 2:
-        t = tensor_corrs(edges[(0, 1)], edges[(1, 2)], eps=eps)
+        t = tensor_corrs(edges[(0, 1)], edges[(1, 2)])
         edges[(0, 2)] = t.corr
         cells[(0, 1, 2)] = identity_iso(t.corr)
     elif n == 3:
@@ -501,14 +501,14 @@ def fill_special_outer_horn(horn: HornSpec, witness=None, *, eps: float = EPS) -
             witness = equivalence_inverse(last, eps=eps)
         if n == 2:
             inv = witness.inverse
-            t1 = tensor_corrs(edges[(0, 2)], inv, eps=eps)
+            t1 = tensor_corrs(edges[(0, 2)], inv)
             e01 = t1.corr
             edges[(0, 1)] = e01
-            t2 = tensor_corrs(e01, edges[(1, 2)], eps=eps)
-            t_r = tensor_corrs(inv, witness.corr, eps=eps)
-            t_e_fg = tensor_corrs(edges[(0, 2)], t_r.corr, eps=eps)
+            t2 = tensor_corrs(e01, edges[(1, 2)])
+            t_r = tensor_corrs(inv, witness.corr)
+            t_e_fg = tensor_corrs(edges[(0, 2)], t_r.corr)
             ass = associator(t1, t2, t_r, t_e_fg)
-            t_unit = tensor_corrs(edges[(0, 2)], identity_corr(algebras[2]), eps=eps)
+            t_unit = tensor_corrs(edges[(0, 2)], identity_corr(algebras[2]))
             mid = tensor_iso(
                 identity_iso(edges[(0, 2)]), witness.counit_right, t_e_fg, t_unit, eps=eps
             )
@@ -565,12 +565,12 @@ def _solve_pentagon(edges, cells, k, eps):
     """
     e01, e12, e23 = edges[(0, 1)], edges[(1, 2)], edges[(2, 3)]
     e02, e13 = edges[(0, 2)], edges[(1, 3)]
-    t01_12 = tensor_corrs(e01, e12, eps=eps)
-    t12_23 = tensor_corrs(e12, e23, eps=eps)
-    t_l = tensor_corrs(t01_12.corr, e23, eps=eps)
-    t_r = tensor_corrs(e01, t12_23.corr, eps=eps)
-    t02_23 = tensor_corrs(e02, e23, eps=eps)
-    t01_13 = tensor_corrs(e01, e13, eps=eps)
+    t01_12 = tensor_corrs(e01, e12)
+    t12_23 = tensor_corrs(e12, e23)
+    t_l = tensor_corrs(t01_12.corr, e23)
+    t_r = tensor_corrs(e01, t12_23.corr)
+    t02_23 = tensor_corrs(e02, e23)
+    t01_13 = tensor_corrs(e01, e13)
     ass = associator(t01_12, t_l, t12_23, t_r)
     step = tensor_iso(identity_iso(e01), cells[(1, 2, 3)], t_r, t01_13, eps=eps)
     if k == 2:

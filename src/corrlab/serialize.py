@@ -379,7 +379,7 @@ def simplex_from_json(doc, *, eps: float = EPS, validate: bool = True, where="nc
             raise SchemaError(f"{here}: needs i < j < k")
         # the cell source is the tensor product of the two edges, whose
         # deterministic coordinates are the ones the unitary was written in
-        tp = tensor_corrs(edges[(i, j)], edges[(j, k)], eps=eps)
+        tp = tensor_corrs(edges[(i, j)], edges[(j, k)])
         target = edges[(i, k)]
         m = matrix_from_json(
             _need(rec, "unitary", here),

@@ -14,7 +14,10 @@ p B p of a projection (``corner_algebra``) is presented with its inclusion,
 a hom built from Bratteli data.  No library path uses this model; only the
 tests do.  The helpers at the end (``is_equivalence``, ``direct_sum_corrs``,
 ``is_nondegenerate``, ``phi_star``, ``connecting_hom`` and ``dump_value``)
-left the library for the same reason.
+left the library for the same reason.  So did the rank-guessing kernels
+``orthonormal_range`` and ``gram_onb``: they find a rank at a threshold,
+where the library's take the known rank, and the model uses them to derive
+its ranks independently of any multiplicity.
 """
 
 from dataclasses import dataclass
@@ -34,10 +37,83 @@ from corrlab.errors import (
     ShapeMismatch,
     ShapeViolation,
 )
-from corrlab.linalg import EPS, frob, gram_onb, orthonormal_range, worse
+from corrlab.linalg import EPS, frob, worse
 from corrlab.modules import Correspondence, direct_sum_modules, make_module
 from corrlab.serialize import _json_text, _value_doc
 from corrlab.subdivision import AugChain, _connecting, module_E_S
+
+
+def orthonormal_range(a, eps: float = EPS) -> np.ndarray:
+    """Orthonormal basis of the column space of ``a``, its rank found at a
+    threshold: ``linalg.orthonormal_range``'s pivots, taken while the largest
+    residual norm exceeds eps * max(largest column norm, 1), a pivot whose
+    orthogonalized norm does not being skipped.  A non-finite column norm
+    raises ``ValueError``."""
+    a = np.asarray(a, dtype=complex)
+    if a.ndim != 2:
+        raise ValueError("need a matrix")
+    n, m = a.shape
+    if n == 0 or m == 0:
+        return np.zeros((n, 0), dtype=complex)
+    work = a.copy()
+    norms = np.linalg.norm(work, axis=0)
+    if not np.isfinite(norms).all():
+        raise ValueError("a column of the matrix has a non-finite norm")
+    thr = eps * max(float(norms.max()), 1.0)
+    basis = []
+    for _ in range(min(n, m)):
+        norms = np.linalg.norm(work, axis=0)
+        top = float(norms.max())
+        if top <= thr:
+            break
+        j = int(np.flatnonzero(norms >= top * (1.0 - 1e-6))[0])
+        v = work[:, j]
+        for _ in range(2):
+            for b in basis:
+                v = v - b * (b.conj() @ v)
+        nv = np.linalg.norm(v)
+        if nv <= thr:
+            work[:, j] = 0.0
+            continue
+        v = v / nv
+        basis.append(v)
+        work -= np.outer(v, v.conj() @ work)
+        work[:, j] = 0.0
+    return np.column_stack(basis) if basis else np.zeros((n, 0), dtype=complex)
+
+
+def gram_onb(g, eps: float = EPS) -> np.ndarray:
+    """Coefficient vectors orthonormal w.r.t. a PSD Gram matrix, its rank
+    found at a threshold: ``linalg.gram_onb``'s pivots, taken while the
+    largest residual diagonal exceeds eps * max(largest diagonal, 1), a pivot
+    whose orthogonalized norm does not being skipped.  A NaN diagonal makes
+    the threshold NaN, so every pivot is taken."""
+    g = np.asarray(g, dtype=complex)
+    q = g.shape[0]
+    if q == 0:
+        return np.zeros((0, 0), dtype=complex)
+    resid = np.real(np.diag(g)).copy()
+    thr = eps * max(float(resid.max()), 1.0)
+    cols = []
+    for _ in range(q):
+        e = int(np.argmax(resid))
+        if resid[e] <= thr:
+            break
+        c = np.zeros(q, dtype=complex)
+        c[e] = 1.0
+        for _ in range(2):
+            for b in cols:
+                c = c - b * (b.conj() @ (g @ c))
+        nrm2 = np.real(c.conj() @ (g @ c))
+        if nrm2 <= thr:
+            resid[e] = 0.0
+            continue
+        c = c / np.sqrt(nrm2)
+        cols.append(c)
+        resid = resid - np.abs(g @ c) ** 2 / 1.0
+        np.maximum(resid, 0.0, out=resid)
+        resid[e] = 0.0
+    return np.column_stack(cols) if cols else np.zeros((q, 0), dtype=complex)
 
 
 class AlgElement:

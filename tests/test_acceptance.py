@@ -141,8 +141,8 @@ def test_finish_keeps_a_nan_case_as_the_worst():
 def test_gamma_mult_refuses_a_nan_intertwiner(monkeypatch):
     real = acceptance.gamma_multiplicativity
 
-    def nan_cell(psi, phi, *, eps):
-        return nan_copy(real(psi, phi, eps=eps))
+    def nan_cell(psi, phi):
+        return nan_copy(real(psi, phi))
 
     monkeypatch.setattr(acceptance, "gamma_multiplicativity", nan_cell)
     assert_nan_case(acceptance.suite_gamma_mult(trials=1))
@@ -151,8 +151,8 @@ def test_gamma_mult_refuses_a_nan_intertwiner(monkeypatch):
 def test_corner_unitary_refuses_a_nan_factorization(monkeypatch):
     real = acceptance.u_of_corr
 
-    def nan_fact(corr, *, eps):
-        fact = real(corr, eps=eps)
+    def nan_fact(corr):
+        fact = real(corr)
         return dataclasses.replace(fact, iso=nan_copy(fact.iso))
 
     monkeypatch.setattr(acceptance, "u_of_corr", nan_fact)
@@ -229,11 +229,11 @@ def raise_on_second_call(monkeypatch):
     """Patch the gamma-mult cell builder to raise ValueError once."""
     real, calls = acceptance.gamma_multiplicativity, []
 
-    def flaky(psi, phi, *, eps):
+    def flaky(psi, phi):
         calls.append(None)
         if len(calls) == 2:
             raise ValueError("injected")
-        return real(psi, phi, eps=eps)
+        return real(psi, phi)
 
     monkeypatch.setattr(acceptance, "gamma_multiplicativity", flaky)
 

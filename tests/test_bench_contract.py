@@ -8,8 +8,10 @@ run the untrusted-io setup, which replays the generators' random draws (its
 size probe fails if they drift), reads ``sigma.edges`` and serialises
 twisted simplices, its ``extend-k0`` steps, whose judge parses the
 ``edges`` that ``extend --functor k0`` writes, and its ``extend-gamma``
-steps, which pass ``--guided`` and run the guided special fills.  They
-read ``perfbench/`` and never edit it; a subprocess keeps the tracer's
+steps, which pass ``--guided`` and run the guided special fills; and its
+``validate``, ``fill`` and ``subdivide`` steps, every corrupt file among
+them, whose commands cross the trust boundary that the library's derived
+data relies on.  They read ``perfbench/`` and never edit it; a subprocess keeps the tracer's
 rebinding of corrlab names out of the test session.
 """
 
@@ -74,6 +76,22 @@ for label, work, judge in steps:
 print("contract ok")
 """
 
+BOUNDARY_SCRIPT = """
+import sys, workloads
+
+bench = workloads.UntrustedIO()
+plan = bench.setup(42, 1, sys.argv[1])
+commands = ("validate", "fill", "subdivide")
+steps = [s for s in bench.steps(plan, 0) if s[0].startswith(commands)]
+corrupt = [job for job in plan[0] if job[0] in commands and job[3] != 0]
+# the other 3 of the 24 corrupt files are extend-k0's, which K0_SCRIPT runs
+assert (len(steps), len(corrupt)) == (63, 21), (len(steps), len(corrupt))
+for label, work, judge in steps:
+    [(_, ok)] = judge(work(), 0.0)
+    assert ok, f"untrusted-io {label} fails the benchmark's judge"
+print("contract ok")
+"""
+
 
 def run_in_perfbench(script, *args):
     env = dict(os.environ)
@@ -110,3 +128,7 @@ def test_untrusted_io_k0_steps_pass_the_judge(tmp_path):
 
 def test_untrusted_io_gamma_steps_pass_the_judge(tmp_path):
     run_in_perfbench(GAMMA_SCRIPT, str(tmp_path))
+
+
+def test_untrusted_io_boundary_steps_pass_the_judge(tmp_path):
+    run_in_perfbench(BOUNDARY_SCRIPT, str(tmp_path))

@@ -244,7 +244,7 @@ def test_certified_constructions_pass_validation(seed):
 
 
 # ---------------------------------------------------------------------------
-# Gamma is derived once per (hom, eps) and kept on the hom
+# Gamma is derived once per hom and kept on it
 
 
 def test_gamma_of_hom_is_kept_on_the_hom():
@@ -254,10 +254,8 @@ def test_gamma_of_hom_is_kept_on_the_hom():
     assert gamma_of_hom(phi) is g
     assert gamma_isometries(phi) is gamma_isometries(phi)
     assert all(not v.flags.writeable for v in gamma_isometries(phi))
-    # another eps is its own entry, equal in value here
-    g7 = gamma_of_hom(phi, eps=1e-7)
-    assert g7 is not g and gamma_of_hom(phi, eps=1e-7) is g7
-    assert corr_close(g7, g, eps=0.0)
+    # one entry per kind: no caller's eps makes another
+    assert set(phi._gamma) == {"range", "corr"} and phi._gamma["corr"] is g
     # an equal-valued hom object starts empty and rebuilds the same bits
     twin = StarHom(phi.src, phi.dst, phi.matrix, _traced_mult(phi.src, phi.dst, phi.matrix))
     assert gamma_of_hom(twin) is not g

@@ -7,8 +7,11 @@ tests count the Gram-Schmidt runs, compare Gamma with the element-model
 route (V from the range of apply(phi, 1)) on unital, partial and missed
 blocks, check that a hom read back from JSON has the same Gamma to the bit,
 and that a NaN in a filled block still fails the judges that read Gamma.
+The rank kernels themselves are checked against the threshold kernels of
+``tests/reference.py``: at the rank those find, they give the same bits.
 """
 
+import itertools
 import json
 import math
 
@@ -18,14 +21,15 @@ from hypothesis import assume, example, given, settings
 
 from corrlab import bicategory
 from corrlab.acceptance import _iso_residuals, _sweep
-from corrlab.algebra import FdCstarAlgebra, StarHom, compose_homs, make_star_hom
+from corrlab.algebra import FdCstarAlgebra, StarHom, _unit_image, compose_homs, make_star_hom
 from corrlab.bicategory import gamma_isometries, gamma_multiplicativity, gamma_of_hom
 from corrlab.errors import ValidationError
 from corrlab.generators import embedding_hom, random_chain
-from corrlab.linalg import orthonormal_range, worst_of
+from corrlab.linalg import gram_onb, orthonormal_range, worst_of
 from corrlab.modules import corr_close
 from corrlab.nerve import gamma_simplex
 from corrlab.serialize import hom_from_json, hom_to_json
+import reference
 from reference import gamma_action
 from test_hom_builders import embeddings
 
@@ -196,7 +200,7 @@ def test_orthonormal_range_refuses_a_nan_column():
     a = np.eye(3)
     a[1, 1] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
-        orthonormal_range(a)
+        orthonormal_range(a, 3)
 
 
 def nan_composite():
@@ -220,3 +224,54 @@ def test_a_sweep_fails_a_case_whose_partial_range_holds_a_nan():
     [case] = report.cases
     assert not case.ok and case.residual == math.inf
     assert not report.ok
+
+
+# ---------------------------------------------------------------------------
+# the rank kernels against the threshold kernels they replaced
+
+
+def kernel_inputs(src, dst, mult, seed):
+    """Projections of a generated hom: phi(1)_j, its complement (the input
+    of a normal-form padding) and phi(e^(i)_00)_j (a tensor frame's P)."""
+    phi = embedding_hom(src, dst, mult, np.random.default_rng(seed))
+    one = _unit_image(phi)[:, None]
+    out = []
+    for j, m in enumerate(dst.blocks):
+        p = dst.block_rows(one, j)[:, :, 0]
+        out += [p, np.eye(m) - p]
+        out += [dst.block_rows(phi.matrix, j)[:, :, o] + 0.0 for o in src._offsets]
+    return out
+
+
+def assert_kernels_are_the_reference(x):
+    pairs = ((orthonormal_range, reference.orthonormal_range), (gram_onb, reference.gram_onb))
+    for kernel, ref in pairs:
+        want = ref(x)
+        got = kernel(x, want.shape[1])
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=40)
+@given(embeddings())
+def test_rank_kernels_are_the_threshold_kernels_at_their_rank(case):
+    for x in kernel_inputs(*case):
+        assert_kernels_are_the_reference(x)
+
+
+def test_rank_kernels_on_exact_patterns_and_a_nan_column():
+    """Exact 0/1 diagonals give exact unit vectors in both; a NaN column
+    flows through gram_onb at the rank the reference takes (all of them,
+    as its threshold is NaN; each divides by a NaN norm, which numpy
+    flags as invalid), and orthonormal_range refuses it."""
+    for m in range(1, 5):
+        for bits in itertools.product((0.0, 1.0), repeat=m):
+            assert_kernels_are_the_reference(np.diag(bits).astype(complex))
+    a = np.eye(3, dtype=complex)
+    a[1, 1] = np.nan
+    with np.errstate(invalid="ignore"):
+        want, got = reference.gram_onb(a), gram_onb(a, 3)
+    assert want.shape == (3, 3) and np.isnan(want).any()
+    assert got.tobytes() == want.tobytes()
+    for rank in (1, 3):
+        with pytest.raises(ValueError, match="non-finite"):
+            orthonormal_range(a, rank)

@@ -6,6 +6,7 @@ relations x.b (x) y - x (x) b.y, computed by brute-force rank.
 """
 
 import math
+import warnings
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -18,6 +19,7 @@ from corrlab.errors import (
     EndpointMismatch,
     InvalidAlgebra,
     NotIntertwining,
+    NotMultiplicative,
     NotRightLinear,
     NotUnitary,
     ShapeMismatch,
@@ -32,7 +34,7 @@ from corrlab.generators import (
     random_unitary,
     twist_edge,
 )
-from corrlab.linalg import frob, gram_onb
+from corrlab.linalg import frob
 from corrlab.modules import (
     Correspondence,
     CorrIso,
@@ -61,6 +63,7 @@ from reference import (
     embed,
     from_vec,
     general_product,
+    gram_onb,
     identity,
     left_mul,
     matrix_unit,
@@ -530,7 +533,9 @@ def test_frames_are_shared_and_read_only():
     # both products have E_13 on the right
     t, t2 = s.tp(0, 1, 3), s.tp(1, 1, 3)
     assert t.r is t2.r and t.proj is t2.proj and t.onb is t2.onb
-    assert tensor_corrs(s.edge(0, 1), s.edge(1, 3), eps=1e-7).onb is not t.onb
+    # one frame per F, kept in its one slot
+    frame = s.edge(1, 3)._frame()
+    assert frame is s.edge(1, 3)._kept_frame and frame[2] is t.onb
     assert type(t.r) is tuple and {type(row) for row in t.r} == {tuple}
     for a in [x for row in t.proj + t.onb for x in row]:
         assert not a.flags.writeable
@@ -538,28 +543,50 @@ def test_frames_are_shared_and_read_only():
         t.onb[0][0][...] = 0
 
 
-def test_failing_rank_check_raises_every_time():
-    """lambda(e^(j)_11) = diag(1/2, 1/2) has trace 1 but rank 2: an unchecked
-    action that is no *-hom; the rank check refuses it on every call."""
+def half_action():
+    """(A, module, lambda) with lambda(e^(j)_11) = diag(1/2, 1/2) on
+    C (+) C -> M_2: trace 1, so its traced multiplicities are 1 and it is
+    unital, but rank 2, so it is no *-hom."""
     a = make_algebra((1, 1))
     module = make_module(make_algebra((1,)), (2,))
     half = np.zeros((4, 2), dtype=complex)
     half[[0, 3], :] = 0.5
-    kc = module.compacts
-    bad = Correspondence(a, module, StarHom(a, kc, half, _traced_mult(a, kc, half)))
-    for _ in range(2):
-        with pytest.raises(ShapeMismatch, match="rank of lambda"):
-            tensor_corrs(identity_corr(a), bad)
-    assert bad._frames == {}
+    return a, module, half
+
+
+def test_an_action_of_the_wrong_rank_is_refused_at_the_trust_boundary():
+    """The frame takes lambda's multiplicities as its ranks and does not
+    check them; an action from outside meets make_correspondence first,
+    whose multiplicativity check refuses this one."""
+    a, module, half = half_action()
+    with pytest.raises(NotMultiplicative):
+        make_correspondence(a, module, half)
+
+
+def test_an_overstated_multiplicity_is_a_zero_pivot():
+    """lambda(e_11) = diag(1, 0) claimed at multiplicity 2: the frame's
+    second pivot has norm 0, which raises ShapeMismatch on every call,
+    with no RuntimeWarning, keeping neither frame nor product."""
+    a = make_algebra((1,))
+    module = make_module(make_algebra((1,)), (2,))
+    lam = np.zeros((4, 1), dtype=complex)
+    lam[0, 0] = 1.0
+    bad = Correspondence(a, module, StarHom(a, module.compacts, lam, np.array([[2]])))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(2):
+            with pytest.raises(ShapeMismatch, match="rank below its multiplicity"):
+                tensor_corrs(identity_corr(a), bad)
+    assert bad._kept_frame is None
     assert identity_corr(a)._products == {}
 
 
-def test_products_are_kept_once_per_pair_and_eps():
+def test_products_are_kept_once_per_pair():
     s = random_simplex(np.random.default_rng(8), 2, twist=True, max_mult=2)
     e, f = s.edge(0, 1), s.edge(1, 2)
     t = tensor_corrs(e, f)
     assert tensor_corrs(e, f) is t and s.tp(0, 1, 2) is t
-    assert tensor_corrs(e, f, eps=1e-7) is not t
+    assert e._products[id(f)] is t
     f2 = Correspondence(f.src, f.module, f.lam)
     assert tensor_corrs(e, f2) is not t
     # bit-equal to a product built afresh from copies, frame and all

@@ -1,8 +1,9 @@
 """Every name a corrlab module exports in ``__all__`` exists, so a stale
 export of a removed name fails here rather than at a user's import, and
 the names moved to tests/reference.py resolve nowhere in the library;
-tensor products have one constructor call; and the validating
-constructors are called only at the trust boundary."""
+tensor products have one constructor call; the validating
+constructors are called only at the trust boundary; and derived data
+(kernels, frames, products, Gamma) takes no eps."""
 
 import ast
 import importlib
@@ -161,3 +162,27 @@ def test_the_extension_run_is_one_class_with_no_unused_options():
     assert not hasattr(extension, "_Builder")
     assert "boundary" not in inspect.signature(extension.extend_relative).parameters
     assert list(inspect.signature(extension.k0_functor).parameters) == []
+
+
+def test_derived_data_takes_no_eps():
+    """The rank kernels, the tensor frame, the products and Gamma read every
+    rank off the multiplicities, so none takes a tolerance, and the frame
+    is kept in one slot, not per eps; eps stays in the checks alone."""
+    from corrlab import bicategory, linalg, modules
+
+    derived = [
+        linalg.orthonormal_range,
+        linalg.gram_onb,
+        modules.Correspondence._frame,
+        modules.TensorProduct,
+        modules.tensor_corrs,
+        bicategory.gamma_isometries,
+        bicategory.gamma_of_hom,
+        bicategory.gamma_multiplicativity,
+        bicategory.u_of_corr,
+    ]
+    takes_eps = [f.__name__ for f in derived if "eps" in inspect.signature(f).parameters]
+    assert not takes_eps
+    assert "_frames" not in modules.Correspondence.__slots__
+    assert not hasattr(modules.Correspondence, "_frames")
+    assert "eps" in inspect.signature(corrlab.algebra.hom_normal_form).parameters

@@ -36,7 +36,15 @@ from corrlab.generators import (
     random_unital_hom,
 )
 from corrlab.linalg import frob
-from corrlab.modules import corr_close, iso_distance, make_iso, tensor_corrs
+from corrlab.modules import (
+    corr_close,
+    identity_corr,
+    iso_distance,
+    make_correspondence,
+    make_iso,
+    make_module,
+    tensor_corrs,
+)
 from corrlab.nerve import (
     HornSpec,
     face,
@@ -906,6 +914,118 @@ def test_cli_make_size_guard_draws_nothing(seed):
     rng = np.random.default_rng(seed)
     phi = random_unital_hom(random_algebra(rng), rng, max_mult=1)
     assert made("hom") == text(hom_to_json(phi))
+
+
+def bad_edge_files(tmp_path, a, good, bad):
+    """Files holding the left action ``bad`` of A -> M_2 on C^{2 x 1} where
+    the *-hom ``good`` was: a correspondence file, edge (1, 2) of the
+    2-simplex (id_A, good, id_A (x) good) and the edge of face 0 of its
+    (2, 1)-horn.  Where ``bad`` has the traced multiplicities of ``good``,
+    the simplex is valid but for that edge: its product with edge (0, 1)
+    reads only the multiplicities, so the cell still starts there."""
+    module = make_module(make_algebra((1,)), (2,))
+    e12 = make_correspondence(a, module, good)
+    e02 = tensor_corrs(identity_corr(a), e12).corr
+    s = make_simplex([a, a, e12.dst], {(0, 1): identity_corr(a), (1, 2): e12, (0, 2): e02},
+                     {(0, 1, 2): identity_iso(e02)})
+    docs = {
+        "corr": value_to_json(e12),
+        "simplex": value_to_json(s),
+        "horn": value_to_json(HornSpec(2, 1, {0: face(s, 0), 2: face(s, 2)})),
+    }
+    [edge] = [e["corr"] for e in docs["simplex"]["edges"] if (e["i"], e["j"]) == (1, 2)]
+    [face0] = [f["simplex"] for f in docs["horn"]["faces"] if f["j"] == 0]
+    for corr in (docs["corr"], edge, face0["edges"][0]["corr"]):
+        corr["left_action"]["matrix"] = matrix_to_json(bad)
+    paths = {kind: tmp_path / f"{kind}.json" for kind in docs}
+    for kind, doc in docs.items():
+        paths[kind].write_text(json.dumps(doc))
+    return paths
+
+
+def test_cli_refuses_a_left_action_of_the_wrong_rank(tmp_path):
+    """lambda(e^(j)_11) = diag(1/2, 1/2) on C (+) C (test_modules.half_action:
+    traces 1, rank 2) in place of e^(j)_11 -> e_jj.  The tensor frame no
+    longer checks its ranks; the per-edge action check of validate and the
+    checking load of every other command refuse such an action instead,
+    with exit 1 and no traceback."""
+    from test_modules import half_action
+
+    a, _, half = half_action()
+    good = np.zeros((4, 2), dtype=complex)
+    good[0, 0] = good[3, 1] = 1.0
+    paths = bad_edge_files(tmp_path, a, good, half)
+    for kind, path in paths.items():
+        code, out, err = run_cli(["validate", str(path)])
+        assert code == 1 and "left action is a star-hom: FAIL" in out, kind
+        assert "all invariants pass" not in out
+    loads = [
+        ["fill", "--horn", str(paths["horn"])],
+        ["subdivide", "--simplex", str(paths["simplex"])],
+        ["extend", "--simplex", str(paths["simplex"]), "--functor", "k0", "--target", "k0nerve"],
+        ["extend", "--simplex", str(paths["simplex"]), "--functor", "gamma", "--target", "ncorr"],
+    ]
+    for argv in loads:
+        code, out, err = run_cli(argv)
+        assert code == 1 and out == "" and err.startswith("validation error: fails"), argv
+
+
+def test_cli_refuses_a_negative_trace_before_any_product(tmp_path):
+    """Traces (2, 1, -1) on C (+) C (+) C sum to a unital action, but -1 is
+    no rank: the unchecked parse refuses it (exit 1) before the simplex
+    parse builds a product on it, whose frame takes the traces as ranks."""
+    a = make_algebra((1, 1, 1))
+    good = np.zeros((4, 3), dtype=complex)
+    good[0, 0] = good[3, 1] = 1.0  # traces (1, 1, 0)
+    bad = np.zeros((4, 3), dtype=complex)
+    bad[0, 0] = bad[3, 0] = bad[0, 1] = 1.0
+    bad[3, 2] = -1.0
+    for kind, path in bad_edge_files(tmp_path, a, good, bad).items():
+        code, out, err = run_cli(["validate", str(path)])
+        assert code == 1 and "not a rank in its block" in err, kind
+
+
+def noisy_simplex(path):
+    """Write random_simplex(default_rng(3), 3, max_blocks=2, max_size=2,
+    max_mult=1) to path with 1e-8 N(0, 1) (default_rng(0)) added to the real
+    part of every left-action entry: its edges are correspondences within
+    1e-6, not within 1e-9; return the clean simplex."""
+    s = random_simplex(np.random.default_rng(3), 3, max_blocks=2, max_size=2, max_mult=1)
+    doc = value_to_json(s)
+    rng = np.random.default_rng(0)
+    for edge in doc["edges"]:
+        for entry in edge["corr"]["left_action"]["matrix"]:
+            entry[0] += 1e-8 * rng.standard_normal()
+    path.write_text(json.dumps(doc))
+    return s
+
+
+def test_cli_eps_reaches_every_command_on_a_noisy_simplex(tmp_path):
+    """--eps is the one tolerance: the frames that subdivide and extend
+    build take their ranks from the traced multiplicities, so a file that
+    validates at --eps 1e-6 subdivides and extends there too, to the clean
+    simplex's K0 integers; at the default eps all three refuse it at the
+    checks, with the messages those checks give."""
+    path = tmp_path / "noisy.json"
+    s = noisy_simplex(path)
+    argvs = {
+        "validate": ["validate", str(path)],
+        "subdivide": ["subdivide", "--simplex", str(path)],
+        "extend": ["extend", "--simplex", str(path), "--functor", "k0", "--target", "k0nerve"],
+    }
+    for name, argv in argvs.items():
+        code, out, err = run_cli(["--eps", "1e-6"] + argv)
+        assert (code, err) == (0, ""), name
+    got = {(e["i"], e["j"]): e["matrix"] for e in json.loads(out)["edges"]}
+    assert got == {key: k0_of_corr(e).tolist() for key, e in s.edges.items()}
+    refusals = {
+        "validate": "validation error: left actions are not intertwined (residual 5.147e-09)",
+        "subdivide": "validation error: fails v_a P = v_a in source block 1, unit a = 0",
+        "extend": "validation error: fails v_a P = v_a in source block 1, unit a = 0",
+    }
+    for name, argv in argvs.items():
+        code, out, err = run_cli(argv)
+        assert code == 1 and out == "" and err.startswith(refusals[name]), name
 
 
 @pytest.mark.parametrize("eps", ["nan", "inf", "-inf", "0", "-0.0", "-1", "1e-400"])
