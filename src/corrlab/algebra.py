@@ -7,7 +7,7 @@ block-multiplicity matrix (the image of a minimal projection e_00 of a
 source block is a projection in each target block, and its rank there is
 the multiplicity) and the dense matrix of the underlying linear map in
 those bases: given by its builder, or, for a hom built from Bratteli data,
-a dense view built on first read.
+a dense view built from that data on first read.
 
 ``make_star_hom`` validates a matrix from outside, raises on invalid data
 and traces its multiplicities (``_traced_mult``); ``StarHom`` itself is the
@@ -16,10 +16,11 @@ through without re-checking, passing the multiplicities they know.
 
 A *-hom is fixed by Bratteli data: its multiplicities and, per target
 block, one isometry.  ``hom_normal_form`` extracts that data from a matrix
-and ``_conjugation_matrix`` builds the matrix from it, one Gram of the data's
-nonzero rows per pair of blocks; every constructor that starts from such
-data goes through ``_bratteli_hom``, which keeps the data on the hom, reads
-its multiplicities off the data and leaves the matrix to the first read.
+and ``_conjugation_matrix``, the one writer of such a hom's dense view,
+builds it from the data, one Gram of W's nonzero rows per pair of blocks;
+every constructor from such data, the identity included, goes through
+``_bratteli_hom``, which keeps the data on the hom, reads its
+multiplicities off it and leaves the matrix to the first read.
 ``_compose_ws`` composes such data and ``_composite_residual`` compares a
 composite with a third hom on it, block by block: each pair of blocks is
 compared through the r x r overlap of its two isometries, and no Gram matrix
@@ -127,7 +128,7 @@ class StarHom:
     ``_ws`` keeps the Bratteli data of a hom built from it
     (``_bratteli_hom``), and is None otherwise.  Such a hom is given no
     matrix: ``matrix`` is a dense view built from ``_ws`` on first read,
-    by ``_dense(src, dst, _ws)``, and kept, so every later read is a plain
+    by ``_conjugation_matrix``, and kept, so every later read is a plain
     attribute read.
 
     Homs compare and hash by identity, so ``==`` never raises and never
@@ -139,13 +140,13 @@ class StarHom:
         self.src, self.dst, self.mult_matrix = src, dst, mult_matrix
         self.unital = bool((np.dot(src.blocks, mult_matrix) == dst.blocks).all())
         self._gamma = {}
-        self._ws = self._dense = None
+        self._ws = None
         if matrix is not None:
             self.matrix = _read_only(matrix)
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        return _read_only(self._dense(self.src, self.dst, self._ws))
+        return _read_only(_conjugation_matrix(self.src, self.dst, self._ws))
 
     def __repr__(self):
         return f"StarHom({self.src!r} -> {self.dst!r})"
@@ -260,15 +261,11 @@ def make_star_hom(src, dst, matrix, *, eps: float = EPS) -> StarHom:
 
 
 def identity_hom(a: FdCstarAlgebra) -> StarHom:
-    """The identity, with its Bratteli data W_ii = I_{n_i}, one copy each.
-    Its dense view, built on first read, is the identity matrix:
-    _conjugation_matrix of that data to the bit, at a fraction of the cost."""
+    """The identity, with its Bratteli data W_ii = I_{n_i}, one copy each;
+    its dense view, the Gram of the n_i rows W[p, p], is the identity
+    matrix to the bit."""
     ws = [{i: np.eye(n, dtype=complex)[:, :, None]} for i, n in enumerate(a.blocks)]
-    return _bratteli_hom(a, a, ws, _identity_matrix)
-
-
-def _identity_matrix(src: FdCstarAlgebra, dst: FdCstarAlgebra, ws) -> np.ndarray:
-    return np.eye(src.dim, dtype=complex)
+    return _bratteli_hom(a, a, ws)
 
 
 def compose_homs(psi: StarHom, phi: StarHom) -> StarHom:
@@ -350,15 +347,14 @@ def _conjugation_matrix(src: FdCstarAlgebra, dst: FdCstarAlgebra, ws) -> np.ndar
 
     ``ws[l]`` maps a source block i to W_li of shape (m_l, n_i, r_il):
     phi(e^(i)_pq) has block l sum_rho W[:, p, rho] W[:, q, rho]^*, so block
-    (l, i) of the matrix is the Gram matrix of W_li (``_gram``), with its
-    rows and columns regrouped.  The result is a *-hom when, for each l, the
-    W_li are isometries (as m_l x n_i r_il matrices) with orthogonal ranges.
-
-    A zero row of W (read as (m n) x r) is a zero row and column of its
-    Gram, which the zeroed matrix holds, so a W with zero rows writes the
-    Gram of its nonzero rows only: entries may move in the last bit, -0.0
-    becomes +0.0, and a NaN stays in its row's entries, not spread through
-    0 * NaN.  A W with no zero row (a dense unitary) keeps the product's bits.
+    (l, i) of the matrix is the Gram of W_li read as an (m n) x r matrix,
+    its rows and columns regrouped.  The result is a *-hom when, for each
+    l, the W_li are isometries (as m_l x n_i r_il matrices) with orthogonal
+    ranges.  A zero row of W is a zero row and column of its Gram, which
+    the zeroed matrix holds, so each block writes, in place, the Gram of
+    W's nonzero rows only: -0.0 becomes +0.0, and a NaN stays in its row's
+    entries, not spread through 0 * NaN.  For a W with no zero row those
+    rows are all its rows, and the block is the full product to the bit.
     """
     matrix = np.zeros((dst.dim, src.dim), dtype=complex)
     for l, m in enumerate(dst.blocks):
@@ -367,28 +363,16 @@ def _conjugation_matrix(src: FdCstarAlgebra, dst: FdCstarAlgebra, ws) -> np.ndar
             n, c = src.blocks[i], src.offset(i)
             # splitting each axis of the slice in two is a view, written in place
             block = matrix[o : o + m * m, c : c + n * n].reshape(m, m, n, n)
-            if np.count_nonzero(w) < w.size:
-                a, p = np.nonzero(w.any(axis=2))
-                if len(a) < m * n:
-                    x = w[a, p]
-                    block[a[:, None], a, p[:, None], p] = x @ x.conj().T
-                    continue
-            block[...] = _gram(w).reshape(m, n, m, n).transpose(0, 2, 1, 3)
+            a, p = np.nonzero(w.any(axis=2))
+            x = w[a, p]
+            block[a[:, None], a, p[:, None], p] = x @ x.conj().T
     return matrix
 
 
-def _gram(w) -> np.ndarray:
-    """W W^* for W of shape (m, n, r), read as an (m n) x r matrix."""
-    m, n, r = w.shape
-    w2 = w.reshape(m * n, r)
-    return w2 @ w2.conj().T
-
-
-def _bratteli_hom(src: FdCstarAlgebra, dst: FdCstarAlgebra, ws, dense=None) -> StarHom:
+def _bratteli_hom(src: FdCstarAlgebra, dst: FdCstarAlgebra, ws) -> StarHom:
     """The certified StarHom of Bratteli data ``ws`` in the format of
     ``_conjugation_matrix``, holding ``ws`` and no matrix: its dense view is
-    built on first read by ``dense(src, dst, ws)``, that function unless
-    the caller knows its result without computing it.  Each W is made
+    built from ``ws`` on first read by that function.  Each W is made
     read-only, so the view is built from the data the hom was certified on.
     Its multiplicities are r_il = W_li.shape[2] (0 if absent), the rank of
     W_li[:, 0, :]."""
@@ -397,7 +381,7 @@ def _bratteli_hom(src: FdCstarAlgebra, dst: FdCstarAlgebra, ws, dense=None) -> S
             w.setflags(write=False)
     mult = [[w[i].shape[2] if i in w else 0 for w in ws] for i in range(src.nblocks)]
     phi = StarHom(src, dst, None, np.array(mult, dtype=np.int64))
-    phi._ws, phi._dense = ws, dense or _conjugation_matrix
+    phi._ws = ws
     return phi
 
 

@@ -9,8 +9,8 @@ re-checked: the ``StarHom`` built by ``identity_hom``, ``compose_homs``,
 ``gamma_of_hom``, ``u_of_corr``, ``equivalence_inverse``, tensor
 products, subdivision connecting homs and
 the generators ``embedding_hom`` and ``twist_edge`` (from Bratteli data
-through ``_bratteli_hom``, which keeps the data on the hom and builds its
-dense view on first read, or by a block map over an existing action), each
+through ``_bratteli_hom``, whose dense view, built on first read, has one
+writer, ``_conjugation_matrix``, or by a block map over an action), each
 passing the multiplicities it knows from its inputs, and the canonical
 intertwiners: ``identity_iso``, ``left_unitor``, ``right_unitor``,
 ``associator``, ``gamma_multiplicativity``, the ``u_of_corr``

@@ -823,8 +823,10 @@ def extend_relative(h, family, D: QCOracle, *, eps: float = EPS) -> RelExtension
     itself a face of the next horn or of the boundary cell, whose fill
     compares it.  Each family member is held to the subdivision's dimension
     bound up front, so an oversized member fails before the boundary runs
-    over its faces.
+    over its faces, and ``h`` is type-checked before the family is walked.
     """
+    if not isinstance(h, CstHomotopy):
+        raise ShapeMismatch("relative extension needs a CstHomotopy")
     closed = {}
     order = []
 
@@ -843,8 +845,6 @@ def extend_relative(h, family, D: QCOracle, *, eps: float = EPS) -> RelExtension
         add(s)
     order.sort(key=lambda s: s.n)
 
-    if not isinstance(h, CstHomotopy):
-        raise ShapeMismatch("relative extension needs a CstHomotopy")
     memo = {}
     b0 = {structural_hash(s): bar_F(s, h.f0, D, memo, eps=eps) for s in order}
     b1 = {structural_hash(s): bar_F(s, h.f1, D, memo, eps=eps) for s in order}

@@ -561,9 +561,9 @@ def associator(
     and tp_e_fg tensors tp_fg.corr, as checked: it is unitary and
     intertwining up to rounding because the left actions are *-homs.
     """
-    if tp_efg.left is not tp_ef.corr and not corr_close(tp_efg.left, tp_ef.corr, eps):
+    if not corr_close(tp_efg.left, tp_ef.corr, eps):
         raise EndpointMismatch("tp_efg must tensor tp_ef.corr with G")
-    if tp_e_fg.right is not tp_fg.corr and not corr_close(tp_e_fg.right, tp_fg.corr, eps):
+    if not corr_close(tp_e_fg.right, tp_fg.corr, eps):
         raise EndpointMismatch("tp_e_fg must tensor E with tp_fg.corr")
     e_mult, f_mult = tp_ef.left.module.mult, tp_fg.left.module.mult
     blocks = []

@@ -110,7 +110,7 @@ class NCorrSimplex:
             if e.src != algebras[i] or e.dst != algebras[j]:
                 raise EndpointMismatch(f"edge ({i}, {j}) endpoints disagree")
         for (i, j, k), u in cells.items():
-            if u.dst is not edges[(i, k)] and not corr_close(u.dst, edges[(i, k)]):
+            if not corr_close(u.dst, edges[(i, k)]):
                 raise EndpointMismatch(f"cell ({i}, {j}, {k}) does not land on edge ({i}, {k})")
         self.n = n
         self.algebras = algebras
@@ -433,7 +433,7 @@ def _merge_face_data(n: int, faces: dict, eps: float = EPS, prefer=None):
         for (a, b), e in f.edges.items():
             key = (d[a], d[b])
             if key in edges:
-                if edges[key] is not e and not corr_close(edges[key], e, eps):
+                if not corr_close(edges[key], e, eps):
                     raise IncompatibleFaces(
                         f"faces {owner[key]} and {j} disagree on edge {key}"
                     )

@@ -14,10 +14,11 @@ p B p of a projection (``corner_algebra``) is presented with its inclusion,
 a hom built from Bratteli data.  No library path uses this model; only the
 tests do.  The helpers at the end (``is_equivalence``, ``direct_sum_corrs``,
 ``is_nondegenerate``, ``phi_star``, ``connecting_hom`` and ``dump_value``)
-left the library for the same reason.  So did the rank-guessing kernels
-``orthonormal_range`` and ``gram_onb``: they find a rank at a threshold,
-where the library's take the known rank, and the model uses them to derive
-its ranks independently of any multiplicity.
+left the library for the same reason, as did ``_gram``, the full Gram
+product the tests compare the dense build against.  So did the
+rank-guessing kernels ``orthonormal_range`` and ``gram_onb``: they find a
+rank at a threshold, where the library's take the known rank, and the
+model uses them to derive its ranks independently of any multiplicity.
 """
 
 from dataclasses import dataclass
@@ -158,6 +159,13 @@ class AlgElement:
 
     def __repr__(self):
         return f"AlgElement({self.algebra!r})"
+
+
+def _gram(w) -> np.ndarray:
+    """W W^* for W of shape (m, n, r), read as an (m n) x r matrix."""
+    m, n, r = w.shape
+    w2 = w.reshape(m * n, r)
+    return w2 @ w2.conj().T
 
 
 def alg_zero(a) -> AlgElement:

@@ -13,7 +13,6 @@ from corrlab.algebra import (
     FdCstarAlgebra,
     StarHom,
     _conjugation_matrix,
-    _gram,
     _mult_residual,
     _traced_mult,
     _unit_image,
@@ -39,6 +38,7 @@ from corrlab.linalg import frob
 from corrlab.nerve import structural_hash
 from corrlab.subdivision import subdivision_functor
 from reference import (
+    _gram,
     alg_from_vec,
     alg_zero,
     apply,
@@ -468,7 +468,9 @@ def test_conjugation_matrix_writes_the_gram_of_the_nonzero_rows(data):
 def test_nan_in_bratteli_data_stays_in_its_rows():
     """A NaN in W makes the matrix non-finite; with zero rows it reaches only
     the entries of its own row's Gram row and column, not the structural
-    zeros (the full product spread it there through 0 * NaN)."""
+    zeros (the full product spread it there through 0 * NaN).  With zero
+    entries but no zero row, every row is in the Gram, and the NaN spreads
+    exactly as the full product spread it, to the bit."""
     w = np.zeros((3, 2, 2), dtype=complex)
     w[0, 0] = [1.0, 0.0]
     w[1, 1] = [0.0, np.nan]
@@ -479,9 +481,13 @@ def test_nan_in_bratteli_data_stays_in_its_rows():
     assert np.array_equal(np.isnan(got), np.isnan(ref))
     assert is_plus_zero(got[~support]).all()
     assert np.isnan(two_copy_conjugation_matrix(src, dst, [{0: w}])[~support]).any()
-    dense = np.full((3, 2, 1), 0.5, dtype=complex)
+    dense = np.full((3, 2, 2), 0.5, dtype=complex)
+    dense[0, 0, 1] = 0.0
     dense[2, 1, 0] = np.nan
-    assert not np.isfinite(_conjugation_matrix(FdCstarAlgebra([2]), dst, [{0: dense}])).all()
+    got = _conjugation_matrix(src, dst, [{0: dense}])
+    full = two_copy_conjugation_matrix(src, dst, [{0: dense}])
+    assert np.isnan(got).any() and not np.isnan(got).all()
+    assert np.array_equal(np.isnan(got), np.isnan(full)) and got.tobytes() == full.tobytes()
 
 
 def test_scaling_chain_dense_build_needs_little_beyond_its_output():
@@ -503,9 +509,31 @@ def test_scaling_chain_dense_build_needs_little_beyond_its_output():
 
 @pytest.mark.parametrize("blocks", [[1], [3, 1], [7, 2, 5]])
 def test_identity_matrix_is_the_conjugation_matrix_of_its_data(blocks):
+    """The identity's view, built from its data by the one writer, is
+    np.eye to the bit."""
     a = FdCstarAlgebra(blocks)
     idty = identity_hom(a)
+    assert idty.matrix.tobytes() == np.eye(a.dim, dtype=complex).tobytes()
     assert _conjugation_matrix(a, a, idty._ws).tobytes() == idty.matrix.tobytes()
+
+
+@settings(max_examples=40)
+@given(data=st.data())
+def test_zero_entries_without_a_zero_row_keep_the_full_product(data):
+    """A W with zero entries but no zero row writes the Gram of all its rows:
+    byte-equal to the two-copy build of the full product."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    m, n = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 4))
+    r = data.draw(st.sampled_from([2, 3]))
+    w = rng.standard_normal((m, n, r)) + 1j * rng.standard_normal((m, n, r))
+    zero = np.array(data.draw(st.lists(st.booleans(), min_size=m * n, max_size=m * n)))
+    keep = data.draw(st.integers(0, r - 1))  # one entry per row stays nonzero
+    w[zero.reshape(m, n), (keep + 1) % r] = 0.0
+    assume(np.count_nonzero(w) < w.size and w.any(axis=2).all())
+    src, dst = FdCstarAlgebra([1, n]), FdCstarAlgebra([2, m])
+    ws = [{}, {1: w}]
+    got = _conjugation_matrix(src, dst, ws)
+    assert got.tobytes() == two_copy_conjugation_matrix(src, dst, ws).tobytes()
 
 
 @settings(max_examples=40)

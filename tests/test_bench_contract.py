@@ -8,7 +8,8 @@ run the untrusted-io setup, which replays the generators' random draws (its
 size probe fails if they drift), reads ``sigma.edges`` and serialises
 twisted simplices, its ``extend-k0`` steps, whose judge parses the
 ``edges`` that ``extend --functor k0`` writes, and its ``extend-gamma``
-steps, which pass ``--guided`` and run the guided special fills; and its
+steps, which pass ``--guided`` but take no guided fill (the CLI's Gamma
+functor has no arrows, so its section declines); and its
 ``validate``, ``fill`` and ``subdivide`` steps, every corrupt file among
 them, whose commands cross the trust boundary that the library's derived
 data relies on.  They read ``perfbench/`` and never edit it; a subprocess keeps the tracer's

@@ -410,6 +410,21 @@ def test_relative_extension_caps():
         extend_relative(CstHomotopy(F, F, lambda a: None), [s5], K0Oracle())
 
 
+def test_relative_extension_refuses_a_non_homotopy_before_walking_the_family(monkeypatch):
+    """A non-CstHomotopy raises before any face of the family is hashed."""
+    sig = random_simplex(np.random.default_rng(9), 2, max_blocks=2, max_size=2, max_mult=1)
+    calls = []
+
+    def counted(*args, real=extension.structural_hash):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(extension, "structural_hash", counted)
+    with pytest.raises(ShapeMismatch, match="CstHomotopy"):
+        extend_relative(object(), [sig], K0Oracle())
+    assert calls == []
+
+
 def test_relative_extension_unknown_simplex():
     rng = np.random.default_rng(9)
     sig = random_simplex(rng, 1, max_blocks=2, max_size=2, max_mult=1)

@@ -721,17 +721,27 @@ def test_homs_compare_and_hash_by_identity():
     assert "matrix" not in vars(f) and "matrix" not in vars(g)
 
 
+def is_identity_build(src, dst, ws):
+    """Whether a dense build is an identity's: src is dst and every W is an
+    exact eye(n)[:, :, None]."""
+    return src is dst and all(
+        list(w_l) == [i]
+        and w_l[i].shape == (n, n, 1)
+        and w_l[i].tobytes() == np.eye(n, dtype=complex)[:, :, None].tobytes()
+        for i, (n, w_l) in enumerate(zip(src.blocks, ws))
+    )
+
+
 def count_dense_builds(monkeypatch):
-    """The list every later dense view build appends (builder name, source
-    algebra) to."""
+    """The list every later dense view build, a _conjugation_matrix call,
+    appends (whether it is an identity's, source algebra) to."""
     calls = []
-    for name in ("_conjugation_matrix", "_identity_matrix"):
 
-        def counted(src, dst, ws, real=getattr(algebra, name), name=name):
-            calls.append((name, src))
-            return real(src, dst, ws)
+    def counted(src, dst, ws, real=algebra._conjugation_matrix):
+        calls.append((is_identity_build(src, dst, ws), src))
+        return real(src, dst, ws)
 
-        monkeypatch.setattr(algebra, name, counted)
+    monkeypatch.setattr(algebra, "_conjugation_matrix", counted)
     return calls
 
 
@@ -739,7 +749,7 @@ def assert_only_base_identities(calls, sigma):
     """The one dense build left is the identity of a vertex algebra of the
     base simplex, the left factor of its products E_mm (x) E_mM, each built
     once; no connecting hom and no other Bratteli hom is built densely."""
-    built = [src for name, src in calls if name == "_identity_matrix"]
+    built = [src for identity, src in calls if identity]
     assert len(built) == len(calls) and len(set(map(id, built))) == len(built)
     assert all(any(a is src for a in sigma.algebras) for src in built)
 
@@ -754,7 +764,7 @@ def test_checked_subdivision_builds_no_dense_matrix(monkeypatch, n):
     calls.clear()
     sd.hom((0,), (0, 1, 2)).matrix
     sd.hom((0, 1, 2), (0, 1, 2)).matrix
-    assert [name for name, _ in calls] == ["_conjugation_matrix", "_identity_matrix"]
+    assert [identity for identity, _ in calls] == [False, True]
 
 
 def test_k0_extension_builds_no_dense_matrix(monkeypatch):

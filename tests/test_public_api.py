@@ -2,8 +2,9 @@
 export of a removed name fails here rather than at a user's import, and
 the names moved to tests/reference.py resolve nowhere in the library;
 tensor products have one constructor call; the validating
-constructors are called only at the trust boundary; and derived data
-(kernels, frames, products, Gamma) takes no eps."""
+constructors are called only at the trust boundary; derived data
+(kernels, frames, products, Gamma) takes no eps; and the library stays
+within its line budget."""
 
 import ast
 import importlib
@@ -124,6 +125,7 @@ REMOVED = (
     "is_nondegenerate",
     "connecting_hom",
     "dump_value",
+    "_gram",
 )
 REMOVED_METHODS = {
     "FdCstarAlgebra": (
@@ -186,3 +188,16 @@ def test_derived_data_takes_no_eps():
     assert "_frames" not in modules.Correspondence.__slots__
     assert not hasattr(modules.Correspondence, "_frames")
     assert "eps" in inspect.signature(corrlab.algebra.hom_normal_form).parameters
+
+
+LINE_BUDGET = 5380
+
+
+def test_library_stays_within_its_line_budget():
+    """src/corrlab/*.py totals at most LINE_BUDGET lines, the standing
+    constraint on the library's size."""
+    total = sum(
+        len(path.read_text().splitlines())
+        for path in pathlib.Path(corrlab.__file__).parent.glob("*.py")
+    )
+    assert total <= LINE_BUDGET, f"src/corrlab is {total} lines, over {LINE_BUDGET}"

@@ -19,7 +19,6 @@ from corrlab.algebra import (
     _bratteli_hom,
     _compose_ws,
     _composite_residual,
-    _gram,
     _gram_gap,
     compose_homs,
 )
@@ -42,7 +41,7 @@ from corrlab.subdivision import (
     module_E_S,
     subdivision_functor,
 )
-from reference import connecting_hom, is_nondegenerate, phi_star
+from reference import _gram, connecting_hom, is_nondegenerate, phi_star
 
 
 def nonempty_subsets(n):
