@@ -247,7 +247,7 @@ def suite_nerve_coherence(*, seed: int = 42, eps: float = EPS, trials: int = 100
         s = gamma_simplex(chain, eps=eps, validate=False)
         validate_simplex(s, eps=eps)
         resid = worst_of(
-            pentagon_residual(s, i, j, k, l)
+            pentagon_residual(s, i, j, k, l, eps=eps)
             for i in range(4)
             for j in range(i, 4)
             for k in range(j, 4)

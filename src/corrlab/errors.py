@@ -20,9 +20,9 @@ intertwiners.  ``make_iso`` stays checking.  The ``CorrIso`` constructor
 bounds ``modules._iso_residuals``, the function the acceptance judges
 recompute on certified intertwiners, which never run it.  A
 simplex's identity edges and unit cells are not data at all:
-``NCorrSimplex`` derives them from the unitors and refuses them as input,
-so normality needs no check.  JSON parse bounds every ``blocks`` and
-``mult`` list before building anything (``DimensionTooLarge``).
+``NCorrSimplex`` derives them from the unitors and the simplex check
+refuses them as input, so normality needs no check.  JSON parse bounds
+every ``blocks`` and ``mult`` list before building anything (``DimensionTooLarge``).
 ``subdivision_functor`` checks the functoriality of its connecting homs on
 their Bratteli data, not on their dense matrices, which are views built
 from that data on first read (``FunctorialityViolated``).

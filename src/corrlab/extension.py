@@ -29,7 +29,6 @@ two such functors over prisms, from both functors' runs (`bar_F`).
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -487,35 +486,20 @@ def _cert_id(cert) -> str:
     return structural_hash(np.frombuffer(repr(cert).encode(), dtype=np.uint8))[:12]
 
 
-def _chains_to_top(cur: frozenset, top: frozenset):
-    """All strictly nested subset chains from cur up to top, inclusive."""
-    cur_t = tuple(sorted(cur))
-    if cur == top:
-        return [(cur_t,)]
-    out = []
-    extras = sorted(top - cur)
-    for r in range(1, len(extras) + 1):
-        for add in itertools.combinations(extras, r):
-            for tail in _chains_to_top(cur | set(add), top):
-                out.append((cur_t,) + tail)
-    return out
-
-
 @functools.cache
 def _fill_targets(n: int) -> tuple:
-    """Stage k's fill targets, for k = 1..n: every chain of k + 1 distinct
-    vertices followed by subsets up to the top, in fill order."""
-    full = frozenset(range(n + 1))
-    stages = []
-    for k in range(1, n + 1):
-        targets = [
-            AugChain(prefix, suffix)
-            for prefix in itertools.combinations(range(n + 1), k + 1)
-            for suffix in _chains_to_top(frozenset(prefix), full)
-        ]
-        targets.sort(key=lambda c: (c.dim, c.vertices, c.subsets))
-        stages.append((k, tuple(targets)))
-    return tuple(stages)
+    """Stage k's fill targets, k = 1..n: the chains of csd(n) whose subsets run
+    from exactly their k + 1 vertices up to the top, in fill order."""
+    csd, top = sdv.enumerate_csd(n), tuple(range(n + 1))
+    chains = [
+        c
+        for d in sorted(csd)
+        for c in csd[d]
+        if c.subsets and c.subsets[0] == c.vertices and c.subsets[-1] == top
+    ]
+    return tuple(
+        (k, tuple(c for c in chains if len(c.vertices) == k + 1)) for k in range(1, n + 1)
+    )
 
 
 def _bad_face(D: QCOracle, value, faces: dict):

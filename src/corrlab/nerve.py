@@ -11,10 +11,10 @@ constraint is the pentagon condition, checked at the strictly increasing
 quadruples; at the others it follows from normality (see
 validate_simplex).
 
-Monotone reindexing (apply_map) is pure lookup, so shared faces of two
-simplices are shared objects, byte for byte; horn assembly relies on that
-and rejects faces that merely look alike numerically.  Simplices store no
-tensor products: all read the one tensor_corrs keeps on the left edge.
+One rule, _check_uncovered, checks a simplex at its caller's eps; faces
+(apply_map) are pure lookup with no re-check, so shared faces are shared
+objects, byte for byte.  Simplices store no tensor products: all read the
+one tensor_corrs keeps on the left edge.
 
 Fills: an inner (2,1)-horn composes its two edges; (3,k)-horns solve the
 pentagon for the one missing intertwiner, where k = 3 extracts it from a
@@ -87,33 +87,21 @@ def identity_iso(corr: Correspondence) -> CorrIso:
 class NCorrSimplex:
     """A normal simplex of the correspondence nerve; immutable after construction.
 
-    Only the strict data is stored: ``edges[(i, j)]`` for i < j and
-    ``cells[(i, j, k)]`` for i < j < k; any other key is refused.  The
-    degenerate data is structure, not data: ``edge(i, i)`` is
+    The certified constructor: it stores the strict data, ``edges[(i, j)]``
+    for i < j and ``cells[(i, j, k)]`` for i < j < k, and checks nothing, as
+    StarHom does; make_simplex and the fills check it (_check_uncovered).
+    The degenerate data is structure, not data: ``edge(i, i)`` is
     identity_corr(A_i), ``cell(i, i, k)`` the left unitor of E_ii (x) E_ik
     and ``cell(i, k, k)`` the right unitor of E_ik (x) E_kk, each built on
     first use and cached.  The unitors are certified, not checked, so
-    reading a simplex does not depend on an eps.  Construction checks keys
-    and endpoints only; numeric validity is validate_simplex's job.
+    reading a simplex does not depend on an eps.
     """
 
     __slots__ = ("n", "algebras", "edges", "cells", "_units", "_shash")
 
     def __init__(self, algebras, edges, cells):
-        algebras = tuple(algebras)
-        n = len(algebras) - 1
-        if n < 0:
-            raise ShapeMismatch("a simplex needs at least one vertex")
-        _check_strict_keys("edge", edges, combinations(range(n + 1), 2))
-        _check_strict_keys("cell", cells, combinations(range(n + 1), 3))
-        for (i, j), e in edges.items():
-            if e.src != algebras[i] or e.dst != algebras[j]:
-                raise EndpointMismatch(f"edge ({i}, {j}) endpoints disagree")
-        for (i, j, k), u in cells.items():
-            if not corr_close(u.dst, edges[(i, k)]):
-                raise EndpointMismatch(f"cell ({i}, {j}, {k}) does not land on edge ({i}, {k})")
-        self.n = n
-        self.algebras = algebras
+        self.algebras = tuple(algebras)
+        self.n = len(self.algebras) - 1
         self.edges = dict(edges)
         self.cells = dict(cells)
         self._units = {}  # built unitor cells
@@ -147,16 +135,6 @@ class NCorrSimplex:
         return f"NCorrSimplex(n={self.n}, algebras={[a.blocks for a in self.algebras]})"
 
 
-def _check_strict_keys(what: str, given, strict) -> None:
-    strict = set(strict)
-    for key in given:
-        if key not in strict:
-            raise ShapeMismatch(f"{what} key {key} is not strictly increasing in range")
-    missing = sorted(strict.difference(given))
-    if missing:
-        raise ShapeMismatch(f"missing {what} {missing[0]}")
-
-
 def make_simplex(algebras, edges, cells, *, eps: float = EPS, validate: bool = True) -> NCorrSimplex:
     """Assemble a simplex from its strict data: ``edges`` for the pairs
     i < j, ``cells`` for the triples i < j < k."""
@@ -166,39 +144,56 @@ def make_simplex(algebras, edges, cells, *, eps: float = EPS, validate: bool = T
     return s
 
 
-def pentagon_residual(s: NCorrSimplex, i, j, k, l) -> float:
+def pentagon_residual(s: NCorrSimplex, i, j, k, l, *, eps: float = EPS) -> float:
     """Residual of u_ikl . (u_ijk (x) id) = u_ijl . (id (x) u_jkl) . assoc
-    as maps (E_ij (x) E_jk) (x) E_kl -> E_il."""
+    as maps (E_ij (x) E_jk) (x) E_kl -> E_il, each endpoint checked at eps."""
     t_l = tensor_corrs(s.tp(i, j, k).corr, s.edge(k, l))
     t_r = tensor_corrs(s.edge(i, j), s.tp(j, k, l).corr)
-    ass = associator(s.tp(i, j, k), t_l, s.tp(j, k, l), t_r)
-    left = tensor_iso(s.cell(i, j, k), identity_iso(s.edge(k, l)), t_l, s.tp(i, k, l))
-    right = tensor_iso(identity_iso(s.edge(i, j)), s.cell(j, k, l), t_r, s.tp(i, j, l))
-    lhs = compose_isos(s.cell(i, k, l), left)
-    return iso_distance(lhs, compose_isos(s.cell(i, j, l), compose_isos(right, ass)))
+    ass = associator(s.tp(i, j, k), t_l, s.tp(j, k, l), t_r, eps=eps)
+    left = tensor_iso(s.cell(i, j, k), identity_iso(s.edge(k, l)), t_l, s.tp(i, k, l), eps=eps)
+    right = tensor_iso(identity_iso(s.edge(i, j)), s.cell(j, k, l), t_r, s.tp(i, j, l), eps=eps)
+    lhs = compose_isos(s.cell(i, k, l), left, eps=eps)
+    rhs = compose_isos(s.cell(i, j, l), compose_isos(right, ass, eps=eps), eps=eps)
+    return iso_distance(lhs, rhs)
 
 
 def _check_uncovered(s: NCorrSimplex, faces, eps: float) -> float:
-    """Check s where none of ``faces`` covers it; return the worst pentagon
-    residual checked (NaN is the worst).  A strict triple or quadruple t
-    lies in face j iff j is not in t, so t is checked iff it holds every
-    face index: u_t must start at E_ij (x) E_jk (EndpointMismatch) and the
-    pentagon at t must hold (PentagonViolated).  With no faces this is
-    validate_simplex.  Sound when the faces are valid simplices that s
-    agrees with, as the horn merge (IncompatibleFaces) and the extension's
-    face comparison ensure: each skipped t's data are then within eps of a
-    checked face's copies, so its residual is within a few eps of the one
-    checked there.  Not always the same bits: a guided fill at n = 4 keeps
-    the preferred face's copy of an edge that another face rounds otherwise.
+    """The one check of a simplex, all at eps; return the worst pentagon
+    residual checked (NaN is the worst).  s needs a vertex, the strict keys
+    (ShapeMismatch) and edges E_ij: A_i -> A_j (EndpointMismatch).  A strict
+    triple or quadruple t lies in face j iff j is not in t, so t is checked
+    iff it holds every one of ``faces``: u_ijk must land on E_ik and start
+    at E_ij (x) E_jk (EndpointMismatch), and the pentagon at t must hold
+    (PentagonViolated).  With no faces this is validate_simplex.  Sound when
+    the faces are valid simplices that s agrees with, as the horn merge
+    (IncompatibleFaces) and the extension's face comparison ensure: each
+    skipped t's data are then within eps of a checked face's copies.  Not
+    always the same bits: a guided fill at n = 4 keeps the preferred face's
+    copy of an edge that another face rounds otherwise.
     """
-    uncovered = set(faces).issubset
+    if s.n < 0:
+        raise ShapeMismatch("a simplex needs at least one vertex")
     ids = range(s.n + 1)
+    for what, stored, size in (("edge", s.edges, 2), ("cell", s.cells, 3)):
+        strict = set(combinations(ids, size))
+        for key in stored:
+            if key not in strict:
+                raise ShapeMismatch(f"{what} key {key} is not strictly increasing in range")
+        missing = sorted(strict.difference(stored))
+        if missing:
+            raise ShapeMismatch(f"missing {what} {missing[0]}")
+    for (i, j), e in s.edges.items():
+        if e.src != s.algebras[i] or e.dst != s.algebras[j]:
+            raise EndpointMismatch(f"edge ({i}, {j}) endpoints disagree")
+    uncovered = set(faces).issubset
     for t in filter(uncovered, combinations(ids, 3)):
+        if not corr_close(s.cells[t].dst, s.edges[t[::2]], eps):
+            raise EndpointMismatch(f"cell {t} does not land on edge {t[::2]}")
         if not corr_close(s.cells[t].src, s.tp(*t).corr, eps):
             raise EndpointMismatch(f"cell {t} does not start at E_ij (x) E_jk")
     pent, pent_at = 0.0, None
     for q in filter(uncovered, combinations(ids, 4)):
-        r = pentagon_residual(s, *q)
+        r = pentagon_residual(s, *q, eps=eps)
         if worse(r, pent):
             pent, pent_at = r, q
     if not pent <= eps:
@@ -214,11 +209,11 @@ def validate_simplex(s: NCorrSimplex, *, eps: float = EPS) -> NCorrSimplex:
     validate`` checks them itself.  Normality (E_ii = I, u_iik = lambda,
     u_ikk = rho) holds by construction: NCorrSimplex stores no degenerate
     data and derives it from the unitors, so there is nothing to check.
-    Each strict u_ijk must start at E_ij (x) E_jk (NCorrSimplex checks only
-    where cells land).  The pentagon is checked at i < j < k < l only; at a repeated index it is
-    implied, since every cell is a valid CorrIso between those endpoints
-    (unitary, intertwining, right linear by structure) and the unit cells
-    are the unitors; the first case that applies covers it:
+    _check_uncovered checks the keys and endpoints, and the pentagon at
+    i < j < k < l only; at a repeated index it is implied, since every cell
+    is a valid CorrIso between those endpoints (unitary, intertwining, right
+    linear by structure) and the unit cells are the unitors; the first case
+    that applies covers it:
     - i = j: naturality of lambda along u_ikl, and
       lambda_{E (x) F} . a = lambda_E (x) id;
     - j = k: the triangle identity (rho (x) id) = (id (x) lambda) . a;
@@ -231,11 +226,13 @@ def validate_simplex(s: NCorrSimplex, *, eps: float = EPS) -> NCorrSimplex:
 
 
 def apply_map(s: NCorrSimplex, phi) -> NCorrSimplex:
-    """Reindex along a weakly increasing phi: [m] -> [n]; pure lookup."""
+    """Reindex along a weakly increasing phi: [m] -> [n], m >= 0; pure lookup."""
     phi = tuple(int(x) for x in phi)
+    if not phi:
+        raise ShapeMismatch("a simplex needs at least one vertex")
     if any(b < a for a, b in zip(phi, phi[1:])):
         raise NotMonotone(f"{list(phi)} is not weakly increasing")
-    if phi and (phi[0] < 0 or phi[-1] > s.n):
+    if phi[0] < 0 or phi[-1] > s.n:
         raise NotMonotone(f"{list(phi)} does not land in [0, {s.n}]")
     ids = range(len(phi))
     algebras = tuple(s.algebras[p] for p in phi)
@@ -507,13 +504,13 @@ def fill_special_outer_horn(horn: HornSpec, witness=None, *, eps: float = EPS) -
             t2 = tensor_corrs(e01, edges[(1, 2)])
             t_r = tensor_corrs(inv, witness.corr)
             t_e_fg = tensor_corrs(edges[(0, 2)], t_r.corr)
-            ass = associator(t1, t2, t_r, t_e_fg)
+            ass = associator(t1, t2, t_r, t_e_fg, eps=eps)
             t_unit = tensor_corrs(edges[(0, 2)], identity_corr(algebras[2]))
             mid = tensor_iso(
                 identity_iso(edges[(0, 2)]), witness.counit_right, t_e_fg, t_unit, eps=eps
             )
-            u = compose_isos(right_unitor(t_unit, eps=eps), compose_isos(mid, ass))
-            cells[(0, 1, 2)] = u
+            rho = right_unitor(t_unit, eps=eps)
+            cells[(0, 1, 2)] = compose_isos(rho, compose_isos(mid, ass, eps=eps), eps=eps)
         else:
             cells[(0, 1, 2)] = _solve_pentagon(edges, cells, 3, eps)
     s = NCorrSimplex(algebras, edges, cells)
@@ -571,20 +568,18 @@ def _solve_pentagon(edges, cells, k, eps):
     t_r = tensor_corrs(e01, t12_23.corr)
     t02_23 = tensor_corrs(e02, e23)
     t01_13 = tensor_corrs(e01, e13)
-    ass = associator(t01_12, t_l, t12_23, t_r)
+    ass = associator(t01_12, t_l, t12_23, t_r, eps=eps)
     step = tensor_iso(identity_iso(e01), cells[(1, 2, 3)], t_r, t01_13, eps=eps)
-    if k == 2:
-        left = compose_isos(
-            cells[(0, 2, 3)],
-            tensor_iso(cells[(0, 1, 2)], identity_iso(e23), t_l, t02_23, eps=eps),
-        )
-        return compose_isos(left, compose_isos(ass.inverse(), step.inverse()))
-    right = compose_isos(cells[(0, 1, 3)], compose_isos(step, ass))
-    if k == 1:
+    if k < 3:
         left_part = tensor_iso(cells[(0, 1, 2)], identity_iso(e23), t_l, t02_23, eps=eps)
-        return compose_isos(right, left_part.inverse())
+    if k == 2:
+        left = compose_isos(cells[(0, 2, 3)], left_part, eps=eps)
+        return compose_isos(left, compose_isos(ass.inverse(), step.inverse(), eps=eps), eps=eps)
+    right = compose_isos(cells[(0, 1, 3)], compose_isos(step, ass, eps=eps), eps=eps)
+    if k == 1:
+        return compose_isos(right, left_part.inverse(), eps=eps)
     # k == 3: solve u (x) id = T for u: E01 (x) E12 -> E02
-    t_mat = compose_isos(cells[(0, 2, 3)].inverse(), right)
+    t_mat = compose_isos(cells[(0, 2, 3)].inverse(), right, eps=eps)
     a2 = e02.dst
     blocks = []
     for j in range(a2.nblocks):

@@ -173,8 +173,8 @@ def test_morita_refuses_a_nan_counit(monkeypatch):
 def test_nerve_coherence_refuses_a_nan_pentagon(monkeypatch):
     real = acceptance.pentagon_residual
 
-    def nan_after_first(s, *ijkl):
-        return real(s, *ijkl) if ijkl == (0, 0, 0, 0) else math.nan
+    def nan_after_first(s, *ijkl, **kw):
+        return real(s, *ijkl, **kw) if ijkl == (0, 0, 0, 0) else math.nan
 
     monkeypatch.setattr(acceptance, "pentagon_residual", nan_after_first)
     assert_nan_case(acceptance.suite_nerve_coherence(trials=1))

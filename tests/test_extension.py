@@ -1,6 +1,7 @@
 """Extending stable functors over subdivision chains and prisms."""
 
 import gc
+import itertools
 import weakref
 from collections import Counter
 
@@ -49,7 +50,7 @@ from corrlab.nerve import (
     structural_hash,
     validate_simplex,
 )
-from corrlab.subdivision import degeneracy, enumerate_csd, subdivision_functor
+from corrlab.subdivision import AugChain, degeneracy, enumerate_csd, subdivision_functor
 from test_subdivision import corrupt_isometries
 
 
@@ -72,6 +73,29 @@ def closure(sig):
 
 M01 = np.array([[1, 1], [0, 1]], dtype=np.int64)
 M12 = np.array([[2, 0], [1, 1]], dtype=np.int64)
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_fill_targets_run_from_each_vertex_set_to_the_top(n):
+    """Stage k fills, in (dimension, vertices, subsets) order, every chain
+    of k + 1 distinct vertices whose subsets start at exactly those
+    vertices and grow, strictly nested, up to the top; enumerated here from
+    the definition, not from csd(n)."""
+    top = tuple(range(n + 1))
+
+    def runs(cur):
+        if cur == top:
+            return [(cur,)]
+        bigger = (t for r in range(len(cur) + 1, n + 2) for t in itertools.combinations(top, r))
+        return [(cur,) + tail for t in bigger if set(cur) < set(t) for tail in runs(t)]
+
+    def stage(k):
+        chains = [AugChain(vs, ss) for vs in itertools.combinations(top, k + 1) for ss in runs(vs)]
+        return k, sorted(chains, key=lambda c: (c.dim, c.vertices, c.subsets))
+
+    assert [(k, list(ts)) for k, ts in extension._fill_targets(n)] == [
+        stage(k) for k in range(1, n + 1)
+    ]
 
 
 def test_k0_simplex_basics():
@@ -598,9 +622,9 @@ def test_a_gamma_chain_value_computes_only_the_pentagons_no_face_covers(d, want,
     calls = []
     real = nerve.pentagon_residual
 
-    def counting(simplex, *quad):
+    def counting(simplex, *quad, **kw):
         calls.append(quad)
-        return real(simplex, *quad)
+        return real(simplex, *quad, **kw)
 
     monkeypatch.setattr(nerve, "pentagon_residual", counting)
     gamma_functor().chain(homs)

@@ -134,22 +134,48 @@ def test_identity_edges_and_unit_cells():
 
 
 def test_constructor_refuses_non_strict_keys():
+    """make_simplex, the checking constructor, refuses every key that is not
+    a strict pair or triple in range, and a missing one (ShapeMismatch)."""
     rng = np.random.default_rng(4)
     s = random_simplex(rng, 2, max_mult=1)
     with pytest.raises(ShapeMismatch):
-        NCorrSimplex(s.algebras, s.edges | {(1, 1): s.edge(1, 1)}, s.cells)
+        make_simplex(s.algebras, s.edges | {(1, 1): s.edge(1, 1)}, s.cells)
     for key in [(0, 0, 2), (0, 2, 2), (1, 1, 1), (0, 1, 3), (2, 1, 0)]:
         with pytest.raises(ShapeMismatch):
-            NCorrSimplex(s.algebras, s.edges, s.cells | {key: s.cells[(0, 1, 2)]})
+            make_simplex(s.algebras, s.edges, s.cells | {key: s.cells[(0, 1, 2)]})
     edges = dict(s.edges)
     e = edges.pop((0, 2))
     for key in [(2, 0), (2, 2), (0, 3)]:
         with pytest.raises(ShapeMismatch):
-            NCorrSimplex(s.algebras, edges | {key: e}, s.cells)
+            make_simplex(s.algebras, edges | {key: e}, s.cells)
     with pytest.raises(ShapeMismatch):
-        NCorrSimplex(s.algebras, edges, s.cells)
+        make_simplex(s.algebras, edges, s.cells)
     with pytest.raises(ShapeMismatch):
         make_simplex(s.algebras, s.edges, s.cells | {(0, 0, 1): s.cell(0, 0, 1)})
+    with pytest.raises(ShapeMismatch, match="at least one vertex"):
+        make_simplex([], {}, {})
+
+
+def test_the_constructor_stores_and_the_one_check_refuses():
+    """NCorrSimplex is the certified constructor: it stores edges that miss
+    their vertices, or a cell that lands off its edge, unchecked; the one
+    check (make_simplex, validate_simplex) refuses both, at any eps."""
+    s = random_simplex(np.random.default_rng(4), 2, max_mult=1)
+    algebras = s.algebras[::-1]
+    assert algebras[0] != s.algebras[0]
+    swapped = NCorrSimplex(algebras, s.edges, s.cells)
+    assert swapped.algebras == algebras and swapped.edges == s.edges
+    cells = {(0, 1, 2): identity_iso(s.tp(0, 1, 2).corr)}
+    off = NCorrSimplex(s.algebras, s.edges, cells)
+    assert off.cells == cells
+    for eps in (1e-9, 1.0):
+        with pytest.raises(EndpointMismatch, match=r"edge \(0, 1\) endpoints disagree"):
+            validate_simplex(swapped, eps=eps)
+        with pytest.raises(EndpointMismatch, match=r"edge \(0, 1\) endpoints disagree"):
+            make_simplex(algebras, s.edges, s.cells, eps=eps)
+        with pytest.raises(EndpointMismatch, match=r"cell \(0, 1, 2\) does not land on edge \(0, 2\)"):
+            validate_simplex(off, eps=eps)
+    assert not hasattr(nerve, "_check_strict_keys")
 
 
 def same_bits(x, y) -> bool:
@@ -468,9 +494,9 @@ def counting_pentagons(monkeypatch):
     calls = []
     real = nerve.pentagon_residual
 
-    def counting(simplex, *quad):
+    def counting(simplex, *quad, **kw):
         calls.append(quad)
-        return real(simplex, *quad)
+        return real(simplex, *quad, **kw)
 
     monkeypatch.setattr(nerve, "pentagon_residual", counting)
     return calls
@@ -664,9 +690,9 @@ def test_validate_simplex_checks_each_strict_pentagon_once(n, monkeypatch):
     calls = []
     real = nerve.pentagon_residual
 
-    def counting(simplex, *quad):
+    def counting(simplex, *quad, **kw):
         calls.append(quad)
-        return real(simplex, *quad)
+        return real(simplex, *quad, **kw)
 
     monkeypatch.setattr(nerve, "pentagon_residual", counting)
     validate_simplex(s)

@@ -3,8 +3,9 @@ export of a removed name fails here rather than at a user's import, and
 the names moved to tests/reference.py resolve nowhere in the library;
 tensor products have one constructor call; the validating
 constructors are called only at the trust boundary; derived data
-(kernels, frames, products, Gamma) takes no eps; and the library stays
-within its line budget."""
+(kernels, frames, products, Gamma) takes no eps; every endpoint check in
+nerve.py runs at its caller's eps; and the library stays within its line
+budget."""
 
 import ast
 import importlib
@@ -110,6 +111,31 @@ def test_no_library_path_applies_a_hom():
     assert found == []
 
 
+ENDPOINT_CHECKS = ("compose_isos", "tensor_iso", "associator", "corr_close", "pentagon_residual")
+
+
+def test_every_endpoint_check_in_nerve_takes_the_callers_eps():
+    """``--eps`` is the one tolerance of a simplex's checks: every call in
+    nerve.py of a check that compares endpoints passes ``eps`` (by keyword,
+    or as the name ``eps``), so none falls back to the default.  The
+    unitors are left out: inside a simplex their identity test is an
+    ``is``."""
+    tree = ast.parse(pathlib.Path(corrlab.nerve.__file__).read_text())
+    calls = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) in ENDPOINT_CHECKS
+    ]
+    at_default = [
+        (getattr(c.func, "id", getattr(c.func, "attr", None)), c.lineno)
+        for c in calls
+        if not any(k.arg == "eps" for k in c.keywords)
+        and not any(isinstance(a, ast.Name) and a.id == "eps" for a in c.args)
+    ]
+    assert len(calls) > 20 and not at_default
+
+
 # Moved to tests/reference.py (the chains are AugChains; the helpers at the
 # end have no library caller): module-level names, then methods.
 REMOVED = (
@@ -190,7 +216,7 @@ def test_derived_data_takes_no_eps():
     assert "eps" in inspect.signature(corrlab.algebra.hom_normal_form).parameters
 
 
-LINE_BUDGET = 5380
+LINE_BUDGET = 5339
 
 
 def test_library_stays_within_its_line_budget():

@@ -24,7 +24,7 @@ from corrlab.acceptance import k0_of_corr
 from corrlab.algebra import StarHom, _traced_mult, make_algebra
 from corrlab.bicategory import equivalence_inverse, gamma_of_hom
 from corrlab.cli import main
-from corrlab.errors import ParseError, SchemaError, ShapeMismatch
+from corrlab.errors import CorrLabError, ParseError, SchemaError, ShapeMismatch
 from corrlab.extension import NCorrOracle, extend_bar_G, gamma_functor
 from corrlab.generators import (
     embedding_hom,
@@ -1026,6 +1026,70 @@ def test_cli_eps_reaches_every_command_on_a_noisy_simplex(tmp_path):
     for name, argv in argvs.items():
         code, out, err = run_cli(argv)
         assert code == 1 and out == "" and err.startswith(refusals[name]), name
+
+
+def noisy_horn(path, seed, k, j):
+    """Write the (3, k)-horn of random_simplex(default_rng(seed), 3,
+    max_blocks=2, max_size=2, max_mult=1) to path with 1e-8 N(0, 1)
+    (default_rng(0)) added to the real part of every left-action entry of
+    face j's edges: the faces agree within 1e-6, not within 1e-9."""
+    s = random_simplex(np.random.default_rng(seed), 3, max_blocks=2, max_size=2, max_mult=1)
+    doc = value_to_json(HornSpec(3, k, {i: face(s, i) for i in range(4) if i != k}))
+    rng = np.random.default_rng(0)
+    rec = next(f for f in doc["faces"] if f["j"] == j)
+    for edge in rec["simplex"]["edges"]:
+        for entry in edge["corr"]["left_action"]["matrix"]:
+            entry[0] += 1e-8 * rng.standard_normal()
+    path.write_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("seed", range(6))
+def test_cli_eps_reaches_fill_on_a_horn_whose_faces_disagree(tmp_path, seed, k):
+    """--eps is the one tolerance of a fill: a horn whose faces disagree by
+    about 1e-8 validates and fills at --eps 1e-6, whichever face carries the
+    noise, since every endpoint the fill checks (the merge, the solved
+    cell, the pentagon's factors) is checked at that eps.  At the default
+    eps both commands refuse it at load, with the load's message."""
+    for j in (x for x in range(4) if x != k):
+        path = tmp_path / f"horn-{j}.json"
+        noisy_horn(path, seed, k, j)
+        argvs = {False: ["validate", str(path)], True: ["fill", "--horn", str(path)]}
+        for validate, argv in argvs.items():
+            code, out, err = run_cli(["--eps", "1e-6"] + argv)
+            assert (code, err) == (0, ""), (j, argv[0])
+            with pytest.raises(CorrLabError) as refused:
+                load_value(path, validate=validate)
+            code, out, err = run_cli(argv)
+            assert (code, out, err) == (1, "", f"validation error: {refused.value}\n"), (j, argv[0])
+
+
+def test_cli_refuses_a_simplex_whose_algebras_are_swapped(tmp_path):
+    """A 1-simplex file whose ``algebras`` list is reversed parses (its edge
+    record names its own endpoints), and the simplex check refuses it:
+    validate after its edge checks, subdivide and extend at load."""
+    s = random_simplex(np.random.default_rng(2), 1, max_blocks=2, max_size=2, max_mult=1)
+    assert s.algebras[0] != s.algebras[1]
+    doc = value_to_json(s)
+    doc["algebras"].reverse()
+    path = tmp_path / "swapped.json"
+    path.write_text(json.dumps(doc))
+    argvs = [
+        ["validate", str(path)],
+        ["subdivide", "--simplex", str(path)],
+        ["extend", "--simplex", str(path), "--functor", "k0", "--target", "k0nerve"],
+        ["extend", "--simplex", str(path), "--functor", "gamma", "--target", "ncorr"],
+    ]
+    for argv in argvs:
+        code, out, err = run_cli(argv)
+        assert (code, err) == (1, "validation error: edge (0, 1) endpoints disagree\n"), argv[0]
+        if argv[0] == "validate":
+            assert out.splitlines() == [
+                "parsed: NCorrSimplex",
+                "edge (0, 1) left action is a star-hom: ok",
+            ]
+        else:
+            assert out == "", argv[0]
 
 
 @pytest.mark.parametrize("eps", ["nan", "inf", "-inf", "0", "-0.0", "-1", "1e-400"])
