@@ -204,12 +204,12 @@ def conjugated_k0(rng):
     def vertex(a):
         return K0Simplex((a.nblocks,), ())
 
-    def chain(homs, composites=None):
+    def chain(homs, composites=None, *, eps=EPS):
         homs = list(homs)
         ranks = (homs[0].src.nblocks,) + tuple(h.dst.nblocks for h in homs)
         return K0Simplex(ranks, [P(h.dst) @ k0_matrix(h) @ int_inverse(P(h.src)) for h in homs])
 
-    def certificate(phi):
+    def certificate(phi, *, eps=EPS):
         return int_inverse(P(phi.dst) @ k0_matrix(phi) @ int_inverse(P(phi.src)))
 
     return CstFunctor("K0conj", vertex, chain, certificate), P
@@ -419,8 +419,8 @@ def suite_section(*, seed: int = 42, eps: float = EPS, trials: int = 3) -> Suite
     cases = []
     for t in range(trials):
         arrows = _diagram(rng)
-        F = gamma_functor(arrows, eps=eps)
-        D = NCorrOracle(eps=eps)
+        F = gamma_functor(arrows)
+        D = NCorrOracle()
         memo: dict = {}
         sims = []
         seen = set()

@@ -120,6 +120,9 @@ def _simplex_checks(s: NCorrSimplex, eps: float) -> bool:
     except PentagonViolated as err:
         print(f"pentagon: FAIL at {err.indices} (residual {err.residual:.3e})")
         return False
+    except ValidationError as err:
+        print(f"simplex: FAIL ({err})")
+        return False
     return _line("pentagon", True, worst)
 
 
@@ -262,7 +265,7 @@ def cmd_extend(args) -> int:
     if args.functor == "k0":
         F, D = k0_functor(), K0Oracle()
     else:
-        F, D = gamma_functor(eps=args.eps), NCorrOracle(eps=args.eps)
+        F, D = gamma_functor(), NCorrOracle()
     ext = extend_bar_G(s, F, D, {}, eps=args.eps)
     top = ext.top()
     if args.trace:
@@ -324,7 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("validate", parents=[common], help="check every invariant of a JSON file")
     v.add_argument("path", nargs="?", help="file to check")
-    v.add_argument("--simplex", dest="simplex_path", help="alias for the positional path")
 
     m = sub.add_parser("make", parents=[common], help="emit a seeded random value")
     m.add_argument("kind", choices=["algebra", "hom", "corr", "simplex"])
@@ -368,11 +370,9 @@ def main(argv=None) -> int:
     # overwrite a flag given before the subcommand
     args = build_parser().parse_args(argv, argparse.Namespace(eps=1e-9, seed=42, out=None, trace=None))
     command = globals()[f"cmd_{args.command}"]  # a rebound cmd_* is the one that runs
-    if args.command == "validate":
-        args.path = args.path or getattr(args, "simplex_path", None)
-        if not args.path:
-            print("validate: a file path is required", file=sys.stderr)
-            return 2
+    if args.command == "validate" and not args.path:
+        print("validate: a file path is required", file=sys.stderr)
+        return 2
     try:
         return command(args)
     except (ParseError, SchemaError, DimensionTooLarge) as err:

@@ -82,11 +82,12 @@ class QCOracle:
     """What the extension recursion needs from a target quasi-category.
 
     Simplices are opaque values; the engine only moves them along faces and
-    degeneracies, compares them, and asks for horn fills.  Fills must return
-    simplices carrying the supplied faces exactly, in every dimension: the
-    run's dimension is bounded by its subdivision alone.  A special outer
-    horn's last edge needs no test of its own: it is the functor's image of
-    a corner, whose ``certificate`` raises when that image is not invertible.
+    degeneracies, compares them at the run's eps, and asks for horn fills at
+    it (an oracle holds no tolerance).  Fills must return simplices carrying
+    the supplied faces exactly, in every dimension: the run's dimension is
+    bounded by its subdivision alone.  A special outer horn's last edge needs
+    no test of its own: it is the functor's image of a corner, whose
+    ``certificate`` raises when that image is not invertible.
     """
 
     def face(self, s, i: int):
@@ -95,19 +96,19 @@ class QCOracle:
     def degeneracy(self, s, i: int):
         raise NotImplementedError
 
-    def equal(self, s, t) -> bool:
+    def equal(self, s, t, *, eps: float = EPS) -> bool:
         raise NotImplementedError
 
-    def fill_inner_horn(self, horn: HornSpec):
+    def fill_inner_horn(self, horn: HornSpec, *, eps: float = EPS):
         raise NotImplementedError
 
-    def fill_special_outer_horn(self, horn: HornSpec, certificate=None):
+    def fill_special_outer_horn(self, horn: HornSpec, certificate=None, *, eps: float = EPS):
         raise NotImplementedError
 
-    def fill_boundary(self, faces: dict):
+    def fill_boundary(self, faces: dict, *, eps: float = EPS):
         raise NotImplementedError
 
-    def guided_fill(self, horn: HornSpec, certificate=None, preferred_face=None):
+    def guided_fill(self, horn: HornSpec, certificate=None, preferred_face=None, *, eps: float = EPS):
         """Return a fill whose missing face equals the preferred one, or None."""
         return None
 
@@ -224,7 +225,7 @@ class K0Oracle(QCOracle):
 
     Being the nerve of an ordinary category it has unique inner fills, and a
     final-edge fill needs exactly an integer inverse, which doubles as the
-    equivalence certificate.
+    equivalence certificate.  Its data are integers: it ignores ``eps``.
     """
 
     def face(self, s: K0Simplex, i: int) -> K0Simplex:
@@ -233,17 +234,17 @@ class K0Oracle(QCOracle):
     def degeneracy(self, s: K0Simplex, i: int) -> K0Simplex:
         return s.degeneracy(i)
 
-    def equal(self, s: K0Simplex, t: K0Simplex) -> bool:
+    def equal(self, s: K0Simplex, t: K0Simplex, *, eps: float = EPS) -> bool:
         return s == t
 
-    def fill_inner_horn(self, horn: HornSpec) -> K0Simplex:
+    def fill_inner_horn(self, horn: HornSpec, *, eps: float = EPS) -> K0Simplex:
         n, k = horn.n, horn.k
         if not (0 < k < n):
             raise Unfillable(f"L^{n}_{k} is not an inner horn")
         ranks, steps = _merge_k0_faces(n, horn.faces)
         return self._build(ranks, steps, horn.faces)
 
-    def fill_special_outer_horn(self, horn: HornSpec, certificate=None) -> K0Simplex:
+    def fill_special_outer_horn(self, horn: HornSpec, certificate=None, *, eps: float = EPS) -> K0Simplex:
         n, k = horn.n, horn.k
         if k != n:
             raise Unfillable(f"L^{n}_{k} is not a special outer horn")
@@ -263,20 +264,20 @@ class K0Oracle(QCOracle):
             steps[0] = inv @ horn.faces[1].steps[0]
         return self._build(ranks, steps, horn.faces)
 
-    def fill_boundary(self, faces: dict) -> K0Simplex:
+    def fill_boundary(self, faces: dict, *, eps: float = EPS) -> K0Simplex:
         n = nerve._boundary_dim(faces)
         if n < 2:
             raise Unfillable("a boundary below dimension 2 does not determine the simplex")
         ranks, steps = _merge_k0_faces(n, faces)
         return self._build(ranks, steps, faces)
 
-    def guided_fill(self, horn: HornSpec, certificate=None, preferred_face=None):
+    def guided_fill(self, horn: HornSpec, certificate=None, preferred_face=None, *, eps: float = EPS):
         # fills here are unique, so guiding can only ever confirm
         if horn.k == horn.n:
-            fill = self.fill_special_outer_horn(horn, certificate)
+            fill = self.fill_special_outer_horn(horn, certificate, eps=eps)
         else:
-            fill = self.fill_inner_horn(horn)
-        if preferred_face is not None and not self.equal(fill.face(horn.k), preferred_face):
+            fill = self.fill_inner_horn(horn, eps=eps)
+        if preferred_face is not None and not self.equal(fill.face(horn.k), preferred_face, eps=eps):
             return None
         return fill
 
@@ -286,7 +287,7 @@ class K0Oracle(QCOracle):
         face, so this is the whole of the faces' compatibility; at dimension
         2 it compares the horn's composite edge with the steps' product."""
         s = K0Simplex(ranks, steps)
-        j = _bad_face(self, s, faces)
+        j = _bad_face(self, s, faces, eps=0.0)
         if j is not None:
             raise IncompatibleFaces(f"face {j} disagrees with the simplex the other faces make")
         return s
@@ -295,28 +296,25 @@ class K0Oracle(QCOracle):
 class NCorrOracle(QCOracle):
     """The correspondence nerve as its own extension target."""
 
-    def __init__(self, *, eps: float = EPS):
-        self.eps = eps
-
     def face(self, s, i: int):
         return nerve.face(s, i)
 
     def degeneracy(self, s, i: int):
         return nerve.degeneracy(s, i)
 
-    def equal(self, s, t) -> bool:
-        return s is t or nerve.simplex_close(s, t, self.eps)
+    def equal(self, s, t, *, eps: float = EPS) -> bool:
+        return s is t or nerve.simplex_close(s, t, eps)
 
-    def fill_inner_horn(self, horn: HornSpec):
-        return nerve.fill_inner_horn(horn, eps=self.eps)
+    def fill_inner_horn(self, horn: HornSpec, *, eps: float = EPS):
+        return nerve.fill_inner_horn(horn, eps=eps)
 
-    def fill_special_outer_horn(self, horn: HornSpec, certificate=None):
-        return nerve.fill_special_outer_horn(horn, witness=certificate, eps=self.eps)
+    def fill_special_outer_horn(self, horn: HornSpec, certificate=None, *, eps: float = EPS):
+        return nerve.fill_special_outer_horn(horn, witness=certificate, eps=eps)
 
-    def fill_boundary(self, faces: dict):
-        return nerve.assemble_boundary(faces, eps=self.eps)
+    def fill_boundary(self, faces: dict, *, eps: float = EPS):
+        return nerve.assemble_boundary(faces, eps=eps)
 
-    def guided_fill(self, horn: HornSpec, certificate=None, preferred_face=None):
+    def guided_fill(self, horn: HornSpec, certificate=None, preferred_face=None, *, eps: float = EPS):
         """Land the missing face on the supplied simplex when it fits.
 
         At dimension 2 the new edge is taken verbatim and an intertwiner to
@@ -332,27 +330,17 @@ class NCorrOracle(QCOracle):
                 e12 = horn.faces[0].edge(0, 1)
                 e02 = horn.faces[1].edge(0, 1)
                 t = tensor_corrs(e01, e12)
-                u = find_corr_iso(t.corr, e02, eps=self.eps)
+                u = find_corr_iso(t.corr, e02, eps=eps)
                 if u is None:
                     return None
-                algebras = [
-                    preferred_face.algebras[0],
-                    preferred_face.algebras[1],
-                    horn.faces[0].algebras[1],
-                ]
-                return make_simplex(
-                    algebras,
-                    {(0, 1): e01, (0, 2): e02, (1, 2): e12},
-                    {(0, 1, 2): u},
-                    eps=self.eps,
-                )
-            if horn.n >= 3:
-                faces = dict(horn.faces)
-                faces[horn.k] = preferred_face
-                return nerve.assemble_boundary(faces, eps=self.eps, prefer=horn.k)
-        except ValidationError:
+                algebras = [*preferred_face.algebras, horn.faces[0].algebras[1]]
+                edges = {(0, 1): e01, (0, 2): e02, (1, 2): e12}
+                return make_simplex(algebras, edges, {(0, 1, 2): u}, eps=eps)
+            faces = dict(horn.faces)
+            faces[horn.k] = preferred_face
+            return nerve.assemble_boundary(faces, eps=eps, prefer=horn.k)
+        except ValidationError:  # assemble_boundary refuses a horn below dimension 3
             return None
-        return None
 
 
 # ---------------------------------------------------------------------------
@@ -367,6 +355,7 @@ class CstFunctor:
     composable hom chains (a chain of one hom is the image edge).
     ``certificate`` returns invertibility data for the image of a marked
     corner-like hom and raises when the hom is not invertible in the target.
+    ``chain`` and ``certificate`` take the run's ``eps`` as a keyword.
     ``section``, when set, guides every run of the functor: it proposes the
     exact simplex the run should land on for a given input simplex, or None
     to decline.  The engine compares each chain value with all of its faces'
@@ -391,7 +380,7 @@ def k0_functor() -> CstFunctor:
     def vertex(a):
         return K0Simplex((a.nblocks,), ())
 
-    def chain(homs, composites=None):
+    def chain(homs, composites=None, *, eps: float = EPS):
         homs = list(homs)
         if not homs:
             raise ShapeMismatch("a chain needs at least one hom")
@@ -401,7 +390,7 @@ def k0_functor() -> CstFunctor:
         ranks = (homs[0].src.nblocks,) + tuple(h.dst.nblocks for h in homs)
         return K0Simplex(ranks, [k0_matrix(h) for h in homs])
 
-    def certificate(phi):
+    def certificate(phi, *, eps: float = EPS):
         m = k0_matrix(phi)
         try:
             return int_inverse(m)
@@ -413,7 +402,7 @@ def k0_functor() -> CstFunctor:
     return CstFunctor("K0", vertex, chain, certificate)
 
 
-def gamma_functor(arrows=(), *, eps: float = EPS) -> CstFunctor:
+def gamma_functor(arrows=()) -> CstFunctor:
     """The nerve itself as a target, acting by the correspondence of a hom.
 
     Composites of the listed arrows (up to three long, folded left to right)
@@ -437,14 +426,14 @@ def gamma_functor(arrows=(), *, eps: float = EPS) -> CstFunctor:
             table.setdefault(structural_hash(gamma_of_hom(h)), h)
 
     def vertex(a):
-        return make_simplex([a], {}, {}, eps=eps)
+        return make_simplex([a], {}, {})
 
-    def chain(homs_, composites=None):
-        s = gamma_simplex(homs_, eps=eps, composites=composites, validate=False)
+    def chain(homs_, composites=None, *, eps: float = EPS):
+        s = gamma_simplex(homs_, composites=composites, validate=False)
         nerve._check_uncovered(s, range(s.n + 1), eps)
         return s
 
-    def certificate(phi):
+    def certificate(phi, *, eps: float = EPS):
         return equivalence_inverse(gamma_of_hom(phi), eps=eps)
 
     def section(sig):
@@ -456,7 +445,7 @@ def gamma_functor(arrows=(), *, eps: float = EPS) -> CstFunctor:
             if h is None:
                 return None
             chain_homs.append(h)
-        cand = gamma_simplex(chain_homs, eps=eps, validate=False)
+        cand = gamma_simplex(chain_homs, validate=False)
         if structural_hash(cand) == structural_hash(sig):
             return sig
         return None
@@ -502,10 +491,10 @@ def _fill_targets(n: int) -> tuple:
     )
 
 
-def _bad_face(D: QCOracle, value, faces: dict):
-    """The first j whose face of value differs from faces[j], or None: the one
-    face comparison both engines make, once, where each value is made."""
-    return next((j for j, f in faces.items() if not D.equal(D.face(value, j), f)), None)
+def _bad_face(D: QCOracle, value, faces: dict, eps: float):
+    """The first j whose face of value differs from faces[j] at eps, or None:
+    the one face comparison both engines make, once, where each value is made."""
+    return next((j for j, f in faces.items() if not D.equal(D.face(value, j), f, eps=eps)), None)
 
 
 class BarExtension:
@@ -565,7 +554,7 @@ class BarExtension:
             out = self._g_value(tuple((v,) for v in c.vertices) + c.subsets)
             # the one check a functor value gets: against its faces' values
             faces = {i: self.value(sdv.face(c, i)) for i in range(c.dim + 1 if c.dim else 0)}
-            i = _bad_face(self.oracle, out, faces)
+            i = _bad_face(self.oracle, out, faces, self.eps)
             if i is not None:
                 raise CompatibilityViolated(f"face {i} of {_chain_str(c)} disagrees with its value")
         else:
@@ -598,10 +587,8 @@ class BarExtension:
             for i in range(len(subsets))
             for j in range(i + 1, len(subsets))
         }
-        return self.functor.chain(
-            [homs[(s, t)] for s, t in zip(subsets, subsets[1:])],
-            composites=comp,
-        )
+        steps = [homs[(s, t)] for s, t in zip(subsets, subsets[1:])]
+        return self.functor.chain(steps, composites=comp, eps=self.eps)
 
     # -- the staged fills ---------------------------------------------------
 
@@ -623,22 +610,22 @@ class BarExtension:
         try:
             if special:
                 corner = self.sd.hom((c.vertices[-1],), self.full)
-                cert = self.functor.certificate(corner)
+                cert = self.functor.certificate(corner, eps=self.eps)
                 fill = None
                 if self.pref is not None:
                     fill = self.oracle.guided_fill(
-                        horn, certificate=cert, preferred_face=self.pref
+                        horn, certificate=cert, preferred_face=self.pref, eps=self.eps
                     )
                     guided_used = fill is not None
                 if fill is None:
-                    fill = self.oracle.fill_special_outer_horn(horn, certificate=cert)
+                    fill = self.oracle.fill_special_outer_horn(horn, certificate=cert, eps=self.eps)
             else:
-                fill = self.oracle.fill_inner_horn(horn)
+                fill = self.oracle.fill_inner_horn(horn, eps=self.eps)
         except CorrLabError as err:
             raise OracleFillFailed(
                 f"horn ({ell},{kk}) at {_chain_str(c)}: {err}"
             ) from err
-        j = _bad_face(self.oracle, fill, faces)
+        j = _bad_face(self.oracle, fill, faces, self.eps)
         if j is not None:
             raise OracleFillFailed(
                 f"oracle changed face {j} of horn ({ell},{kk}) at {_chain_str(c)}"
@@ -672,9 +659,10 @@ def extend_bar_G(
     The one dimension bound is the subdivision's (``subdivision._MAX_N``),
     checked when the run builds it, before any chain is filled; the fills
     reach dimension n + 1.  A functor with a ``section`` guides every
-    special fill it recognises (``CstFunctor``).  Runs are memoised per
-    functor and oracle by the structural hash of sigma; pass the same memo
-    dict to share faces across calls.  The memo also holds, under
+    special fill it recognises (``CstFunctor``).  eps is the run's one
+    tolerance: every oracle and functor check takes it.  Runs are memoised
+    per functor, oracle and eps by the structural hash of sigma; pass the
+    same memo dict to share faces across calls.  The memo also holds, under
     ``("sd", eps, hash)``, the subdivision a run hands to the runs over its
     faces: one ``subdivision_functor`` build and check per top-level run,
     which each child restricts (``SdFunctor.restrict``), even a child run
@@ -685,7 +673,7 @@ def extend_bar_G(
         memo = {}
     # ids are safe keys: each memo value holds F and D, so neither can be
     # collected (and its id reused) while its entry exists
-    key = (id(F), id(D), structural_hash(sigma))
+    key = (id(F), id(D), eps, structural_hash(sigma))
     hit = memo.get(key)
     if hit is not None:
         return hit
@@ -839,7 +827,7 @@ def extend_relative(h, family, D: QCOracle, *, eps: float = EPS) -> RelExtension
         if s.n != 0:
             continue
         key = structural_hash(s)
-        if _bad_face(D, rel._eta(s.algebras[0]), {1: b0[key], 0: b1[key]}) is not None:
+        if _bad_face(D, rel._eta(s.algebras[0]), {1: b0[key], 0: b1[key]}, eps) is not None:
             raise BoundaryMismatch("eta does not connect the two boundary values")
 
     for sig in order:
@@ -855,10 +843,10 @@ def extend_relative(h, family, D: QCOracle, *, eps: float = EPS) -> RelExtension
                 if j != t
             }
             try:
-                cell = D.fill_inner_horn(HornSpec(q + 1, t, faces))
+                cell = D.fill_inner_horn(HornSpec(q + 1, t, faces), eps=eps)
             except CorrLabError as err:
                 raise OracleFillFailed(f"prism horn ({q + 1},{t}): {err}") from err
-            j = _bad_face(D, cell, faces)
+            j = _bad_face(D, cell, faces, eps)
             if j is not None:
                 raise OracleFillFailed(f"oracle changed face {j} of a prism horn")
             key = structural_hash(sig)
@@ -872,12 +860,12 @@ def extend_relative(h, family, D: QCOracle, *, eps: float = EPS) -> RelExtension
             j: rel._value(sig, _drop(alpha_0, j), _drop(w_0, j)) for j in range(q + 2)
         }
         try:
-            cell = D.fill_boundary(faces)
+            cell = D.fill_boundary(faces, eps=eps)
         except CorrLabError as err:
             raise BoundaryMismatch(
                 f"homotopy data is not natural on a {q}-simplex: {err}"
             ) from err
-        i = _bad_face(D, cell, faces)
+        i = _bad_face(D, cell, faces, eps)
         if i is not None:
             raise CompatibilityViolated(f"face {i} of prism cell {alpha_0}/{w_0} disagrees")
         rel.cells[(structural_hash(sig), alpha_0, w_0)] = cell

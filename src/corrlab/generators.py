@@ -15,7 +15,7 @@ import numpy as np
 from .algebra import FdCstarAlgebra, StarHom, _bratteli_hom
 from .errors import DimensionTooLarge, ShapeMismatch
 from .modules import Correspondence, CorrIso, compose_isos, make_module, tensor_corrs, tensor_iso
-from .nerve import NCorrSimplex, apply_map, gamma_simplex, identity_iso
+from .nerve import NCorrSimplex, gamma_simplex, identity_iso
 
 __all__ = [
     "random_unitary",

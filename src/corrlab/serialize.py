@@ -361,7 +361,7 @@ def simplex_from_json(doc, *, eps: float = EPS, validate: bool = True, where="nc
     edges = {}
     for p, rec in enumerate(_ensure_list(doc, "edges", where)):
         here = f"{where}.edges[{p}]"
-        i, j = _index_pair(rec, ("i", "j"), n, here)
+        i, j = _index_pair(rec, ("i", "j"), n, here, edges)
         if i >= j:
             raise SchemaError(f"{here}: needs i < j")
         edges[(i, j)] = corr_from_json(
@@ -374,7 +374,7 @@ def simplex_from_json(doc, *, eps: float = EPS, validate: bool = True, where="nc
     cells = {}
     for p, rec in enumerate(_ensure_list(doc, "cells", where)):
         here = f"{where}.cells[{p}]"
-        i, j, k = _index_pair(rec, ("i", "j", "k"), n, here)
+        i, j, k = _index_pair(rec, ("i", "j", "k"), n, here, cells)
         if not i < j < k:
             raise SchemaError(f"{here}: needs i < j < k")
         # the cell source is the tensor product of the two edges, whose
@@ -414,6 +414,8 @@ def horn_from_json(doc, *, eps: float = EPS, validate: bool = True, where="horn"
         j = _need(rec, "j", here)
         if not _is_int(j):
             raise SchemaError(f"{here}.j: expected an integer")
+        if j in faces:
+            raise SchemaError(f"{here}: repeats face {j}")
         faces[j] = simplex_from_json(
             _need(rec, "simplex", here), eps=eps, validate=validate, where=f"{here}.simplex"
         )
@@ -427,13 +429,15 @@ def _ensure_list(doc, key, where):
     return val
 
 
-def _index_pair(rec, keys, n, where):
+def _index_pair(rec, keys, n, where, seen):
     out = []
     for key in keys:
         v = _need(rec, key, where)
         if not _is_int(v) or not (0 <= v <= n):
             raise SchemaError(f"{where}.{key}: expected an index in [0, {n}]")
         out.append(v)
+    if tuple(out) in seen:
+        raise SchemaError(f"{where}: repeats {tuple(out)}")
     return tuple(out)
 
 

@@ -50,7 +50,9 @@ from corrlab.nerve import (
     structural_hash,
     validate_simplex,
 )
+from corrlab.serialize import load_value
 from corrlab.subdivision import AugChain, degeneracy, enumerate_csd, subdivision_functor
+from test_serialize_cli import noisy_simplex
 from test_subdivision import corrupt_isometries
 
 
@@ -485,8 +487,8 @@ def negated_k0():
     """
     base = k0_functor()
 
-    def chain(homs, composites=None):
-        s = base.chain(homs)
+    def chain(homs, composites=None, **kw):
+        s = base.chain(homs, **kw)
         return negate_last_step(s) if len(homs) == 2 else s
 
     return CstFunctor("negated K0", base.vertex, chain, base.certificate)
@@ -516,14 +518,14 @@ class WrongFaceOracle(NCorrOracle):
         self.parent_top = parent_top
         self.swapped = 0
 
-    def fill_inner_horn(self, horn):
+    def fill_inner_horn(self, horn, **kw):
         if self.swapped or horn.n != 3 or horn.faces[0].algebras[-1] == self.parent_top:
-            return super().fill_inner_horn(horn)
+            return super().fill_inner_horn(horn, **kw)
         self.swapped += 1
         faces = dict(horn.faces)
         j = min(faces)
         faces[j] = negate_cell(faces[j])
-        return super().fill_inner_horn(HornSpec(horn.n, horn.k, faces))
+        return super().fill_inner_horn(HornSpec(horn.n, horn.k, faces), **kw)
 
 
 def test_fill_check_rejects_a_wrong_face_in_a_child_run():
@@ -590,8 +592,8 @@ def k0_corrupting(bad=None, seen=None):
     step negated; every chain's key goes into ``seen``."""
     base = k0_functor()
 
-    def chain(homs, composites=None):
-        s = base.chain(homs)
+    def chain(homs, composites=None, **kw):
+        s = base.chain(homs, **kw)
         key = tuple(structural_hash(h) for h in homs)
         if seen is not None:
             seen[key] = None
@@ -685,7 +687,7 @@ def test_every_full_support_chain_is_made_by_the_run(n, target):
 
 
 def test_a_failing_certificate_fails_the_special_fill():
-    def certificate(phi):
+    def certificate(phi, **kw):
         raise NotStableOnDiagram("corner is not invertible in the target")
 
     base = k0_functor()
@@ -698,8 +700,8 @@ class MovedBoundaryOracle(K0Oracle):
     """Assembles each prism's last cell, then negates the edges into its last
     vertex, so the cell no longer carries the boundary it was given."""
 
-    def fill_boundary(self, faces):
-        return negate_last_step(super().fill_boundary(faces))
+    def fill_boundary(self, faces, **kw):
+        return negate_last_step(super().fill_boundary(faces, **kw))
 
 
 def test_prism_cell_check_rejects_a_moved_boundary():
@@ -763,3 +765,19 @@ def test_a_run_with_another_functor_restricts_the_subdivision_left_in_the_memo(m
     top = extend_bar_G(face(s, 0), k0_functor(), D, memo).top()
     assert calls == [2]
     assert top == bar_F(face(s, 0), k0_functor(), D, {})
+
+
+@pytest.mark.parametrize("target", sorted(TARGETS))
+def test_a_shared_memo_never_returns_a_run_checked_at_another_eps(tmp_path, target):
+    """eps belongs to the run alone and keys the memo.  The noisy simplex's
+    face homs compose within 1e-6, not within 1e-9: a run at 1e-6 succeeds
+    with a default-built functor and oracle, and a run at 1e-9 on the same
+    memo checks anew and refuses it, as a fresh run does."""
+    noisy_simplex(tmp_path / "noisy.json")
+    s = load_value(tmp_path / "noisy.json", eps=1e-6)
+    functor, oracle = TARGETS[target]
+    F, D, memo = functor(), oracle(), {}
+    extend_bar_G(s, F, D, memo, eps=1e-6)
+    for run_memo in (memo, {}):
+        with pytest.raises(FunctorialityViolated, match="residual 2.370e-09"):
+            extend_bar_G(s, F, D, run_memo, eps=1e-9)

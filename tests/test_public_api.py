@@ -4,7 +4,8 @@ the names moved to tests/reference.py resolve nowhere in the library;
 tensor products have one constructor call; the validating
 constructors are called only at the trust boundary; derived data
 (kernels, frames, products, Gamma) takes no eps; every endpoint check in
-nerve.py runs at its caller's eps; and the library stays within its line
+nerve.py runs at its caller's eps; an extension run has one tolerance,
+which reaches every check it makes; and the library stays within its line
 budget."""
 
 import ast
@@ -136,6 +137,71 @@ def test_every_endpoint_check_in_nerve_takes_the_callers_eps():
     assert len(calls) > 20 and not at_default
 
 
+RUN_CHECKS = (
+    "equal",
+    "fill_inner_horn",
+    "fill_special_outer_horn",
+    "fill_boundary",
+    "guided_fill",
+    "assemble_boundary",
+    "find_corr_iso",
+    "equivalence_inverse",
+    "_check_uncovered",
+    "_bad_face",
+    "chain",
+    "certificate",
+    "bar_F",
+    "extend_bar_G",
+    "subdivision_functor",
+)
+
+
+def test_every_check_in_extension_takes_the_runs_eps():
+    """eps is the one tolerance of an extension run: every call in
+    extension.py of an oracle comparison or fill, a functor's chain or
+    certificate, a run, or a check passes ``eps`` (by keyword, or as a name
+    ending in ``eps``), so none falls back to the default."""
+    tree = ast.parse(pathlib.Path(corrlab.extension.__file__).read_text())
+    calls = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) in RUN_CHECKS
+    ]
+    at_default = [
+        (getattr(c.func, "id", getattr(c.func, "attr", None)), c.lineno)
+        for c in calls
+        if not any(k.arg == "eps" for k in c.keywords)
+        and not any(
+            getattr(a, "id", getattr(a, "attr", "")).endswith("eps") for a in c.args
+        )
+    ]
+    assert len(calls) > 25 and not at_default
+
+
+def test_a_run_has_one_tolerance():
+    """Neither NCorrOracle nor gamma_functor holds an eps; every oracle
+    method that compares or fills, and every functor's chain and
+    certificate, takes the run's eps as a keyword with the default EPS."""
+    from corrlab import acceptance, extension
+
+    assert "__init__" not in vars(extension.NCorrOracle)
+    assert list(inspect.signature(extension.NCorrOracle).parameters) == []
+    assert list(inspect.signature(extension.gamma_functor).parameters) == ["arrows"]
+    methods = ("equal", "fill_inner_horn", "fill_special_outer_horn", "fill_boundary", "guided_fill")
+    callables = [
+        getattr(cls, m)
+        for cls in (extension.QCOracle, extension.K0Oracle, extension.NCorrOracle)
+        for m in methods
+    ]
+    functors = [extension.k0_functor(), extension.gamma_functor()]
+    functors.append(acceptance.conjugated_k0(None)[0])
+    callables += [f for F in functors for f in (F.chain, F.certificate)]
+    for f in callables:
+        eps = inspect.signature(f).parameters["eps"]
+        assert (eps.kind, eps.default) == (eps.KEYWORD_ONLY, corrlab.linalg.EPS), f
+
+
 # Moved to tests/reference.py (the chains are AugChains; the helpers at the
 # end have no library caller): module-level names, then methods.
 REMOVED = (
@@ -216,7 +282,7 @@ def test_derived_data_takes_no_eps():
     assert "eps" in inspect.signature(corrlab.algebra.hom_normal_form).parameters
 
 
-LINE_BUDGET = 5339
+LINE_BUDGET = 5331
 
 
 def test_library_stays_within_its_line_budget():

@@ -1067,7 +1067,8 @@ def test_cli_eps_reaches_fill_on_a_horn_whose_faces_disagree(tmp_path, seed, k):
 def test_cli_refuses_a_simplex_whose_algebras_are_swapped(tmp_path):
     """A 1-simplex file whose ``algebras`` list is reversed parses (its edge
     record names its own endpoints), and the simplex check refuses it:
-    validate after its edge checks, subdivide and extend at load."""
+    validate with a FAIL line after its edge checks, subdivide and extend at
+    load."""
     s = random_simplex(np.random.default_rng(2), 1, max_blocks=2, max_size=2, max_mult=1)
     assert s.algebras[0] != s.algebras[1]
     doc = value_to_json(s)
@@ -1082,14 +1083,67 @@ def test_cli_refuses_a_simplex_whose_algebras_are_swapped(tmp_path):
     ]
     for argv in argvs:
         code, out, err = run_cli(argv)
-        assert (code, err) == (1, "validation error: edge (0, 1) endpoints disagree\n"), argv[0]
         if argv[0] == "validate":
+            assert (code, err) == (1, "")
             assert out.splitlines() == [
                 "parsed: NCorrSimplex",
                 "edge (0, 1) left action is a star-hom: ok",
+                "simplex: FAIL (edge (0, 1) endpoints disagree)",
+                "validation failed",
             ]
         else:
+            assert (code, err) == (1, "validation error: edge (0, 1) endpoints disagree\n"), argv[0]
             assert out == "", argv[0]
+
+
+def test_cli_validate_reports_every_face_of_a_horn_after_a_failing_one(tmp_path):
+    """A horn whose face 0 fails its simplex check still has face 1 checked
+    and printed; validate then fails with exit 1 and nothing on stderr."""
+    s = random_simplex(np.random.default_rng(2), 2, max_blocks=2, max_size=2, max_mult=1)
+    assert s.algebras[1] != s.algebras[2]
+    doc = value_to_json(HornSpec(2, 2, {0: face(s, 0), 1: face(s, 1)}))
+    doc["faces"][0]["simplex"]["algebras"].reverse()
+    path = tmp_path / "horn.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(["validate", str(path)])
+    assert (code, err) == (1, "")
+    assert out.splitlines() == [
+        "parsed: HornSpec",
+        "face 0:",
+        "edge (0, 1) left action is a star-hom: ok",
+        "simplex: FAIL (edge (0, 1) endpoints disagree)",
+        "face 1:",
+        "edge (0, 1) left action is a star-hom: ok",
+        "pentagon: ok (residual 0.000e+00)",
+        "validation failed",
+    ]
+
+
+def _horn_doc(s):
+    return value_to_json(HornSpec(2, 1, {0: face(s, 0), 2: face(s, 2)}))
+
+
+@pytest.mark.parametrize(
+    "part,doc_of,error",
+    [
+        ("edges", value_to_json, "ncorr_simplex.edges[3]: repeats (0, 1)"),
+        ("cells", value_to_json, "ncorr_simplex.cells[1]: repeats (0, 1, 2)"),
+        ("faces", _horn_doc, "horn.faces[2]: repeats face 0"),
+    ],
+    ids=["edge", "cell", "face"],
+)
+def test_cli_refuses_a_repeated_record(tmp_path, part, doc_of, error):
+    """A simplex file that lists an edge or a cell twice, or a horn file that
+    lists a face twice, is refused where the repeat stands (exit 2); the
+    last record used to win silently."""
+    s = random_simplex(np.random.default_rng(9), 2, max_mult=1)
+    doc = doc_of(s)
+    doc[part].append(copy.deepcopy(doc[part][0]))
+    path = tmp_path / "repeat.json"
+    path.write_text(json.dumps(doc))
+    load = ["fill", "--horn"] if part == "faces" else ["subdivide", "--simplex"]
+    for argv in (["validate", str(path)], load + [str(path)]):
+        assert run_cli(argv) == (2, "", f"error: {error}\n"), argv[0]
 
 
 @pytest.mark.parametrize("eps", ["nan", "inf", "-inf", "0", "-0.0", "-1", "1e-400"])
