@@ -18,17 +18,18 @@ never run that constructor, so the judge is still their only check.
 K-theory matrices of bimodules are obtained by ranking the images of the
 source units, independently of the extension engine.
 
-The subdivision judge reads each connecting hom only through ``.matrix``
-(no ``mult_matrix``, no Bratteli data), once per case, into its nonzero
-entries (``_entries``): every entry is read, and NaN and inf count as
-nonzero.  f_TU f_ST - f_SU is then checked for every nested triple by
-``_product_residual``, the Frobenius norm over the union of the supports
-of the product's terms and of f_SU; every entry outside that union is an
-exact zero of the dense difference, and a non-finite factor gives NaN.  So
-the judge still sees every entry of every hom and the same difference as
-the dense product, up to the order of the sums.  The csd identity sweep
-computes each chain's faces and degeneracies once and compares every
-identity instance on them (``_identity_faults``).
+The subdivision judge reads each connecting hom only through its
+``entries`` (``StarHom.entries``), never its ``mult_matrix``, Bratteli
+data or dense ``matrix``: every nonzero entry, NaN and inf among them,
+with the bits the dense view holds.  f_TU f_ST - f_SU is then checked for
+every nested triple by ``_product_residual``, the Frobenius norm over the
+union of the supports of the product's terms and of f_SU; every entry
+outside that union is an exact zero of the dense difference, and a
+non-finite factor gives NaN.  So the judge still sees every entry of
+every hom and the same difference as the dense product, up to the order of
+the sums.  The csd identity sweep computes each chain's faces and
+degeneracies once and compares every identity instance on them
+(``_identity_faults``).
 """
 from __future__ import annotations
 
@@ -161,18 +162,14 @@ def k0_of_corr(corr) -> np.ndarray:
     the k-th module block, read off one unit at a time; no factorization
     machinery is involved.
     """
-    a = corr.src
+    a, lam = corr.src, corr.lam
     out = np.zeros((corr.dst.nblocks, a.nblocks), dtype=np.int64)
-    lam = corr.lam
     for i in range(a.nblocks):
         p = np.zeros(a.dim, dtype=complex)
         p[a.offset(i)] = 1.0
-        img = lam.matrix @ p
-        compacts = lam.dst
-        pos = 0
-        for kk, s in enumerate(compacts.blocks):
-            blk = img[pos : pos + s * s].reshape(s, s)
-            pos += s * s
+        img = (lam.matrix @ p)[:, None]
+        for kk in range(lam.dst.nblocks):
+            blk = lam.dst.block_rows(img, kk)[:, :, 0]
             out[corr.module.kept[kk], i] = np.linalg.matrix_rank(blk, tol=1e-7)
     return out
 
@@ -258,18 +255,8 @@ def suite_nerve_coherence(*, seed: int = 42, eps: float = EPS, trials: int = 100
     return _sweep("nerve-coherence", seed, [f"chain-{t:03d}" for t in range(trials)], case)
 
 
-def _entries(m):
-    """A matrix as its nonzero entries, NaN and inf among them: (shape, rows,
-    cols, values in row-major order, row starts, whether all are finite)."""
-    m = np.asarray(m)
-    rows, cols = np.nonzero(m)
-    vals = m[rows, cols]
-    starts = np.searchsorted(rows, np.arange(m.shape[0] + 1))
-    return m.shape, rows, cols, vals, starts, bool(np.isfinite(vals).all())
-
-
 def _product_residual(x, y, z) -> float:
-    """frob(X @ Y - Z) from the ``_entries`` of X, Y and Z.
+    """frob(X @ Y - Z) from the ``entries`` of X, Y and Z.
 
     Every product X_ik Y_kj of two listed entries is summed into its (i, j)
     together with -Z_ij; every other entry of X Y - Z is a sum of products
@@ -296,12 +283,12 @@ def _product_residual(x, y, z) -> float:
 
 def suite_subdivision(*, seed: int = 42, eps: float = EPS, trials: int = 50) -> SuiteReport:
     """Connecting homs compose on the nose over every nested subset triple,
-    each hom's matrix read once into its ``_entries``."""
+    each hom read through its ``entries``."""
 
     def case(rng, t):
         s = random_simplex(rng, t % 3 + 1, twist=bool(t % 2), max_blocks=2, max_size=2, max_mult=1)
         sd = subdivision_functor(s, eps=eps, check=False)
-        e = {st: _entries(f.matrix) for st, f in sd.homs.items()}
+        e = {st: f.entries for st, f in sd.homs.items()}
         resid = worst_of(
             _product_residual(e[(b, c)], e[(a, b)], e[(a, c)])
             for a in sd.subsets

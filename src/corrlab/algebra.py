@@ -7,7 +7,7 @@ block-multiplicity matrix (the image of a minimal projection e_00 of a
 source block is a projection in each target block, and its rank there is
 the multiplicity) and the dense matrix of the underlying linear map in
 those bases: given by its builder, or, for a hom built from Bratteli data,
-a dense view built from that data on first read.
+a dense view scattered from that data's entries on first read.
 
 ``make_star_hom`` validates a matrix from outside, raises on invalid data
 and traces its multiplicities (``_traced_mult``); ``StarHom`` itself is the
@@ -15,12 +15,15 @@ certified constructor that canonical constructions from valid inputs build
 through without re-checking, passing the multiplicities they know.
 
 A *-hom is fixed by Bratteli data: its multiplicities and, per target
-block, one isometry.  ``hom_normal_form`` extracts that data from a matrix
-and ``_conjugation_matrix``, the one writer of such a hom's dense view,
-builds it from the data, one Gram of W's nonzero rows per pair of blocks;
-every constructor from such data, the identity included, goes through
+block, one isometry.  ``hom_normal_form`` extracts that data from a matrix;
+``_gram_blocks``, the one writer, writes a hom's entries from it, one Gram
+of W's nonzero rows per pair of blocks, with no dense intermediate.  Both
+views of such a hom come from that writer: ``entries`` (its nonzero
+entries, row by row; ``_bratteli_entries``) and the dense ``matrix``, the
+same entries written into zeros (``_conjugation_matrix``).  Every
+constructor from such data, the identity included, goes through
 ``_bratteli_hom``, which keeps the data on the hom, reads its
-multiplicities off it and leaves the matrix to the first read.
+multiplicities off it and leaves both views to their first read.
 ``_compose_ws`` composes such data and ``_composite_residual`` compares a
 composite with a third hom on it, block by block: each pair of blocks is
 compared through the r x r overlap of its two isometries, and no Gram matrix
@@ -127,9 +130,9 @@ class StarHom:
 
     ``_ws`` keeps the Bratteli data of a hom built from it
     (``_bratteli_hom``), and is None otherwise.  Such a hom is given no
-    matrix: ``matrix`` is a dense view built from ``_ws`` on first read,
-    by ``_conjugation_matrix``, and kept, so every later read is a plain
-    attribute read.
+    matrix: ``matrix`` is built from ``_ws`` on first read and kept.
+    ``entries``, kept on first read, is its nonzero entries (``_entries``),
+    written from ``_ws`` when that is set, with no dense matrix.
 
     Homs compare and hash by identity, so ``==`` never raises and never
     builds a matrix; whether two homs are the same map is a residual's
@@ -147,6 +150,12 @@ class StarHom:
     @cached_property
     def matrix(self) -> np.ndarray:
         return _read_only(_conjugation_matrix(self.src, self.dst, self._ws))
+
+    @cached_property
+    def entries(self) -> tuple:
+        if self._ws is None:
+            return _entries(self.matrix)
+        return _bratteli_entries(self.src, self.dst, self._ws)
 
     def __repr__(self):
         return f"StarHom({self.src!r} -> {self.dst!r})"
@@ -341,39 +350,71 @@ def hom_normal_form(phi: StarHom, *, eps: float = EPS):
     return ws
 
 
-def _conjugation_matrix(src: FdCstarAlgebra, dst: FdCstarAlgebra, ws) -> np.ndarray:
-    """Dense matrix of x -> (+)_l sum_i W_li (x_i (x) I_r) W_li^*, the
-    inverse of hom_normal_form.
+def _gram_blocks(ws):
+    """The one writer of the matrix of x -> (+)_l sum_i W_li (x_i (x) I_r)
+    W_li^*, the inverse of hom_normal_form: yields (l, i, a, p, G) per block
+    (l, i), x = (a, p) running over W_li's nonzero rows and G their Gram,
+    whose entry (x, y) is the matrix's at row offset(l) + a_x m_l + a_y and
+    column offset(i) + p_x n_i + p_y; every other entry is zero.
 
     ``ws[l]`` maps a source block i to W_li of shape (m_l, n_i, r_il):
-    phi(e^(i)_pq) has block l sum_rho W[:, p, rho] W[:, q, rho]^*, so block
-    (l, i) of the matrix is the Gram of W_li read as an (m n) x r matrix,
-    its rows and columns regrouped.  The result is a *-hom when, for each
-    l, the W_li are isometries (as m_l x n_i r_il matrices) with orthogonal
-    ranges.  A zero row of W is a zero row and column of its Gram, which
-    the zeroed matrix holds, so each block writes, in place, the Gram of
-    W's nonzero rows only: -0.0 becomes +0.0, and a NaN stays in its row's
-    entries, not spread through 0 * NaN.  For a W with no zero row those
-    rows are all its rows, and the block is the full product to the bit.
+    phi(e^(i)_pq) has block l sum_rho W[:, p, rho] W[:, q, rho]^*, the Gram
+    of W_li read as an (m n) x r matrix, regrouped.  This is a *-hom when,
+    for each l, the W_li are isometries (as m_l x n_i r_il matrices) with
+    orthogonal ranges.  A zero row of W is a zero row and column of its
+    Gram: a NaN stays in its row's entries, not spread through 0 * NaN, and
+    for a W with no zero row G is the full product to the bit.
     """
-    matrix = np.zeros((dst.dim, src.dim), dtype=complex)
-    for l, m in enumerate(dst.blocks):
-        o = dst.offset(l)
-        for i, w in ws[l].items():
-            n, c = src.blocks[i], src.offset(i)
-            # splitting each axis of the slice in two is a view, written in place
-            block = matrix[o : o + m * m, c : c + n * n].reshape(m, m, n, n)
+    for l, w_l in enumerate(ws):
+        for i, w in w_l.items():
             a, p = np.nonzero(w.any(axis=2))
             x = w[a, p]
-            block[a[:, None], a, p[:, None], p] = x @ x.conj().T
+            yield l, i, a, p, x @ x.conj().T
+
+
+def _conjugation_matrix(src: FdCstarAlgebra, dst: FdCstarAlgebra, ws) -> np.ndarray:
+    """The dense view of Bratteli data: ``_gram_blocks`` written into zeros."""
+    matrix = np.zeros((dst.dim, src.dim), dtype=complex)
+    for l, i, a, p, g in _gram_blocks(ws):
+        m, n, o, c = dst.blocks[l], src.blocks[i], dst.offset(l), src.offset(i)
+        # splitting each axis of the slice in two is a view, written in place
+        block = matrix[o : o + m * m, c : c + n * n].reshape(m, m, n, n)
+        block[a[:, None], a, p[:, None], p] = g
     return matrix
+
+
+def _bratteli_entries(src: FdCstarAlgebra, dst: FdCstarAlgebra, ws) -> tuple:
+    """``_entries`` of Bratteli data's matrix, from ``_gram_blocks`` with no
+    dense matrix: the zeros dropped, the rest sorted (no position repeats)."""
+    rows, cols, vals = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=complex)]
+    for l, i, a, p, g in _gram_blocks(ws):
+        rows.append(((dst.offset(l) + dst.blocks[l] * a)[:, None] + a).ravel())
+        cols.append(((src.offset(i) + src.blocks[i] * p)[:, None] + p).ravel())
+        vals.append(g.ravel())
+    rows, cols, vals = map(np.concatenate, (rows, cols, vals))
+    at = np.flatnonzero(vals != 0)
+    at = at[np.argsort(rows[at] * src.dim + cols[at])]
+    return _packed((dst.dim, src.dim), rows[at], cols[at], vals[at])
+
+
+def _entries(m) -> tuple:
+    """A matrix as its nonzero entries, NaN and inf among them: (shape, rows,
+    cols, values in row-major order, row starts, whether all are finite)."""
+    m = np.asarray(m)
+    rows, cols = np.nonzero(m)
+    return _packed(m.shape, rows, cols, m[rows, cols])
+
+
+def _packed(shape, rows, cols, vals) -> tuple:
+    starts = np.searchsorted(rows, np.arange(shape[0] + 1))
+    return shape, rows, cols, vals, starts, bool(np.isfinite(vals).all())
 
 
 def _bratteli_hom(src: FdCstarAlgebra, dst: FdCstarAlgebra, ws) -> StarHom:
     """The certified StarHom of Bratteli data ``ws`` in the format of
-    ``_conjugation_matrix``, holding ``ws`` and no matrix: its dense view is
-    built from ``ws`` on first read by that function.  Each W is made
-    read-only, so the view is built from the data the hom was certified on.
+    ``_gram_blocks``, holding ``ws`` and no matrix: its entries and dense
+    views are written from ``ws`` on first read.  Each W is made read-only,
+    so the views are written from the data the hom was certified on.
     Its multiplicities are r_il = W_li.shape[2] (0 if absent), the rank of
     W_li[:, 0, :]."""
     for w_l in ws:

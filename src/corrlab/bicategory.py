@@ -303,13 +303,8 @@ def find_corr_iso(c1: Correspondence, c2: Correspondence, *, eps: float = EPS):
         return None
     w1 = hom_normal_form(c1.lam, eps=eps)
     w2 = hom_normal_form(c2.lam, eps=eps)
-    blocks = []
-    for k in range(c1.dst.nblocks):
-        pos = c1.module.compact_pos(k)
-        if pos is None:
-            blocks.append(np.zeros((0, 0), dtype=complex))
-        else:
-            blocks.append(w2[pos] @ w1[pos].conj().T)
+    pos = [c1.module.compact_pos(k) for k in range(c1.dst.nblocks)]
+    blocks = [np.zeros((0, 0), dtype=complex) if p is None else w2[p] @ w1[p].conj().T for p in pos]
     try:
         return CorrIso(c1, c2, blocks, eps=eps)
     except ValidationError:

@@ -3,34 +3,14 @@
 Validation happens at one boundary, where data enters from outside: the
 public ``make_*`` constructors (``make_star_hom``, ``make_correspondence``,
 ``make_iso``, ``make_simplex``), the ``CorrIso`` constructor, and JSON parse
-with ``validate=True``.  They raise one of these on failure.  Canonical
-constructions from valid inputs are certified by construction and not
-re-checked: the ``StarHom`` built by ``identity_hom``, ``compose_homs``,
-``gamma_of_hom``, ``u_of_corr``, ``equivalence_inverse``, tensor
-products, subdivision connecting homs and
-the generators ``embedding_hom`` and ``twist_edge`` (from Bratteli data
-through ``_bratteli_hom``, whose dense view, built on first read, has one
-writer, ``_conjugation_matrix``, or by a block map over an action), each
-passing the multiplicities it knows from its inputs, and the canonical
-intertwiners: ``identity_iso``, ``left_unitor``, ``right_unitor``,
-``associator``, ``gamma_multiplicativity``, the ``u_of_corr``
-factorization iso, the ``equivalence_inverse`` counits, ``tensor_iso``,
-``twist_edge``'s cells, and the adjoints and composites of valid
-intertwiners.  ``make_iso`` stays checking.  The ``CorrIso`` constructor
-bounds ``modules._iso_residuals``, the function the acceptance judges
-recompute on certified intertwiners, which never run it.  A
-simplex's identity edges and unit cells are not data at all:
-``NCorrSimplex`` derives them from the unitors and the simplex check
-refuses them as input, so normality needs no check.  JSON parse bounds
-every ``blocks`` and ``mult`` list before building anything (``DimensionTooLarge``).
-``subdivision_functor`` checks the functoriality of its connecting homs on
-their Bratteli data, not on their dense matrices, which are views built
-from that data on first read (``FunctorialityViolated``).
-Derived data (Gamma, tensor frames and products) takes every rank from
-the multiplicities a ``StarHom`` carries, which its builder knows or the
-boundary traces, and so depends on no eps; a pivot of norm 0, which only
-an unchecked action with an overstated multiplicity reaches, raises
-``ShapeMismatch``.
+with ``validate=True``.  They raise one of these on failure.  What the
+library builds from valid inputs (identities, composites, Gamma, tensor
+products, Morita inverses, subdivision connecting homs, the generators'
+homs and the canonical intertwiners) is certified by construction and not
+re-checked; README's "Trust boundary" gives each construction's argument.
+``subdivision_functor`` checks its connecting homs' functoriality on their
+Bratteli data (``FunctorialityViolated``), and JSON parse bounds every
+``blocks`` and ``mult`` list before building anything (``DimensionTooLarge``).
 Validation errors carry the offending residual where one exists, so
 callers (and the CLI ``validate`` command) can report how badly an
 invariant failed.

@@ -19,7 +19,8 @@ compared again: by the simplicial identities d_i d_k = d_{k-1} d_i (i < k)
 and d_i d_k = d_k d_{i+1} (i >= k), each of its faces is a face of a horn
 face, which the fill carries and whose own faces were compared when it was
 made (Duskin, TAC 9, 2002).  This holds for every target whose ``face``
-satisfies those identities, as both oracles here do.
+satisfies those identities, as both oracles here do.  The caller owns the
+memo: a run holds it only while ``extend_bar_G`` makes the run's fills.
 
 Two targets are provided: the nerve of integer matrices (K-theory) and the
 correspondence nerve itself.  `extend_relative` extends a homotopy between
@@ -662,12 +663,13 @@ def extend_bar_G(
     special fill it recognises (``CstFunctor``).  eps is the run's one
     tolerance: every oracle and functor check takes it.  Runs are memoised
     per functor, oracle and eps by the structural hash of sigma; pass the
-    same memo dict to share faces across calls.  The memo also holds, under
-    ``("sd", eps, hash)``, the subdivision a run hands to the runs over its
-    faces: one ``subdivision_functor`` build and check per top-level run,
-    which each child restricts (``SdFunctor.restrict``), even a child run
-    with another functor or oracle (both ends of ``extend_relative``).  A
-    run enters each face's run once and keeps it.
+    same memo dict to share faces across calls (a finished run keeps an
+    empty one of its own, for face runs a later ``value`` needs).  It also
+    holds, under ``("sd", eps, hash)``, the subdivision a run hands to the
+    runs over its faces: one ``subdivision_functor`` build and check per
+    top-level run, which each child restricts (``SdFunctor.restrict``),
+    even a child run with another functor or oracle (both ends of
+    ``extend_relative``).  A run enters each face's run once and keeps it.
     """
     if memo is None:
         memo = {}
@@ -681,6 +683,7 @@ def extend_bar_G(
     for k, targets in _fill_targets(sigma.n):
         for c in targets:
             ext._fill(c, k)
+    ext.memo = {}  # the memo keeps the run, not the run the memo
     memo[key] = ext
     return ext
 

@@ -136,27 +136,20 @@ def int_inverse(m) -> np.ndarray:
     n = m.shape[0]
     if m.shape != (n, n):
         raise ValueError("need a square matrix")
-    a = [[Fraction(int(m[i, j])) for j in range(n)] for i in range(n)]
-    inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    a = [  # the rows of [m | I], reduced below to [I | m^-1]
+        [Fraction(int(x)) for x in m[i]] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)
+    ]
     for col in range(n):
         piv = next((r for r in range(col, n) if a[r][col] != 0), None)
         if piv is None:
             raise ValueError("matrix is singular")
         a[col], a[piv] = a[piv], a[col]
-        inv[col], inv[piv] = inv[piv], inv[col]
-        p = a[col][col]
-        a[col] = [x / p for x in a[col]]
-        inv[col] = [x / p for x in inv[col]]
+        a[col] = [x / a[col][col] for x in a[col]]
         for r in range(n):
             if r != col and a[r][col] != 0:
                 f = a[r][col]
                 a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-    out = np.empty((n, n), dtype=np.int64)
-    for i in range(n):
-        for j in range(n):
-            x = inv[i][j]
-            if x.denominator != 1:
-                raise ValueError("inverse is not integral")
-            out[i, j] = int(x)
-    return out
+    inv = [x for row in a for x in row[n:]]
+    if any(x.denominator != 1 for x in inv):
+        raise ValueError("inverse is not integral")
+    return np.array([int(x) for x in inv], dtype=np.int64).reshape(n, n)

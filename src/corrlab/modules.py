@@ -22,12 +22,15 @@ Q_k = sum_j m_j r_jk with rows ordered (j, a, t), j and a and t ascending.
 r_jk is lambda_F's multiplicity, which every StarHom carries, so a frame,
 and so a product, is a function of E and F alone.
 tensor_corrs is the one place a product is built: it keeps E (x) F on E, one
-per F, for as long as E lives.  E (x) id_B with the identity_corr kept
-on B is E itself: there P_jk is e^(j)_00 at k = j and 0 elsewhere, so r is
-the identity, Q = mult(E), each group starts at row 0 and lambda_G copies
-lambda_E, and the general construction would rebuild E to the bit.
+per F, for as long as E lives, and the product refers to E weakly.
+E (x) id_B with the identity_corr kept on B is E itself: there P_jk is
+e^(j)_00 at k = j and 0 elsewhere, so r is the identity, Q = mult(E), each
+group starts at row 0 and lambda_G copies lambda_E, and the general
+construction would rebuild E to the bit.
 """
 from __future__ import annotations
+
+import weakref
 
 import numpy as np
 
@@ -370,8 +373,10 @@ class TensorProduct:
     """E (x)_B F together with its coordinate bookkeeping.
 
     Fields:
-      left, right    the two correspondences
-      corr           the resulting correspondence src(E) -> dst(F)
+      left, right    the two correspondences; E keeps the product, so
+                     ``left`` reads E through a weak reference
+      corr           the resulting correspondence src(E) -> dst(F), which
+                     is ``left`` where E (x) id_B is E
       r              ranks r_jk over (B block, C block), a tuple of int tuples
       onb[j][k]      q_k x r_jk orthonormalising coefficients R_jk
       proj[j][k]     the projection P_jk = lambda_F(e^(j)_11) at block k
@@ -384,17 +389,25 @@ class TensorProduct:
     def __init__(self, left: Correspondence, right: Correspondence):
         if left.dst != right.src:
             raise EndpointMismatch("tensor product needs matching middle algebra")
-        self.left, self.right = left, right
+        self._left, self.right = weakref.ref(left), right
         self.r, self.proj, self.onb = right._frame()
         self._row0, q = [], (0,) * right.dst.nblocks  # _row0[j][k]: row_start(k, j, 0)
         for m, r_j in zip(left.module.mult, self.r):
             self._row0.append(q)
             q = tuple(x + m * r for x, r in zip(q, r_j))
         if right is right.src._identity:  # E (x) id_B is E to the bit: see the module docstring
-            self.module, self.corr = left.module, left
+            self.module, self._corr = left.module, None
             return
         self.module = module = make_module(right.dst, q)
-        self.corr = Correspondence(left.src, module, self._left_action(module))
+        self._corr = Correspondence(left.src, module, self._left_action(module))
+
+    @property
+    def left(self) -> Correspondence:
+        return self._left()
+
+    @property
+    def corr(self) -> Correspondence:
+        return self.left if self._corr is None else self._corr
 
     def _left_action(self, module: HilbertModule) -> StarHom:
         """lambda_G = (multiplicity embedding K(E) -> K(G)) . lambda_E.

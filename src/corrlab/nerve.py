@@ -256,15 +256,10 @@ def degeneracy(s: NCorrSimplex, i: int) -> NCorrSimplex:
 def simplex_close(s1: NCorrSimplex, s2: NCorrSimplex, eps: float = EPS) -> bool:
     if s1.n != s2.n or s1.algebras != s2.algebras:
         return False
-    for key, e in s1.edges.items():
-        if not corr_close(e, s2.edges[key], eps):
-            return False
-    for key, u in s1.cells.items():
-        if u.src.module != s2.cells[key].src.module:
-            return False
-        if not iso_distance(u, s2.cells[key]) <= eps:
-            return False
-    return True
+    return all(corr_close(e, s2.edges[key], eps) for key, e in s1.edges.items()) and all(
+        u.src.module == s2.cells[key].src.module and iso_distance(u, s2.cells[key]) <= eps
+        for key, u in s1.cells.items()
+    )
 
 
 def _h_update(h, obj):
@@ -366,17 +361,11 @@ def gamma_simplex(phis, *, eps: float = EPS, validate: bool = True, composites=N
                 comp[(i, j)] = (
                     phis[i] if j == i + 1 else compose_homs(phis[j - 1], comp[(i, j - 1)])
                 )
-    edges = {}
-    for i in range(n + 1):
-        for j in range(i + 1, n + 1):
-            edges[(i, j)] = gamma_of_hom(comp[(i, j)])
-    cells = {}
-    for i in range(n + 1):
-        for j in range(i + 1, n + 1):
-            for k in range(j + 1, n + 1):
-                cells[(i, j, k)] = gamma_multiplicativity(
-                    comp[(j, k)], comp[(i, j)], comp=comp[(i, k)]
-                )
+    edges = {(i, j): gamma_of_hom(comp[(i, j)]) for i, j in combinations(range(n + 1), 2)}
+    cells = {
+        (i, j, k): gamma_multiplicativity(comp[(j, k)], comp[(i, j)], comp=comp[(i, k)])
+        for i, j, k in combinations(range(n + 1), 3)
+    }
     return make_simplex(algebras, edges, cells, eps=eps, validate=validate)
 
 

@@ -33,7 +33,8 @@ itself (so ``-0.0``, ``NaN`` and ``Infinity`` print as json prints them),
 and the entries are joined in one pass.
 
 Malformed JSON, including text that is not UTF-8 or is nested too deeply
-for the parser, raises ParseError; structurally wrong documents, numbers
+for the parser, raises ParseError; structurally wrong documents (a horn
+whose k, faces or face dimensions do not fit its n among them), numbers
 that are not finite (NaN, Infinity, integers too large for a float), and
 ``true`` / ``false`` where a number is expected, raise SchemaError naming
 the offending location.  A ``blocks`` or ``mult`` list that describes more
@@ -53,7 +54,7 @@ from itertools import chain, combinations
 import numpy as np
 
 from .algebra import EPS, FdCstarAlgebra, StarHom, _traced_mult, make_algebra, make_star_hom
-from .errors import DimensionTooLarge, ParseError, SchemaError
+from .errors import DimensionTooLarge, ParseError, SchemaError, ShapeMismatch
 from .modules import (
     CorrIso,
     Correspondence,
@@ -419,7 +420,10 @@ def horn_from_json(doc, *, eps: float = EPS, validate: bool = True, where="horn"
         faces[j] = simplex_from_json(
             _need(rec, "simplex", here), eps=eps, validate=validate, where=f"{here}.simplex"
         )
-    return HornSpec(n, k, faces)
+    try:  # a k, face set or face dimension that does not fit n is a structural fault
+        return HornSpec(n, k, faces)
+    except ShapeMismatch as err:
+        raise SchemaError(f"{where}: {err}") from None
 
 
 def _ensure_list(doc, key, where):

@@ -346,15 +346,10 @@ def subdivision_functor(sigma: NCorrSimplex, *, eps: float = EPS, check: bool = 
             f" over the bound of {MAX_HOM_BYTES // 2**20} MiB"
         )
     homs = {(s, t): _connecting(sigma, data[s], data[t]) for s, t in pairs}
-    if check:
-        for s in subsets:
-            for t in subsets:
-                if not set(s) < set(t):
-                    continue
-                for u in subsets:
-                    if not set(t) < set(u):
-                        continue
-                    resid = _composite_residual(homs[(t, u)], homs[(s, t)], homs[(s, u)])
-                    if not resid <= eps:
-                        raise FunctorialityViolated(s, t, u, resid)
+    for s, t in pairs if check else ():
+        for u in subsets:
+            if set(s) < set(t) < set(u):
+                resid = _composite_residual(homs[(t, u)], homs[(s, t)], homs[(s, u)])
+                if not resid <= eps:
+                    raise FunctorialityViolated(s, t, u, resid)
     return SdFunctor(sigma, subsets, data, homs)

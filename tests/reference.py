@@ -15,7 +15,8 @@ a hom built from Bratteli data.  No library path uses this model; only the
 tests do.  The helpers at the end (``is_equivalence``, ``direct_sum_corrs``,
 ``is_nondegenerate``, ``phi_star``, ``connecting_hom`` and ``dump_value``)
 left the library for the same reason, as did ``_gram``, the full Gram
-product the tests compare the dense build against.  So did the
+product the tests compare the dense build against, and
+``dense_conjugation_matrix``, the dense writer the entries view replaced.  So did the
 rank-guessing kernels ``orthonormal_range`` and ``gram_onb``: they find a
 rank at a threshold, where the library's take the known rank, and the
 model uses them to derive its ranks independently of any multiplicity.
@@ -166,6 +167,23 @@ def _gram(w) -> np.ndarray:
     m, n, r = w.shape
     w2 = w.reshape(m * n, r)
     return w2 @ w2.conj().T
+
+
+def dense_conjugation_matrix(src, dst, ws) -> np.ndarray:
+    """The dense writer of Bratteli data as it was before the entries view
+    (``StarHom.entries``): a zeroed matrix whose block (l, i) is written in
+    place with the Gram of W_li's nonzero rows.  Both views of a Bratteli
+    hom are compared with it bit for bit."""
+    matrix = np.zeros((dst.dim, src.dim), dtype=complex)
+    for l, m in enumerate(dst.blocks):
+        o = dst.offset(l)
+        for i, w in ws[l].items():
+            n, c = src.blocks[i], src.offset(i)
+            block = matrix[o : o + m * m, c : c + n * n].reshape(m, m, n, n)
+            a, p = np.nonzero(w.any(axis=2))
+            x = w[a, p]
+            block[a[:, None], a, p[:, None], p] = x @ x.conj().T
+    return matrix
 
 
 def alg_zero(a) -> AlgElement:

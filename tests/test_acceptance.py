@@ -9,11 +9,12 @@ which also run at a second seed.
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from corrlab import acceptance
+from corrlab import acceptance, algebra
 from corrlab.acceptance import CaseReport, run_suite
 from corrlab.algebra import StarHom, make_algebra
 from corrlab.cli import _iso_checks, main
@@ -274,8 +275,8 @@ def test_selftest_exits_1_when_a_looping_sweep_raises(monkeypatch, capsys, suite
     assert "Traceback" not in err
 
 
-# The subdivision judge reads each hom's matrix once into its nonzero
-# entries (acceptance._entries) and sums the products of listed entries
+# The subdivision judge reads each hom's nonzero entries (StarHom.entries,
+# algebra._entries for a hom given a matrix) and sums the products of listed entries
 # (acceptance._product_residual); it must agree with the dense
 # frob(X @ Y - Z) it replaces.
 
@@ -288,7 +289,7 @@ def sparse(rng, p, q, density):
 
 
 def kernel(x, y, z):
-    e = acceptance._entries
+    e = algebra._entries
     return acceptance._product_residual(e(x), e(y), e(z))
 
 
@@ -390,6 +391,21 @@ def test_subdivision_refuses_a_corrupted_connecting_hom(monkeypatch, key, edit, 
     assert [c.ok for c in report.cases] == [True, True, False]
     resid = report.cases[2].residual
     assert math.isnan(resid) if nan else resid >= 1e-7
+
+
+def test_subdivision_sweep_at_seed_7_peaks_under_48_mib():
+    """The judge reads each connecting hom's entries, written from its
+    Bratteli data, and builds no dense view: the seed-7 sweep, whose dense
+    views took 408 MiB of traced peak when the judge scanned them, stays
+    under 48 MiB."""
+    tracemalloc.start()
+    try:
+        report = acceptance.suite_subdivision(seed=7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok
+    assert peak < 48 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 @pytest.mark.parametrize("name", ["chain_face", "chain_degeneracy"])

@@ -1,5 +1,6 @@
 """Extending stable functors over subdivision chains and prisms."""
 
+import contextlib
 import gc
 import itertools
 import weakref
@@ -275,6 +276,31 @@ def test_extension_memo_keeps_its_functor_alive():
     memo.clear()
     gc.collect()
     assert ref() is None
+
+
+@contextlib.contextmanager
+def no_cycle_collector():
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("target", ["k0", "gamma"])
+def test_dropping_the_memo_and_the_run_frees_the_run(target):
+    """The memo keeps each run and no run keeps the memo, so with the cycle
+    collector off, dropping both frees a finished run, its face runs too."""
+    s = random_simplex(np.random.default_rng(5), 2, max_blocks=2, max_size=2, max_mult=1)
+    F, D = (k0_functor(), K0Oracle()) if target == "k0" else (gamma_functor(), NCorrOracle())
+    with no_cycle_collector():
+        memo = {}
+        ext = extend_bar_G(s, F, D, memo)
+        refs = [weakref.ref(ext)] + [weakref.ref(c) for c in ext.children.values()]
+        assert len(refs) > 1 and extend_bar_G(s, F, D, memo) is ext
+        del memo, ext
+        assert [r() for r in refs] == [None] * len(refs)
 
 
 def test_extension_dimension_cap():

@@ -32,7 +32,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from corrlab import algebra, subdivision
+from corrlab import acceptance, algebra, subdivision
 from corrlab.algebra import (
     FdCstarAlgebra,
     StarHom,
@@ -88,6 +88,7 @@ from reference import (
     connecting_hom,
     corner_algebra,
     direct_sum_corrs,
+    dense_conjugation_matrix,
     dump_value,
     identity,
     matrix_unit,
@@ -792,3 +793,103 @@ def test_a_nan_in_unread_data_is_refused(monkeypatch):
         subdivision_functor(s, check=True)
     assert any(np.isnan(w).any() for f in built for w_l in f._ws for w in w_l.values())
     assert not any("matrix" in vars(f) for f in built)
+
+
+# ---------------------------------------------------------------------------
+# the entries view: written from the Bratteli data, the dense view's nonzeros
+
+
+def gate_subdivision_homs(seed):
+    """Every connecting hom of the subdivision sweep's 50 draws at ``seed``,
+    drawn as acceptance.suite_subdivision draws them."""
+    rng = np.random.default_rng(seed)
+    for t in range(50):
+        s = random_simplex(rng, t % 3 + 1, twist=bool(t % 2), max_blocks=2, max_size=2, max_mult=1)
+        yield from subdivision_functor(s, check=False).homs.values()
+
+
+def assert_entries_are_the_nonzeros_of(h, dense):
+    """h.entries is np.nonzero of ``dense`` to the bit: positions, value
+    bits read as uint64 (NaN payloads and signs included), row starts and
+    the finiteness flag."""
+    rows, cols = np.nonzero(dense)
+    shape, r, c, vals, starts, finite = h.entries
+    assert shape == dense.shape and vals.dtype == complex
+    assert np.array_equal(r, rows) and np.array_equal(c, cols)
+    assert np.array_equal(vals.view(np.uint64), dense[rows, cols].view(np.uint64))
+    assert np.array_equal(starts, np.searchsorted(rows, np.arange(dense.shape[0] + 1)))
+    assert finite is bool(np.isfinite(dense).all())
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+def test_entries_of_the_gate_homs_are_the_old_dense_nonzeros(seed):
+    """Read before the dense view, which it never builds; the dense view,
+    one scatter of the same entries, is the old writer's to the bit."""
+    count = 0
+    for h in gate_subdivision_homs(seed):
+        old = dense_conjugation_matrix(h.src, h.dst, h._ws)
+        assert_entries_are_the_nonzeros_of(h, old)
+        assert "matrix" not in vars(h)
+        assert h.matrix.tobytes() == old.tobytes()
+        count += 1
+    assert count > 1000
+
+
+@pytest.mark.parametrize("blocks", [[1], [3, 1], [7, 2, 5]])
+def test_identity_and_matrix_hom_entries(blocks):
+    """An identity's entries are its diagonal of ones; a hom given a matrix
+    (a composite, a checked matrix, a product's left action) reads its
+    entries off that matrix."""
+    rng = np.random.default_rng(len(blocks))
+    a = FdCstarAlgebra(blocks)
+    idty = identity_hom(a)
+    assert_entries_are_the_nonzeros_of(idty, dense_conjugation_matrix(a, a, idty._ws))
+    assert np.array_equal(idty.entries[1], np.arange(a.dim)) and (idty.entries[3] == 1).all()
+    phi = random_unital_hom(a, rng, max_mult=2)
+    psi = random_unital_hom(phi.dst, rng, max_mult=1)
+    corr = random_correspondence(a, phi.dst, rng)
+    homs = [compose_homs(psi, phi), make_star_hom(a, phi.dst, phi.matrix)]
+    homs.append(tensor_corrs(corr, gamma_of_hom(psi)).corr.lam)
+    for h in homs:
+        assert h._ws is None
+        assert_entries_are_the_nonzeros_of(h, h.matrix)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("row", ["kept", "zero"])
+def test_non_finite_bratteli_data_gives_the_old_dense_nonzeros(bad, row):
+    """A non-finite entry in a nonzero row of W, or in a row that was zero,
+    gives the entries np.nonzero finds in the old dense build, to the bit."""
+    for h in list(gate_subdivision_homs(7))[:200]:
+        ws = [{i: np.array(w) for i, w in w_l.items()} for w_l in h._ws]
+        w = next((w for w_l in ws for w in w_l.values() if not w.any(axis=2).all()), None)
+        if w is None:
+            continue
+        zero = ~w.any(axis=2)
+        a, p = np.argwhere(zero if row == "zero" else ~zero)[0]
+        w[a, p, 0] = bad
+        f = _bratteli_hom(h.src, h.dst, ws)
+        with np.errstate(invalid="ignore"):  # inf * 0 in the Gram is NaN
+            old = dense_conjugation_matrix(h.src, h.dst, ws)
+            assert not np.isfinite(old).all()
+            assert_entries_are_the_nonzeros_of(f, old)
+            assert f.matrix.tobytes() == old.tobytes()
+        return
+    raise AssertionError("no draw has a W with a zero row")
+
+
+def test_a_nan_in_bratteli_data_makes_the_judge_nan(monkeypatch):
+    """A NaN in the data of f_(0),(0,1) reaches the judge through the
+    entries it writes: every case of the sweep fails with residual NaN, and
+    no connecting hom is read densely."""
+    corrupt_isometries(monkeypatch, ((0,), (0, 1)), move=lambda x: np.nan)
+    real, built = acceptance.subdivision_functor, []
+
+    def kept(s, *, eps, check):
+        built.append(real(s, eps=eps, check=check))
+        return built[-1]
+
+    monkeypatch.setattr(acceptance, "subdivision_functor", kept)
+    report = acceptance.suite_subdivision(trials=3)
+    assert not report.ok and all(np.isnan(c.residual) for c in report.cases)
+    assert not any("matrix" in vars(f) for sd in built for f in sd.homs.values())

@@ -5,8 +5,10 @@ dimension of the algebraic balanced tensor product E (x) F modulo the
 relations x.b (x) y - x (x) b.y, computed by brute-force rank.
 """
 
+import gc
 import math
 import warnings
+import weakref
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -579,6 +581,25 @@ def test_an_overstated_multiplicity_is_a_zero_pivot():
                 tensor_corrs(identity_corr(a), bad)
     assert bad._kept_frame is None
     assert identity_corr(a)._products == {}
+
+
+def test_a_product_refers_to_its_left_factor_weakly():
+    """E keeps E (x) F, and the product reaches E only weakly: with the
+    cycle collector off, dropping E frees it, E (x) id_B included."""
+    rng = np.random.default_rng(4)
+    a, b, c = (random_algebra(rng, max_blocks=2, max_size=2) for _ in range(3))
+    gc.collect()
+    gc.disable()
+    try:
+        e, f = random_correspondence(a, b, rng), random_correspondence(b, c, rng)
+        t, unit = tensor_corrs(e, f), tensor_corrs(e, identity_corr(b))
+        assert t.left is e and t.right is f and unit.left is e and unit.corr is e
+        assert e._products == {id(f): t, id(identity_corr(b)): unit}
+        ref, kept = weakref.ref(e), weakref.ref(t)
+        del e, t, unit
+        assert ref() is None and kept() is None
+    finally:
+        gc.enable()
 
 
 def test_products_are_kept_once_per_pair():

@@ -533,6 +533,41 @@ def test_cli_fill_rejects_a_final_vertex_horn_below_dimension_2(tmp_path, capsys
     assert "special outer horn below dimension 2" in capsys.readouterr().err
 
 
+def _set_face_j(doc, j):
+    doc["faces"][1]["j"] = j
+
+
+# (case, edit of a (2, 1)-horn file, message): a structural fault of the horn
+# itself, like one of its edge or cell indices, is a schema error
+HORN_SHAPE_CASES = [
+    ("face-j-7", lambda d, s: _set_face_j(d, 7), "horn needs faces [0, 2], got [0, 7]"),
+    ("face-j-negative", lambda d, s: _set_face_j(d, -1), "horn needs faces [0, 2], got [-1, 0]"),
+    ("n-9", lambda d, s: d.update(n=9), "horn needs faces"),
+    ("k-5", lambda d, s: d.update(k=5), "horn index 5 out of range for n=2"),
+    (
+        "face-dimension",
+        lambda d, s: d["faces"][1].update(simplex=simplex_to_json(s)),
+        "face 2 has dimension 2, expected 1",
+    ),
+]
+
+
+@pytest.mark.parametrize("command", ["fill", "validate"])
+@pytest.mark.parametrize(
+    "case,edit,message", HORN_SHAPE_CASES, ids=[c[0] for c in HORN_SHAPE_CASES]
+)
+def test_cli_horn_with_a_structural_fault_exits_2(tmp_path, capsys, command, case, edit, message):
+    s = random_simplex(np.random.default_rng(9), 2, max_mult=1)
+    doc = horn_to_json(HornSpec(2, 1, {0: face(s, 0), 2: face(s, 2)}))
+    edit(doc, s)
+    path = tmp_path / "horn.json"
+    path.write_text(json.dumps(doc))
+    argv = ["fill", "--horn", str(path)] if command == "fill" else ["validate", str(path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: horn: ") and message in err
+
+
 def test_cli_works_at_dimension_4(tmp_path, capsys):
     # the seed draws a small 4-simplex at the generator's default sizes
     spath = str(tmp_path / "s4.json")
