@@ -66,6 +66,8 @@ from .linalg import frob, int_inverse, worst_of
 from .modules import _iso_residuals, corr_close, identity_corr, iso_distance
 from .nerve import (
     HornSpec,
+    _face_closure,
+    _index_map,
     face as simplex_face,
     fill_inner_horn,
     gamma_simplex,
@@ -349,7 +351,7 @@ def suite_horn_uniqueness(*, seed: int = 42, eps: float = EPS, trials: int = 50)
         for k in (1, 2):
             horn = HornSpec(3, k, {j: simplex_face(s, j) for j in range(4) if j != k})
             refill = fill_inner_horn(horn, eps=eps)
-            missing = tuple(x for x in range(4) if x != k)
+            missing = _index_map("face", k, 3)
             dists.append(iso_distance(refill.cells[missing], s.cells[missing]))
             ok = ok and simplex_close(refill, s, eps)
         resid = worst_of(dists)
@@ -438,23 +440,6 @@ def suite_section(*, seed: int = 42, eps: float = EPS, trials: int = 3) -> Suite
     return _finish("section-exact", cases, t0)
 
 
-def _simplex_closure(sig):
-    seen, out = set(), []
-
-    def add(s):
-        key = structural_hash(s)
-        if key in seen:
-            return
-        seen.add(key)
-        if s.n >= 1:
-            for i in range(s.n + 1):
-                add(simplex_face(s, i))
-        out.append(s)
-
-    add(sig)
-    return out
-
-
 def suite_relative(*, seed: int = 42, eps: float = EPS, trials: int = 10) -> SuiteReport:
     """Prism extensions restrict to the two bar extensions on the boundary."""
 
@@ -473,7 +458,7 @@ def suite_relative(*, seed: int = 42, eps: float = EPS, trials: int = 10) -> Sui
         ok = all(
             rel.value(s, (0,) * (s.n + 1)) == bar_F(s, F0, D, memo, eps=eps)
             and rel.value(s, (1,) * (s.n + 1)) == bar_F(s, F1, D, memo, eps=eps)
-            for s in _simplex_closure(sig)
+            for s in _face_closure([sig]).values()
         )
         return (0.0 if ok else 1.0), ok
 

@@ -260,10 +260,7 @@ def equivalence_inverse(corr: Correspondence, *, eps: float = EPS) -> Equivalenc
     inv_mod = make_module(a, [b.blocks[k] for k in block_map])
     # compact block i of the inverse is a copy of B block block_map[i]
     ws = [{k: np.eye(b.blocks[k])[:, :, None]} for k in block_map]
-    inv_lam = _bratteli_hom(b, inv_mod.compacts, ws)
-    if not inv_lam.unital:
-        raise NotAnEquivalence("correspondence is not full")
-    inverse = Correspondence(b, inv_mod, inv_lam)
+    inverse = Correspondence(b, inv_mod, _bratteli_hom(b, inv_mod.compacts, ws))
 
     tp_left = tensor_corrs(corr, inverse)
     id_a = identity_corr(a)

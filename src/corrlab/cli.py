@@ -213,13 +213,10 @@ def cmd_fill(args) -> int:
     horn = load_value(args.horn, eps=args.eps)
     if not isinstance(horn, HornSpec):
         raise SchemaError(f"{args.horn}: expected a horn file")
-    if 0 < horn.k < horn.n:
-        filled = fill_inner_horn(horn, eps=args.eps)
-    elif horn.k == horn.n:
-        filled = fill_special_outer_horn(horn, eps=args.eps)
-    else:
+    if horn.k == 0 < horn.n:
         raise SchemaError("only inner horns and final-vertex outer horns can be filled")
-    _emit(simplex_to_json.doc(filled), args.out)
+    fill = fill_special_outer_horn if horn.k == horn.n else fill_inner_horn
+    _emit(simplex_to_json.doc(fill(horn, eps=args.eps)), args.out)
     return 0
 
 

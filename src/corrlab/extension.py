@@ -19,7 +19,8 @@ compared again: by the simplicial identities d_i d_k = d_{k-1} d_i (i < k)
 and d_i d_k = d_k d_{i+1} (i >= k), each of its faces is a face of a horn
 face, which the fill carries and whose own faces were compared when it was
 made (Duskin, TAC 9, 2002).  This holds for every target whose ``face``
-satisfies those identities, as both oracles here do.  The caller owns the
+satisfies those identities, as both oracles here do: their faces,
+degeneracies and horn kinds follow nerve's one rule.  The caller owns the
 memo: a run holds it only while ``extend_bar_G`` makes the run's fills.
 
 Two targets are provided: the nerve of integer matrices (K-theory) and the
@@ -45,7 +46,6 @@ from .errors import (
     CorrLabError,
     IncompatibleFaces,
     IndexOutOfRange,
-    NotMonotone,
     NotStableOnDiagram,
     OracleFillFailed,
     ShapeMismatch,
@@ -171,28 +171,21 @@ class K0Simplex:
             out = m @ out
         return out
 
-    def apply_map(self, phi) -> "K0Simplex":
-        """Built unchecked: the ranks are this simplex's own, and each step
-        is an edge, a product of its int64 steps (or an int64 identity)."""
-        phi = [int(x) for x in phi]
-        if not phi:
-            raise ShapeMismatch("a simplex needs at least one vertex")
-        if any(b < a for a, b in zip(phi, phi[1:])):
-            raise NotMonotone(f"vertex map {phi} is not monotone")
-        if phi[0] < 0 or phi[-1] > self.n:
-            raise NotMonotone(f"vertex map {phi} leaves 0..{self.n}")
+    def _reindex(self, phi: tuple) -> "K0Simplex":
+        """Built unchecked along a checked vertex map: the ranks are this
+        simplex's own, and each step is an edge, a product of its int64
+        steps (or an int64 identity)."""
         ranks = [self.ranks[p] for p in phi]
         return K0Simplex._trusted(ranks, [self.edge(a, b) for a, b in zip(phi, phi[1:])])
 
+    def apply_map(self, phi) -> "K0Simplex":
+        return self._reindex(nerve._vertex_map(phi, self.n))
+
     def face(self, i: int) -> "K0Simplex":
-        if not 0 <= i <= self.n:
-            raise IndexOutOfRange(f"face index {i} out of range for dimension {self.n}")
-        return self.apply_map([x for x in range(self.n + 1) if x != i])
+        return self._reindex(nerve._index_map("face", i, self.n))
 
     def degeneracy(self, i: int) -> "K0Simplex":
-        if not 0 <= i <= self.n:
-            raise IndexOutOfRange(f"degeneracy index {i} out of range for dimension {self.n}")
-        return self.apply_map(list(range(i + 1)) + list(range(i, self.n + 1)))
+        return self._reindex(nerve._index_map("degeneracy", i, self.n))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, K0Simplex):
@@ -210,7 +203,7 @@ def _merge_k0_faces(n: int, faces: dict):
     ranks = [None] * (n + 1)
     steps = [None] * n
     for j, f in faces.items():
-        d = [x for x in range(n + 1) if x != j]
+        d = nerve._index_map("face", j, n)
         for a, v in enumerate(d):
             if ranks[v] is None:
                 ranks[v] = f.ranks[a]
@@ -239,18 +232,14 @@ class K0Oracle(QCOracle):
         return s == t
 
     def fill_inner_horn(self, horn: HornSpec, *, eps: float = EPS) -> K0Simplex:
-        n, k = horn.n, horn.k
-        if not (0 < k < n):
-            raise Unfillable(f"L^{n}_{k} is not an inner horn")
-        ranks, steps = _merge_k0_faces(n, horn.faces)
+        horn._check_kind(special=False)
+        ranks, steps = _merge_k0_faces(horn.n, horn.faces)
         return self._build(ranks, steps, horn.faces)
 
     def fill_special_outer_horn(self, horn: HornSpec, certificate=None, *, eps: float = EPS) -> K0Simplex:
-        n, k = horn.n, horn.k
-        if k != n:
-            raise Unfillable(f"L^{n}_{k} is not a special outer horn")
-        ranks, steps = _merge_k0_faces(n, horn.faces)
-        if n == 2:
+        horn._check_kind(special=True)
+        ranks, steps = _merge_k0_faces(horn.n, horn.faces)
+        if horn.n == 2:
             last = steps[1]
             inv = certificate
             if (
@@ -721,10 +710,10 @@ class RelExtension:
     """A simplicial map out of a family of prisms simplex x interval.
 
     Cells are addressed by a base simplex of the family together with a pair
-    (alpha, w): a monotone vertex map into the base and an equally long
-    monotone 0/1 word.  Constant words restrict to the two boundary maps,
-    and ``value(sigma, w)`` with the identity alpha gives the homotopy's
-    value on a simplex at a monotone time word.
+    (alpha, w): a vertex map into the base and an equally long time word, a
+    vertex map into [1] (both ``nerve._vertex_map``).  Constant words
+    restrict to the two boundary maps, and ``value(sigma, w)`` with the
+    identity alpha gives the homotopy's value on a simplex at a time word.
     """
 
     def __init__(self, oracle: QCOracle, homotopy, boundary, family: dict):
@@ -740,19 +729,10 @@ class RelExtension:
         if key not in self.family:
             raise BoundaryMismatch("simplex is not in the extended family")
         sigma = self.family[key]
-        w = tuple(int(x) for x in w)
-        if alpha is None:
-            alpha = tuple(range(sigma.n + 1))
-        else:
-            alpha = tuple(int(x) for x in alpha)
+        w, alpha = tuple(w), tuple(range(sigma.n + 1) if alpha is None else alpha)
         if len(alpha) != len(w):
             raise ShapeMismatch("alpha and w must have equal length")
-        if any(b < a for a, b in zip(alpha, alpha[1:])):
-            raise NotMonotone(f"{list(alpha)} is not weakly increasing")
-        if alpha and (alpha[0] < 0 or alpha[-1] > sigma.n):
-            raise NotMonotone(f"{list(alpha)} does not land in [0, {sigma.n}]")
-        if any(x not in (0, 1) for x in w) or any(b < a for a, b in zip(w, w[1:])):
-            raise ShapeMismatch(f"bad interval word {w}")
+        alpha, w = nerve._vertex_map(alpha, sigma.n), nerve._vertex_map(w, 1)
         return self._value(sigma, alpha, w)
 
     def _eta(self, algebra):
@@ -802,23 +782,11 @@ def extend_relative(h, family, D: QCOracle, *, eps: float = EPS) -> RelExtension
     """
     if not isinstance(h, CstHomotopy):
         raise ShapeMismatch("relative extension needs a CstHomotopy")
-    closed = {}
-    order = []
-
-    def add(s):
-        key = structural_hash(s)
-        if key in closed:
-            return
-        closed[key] = s
-        if s.n >= 1:
-            for i in range(s.n + 1):
-                add(nerve.face(s, i))
-        order.append(s)
-
+    family = list(family)
     for s in family:
         sdv._nonempty_subsets(s.n)  # raises above the bound, before any run
-        add(s)
-    order.sort(key=lambda s: s.n)
+    closed = nerve._face_closure(family)
+    order = sorted(closed.values(), key=lambda s: s.n)
 
     memo = {}
     b0 = {structural_hash(s): bar_F(s, h.f0, D, memo, eps=eps) for s in order}
@@ -838,7 +806,7 @@ def extend_relative(h, family, D: QCOracle, *, eps: float = EPS) -> RelExtension
         if q == 0:
             continue
         for t in range(q, 0, -1):
-            alpha_t = tuple(list(range(t + 1)) + list(range(t, q + 1)))
+            alpha_t = nerve._index_map("degeneracy", t, q)
             w_t = (0,) * (t + 1) + (1,) * (q + 1 - t)
             faces = {
                 j: rel._value(sig, _drop(alpha_t, j), _drop(w_t, j))
@@ -857,7 +825,7 @@ def extend_relative(h, family, D: QCOracle, *, eps: float = EPS) -> RelExtension
             diag_a = tuple(range(q + 1))
             diag_w = (0,) * t + (1,) * (q + 1 - t)
             rel.cells[(key, diag_a, diag_w)] = D.face(cell, t)
-        alpha_0 = tuple([0] + list(range(q + 1)))
+        alpha_0 = nerve._index_map("degeneracy", 0, q)
         w_0 = (0,) + (1,) * (q + 1)
         faces = {
             j: rel._value(sig, _drop(alpha_0, j), _drop(w_0, j)) for j in range(q + 2)

@@ -11,10 +11,15 @@ constraint is the pentagon condition, checked at the strictly increasing
 quadruples; at the others it follows from normality (see
 validate_simplex).
 
-One rule, _check_uncovered, checks a simplex at its caller's eps; faces
-(apply_map) are pure lookup with no re-check, so shared faces are shared
-objects, byte for byte.  Simplices store no tensor products: all read the
-one tensor_corrs keeps on the left edge.
+One rule, _check_uncovered, checks a simplex at its caller's eps.  The
+simplicial operators of every nerve in the package (both targets, the
+subdivision's chains, the prism cells) are checked here, once each: a
+vertex map by _vertex_map, a face or degeneracy index by _index (whose
+coface or codegeneracy map _index_map makes), a horn's kind by
+HornSpec._check_kind; _face_closure is the one face closure.  Reindexing
+is then pure lookup with no re-check, so shared faces are shared objects,
+byte for byte.  Simplices store no tensor products: all read the one
+tensor_corrs keeps on the left edge.
 
 Fills: an inner (2,1)-horn composes its two edges; (3,k)-horns solve the
 pentagon for the one missing intertwiner, where k = 3 extracts it from a
@@ -29,6 +34,7 @@ n = 3, the missing face's pentagon at n = 4, nothing from n = 5 up.
 from __future__ import annotations
 
 import hashlib
+import operator
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -225,15 +231,47 @@ def validate_simplex(s: NCorrSimplex, *, eps: float = EPS) -> NCorrSimplex:
     return s
 
 
-def apply_map(s: NCorrSimplex, phi) -> NCorrSimplex:
-    """Reindex along a weakly increasing phi: [m] -> [n], m >= 0; pure lookup."""
-    phi = tuple(int(x) for x in phi)
+def _vertex_map(phi, n: int) -> tuple:
+    """phi: [m] -> [n] as ints; ShapeMismatch if empty, NotMonotone unless
+    integers (numpy's pass, 1.5 and "1" do not), weakly increasing, in [0, n]."""
+    phi = tuple(phi)
     if not phi:
         raise ShapeMismatch("a simplex needs at least one vertex")
-    if any(b < a for a, b in zip(phi, phi[1:])):
-        raise NotMonotone(f"{list(phi)} is not weakly increasing")
-    if phi[0] < 0 or phi[-1] > s.n:
-        raise NotMonotone(f"{list(phi)} does not land in [0, {s.n}]")
+    try:
+        out = tuple(map(operator.index, phi))
+        ok = 0 <= out[0] and out[-1] <= n and all(a <= b for a, b in zip(out, out[1:]))
+    except TypeError:
+        ok = False
+    if not ok:
+        raise NotMonotone(f"{list(phi)} is not a weakly increasing map into [0, {n}]")
+    return out
+
+
+def _index(what: str, i, n: int) -> int:
+    """A face or degeneracy index: IndexOutOfRange unless an integer in [0, n]."""
+    try:
+        i = operator.index(i)
+        ok = 0 <= i <= n
+    except TypeError:
+        ok = False
+    if not ok:
+        raise IndexOutOfRange(f"{what} index {i!r} out of range for dimension {n}")
+    return i
+
+
+def _index_map(what: str, i, n: int) -> tuple:
+    """The coface [n-1] -> [n] missing i (a vertex has none: ShapeMismatch)
+    or the codegeneracy [n+1] -> [n] hitting i twice."""
+    i = _index(what, i, n)
+    if what == "degeneracy":
+        return (*range(i + 1), *range(i, n + 1))
+    if n == 0:
+        raise ShapeMismatch("a vertex has no faces")
+    return (*range(i), *range(i + 1, n + 1))
+
+
+def _reindex(s: NCorrSimplex, phi: tuple) -> NCorrSimplex:
+    """s along a checked vertex map phi; pure lookup."""
     ids = range(len(phi))
     algebras = tuple(s.algebras[p] for p in phi)
     edges = {(a, b): s.edge(phi[a], phi[b]) for a, b in combinations(ids, 2)}
@@ -241,16 +279,34 @@ def apply_map(s: NCorrSimplex, phi) -> NCorrSimplex:
     return NCorrSimplex(algebras, edges, cells)
 
 
+def apply_map(s: NCorrSimplex, phi) -> NCorrSimplex:
+    """Reindex along a vertex map phi: [m] -> [n] (_vertex_map)."""
+    return _reindex(s, _vertex_map(phi, s.n))
+
+
 def face(s: NCorrSimplex, i: int) -> NCorrSimplex:
-    if not 0 <= i <= s.n:
-        raise IndexOutOfRange(f"face index {i} out of range for dimension {s.n}")
-    return apply_map(s, [x for x in range(s.n + 1) if x != i])
+    return _reindex(s, _index_map("face", i, s.n))
 
 
 def degeneracy(s: NCorrSimplex, i: int) -> NCorrSimplex:
-    if not 0 <= i <= s.n:
-        raise IndexOutOfRange(f"degeneracy index {i} out of range for dimension {s.n}")
-    return apply_map(s, sorted(list(range(s.n + 1)) + [i]))
+    return _reindex(s, _index_map("degeneracy", i, s.n))
+
+
+def _face_closure(simplices) -> dict:
+    """The given simplices and all their faces, keyed by structural_hash,
+    each after its own faces."""
+    out = {}
+
+    def add(s):
+        key = structural_hash(s)
+        if key not in out:
+            for i in range(s.n + 1) if s.n else ():
+                add(face(s, i))
+            out[key] = s
+
+    for s in simplices:
+        add(s)
+    return out
 
 
 def simplex_close(s1: NCorrSimplex, s2: NCorrSimplex, eps: float = EPS) -> bool:
@@ -385,16 +441,26 @@ class HornSpec:
         if not (0 <= self.k <= self.n):
             raise ShapeMismatch(f"horn index {self.k} out of range for n={self.n}")
         expected = set(range(self.n + 1)) - {self.k}
-        if set(self.faces) != expected:
-            raise ShapeMismatch(f"horn needs faces {sorted(expected)}, got {sorted(self.faces)}")
-        for j, f in self.faces.items():
-            if f.n != self.n - 1:
-                raise ShapeMismatch(f"face {j} has dimension {f.n}, expected {self.n - 1}")
+        _check_faces(self.faces, expected, self.n, f"horn needs faces {sorted(expected)}")
+
+    def _check_kind(self, special: bool):
+        """The one horn rule: L^n_k fills as an inner horn iff 0 < k < n and
+        as a special outer horn iff k = n >= 2; Unfillable otherwise."""
+        n, k = self.n, self.k
+        if not special and not 0 < k < n:
+            raise Unfillable(f"L^{n}_{k} is not an inner horn")
+        if special and k != n:
+            raise Unfillable(f"L^{n}_{k} is not a special outer horn")
+        if special and n < 2:
+            raise Unfillable("a special outer horn below dimension 2 has no last edge")
 
 
-def _coface(j: int, n: int):
-    """delta_j: [n-1] -> [n], skipping j."""
-    return [x for x in range(n + 1) if x != j]
+def _check_faces(faces: dict, keys: set, n: int, needs: str):
+    if set(faces) != keys:
+        raise ShapeMismatch(f"{needs}, got {sorted(faces)}")
+    for j, f in faces.items():
+        if f.n != n - 1:
+            raise ShapeMismatch(f"face {j} has dimension {f.n}, expected {n - 1}")
 
 
 def _merge_face_data(n: int, faces: dict, eps: float = EPS, prefer=None):
@@ -410,7 +476,7 @@ def _merge_face_data(n: int, faces: dict, eps: float = EPS, prefer=None):
     owner = {}
     for j in sorted(faces, key=lambda x: (x != prefer, x)):
         f = faces[j]
-        d = _coface(j, n)
+        d = _index_map("face", j, n)
         for a in range(n):
             if algebras[d[a]] is None:
                 algebras[d[a]] = f.algebras[a]
@@ -452,16 +518,15 @@ def fill_inner_horn(horn: HornSpec, *, eps: float = EPS) -> NCorrSimplex:
     intertwiner, n >= 4 assembles the boundary (no new data from there up).
     The faces must be valid simplices; the fill is checked where none covers it.
     """
+    horn._check_kind(special=False)
     n, k = horn.n, horn.k
-    if not (0 < k < n):
-        raise Unfillable(f"L^{n}_{k} is not an inner horn")
-    algebras, edges, cells = _merge_face_data(horn.n, horn.faces, eps)
+    algebras, edges, cells = _merge_face_data(n, horn.faces, eps)
     if n == 2:
         t = tensor_corrs(edges[(0, 1)], edges[(1, 2)])
         edges[(0, 2)] = t.corr
         cells[(0, 1, 2)] = identity_iso(t.corr)
     elif n == 3:
-        cells[_missing_triple(k)] = _solve_pentagon(edges, cells, k, eps)
+        cells[_index_map("face", k, 3)] = _solve_pentagon(edges, cells, k, eps)
     s = NCorrSimplex(algebras, edges, cells)
     _check_uncovered(s, horn.faces, eps)
     return s
@@ -475,12 +540,9 @@ def fill_special_outer_horn(horn: HornSpec, witness=None, *, eps: float = EPS) -
     assembles the boundary.  The faces must be valid simplices; the fill is
     checked where none covers it.
     """
-    n, k = horn.n, horn.k
-    if k != n:
-        raise Unfillable(f"L^{n}_{k} is not a special outer horn")
-    if n < 2:
-        raise Unfillable("a special outer horn below dimension 2 has no last edge")
-    algebras, edges, cells = _merge_face_data(horn.n, horn.faces, eps)
+    horn._check_kind(special=True)
+    n = horn.n
+    algebras, edges, cells = _merge_face_data(n, horn.faces, eps)
     if n < 4:
         last = edges[(n - 1, n)]
         if witness is None or not corr_close(witness.corr, last, eps):
@@ -510,11 +572,7 @@ def fill_special_outer_horn(horn: HornSpec, witness=None, *, eps: float = EPS) -
 def _boundary_dim(faces: dict) -> int:
     """The n of a boundary: faces keyed 0..n, each of dimension n - 1."""
     n = len(faces) - 1
-    if set(faces) != set(range(n + 1)):
-        raise ShapeMismatch(f"boundary needs faces 0..{n}, got {sorted(faces)}")
-    for j, f in faces.items():
-        if f.n != n - 1:
-            raise ShapeMismatch(f"face {j} has dimension {f.n}, expected {n - 1}")
+    _check_faces(faces, set(range(n + 1)), n, f"boundary needs faces 0..{n}")
     return n
 
 
@@ -535,10 +593,6 @@ def assemble_boundary(faces: dict, *, eps: float = EPS, prefer=None) -> NCorrSim
     s = NCorrSimplex(algebras, edges, cells)
     _check_uncovered(s, faces, eps)
     return s
-
-
-def _missing_triple(k: int):
-    return tuple(x for x in range(4) if x != k)
 
 
 def _solve_pentagon(edges, cells, k, eps):

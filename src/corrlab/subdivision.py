@@ -9,11 +9,11 @@ simplex is one with at most one distinct vertex, which stands for a
 singleton subset.  Faces drop an entry, degeneracies double one.
 
 Chains are validated where they enter: the public constructor and the
-enumeration.  face and degeneracy build their results unchecked
-(``_trusted``): dropping or doubling an entry of a valid chain keeps the
-vertices weakly increasing, the subsets nested (nesting is transitive and
-allows equal entries) and the vertices inside the first subset.  Both are
-pure functions of the chain and the index.
+enumeration.  face and degeneracy check their index by every nerve's one
+rule (``nerve._index``) and build their results unchecked (``_trusted``):
+dropping or doubling an entry of a valid chain keeps the vertices weakly
+increasing, the subsets nested (nesting is transitive and allows equal
+entries) and the vertices inside the first subset.
 
 On the algebra side, a subset S with top vertex m picks out the module
 E_S = (+)_{v in S} E_{v m} over A_m; A_S is its compact operators.  For
@@ -47,7 +47,7 @@ from .errors import (
 )
 from .linalg import EPS
 from .modules import HilbertModule, direct_sum_modules
-from .nerve import NCorrSimplex
+from .nerve import NCorrSimplex, _index
 
 __all__ = [
     "AugChain",
@@ -149,8 +149,7 @@ def face(chain, i: int):
     nv, dim = len(vs), len(vs) + len(ss) - 1
     if dim == 0:
         raise ShapeViolation("a point has no faces")
-    if not 0 <= i <= dim:
-        raise IndexOutOfRange(f"face index {i} out of range for dimension {dim}")
+    i = _index("face", i, dim)
     if i < nv:
         return AugChain._trusted(vs[:i] + vs[i + 1 :], ss)
     i -= nv
@@ -161,9 +160,8 @@ def degeneracy(chain, i: int):
     """Double entry i.  Built unchecked like ``face``: ``<=`` allows equal
     vertices and nesting allows equal subsets."""
     vs, ss = chain.vertices, chain.subsets
-    nv, dim = len(vs), len(vs) + len(ss) - 1
-    if not 0 <= i <= dim:
-        raise IndexOutOfRange(f"degeneracy index {i} out of range for dimension {dim}")
+    nv = len(vs)
+    i = _index("degeneracy", i, nv + len(ss) - 1)
     if i < nv:
         return AugChain._trusted(vs[: i + 1] + vs[i:], ss)
     i -= nv

@@ -181,6 +181,25 @@ def test_is_equivalence():
         equivalence_inverse(doubled)
 
 
+@pytest.mark.parametrize(
+    "src,base,mult,lam_mult,message",
+    [
+        ((1,), (1, 1), [1, 0], [[1]], "not full"),  # B's second block is missed
+        ((1, 1), (1,), [2], [[1], [1]], "not a permutation"),  # two A blocks on one
+        ((1,), (1,), [2], [[2]], "not a permutation"),  # M_1 twice in the compacts M_2
+    ],
+    ids=["not-full", "two-blocks-on-one", "size-mismatch"],
+)
+def test_what_is_not_an_equivalence_is_refused(src, base, mult, lam_mult, message):
+    """Fullness and a permutation of multiplicities are the whole test: the
+    action is unital on the compacts, so each A block then has its compact
+    block's size, and the inverse's action is unital by construction."""
+    a, module = make_algebra(src), make_module(make_algebra(base), mult)
+    lam = embedding_hom(a, module.compacts, np.array(lam_mult), np.random.default_rng(0))
+    with pytest.raises(NotAnEquivalence, match=message):
+        equivalence_inverse(Correspondence(a, module, lam))
+
+
 def test_find_corr_iso():
     rng = np.random.default_rng(9)
     b = random_algebra(rng, max_blocks=2, max_size=2)
