@@ -244,16 +244,9 @@ def equivalence_inverse(corr: Correspondence, *, eps: float = EPS) -> Equivalenc
     )
     if not perm_like:
         raise NotAnEquivalence("left action multiplicities are not a permutation")
-    block_map = []
-    for i in range(a.nblocks):
-        k_pos = int(np.argmax(mm[i]))
-        k = corr.module.kept[k_pos]
-        if a.blocks[i] != corr.module.mult[k]:
-            raise NotAnEquivalence(
-                f"block {i} of the source has size {a.blocks[i]},"
-                f" matched compact block has size {corr.module.mult[k]}"
-            )
-        block_map.append(k)
+    # the action is unital (Correspondence), so block i fills the compact
+    # block it is matched to: a.blocks[i] == corr.module.mult[k]
+    block_map = [corr.module.kept[int(np.argmax(row))] for row in mm]
     nf = hom_normal_form(lam, eps=eps)
     us = [nf[corr.module.compact_pos(k)] for k in block_map]
 

@@ -128,8 +128,7 @@ def _simplex_checks(s: NCorrSimplex, eps: float) -> bool:
 
 def cmd_validate(args) -> int:
     value = load_value(args.path, eps=args.eps, validate=False)
-    kind = type(value).__name__
-    print(f"parsed: {kind}")
+    print(f"parsed: {type(value).__name__}")
     if isinstance(value, FdCstarAlgebra):
         ok = _line("block shape", True)
     elif isinstance(value, StarHom):
@@ -142,19 +141,25 @@ def cmd_validate(args) -> int:
         ok = _iso_checks(value, args.eps)
     elif isinstance(value, NCorrSimplex):
         ok = _simplex_checks(value, args.eps)
-    elif isinstance(value, HornSpec):
+    else:  # a HornSpec, the last of load_value's seven kinds
         ok = True
         for j in sorted(value.faces):
             print(f"face {j}:")
             ok = _simplex_checks(value.faces[j], args.eps) and ok
-    else:
-        raise SchemaError(f"no checks for {kind}")
     print("all invariants pass" if ok else "validation failed")
     return 0 if ok else 1
 
 
 # ---------------------------------------------------------------------------
 # construction commands
+
+
+def _load(path, cls, schema: str, eps: float):
+    """The value in the file at path, which must be a cls (else SchemaError, exit 2)."""
+    value = load_value(path, eps=eps)
+    if not isinstance(value, cls):
+        raise SchemaError(f"{path}: expected {schema} file")
+    return value
 
 
 def cmd_make(args) -> int:
@@ -167,15 +172,11 @@ def cmd_make(args) -> int:
             a = random_algebra(rng, label=args.label)
         _emit(algebra_to_json(a), args.out)
     elif args.kind == "hom":
-        src = load_value(args.src, eps=args.eps) if args.src else random_algebra(rng)
-        if not isinstance(src, FdCstarAlgebra):
-            raise SchemaError("--src must be an algebra file")
+        src = _load(args.src, FdCstarAlgebra, "an algebra", args.eps) if args.src else random_algebra(rng)
         _emit(hom_to_json.doc(random_unital_hom(src, rng, **bound)), args.out)
     elif args.kind == "corr":
-        src = load_value(args.src, eps=args.eps) if args.src else random_algebra(rng)
-        dst = load_value(args.dst, eps=args.eps) if args.dst else random_algebra(rng)
-        if not (isinstance(src, FdCstarAlgebra) and isinstance(dst, FdCstarAlgebra)):
-            raise SchemaError("--src and --dst must be algebra files")
+        src = _load(args.src, FdCstarAlgebra, "an algebra", args.eps) if args.src else random_algebra(rng)
+        dst = _load(args.dst, FdCstarAlgebra, "an algebra", args.eps) if args.dst else random_algebra(rng)
         corr = random_correspondence(src, dst, rng, **bound)
         _emit(corr_to_json.doc(corr), args.out)
     elif args.kind == "simplex":
@@ -186,17 +187,13 @@ def cmd_make(args) -> int:
 
 
 def cmd_gamma(args) -> int:
-    phi = load_value(args.hom, eps=args.eps)
-    if not isinstance(phi, StarHom):
-        raise SchemaError(f"{args.hom}: expected a star_hom file")
+    phi = _load(args.hom, StarHom, "a star_hom", args.eps)
     _emit(corr_to_json.doc(gamma_of_hom(phi)), args.out)
     return 0
 
 
 def cmd_morita(args) -> int:
-    corr = load_value(args.module, eps=args.eps)
-    if not isinstance(corr, Correspondence):
-        raise SchemaError(f"{args.module}: expected a correspondence file")
+    corr = _load(args.module, Correspondence, "a correspondence", args.eps)
     w = equivalence_inverse(corr, eps=args.eps)
     _emit(
         {
@@ -210,9 +207,7 @@ def cmd_morita(args) -> int:
 
 
 def cmd_fill(args) -> int:
-    horn = load_value(args.horn, eps=args.eps)
-    if not isinstance(horn, HornSpec):
-        raise SchemaError(f"{args.horn}: expected a horn file")
+    horn = _load(args.horn, HornSpec, "a horn", args.eps)
     if horn.k == 0 < horn.n:
         raise SchemaError("only inner horns and final-vertex outer horns can be filled")
     fill = fill_special_outer_horn if horn.k == horn.n else fill_inner_horn
@@ -221,9 +216,7 @@ def cmd_fill(args) -> int:
 
 
 def cmd_subdivide(args) -> int:
-    s = load_value(args.simplex, eps=args.eps)
-    if not isinstance(s, NCorrSimplex):
-        raise SchemaError(f"{args.simplex}: expected an ncorr_simplex file")
+    s = _load(args.simplex, NCorrSimplex, "an ncorr_simplex", args.eps)
     if args.n is not None and args.n != s.n:
         raise SchemaError(f"--n {args.n} does not match the simplex dimension {s.n}")
     sd = subdivision_functor(s, eps=args.eps)
@@ -253,9 +246,7 @@ def _k0_to_json(s: K0Simplex) -> dict:
 
 
 def cmd_extend(args) -> int:
-    s = load_value(args.simplex, eps=args.eps)
-    if not isinstance(s, NCorrSimplex):
-        raise SchemaError(f"{args.simplex}: expected an ncorr_simplex file")
+    s = _load(args.simplex, NCorrSimplex, "an ncorr_simplex", args.eps)
     pairs = {"k0": "k0nerve", "gamma": "ncorr"}
     if pairs[args.functor] != args.target:
         raise SchemaError(f"functor {args.functor} extends over target {pairs[args.functor]}")

@@ -23,14 +23,16 @@ satisfies those identities, as both oracles here do: their faces,
 degeneracies and horn kinds follow nerve's one rule.  The caller owns the
 memo: a run holds it only while ``extend_bar_G`` makes the run's fills.
 
-Two targets are provided: the nerve of integer matrices (K-theory) and the
-correspondence nerve itself.  `extend_relative` extends a homotopy between
-two such functors over prisms, from both functors' runs (`bar_F`).
+A target implements the ``QCOracle`` protocol (abstract, docstrings only):
+``K0Oracle``, the nerve of integer matrices (K-theory), and ``NCorrOracle``,
+the correspondence nerve itself.  `extend_relative` extends a homotopy
+between two functors over prisms, from both functors' runs (`bar_F`).
 """
 
 from __future__ import annotations
 
 import functools
+from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Callable
 
@@ -79,39 +81,46 @@ __all__ = [
 # target oracles
 
 
-class QCOracle:
+class QCOracle(ABC):
     """What the extension recursion needs from a target quasi-category.
 
     Simplices are opaque values; the engine only moves them along faces and
     degeneracies, compares them at the run's eps, and asks for horn fills at
     it (an oracle holds no tolerance).  Fills must return simplices carrying
-    the supplied faces exactly, in every dimension: the run's dimension is
-    bounded by its subdivision alone.  A special outer horn's last edge needs
-    no test of its own: it is the functor's image of a corner, whose
-    ``certificate`` raises when that image is not invertible.
+    the supplied faces exactly, in every dimension, or raise a CorrLabError:
+    the run's dimension is bounded by its subdivision alone.  A special
+    outer horn's last edge needs no test of its own: it is the functor's
+    image of a corner, whose ``certificate`` raises when that image is not
+    invertible.  ``guided_fill`` returns None to decline.
     """
 
+    @abstractmethod
     def face(self, s, i: int):
-        raise NotImplementedError
+        """Face i of s."""
 
+    @abstractmethod
     def degeneracy(self, s, i: int):
-        raise NotImplementedError
+        """Degeneracy i of s."""
 
+    @abstractmethod
     def equal(self, s, t, *, eps: float = EPS) -> bool:
-        raise NotImplementedError
+        """Whether s and t are the same simplex at eps."""
 
+    @abstractmethod
     def fill_inner_horn(self, horn: HornSpec, *, eps: float = EPS):
-        raise NotImplementedError
+        """A simplex with the faces of an inner horn."""
 
+    @abstractmethod
     def fill_special_outer_horn(self, horn: HornSpec, certificate=None, *, eps: float = EPS):
-        raise NotImplementedError
+        """A simplex with the faces of a special outer horn."""
 
+    @abstractmethod
     def fill_boundary(self, faces: dict, *, eps: float = EPS):
-        raise NotImplementedError
+        """The simplex with all these faces."""
 
+    @abstractmethod
     def guided_fill(self, horn: HornSpec, certificate=None, preferred_face=None, *, eps: float = EPS):
-        """Return a fill whose missing face equals the preferred one, or None."""
-        return None
+        """A special outer fill whose missing face is the preferred one, or None."""
 
 
 class K0Simplex:
@@ -385,9 +394,7 @@ def k0_functor() -> CstFunctor:
         try:
             return int_inverse(m)
         except ValueError as err:
-            raise NotStableOnDiagram(
-                f"hom has no integer inverse on K-theory classes: {err}"
-            ) from err
+            raise NotStableOnDiagram(f"hom has no integer inverse on K-theory classes: {err}") from err
 
     return CstFunctor("K0", vertex, chain, certificate)
 
@@ -548,9 +555,7 @@ class BarExtension:
             if i is not None:
                 raise CompatibilityViolated(f"face {i} of {_chain_str(c)} disagrees with its value")
         else:
-            raise CompatibilityViolated(
-                f"chain {_chain_str(c)} was needed before its fill"
-            )
+            raise CompatibilityViolated(f"chain {_chain_str(c)} was needed before its fill")
         self.vals[c] = out
         return out
 
@@ -589,9 +594,7 @@ class BarExtension:
         # both have two or more vertices and full support, so only a fill
         # puts them in vals
         if missing_chain in self.vals or c in self.vals:
-            raise CompatibilityViolated(
-                f"fill target {_chain_str(c)} or its face was assigned twice"
-            )
+            raise CompatibilityViolated(f"fill target {_chain_str(c)} or its face was assigned twice")
         faces = {j: self.value(sdv.face(c, j)) for j in range(ell + 1) if j != kk}
         horn = HornSpec(ell, kk, faces)
         special = kk == ell
@@ -757,9 +760,7 @@ class RelExtension:
         if hit is None:
             if sig.n == 0 and alpha == (0, 0) and w == (0, 1):
                 return self._eta(sig.algebras[0])
-            raise CompatibilityViolated(
-                f"prism cell {alpha}/{w} was needed before it was built"
-            )
+            raise CompatibilityViolated(f"prism cell {alpha}/{w} was needed before it was built")
         return hit
 
 

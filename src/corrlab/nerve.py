@@ -429,8 +429,9 @@ def gamma_simplex(phis, *, eps: float = EPS, validate: bool = True, composites=N
 class HornSpec:
     """The horn L^n_k: all faces of an n-simplex except the k-th.
 
-    ``faces[j]`` for j != k are (n-1)-simplices; they must agree on shared
-    sub-faces up to rounding.
+    n and k are integers (numpy's pass, 1.5 does not) with 0 <= k <= n, and
+    ``faces[j]`` for j != k are (n-1)-simplices, else ShapeMismatch; the
+    faces must agree on shared sub-faces up to rounding.
     """
 
     n: int
@@ -438,8 +439,10 @@ class HornSpec:
     faces: dict
 
     def __post_init__(self):
-        if not (0 <= self.k <= self.n):
-            raise ShapeMismatch(f"horn index {self.k} out of range for n={self.n}")
+        try:  # k read by the one index rule, against an integer n
+            _index("horn", self.k, operator.index(self.n))
+        except (TypeError, IndexOutOfRange):
+            raise ShapeMismatch(f"horn index {self.k} out of range for n={self.n}") from None
         expected = set(range(self.n + 1)) - {self.k}
         _check_faces(self.faces, expected, self.n, f"horn needs faces {sorted(expected)}")
 

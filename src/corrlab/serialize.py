@@ -363,8 +363,6 @@ def simplex_from_json(doc, *, eps: float = EPS, validate: bool = True, where="nc
     for p, rec in enumerate(_ensure_list(doc, "edges", where)):
         here = f"{where}.edges[{p}]"
         i, j = _index_pair(rec, ("i", "j"), n, here, edges)
-        if i >= j:
-            raise SchemaError(f"{here}: needs i < j")
         edges[(i, j)] = corr_from_json(
             _need(rec, "corr", here), eps=eps, validate=validate, where=f"{here}.corr"
         )
@@ -376,8 +374,6 @@ def simplex_from_json(doc, *, eps: float = EPS, validate: bool = True, where="nc
     for p, rec in enumerate(_ensure_list(doc, "cells", where)):
         here = f"{where}.cells[{p}]"
         i, j, k = _index_pair(rec, ("i", "j", "k"), n, here, cells)
-        if not i < j < k:
-            raise SchemaError(f"{here}: needs i < j < k")
         # the cell source is the tensor product of the two edges, whose
         # deterministic coordinates are the ones the unitary was written in
         tp = tensor_corrs(edges[(i, j)], edges[(j, k)])
@@ -434,6 +430,8 @@ def _ensure_list(doc, key, where):
 
 
 def _index_pair(rec, keys, n, where, seen):
+    """The record's indices: integers in [0, n], strictly increasing, not
+    already in seen."""
     out = []
     for key in keys:
         v = _need(rec, key, where)
@@ -442,6 +440,8 @@ def _index_pair(rec, keys, n, where, seen):
         out.append(v)
     if tuple(out) in seen:
         raise SchemaError(f"{where}: repeats {tuple(out)}")
+    if any(b <= a for a, b in zip(out, out[1:])):
+        raise SchemaError(f"{where}: needs {' < '.join(keys)}")
     return tuple(out)
 
 

@@ -32,6 +32,7 @@ matrix is built or multiplied and no Gram matrix built.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 from itertools import combinations
 
@@ -68,14 +69,24 @@ _MAX_N = 4
 MAX_HOM_BYTES = 512 * 2**20
 
 
+def _vertices(seq) -> tuple:
+    """Vertex labels by nerve's rule (``operator.index``: numpy integers
+    pass, 1.5 and "1" do not), nonnegative; ShapeViolation otherwise."""
+    try:
+        out = tuple(map(operator.index, seq))
+    except TypeError:
+        raise ShapeViolation(f"vertices must be integers, got {seq!r}") from None
+    if any(v < 0 for v in out):
+        raise ShapeViolation("vertices must be nonnegative")
+    return out
+
+
 def _check_subset(s) -> tuple:
-    t = tuple(int(x) for x in s)
+    t = _vertices(s)
     if not t:
         raise ShapeViolation("subsets must be nonempty")
     if any(b <= a for a, b in zip(t, t[1:])):
         raise ShapeViolation(f"subset {t} must be strictly increasing")
-    if t[0] < 0:
-        raise ShapeViolation("vertices must be nonnegative")
     return t
 
 
@@ -92,12 +103,10 @@ class AugChain:
     subsets: tuple
 
     def __post_init__(self):
-        vs = tuple(int(v) for v in self.vertices)
+        vs = _vertices(self.vertices)
         ss = tuple(_check_subset(s) for s in self.subsets)
         if not vs and not ss:
             raise ShapeViolation("a chain needs at least one entry")
-        if any(v < 0 for v in vs):
-            raise ShapeViolation("vertices must be nonnegative")
         if any(b < a for a, b in zip(vs, vs[1:])):
             raise ShapeViolation(f"vertices {vs} must be weakly increasing")
         for s in ss:

@@ -34,7 +34,7 @@ from corrlab.errors import (
     ValidationError,
 )
 from corrlab.generators import embedding_hom, random_algebra, random_unital_hom
-from corrlab.linalg import frob
+from corrlab.linalg import frob, int_inverse, orthonormal_range
 from corrlab.nerve import structural_hash
 from corrlab.subdivision import subdivision_functor
 from reference import (
@@ -592,3 +592,36 @@ def test_make_star_hom_rejects_non_finite_entries():
         m[0, 0] = bad
         with pytest.raises(NotStarPreserving), np.errstate(invalid="ignore"):
             make_star_hom(phi.src, phi.dst, m)
+
+
+def test_a_hom_reads_as_its_ends():
+    phi = identity_hom(make_algebra((2, 1)))
+    assert repr(phi) == "StarHom(FdCstarAlgebra([2, 1]) -> FdCstarAlgebra([2, 1]))"
+
+
+def test_the_normal_form_refuses_a_unitary_it_cannot_complete():
+    """A tolerance of 1e300 admits a map that is no *-hom: e_10 goes to
+    1e150 E_10 in M_3.  Its normal-form columns are then not orthonormal,
+    the padding's Gram-Schmidt overflows, and the completion is refused."""
+    src, dst = make_algebra((2,)), make_algebra((3,))
+    m = np.zeros((9, 4), dtype=complex)
+    m[0, 0], m[3, 2] = 1.0, 1e150
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi = make_star_hom(src, dst, m, eps=1e300)
+        with pytest.raises(ShapeMismatch, match="could not complete normal-form unitary"):
+            hom_normal_form(phi, eps=1e300)
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: orthonormal_range(np.ones(3), 1), "need a matrix"),
+        (lambda: orthonormal_range(np.zeros((2, 2)), 1), "pivot 0 of 1 has norm 0"),
+        (lambda: int_inverse(np.ones((2, 3), dtype=np.int64)), "need a square matrix"),
+        (lambda: int_inverse(np.array([[1, 2], [2, 4]])), "matrix is singular"),
+    ],
+    ids=["range-vector", "range-overstated", "inverse-not-square", "inverse-singular"],
+)
+def test_the_rank_and_inverse_kernels_refuse_what_they_cannot_do(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

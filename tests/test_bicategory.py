@@ -27,7 +27,13 @@ from corrlab.bicategory import (
     gamma_of_hom,
     u_of_corr,
 )
-from corrlab.errors import EndpointMismatch, NotAnEquivalence, NotMultiplicative, ValidationError
+from corrlab.errors import (
+    EndpointMismatch,
+    InvalidAlgebra,
+    NotAnEquivalence,
+    NotMultiplicative,
+    ValidationError,
+)
 from corrlab.extension import k0_matrix
 from corrlab.generators import (
     embedding_hom,
@@ -297,3 +303,26 @@ def test_gamma_dies_with_its_hom():
     del phi
     gc.collect()
     assert ref() is None
+
+
+def test_the_zero_hom_has_no_correspondence():
+    zero = make_star_hom(make_algebra((1,)), make_algebra((2,)), np.zeros((4, 1)))
+    with pytest.raises(InvalidAlgebra, match="zero homomorphism"):
+        gamma_of_hom(zero)
+
+
+def test_a_multiplicativity_cell_refuses_a_composite_off_its_ends():
+    rng = np.random.default_rng(4)
+    phi, psi = random_chain(rng, 2, max_blocks=2, max_size=2, max_mult=1)
+    with pytest.raises(EndpointMismatch, match="composite endpoints"):
+        gamma_multiplicativity(psi, phi, comp=phi)
+
+
+def test_find_corr_iso_declines_actions_of_other_multiplicities():
+    """id and the swap of C (+) C have one module, C^1 (+) C^1, and actions
+    of different multiplicity matrices, so they are not isomorphic."""
+    a = make_algebra((1, 1))
+    ident = gamma_of_hom(embedding_hom(a, a, np.eye(2, dtype=np.int64)))
+    swap = gamma_of_hom(embedding_hom(a, a, np.array([[0, 1], [1, 0]])))
+    assert ident.module == swap.module and find_corr_iso(ident, swap) is None
+    assert find_corr_iso(swap, swap) is not None

@@ -1,8 +1,11 @@
 """Extending stable functors over subdivision chains and prisms."""
 
+import ast
 import contextlib
 import gc
+import inspect
 import itertools
+import textwrap
 import weakref
 from collections import Counter
 
@@ -11,7 +14,7 @@ import pytest
 
 from corrlab import extension, modules, nerve
 from corrlab.acceptance import conjugated_k0, k0_of_corr, random_unimodular
-from corrlab.algebra import compose_homs
+from corrlab.algebra import compose_homs, make_algebra
 from corrlab.bicategory import u_of_corr
 from corrlab.errors import (
     BoundaryMismatch,
@@ -19,6 +22,7 @@ from corrlab.errors import (
     DimensionTooLarge,
     FunctorialityViolated,
     IncompatibleFaces,
+    IndexOutOfRange,
     NotMonotone,
     NotStableOnDiagram,
     OracleFillFailed,
@@ -39,7 +43,7 @@ from corrlab.extension import (
     k0_functor,
     k0_matrix,
 )
-from corrlab.generators import random_chain, random_simplex
+from corrlab.generators import embedding_hom, random_chain, random_simplex
 from corrlab.linalg import int_inverse
 from corrlab.modules import CorrIso, make_iso
 from corrlab.nerve import (
@@ -807,3 +811,190 @@ def test_a_shared_memo_never_returns_a_run_checked_at_another_eps(tmp_path, targ
     for run_memo in (memo, {}):
         with pytest.raises(FunctorialityViolated, match="residual 2.370e-09"):
             extend_bar_G(s, F, D, run_memo, eps=1e-9)
+
+
+# -- every guard of the engine and its targets, reached ------------------------
+
+
+def test_qc_oracle_is_a_protocol_with_no_behaviour():
+    """QCOracle is abstract: its seven methods are docstrings only, it cannot
+    be built, and neither can an oracle that leaves one of them out."""
+    methods = {"face", "degeneracy", "equal", "fill_inner_horn", "fill_special_outer_horn",
+               "fill_boundary", "guided_fill"}
+    assert extension.QCOracle.__abstractmethods__ == methods
+    for name in methods:
+        body = ast.parse(textwrap.dedent(inspect.getsource(getattr(extension.QCOracle, name))))
+        assert [type(x) for x in body.body[0].body] == [ast.Expr], name
+    with pytest.raises(TypeError):
+        extension.QCOracle()
+
+    class NoGuide(extension.QCOracle):
+        face = degeneracy = equal = fill_inner_horn = K0Oracle.face
+        fill_special_outer_horn = fill_boundary = K0Oracle.face
+
+    with pytest.raises(TypeError, match="guided_fill"):
+        NoGuide()
+
+
+@pytest.mark.parametrize(
+    "ranks,steps,message",
+    [((), [], "bad rank vector"), ((-1,), [], "bad rank vector"), ((2, 2), [], "2 ranks need 1 steps")],
+)
+def test_k0_simplex_refuses_what_is_not_a_spine(ranks, steps, message):
+    with pytest.raises(ShapeMismatch, match=message):
+        K0Simplex(ranks, steps)
+
+
+def test_k0_simplex_edges_equality_and_repr():
+    s = K0Simplex((2, 2, 2), [M01, M12])
+    with pytest.raises(IndexOutOfRange, match=r"edge \(0,3\) out of range"):
+        s.edge(0, 3)
+    assert s != "not a simplex" and s.__eq__(object()) is NotImplemented
+    assert repr(s) == "K0Simplex(n=2, ranks=(2, 2, 2))"
+
+
+def test_k0_oracle_refuses_a_boundary_below_dimension_2():
+    v = K0Simplex((2,), ())
+    with pytest.raises(Unfillable, match="below dimension 2"):
+        K0Oracle().fill_boundary({0: v, 1: v})
+
+
+def test_k0_guided_fill_confirms_or_declines():
+    """K0 fills are unique, so guiding only confirms: an inner horn fills as
+    without a guide, and a special horn keeps its fill when the preferred
+    face is the fill's missing face and declines (None) otherwise."""
+    o = K0Oracle()
+    s = K0Simplex((2, 2, 2), [M12, M01])  # the last step is unimodular
+    inner = HornSpec(2, 1, {0: s.face(0), 2: s.face(2)})
+    assert o.guided_fill(inner) == s
+    special = HornSpec(2, 2, {0: s.face(0), 1: s.face(1)})
+    assert o.guided_fill(special, preferred_face=s.face(2)) == s
+    assert o.guided_fill(special, int_inverse(M01), preferred_face=s.face(2)) == s
+    assert o.guided_fill(special, preferred_face=K0Simplex((2, 2), [M01])) is None
+
+
+def swap_and_identity_chain():
+    """On A = C (+) C: the simplex of the chain (id, id), and the 1-simplex
+    of the swap, whose correspondence is not isomorphic to id_A."""
+    a = make_algebra((1, 1))
+    ident = embedding_hom(a, a, np.eye(2, dtype=np.int64))
+    swap = embedding_hom(a, a, np.array([[0, 1], [1, 0]]))
+    return gamma_simplex([ident, ident]), gamma_simplex([swap])
+
+
+def test_ncorr_guided_fill_declines_what_does_not_fit():
+    """NCorrOracle.guided_fill returns None, so the engine falls back to the
+    unguided fill, for no preferred face, an inner horn, a preferred edge
+    whose product with the last edge has no intertwiner to the composite
+    edge, and a horn whose assembly is refused."""
+    o = NCorrOracle()
+    s, swap = swap_and_identity_chain()
+    special = HornSpec(2, 2, {0: face(s, 0), 1: face(s, 1)})
+    assert o.guided_fill(special) is None
+    assert o.guided_fill(HornSpec(2, 1, {0: face(s, 0), 2: face(s, 2)}), preferred_face=swap) is None
+    assert o.guided_fill(special, preferred_face=swap) is None
+    fill = o.guided_fill(special, preferred_face=face(s, 2))
+    assert fill is not None and o.equal(fill, s)
+    vertex = make_simplex([s.algebras[0]], {}, {})
+    assert o.guided_fill(HornSpec(1, 1, {0: vertex}), preferred_face=vertex) is None
+
+
+def test_k0_functor_refuses_an_empty_or_broken_chain_and_a_non_invertible_corner():
+    c, m2 = make_algebra((1,)), make_algebra((2,))
+    double = embedding_hom(c, m2, [[2]])
+    F = k0_functor()
+    with pytest.raises(ShapeMismatch, match="at least one hom"):
+        F.chain([])
+    with pytest.raises(ShapeMismatch, match="do not compose"):
+        F.chain([double, double])
+    with pytest.raises(NotStableOnDiagram, match="no integer inverse"):
+        F.certificate(double)
+
+
+class CertificateBlindOracle(K0Oracle):
+    """K0Oracle, filling special horns from the horn alone, so a functor's
+    certificate may be any value."""
+
+    def fill_special_outer_horn(self, horn, certificate=None, **kw):
+        return super().fill_special_outer_horn(horn, None, **kw)
+
+
+def test_the_trace_names_an_opaque_certificate_by_its_repr():
+    """A certificate that is neither an integer matrix nor equivalence data
+    is named in the trace by the hash of its repr."""
+    base = k0_functor()
+    F = CstFunctor("K0", base.vertex, base.chain, lambda phi, **kw: ("opaque", 1))
+    ext = extend_bar_G(small_simplex(1, 0), F, CertificateBlindOracle())
+    want = structural_hash(np.frombuffer(repr(("opaque", 1)).encode(), dtype=np.uint8))[:12]
+    assert [e["certificate"] for e in ext.trace] == [want]
+    assert ext.top() == bar_F(small_simplex(1, 0), k0_functor(), K0Oracle())
+
+
+@pytest.mark.parametrize(
+    "order,message",
+    [
+        (lambda stages: tuple(reversed(stages)), "was needed before its fill"),
+        (lambda stages: tuple((k, ts + ts) for k, ts in stages), "or its face was assigned twice"),
+    ],
+    ids=["reversed", "repeated"],
+)
+def test_the_engine_refuses_a_fill_order_that_breaks_its_invariants(monkeypatch, order, message):
+    """The fill order makes every chain before a fill reads it, and each
+    target once; a run made in the wrong order, or filling a target twice,
+    stops at the first chain that shows it."""
+    monkeypatch.setattr(extension, "_fill_targets", lambda n, real=extension._fill_targets: order(real(n)))
+    with pytest.raises(CompatibilityViolated, match=message):
+        extend_bar_G(small_simplex(2, 0), k0_functor(), K0Oracle(), {})
+
+
+def test_relative_extension_refuses_unequal_words():
+    sig = random_simplex(np.random.default_rng(77), 1, max_blocks=2, max_size=2, max_mult=1)
+    F = k0_functor()
+    rel = extend_relative(CstHomotopy(F, F, identity_eta), [sig], K0Oracle())
+    with pytest.raises(ShapeMismatch, match="equal length"):
+        rel.value(sig, (0, 1), (0, 0, 1))
+
+
+def test_a_prism_cell_is_built_before_it_is_read():
+    """A RelExtension with no cells refuses a diagonal instead of guessing it."""
+    sig = random_simplex(np.random.default_rng(77), 1, max_blocks=2, max_size=2, max_mult=1)
+    rel = extension.RelExtension(K0Oracle(), None, ({}, {}), {structural_hash(sig): sig})
+    with pytest.raises(CompatibilityViolated, match=r"prism cell \(0, 1\)/\(0, 1\) was needed"):
+        rel.value(sig, (0, 1))
+
+
+def shifted_eta(a):
+    """An edge out of a vertex of one rank more than F0(A): not F0(A) -> F1(A)."""
+    r = a.nblocks
+    return K0Simplex((r + 1, r), [np.zeros((r, r + 1), dtype=np.int64)])
+
+
+class FailingInnerOracle(K0Oracle):
+    def fill_inner_horn(self, horn, **kw):
+        raise Unfillable("this target has no inner fills")
+
+
+class LyingInnerOracle(K0Oracle):
+    """Returns its inner fills with the first step moved: a simplex that
+    does not carry the horn's faces."""
+
+    def fill_inner_horn(self, horn, **kw):
+        return moved_step(super().fill_inner_horn(horn, **kw), 0)
+
+
+@pytest.mark.parametrize(
+    "eta,oracle,error,message",
+    [
+        (shifted_eta, K0Oracle, BoundaryMismatch, "eta does not connect"),
+        (identity_eta, FailingInnerOracle, OracleFillFailed, r"prism horn \(2,1\): this target"),
+        (identity_eta, LyingInnerOracle, OracleFillFailed, "oracle changed face 2 of a prism horn"),
+    ],
+    ids=["bad-eta", "failing-oracle", "lying-oracle"],
+)
+def test_relative_extension_refuses_a_bad_eta_and_a_failing_or_lying_oracle(eta, oracle, error, message):
+    """Over an edge the boundary runs make only special fills, so each
+    oracle fault shows first in the prism's inner horn."""
+    sig = random_simplex(np.random.default_rng(77), 1, max_blocks=2, max_size=2, max_mult=1)
+    F = k0_functor()
+    with pytest.raises(error, match=message):
+        extend_relative(CstHomotopy(F, F, eta), [sig], oracle())

@@ -52,7 +52,7 @@ from corrlab.algebra import (
 )
 from corrlab.bicategory import equivalence_inverse, gamma_isometries, gamma_of_hom, u_of_corr
 from corrlab.cli import main
-from corrlab.errors import FunctorialityViolated, NotMultiplicative
+from corrlab.errors import FunctorialityViolated, NotMultiplicative, ShapeMismatch
 from corrlab.extension import K0Oracle, bar_F, k0_functor
 from corrlab.generators import (
     embedding_hom,
@@ -893,3 +893,20 @@ def test_a_nan_in_bratteli_data_makes_the_judge_nan(monkeypatch):
     report = acceptance.suite_subdivision(trials=3)
     assert not report.ok and all(np.isnan(c.residual) for c in report.cases)
     assert not any("matrix" in vars(f) for sd in built for f in sd.homs.values())
+
+
+@pytest.mark.parametrize(
+    "mult,message",
+    [([[1, 0]], r"mult shape \(1, 2\)"), ([[-1]], "nonnegative"), ([[3]], "cannot hold 3 dimensions")],
+    ids=["shape", "negative", "overfull"],
+)
+def test_embedding_hom_refuses_multiplicities_that_do_not_fit(mult, message):
+    with pytest.raises(ShapeMismatch, match=message):
+        embedding_hom(make_algebra((1,)), make_algebra((2,)), mult)
+
+
+@pytest.mark.parametrize("edge", [(1, 1), (1, 0), (0, 3)])
+def test_twist_edge_refuses_what_is_not_a_strict_edge(edge):
+    s = random_simplex(np.random.default_rng(0), 2, max_blocks=2, max_size=2, max_mult=1)
+    with pytest.raises(ShapeMismatch, match="is not a strict edge"):
+        twist_edge(s, *edge, np.random.default_rng(1))

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from corrlab.algebra import StarHom, _traced_mult, make_algebra, make_star_hom
 from corrlab.errors import (
+    BaseMismatch,
     EndpointMismatch,
     InvalidAlgebra,
     NotIntertwining,
@@ -739,3 +740,75 @@ def test_private_kron_is_bit_equal_to_np_kron(seed):
         a, b = draw(sa, "CF"[rng.integers(2)]), draw(sb, "CF"[rng.integers(2)])
         want, got = np.kron(a, b), modules._kron(a, b)
         assert bit_equal(got, want) and got.flags.c_contiguous == want.flags.c_contiguous
+
+
+# -- every guard of the module layer, reached ------------------------------------
+
+
+def small_corrs():
+    """E and E2: C (+) C -> C on C^2 and C^3 (the second block acting twice
+    on E2), and E3: C -> C on C^2."""
+    a, b = make_algebra((1, 1)), make_algebra((1,))
+    m2, m3 = make_module(b, (2,)), make_module(b, (3,))
+    e = Correspondence(a, m2, embedding_hom(a, m2.compacts, [[1], [1]]))
+    e2 = Correspondence(a, m3, embedding_hom(a, m3.compacts, [[1], [2]]))
+    e3 = Correspondence(b, m2, embedding_hom(b, m2.compacts, [[2]]))
+    return e, e2, e3
+
+
+def test_a_module_refuses_a_bad_multiplicity_list_and_hashes_by_value():
+    a = make_algebra((1, 1))
+    with pytest.raises(ShapeMismatch, match="one multiplicity per base block"):
+        modules.HilbertModule(a, (1,))
+    with pytest.raises(ShapeMismatch, match="must be >= 0"):
+        modules.HilbertModule(a, (1, -1))
+    assert hash(make_module(a, (1, 2))) == hash(make_module(make_algebra((1, 1)), [1, 2]))
+    assert repr(make_module(a, (1, 2))) == "HilbertModule(FdCstarAlgebra([1, 1]), mult=[1, 2])"
+
+
+def test_a_direct_sum_needs_summands_over_one_base():
+    with pytest.raises(ShapeMismatch, match="empty direct sum"):
+        direct_sum_modules([])
+    mods = [make_module(make_algebra((1, 1)), (1, 1)), make_module(make_algebra((1,)), (1,))]
+    with pytest.raises(BaseMismatch):
+        direct_sum_modules(mods)
+
+
+def test_a_correspondence_refuses_an_action_off_its_ends_or_not_unital():
+    e, e2, _ = small_corrs()
+    with pytest.raises(EndpointMismatch, match="must map src"):
+        Correspondence(e.dst, e.module, e.lam)
+    m3 = e2.module
+    half = embedding_hom(e.src, m3.compacts, [[1], [1]])  # fills 2 of 3 dimensions
+    with pytest.raises(EndpointMismatch, match="must be unital"):
+        Correspondence(e.src, m3, half)
+    assert (e.dim, e2.dim) == (2, 3)
+    assert repr(e) == "Correspondence(FdCstarAlgebra([1, 1]) -> FdCstarAlgebra([1]), mult=[2])"
+
+
+def test_an_intertwiner_refuses_other_ends_block_counts_and_non_square_blocks():
+    e, e2, e3 = small_corrs()
+    with pytest.raises(EndpointMismatch, match="endpoints disagree"):
+        CorrIso(e, e3, [np.eye(2)])
+    with pytest.raises(ShapeMismatch, match="one block per base block"):
+        CorrIso(e, e, [np.eye(2), np.eye(2)])
+    with pytest.raises(NotUnitary, match="not square"):
+        CorrIso(e, e2, [np.zeros((3, 2))])
+    assert repr(identity_iso(e)) == f"CorrIso({e!r} ~ {e!r})"
+    with pytest.raises(ShapeMismatch, match="different modules"):
+        iso_distance(identity_iso(e), identity_iso(e2))
+
+
+def test_products_and_their_intertwiners_refuse_factors_that_do_not_match():
+    e, e2, e3 = small_corrs()
+    with pytest.raises(EndpointMismatch, match="matching middle algebra"):
+        tensor_corrs(e, e)
+    f = identity_corr(e.dst)
+    tp, tp2 = tensor_corrs(e, f), tensor_corrs(e2, f)
+    with pytest.raises(EndpointMismatch, match="target tensor product"):
+        tensor_iso(identity_iso(e), identity_iso(f), tp, tp2)
+    tp_fg = tensor_corrs(f, f)
+    with pytest.raises(EndpointMismatch, match="tp_efg must tensor"):
+        associator(tp, tensor_corrs(e2, f), tp_fg, tensor_corrs(e, tp_fg.corr))
+    with pytest.raises(EndpointMismatch, match="tp_e_fg must tensor"):
+        associator(tp, tensor_corrs(tp.corr, f), tp_fg, tensor_corrs(e, e3))

@@ -825,3 +825,67 @@ def test_one_negated_block_is_a_pentagon_violation(key):
         bad = with_cell(s, key, CorrIso(c.src, c.dst, blocks))
         with pytest.raises(PentagonViolated):
             validate_simplex(bad)
+
+
+# -- every guard of the nerve, reached -------------------------------------------
+
+
+@pytest.mark.parametrize("n,k", [(2, 1.5), (2.0, 1), (2, "1"), (2.5, 2)])
+def test_a_horn_with_a_non_integer_n_or_k_is_refused(n, k):
+    """A horn's n and k are read by nerve's one rule for indices: 1.5 was
+    taken as an inner 2-horn expecting all three faces, and the fill
+    recomposed E_02 instead of returning the given simplex."""
+    s = random_simplex(np.random.default_rng(0), 2, max_blocks=2, max_size=2, max_mult=1)
+    faces = {j: face(s, j) for j in range(3)}
+    with pytest.raises(ShapeMismatch, match="out of range"):
+        HornSpec(n, k, faces)
+    fill = fill_inner_horn(HornSpec(np.int64(2), np.int64(1), {0: faces[0], 2: faces[2]}))
+    assert [structural_hash(face(fill, j)) for j in (0, 2)] == [
+        structural_hash(faces[j]) for j in (0, 2)
+    ]
+
+
+def test_a_simplex_refuses_an_identity_edge_or_unit_cell_off_its_vertices():
+    s = random_simplex(np.random.default_rng(0), 2, max_blocks=2, max_size=2, max_mult=1)
+    with pytest.raises(KeyError):
+        s.edge(3, 3)
+    with pytest.raises(KeyError):
+        s.cell(0, 0, 3)
+    assert repr(s) == f"NCorrSimplex(n=2, algebras={[a.blocks for a in s.algebras]})"
+
+
+def test_simplex_close_compares_dimensions_and_vertices_first():
+    rng = np.random.default_rng(1)
+    s = random_simplex(rng, 2, max_blocks=2, max_size=2, max_mult=1)
+    assert not simplex_close(s, face(s, 0))
+    t = gamma_simplex([embedding_hom(make_algebra((1,)), make_algebra((1,)), [[1]])] * 2)
+    assert s.algebras != t.algebras and not simplex_close(s, t)
+
+
+def test_gamma_simplex_refuses_what_is_not_a_chain():
+    c, m2 = make_algebra((1,)), make_algebra((2,))
+    f = embedding_hom(c, m2, [[2]])
+    with pytest.raises(ShapeMismatch, match="at least one hom"):
+        gamma_simplex([])
+    with pytest.raises(EndpointMismatch, match="not composable"):
+        gamma_simplex([f, f])
+    with pytest.raises(EndpointMismatch, match=r"composite \(0, 1\) has wrong endpoints"):
+        gamma_simplex([f], composites={(0, 1): embedding_hom(c, c, [[1]])})
+
+
+def test_a_special_fill_refuses_an_inner_horn():
+    s = random_simplex(np.random.default_rng(2), 2, max_blocks=2, max_size=2, max_mult=1)
+    with pytest.raises(Unfillable, match="not a special outer horn"):
+        fill_special_outer_horn(HornSpec(2, 1, {0: face(s, 0), 2: face(s, 2)}))
+
+
+def test_horn_faces_that_disagree_on_an_edge_are_refused():
+    """Faces 2 and 3 of a 3-horn share the edge (0, 1); taking face 2 from a
+    copy whose E_01 is conjugated by a unitary makes them disagree there."""
+    rng = np.random.default_rng(0)
+    s = random_simplex(rng, 3, max_blocks=2, max_size=2, max_mult=1)
+    t = twist_edge(s, 0, 1, rng)
+    assert not corr_close(s.edges[(0, 1)], t.edges[(0, 1)])
+    horn = HornSpec(3, 1, {0: face(s, 0), 2: face(t, 2), 3: face(s, 3)})
+    with pytest.raises(IncompatibleFaces, match=r"faces 2 and 3 disagree on edge \(0, 1\)"):
+        fill_inner_horn(horn)

@@ -10,7 +10,9 @@ import functools
 import io
 import json
 import os
+import runpy
 import signal
+import sys
 import tempfile
 import warnings
 
@@ -199,6 +201,12 @@ def test_schema_errors(tmp_path):
     p2.write_text(json.dumps({"src": {"blocks": [2]}, "dst": {"blocks": [2]}}))
     with pytest.raises(SchemaError):
         load_value(p2)
+    p3 = tmp_path / "list.json"
+    p3.write_text(json.dumps([{"blocks": [2]}]))
+    with pytest.raises(SchemaError, match="expected a JSON object, got list"):
+        load_value(p3)
+    with pytest.raises(SchemaError, match="no JSON schema for object"):
+        value_to_json(object())
 
 
 # ---------------------------------------------------------------------------
@@ -550,6 +558,47 @@ HORN_SHAPE_CASES = [
         "face 2 has dimension 2, expected 1",
     ),
 ]
+
+
+def _swap_first(doc, part, a, b):
+    rec = doc[part][0]
+    rec[a], rec[b] = rec[b], rec[a]
+
+
+# (case, edit of a 2-simplex file, message): a record out of order or a
+# missing one, and a left action whose ends are not the correspondence's
+SIMPLEX_SHAPE_CASES = [
+    ("edge-order", lambda d: _swap_first(d, "edges", "i", "j"), "ncorr_simplex.edges[0]: needs i < j"),
+    ("edge-missing", lambda d: d["edges"].pop(0), "ncorr_simplex.edges: missing [(0, 1)]"),
+    ("cell-order", lambda d: _swap_first(d, "cells", "j", "k"), "ncorr_simplex.cells[0]: needs i < j < k"),
+    ("cell-missing", lambda d: d["cells"].clear(), "ncorr_simplex.cells: missing [(0, 1, 2)]"),
+    (
+        "action-src",
+        lambda d: d["edges"][0]["corr"]["left_action"].update(src={"blocks": [5]}),
+        "edges[0].corr.left_action.src: does not match the correspondence source",
+    ),
+    (
+        "action-dst",
+        lambda d: d["edges"][0]["corr"]["left_action"].update(dst={"blocks": [5]}),
+        "edges[0].corr.left_action.dst: does not match the compacts of the module",
+    ),
+]
+
+
+@pytest.mark.parametrize("command", ["subdivide", "validate"])
+@pytest.mark.parametrize(
+    "case,edit,message", SIMPLEX_SHAPE_CASES, ids=[c[0] for c in SIMPLEX_SHAPE_CASES]
+)
+def test_cli_simplex_with_a_structural_fault_exits_2(tmp_path, command, case, edit, message):
+    s = random_simplex(np.random.default_rng(9), 2, max_mult=1)
+    doc = simplex_to_json(s)
+    assert [(e["i"], e["j"]) for e in doc["edges"]][0] == (0, 1)
+    edit(doc)
+    path = tmp_path / "simplex.json"
+    path.write_text(json.dumps(doc))
+    argv = ["subdivide", "--simplex", str(path)] if command == "subdivide" else ["validate", str(path)]
+    code, out, err = run_cli(argv)
+    assert code == 2 and err.startswith("error: ") and message in err
 
 
 @pytest.mark.parametrize("command", ["fill", "validate"])
@@ -1359,3 +1408,104 @@ def test_cli_exit_code_contract_on_flag_values(kind, eps, max_mult, n, blocks):
         argv += [] if blocks is None else [f"--blocks={blocks}"]
     code, _, _ = run_cli(argv, seconds=5)
     assert code in (0, 1, 2), argv
+
+
+def test_the_text_writer_refuses_a_leaf_json_cannot_write_and_lengthens_its_mark():
+    """Array leaves are spliced in at a mark string; a document whose own
+    strings hold the mark gets a longer one, and a leaf that is neither
+    JSON nor an array is refused as json.dumps refuses it."""
+    doc = {"s": "\0", "t": ["\0\0", "x\0"], "m": np.eye(2, dtype=complex)}
+    assert _json_text(doc) == json.dumps({**doc, "m": matrix_to_json(doc["m"])})
+    with pytest.raises(TypeError, match="Object of type set is not JSON serializable"):
+        _json_text({"s": {1}})
+
+
+def test_cli_validates_a_module_and_an_iso_file(tmp_path):
+    e = random_correspondence(make_algebra((2, 1)), make_algebra((1, 2)), np.random.default_rng(3))
+    mpath, ipath = tmp_path / "m.json", tmp_path / "u.json"
+    dump_value(e.module, mpath)
+    dump_value(identity_iso(e), ipath)
+    code, out, _ = run_cli(["validate", str(mpath)])
+    assert code == 0 and out == "parsed: HilbertModule\nmodule shape: ok\nall invariants pass\n"
+    code, out, _ = run_cli(["validate", str(ipath)])
+    assert code == 0 and out.startswith("parsed: CorrIso\nunitary: ok")
+    assert "intertwining: ok" in out and out.endswith("all invariants pass\n")
+
+
+CORNER_OF_M2 = [[1, 0]] + [[0, 0]] * 3  # C into M_2 as E_00: not unital
+
+
+@pytest.mark.parametrize(
+    "doc,commands,message",
+    [
+        ({"base": {"blocks": [2, 1]}, "mult": [1]}, [["validate"]], "one multiplicity per base block required"),
+        ({"base": {"blocks": [2]}, "mult": [-1]}, [["validate"]], "multiplicities must be >= 0, got (-1,)"),
+        (
+            {"src": {"blocks": [1]}, "dst": {"blocks": [1]}, "mult": [2],
+             "left_action": {"src": {"blocks": [1]}, "dst": {"blocks": [2]}, "matrix": CORNER_OF_M2}},
+            [["validate"], ["morita", "--module"]],
+            "left action must be unital on the compacts",
+        ),
+        (
+            {"src": {"blocks": [1]}, "dst": {"blocks": [2]}, "matrix": [[0, 0]] * 4},
+            [["gamma", "--hom"]],
+            "the zero homomorphism has no correspondence",
+        ),
+    ],
+    ids=["module-length", "module-negative", "action-not-unital", "zero-hom"],
+)
+def test_cli_refuses_a_module_an_action_or_a_hom_with_no_correspondence(tmp_path, doc, commands, message):
+    """A multiplicity list off the base, a left action that does not fill
+    the module (parsed unchecked by validate, checked by morita), and the
+    zero hom, which has no correspondence, are validation failures (exit 1)."""
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    for command in commands:
+        assert run_cli(command + [str(path)]) == (1, "", f"validation error: {message}\n"), command
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["make", "hom", "--src", "{simplex}"],
+        ["make", "corr", "--src", "{simplex}"],
+        ["make", "corr", "--dst", "{simplex}"],
+        ["gamma", "--hom", "{algebra}"],
+        ["morita", "--module", "{algebra}"],
+        ["fill", "--horn", "{simplex}"],
+        ["subdivide", "--simplex", "{algebra}"],
+        ["extend", "--simplex", "{algebra}", "--functor", "k0", "--target", "k0nerve"],
+    ],
+)
+def test_cli_refuses_a_file_of_the_wrong_kind(tmp_path, argv):
+    paths = {"simplex": tmp_path / "s.json", "algebra": tmp_path / "a.json"}
+    dump_value(random_simplex(np.random.default_rng(0), 1, max_mult=1), paths["simplex"])
+    dump_value(make_algebra((2,)), paths["algebra"])
+    argv = [x.format(**paths) for x in argv]
+    path = next(x for x in argv if x.endswith(".json"))
+    code, out, err = run_cli(argv)
+    assert code == 2 and out == "" and err.startswith(f"error: {path}: expected a")
+
+
+def test_cli_fill_refuses_an_initial_outer_horn(tmp_path):
+    s = random_simplex(np.random.default_rng(9), 2, max_mult=1)
+    path = tmp_path / "horn.json"
+    dump_value(HornSpec(2, 0, {1: face(s, 1), 2: face(s, 2)}), path)
+    assert run_cli(["fill", "--horn", str(path)]) == (
+        2, "", "error: only inner horns and final-vertex outer horns can be filled\n"
+    )
+
+
+def test_cli_selftest_refuses_an_unknown_suite():
+    code, out, err = run_cli(["selftest", "--suite", "csd-combinatorics", "--suite", "no-such-suite"])
+    assert code == 2 and out == "" and err.startswith("error: unknown suite 'no-such-suite'")
+
+
+@pytest.mark.filterwarnings("ignore:'corrlab.cli' found in sys.modules:RuntimeWarning")
+def test_the_cli_module_runs_as_a_script(monkeypatch, capsys):
+    """python -m corrlab.cli runs main on the command line and exits with its code."""
+    monkeypatch.setattr(sys, "argv", ["corrlab", "make", "algebra", "--blocks", "2,1"])
+    with pytest.raises(SystemExit) as exit_:
+        runpy.run_module("corrlab.cli", run_name="__main__")
+    assert exit_.value.code == 0
+    assert json.loads(capsys.readouterr().out) == {"blocks": [2, 1], "label": ""}

@@ -243,6 +243,13 @@ MALFORMED = [
     (NotNested, lambda: AugChain((), ((0, 1), (1, 2)))),
     (ShapeViolation, lambda: AugChain((2,), ((0, 1), (0, 1, 2)))),  # vertex outside
     (ShapeViolation, lambda: AugChain((0,), ((0,), (0, 1)))),  # singleton subset
+    (ShapeViolation, lambda: AugChain((), ((1, 0),))),  # subset not increasing
+    (ShapeViolation, lambda: AugChain((-1,), ())),  # negative vertex
+    (ShapeViolation, lambda: AugChain((), ((-1, 0),))),  # negative subset entry
+    # non-integers follow nerve's rule; int() read (0, 1.5) as (0, 1)
+    (ShapeViolation, lambda: AugChain((0, 1.5), ())),
+    (ShapeViolation, lambda: AugChain((0,), ((0, 1.0),))),
+    (ShapeViolation, lambda: AugChain(("0",), ())),
 ]
 
 
@@ -662,3 +669,18 @@ def test_restricted_functor_equals_a_fresh_build_of_the_face(n, twist):
         for sub2 in proper_faces(f.n):
             f2 = apply_map(f, sub2)
             assert_same_functor(got.restrict(f2, sub2), subdivision_functor(f2, check=False))
+
+
+def test_subdivision_reads_subsets_by_the_vertex_rule():
+    """A subset with a non-integer vertex is refused: (0, 1.5) used to be
+    read as (0, 1), so hom((0,), (0, 1.5)) returned f_{0},{0,1}; numpy
+    integers are vertices like ints."""
+    s = random_simplex(np.random.default_rng(0), 2, max_blocks=2, max_size=2, max_mult=1)
+    sd = subdivision_functor(s)
+    with pytest.raises(ShapeViolation, match="integers"):
+        sd.hom((0,), (0, 1.5))
+    with pytest.raises(ShapeViolation, match="integers"):
+        sd.algebra((1.0,))
+    assert sd.hom((np.int64(0),), (0, np.int64(1))) is sd.hom((0,), (0, 1))
+    with pytest.raises(ShapeViolation, match="nonnegative"):
+        enumerate_csd(-1)
