@@ -195,10 +195,9 @@ def conjugated_k0(rng):
     ps = {}
 
     def P(a) -> np.ndarray:
-        key = structural_hash(a)
-        if key not in ps:
-            ps[key] = random_unimodular(a.nblocks, rng)
-        return ps[key]
+        if a not in ps:  # one algebra object per block tuple
+            ps[a] = random_unimodular(a.nblocks, rng)
+        return ps[a]
 
     def vertex(a):
         return K0Simplex((a.nblocks,), ())
@@ -415,9 +414,8 @@ def suite_section(*, seed: int = 42, eps: float = EPS, trials: int = 3) -> Suite
         seen = set()
         for h in arrows:
             for a in (h.src, h.dst):
-                key = structural_hash(a)
-                if key not in seen:
-                    seen.add(key)
+                if a not in seen:
+                    seen.add(a)
                     sims.append(make_simplex([a], {}, {}, eps=eps))
         sims += [gamma_simplex([h], eps=eps) for h in arrows]
         sims += [

@@ -9,6 +9,10 @@ the multiplicity) and the dense matrix of the underlying linear map in
 those bases: given by its builder, or, for a hom built from Bratteli data,
 a dense view scattered from that data's entries on first read.
 
+An algebra is fixed by its block tuple, so it is hash-consed (Filliatre and
+Conchon): one live object per tuple, kept in a weak-value table keyed on the
+tuple, so equality is identity and equal algebras share what is kept on them.
+
 ``make_star_hom`` validates a matrix from outside, raises on invalid data
 and traces its multiplicities (``_traced_mult``); ``StarHom`` itself is the
 certified constructor that canonical constructions from valid inputs build
@@ -31,7 +35,10 @@ is built.
 """
 from __future__ import annotations
 
+import operator
+import weakref
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -57,39 +64,36 @@ __all__ = [
 ]
 
 class FdCstarAlgebra:
-    """A direct sum of matrix blocks M_{n_1} (+) ... (+) M_{n_r}."""
+    """M_{n_1} (+) ... (+) M_{n_r}; built in ``__new__``, as ``__init__``
+    would run again on the shared object and reset its ``_identity``."""
 
-    __slots__ = ("blocks", "label", "dim", "_offsets", "_identity")
+    __slots__ = ("blocks", "dim", "_offsets", "_identity", "__weakref__")
+    _table = weakref.WeakValueDictionary()
 
-    def __init__(self, blocks, label: str = ""):
-        blocks = tuple(int(b) for b in blocks)
-        if len(blocks) == 0:
-            raise InvalidAlgebra("an algebra needs at least one block")
-        if any(b < 1 for b in blocks):
-            raise InvalidAlgebra(f"block sizes must be >= 1, got {blocks}")
-        self.blocks = blocks
-        self.label = label
-        offs, o = [], 0
-        for b in blocks:
-            offs.append(o)
-            o += b * b
-        self.dim = o
-        self._offsets = tuple(offs)
-        self._identity = None  # modules.identity_corr(self), built on first use
+    def __new__(cls, blocks):
+        blocks = _sizes(blocks, InvalidAlgebra, "block sizes")
+        a = cls._table.get(blocks)
+        if a is None:
+            if len(blocks) == 0:
+                raise InvalidAlgebra("an algebra needs at least one block")
+            if any(b < 1 for b in blocks):
+                raise InvalidAlgebra(f"block sizes must be >= 1, got {blocks}")
+            a = cls._table[blocks] = super().__new__(cls)
+            a.blocks = blocks
+            *offs, a.dim = accumulate((b * b for b in blocks), initial=0)
+            a._offsets = tuple(offs)
+            a._identity = None  # modules.identity_corr(a), built on first use
+        return a
 
     @property
     def nblocks(self) -> int:
         return len(self.blocks)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, FdCstarAlgebra) and self.blocks == other.blocks
-
     def __hash__(self):
         return hash(self.blocks)
 
     def __repr__(self):
-        tag = f" {self.label!r}" if self.label else ""
-        return f"FdCstarAlgebra({list(self.blocks)}{tag})"
+        return f"FdCstarAlgebra({list(self.blocks)})"
 
     def offset(self, i: int) -> int:
         return self._offsets[i]
@@ -106,8 +110,16 @@ class FdCstarAlgebra:
         return np.concatenate([r.reshape(n, n).T.ravel() for r, n in zip(runs, self.blocks)])
 
 
-def make_algebra(blocks, label: str = "") -> FdCstarAlgebra:
-    return FdCstarAlgebra(blocks, label)
+def make_algebra(blocks) -> FdCstarAlgebra:
+    return FdCstarAlgebra(blocks)
+
+
+def _sizes(seq, error, what: str) -> tuple:
+    """Sizes as ints by nerve's rule (``operator.index``), else ``error``."""
+    try:
+        return tuple(map(operator.index, seq))
+    except TypeError:
+        raise error(f"{what} must be integers, got {seq!r}") from None
 
 
 class StarHom:

@@ -287,7 +287,7 @@ def find_corr_iso(c1: Correspondence, c2: Correspondence, *, eps: float = EPS):
     when their left actions have the same block multiplicities; the
     intertwiner is assembled from the normal forms of both actions.
     """
-    if c1.src != c2.src or c1.dst != c2.dst or c1.module.mult != c2.module.mult:
+    if c1.src is not c2.src or c1.module is not c2.module:  # one module per (dst, mult)
         return None
     if not np.array_equal(c1.lam.mult_matrix, c2.lam.mult_matrix):
         return None

@@ -167,9 +167,9 @@ def cmd_make(args) -> int:
     bound = dict(max_mult=args.max_mult, max_dim=MAX_PARSED_DIM)  # what a load would refuse
     if args.kind == "algebra":
         if args.blocks:
-            a = algebra_from_json({"blocks": args.blocks, "label": args.label}, "--blocks")
+            a = algebra_from_json({"blocks": args.blocks}, "--blocks")
         else:
-            a = random_algebra(rng, label=args.label)
+            a = random_algebra(rng)
         _emit(algebra_to_json(a), args.out)
     elif args.kind == "hom":
         src = _load(args.src, FdCstarAlgebra, "an algebra", args.eps) if args.src else random_algebra(rng)
@@ -320,7 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("kind", choices=["algebra", "hom", "corr", "simplex"])
     m.add_argument("--blocks", type=lambda s: [_positive(int)(x) for x in s.split(",")],
                    help="algebra blocks, e.g. 2,1")
-    m.add_argument("--label", default="")
     m.add_argument("--src", help="source algebra file (hom, corr)")
     m.add_argument("--dst", help="target algebra file (corr)")
     m.add_argument("--n", type=_positive(int), default=2, help="simplex dimension")

@@ -40,7 +40,7 @@ import numpy as np
 
 from . import nerve
 from . import subdivision as sdv
-from .algebra import StarHom, compose_homs
+from .algebra import StarHom, _sizes, compose_homs
 from .bicategory import equivalence_inverse, find_corr_iso, gamma_of_hom
 from .errors import (
     BoundaryMismatch,
@@ -137,7 +137,7 @@ class K0Simplex:
     __slots__ = ("n", "ranks", "steps", "key")
 
     def __init__(self, ranks, steps):
-        ranks = tuple(int(r) for r in ranks)
+        ranks = _sizes(ranks, ShapeMismatch, "ranks")
         if not ranks or any(r < 0 for r in ranks):
             raise ShapeMismatch(f"bad rank vector {ranks}")
         steps = list(steps)
@@ -249,13 +249,9 @@ class K0Oracle(QCOracle):
         horn._check_kind(special=True)
         ranks, steps = _merge_k0_faces(horn.n, horn.faces)
         if horn.n == 2:
-            last = steps[1]
-            inv = certificate
-            if (
-                inv is None
-                or inv.shape != (last.shape[1], last.shape[0])
-                or not np.array_equal(inv @ last, np.eye(last.shape[1], dtype=np.int64))
-            ):
+            last, inv = steps[1], certificate  # used only if an int64 matrix inverting last
+            fits = isinstance(inv, np.ndarray) and inv.dtype == np.int64 and inv.shape == last.shape[::-1]
+            if not (fits and np.array_equal(inv @ last, np.eye(last.shape[1], dtype=np.int64))):
                 try:
                     inv = int_inverse(last)
                 except ValueError as err:

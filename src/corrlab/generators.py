@@ -38,10 +38,10 @@ def random_unitary(n: int, rng) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def random_algebra(rng, max_blocks: int = 3, max_size: int = 3, label: str = "") -> FdCstarAlgebra:
+def random_algebra(rng, max_blocks: int = 3, max_size: int = 3) -> FdCstarAlgebra:
     nb = int(rng.integers(1, max_blocks + 1))
     blocks = tuple(int(rng.integers(1, max_size + 1)) for _ in range(nb))
-    return FdCstarAlgebra(blocks, label=label)
+    return FdCstarAlgebra(blocks)
 
 
 def embedding_hom(src: FdCstarAlgebra, dst: FdCstarAlgebra, mult, rng=None) -> StarHom:

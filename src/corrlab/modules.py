@@ -6,6 +6,9 @@ C^{m_k x n_k} with entrywise right multiplication and inner product
 blocks with m_k = 0 stay in the module data but are dropped from the
 compacts, with ``kept`` recording the surviving base indices.
 
+A module is hash-consed like an algebra, one live object per (base.blocks,
+mult): keyed on ints, as a base object in a key would be held for ever.
+
 A correspondence A -> B is such a module together with a unital
 *-homomorphism A -> K(E).  Unitary intertwiners are stored per base block,
 which encodes right linearity structurally; ``_iso_residuals`` measures
@@ -31,10 +34,11 @@ construction would rebuild E to the bit.
 from __future__ import annotations
 
 import weakref
+from itertools import accumulate
 
 import numpy as np
 
-from .algebra import FdCstarAlgebra, StarHom, make_star_hom, identity_hom
+from .algebra import FdCstarAlgebra, StarHom, _sizes, make_star_hom, identity_hom
 from .errors import (
     BaseMismatch,
     EndpointMismatch,
@@ -71,35 +75,29 @@ __all__ = [
 class HilbertModule:
     """Right Hilbert module (+)_k C^{m_k x n_k} over a fixed base algebra."""
 
-    __slots__ = ("base", "mult", "dim", "compacts", "kept", "_pos", "_offsets")
+    __slots__ = ("base", "mult", "dim", "compacts", "kept", "_pos", "_offsets", "__weakref__")
+    _table = weakref.WeakValueDictionary()
 
-    def __init__(self, base: FdCstarAlgebra, mult):
-        mult = tuple(int(m) for m in mult)
-        if len(mult) != base.nblocks:
-            raise ShapeMismatch("one multiplicity per base block required")
-        if any(m < 0 for m in mult):
-            raise ShapeMismatch(f"multiplicities must be >= 0, got {mult}")
-        self.base = base
-        self.mult = mult
-        self.dim = sum(m * n for m, n in zip(mult, base.blocks))
-        kept = tuple(k for k, m in enumerate(mult) if m > 0)
-        if not kept:
-            raise InvalidAlgebra("the zero module has no compact operators")
-        self.kept = kept
-        self._pos = {k: t for t, k in enumerate(kept)}
-        self.compacts = FdCstarAlgebra([mult[k] for k in kept])
-        offs, o = [], 0
-        for m, n in zip(mult, base.blocks):
-            offs.append(o)
-            o += m * n
-        self._offsets = tuple(offs)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, HilbertModule)
-            and self.base == other.base
-            and self.mult == other.mult
-        )
+    def __new__(cls, base: FdCstarAlgebra, mult):
+        mult = _sizes(mult, ShapeMismatch, "multiplicities")
+        key = (base.blocks, mult)
+        e = cls._table.get(key)
+        if e is None:
+            if len(mult) != base.nblocks:
+                raise ShapeMismatch("one multiplicity per base block required")
+            if any(m < 0 for m in mult):
+                raise ShapeMismatch(f"multiplicities must be >= 0, got {mult}")
+            kept = tuple(k for k, m in enumerate(mult) if m > 0)
+            if not kept:
+                raise InvalidAlgebra("the zero module has no compact operators")
+            e = super().__new__(cls)
+            e.base, e.mult, e.kept = base, mult, kept
+            e._pos = {k: t for t, k in enumerate(kept)}
+            e.compacts = FdCstarAlgebra([mult[k] for k in kept])
+            *offs, e.dim = accumulate((m * n for m, n in zip(mult, base.blocks)), initial=0)
+            e._offsets = tuple(offs)
+            cls._table[key] = e
+        return e
 
     def __hash__(self):
         return hash((self.base, self.mult))
@@ -113,7 +111,6 @@ class HilbertModule:
 
     def offset(self, k: int) -> int:
         return self._offsets[k]
-
 
 
 def make_module(base: FdCstarAlgebra, mult) -> HilbertModule:
@@ -222,11 +219,7 @@ def identity_corr(b: FdCstarAlgebra) -> Correspondence:
 def corr_close(c1: Correspondence, c2: Correspondence, eps: float = EPS) -> bool:
     if c1 is c2:
         return True
-    return (
-        c1.src == c2.src
-        and c1.module == c2.module
-        and frob(c1.lam.matrix - c2.lam.matrix) <= eps
-    )
+    return c1.src is c2.src and c1.module is c2.module and frob(c1.lam.matrix - c2.lam.matrix) <= eps
 
 
 def is_full_corr(corr: Correspondence) -> bool:

@@ -2,7 +2,7 @@
 
 One schema per value kind, recognised by its keys:
 
-  algebra         {"blocks": [2, 1], "label": "A"}
+  algebra         {"blocks": [2, 1], "label": ""}
   star_hom        {"src": algebra, "dst": algebra, "matrix": [[re, im], ...]}
   module          {"base": algebra, "mult": [3, 0]}
   correspondence  {"src": algebra, "dst": algebra, "mult": [...],
@@ -250,15 +250,15 @@ def _fits_float(entry) -> bool:
 
 
 def algebra_to_json(a: FdCstarAlgebra) -> dict:
-    return {"blocks": list(a.blocks), "label": a.label}
+    return {"blocks": list(a.blocks), "label": ""}
 
 
 def algebra_from_json(doc, where="algebra") -> FdCstarAlgebra:
+    """``label`` is v1 schema only: a string is required, its value ignored."""
     blocks = _int_list(doc, "blocks", where)
-    label = doc.get("label", "")
-    if not isinstance(label, str):
+    if not isinstance(doc.get("label", ""), str):
         raise SchemaError(f"{where}.label: expected a string")
-    return make_algebra(blocks, label)
+    return make_algebra(blocks)
 
 
 @_writer

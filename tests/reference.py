@@ -294,7 +294,7 @@ def corner_algebra(p, b: FdCstarAlgebra, *, eps: float = EPS) -> CornerPresentat
             isos.append(v)
     if not kept:
         raise InvalidAlgebra("the corner of a zero projection is not an algebra")
-    corner = FdCstarAlgebra([v.shape[1] for v in isos], label=f"{b.label}-corner" if b.label else "")
+    corner = FdCstarAlgebra([v.shape[1] for v in isos])
     ws = [{} for _ in b.blocks]
     for t, i in enumerate(kept):
         ws[i] = {t: isos[t][:, :, None]}

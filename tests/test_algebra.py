@@ -1,7 +1,9 @@
 """Block algebras, *-homomorphisms, corners and normal forms."""
 
 import functools
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -53,16 +55,42 @@ from test_subdivision import scaling_chain_simplex
 
 
 def test_algebra_shape():
-    a = make_algebra((2, 1), label="A")
+    a = make_algebra((2, 1))
     assert a.nblocks == 2
     assert a.dim == 5
     assert a.offset(0) == 0 and a.offset(1) == 4
-    assert a.label == "A"
-    assert a == make_algebra([2, 1])
+    assert not hasattr(a, "label")
+    assert a == make_algebra([2, 1]) and a is make_algebra([2, 1])
     assert a != make_algebra((1, 2))
 
 
-@pytest.mark.parametrize("blocks", [(), (0,), (-1, 2)])
+def test_equal_algebras_are_one_object():
+    """One live algebra per block tuple, from a tuple, a list, numpy ints or
+    a numpy array alike; its hash is still the tuple's."""
+    a = FdCstarAlgebra((2, 1))
+    assert FdCstarAlgebra([2, 1]) is a and make_algebra((np.int64(2), np.int32(1))) is a
+    assert FdCstarAlgebra(np.array([2, 1])) is a
+    assert hash(a) == hash((2, 1)) and a.blocks == (2, 1)
+    assert all(type(b) is int for b in FdCstarAlgebra(np.array([2, 1])).blocks)
+
+
+def test_an_unreferenced_algebra_with_no_identity_is_freed():
+    """The table holds its algebras weakly: with the cycle collector off,
+    dropping the last reference frees the algebra and its entry."""
+    gc.collect()
+    gc.disable()
+    try:
+        a = make_algebra((7, 5, 3))
+        ref = weakref.ref(a)
+        assert a._identity is None and FdCstarAlgebra._table[(7, 5, 3)] is a
+        del a
+        assert ref() is None and (7, 5, 3) not in FdCstarAlgebra._table
+    finally:
+        gc.enable()
+
+
+# sizes are read by nerve's rule (operator.index): 2.5 is refused, not truncated
+@pytest.mark.parametrize("blocks", [(), (0,), (-1, 2), (2.5,), (2, 1.0), ("2",), np.array([2.5]), 3])
 def test_algebra_rejects_bad_blocks(blocks):
     with pytest.raises(InvalidAlgebra):
         make_algebra(blocks)

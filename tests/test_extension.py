@@ -838,7 +838,12 @@ def test_qc_oracle_is_a_protocol_with_no_behaviour():
 
 @pytest.mark.parametrize(
     "ranks,steps,message",
-    [((), [], "bad rank vector"), ((-1,), [], "bad rank vector"), ((2, 2), [], "2 ranks need 1 steps")],
+    [
+        ((), [], "bad rank vector"),
+        ((-1,), [], "bad rank vector"),
+        ((2, 2), [], "2 ranks need 1 steps"),
+        ((2.7,), (), "ranks must be integers"),
+    ],
 )
 def test_k0_simplex_refuses_what_is_not_a_spine(ranks, steps, message):
     with pytest.raises(ShapeMismatch, match=message):
@@ -911,20 +916,32 @@ def test_k0_functor_refuses_an_empty_or_broken_chain_and_a_non_invertible_corner
         F.certificate(double)
 
 
-class CertificateBlindOracle(K0Oracle):
-    """K0Oracle, filling special horns from the horn alone, so a functor's
-    certificate may be any value."""
-
-    def fill_special_outer_horn(self, horn, certificate=None, **kw):
-        return super().fill_special_outer_horn(horn, None, **kw)
+@pytest.mark.parametrize(
+    "certificate",
+    [
+        lambda phi, **kw: None,
+        lambda phi, **kw: int_inverse(k0_matrix(phi)).astype(float),
+        lambda phi, **kw: -int_inverse(k0_matrix(phi)),
+    ],
+    ids=["none", "float-inverse", "not-an-inverse"],
+)
+def test_k0_uses_a_certificate_only_if_it_is_an_int64_inverse(certificate):
+    """Anything but an int64 matrix inverting the last edge is ignored, and
+    the fill computes the inverse itself, so the run ends at the top the
+    functor's own certificate gives."""
+    base = k0_functor()
+    F = CstFunctor("K0", base.vertex, base.chain, certificate)
+    ext = extend_bar_G(small_simplex(1, 0), F, K0Oracle())
+    assert ext.top() == bar_F(small_simplex(1, 0), k0_functor(), K0Oracle())
 
 
 def test_the_trace_names_an_opaque_certificate_by_its_repr():
     """A certificate that is neither an integer matrix nor equivalence data
-    is named in the trace by the hash of its repr."""
+    is named in the trace by the hash of its repr, and K0Oracle ignores it
+    (it used to raise AttributeError reading its shape)."""
     base = k0_functor()
     F = CstFunctor("K0", base.vertex, base.chain, lambda phi, **kw: ("opaque", 1))
-    ext = extend_bar_G(small_simplex(1, 0), F, CertificateBlindOracle())
+    ext = extend_bar_G(small_simplex(1, 0), F, K0Oracle())
     want = structural_hash(np.frombuffer(repr(("opaque", 1)).encode(), dtype=np.uint8))[:12]
     assert [e["certificate"] for e in ext.trace] == [want]
     assert ext.top() == bar_F(small_simplex(1, 0), k0_functor(), K0Oracle())

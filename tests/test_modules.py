@@ -7,6 +7,10 @@ relations x.b (x) y - x (x) b.y, computed by brute-force rank.
 
 import gc
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import warnings
 import weakref
 from itertools import combinations_with_replacement
@@ -57,6 +61,8 @@ from corrlab.modules import (
     tensor_iso,
 )
 from corrlab.nerve import identity_iso
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 from reference import (
     alg_from_vec,
     apply,
@@ -497,16 +503,24 @@ def bit_equal(a, b):
 
 
 def kept_products(s):
-    """Every product kept on s's edges, and on those products' correspondences."""
-    todo = [*s.edges.values(), *(s.edge(i, i) for i in range(s.n + 1))]
-    seen, out = set(), []
-    while todo:
-        e = todo.pop()
-        if id(e) not in seen:
-            seen.add(id(e))
-            out += e._products.values()
-            todo += [tp.corr for tp in e._products.values()]
-    return out
+    """Every product kept on s's edges, and on those products' correspondences.
+    Equal algebras are one object with one identity edge, which also keeps
+    the products other tests made on it; on an identity edge, a product is
+    s's when its right factor is one of the correspondences walked."""
+    units = [s.edge(i, i) for i in range(s.n + 1)]
+    own, out, grew = [*s.edges.values(), *units], {}, True
+    ids = {id(e) for e in own}
+    while grew:
+        grew = False
+        for e in list(own):
+            for tp in e._products.values():
+                if id(tp) in out or (any(e is u for u in units) and id(tp.right) not in ids):
+                    continue
+                out[id(tp)], grew = tp, True
+                if id(tp.corr) not in ids:
+                    ids.add(id(tp.corr))
+                    own.append(tp.corr)
+    return list(out.values())
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -581,7 +595,8 @@ def test_an_overstated_multiplicity_is_a_zero_pivot():
             with pytest.raises(ShapeMismatch, match="rank below its multiplicity"):
                 tensor_corrs(identity_corr(a), bad)
     assert bad._kept_frame is None
-    assert identity_corr(a)._products == {}
+    # a is shared with other tests, so its identity may keep their products
+    assert id(bad) not in identity_corr(a)._products
 
 
 def test_a_product_refers_to_its_left_factor_weakly():
@@ -621,10 +636,10 @@ def test_products_are_kept_once_per_pair():
 
 
 def test_identity_corr_is_kept_on_its_algebra():
+    """Equal algebras are one object, so they share one identity."""
     b = make_algebra((2, 1))
     assert identity_corr(b) is identity_corr(b)
-    assert identity_corr(make_algebra((2, 1))) is not identity_corr(b)
-    assert corr_close(identity_corr(make_algebra((2, 1))), identity_corr(b), eps=0.0)
+    assert identity_corr(make_algebra((2, 1))) is identity_corr(b)
 
 
 @st.composite
@@ -756,12 +771,65 @@ def small_corrs():
     return e, e2, e3
 
 
+def test_equal_modules_are_one_object():
+    """One live module per (base blocks, multiplicities), from a tuple, a
+    list or numpy ints alike, over the one base of those blocks."""
+    m = make_module(make_algebra((2, 1)), (1, 3))
+    assert make_module(make_algebra([2, 1]), [1, 3]) is m
+    assert modules.HilbertModule(make_algebra(np.array([2, 1])), np.array([1, 3])) is m
+    assert m.base is make_algebra((2, 1)) and m.compacts is make_algebra((1, 3))
+    assert all(type(x) is int for x in m.mult)
+
+
+def test_an_unreferenced_module_is_freed():
+    """The module table keys on int tuples only, never on the base, so with
+    the cycle collector off dropping a module frees it and its base."""
+    gc.collect()
+    gc.disable()
+    try:
+        m = make_module(make_algebra((7, 5, 3)), (1, 0, 2))
+        ref, base = weakref.ref(m), weakref.ref(m.base)
+        assert modules.HilbertModule._table[((7, 5, 3), (1, 0, 2))] is m
+        del m
+        assert ref() is None and base() is None
+        assert ((7, 5, 3), (1, 0, 2)) not in modules.HilbertModule._table
+        assert (7, 5, 3) not in modules.FdCstarAlgebra._table
+    finally:
+        gc.enable()
+
+
+DRAIN = """
+import gc
+from corrlab.acceptance import SUITES, run_suite
+from corrlab.algebra import FdCstarAlgebra
+from corrlab.modules import HilbertModule
+
+reports = [run_suite(name, seed=7, trials=2) for name in SUITES]
+assert all(r.ok for r in reports)
+del reports
+gc.collect()
+print(len(FdCstarAlgebra._table), len(HilbertModule._table))
+"""
+
+
+def test_the_intern_tables_drain_after_an_acceptance_pass():
+    """Every suite at two trials, in a fresh interpreter so that no other
+    test holds an algebra: once its reports are dropped and the collector
+    has run, neither table keeps an entry."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", DRAIN], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "0"]
+
+
 def test_a_module_refuses_a_bad_multiplicity_list_and_hashes_by_value():
     a = make_algebra((1, 1))
     with pytest.raises(ShapeMismatch, match="one multiplicity per base block"):
         modules.HilbertModule(a, (1,))
     with pytest.raises(ShapeMismatch, match="must be >= 0"):
         modules.HilbertModule(a, (1, -1))
+    with pytest.raises(ShapeMismatch, match="multiplicities must be integers"):
+        make_module(a, (1, 1.5))  # not truncated to 1
     assert hash(make_module(a, (1, 2))) == hash(make_module(make_algebra((1, 1)), [1, 2]))
     assert repr(make_module(a, (1, 2))) == "HilbertModule(FdCstarAlgebra([1, 1]), mult=[1, 2])"
 

@@ -95,27 +95,37 @@ def test_pentagon_sweep_builds_a_fixed_number_of_products(monkeypatch):
     """One nerve-coherence case: gamma_simplex of a 3-chain, validate_simplex
     and the pentagon at all 35 weak quadruples.  E (x) id_B is E itself, so
     it builds no left action, and every product with it on the left is one
-    E already keeps: 50 products and 30 left actions, where building
-    E (x) id_B afresh took 90 of each."""
-    counts = Counter()
-
-    def counted(name, f):
-        def wrapper(*args, **kw):
-            counts[name] += 1
-            return f(*args, **kw)
-
-        return wrapper
-
+    E already keeps: 46 products with a non-identity factor and 30 left
+    actions, where building E (x) id_B afresh took 90 of each.  Equal
+    algebras are one object with one id_B, so id_B (x) id_B is built at
+    most once per distinct vertex block tuple, and not at all where an
+    earlier test left it on a live id_B (48 products in all when run alone)."""
+    counts, units = Counter(), Counter()
     tp_class = modules.TensorProduct
-    monkeypatch.setattr(tp_class, "__init__", counted("products", tp_class.__init__))
-    monkeypatch.setattr(tp_class, "_left_action", counted("left actions", tp_class._left_action))
+    init, left_action = tp_class.__init__, tp_class._left_action
+
+    def product(self, left, right):
+        if left is left.src._identity and right is right.src._identity:
+            units[left.src.blocks] += 1
+        else:
+            counts["products"] += 1
+        return init(self, left, right)
+
+    def action(self, module):
+        counts["left actions"] += 1
+        return left_action(self, module)
+
+    monkeypatch.setattr(tp_class, "__init__", product)
+    monkeypatch.setattr(tp_class, "_left_action", action)
     for seed in (0, 4):
         counts.clear()
+        units.clear()
         chain = random_chain(np.random.default_rng(seed), 3, max_blocks=2, max_size=2, max_mult=1)
         s = gamma_simplex(chain, validate=False)
         validate_simplex(s)
         assert max(pentagon_residual(s, *quad) for quad in weak_quadruples(3)) <= 1e-9
-        assert counts == {"products": 50, "left actions": 30}
+        assert counts == {"products": 46, "left actions": 30}
+        assert set(units) <= {a.blocks for a in s.algebras} and max(units.values(), default=1) == 1
 
 
 def test_identity_edges_and_unit_cells():

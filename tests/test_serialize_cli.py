@@ -61,6 +61,7 @@ from corrlab.nerve import (
 from corrlab.serialize import (
     _json_text,
     _matrix_text,
+    algebra_from_json,
     algebra_to_json,
     corr_to_json,
     hom_from_json,
@@ -101,9 +102,29 @@ SEEDS = st.integers(0, 2**32 - 1)
 @given(seed=SEEDS, size=st.integers(1, 3))
 def test_algebra_roundtrip(tmp_path_factory, seed, size):
     rng = np.random.default_rng(seed)
-    a = random_algebra(rng, max_blocks=size, max_size=size, label="left")
+    a = random_algebra(rng, max_blocks=size, max_size=size)
     back = redump(tmp_path_factory, a)
-    assert back == a and back.label == "left"
+    assert back is a
+
+
+def test_an_algebra_label_is_v1_schema_only():
+    """A label must be a string and its value is ignored: the one algebra
+    of the blocks comes back, and "" is written, as every v1 writer did."""
+    a = algebra_from_json({"blocks": [2, 1], "label": "A"})
+    assert a is make_algebra((2, 1))
+    assert algebra_to_json(a) == {"blocks": [2, 1], "label": ""}
+    with pytest.raises(SchemaError, match=r"algebra\.label: expected a string"):
+        algebra_from_json({"blocks": [2, 1], "label": 1})
+
+
+def test_parsing_returns_the_one_algebra_and_module(tmp_path_factory):
+    """Equal algebras and modules are one object, so a parsed simplex has
+    the very algebras and modules of the simplex that was written."""
+    s = random_simplex(np.random.default_rng(12), 2, twist=True, max_mult=1)
+    back = redump(tmp_path_factory, s)
+    assert all(x is y for x, y in zip(back.algebras, s.algebras))
+    assert all(back.edges[k].module is e.module for k, e in s.edges.items())
+    assert redump(tmp_path_factory, s.edges[(0, 1)].module) is s.edges[(0, 1)].module
 
 
 @settings(max_examples=25)
@@ -215,7 +236,7 @@ def test_schema_errors(tmp_path):
 
 def test_cli_make_and_validate(tmp_path, capsys):
     apath = str(tmp_path / "a.json")
-    assert main(["make", "algebra", "--blocks", "2,1", "--label", "A", "--out", apath]) == 0
+    assert main(["make", "algebra", "--blocks", "2,1", "--out", apath]) == 0
     assert load_value(apath).blocks == (2, 1)
     assert main(["validate", apath]) == 0
     out = capsys.readouterr().out
@@ -428,6 +449,13 @@ def test_cli_make_algebra_caps_blocks(tmp_path, capsys, blocks, code):
         assert "describes more than 256 dimensions" in capsys.readouterr().err
     else:
         assert load_value(out).blocks == (16,)
+
+
+def test_cli_make_algebra_has_no_label_option(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["make", "algebra", "--blocks", "2,1", "--label", "A"])
+    assert exit_.value.code == 2
+    assert "--label" in capsys.readouterr().err
 
 
 def test_cli_make_algebra_rejects_non_integer_blocks(capsys):
@@ -1312,7 +1340,7 @@ def test_cli_finds_its_command_per_call(tmp_path, capsys, monkeypatch):
 def fuzz_bases():
     """Valid algebra, hom, correspondence, simplex and horn documents."""
     rng = np.random.default_rng(11)
-    a = random_algebra(rng, max_blocks=2, max_size=2, label="a")
+    a = random_algebra(rng, max_blocks=2, max_size=2)
     b = random_algebra(rng, max_blocks=2, max_size=2)
     s = random_simplex(rng, 2, twist=True, max_mult=1)
     horn = HornSpec(2, 1, {0: face(s, 0), 2: face(s, 2)})
