@@ -98,11 +98,6 @@ def _action_check(c: Correspondence, eps: float, label="left action is a star-ho
     return _line(label, True)
 
 
-def _corr_checks(c: Correspondence, eps: float) -> bool:
-    ok = _line("left action unital", c.lam.unital)
-    return _action_check(c, eps) and ok
-
-
 def _iso_checks(u: CorrIso, eps: float) -> bool:
     r1, r2, r3 = _iso_residuals(u)
     r = worst_of((r1, r2))
@@ -136,7 +131,7 @@ def cmd_validate(args) -> int:
     elif isinstance(value, HilbertModule):
         ok = _line("module shape", True)
     elif isinstance(value, Correspondence):
-        ok = _corr_checks(value, args.eps)
+        ok = _action_check(value, args.eps)
     elif isinstance(value, CorrIso):
         ok = _iso_checks(value, args.eps)
     elif isinstance(value, NCorrSimplex):

@@ -24,8 +24,9 @@ coordinate rows, so the tensor module has multiplicity
 Q_k = sum_j m_j r_jk with rows ordered (j, a, t), j and a and t ascending.
 r_jk is lambda_F's multiplicity, which every StarHom carries, so a frame,
 and so a product, is a function of E and F alone.
-tensor_corrs is the one place a product is built: it keeps E (x) F on E, one
-per F, for as long as E lives, and the product refers to E weakly.
+tensor_corrs is the one place a product is built: it keeps E (x) F on E,
+keyed weakly by F itself, and the product reads both factors weakly, so it
+lives exactly as long as E and F both do and keeps neither alive.
 E (x) id_B with the identity_corr kept on B is E itself: there P_jk is
 e^(j)_00 at k = j and 0 elsewhere, so r is the identity, Q = mult(E), each
 group starts at row 0 and lambda_G copies lambda_E, and the general
@@ -142,8 +143,8 @@ class Correspondence:
     """A proper correspondence: a module plus a unital left action by compacts.
 
     Immutable.  Its data as the right factor of a tensor product is derived
-    once on first use (``_frame``) and shared by every product; the
-    products with it on the left are kept in ``_products`` (tensor_corrs).
+    once on first use (``_frame``) and shared by every product; E (x) F is
+    kept on E in ``_products``, under F as a weak key (tensor_corrs).
     """
 
     __slots__ = ("src", "module", "lam", "_kept_frame", "_products", "__weakref__")
@@ -157,7 +158,7 @@ class Correspondence:
         self.module = module
         self.lam = lam
         self._kept_frame = None
-        self._products = {}
+        self._products = weakref.WeakKeyDictionary()
 
     @property
     def dst(self) -> FdCstarAlgebra:
@@ -366,8 +367,8 @@ class TensorProduct:
     """E (x)_B F together with its coordinate bookkeeping.
 
     Fields:
-      left, right    the two correspondences; E keeps the product, so
-                     ``left`` reads E through a weak reference
+      left, right    the two correspondences, each read through a weak
+                     reference: E keeps the product while F lives
       corr           the resulting correspondence src(E) -> dst(F), which
                      is ``left`` where E (x) id_B is E
       r              ranks r_jk over (B block, C block), a tuple of int tuples
@@ -382,7 +383,7 @@ class TensorProduct:
     def __init__(self, left: Correspondence, right: Correspondence):
         if left.dst != right.src:
             raise EndpointMismatch("tensor product needs matching middle algebra")
-        self._left, self.right = weakref.ref(left), right
+        self._left, self._right = weakref.ref(left), weakref.ref(right)
         self.r, self.proj, self.onb = right._frame()
         self._row0, q = [], (0,) * right.dst.nblocks  # _row0[j][k]: row_start(k, j, 0)
         for m, r_j in zip(left.module.mult, self.r):
@@ -397,6 +398,10 @@ class TensorProduct:
     @property
     def left(self) -> Correspondence:
         return self._left()
+
+    @property
+    def right(self) -> Correspondence:
+        return self._right()
 
     @property
     def corr(self) -> Correspondence:
@@ -437,12 +442,11 @@ class TensorProduct:
 
 
 def tensor_corrs(left: Correspondence, right: Correspondence) -> TensorProduct:
-    """E (x)_B F, built on first use and kept on E under id(F), so every
-    caller shares one product per pair; one that raises is not kept.
-    The id is a safe key: the kept product holds F, so it is not reused."""
-    tp = left._products.get(id(right))
+    """E (x)_B F, built on first use and kept on E, keyed weakly by F, so
+    every caller shares one product per pair; one that raises is not kept."""
+    tp = left._products.get(right)
     if tp is None:
-        tp = left._products[id(right)] = TensorProduct(left, right)
+        tp = left._products[right] = TensorProduct(left, right)
     return tp
 
 

@@ -90,7 +90,7 @@ def _check_subset(s) -> tuple:
     return t
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class AugChain:
     """A vertex run followed by a nested subset run.
 
@@ -127,14 +127,6 @@ class AugChain:
         object.__setattr__(out, "vertices", vs)
         object.__setattr__(out, "subsets", ss)
         return out
-
-    def __eq__(self, other):
-        if other.__class__ is not AugChain:
-            return NotImplemented
-        return self.vertices == other.vertices and self.subsets == other.subsets
-
-    def __hash__(self):
-        return hash((self.vertices, self.subsets))
 
     @property
     def dim(self) -> int:

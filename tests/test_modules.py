@@ -20,7 +20,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from corrlab.algebra import StarHom, _traced_mult, make_algebra, make_star_hom
+from corrlab.acceptance import run_suite
+from corrlab.algebra import FdCstarAlgebra, StarHom, _traced_mult, make_algebra, make_star_hom
 from corrlab.errors import (
     BaseMismatch,
     EndpointMismatch,
@@ -505,22 +506,23 @@ def bit_equal(a, b):
 def kept_products(s):
     """Every product kept on s's edges, and on those products' correspondences.
     Equal algebras are one object with one identity edge, which also keeps
-    the products other tests made on it; on an identity edge, a product is
-    s's when its right factor is one of the correspondences walked."""
+    the products other tests made on it while their right factors live; on
+    an identity edge, a product is s's when its right factor (its key) is
+    one of the correspondences walked.  Correspondences and products
+    compare by identity."""
     units = [s.edge(i, i) for i in range(s.n + 1)]
-    own, out, grew = [*s.edges.values(), *units], {}, True
-    ids = {id(e) for e in own}
+    own, out, grew = [*s.edges.values(), *units], [], True
     while grew:
         grew = False
         for e in list(own):
-            for tp in e._products.values():
-                if id(tp) in out or (any(e is u for u in units) and id(tp.right) not in ids):
+            for f, tp in e._products.items():
+                if tp in out or (e in units and f not in own):
                     continue
-                out[id(tp)], grew = tp, True
-                if id(tp.corr) not in ids:
-                    ids.add(id(tp.corr))
+                out.append(tp)
+                grew = True
+                if tp.corr not in own:
                     own.append(tp.corr)
-    return list(out.values())
+    return out
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -596,12 +598,13 @@ def test_an_overstated_multiplicity_is_a_zero_pivot():
                 tensor_corrs(identity_corr(a), bad)
     assert bad._kept_frame is None
     # a is shared with other tests, so its identity may keep their products
-    assert id(bad) not in identity_corr(a)._products
+    assert bad not in identity_corr(a)._products
 
 
 def test_a_product_refers_to_its_left_factor_weakly():
-    """E keeps E (x) F, and the product reaches E only weakly: with the
-    cycle collector off, dropping E frees it, E (x) id_B included."""
+    """E keeps E (x) F, keyed weakly by F itself, and the product reaches E
+    only weakly: with the cycle collector off, dropping E frees it, E (x)
+    id_B included."""
     rng = np.random.default_rng(4)
     a, b, c = (random_algebra(rng, max_blocks=2, max_size=2) for _ in range(3))
     gc.collect()
@@ -610,7 +613,7 @@ def test_a_product_refers_to_its_left_factor_weakly():
         e, f = random_correspondence(a, b, rng), random_correspondence(b, c, rng)
         t, unit = tensor_corrs(e, f), tensor_corrs(e, identity_corr(b))
         assert t.left is e and t.right is f and unit.left is e and unit.corr is e
-        assert e._products == {id(f): t, id(identity_corr(b)): unit}
+        assert dict(e._products) == {f: t, identity_corr(b): unit}
         ref, kept = weakref.ref(e), weakref.ref(t)
         del e, t, unit
         assert ref() is None and kept() is None
@@ -618,12 +621,76 @@ def test_a_product_refers_to_its_left_factor_weakly():
         gc.enable()
 
 
+def test_dropping_the_right_factor_frees_the_product():
+    """The product reaches F only weakly too, so it lives while both factors
+    do: with the cycle collector off, dropping F frees E (x) F while E lives,
+    and E keeps no entry for it."""
+    rng = np.random.default_rng(4)
+    a, b, c = (random_algebra(rng, max_blocks=2, max_size=2) for _ in range(3))
+    gc.collect()
+    gc.disable()
+    try:
+        e, f = random_correspondence(a, b, rng), random_correspondence(b, c, rng)
+        t = tensor_corrs(e, f)
+        ref, kept = weakref.ref(f), weakref.ref(t)
+        del f, t
+        assert ref() is None and kept() is None and len(e._products) == 0
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("pairs", [("EE",), ("1E",), ("E1", "1E")], ids="+".join)
+def test_no_product_keeps_its_factors(pairs):
+    """E : A -> A and its products with itself and with id_A ("1"): no
+    product closes a cycle through a factor, so with the cycle collector
+    off, dropping E frees E and every product.  Neither E (x) E, kept on
+    E, nor id_A (x) E, kept on the identity that A keeps, may hold E."""
+    a = random_algebra(np.random.default_rng(9), max_blocks=2, max_size=2)
+    gc.collect()
+    gc.disable()
+    try:
+        e = random_correspondence(a, a, np.random.default_rng(9))
+        factor = {"E": e, "1": identity_corr(a)}
+        tps = [tensor_corrs(factor[x], factor[y]) for x, y in pairs]
+        refs = [weakref.ref(x) for x in [e, *tps]]
+        del e, factor, tps
+        assert [r() for r in refs] == [None] * len(refs)
+    finally:
+        gc.enable()
+
+
+def _clear_identities(before):
+    """Clear the identity of every live algebra whose blocks are not in before."""
+    for blocks, a in list(FdCstarAlgebra._table.items()):
+        if blocks not in before:
+            a._identity = None
+
+
+@pytest.mark.parametrize("suite, trials", [("nerve-coherence", 2), ("section-exact", 1)])
+def test_an_acceptance_trial_leaves_only_the_identity_cycles(suite, trials):
+    """With the cycle collector off, a trial leaves nothing unreachable once
+    the algebras it made have their identity cleared: an algebra and its
+    identity correspondence form the one cycle left (ROADMAP item 12), and
+    no product closes one through its factors."""
+    gc.collect()
+    gc.disable()
+    try:
+        before = set(FdCstarAlgebra._table)
+        assert run_suite(suite, seed=7, trials=trials).ok
+        _clear_identities(before)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_products_are_kept_once_per_pair():
+    """One product per pair of factors, kept on E under F itself: equal
+    factors are the same object, and a copy of F is another key."""
     s = random_simplex(np.random.default_rng(8), 2, twist=True, max_mult=2)
     e, f = s.edge(0, 1), s.edge(1, 2)
     t = tensor_corrs(e, f)
     assert tensor_corrs(e, f) is t and s.tp(0, 1, 2) is t
-    assert e._products[id(f)] is t
+    assert e._products[f] is t
     f2 = Correspondence(f.src, f.module, f.lam)
     assert tensor_corrs(e, f2) is not t
     # bit-equal to a product built afresh from copies, frame and all

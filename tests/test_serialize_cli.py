@@ -1492,6 +1492,21 @@ def test_cli_refuses_a_module_an_action_or_a_hom_with_no_correspondence(tmp_path
         assert run_cli(command + [str(path)]) == (1, "", f"validation error: {message}\n"), command
 
 
+def test_validate_checks_a_correspondence_by_its_left_action(tmp_path):
+    """A correspondence has one check line, its left action's.  An action
+    that is not unital is refused as the file parses (Correspondence), so no
+    unital line could print FAIL: C into M_2 as E_00 exits 1 with only the
+    refusal on stderr ([action-not-unital] above), and C into M_2 as the
+    unit prints the one line."""
+    unit_of_m2 = [[1, 0], [0, 0], [0, 0], [1, 0]]
+    doc = {"src": {"blocks": [1]}, "dst": {"blocks": [1]}, "mult": [2],
+           "left_action": {"src": {"blocks": [1]}, "dst": {"blocks": [2]}, "matrix": unit_of_m2}}
+    path = tmp_path / "corr.json"
+    path.write_text(json.dumps(doc))
+    report = "parsed: Correspondence\nleft action is a star-hom: ok\nall invariants pass\n"
+    assert run_cli(["validate", str(path)]) == (0, report, "")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
