@@ -58,7 +58,7 @@ def _write(path, doc: dict) -> None:
     text = _json_text(doc)
     try:
         with open(path, "w") as f:
-            f.write(text + "\n")
+            print(text, file=f)  # no copy of text + "\n"
     except OSError as e:
         raise ParseError(f"{path}: {e}") from e
 

@@ -292,20 +292,16 @@ def degeneracy(s: NCorrSimplex, i: int) -> NCorrSimplex:
     return _reindex(s, _index_map("degeneracy", i, s.n))
 
 
-def _face_closure(simplices) -> dict:
+def _face_closure(simplices, out=None) -> dict:
     """The given simplices and all their faces, keyed by structural_hash,
-    each after its own faces."""
-    out = {}
-
-    def add(s):
+    each after its own faces, added to ``out`` (a new dict by default).  It
+    calls itself, not a nested function, which would be a reference cycle."""
+    out = {} if out is None else out
+    for s in simplices:
         key = structural_hash(s)
         if key not in out:
-            for i in range(s.n + 1) if s.n else ():
-                add(face(s, i))
+            _face_closure((face(s, i) for i in range(s.n + 1 if s.n else 0)), out)
             out[key] = s
-
-    for s in simplices:
-        add(s)
     return out
 
 

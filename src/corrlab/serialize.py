@@ -24,13 +24,14 @@ construction is deterministic.
 Each schema is written by one function, which builds the document with its
 matrices as arrays; the public ``*_to_json`` and ``value_to_json`` return
 that document with each matrix as ``matrix_to_json`` lists, and a public
-writer of a schema with matrices keeps the function as ``.doc``.  Every JSON text corrlab writes (each
-CLI output) comes from one writer, ``_json_text``, and is
-byte-identical to ``json.dumps`` of the public list document.  The writer
-leaves dicts, ints and strings to ``json.dumps`` and writes each matrix in
-bulk: every distinct float bit pattern is printed once, by the json encoder
-itself (so ``-0.0``, ``NaN`` and ``Infinity`` print as json prints them),
-and the entries are joined in one pass.
+writer of a schema with matrices keeps the function as ``.doc``.  Every
+JSON text corrlab writes (each CLI output) comes from one writer,
+``_json_text``, byte-identical to ``json.dumps`` of the public list
+document.  It leaves dicts, ints and strings to ``json.dumps`` and scans
+each matrix once, by the bits of its entries: each run of (+0.0, +0.0) is
+written as repeated ``[0.0, 0.0], `` text, each distinct other entry of the
+document is printed once, by the json encoder (so ``-0.0`` and ``NaN``
+print as json prints them), and the document is joined once.
 
 Malformed JSON, including text that is not UTF-8 or is nested too deeply
 for the parser, raises ParseError; structurally wrong documents (a horn
@@ -49,7 +50,7 @@ from __future__ import annotations
 
 import functools
 import json
-from itertools import chain, combinations
+from itertools import combinations
 
 import numpy as np
 
@@ -127,30 +128,6 @@ def matrix_to_json(m) -> list:
     return np.ascontiguousarray(m, dtype=complex).view(np.float64).reshape(-1, 2).tolist()
 
 
-def _matrix_text(m) -> str:
-    """``json.dumps(matrix_to_json(m))``, built from the distinct entries.
-
-    Floats are told apart by their bits, so -0.0 and 0.0 print apart; each
-    distinct one is printed once by the json encoder and scattered between
-    the separators.  A sort and a search find the distinct bits and each
-    entry's place among them (``np.unique`` with its inverse costs several
-    times more on the small matrices the CLI writes).
-    """
-    bits = np.ascontiguousarray(m, dtype=complex).view(np.uint64).ravel()
-    if not bits.size:
-        return "[]"
-    s = np.sort(bits)
-    u = s[np.concatenate(([True], s[1:] != s[:-1]))]
-    text = np.array(json.dumps(u.view(np.float64).tolist())[1:-1].split(", "), dtype=object)
-    # "[[" re ", " im "], [" re ", " im ... "]]"
-    parts = np.empty(2 * bits.size + 1, dtype=object)
-    parts[0::2] = ", "
-    parts[0::4] = "], ["
-    parts[0], parts[-1] = "[[", "]]"
-    parts[1::2] = text[np.searchsorted(u, bits)]
-    return "".join(parts.tolist())
-
-
 def _json_text(doc) -> str:
     """``json.dumps`` of ``doc`` with its array leaves as matrix_to_json
     lists, without building those lists.
@@ -174,7 +151,34 @@ def _json_text(doc) -> str:
         if len(pieces) == len(arrays) + 1:
             break
         mark += "\0"
-    return "".join(chain.from_iterable(zip(pieces, map(_matrix_text, arrays)))) + pieces[-1]
+    # Kept: the nonzero entries and each array's last, which closes it.  With
+    # the arrays laid end to end, each follows the zeros since the one before.
+    where, entries, size = [np.empty(0, np.intp)], [np.empty((0, 2), np.uint64)], 0
+    for a in arrays:
+        bits = np.ascontiguousarray(a, dtype=complex).view(np.uint64).reshape(-1, 2)
+        keep = bits[:, 0] | bits[:, 1]
+        keep[-1:] = 1
+        at = np.flatnonzero(keep)
+        where.append(at + size)
+        entries.append(bits[at])
+        size += len(bits)
+    count = np.array([w.size for w in where])  # count[0] = 0; an empty array keeps none
+    end = np.cumsum(count)  # end[a]: entries kept before array a
+    distinct, inv = np.unique(np.concatenate(entries).view("V16").ravel(), return_inverse=True)
+    # a document with no entry gets the one text "[]", which nothing indexes
+    pairs = json.dumps(distinct.view(np.float64).reshape(-1, 2).tolist())[2:-2].split("], [")
+    table = np.array([f"[{p}]" for p in pairs], dtype=object)
+    lengths, run = np.unique(np.diff(np.concatenate(where), prepend=-1) - 1, return_inverse=True)
+    # array a opens at slot 2 end[a] + a; a kept entry follows its run
+    tokens = np.empty(2 * end[-1] + len(pieces), dtype=object)
+    slot = 2 * np.arange(end[-1]) + np.repeat(np.arange(1, len(pieces)), count[1:])
+    tokens[slot] = np.array(["[0.0, 0.0], " * g for g in lengths.tolist()], dtype=object)[run]
+    tokens[slot + 1] = (table + ", ")[inv]
+    last = end[1:][count[1:] > 0] - 1
+    tokens[slot[last] + 1] = (table + "]")[inv[last]]
+    opens = [p + ("[" if c else "[]") for p, c in zip(pieces, count[1:])]
+    tokens[2 * end + np.arange(len(pieces))] = opens + pieces[-1:]
+    return "".join(tokens.tolist())
 
 
 def _lists(doc):

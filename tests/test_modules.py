@@ -666,7 +666,9 @@ def _clear_identities(before):
             a._identity = None
 
 
-@pytest.mark.parametrize("suite, trials", [("nerve-coherence", 2), ("section-exact", 1)])
+@pytest.mark.parametrize(
+    "suite, trials", [("nerve-coherence", 2), ("section-exact", 1), ("relative-prism", 2)]
+)
 def test_an_acceptance_trial_leaves_only_the_identity_cycles(suite, trials):
     """With the cycle collector off, a trial leaves nothing unreachable once
     the algebras it made have their identity cleared: an algebra and its

@@ -14,6 +14,7 @@ import runpy
 import signal
 import sys
 import tempfile
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -60,7 +61,7 @@ from corrlab.nerve import (
 )
 from corrlab.serialize import (
     _json_text,
-    _matrix_text,
+    _lists,
     algebra_from_json,
     algebra_to_json,
     corr_to_json,
@@ -1307,8 +1308,67 @@ def test_matrix_to_json_matches_the_entry_loop(order, drawn):
         old = [[float(z.real), float(z.imag)] for z in np.asarray(x, dtype=complex).ravel(order="C")]
         text = json.dumps(matrix_to_json(x))
         assert text == json.dumps(old)
-        assert _matrix_text(x) == text
+        assert _json_text(x) == text
         assert _json_text({"matrix": x}) == json.dumps({"matrix": matrix_to_json(x)})
+
+
+# mostly (+0.0, +0.0), so that runs of zeros lead, trail and fill arrays
+_SPECIAL = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(np.nan, -np.inf), complex(np.inf, 5e-324)]
+_ENTRIES = st.one_of(
+    st.just(0j), st.just(0j), st.sampled_from(_SPECIAL),
+    st.complex_numbers(allow_nan=True, allow_infinity=True),
+)
+
+
+@settings(max_examples=60)
+@given(drawn=st.lists(st.tuples(
+    hnp.arrays(complex, hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=5),
+               elements=_ENTRIES),
+    st.booleans(),
+    st.sampled_from("CF"),
+), max_size=6))
+@example(drawn=[(np.zeros((0, 2)), False, "C"), (np.zeros((2, 2)), True, "F"),
+                (np.array([[0, -0.0], [0, 1]]), True, "C"), (np.zeros((1, 3)), False, "F"),
+                (np.array([[np.nan, 0], [0, 0]], dtype=complex), False, "F"),
+                (np.zeros((0, 0)), False, "C")])
+def test_the_text_writer_writes_a_document_of_several_arrays(drawn):
+    """Several arrays in one document, their entries printed once per
+    document: empty and all-zero arrays, zeros leading, trailing and
+    between arrays, signed zeros, non-finite and subnormal entries, real
+    and Fortran-ordered input."""
+    arrays = [np.array(x.real if real else x, order=order) for x, real, order in drawn]
+    doc = {"m": arrays, "k": 2, "s": ["x", {"m": arrays[:1]}]}
+    assert _json_text(doc) == json.dumps(_lists(doc))
+
+
+@pytest.fixture(scope="module")
+def subdivide_doc(tmp_path_factory):
+    """The document ``subdivide`` writes for a twisted 3-simplex."""
+    from corrlab import cli
+
+    path = str(tmp_path_factory.mktemp("sd") / "s.json")
+    dump_value(random_simplex(np.random.default_rng(7), 3, twist=True, max_mult=1), path)
+    docs = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_emit", lambda doc, out: docs.append(doc))
+        assert main(["subdivide", "--simplex", path]) == 0
+    return docs[0]
+
+
+def test_the_text_writer_writes_a_subdivide_document(subdivide_doc):
+    assert _json_text(subdivide_doc) == json.dumps(_lists(subdivide_doc))
+
+
+def test_the_text_writer_peaks_within_two_and_a_half_times_its_text(subdivide_doc):
+    """Runs of zeros are shared strings, so the writer holds little beyond
+    the text it returns."""
+    tracemalloc.start()
+    try:
+        text = _json_text(subdivide_doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * len(text), (peak, len(text))
 
 
 def test_cli_finds_its_command_per_call(tmp_path, capsys, monkeypatch):
