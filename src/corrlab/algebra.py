@@ -265,19 +265,30 @@ def _traced_mult(src, dst, matrix) -> np.ndarray:
     return ranks.T.astype(np.int64)
 
 
+def _hom_faults(src, dst, matrix, eps: float):
+    """The checks of a matrix from outside, in order, as (name, residual,
+    error or None); a residual not <= eps (NaN too) gives the error."""
+    r = _star_residual(src, dst, matrix)
+    err = None if r <= eps else NotStarPreserving("map does not commute with the adjoint", r)
+    yield "star-preserving", r, err
+    r, where = _mult_residual(src, dst, matrix)
+    yield "multiplicative", r, None if r <= eps else NotMultiplicative(f"fails {where}", r)
+
+
+def _raise_first(faults) -> None:
+    """Raise the first error of a checker's results, checking no further."""
+    for _, _, err in faults:
+        if err is not None:
+            raise err
+
+
 def make_star_hom(src, dst, matrix, *, eps: float = EPS) -> StarHom:
-    """The StarHom of a matrix from outside, after the star and
-    multiplicativity checks; a residual that is not <= eps (NaN included)
-    raises.  Its multiplicities are traced (``_traced_mult``)."""
+    """The StarHom of a matrix from outside, after ``_hom_faults``; its
+    multiplicities are traced (``_traced_mult``)."""
     matrix = np.array(matrix, dtype=complex)
     if matrix.shape != (dst.dim, src.dim):
         raise ShapeMismatch(f"expected a {dst.dim} x {src.dim} matrix, got {matrix.shape}")
-    resid = _star_residual(src, dst, matrix)
-    if not resid <= eps:
-        raise NotStarPreserving("map does not commute with the adjoint", resid)
-    resid, where = _mult_residual(src, dst, matrix)
-    if not resid <= eps:
-        raise NotMultiplicative(f"fails {where}", resid)
+    _raise_first(_hom_faults(src, dst, matrix, eps))
     return StarHom(src, dst, matrix, _traced_mult(src, dst, matrix))
 
 

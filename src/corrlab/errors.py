@@ -2,8 +2,8 @@
 
 Validation happens at one boundary, where data enters from outside: the
 public ``make_*`` constructors (``make_star_hom``, ``make_correspondence``,
-``make_iso``, ``make_simplex``), the ``CorrIso`` constructor, and JSON parse
-with ``validate=True``.  They raise one of these on failure.  What the
+``make_iso``, ``make_simplex``), the ``CorrIso`` constructor, and every
+JSON load.  They raise one of these on failure.  What the
 library builds from valid inputs (identities, composites, Gamma, tensor
 products, Morita inverses, subdivision connecting homs, the generators'
 homs and the canonical intertwiners) is certified by construction and not
@@ -12,8 +12,8 @@ re-checked; README's "Trust boundary" gives each construction's argument.
 Bratteli data (``FunctorialityViolated``), and JSON parse bounds every
 ``blocks`` and ``mult`` list before building anything (``DimensionTooLarge``).
 Validation errors carry the offending residual where one exists, so
-callers (and the CLI ``validate`` command) can report how badly an
-invariant failed.
+callers can report how badly an invariant failed; ``corrlab validate``
+reports each check a load makes as a line, with its residual.
 """
 from __future__ import annotations
 

@@ -39,7 +39,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .algebra import FdCstarAlgebra, StarHom, _sizes, make_star_hom, identity_hom
+from .algebra import FdCstarAlgebra, StarHom, _raise_first, _sizes, make_star_hom, identity_hom
 from .errors import (
     BaseMismatch,
     EndpointMismatch,
@@ -238,10 +238,10 @@ def _iso_residuals(u) -> tuple:
     """(U*U - 1, U U* - 1, intertwining) worst Frobenius norms of the blocks
     of an intertwiner, each gathered with ``linalg.worst_of``, so a NaN shows.
 
-    The one definition: the ``CorrIso`` constructor bounds these numbers, and
-    the acceptance judges and ``corrlab validate`` report them.  The blocks
-    must be square, of the shapes the modules give; then a kept source block
-    is kept in the target too.
+    The one definition: ``_iso_faults`` bounds these numbers, and the
+    acceptance judges report them.  The blocks must be square, of the
+    shapes the modules give; then a kept source block is kept in the target
+    too.
     """
     left, right, inter = [], [], []
     for b in u.blocks:
@@ -261,39 +261,49 @@ def _iso_residuals(u) -> tuple:
     return worst_of(left), worst_of(right), worst_of(inter)
 
 
+def _iso_faults(u, eps: float, dense=None):
+    """The checks of an intertwiner, in order, as (name, residual, error or
+    None): with ``dense``, the matrix u was read off (``_dense_iso``), that
+    it is right linear; unitarity and intertwining (``_iso_residuals``).  A
+    residual not <= eps (NaN too) gives the error; endpoints or block
+    shapes that do not fit raise at once, having no residual."""
+    if dense is not None:
+        r = frob(dense - u.dense())
+        err = None if r <= eps else NotRightLinear("matrix does not commute with the right action", r)
+        yield "right-linear", r, err
+    src, dst, blocks = u.src, u.dst, u.blocks
+    if src.src != dst.src or src.dst != dst.dst:
+        raise EndpointMismatch("intertwiner endpoints disagree")
+    if len(blocks) != src.dst.nblocks:
+        raise ShapeMismatch("one block per base block required")
+    for k, b in enumerate(blocks):
+        want = (dst.module.mult[k], src.module.mult[k])
+        if b.shape != want:
+            raise ShapeMismatch(f"block {k} has shape {b.shape}, expected {want}")
+    for k, b in enumerate(blocks):
+        if b.shape[0] != b.shape[1]:
+            raise NotUnitary(f"block {k} is not square: {b.shape}")
+    r1, r2, r3 = _iso_residuals(u)
+    r = worst_of((r1, r2))
+    yield "unitary", r, None if r <= eps else NotUnitary("blocks are not unitary", r)
+    yield "intertwining", r3, None if r3 <= eps else NotIntertwining("left actions are not intertwined", r3)
+
+
 class CorrIso:
     """Unitary intertwiner of correspondences, one matrix per base block.
 
     Block k maps C^{m_k x n_k} by x -> U_k x, so right linearity holds by
-    construction; the constructor checks that the blocks are square, then
-    bounds their ``_iso_residuals``: unitarity, and that the left actions
-    are intertwined.
+    construction; the constructor raises the first error of its
+    ``_iso_faults``: endpoints and square blocks of the modules' shapes,
+    unitarity, and that the left actions are intertwined.
     """
 
     __slots__ = ("src", "dst", "blocks")
 
     def __init__(self, src: Correspondence, dst: Correspondence, blocks, *, eps: float = EPS):
-        if src.src != dst.src or src.dst != dst.dst:
-            raise EndpointMismatch("intertwiner endpoints disagree")
-        blocks = tuple(np.asarray(u, dtype=complex) for u in blocks)
-        if len(blocks) != src.dst.nblocks:
-            raise ShapeMismatch("one block per base block required")
-        for k, u in enumerate(blocks):
-            if u.shape != (dst.module.mult[k], src.module.mult[k]):
-                raise ShapeMismatch(
-                    f"block {k} has shape {u.shape}, expected"
-                    f" ({dst.module.mult[k]}, {src.module.mult[k]})"
-                )
-        for k, u in enumerate(blocks):
-            if u.shape[0] != u.shape[1]:
-                raise NotUnitary(f"block {k} is not square: {u.shape}")
-        self.src, self.dst, self.blocks = src, dst, blocks
-        r1, r2, r3 = _iso_residuals(self)
-        worst = worst_of((r1, r2))
-        if not worst <= eps:
-            raise NotUnitary("blocks are not unitary", worst)
-        if not r3 <= eps:
-            raise NotIntertwining("left actions are not intertwined", r3)
+        self.src, self.dst = src, dst
+        self.blocks = tuple(np.asarray(u, dtype=complex) for u in blocks)
+        _raise_first(_iso_faults(self, eps))
 
     @classmethod
     def _trusted(cls, src, dst, blocks):
@@ -324,6 +334,20 @@ class CorrIso:
         return f"CorrIso({self.src!r} ~ {self.dst!r})"
 
 
+def _dense_iso(src: Correspondence, dst: Correspondence, data) -> CorrIso:
+    """The intertwiner read off a dense (dst.dim x src.dim) matrix, unchecked."""
+    blocks = []
+    for k, n in enumerate(src.dst.blocks):
+        m_c, m_r = src.module.mult[k], dst.module.mult[k]
+        o_r, o_c = dst.module.offset(k), src.module.offset(k)
+        sub = data[o_r : o_r + m_r * n, o_c : o_c + m_c * n]
+        u = np.zeros((m_r, m_c), dtype=complex)
+        if n > 0 and m_r > 0 and m_c > 0:
+            u = sub.reshape(m_r, n, m_c, n)[:, 0, :, 0].copy()
+        blocks.append(u)
+    return CorrIso._trusted(src, dst, blocks)
+
+
 def make_iso(src: Correspondence, dst: Correspondence, data, *, eps: float = EPS) -> CorrIso:
     """Build an intertwiner from per-block unitaries or one dense matrix.
 
@@ -334,19 +358,9 @@ def make_iso(src: Correspondence, dst: Correspondence, data, *, eps: float = EPS
         dst.module.dim,
         src.module.dim,
     ):
-        blocks = []
-        for k, n in enumerate(src.dst.blocks):
-            m_c, m_r = src.module.mult[k], dst.module.mult[k]
-            o_r, o_c = dst.module.offset(k), src.module.offset(k)
-            sub = data[o_r : o_r + m_r * n, o_c : o_c + m_c * n]
-            u = np.zeros((m_r, m_c), dtype=complex)
-            if n > 0 and m_r > 0 and m_c > 0:
-                u = sub.reshape(m_r, n, m_c, n)[:, 0, :, 0].copy()
-            blocks.append(u)
-        resid = frob(data - CorrIso._trusted(src, dst, blocks).dense())
-        if not resid <= eps:
-            raise NotRightLinear("matrix does not commute with the right action", resid)
-        return CorrIso(src, dst, blocks, eps=eps)
+        u = _dense_iso(src, dst, data)
+        _raise_first(_iso_faults(u, eps, data))
+        return u
     return CorrIso(src, dst, list(data), eps=eps)
 
 

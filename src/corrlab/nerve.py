@@ -210,11 +210,10 @@ def _check_uncovered(s: NCorrSimplex, faces, eps: float) -> float:
 def validate_simplex(s: NCorrSimplex, *, eps: float = EPS) -> NCorrSimplex:
     """Check the pentagon condition; raise on failure.
 
-    The edges must be correspondences (left actions *-homs), as JSON parse
-    with validate=True and the library constructors guarantee; ``corrlab
-    validate`` checks them itself.  Normality (E_ii = I, u_iik = lambda,
-    u_ikk = rho) holds by construction: NCorrSimplex stores no degenerate
-    data and derives it from the unitors, so there is nothing to check.
+    The edges must be correspondences (left actions *-homs), as a JSON load
+    and the library constructors guarantee.  Normality (E_ii = I, u_iik =
+    lambda, u_ikk = rho) holds by construction: NCorrSimplex stores no
+    degenerate data and derives it from the unitors: nothing to check.
     _check_uncovered checks the keys and endpoints, and the pentagon at
     i < j < k < l only; at a repeated index it is implied, since every cell
     is a valid CorrIso between those endpoints (unitary, intertwining, right

@@ -40,11 +40,14 @@ that are not finite (NaN, Infinity, integers too large for a float), and
 ``true`` / ``false`` where a number is expected, raise SchemaError naming
 the offending location.  A ``blocks`` or ``mult`` list that describes more
 than MAX_PARSED_DIM dimensions raises DimensionTooLarge before anything is
-built from it.  Numeric validation is left to the ordinary
-constructors; with ``validate=False`` values are built unchecked, for a
-caller that checks every invariant itself (``corrlab validate``), save
-that a hom's or left action's multiplicities are read off its matrix as
-traces, and a trace that is no rank in its block raises NotProjection.
+built from it.
+
+Each reader makes the constructors' checks once, in their order, and hands
+each result to a private sink: a load's raises the first error, ``corrlab
+validate``'s keeps a line per check.  Either way the value is built from
+the same data, and what cannot be built raises: the faults above, a trace
+that is no rank (NotProjection), a non-unital left action, an intertwiner
+whose endpoints or block shapes do not fit.
 """
 from __future__ import annotations
 
@@ -54,18 +57,10 @@ from itertools import combinations
 
 import numpy as np
 
-from .algebra import EPS, FdCstarAlgebra, StarHom, _traced_mult, make_algebra, make_star_hom
-from .errors import DimensionTooLarge, ParseError, SchemaError, ShapeMismatch
-from .modules import (
-    CorrIso,
-    Correspondence,
-    HilbertModule,
-    make_correspondence,
-    make_iso,
-    make_module,
-    tensor_corrs,
-)
-from .nerve import HornSpec, NCorrSimplex, make_simplex
+from .algebra import EPS, FdCstarAlgebra, StarHom, _hom_faults, _raise_first, _traced_mult, make_algebra
+from .errors import DimensionTooLarge, ParseError, PentagonViolated, SchemaError, ShapeMismatch, ValidationError
+from .modules import CorrIso, Correspondence, HilbertModule, _dense_iso, _iso_faults, make_module, tensor_corrs
+from .nerve import HornSpec, NCorrSimplex, _check_uncovered
 
 __all__ = [
     "algebra_to_json",
@@ -207,6 +202,55 @@ def _writer(doc):
     return to_json
 
 
+class _Sink:
+    """Where a reader hands each check it makes, as (name, residual, error
+    or None).  A load's, ``_LOAD``, has no ``lines``: the first error
+    raises, where the checking constructors raise it.  ``corrlab
+    validate``'s keeps a (text, error) per check, named under ``prefix``."""
+
+    def __init__(self, lines=None, prefix=""):
+        self.lines, self.prefix = lines, prefix
+
+    def __call__(self, faults, label=None) -> None:
+        """With a label, one line for all the checks: the first error, or ok."""
+        if self.lines is None:
+            _raise_first(faults)
+        elif label is not None:
+            err = next((e for _, _, e in faults if e is not None), None)
+            self.note(_line(label, None, err), err)
+        else:
+            for name, residual, err in faults:
+                self.note(_line(name, residual, err), err)
+
+    def under(self, prefix: str) -> "_Sink":
+        return _Sink(self.lines, self.prefix + prefix)
+
+    def note(self, text: str, err=None) -> None:
+        if self.lines is not None:
+            self.lines.append((self.prefix + text, err))
+
+
+_LOAD = _Sink()
+
+
+def _line(name: str, residual, err) -> str:
+    at = f" at {err.indices}" if isinstance(err, PentagonViolated) else ""
+    tail = f" (residual {residual:.3e})" if residual is not None else "" if err is None else f" ({err})"
+    return f"{name}: {'ok' if err is None else 'FAIL'}{at}{tail}"
+
+
+def _simplex_faults(s: NCorrSimplex, eps: float):
+    """validate_simplex's check as one result: the worst pentagon, or the error."""
+    try:
+        worst = _check_uncovered(s, (), eps)
+    except PentagonViolated as err:
+        yield "pentagon", err.residual, err
+    except ValidationError as err:
+        yield "simplex", None, err
+    else:
+        yield "pentagon", worst, None
+
+
 _NUMBER = {int, float}  # the types json gives numbers
 
 
@@ -274,12 +318,11 @@ def hom_to_json(phi: StarHom) -> dict:
     }
 
 
-def hom_from_json(doc, *, eps: float = EPS, validate: bool = True, where="star_hom") -> StarHom:
+def hom_from_json(doc, *, eps: float = EPS, where="star_hom", _sink=_LOAD) -> StarHom:
     src = algebra_from_json(_need(doc, "src", where), f"{where}.src")
     dst = algebra_from_json(_need(doc, "dst", where), f"{where}.dst")
     m = matrix_from_json(_need(doc, "matrix", where), (dst.dim, src.dim), f"{where}.matrix")
-    if validate:
-        return make_star_hom(src, dst, m, eps=eps)
+    _sink(_hom_faults(src, dst, m, eps))
     return StarHom(src, dst, m, _traced_mult(src, dst, m))
 
 
@@ -302,24 +345,17 @@ def corr_to_json(c: Correspondence) -> dict:
     }
 
 
-def corr_from_json(doc, *, eps: float = EPS, validate: bool = True, where="correspondence") -> Correspondence:
+def corr_from_json(doc, *, eps: float = EPS, where="correspondence", _sink=_LOAD) -> Correspondence:
     src = algebra_from_json(_need(doc, "src", where), f"{where}.src")
     dst = algebra_from_json(_need(doc, "dst", where), f"{where}.dst")
     module = make_module(dst, _int_list(doc, "mult", where))
-    la = _need(doc, "left_action", where)
-    la_src = algebra_from_json(_need(la, "src", f"{where}.left_action"), f"{where}.left_action.src")
-    if la_src != src:
-        raise SchemaError(f"{where}.left_action.src: does not match the correspondence source")
-    la_dst = algebra_from_json(_need(la, "dst", f"{where}.left_action"), f"{where}.left_action.dst")
-    if la_dst != module.compacts:
-        raise SchemaError(f"{where}.left_action.dst: does not match the compacts of the module")
-    m = matrix_from_json(
-        _need(la, "matrix", f"{where}.left_action"),
-        (module.compacts.dim, src.dim),
-        f"{where}.left_action.matrix",
-    )
-    if validate:
-        return make_correspondence(src, module, m, eps=eps)
+    la, at = _need(doc, "left_action", where), f"{where}.left_action"
+    if algebra_from_json(_need(la, "src", at), f"{at}.src") != src:
+        raise SchemaError(f"{at}.src: does not match the correspondence source")
+    if algebra_from_json(_need(la, "dst", at), f"{at}.dst") != module.compacts:
+        raise SchemaError(f"{at}.dst: does not match the compacts of the module")
+    m = matrix_from_json(_need(la, "matrix", at), (module.compacts.dim, src.dim), f"{at}.matrix")
+    _sink(_hom_faults(src, module.compacts, m, eps), "left action is a star-hom")
     lam = StarHom(src, module.compacts, m, _traced_mult(src, module.compacts, m))
     return Correspondence(src, module, lam)
 
@@ -333,13 +369,13 @@ def iso_to_json(u: CorrIso) -> dict:
     }
 
 
-def iso_from_json(doc, *, eps: float = EPS, validate: bool = True, where="iso") -> CorrIso:
-    src = corr_from_json(_need(doc, "src", where), eps=eps, validate=validate, where=f"{where}.src")
-    dst = corr_from_json(_need(doc, "dst", where), eps=eps, validate=validate, where=f"{where}.dst")
-    m = matrix_from_json(
-        _need(doc, "unitary", where), (dst.module.dim, src.module.dim), f"{where}.unitary"
-    )
-    return make_iso(src, dst, m, eps=eps)
+def iso_from_json(doc, *, eps: float = EPS, where="iso", _sink=_LOAD) -> CorrIso:
+    src = corr_from_json(_need(doc, "src", where), eps=eps, where=f"{where}.src", _sink=_sink.under("src "))
+    dst = corr_from_json(_need(doc, "dst", where), eps=eps, where=f"{where}.dst", _sink=_sink.under("dst "))
+    m = matrix_from_json(_need(doc, "unitary", where), (dst.module.dim, src.module.dim), f"{where}.unitary")
+    u = _dense_iso(src, dst, m)
+    _sink(_iso_faults(u, eps, m))
+    return u
 
 
 @_writer
@@ -356,7 +392,8 @@ def simplex_to_json(s: NCorrSimplex) -> dict:
     }
 
 
-def simplex_from_json(doc, *, eps: float = EPS, validate: bool = True, where="ncorr_simplex") -> NCorrSimplex:
+def simplex_from_json(doc, *, eps: float = EPS, where="ncorr_simplex", _sink=_LOAD) -> NCorrSimplex:
+    since = len(_sink.lines or ())
     algs = _need(doc, "algebras", where)
     if not isinstance(algs, list) or not algs:
         raise SchemaError(f"{where}.algebras: expected a nonempty list")
@@ -368,7 +405,7 @@ def simplex_from_json(doc, *, eps: float = EPS, validate: bool = True, where="nc
         here = f"{where}.edges[{p}]"
         i, j = _index_pair(rec, ("i", "j"), n, here, edges)
         edges[(i, j)] = corr_from_json(
-            _need(rec, "corr", here), eps=eps, validate=validate, where=f"{here}.corr"
+            _need(rec, "corr", here), eps=eps, where=f"{here}.corr", _sink=_sink.under(f"edge {(i, j)} ")
         )
     missing = [t for t in combinations(range(n + 1), 2) if t not in edges]
     if missing:
@@ -380,19 +417,19 @@ def simplex_from_json(doc, *, eps: float = EPS, validate: bool = True, where="nc
         i, j, k = _index_pair(rec, ("i", "j", "k"), n, here, cells)
         # the cell source is the tensor product of the two edges, whose
         # deterministic coordinates are the ones the unitary was written in
-        tp = tensor_corrs(edges[(i, j)], edges[(j, k)])
-        target = edges[(i, k)]
-        m = matrix_from_json(
-            _need(rec, "unitary", here),
-            (target.module.dim, tp.corr.module.dim),
-            f"{here}.unitary",
-        )
-        cells[(i, j, k)] = make_iso(tp.corr, target, m, eps=eps)
+        tp, target = tensor_corrs(edges[(i, j)], edges[(j, k)]).corr, edges[(i, k)]
+        m = matrix_from_json(_need(rec, "unitary", here), (target.module.dim, tp.module.dim), f"{here}.unitary")
+        cells[(i, j, k)] = u = _dense_iso(tp, target, m)
+        _sink.under(f"cell {(i, j, k)} ")(_iso_faults(u, eps, m))
     missing = [t for t in combinations(range(n + 1), 3) if t not in cells]
     if missing:
         raise SchemaError(f"{where}.cells: missing {missing}")
 
-    return make_simplex(algebras, edges, cells, eps=eps, validate=validate)
+    s = NCorrSimplex(algebras, edges, cells)
+    # the simplex check rests on valid edges and cells (validate_simplex)
+    if all(err is None for _, err in (_sink.lines or ())[since:]):
+        _sink(_simplex_faults(s, eps))
+    return s
 
 
 @_writer
@@ -404,7 +441,7 @@ def horn_to_json(h: HornSpec) -> dict:
     }
 
 
-def horn_from_json(doc, *, eps: float = EPS, validate: bool = True, where="horn") -> HornSpec:
+def horn_from_json(doc, *, eps: float = EPS, where="horn", _sink=_LOAD) -> HornSpec:
     n = _need(doc, "n", where)
     k = _need(doc, "k", where)
     if not _is_int(n) or not _is_int(k):
@@ -417,9 +454,8 @@ def horn_from_json(doc, *, eps: float = EPS, validate: bool = True, where="horn"
             raise SchemaError(f"{here}.j: expected an integer")
         if j in faces:
             raise SchemaError(f"{here}: repeats face {j}")
-        faces[j] = simplex_from_json(
-            _need(rec, "simplex", here), eps=eps, validate=validate, where=f"{here}.simplex"
-        )
+        _sink.note(f"face {j}:")
+        faces[j] = simplex_from_json(_need(rec, "simplex", here), eps=eps, where=f"{here}.simplex", _sink=_sink)
     try:  # a k, face set or face dimension that does not fit n is a structural fault
         return HornSpec(n, k, faces)
     except ShapeMismatch as err:
@@ -482,13 +518,13 @@ _TO_DOC = (
 )
 
 _FROM_JSON = {
-    "algebra": lambda doc, eps, validate: algebra_from_json(doc),
-    "star_hom": lambda doc, eps, validate: hom_from_json(doc, eps=eps, validate=validate),
-    "module": lambda doc, eps, validate: module_from_json(doc),
-    "correspondence": lambda doc, eps, validate: corr_from_json(doc, eps=eps, validate=validate),
-    "iso": lambda doc, eps, validate: iso_from_json(doc, eps=eps, validate=validate),
-    "ncorr_simplex": lambda doc, eps, validate: simplex_from_json(doc, eps=eps, validate=validate),
-    "horn": lambda doc, eps, validate: horn_from_json(doc, eps=eps, validate=validate),
+    "algebra": lambda doc, **checks: algebra_from_json(doc),
+    "star_hom": hom_from_json,
+    "module": lambda doc, **checks: module_from_json(doc),
+    "correspondence": corr_from_json,
+    "iso": iso_from_json,
+    "ncorr_simplex": simplex_from_json,
+    "horn": horn_from_json,
 }
 
 
@@ -503,11 +539,11 @@ def value_to_json(obj) -> dict:
     return _lists(_value_doc(obj))
 
 
-def value_from_json(doc, *, eps: float = EPS, validate: bool = True):
-    return _FROM_JSON[detect_schema(doc)](doc, eps, validate)
+def value_from_json(doc, *, eps: float = EPS, _sink=_LOAD):
+    return _FROM_JSON[detect_schema(doc)](doc, eps=eps, _sink=_sink)
 
 
-def load_value(path, *, eps: float = EPS, validate: bool = True):
+def load_value(path, *, eps: float = EPS, _sink=_LOAD):
     try:
         with open(path) as f:
             doc = json.load(f)
@@ -517,4 +553,4 @@ def load_value(path, *, eps: float = EPS, validate: bool = True):
         raise ParseError(f"{path}: invalid JSON at line {e.lineno}, column {e.colno}") from e
     except RecursionError as e:
         raise ParseError(f"{path}: JSON nested too deeply") from e
-    return value_from_json(doc, eps=eps, validate=validate)
+    return value_from_json(doc, eps=eps, _sink=_sink)

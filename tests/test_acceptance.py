@@ -17,11 +17,12 @@ import pytest
 from corrlab import acceptance, algebra
 from corrlab.acceptance import CaseReport, run_suite
 from corrlab.algebra import StarHom, make_algebra
-from corrlab.cli import _iso_checks, main
+from corrlab.cli import main
 from corrlab.errors import NotIntertwining, NotUnitary
 from corrlab.linalg import frob, worst_of
-from corrlab.modules import CorrIso, identity_corr
+from corrlab.modules import CorrIso, _iso_faults, identity_corr
 from corrlab.nerve import NCorrSimplex, identity_iso
+from corrlab.serialize import _Sink
 from corrlab.subdivision import AugChain
 
 # (criterion, suite, time budget in seconds, exact-arithmetic suite)
@@ -196,12 +197,17 @@ def test_subdivision_refuses_a_nan_connecting_hom(monkeypatch):
         assert_nan_case(acceptance.suite_subdivision(trials=1))
 
 
-def test_cli_iso_check_refuses_nan_blocks(capsys):
+def test_cli_iso_check_refuses_nan_blocks():
+    """The checks corrlab validate reports for an intertwiner fail on NaN
+    blocks, with NaN residuals, as the constructor does."""
     u = nan_copy(identity_iso(identity_corr(make_algebra((2, 1)))))
-    assert not _iso_checks(u, 1e-9)
-    assert capsys.readouterr().out == (
-        "unitary: FAIL (residual nan)\nintertwining: FAIL (residual nan)\n"
-    )
+    report = _Sink([])
+    report(_iso_faults(u, 1e-9))
+    assert [text for text, _ in report.lines] == [
+        "unitary: FAIL (residual nan)",
+        "intertwining: FAIL (residual nan)",
+    ]
+    assert [type(err) for _, err in report.lines] == [NotUnitary, NotIntertwining]
 
 
 # The CorrIso constructor and the judges share modules._iso_residuals, so a

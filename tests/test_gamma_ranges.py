@@ -28,7 +28,7 @@ from corrlab.generators import embedding_hom, random_chain
 from corrlab.linalg import gram_onb, orthonormal_range, worst_of
 from corrlab.modules import corr_close
 from corrlab.nerve import gamma_simplex
-from corrlab.serialize import hom_from_json, hom_to_json
+from corrlab.serialize import _LOAD, _Sink, hom_from_json, hom_to_json
 import reference
 from reference import gamma_action
 from test_hom_builders import embeddings
@@ -109,8 +109,8 @@ def test_gamma_is_the_element_route(case):
     assert [v.shape[1] for v in gamma_isometries(phi)] == list(corr.module.mult)
 
 
-def from_json(phi, validate):
-    return hom_from_json(json.loads(json.dumps(hom_to_json(phi))), validate=validate)
+def from_json(phi, sink):
+    return hom_from_json(json.loads(json.dumps(hom_to_json(phi))), _sink=sink)
 
 
 @settings(max_examples=40, deadline=None)
@@ -118,18 +118,21 @@ def from_json(phi, validate):
 @example((FdCstarAlgebra((2, 1)), FdCstarAlgebra((5, 3)), np.array([[2, 1], [1, 0]]), 0))
 def test_gamma_of_a_hom_read_back_from_json_is_bit_equal(case):
     """The trust boundary traces the multiplicities the builder passed, so
-    both homs take the same branch per block and the same bits."""
+    both homs take the same branch per block and the same bits: read by a
+    load, and by corrlab validate's sink, which reports every check ok."""
     src, dst, mult, seed = case
     assume(mult.any())
     phi = embedding_hom(src, dst, mult, np.random.default_rng(seed))
     want = gamma_of_hom(phi)
-    for validate in (True, False):
-        psi = from_json(phi, validate)
+    report = _Sink([])
+    for sink in (_LOAD, report):
+        psi = from_json(phi, sink)
         got = gamma_of_hom(psi)
         assert got.module.mult == want.module.mult
         assert got.lam.matrix.tobytes() == want.lam.matrix.tobytes()
         for v, w in zip(gamma_isometries(psi), gamma_isometries(phi)):
             assert v.shape == w.shape and v.tobytes() == w.tobytes()
+    assert [err for _, err in report.lines] == [None, None]
 
 
 def with_nan(phi, col):

@@ -340,7 +340,7 @@ def test_algebras_and_modules_compare_by_identity():
     assert "label" not in FdCstarAlgebra.__slots__
 
 
-LINE_BUDGET = 5316
+LINE_BUDGET = 5315
 
 
 def test_library_stays_within_its_line_budget():

@@ -60,6 +60,7 @@ from corrlab.nerve import (
     validate_simplex,
 )
 from corrlab.serialize import (
+    _Sink,
     _json_text,
     _lists,
     algebra_from_json,
@@ -502,14 +503,27 @@ def test_cli_validate_flags_an_edge_that_is_not_a_star_hom(tmp_path, capsys, kin
 
 @pytest.mark.parametrize("key", [(0, 1, 2), (0, 1, 3)])
 def test_cli_validate_flags_nan_cell(tmp_path, capsys, monkeypatch, key):
-    # JSON cannot carry NaN (exit 2), so the parsed value is swapped in
-    import corrlab.cli
+    # JSON cannot carry NaN (exit 2), so the cell's matrix is swapped in as
+    # it is read, below the parse: validate's checks then see the NaN
+    import corrlab.serialize
     from test_nerve import nan_cell_simplex
 
     bad = nan_cell_simplex(key, "last")
-    monkeypatch.setattr(corrlab.cli, "load_value", lambda *args, **kwargs: bad)
-    assert main(["validate", str(tmp_path / "unused.json")]) == 1
-    assert "pentagon: ok" not in capsys.readouterr().out
+    path = tmp_path / "s.json"
+    dump_value(bad, path)  # the NaN is written as NaN, which the parse refuses
+    doc = json.loads(path.read_text(), parse_constant=lambda c: 0.0)
+    path.write_text(json.dumps(doc))
+    where = f"ncorr_simplex.cells[{sorted(bad.cells).index(key)}].unitary"
+    real = corrlab.serialize.matrix_from_json
+
+    def nan_cell(data, shape, where_=None):
+        return bad.cells[key].dense() if where_ == where else real(data, shape, where_)
+
+    monkeypatch.setattr(corrlab.serialize, "matrix_from_json", nan_cell)
+    assert main(["validate", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert f"cell {key} unitary: FAIL (residual nan)" in out
+    assert "pentagon: ok" not in out
 
 
 def test_cli_morita(tmp_path, capsys):
@@ -691,10 +705,12 @@ def test_cli_subdivide(tmp_path, capsys):
         for b in doc["vertices"]
         if set(tuple(a)) <= set(tuple(b))
     )
-    # every written hom reads back to the bits of the hom it was written from
+    # every written hom reads back to the bits of the hom it was written from;
+    # validate's sink keeps the checks' results rather than raising, as the
+    # unchecked read did
     sd = subdivision_functor(load_value(spath))
     for rec in doc["homs"]:
-        back = hom_from_json(rec["hom"], validate=False)
+        back = hom_from_json(rec["hom"], _sink=_Sink([]))
         assert back.matrix.tobytes() == sd.hom(rec["s"], rec["t"]).matrix.tobytes()
     assert main(["subdivide", "--simplex", spath, "--n", "3"]) == 2
     capsys.readouterr()
@@ -1131,14 +1147,15 @@ def test_cli_eps_reaches_every_command_on_a_noisy_simplex(tmp_path):
         assert (code, err) == (0, ""), name
     got = {(e["i"], e["j"]): e["matrix"] for e in json.loads(out)["edges"]}
     assert got == {key: k0_of_corr(e).tolist() for key, e in s.edges.items()}
-    refusals = {
-        "validate": "validation error: left actions are not intertwined (residual 5.147e-09)",
-        "subdivide": "validation error: fails v_a P = v_a in source block 1, unit a = 0",
-        "extend": "validation error: fails v_a P = v_a in source block 1, unit a = 0",
-    }
+    refusal = "fails v_a P = v_a in source block 1, unit a = 0"
     for name, argv in argvs.items():
         code, out, err = run_cli(argv)
-        assert code == 1 and out == "" and err.startswith(refusals[name]), name
+        if name == "validate":  # a FAIL line per edge the load would refuse
+            assert code == 1 and err == "", name
+            first = next(line for line in out.splitlines() if ": FAIL" in line)
+            assert first.startswith("edge (0, 1) left action is a star-hom: FAIL (" + refusal)
+        else:
+            assert code == 1 and out == "" and err.startswith("validation error: " + refusal), name
 
 
 def noisy_horn(path, seed, k, j):
@@ -1163,18 +1180,23 @@ def test_cli_eps_reaches_fill_on_a_horn_whose_faces_disagree(tmp_path, seed, k):
     about 1e-8 validates and fills at --eps 1e-6, whichever face carries the
     noise, since every endpoint the fill checks (the merge, the solved
     cell, the pentagon's factors) is checked at that eps.  At the default
-    eps both commands refuse it at load, with the load's message."""
+    eps fill refuses it at load, with the load's message, and validate
+    prints that message in its first FAIL line."""
     for j in (x for x in range(4) if x != k):
         path = tmp_path / f"horn-{j}.json"
         noisy_horn(path, seed, k, j)
-        argvs = {False: ["validate", str(path)], True: ["fill", "--horn", str(path)]}
-        for validate, argv in argvs.items():
+        with pytest.raises(CorrLabError) as refused:
+            load_value(path)
+        for argv in (["validate", str(path)], ["fill", "--horn", str(path)]):
             code, out, err = run_cli(["--eps", "1e-6"] + argv)
             assert (code, err) == (0, ""), (j, argv[0])
-            with pytest.raises(CorrLabError) as refused:
-                load_value(path, validate=validate)
             code, out, err = run_cli(argv)
-            assert (code, out, err) == (1, "", f"validation error: {refused.value}\n"), (j, argv[0])
+            if argv[0] == "fill":
+                assert (code, out, err) == (1, "", f"validation error: {refused.value}\n"), j
+            else:
+                assert (code, err) == (1, ""), j
+                first = next(line for line in out.splitlines() if ": FAIL" in line)
+                assert f"FAIL ({refused.value})" in first, j
 
 
 def test_cli_refuses_a_simplex_whose_algebras_are_swapped(tmp_path):
@@ -1371,6 +1393,27 @@ def test_the_text_writer_peaks_within_two_and_a_half_times_its_text(subdivide_do
     assert peak <= 2.5 * len(text), (peak, len(text))
 
 
+def test_an_out_file_is_written_without_a_copy_of_its_text(tmp_path, monkeypatch):
+    """--out encodes its text a slice at a time, so writing 8 MiB holds about
+    two slices beyond the text (a whole copy before), and the file is the
+    text and a newline, byte for byte."""
+    from corrlab import cli
+
+    text = "[0.0, 0.0], " * ((8 << 20) // 12) + "[-0.0, 1e-300]"
+    monkeypatch.setattr(cli, "_json_text", lambda doc: text)
+    path = tmp_path / "out.json"
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        cli._write(path, None)
+        extra = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert extra <= 3 * cli._WRITE_SLICE < len(text) / 2, (extra, len(text))
+    assert path.read_bytes() == (text + "\n").encode()
+
+
 def test_cli_finds_its_command_per_call(tmp_path, capsys, monkeypatch):
     """The parser is built once per process; the handler is looked up on
     every call, so one rebound between two calls is the one that runs."""
@@ -1516,8 +1559,15 @@ def test_cli_validates_a_module_and_an_iso_file(tmp_path):
     code, out, _ = run_cli(["validate", str(mpath)])
     assert code == 0 and out == "parsed: HilbertModule\nmodule shape: ok\nall invariants pass\n"
     code, out, _ = run_cli(["validate", str(ipath)])
-    assert code == 0 and out.startswith("parsed: CorrIso\nunitary: ok")
-    assert "intertwining: ok" in out and out.endswith("all invariants pass\n")
+    assert code == 0 and out.splitlines() == [
+        "parsed: CorrIso",
+        "src left action is a star-hom: ok",
+        "dst left action is a star-hom: ok",
+        "right-linear: ok (residual 0.000e+00)",
+        "unitary: ok (residual 0.000e+00)",
+        "intertwining: ok (residual 0.000e+00)",
+        "all invariants pass",
+    ]
 
 
 CORNER_OF_M2 = [[1, 0]] + [[0, 0]] * 3  # C into M_2 as E_00: not unital
