@@ -3,30 +3,38 @@
 Subdividing an n-simplex of the nerve yields a diagram of algebras indexed
 by nonempty subsets of {0..n}.  A functor F into a quasi-category target
 that sends corner embeddings to equivalences extends from that diagram to
-every chain of the augmented subdivision, one horn fill at a time, in one
-run (`BarExtension`, made by `extend_bar_G`): chains whose support misses a
-vertex come from the runs over the faces, chains with a constant vertex
-prefix straight from F, and the rest from the staged fills (inner horns
-while the prefix is shorter than the chain, one special outer horn at the
-end, certified by the corner embedding's inverse).  The value on the plain
-chain (0..n) is the extension's value on the simplex.  Each nondegenerate
-chain's value is checked against its faces' values once, where it is made
-(``_bad_face``): a fill carries its horn's faces and every functor value
-agrees with theirs, and a chain whose support misses a vertex was checked
-by the run over that face.  Degenerate chains' values are degeneracies by
-definition, so they need no check.  The missing face a fill produces is not
-compared again: by the simplicial identities d_i d_k = d_{k-1} d_i (i < k)
-and d_i d_k = d_k d_{i+1} (i >= k), each of its faces is a face of a horn
-face, which the fill carries and whose own faces were compared when it was
-made (Duskin, TAC 9, 2002).  This holds for every target whose ``face``
-satisfies those identities, as both oracles here do: their faces,
-degeneracies and horn kinds follow nerve's one rule.  The caller owns the
-memo: a run holds it only while ``extend_bar_G`` makes the run's fills.
+every chain of the augmented subdivision (`extend_bar_G`), and a homotopy
+between two such functors extends over the prisms Δ^q × Δ^1 of a simplex
+family (`extend_relative`).  Both are one engine (``_Run``) walking the
+nerve of a finite poset, where a face drops an entry of an address and a
+degenerate address repeats one.  One resolver gives an address the value
+made for it, a degeneracy of its face's value, or an engine's base value;
+one fill loop makes the rest, one horn or boundary fill and one ``trace``
+record at a time.  The engines differ in their addresses, base values and
+fill targets.  A bar run (`BarExtension`) addresses the chains of sd Δ^n:
+a chain whose support misses a vertex comes from the run over that face, a
+chain with at most one vertex from F, and the rest from inner horns and,
+last in each stage, a special outer horn certified by the corner
+embedding's inverse (``_fill_targets``).  A prism run (`RelExtension`)
+addresses pairs (vertex, time) over a family member: lower support comes
+from the member on it, constant times from the two functors' bar runs,
+(0,0)(0,1) over an object from eta, and the rest from the prism's q + 1
+shuffles (Goerss and Jardine), q inner horns and one cell from its whole
+boundary, which is where data that is not natural fails (``_prism_targets``).
+
+Each nondegenerate value is checked against its faces' values once, where
+it is made (``_bad_face``); degenerate values need no check.  The missing
+face a fill produces is not compared again: by d_i d_k = d_{k-1} d_i
+(i < k) and d_i d_k = d_k d_{i+1} (i >= k), each of its faces is a face of
+a horn face the fill carries, compared when that was made (Duskin, TAC 9,
+2002).  This holds for every target whose ``face`` satisfies those
+identities, as both oracles here do: their faces, degeneracies and horn
+kinds follow nerve's one rule.  The caller owns the memo: a bar run holds
+it only while ``extend_bar_G`` makes the run's fills.
 
 A target implements the ``QCOracle`` protocol (abstract, docstrings only):
 ``K0Oracle``, the nerve of integer matrices (K-theory), and ``NCorrOracle``,
-the correspondence nerve itself.  `extend_relative` extends a homotopy
-between two functors over prisms, from both functors' runs (`bar_F`).
+the correspondence nerve itself.
 """
 
 from __future__ import annotations
@@ -447,7 +455,7 @@ def gamma_functor(arrows=()) -> CstFunctor:
 
 
 # ---------------------------------------------------------------------------
-# the extension recursion
+# the extension engine
 
 
 def _chain_str(c: AugChain) -> str:
@@ -484,180 +492,176 @@ def _fill_targets(n: int) -> tuple:
     )
 
 
+@functools.cache
+def _prism_targets(q: int) -> tuple:
+    """The shuffles of Δ^q × Δ^1 in fill order, as (pairs, k): for t = q..1
+    the shuffle turning at vertex t fills the horn (q+1, t), whose missing
+    face is a diagonal, and the last is filled from its boundary (k None)."""
+    return tuple(
+        (tuple(zip(nerve._index_map("degeneracy", t, q), (0,) * (t + 1) + (1,) * (q + 1 - t))), t or None)
+        for t in (range(q, -1, -1) if q else ())
+    )
+
+
 def _bad_face(D: QCOracle, value, faces: dict, eps: float):
     """The first j whose face of value differs from faces[j] at eps, or None:
-    the one face comparison both engines make, once, where each value is made."""
+    the one face comparison the engine makes, once, where each value is made."""
     return next((j for j, f in faces.items() if not D.equal(D.face(value, j), f, eps=eps)), None)
 
 
-class BarExtension:
-    """One run of ``extend_bar_G``: target simplices on the augmented chains.
+class _Run:
+    """The one engine: values on the addresses of a finite poset's nerve.
 
-    ``value`` resolves any chain: assigned fills, functor values on subset
-    chains, pullbacks to faces, and degeneracies.  ``trace`` records every
-    horn fill of this run in order, and ``top()`` is the value on the plain
-    vertex chain (0..n), i.e. the extended functor applied to the simplex.
+    ``vals`` holds every value resolved or filled so far, ``trace`` one
+    record per fill in order.  An engine gives its addresses' ``_entries``
+    and ``_face``, the values no fill makes (``_base``), a special fill's
+    ``_certificate``, and the words of its refusals (``_name``, ``_refusal``).
     """
 
-    def __init__(self, sigma, functor, oracle, memo, eps):
-        self.sigma = sigma
-        self.n = sigma.n
-        self.functor = functor
-        self.oracle = oracle
-        self.memo = memo
-        self.eps = eps
-        self.full = tuple(range(sigma.n + 1))
-        self.full_set = set(self.full)
-        # a child run restricts the subdivision its parent left in the memo
-        parent = memo.get(("sd", eps, structural_hash(sigma)))
-        if parent is None:
-            self.sd = subdivision_functor(sigma, eps=eps, check=True)
-        else:
-            self.sd = parent[0].restrict(sigma, parent[1])
-        # the section's proposal for sigma, asked once for every special fill
-        self.pref = None if functor.section is None else functor.section(sigma)
-        self.children = {}
-        self.vals = {}
-        self.trace = []
+    eps = EPS  # the tolerance of every check and fill, set by the run's maker
+    pref = None  # the section's proposal, which guides every special fill
 
-    def top(self):
-        return self.value(AugChain(self.full, ()))
-
-    # -- value resolution ---------------------------------------------------
-
-    def value(self, c: AugChain):
-        hit = self.vals.get(c)
+    def _resolve(self, addr):
+        """The value at addr: made already, a degeneracy, or a base value."""
+        hit = self.vals.get(addr)
         if hit is not None:
             return hit
-        for i in range(c.dim):
-            if c.entry(i) == c.entry(i + 1):
-                out = self.oracle.degeneracy(self.value(sdv.face(c, i)), i)
-                self.vals[c] = out
-                return out
-        support = set(c.subsets[-1]) if c.subsets else set(c.vertices)
-        if support != self.full_set:
-            sub = tuple(sorted(support))
-            pos = {v: i for i, v in enumerate(sub)}
-            rel = AugChain._trusted(
-                tuple(pos[x] for x in c.vertices),
-                tuple(tuple(pos[x] for x in s) for s in c.subsets),
-            )
-            out = self._child(sub).value(rel)
-        elif len(c.vertices) <= 1:
-            out = self._g_value(tuple((v,) for v in c.vertices) + c.subsets)
-            # the one check a functor value gets: against its faces' values
-            faces = {i: self.value(sdv.face(c, i)) for i in range(c.dim + 1 if c.dim else 0)}
-            i = _bad_face(self.oracle, out, faces, self.eps)
-            if i is not None:
-                raise CompatibilityViolated(f"face {i} of {_chain_str(c)} disagrees with its value")
+        es = self._entries(addr)
+        for i in range(len(es) - 1):
+            if es[i] == es[i + 1]:
+                out = self.oracle.degeneracy(self._resolve(self._face(addr, i)), i)
+                break
         else:
-            raise CompatibilityViolated(f"chain {_chain_str(c)} was needed before its fill")
-        self.vals[c] = out
+            out = self._base(addr)
+        self.vals[addr] = out
         return out
 
-    def _child(self, sub: tuple) -> "BarExtension":
-        """The run over the face on the vertices ``sub``, looked up once."""
-        child = self.children.get(sub)
-        if child is None:
-            face = nerve.apply_map(self.sigma, sub)
-            self.memo.setdefault(("sd", self.eps, structural_hash(face)), (self.sd, sub))
-            child = extend_bar_G(face, self.functor, self.oracle, self.memo, eps=self.eps)
-            self.children[sub] = child
-        return child
+    def _faces(self, addr, n: int, skip=None) -> dict:
+        return {j: self._resolve(self._face(addr, j)) for j in range(n + 1) if j != skip} if n else {}
+
+    def _fill(self, addr, n: int, k):
+        """Fill the n-simplex at addr: the horn (n, k), inner or special
+        outer (k = n, guided first when the run has a section), or its whole
+        boundary (k None); keep the fill and a horn's missing face."""
+        missing = None if k is None else self._face(addr, k)
+        if addr in self.vals or missing in self.vals:
+            raise CompatibilityViolated(f"fill target {self._name(addr)} or its face was assigned twice")
+        faces = self._faces(addr, n, skip=k)
+        kind = "boundary" if k is None else "special" if k == n else "inner"
+        D, eps, cert, guided = self.oracle, self.eps, None, False
+        try:
+            if kind == "boundary":
+                fill = D.fill_boundary(faces, eps=eps)
+            elif kind == "inner":
+                fill = D.fill_inner_horn(HornSpec(n, k, faces), eps=eps)
+            else:
+                horn, cert = HornSpec(n, k, faces), self._certificate(addr)
+                if self.pref is not None:
+                    fill = D.guided_fill(horn, certificate=cert, preferred_face=self.pref, eps=eps)
+                    guided = fill is not None
+                if not guided:
+                    fill = D.fill_special_outer_horn(horn, certificate=cert, eps=eps)
+        except CorrLabError as err:
+            raise self._refusal(addr, n, k, err=err) from err
+        j = _bad_face(D, fill, faces, eps)
+        if j is not None:
+            raise self._refusal(addr, n, k, j=j)
+        self.vals[addr] = fill
+        if missing is not None:
+            # face i of the missing face is face k-1 of horn face i (i < k)
+            # or face k of horn face i + 1 (i >= k): already compared
+            self.vals[missing] = D.face(fill, k)
+        self.trace.append(
+            dict(chain=self._name(addr), horn=(n, k), kind=kind, guided=guided, certificate=_cert_id(cert))
+        )
+
+
+class BarExtension(_Run):
+    """One run of ``extend_bar_G``: target simplices on the augmented chains.
+
+    ``value`` resolves any chain, ``trace`` records every horn fill of this
+    run in order, and ``top()`` is the value on the plain vertex chain
+    (0..n), i.e. the extended functor applied to the simplex.
+    """
+
+    _face = staticmethod(sdv.face)
+    _name = staticmethod(_chain_str)
+
+    def __init__(self, sigma, functor, oracle, memo, eps):
+        self.sigma, self.n, self.functor, self.oracle, self.memo = sigma, sigma.n, functor, oracle, memo
+        self.eps, self.full = eps, tuple(range(sigma.n + 1))
+        # a child run restricts the subdivision its parent left in the memo
+        sd, sub = memo.get(("sd", eps, structural_hash(sigma)), (None, None))
+        self.sd = subdivision_functor(sigma, eps=eps, check=True) if sd is None else sd.restrict(sigma, sub)
+        self.pref = None if functor.section is None else functor.section(sigma)
+        self.children, self.vals, self.trace = {}, {}, []
+
+    value = _Run._resolve
+
+    def top(self):
+        return self._resolve(AugChain(self.full, ()))
+
+    @staticmethod
+    def _entries(c: AugChain) -> tuple:
+        return c.vertices + c.subsets
+
+    def _base(self, c: AugChain):
+        support = set(c.subsets[-1]) if c.subsets else set(c.vertices)
+        if len(support) <= self.n:
+            # the run over the face on the vertices sub, entered once and kept
+            sub = tuple(sorted(support))
+            child = self.children.get(sub)
+            if child is None:
+                face = nerve.apply_map(self.sigma, sub)
+                self.memo.setdefault(("sd", self.eps, structural_hash(face)), (self.sd, sub))
+                child = extend_bar_G(face, self.functor, self.oracle, self.memo, eps=self.eps)
+                self.children[sub] = child
+            pos = {v: i for i, v in enumerate(sub)}
+            vs, ss = tuple(pos[x] for x in c.vertices), tuple(tuple(pos[x] for x in s) for s in c.subsets)
+            return child._resolve(AugChain._trusted(vs, ss))
+        if len(c.vertices) > 1:
+            raise CompatibilityViolated(f"chain {_chain_str(c)} was needed before its fill")
+        out = self._g_value(tuple((v,) for v in c.vertices) + c.subsets)
+        # the one check a functor value gets: against its faces' values
+        j = _bad_face(self.oracle, out, self._faces(c, c.dim), self.eps)
+        if j is not None:
+            raise CompatibilityViolated(f"face {j} of {_chain_str(c)} disagrees with its value")
+        return out
 
     def _g_value(self, subsets: tuple):
         if len(subsets) == 1:
             return self.functor.vertex(self.sd.data[subsets[0]].algebra)
-        # composites come from the subdivision's own hom table so that the
-        # same geometric edge has the same bits in every chain; the table is
-        # read directly, as the engine's chains are valid and their subsets
-        # nested
-        homs = self.sd.homs
-        comp = {
-            (i, j): homs[(subsets[i], subsets[j])]
-            for i in range(len(subsets))
-            for j in range(i + 1, len(subsets))
-        }
+        # composites are read from the subdivision's own hom table, so one
+        # geometric edge has the same bits in every chain
+        homs, m = self.sd.homs, len(subsets)
+        comp = {(i, j): homs[(subsets[i], subsets[j])] for i in range(m) for j in range(i + 1, m)}
         steps = [homs[(s, t)] for s, t in zip(subsets, subsets[1:])]
         return self.functor.chain(steps, composites=comp, eps=self.eps)
 
-    # -- the staged fills ---------------------------------------------------
+    def _certificate(self, c: AugChain):
+        """The certificate of the corner from c's last vertex to the top."""
+        return self.functor.certificate(self.sd.hom((c.vertices[-1],), self.full), eps=self.eps)
 
-    def _fill(self, c: AugChain, k: int):
-        ell = c.dim
-        kk = k + 1
-        missing_chain = sdv.face(c, kk)
-        # both have two or more vertices and full support, so only a fill
-        # puts them in vals
-        if missing_chain in self.vals or c in self.vals:
-            raise CompatibilityViolated(f"fill target {_chain_str(c)} or its face was assigned twice")
-        faces = {j: self.value(sdv.face(c, j)) for j in range(ell + 1) if j != kk}
-        horn = HornSpec(ell, kk, faces)
-        special = kk == ell
-        cert = None
-        guided_used = False
-        try:
-            if special:
-                corner = self.sd.hom((c.vertices[-1],), self.full)
-                cert = self.functor.certificate(corner, eps=self.eps)
-                fill = None
-                if self.pref is not None:
-                    fill = self.oracle.guided_fill(
-                        horn, certificate=cert, preferred_face=self.pref, eps=self.eps
-                    )
-                    guided_used = fill is not None
-                if fill is None:
-                    fill = self.oracle.fill_special_outer_horn(horn, certificate=cert, eps=self.eps)
-            else:
-                fill = self.oracle.fill_inner_horn(horn, eps=self.eps)
-        except CorrLabError as err:
-            raise OracleFillFailed(
-                f"horn ({ell},{kk}) at {_chain_str(c)}: {err}"
-            ) from err
-        j = _bad_face(self.oracle, fill, faces, self.eps)
-        if j is not None:
-            raise OracleFillFailed(
-                f"oracle changed face {j} of horn ({ell},{kk}) at {_chain_str(c)}"
-            )
-        self.vals[c] = fill
-        # face i of the missing face is face k-1 of horn face i (i < k) or
-        # face k of horn face i + 1 (i >= k): already compared, so no check
-        self.vals[missing_chain] = self.oracle.face(fill, kk)
-        self.trace.append(
-            {
-                "chain": _chain_str(c),
-                "horn": (ell, kk),
-                "kind": "special" if special else "inner",
-                "guided": guided_used,
-                "certificate": _cert_id(cert),
-            }
-        )
+    def _refusal(self, c: AugChain, n, k, err=None, j=None) -> CorrLabError:
+        horn = f"horn ({n},{k}) at {_chain_str(c)}"
+        return OracleFillFailed(f"{horn}: {err}" if j is None else f"oracle changed face {j} of {horn}")
 
 
-def extend_bar_G(
-    sigma,
-    F: CstFunctor,
-    D: QCOracle,
-    memo: dict = None,
-    *,
-    eps: float = EPS,
-) -> BarExtension:
+def extend_bar_G(sigma, F: CstFunctor, D: QCOracle, memo: dict = None, *, eps: float = EPS) -> BarExtension:
     """Extend F from the subdivision diagram of sigma over all augmented chains.
 
     Builds the run (``BarExtension``) and makes its fills stage by stage.
     The one dimension bound is the subdivision's (``subdivision._MAX_N``),
-    checked when the run builds it, before any chain is filled; the fills
-    reach dimension n + 1.  A functor with a ``section`` guides every
-    special fill it recognises (``CstFunctor``).  eps is the run's one
-    tolerance: every oracle and functor check takes it.  Runs are memoised
-    per functor, oracle and eps by the structural hash of sigma; pass the
-    same memo dict to share faces across calls (a finished run keeps an
-    empty one of its own, for face runs a later ``value`` needs).  It also
-    holds, under ``("sd", eps, hash)``, the subdivision a run hands to the
-    runs over its faces: one ``subdivision_functor`` build and check per
-    top-level run, which each child restricts (``SdFunctor.restrict``),
-    even a child run with another functor or oracle (both ends of
-    ``extend_relative``).  A run enters each face's run once and keeps it.
+    checked when the run builds it, before any chain is filled.  A functor
+    with a ``section`` guides every special fill it recognises.  eps is the
+    run's one tolerance: every oracle and functor check takes it.  Runs are
+    memoised per functor, oracle and eps by the structural hash of sigma;
+    pass the same memo dict to share faces across calls (a finished run
+    keeps an empty one of its own).  It also holds, under ``("sd", eps,
+    hash)``, the subdivision a run hands to the runs over its faces: one
+    ``subdivision_functor`` build and check per top-level run, which each
+    child restricts, even a child run with another functor or oracle (both
+    ends of ``extend_relative``).  A run enters each face's run once.
     """
     if memo is None:
         memo = {}
@@ -670,20 +674,13 @@ def extend_bar_G(
     ext = BarExtension(sigma, F, D, memo, eps)
     for k, targets in _fill_targets(sigma.n):
         for c in targets:
-            ext._fill(c, k)
+            ext._fill(c, c.dim, k + 1)
     ext.memo = {}  # the memo keeps the run, not the run the memo
     memo[key] = ext
     return ext
 
 
-def bar_F(
-    sigma,
-    F: CstFunctor,
-    D: QCOracle,
-    memo: dict = None,
-    *,
-    eps: float = EPS,
-):
+def bar_F(sigma, F: CstFunctor, D: QCOracle, memo: dict = None, *, eps: float = EPS):
     """The extended functor's value on sigma itself."""
     return extend_bar_G(sigma, F, D, memo, eps=eps).top()
 
@@ -705,7 +702,7 @@ class CstHomotopy:
     eta: Callable
 
 
-class RelExtension:
+class RelExtension(_Run):
     """A simplicial map out of a family of prisms simplex x interval.
 
     Cells are addressed by a base simplex of the family together with a pair
@@ -713,15 +710,13 @@ class RelExtension:
     vertex map into [1] (both ``nerve._vertex_map``).  Constant words
     restrict to the two boundary maps, and ``value(sigma, w)`` with the
     identity alpha gives the homotopy's value on a simplex at a time word.
+    The run keys a cell by the base's structural hash and the pairs
+    (alpha_i, w_i), and ``trace`` records its fills as a bar run's does.
     """
 
     def __init__(self, oracle: QCOracle, homotopy, boundary, family: dict):
-        self.oracle = oracle
-        self.homotopy = homotopy
-        self.boundary = boundary
-        self.family = family
-        self.cells = {}
-        self._eta_cache = {}
+        self.oracle, self.homotopy, self.boundary, self.family = oracle, homotopy, boundary, family
+        self.vals, self.trace = {}, []
 
     def value(self, sigma, w, alpha=None):
         key = structural_hash(sigma)
@@ -732,32 +727,46 @@ class RelExtension:
         if len(alpha) != len(w):
             raise ShapeMismatch("alpha and w must have equal length")
         alpha, w = nerve._vertex_map(alpha, sigma.n), nerve._vertex_map(w, 1)
-        return self._value(sigma, alpha, w)
+        return self._resolve((key, tuple(zip(alpha, w))))
 
-    def _eta(self, algebra):
-        hit = self._eta_cache.get(algebra)
-        if hit is None:
-            hit = self._eta_cache[algebra] = self.homotopy.eta(algebra)
-        return hit
+    @staticmethod
+    def _entries(addr) -> tuple:
+        return addr[1]
 
-    def _value(self, sig, alpha, w):
-        for i in range(len(w) - 1):
-            if alpha[i] == alpha[i + 1] and w[i] == w[i + 1]:
-                inner = self._value(sig, _drop(alpha, i), _drop(w, i))
-                return self.oracle.degeneracy(inner, i)
-        used = sorted(set(alpha))
-        if len(used) < sig.n + 1:
-            child = self.family[structural_hash(nerve.apply_map(sig, used))]
+    @staticmethod
+    def _face(addr, i: int):
+        return addr[0], _drop(addr[1], i)
+
+    @staticmethod
+    def _name(addr) -> str:
+        alpha, w = zip(*addr[1])
+        return f"{alpha}/{w}"
+
+    def _base(self, addr):
+        key, pairs = addr
+        sig = self.family[key]
+        used = sorted({a for a, _ in pairs})
+        if len(used) <= sig.n:
             pos = {v: i for i, v in enumerate(used)}
-            return self._value(child, tuple(pos[a] for a in alpha), w)
-        if w[0] == w[-1]:
-            return self.boundary[w[0]][structural_hash(sig)]
-        hit = self.cells.get((structural_hash(sig), alpha, w))
-        if hit is None:
-            if sig.n == 0 and alpha == (0, 0) and w == (0, 1):
-                return self._eta(sig.algebras[0])
-            raise CompatibilityViolated(f"prism cell {alpha}/{w} was needed before it was built")
-        return hit
+            sub = structural_hash(nerve.apply_map(sig, used))
+            return self._resolve((sub, tuple((pos[a], t) for a, t in pairs)))
+        if pairs[0][1] == pairs[-1][1]:
+            return self.boundary[pairs[0][1]][key]
+        if sig.n == 0 and pairs == ((0, 0), (0, 1)):
+            eta = self.homotopy.eta(sig.algebras[0])
+            if _bad_face(self.oracle, eta, self._faces(addr, 1), self.eps) is not None:
+                raise BoundaryMismatch("eta does not connect the two boundary values")
+            return eta
+        raise CompatibilityViolated(f"prism cell {self._name(addr)} was needed before it was built")
+
+    def _refusal(self, addr, n, k, err=None, j=None) -> CorrLabError:
+        if k is not None:
+            return OracleFillFailed(
+                f"prism horn ({n},{k}): {err}" if j is None else f"oracle changed face {j} of a prism horn"
+            )
+        if j is None:  # the boundary cell, where data that is not natural fails
+            return BoundaryMismatch(f"homotopy data is not natural on a {n - 1}-simplex: {err}")
+        return CompatibilityViolated(f"face {j} of prism cell {self._name(addr)} disagrees")
 
 
 def extend_relative(h, family, D: QCOracle, *, eps: float = EPS) -> RelExtension:
@@ -765,17 +774,11 @@ def extend_relative(h, family, D: QCOracle, *, eps: float = EPS) -> RelExtension
 
     ``h`` is a CstHomotopy.  The family is closed under faces, and the two
     boundaries are ``bar_F`` of ``h.f0`` and ``h.f1`` on each member of the
-    closure, on one memo.  The prisms are filled shuffle by shuffle: inner
-    horns produce the diagonals, and the final cell of each prism is
-    assembled from its full boundary, which is exactly where non-natural
-    data fails.  Each filled cell is checked against its faces' values where
-    it is made (``_bad_face``).  A diagonal, the missing face of a fill, is
-    not compared again: by the simplicial identities each of its faces is a
-    face of a horn face the fill carries, as in ``_fill``, and a diagonal is
-    itself a face of the next horn or of the boundary cell, whose fill
-    compares it.  Each family member is held to the subdivision's dimension
-    bound up front, so an oversized member fails before the boundary runs
-    over its faces, and ``h`` is type-checked before the family is walked.
+    closure, on one memo.  Eta is checked against both on every object
+    first, then each member's prism is filled shuffle by shuffle.  Each
+    family member is held to the subdivision's dimension bound up front, so
+    an oversized member fails before the boundary runs over its faces, and
+    ``h`` is type-checked before the family is walked.
     """
     if not isinstance(h, CstHomotopy):
         raise ShapeMismatch("relative extension needs a CstHomotopy")
@@ -786,55 +789,12 @@ def extend_relative(h, family, D: QCOracle, *, eps: float = EPS) -> RelExtension
     order = sorted(closed.values(), key=lambda s: s.n)
 
     memo = {}
-    b0 = {structural_hash(s): bar_F(s, h.f0, D, memo, eps=eps) for s in order}
-    b1 = {structural_hash(s): bar_F(s, h.f1, D, memo, eps=eps) for s in order}
-    rel = RelExtension(D, h, (b0, b1), closed)
-
-    # eta must connect the two boundary values on every object
-    for s in order:
-        if s.n != 0:
-            continue
-        key = structural_hash(s)
-        if _bad_face(D, rel._eta(s.algebras[0]), {1: b0[key], 0: b1[key]}, eps) is not None:
-            raise BoundaryMismatch("eta does not connect the two boundary values")
-
-    for sig in order:
-        q = sig.n
-        if q == 0:
-            continue
-        for t in range(q, 0, -1):
-            alpha_t = nerve._index_map("degeneracy", t, q)
-            w_t = (0,) * (t + 1) + (1,) * (q + 1 - t)
-            faces = {
-                j: rel._value(sig, _drop(alpha_t, j), _drop(w_t, j))
-                for j in range(q + 2)
-                if j != t
-            }
-            try:
-                cell = D.fill_inner_horn(HornSpec(q + 1, t, faces), eps=eps)
-            except CorrLabError as err:
-                raise OracleFillFailed(f"prism horn ({q + 1},{t}): {err}") from err
-            j = _bad_face(D, cell, faces, eps)
-            if j is not None:
-                raise OracleFillFailed(f"oracle changed face {j} of a prism horn")
-            key = structural_hash(sig)
-            rel.cells[(key, alpha_t, w_t)] = cell
-            diag_a = tuple(range(q + 1))
-            diag_w = (0,) * t + (1,) * (q + 1 - t)
-            rel.cells[(key, diag_a, diag_w)] = D.face(cell, t)
-        alpha_0 = nerve._index_map("degeneracy", 0, q)
-        w_0 = (0,) + (1,) * (q + 1)
-        faces = {
-            j: rel._value(sig, _drop(alpha_0, j), _drop(w_0, j)) for j in range(q + 2)
-        }
-        try:
-            cell = D.fill_boundary(faces, eps=eps)
-        except CorrLabError as err:
-            raise BoundaryMismatch(
-                f"homotopy data is not natural on a {q}-simplex: {err}"
-            ) from err
-        i = _bad_face(D, cell, faces, eps)
-        if i is not None:
-            raise CompatibilityViolated(f"face {i} of prism cell {alpha_0}/{w_0} disagrees")
-        rel.cells[(structural_hash(sig), alpha_0, w_0)] = cell
+    ends = tuple({structural_hash(s): bar_F(s, f, D, memo, eps=eps) for s in order} for f in (h.f0, h.f1))
+    rel = RelExtension(D, h, ends, closed)
+    rel.eps = eps
+    for s in order:  # objects first: eta's edge is checked against both ends before any fill
+        if s.n == 0:
+            rel._resolve((structural_hash(s), ((0, 0), (0, 1))))
+        for pairs, k in _prism_targets(s.n):
+            rel._fill((structural_hash(s), pairs), s.n + 1, k)
     return rel

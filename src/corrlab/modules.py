@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import weakref
 from itertools import accumulate
+from types import MappingProxyType
 
 import numpy as np
 
@@ -50,6 +51,8 @@ from .errors import (
     ShapeMismatch,
 )
 from .linalg import EPS, frob, gram_onb, worst_of
+
+_NO_PRODUCTS = MappingProxyType({})  # every Correspondence's until its first product
 
 __all__ = [
     "HilbertModule",
@@ -158,7 +161,7 @@ class Correspondence:
         self.module = module
         self.lam = lam
         self._kept_frame = None
-        self._products = weakref.WeakKeyDictionary()
+        self._products = _NO_PRODUCTS
 
     @property
     def dst(self) -> FdCstarAlgebra:
@@ -460,6 +463,8 @@ def tensor_corrs(left: Correspondence, right: Correspondence) -> TensorProduct:
     every caller shares one product per pair; one that raises is not kept."""
     tp = left._products.get(right)
     if tp is None:
+        if left._products is _NO_PRODUCTS:
+            left._products = weakref.WeakKeyDictionary()
         tp = left._products[right] = TensorProduct(left, right)
     return tp
 

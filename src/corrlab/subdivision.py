@@ -132,12 +132,6 @@ class AugChain:
     def dim(self) -> int:
         return len(self.vertices) + len(self.subsets) - 1
 
-    def entry(self, i: int):
-        nv = len(self.vertices)
-        if i < nv:
-            return self.vertices[i]
-        return self.subsets[i - nv]
-
 
 def _drop(t: tuple, i: int) -> tuple:
     return t[:i] + t[i + 1 :]

@@ -1,6 +1,7 @@
-"""Which statements of the library the tier-1 suite never runs.
+"""Which statements of the library the tier-1 suite, or the system, never runs.
 
     python tests/reach.py [pytest arguments]
+    python tests/reach.py --system
 
 runs the tier-1 suite (``pytest -q --continue-on-collection-errors`` on
 ``tests/``, or the given arguments) in this process under a ``sys.settrace``
@@ -9,6 +10,14 @@ each statement no test reached as ``file:line``, and their count.  It exits
 with pytest's status if the suite failed, else 1 if a statement is
 unreached, else 0.  Stdlib only: no coverage package.  A test that starts a
 subprocess is not traced inside the child.
+
+``--system`` traces the system instead of the tests, from corrlab's import
+on: the acceptance gate (``corrlab selftest``, which runs every suite of
+``corrlab.acceptance.SUITES``) at seeds 42 and 7, its output discarded,
+then one pass of each benchmark workload of
+``perfbench/workloads.py`` at seed 42, set-up included.  It prints the
+statements none of that ran and their count, and exits 0 once the run is
+done: the trust-boundary guards no valid input reaches are among them.
 
 A statement is found with ``ast``: every statement except a docstring and
 ``global``/``nonlocal`` (which compile to no code).  It is reached when a line
@@ -97,13 +106,40 @@ def trace(root):
         threading.settrace(before[1])
 
 
-def main(argv):
-    import pytest
+def run_system():
+    """The gate at both seeds, then one pass of each benchmark workload at
+    seed 42 with its set-up, each step's result judged as the benchmark
+    does; corrlab is first imported here."""
+    import contextlib
+    import importlib.util
+    import io
+    import tempfile
 
+    from corrlab.cli import main as corrlab_main
+
+    for seed in (42, 7):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            corrlab_main(["selftest", "--seed", str(seed)])
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for workload in workloads.WORKLOADS.values():
+        with tempfile.TemporaryDirectory() as workdir:
+            state = workload.setup(42, 1, workdir)
+            for _, work, judge in workload.steps(state, 0):
+                judge(work(), 0.0)
+
+
+def main(argv):
     sys.path.insert(0, str(ROOT / "src"))
-    args = argv or ["-q", "--continue-on-collection-errors", str(ROOT / "tests")]
+    system = argv == ["--system"]
     with trace(LIBRARY) as hits:
-        status = pytest.main(args)
+        if system:
+            run_system()
+        else:
+            import pytest
+
+            status = pytest.main(argv or ["-q", "--continue-on-collection-errors", str(ROOT / "tests")])
     import corrlab
 
     if pathlib.Path(corrlab.__file__).resolve().parent != LIBRARY:
@@ -114,7 +150,7 @@ def main(argv):
             print(f"{path.relative_to(ROOT)}:{line}")
             total += 1
     print(f"{total} unreached statements in {LIBRARY.relative_to(ROOT)}")
-    return int(status) or int(total > 0)
+    return 0 if system else int(status) or int(total > 0)
 
 
 if __name__ == "__main__":

@@ -488,7 +488,8 @@ def direct_sum_corrs(corrs):
 
 
 def is_nondegenerate(chain) -> bool:
-    return all(chain.entry(i) != chain.entry(i + 1) for i in range(chain.dim))
+    entries = chain.vertices + chain.subsets
+    return all(a != b for a, b in zip(entries, entries[1:]))
 
 
 def phi_star(phi, chain):

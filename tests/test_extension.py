@@ -1015,3 +1015,53 @@ def test_relative_extension_refuses_a_bad_eta_and_a_failing_or_lying_oracle(eta,
     F = k0_functor()
     with pytest.raises(error, match=message):
         extend_relative(CstHomotopy(F, F, eta), [sig], oracle())
+
+
+# -- the prism run is the bar run's engine ----------------------------------------
+
+
+def shuffle(q, t):
+    """The shuffle of the prism over a q-simplex turning at vertex t, as
+    its base vertex map and time word."""
+    alpha = tuple(range(t + 1)) + tuple(range(t, q + 1))
+    return alpha, (0,) * (t + 1) + (1,) * (q + 1 - t)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_the_prism_run_traces_q_inner_horns_then_one_boundary_cell(n):
+    """Members are filled in order of dimension; each q-simplex's prism
+    records q inner horns (q+1, q) ... (q+1, 1), whose missing faces are the
+    diagonals, then its last shuffle, filled from its whole boundary."""
+    sig, F0, F1, P, eta = relative_setup(np.random.default_rng(10 * n), n, False)
+    rel = extend_relative(CstHomotopy(F0, F1, eta), [sig], K0Oracle())
+    want = []
+    for q in sorted(s.n for s in closure(sig) if s.n >= 1):
+        for t in [*range(q, 0, -1), 0]:
+            alpha, w = shuffle(q, t)
+            kind, k = ("inner", t) if t else ("boundary", None)
+            want.append(
+                {"chain": f"{alpha}/{w}", "horn": (q + 1, k), "kind": kind, "guided": False, "certificate": "none"}
+            )
+    assert rel.trace == want
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_every_full_support_prism_cell_is_made_by_the_run(n):
+    """A nondegenerate cell over a member, on all its vertices and at both
+    times, is a shuffle or a diagonal (over a vertex, eta's edge): the run
+    makes and checks every one, so each must be in its values; the rest
+    resolve by rule."""
+    sig, F0, F1, P, eta = relative_setup(np.random.default_rng(10 * n + 1), n, False)
+    rel = extend_relative(CstHomotopy(F0, F1, eta), [sig], K0Oracle())
+    for s in closure(sig):
+        q, made = s.n, 0
+        for m in range(q + 1, q + 3):
+            for alpha in itertools.combinations_with_replacement(range(q + 1), m):
+                for ones in range(1, m):
+                    pairs = tuple(zip(alpha, (0,) * (m - ones) + (1,) * ones))
+                    if set(alpha) != set(range(q + 1)) or len(set(pairs)) < m:
+                        continue
+                    assert (structural_hash(s), pairs) in rel.vals
+                    made += 1
+        # q diagonals and q + 1 shuffles (eta's edge over a vertex)
+        assert made == 2 * q + 1

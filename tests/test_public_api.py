@@ -221,7 +221,7 @@ def test_every_check_in_extension_takes_the_runs_eps():
             getattr(a, "id", getattr(a, "attr", "")).endswith("eps") for a in c.args
         )
     ]
-    assert len(calls) > 25 and not at_default
+    assert len(calls) > 21 and not at_default
 
 
 def test_a_run_has_one_tolerance():
@@ -271,6 +271,7 @@ REMOVED_METHODS = {
     "StarHom": ("apply", "__call__"),
     "CstFunctor": ("edge",),
     "BarExtension": ("__call__",),
+    "AugChain": ("entry",),
 }
 
 
@@ -340,7 +341,7 @@ def test_algebras_and_modules_compare_by_identity():
     assert "label" not in FdCstarAlgebra.__slots__
 
 
-LINE_BUDGET = 5315
+LINE_BUDGET = 5274
 
 
 def test_library_stays_within_its_line_budget():
