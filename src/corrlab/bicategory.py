@@ -6,9 +6,10 @@ Every rank these need is read off phi's multiplicities: where phi(1) fills
 a block the isometry is I, and a proper partial range gets exactly its
 rank's pivots.  So Gamma, its isometries, the products they enter and the
 factorization u_of_corr are functions of their inputs alone, built once
-and kept; eps enters only the checks (hom_normal_form's, CorrIso's).
-Composition of homs and tensor product of their correspondences agree up to
-the canonical intertwiner produced by gamma_multiplicativity.
+per value (Gamma) or per input and kept; eps enters only the checks
+(hom_normal_form's, CorrIso's).  Composition of homs and tensor product of
+their correspondences agree up to the canonical intertwiner produced by
+gamma_multiplicativity, built once per triple of Gammas.
 
 Every correspondence factors through its linking algebra K(E (+) B): the
 left action lands in the E corner, B sits in the complementary corner, and
@@ -22,29 +23,19 @@ left action (hom_normal_form), which also powers find_corr_iso.
 """
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .algebra import (
-    FdCstarAlgebra,
-    StarHom,
-    _bratteli_hom,
-    _unit_image,
-    compose_homs,
-    hom_normal_form,
-    identity_hom,
+    FdCstarAlgebra, StarHom, _bratteli_hom, _unit_image, compose_homs, hom_normal_form, identity_hom,
 )
 from .errors import EndpointMismatch, InvalidAlgebra, NotAnEquivalence, ValidationError
 from .linalg import EPS, orthonormal_range
 from .modules import (
-    CorrIso,
-    Correspondence,
-    _intertwiner_blocks,
-    _renaming_blocks,
-    identity_corr,
-    is_full_corr,
-    make_module,
+    CorrIso, Correspondence, _intertwiner_blocks, _renaming_blocks, identity_corr, is_full_corr, make_module,
     tensor_corrs,
 )
 
@@ -87,6 +78,18 @@ def gamma_isometries(phi: StarHom):
     return vs
 
 
+# (src blocks, dst blocks, mult bytes) -> [(weak Gamma, hom matrix, ranges)]
+# for the live Gammas: ints and arrays, so it holds no algebra and no Gamma
+_GAMMAS = {}
+
+
+def _forget(key, ref) -> None:
+    """A dead Gamma's callback: drop its entry, and its key if none is left."""
+    _GAMMAS[key] = [e for e in _GAMMAS[key] if e[0] is not ref]
+    if not _GAMMAS[key]:
+        del _GAMMAS[key]
+
+
 def gamma_of_hom(phi: StarHom) -> Correspondence:
     """The correspondence phi(1)B of a *-homomorphism phi: A -> B.
 
@@ -95,12 +98,20 @@ def gamma_of_hom(phi: StarHom) -> Correspondence:
     (gamma_isometries).  Where phi(1) fills block j, V_j = I, and the rows
     are phi's own block rows (+ 0.0, so -0.0 reads as 0.0).
     Multiplicities: mult(phi) at the kept blocks, as V_j keeps phi(1)_j's range.
-    Computed once per phi and kept on it: repeated calls return the same
-    object, so sibling chains share edges and their tensor frames.
+    Computed once per value and kept on phi: a hom whose ends,
+    multiplicities and matrix bits (-0.0 and NaN payloads too) equal those
+    of a hom whose Gamma lives gets that Gamma and its isometries, so
+    sibling chains share edges and their tensor frames.
     """
     corr = phi._gamma.get("corr")
     if corr is not None:
         return corr
+    key = (phi.src.blocks, phi.dst.blocks, phi.mult_matrix.tobytes())
+    for ref, matrix, vs in _GAMMAS.get(key, ()):
+        corr = ref()
+        if corr is not None and np.array_equal(matrix.view(np.uint64), phi.matrix.view(np.uint64)):
+            phi._gamma.update(range=vs, corr=corr)
+            return corr
     vs = gamma_isometries(phi)
     mult = [v.shape[1] for v in vs]
     if all(m == 0 for m in mult):
@@ -120,6 +131,7 @@ def gamma_of_hom(phi: StarHom) -> Correspondence:
         kc.block_rows(lam, t)[:] = (v.conj().T @ imgs @ v).transpose(1, 2, 0)
     lam_hom = StarHom(phi.src, kc, lam, phi.mult_matrix[:, list(module.kept)])
     corr = phi._gamma["corr"] = Correspondence(phi.src, module, lam_hom)
+    _GAMMAS.setdefault(key, []).append((weakref.ref(corr, partial(_forget, key)), phi.matrix, vs))
     return corr
 
 
@@ -129,8 +141,10 @@ def gamma_multiplicativity(psi: StarHom, phi: StarHom, *, comp=None) -> CorrIso:
     On representatives it is b (x) c -> psi(b) c, written in the range
     coordinates of the three correspondences.  ``comp`` may supply the
     composite hom; the result lands on its Gamma, the object kept on that
-    hom, and starts at the product kept on Gamma phi.  Certified: unitary
-    and intertwining up to rounding because phi and psi are *-homs.
+    hom, and starts at the product kept on Gamma phi, which keeps the cell
+    under its target, weakly: a cell landing on Gamma phi (psi an identity)
+    would otherwise keep Gamma phi alive.  Certified: unitary and
+    intertwining up to rounding because phi and psi are *-homs.
     """
     if phi.dst != psi.src:
         raise EndpointMismatch("homs are not composable")
@@ -140,17 +154,25 @@ def gamma_multiplicativity(psi: StarHom, phi: StarHom, *, comp=None) -> CorrIso:
         raise EndpointMismatch("comp does not have the composite endpoints")
     target = gamma_of_hom(comp)
     tp = tensor_corrs(gamma_of_hom(phi), gamma_of_hom(psi))
+    if tp.cells is None:
+        tp.cells = weakref.WeakValueDictionary()
+    cell = tp.cells.get(target)
+    if cell is not None:
+        return cell
     v_phi, v_psi, v_comp = gamma_isometries(phi), gamma_isometries(psi), gamma_isometries(comp)
-    mid = psi.src
+    mid, rows = psi.src, {}
 
     def action(j, a, k, w):
         # b = v e_0^T in block j is sum_p v[p] e^(j)_p0, so psi(b) at block
         # k is psi's columns at those n_j matrix units times v
-        n, o = mid.blocks[j], mid.offset(j)
-        img = psi.dst.block_rows(psi.matrix, k)[:, :, o : o + n * n : n] @ v_phi[j][:, a]
+        if (j, k) not in rows:
+            n, o = mid.blocks[j], mid.offset(j)
+            rows[j, k] = psi.dst.block_rows(psi.matrix, k)[:, :, o : o + n * n : n]
+        img = rows[j, k] @ v_phi[j][:, a]
         return v_comp[k].conj().T @ img @ v_psi[k] @ w
 
-    return CorrIso._trusted(tp.corr, target, _intertwiner_blocks(tp, target, action))
+    tp.cells[target] = cell = CorrIso._trusted(tp.corr, target, _intertwiner_blocks(tp, target, action))
+    return cell
 
 
 @dataclass(frozen=True)

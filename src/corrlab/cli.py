@@ -26,16 +26,8 @@ from .generators import random_algebra, random_correspondence, random_simplex, r
 from .modules import Correspondence, HilbertModule
 from .nerve import HornSpec, NCorrSimplex, fill_inner_horn, fill_special_outer_horn
 from .serialize import (
-    MAX_PARSED_DIM,
-    _Sink,
-    _json_text,
-    corr_to_json,
-    hom_to_json,
-    iso_to_json,
-    algebra_from_json,
-    algebra_to_json,
-    simplex_to_json,
-    load_value,
+    MAX_PARSED_DIM, _Sink, _json_text, corr_to_json, hom_to_json, iso_to_json, algebra_from_json,
+    algebra_to_json, simplex_to_json, load_value,
 )
 from .subdivision import _nonempty_subsets, subdivision_functor
 
@@ -68,9 +60,17 @@ def _emit(doc: dict, out) -> None:
 
 
 def cmd_validate(args) -> int:
-    report = _Sink([])  # the load's checks, kept as lines, printed once the value is built
-    value = load_value(args.path, eps=args.eps, _sink=report)
-    print(f"parsed: {type(value).__name__}")
+    """The load's checks, kept as lines and printed once the read ends.  A
+    fault met after a failed check ends the read there, as that check ended
+    the load, so the exit code is the load's; stderr names the fault."""
+    report = _Sink([])
+    try:
+        value = load_value(args.path, eps=args.eps, _sink=report)
+    except CorrLabError as err:
+        if report.ok:
+            raise
+        print(f"read stopped after a failed check: {err}", file=sys.stderr)
+        value = None
     if isinstance(value, FdCstarAlgebra):
         report.note("block shape: ok")
     elif isinstance(value, HilbertModule):
@@ -79,9 +79,8 @@ def cmd_validate(args) -> int:
         report.note(f"unital: {value.unital}")
     for text, _ in report.lines:
         print(text)
-    ok = all(err is None for _, err in report.lines)
-    print("all invariants pass" if ok else "validation failed")
-    return 0 if ok else 1
+    print("all invariants pass" if report.ok else "validation failed")
+    return 0 if report.ok else 1
 
 
 # ---------------------------------------------------------------------------

@@ -42,13 +42,7 @@ import numpy as np
 
 from .algebra import FdCstarAlgebra, StarHom, _raise_first, _sizes, make_star_hom, identity_hom
 from .errors import (
-    BaseMismatch,
-    EndpointMismatch,
-    InvalidAlgebra,
-    NotIntertwining,
-    NotRightLinear,
-    NotUnitary,
-    ShapeMismatch,
+    BaseMismatch, EndpointMismatch, InvalidAlgebra, NotIntertwining, NotRightLinear, NotUnitary, ShapeMismatch,
 )
 from .linalg import EPS, frob, gram_onb, worst_of
 
@@ -301,7 +295,7 @@ class CorrIso:
     unitarity, and that the left actions are intertwined.
     """
 
-    __slots__ = ("src", "dst", "blocks")
+    __slots__ = ("src", "dst", "blocks", "__weakref__")
 
     def __init__(self, src: Correspondence, dst: Correspondence, blocks, *, eps: float = EPS):
         self.src, self.dst = src, dst
@@ -351,20 +345,10 @@ def _dense_iso(src: Correspondence, dst: Correspondence, data) -> CorrIso:
     return CorrIso._trusted(src, dst, blocks)
 
 
-def make_iso(src: Correspondence, dst: Correspondence, data, *, eps: float = EPS) -> CorrIso:
-    """Build an intertwiner from per-block unitaries or one dense matrix.
-
-    A dense (dst.dim x src.dim) matrix is accepted only if it has the right
-    block-diagonal U_k (x) I_{n_k} shape; anything else raises NotRightLinear.
-    """
-    if isinstance(data, np.ndarray) and data.ndim == 2 and data.shape == (
-        dst.module.dim,
-        src.module.dim,
-    ):
-        u = _dense_iso(src, dst, data)
-        _raise_first(_iso_faults(u, eps, data))
-        return u
-    return CorrIso(src, dst, list(data), eps=eps)
+def make_iso(src: Correspondence, dst: Correspondence, blocks, *, eps: float = EPS) -> CorrIso:
+    """The checked intertwiner of per-block unitaries, as ``CorrIso``; a dense
+    matrix is read at the JSON trust boundary (``iso_from_json``)."""
+    return CorrIso(src, dst, list(blocks), eps=eps)
 
 
 def compose_isos(u: CorrIso, v: CorrIso, *, eps: float = EPS) -> CorrIso:
@@ -391,6 +375,9 @@ class TensorProduct:
       r              ranks r_jk over (B block, C block), a tuple of int tuples
       onb[j][k]      q_k x r_jk orthonormalising coefficients R_jk
       proj[j][k]     the projection P_jk = lambda_F(e^(j)_11) at block k
+      cells          None, or Gamma's multiplicativity cells from this
+                     product by target, held weakly
+                     (bicategory.gamma_multiplicativity)
 
     Block-k rows are grouped (j, a, t): j the B block, a < m_j(E),
     t < r_jk, all ascending.  r, onb and proj depend on F alone: they are
@@ -402,6 +389,7 @@ class TensorProduct:
             raise EndpointMismatch("tensor product needs matching middle algebra")
         self._left, self._right = weakref.ref(left), weakref.ref(right)
         self.r, self.proj, self.onb = right._frame()
+        self.cells = None
         self._row0, q = [], (0,) * right.dst.nblocks  # _row0[j][k]: row_start(k, j, 0)
         for m, r_j in zip(left.module.mult, self.r):
             self._row0.append(q)

@@ -40,31 +40,16 @@ from itertools import combinations
 
 import numpy as np
 
-from .algebra import FdCstarAlgebra, StarHom, compose_homs
+from .algebra import FdCstarAlgebra, compose_homs
 from .bicategory import equivalence_inverse, gamma_multiplicativity, gamma_of_hom
 from .errors import (
-    EndpointMismatch,
-    IncompatibleFaces,
-    IndexOutOfRange,
-    NotMonotone,
-    PentagonViolated,
-    ShapeMismatch,
+    EndpointMismatch, IncompatibleFaces, IndexOutOfRange, NotMonotone, PentagonViolated, ShapeMismatch,
     Unfillable,
 )
 from .linalg import EPS, worse
 from .modules import (
-    CorrIso,
-    Correspondence,
-    TensorProduct,
-    associator,
-    compose_isos,
-    corr_close,
-    identity_corr,
-    iso_distance,
-    left_unitor,
-    right_unitor,
-    tensor_corrs,
-    tensor_iso,
+    CorrIso, Correspondence, TensorProduct, associator, compose_isos, corr_close, identity_corr, iso_distance,
+    left_unitor, right_unitor, tensor_corrs, tensor_iso,
 )
 
 __all__ = [
@@ -332,11 +317,6 @@ def _h_update(h, obj):
         _h_update(h, obj.dst)
         for u in obj.blocks:
             _h_update(h, u)
-    elif isinstance(obj, StarHom):
-        h.update(b"hom")
-        _h_update(h, obj.src)
-        _h_update(h, obj.dst)
-        _h_update(h, obj.matrix)
     elif isinstance(obj, NCorrSimplex):
         h.update(f"simplex{obj.n}".encode())
         for a in obj.algebras:
@@ -353,11 +333,7 @@ def _h_update(h, obj):
     elif isinstance(obj, (str, int, float, complex, np.generic)):
         h.update(repr(obj).encode())
     else:
-        from .extension import K0Simplex  # extension imports this module
-
-        if not isinstance(obj, K0Simplex):
-            raise TypeError(f"structural_hash has no rule for {type(obj).__name__}")
-        h.update(b"k0" + repr(obj.ranks).encode() + obj.key)
+        raise TypeError(f"structural_hash has no rule for {type(obj).__name__}")
 
 
 def structural_hash(obj) -> str:
@@ -365,8 +341,8 @@ def structural_hash(obj) -> str:
 
     Equal hashes mean bit-identical data. Used for memo keys, trace ids and
     exact-recovery checks; tolerance-based comparisons live in simplex_close.
-    A K0Simplex hashes its ranks and ``key``, the data its equality
-    compares; a type with no rule raises TypeError.
+    A type with no rule raises TypeError: a lone hom or a K0Simplex among
+    them, which no memo key or certificate is (a K0Simplex compares by ==).
     A simplex hashes its algebras and its stored strict edges and cells: its
     identity edges and unit cells are a function of those, so hashing builds
     none of them.

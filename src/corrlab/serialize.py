@@ -44,10 +44,11 @@ built from it.
 
 Each reader makes the constructors' checks once, in their order, and hands
 each result to a private sink: a load's raises the first error, ``corrlab
-validate``'s keeps a line per check.  Either way the value is built from
-the same data, and what cannot be built raises: the faults above, a trace
-that is no rank (NotProjection), a non-unital left action, an intertwiner
-whose endpoints or block shapes do not fit.
+validate``'s keeps a line per check, its first line naming the schema.
+Either way the value is built from the same data, and what cannot be built
+raises: the faults above, a trace that is no rank (NotProjection), a
+non-unital left action, an intertwiner whose endpoints or block shapes do
+not fit.
 """
 from __future__ import annotations
 
@@ -206,7 +207,8 @@ class _Sink:
     """Where a reader hands each check it makes, as (name, residual, error
     or None).  A load's, ``_LOAD``, has no ``lines``: the first error
     raises, where the checking constructors raise it.  ``corrlab
-    validate``'s keeps a (text, error) per check, named under ``prefix``."""
+    validate``'s keeps a (text, error) per check, named under ``prefix``,
+    and is ``ok`` until one fails, when the load would have stopped."""
 
     def __init__(self, lines=None, prefix=""):
         self.lines, self.prefix = lines, prefix
@@ -224,6 +226,10 @@ class _Sink:
 
     def under(self, prefix: str) -> "_Sink":
         return _Sink(self.lines, self.prefix + prefix)
+
+    @property
+    def ok(self) -> bool:
+        return all(err is None for _, err in self.lines or ())
 
     def note(self, text: str, err=None) -> None:
         if self.lines is not None:
@@ -518,13 +524,13 @@ _TO_DOC = (
 )
 
 _FROM_JSON = {
-    "algebra": lambda doc, **checks: algebra_from_json(doc),
-    "star_hom": hom_from_json,
-    "module": lambda doc, **checks: module_from_json(doc),
-    "correspondence": corr_from_json,
-    "iso": iso_from_json,
-    "ncorr_simplex": simplex_from_json,
-    "horn": horn_from_json,
+    "algebra": (FdCstarAlgebra, lambda doc, **checks: algebra_from_json(doc)),
+    "star_hom": (StarHom, hom_from_json),
+    "module": (HilbertModule, lambda doc, **checks: module_from_json(doc)),
+    "correspondence": (Correspondence, corr_from_json),
+    "iso": (CorrIso, iso_from_json),
+    "ncorr_simplex": (NCorrSimplex, simplex_from_json),
+    "horn": (HornSpec, horn_from_json),
 }
 
 
@@ -540,7 +546,9 @@ def value_to_json(obj) -> dict:
 
 
 def value_from_json(doc, *, eps: float = EPS, _sink=_LOAD):
-    return _FROM_JSON[detect_schema(doc)](doc, eps=eps, _sink=_sink)
+    cls, read = _FROM_JSON[detect_schema(doc)]
+    _sink.note(f"parsed: {cls.__name__}")
+    return read(doc, eps=eps, _sink=_sink)
 
 
 def load_value(path, *, eps: float = EPS, _sink=_LOAD):

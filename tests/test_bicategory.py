@@ -2,14 +2,17 @@
 equivalence inverses."""
 
 import gc
+import sys
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corrlab.acceptance import _iso_residuals, k0_of_corr
+from corrlab import bicategory
+from corrlab.acceptance import _iso_residuals, k0_of_corr, run_suite
 from corrlab.algebra import (
     StarHom,
     _traced_mult,
@@ -269,7 +272,7 @@ def test_certified_constructions_pass_validation(seed):
 
 
 # ---------------------------------------------------------------------------
-# Gamma is derived once per hom and kept on it
+# Gamma is derived once per hom value and kept on each hom
 
 
 def test_gamma_of_hom_is_kept_on_the_hom():
@@ -281,10 +284,91 @@ def test_gamma_of_hom_is_kept_on_the_hom():
     assert all(not v.flags.writeable for v in gamma_isometries(phi))
     # one entry per kind: no caller's eps makes another
     assert set(phi._gamma) == {"range", "corr"} and phi._gamma["corr"] is g
-    # an equal-valued hom object starts empty and rebuilds the same bits
-    twin = StarHom(phi.src, phi.dst, phi.matrix, _traced_mult(phi.src, phi.dst, phi.matrix))
-    assert gamma_of_hom(twin) is not g
-    assert gamma_of_hom(twin).lam.matrix.tobytes() == g.lam.matrix.tobytes()
+    # a byte-equal twin, another object on a copy of the matrix, gets the
+    # same Gamma and isometries, kept on it in turn
+    m = phi.matrix.copy()
+    twin = StarHom(phi.src, phi.dst, m, _traced_mult(phi.src, phi.dst, m))
+    assert gamma_of_hom(twin) is g and twin._gamma["corr"] is g
+    assert gamma_isometries(twin) is gamma_isometries(phi)
+
+
+NAN_A, NAN_B = np.array([0x7FF8000000000001, 0x7FF8000000000002], dtype=np.uint64).view(np.float64)
+
+
+@pytest.mark.parametrize("x, y", [(0.0, -0.0), (NAN_A, NAN_B)], ids=["signed-zero", "nan-payload"])
+def test_a_hom_that_differs_only_in_bits_gets_its_own_gamma(x, y):
+    """0.0 and -0.0 compare equal, two NaNs unordered, yet their bits
+    differ: two homs that differ in one such entry get two Gammas, and a
+    copy of either gets that one's."""
+    phi = embedding_hom(make_algebra((1, 1)), make_algebra((2,)), [[1], [1]])  # C (+) C on the diagonal
+    r, c = np.argwhere(phi.matrix == 0)[0]
+
+    def variant(entry):
+        m = phi.matrix.copy()
+        m[r, c] = entry
+        return StarHom(phi.src, phi.dst, m, phi.mult_matrix)
+
+    gx, gy = gamma_of_hom(variant(x)), gamma_of_hom(variant(y))
+    assert gx is not gy
+    assert gamma_of_hom(variant(x)) is gx and gamma_of_hom(variant(y)) is gy
+
+
+def test_a_section_exact_diagram_builds_each_gamma_and_cell_once(monkeypatch):
+    """One section-exact diagram at seed 42: each hom value gets one Gamma
+    and each triple of Gammas one cell.  Kept per hom object, its homs,
+    recomposed and rebuilt by each bar_F on the shared memo, made 130
+    Gammas for these 42 values and 56 cells."""
+    values, cells, alive = Counter(), Counter(), []
+    make_module, blocks = bicategory.make_module, bicategory._intertwiner_blocks
+
+    def counting_module(base, mult):
+        caller = sys._getframe(1)
+        if caller.f_code is gamma_of_hom.__code__:
+            phi = caller.f_locals["phi"]
+            values[phi.src.blocks, phi.dst.blocks, phi.mult_matrix.tobytes(), phi.matrix.tobytes()] += 1
+        return make_module(base, mult)
+
+    def counting_blocks(tp, dst, action):
+        if sys._getframe(1).f_code is gamma_multiplicativity.__code__:
+            alive.append((tp, dst))  # no id is reused while the run counts
+            cells[id(tp), id(dst)] += 1
+        return blocks(tp, dst, action)
+
+    monkeypatch.setattr(bicategory, "make_module", counting_module)
+    monkeypatch.setattr(bicategory, "_intertwiner_blocks", counting_blocks)
+    assert run_suite("section-exact", seed=42, trials=1).ok
+    assert set(values.values()) == {1} and set(cells.values()) == {1}
+    assert (len(values), len(cells)) == (42, 29)
+
+
+@pytest.mark.parametrize("phi_is_id", [False, True], ids=["left", "both"])
+def test_a_cell_on_its_own_factor_leaves_nothing_unreachable(phi_is_id):
+    """id . phi is phi, so that cell lands on Gamma phi, the left factor of
+    the product that keeps it, and with phi = id on both factors.  With the
+    collector off, dropping the homs and the cell frees every Gamma, the
+    product and the cell, and the value table drops their entries: neither
+    the table nor the cells close a cycle."""
+    rng = np.random.default_rng(24)
+    gc.collect()
+    gc.disable()
+    try:
+        phi = random_unital_hom(random_algebra(rng, max_blocks=2, max_size=2), rng)
+        psi = identity_hom(phi.dst)
+        phi = psi if phi_is_id else phi
+        twin = StarHom(phi.src, phi.dst, phi.matrix.copy(), phi.mult_matrix)
+        cell = gamma_multiplicativity(psi, phi, comp=twin)
+        g, tp = gamma_of_hom(phi), tensor_corrs(gamma_of_hom(phi), gamma_of_hom(psi))
+        assert cell.dst is g and tp.left is g and tp.cells[g] is cell
+        assert gamma_multiplicativity(psi, twin, comp=phi) is cell
+        key = (phi.src.blocks, phi.dst.blocks, phi.mult_matrix.tobytes())
+        assert len(bicategory._GAMMAS[key]) == 1
+        refs = [weakref.ref(x) for x in (g, gamma_of_hom(psi), tp, cell)]
+        del phi, psi, twin, cell, g, tp
+        assert [r() for r in refs] == [None] * len(refs)
+        assert key not in bicategory._GAMMAS
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_gamma_simplex_shares_edges_across_chains():

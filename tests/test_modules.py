@@ -21,7 +21,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from corrlab.acceptance import run_suite
-from corrlab.algebra import FdCstarAlgebra, StarHom, _traced_mult, make_algebra, make_star_hom
+from corrlab.algebra import FdCstarAlgebra, StarHom, _raise_first, _traced_mult, make_algebra, make_star_hom
 from corrlab.errors import (
     BaseMismatch,
     EndpointMismatch,
@@ -46,6 +46,8 @@ from corrlab.linalg import frob
 from corrlab.modules import (
     Correspondence,
     CorrIso,
+    _dense_iso,
+    _iso_faults,
     associator,
     compose_isos,
     corr_close,
@@ -409,14 +411,22 @@ def test_make_iso_rejections():
     dense_bad = np.eye(4, dtype=complex)
     dense_bad[0, 1] = 0.3
     with pytest.raises(NotRightLinear):
-        make_iso(ic, ic, dense_bad)
+        read_dense(ic, ic, dense_bad)
     # a global phase is a legitimate automorphism
     w = make_iso(ic, ic, [np.exp(0.3j) * np.eye(2)])
     assert iso_distance(w, identity_iso(ic)) > 0.1
 
 
+def read_dense(src, dst, dense, eps=1e-9):
+    """A dense intertwiner read as the JSON readers read one: its blocks
+    (``_dense_iso``), then its checks, the first error raised."""
+    u = _dense_iso(src, dst, dense)
+    _raise_first(_iso_faults(u, eps, dense))
+    return u
+
+
 @pytest.mark.parametrize("x", [0.5, math.nan], ids=["half", "nan"])
-def test_make_iso_refuses_an_entry_off_the_right_linear_pattern(x):
+def test_a_dense_read_refuses_an_entry_off_the_right_linear_pattern(x):
     """Entry [1, 0] lies off the U_k (x) I_2 sample that the blocks are read
     from, so it shows only in the right-linearity residual: a NaN there
     must be refused like 0.5."""
@@ -424,7 +434,7 @@ def test_make_iso_refuses_an_entry_off_the_right_linear_pattern(x):
     dense = identity_iso(ic).dense()
     dense[1, 0] = x
     with pytest.raises(NotRightLinear) as err:
-        make_iso(ic, ic, dense)
+        read_dense(ic, ic, dense)
     assert not err.value.residual <= 1e-9
 
 
@@ -452,7 +462,7 @@ def test_iso_compose_inverse_and_dense_roundtrip():
     w = compose_isos(u.inverse(), u)
     assert iso_distance(w, identity_iso(c2)) < 1e-9
     # dense matrix rebuilds the same intertwiner
-    u2 = make_iso(c2, c2, u.dense())
+    u2 = read_dense(c2, c2, u.dense())
     assert iso_distance(u, u2) < 1e-9
     with pytest.raises(EndpointMismatch):
         compose_isos(u, identity_iso(corr))

@@ -5,12 +5,13 @@ A table of files, valid ones and one fault of each kind, is loaded with
 
 - validate exits 0 iff the load returns, 1 iff it raises a ValidationError,
   and 2 iff it raises ParseError, SchemaError or DimensionTooLarge;
-- when validate prints check lines, stderr is empty and its first FAIL line
-  names the load's error: its message for a one-line check (a left action,
-  ``simplex``), else the check's name and the load's residual;
-- when it prints nothing, the file could not be built: stderr carries the
-  load's message, or, where the load stopped at a failed check, the fault
-  that stops the build (a trace that is no rank).
+- when validate prints check lines, its first FAIL line names the load's
+  error: its message for a one-line check (a left action, ``simplex``),
+  else the check's name and the load's residual; stderr is empty, or names
+  the fault met after a failed check (a trace that is no rank, a missing
+  key) that ended validate's read, as that check ended the load;
+- when it prints nothing, the file could not be read: stderr carries the
+  load's message.
 """
 
 import json
@@ -110,8 +111,8 @@ def hom_not_multiplicative():
 
 
 def hom_tripled():
-    """Not multiplicative, and its traces are no ranks, so validate cannot
-    build it: it prints no line and refuses the trace."""
+    """Not multiplicative, and its traces are no ranks: validate prints the
+    failed check and stops before the build, which would refuse the trace."""
     doc = hom_doc()
     doc["matrix"] = [[3 * x for x in entry] for entry in doc["matrix"]]
     return doc
@@ -166,6 +167,14 @@ def repro_b_edge_not_multiplicative():
 def edge_not_star():
     doc = simplex_doc()
     double_column(edge(doc, 0, 1)["left_action"])
+    return doc
+
+
+def edge_not_star_no_cells():
+    """The load stops at the edge; validate used to read on to the missing
+    cells and exit 2."""
+    doc = edge_not_star()
+    del doc["cells"]
     return doc
 
 
@@ -243,6 +252,7 @@ CORPUS = {
     "iso-not-intertwining": (iso_not_intertwining, NotIntertwining),
     "repro-b-edge-not-multiplicative": (repro_b_edge_not_multiplicative, NotMultiplicative),
     "edge-not-star": (edge_not_star, NotStarPreserving),
+    "edge-not-star-no-cells": (edge_not_star_no_cells, NotStarPreserving),
     "repro-c-cell-moved": (repro_c_cell_moved, NotRightLinear),
     "cell-not-unitary": (cell_not_unitary, NotUnitary),
     "pentagon-violated": (pentagon_violated, PentagonViolated),
@@ -279,7 +289,8 @@ def test_validate_agrees_with_load(tmp_path, name):
     code, out, err = run_cli(["validate", str(path)])
     assert code == (0 if refused is None else 1 if isinstance(refused, ValidationError) else 2)
     if out:
-        assert err == "" and out.startswith("parsed: ")
+        assert err == "" or err.startswith("read stopped after a failed check: ")
+        assert out.startswith("parsed: ")
         assert out.endswith("all invariants pass\n" if code == 0 else "validation failed\n")
         if refused is not None:
             line = first_fail(out)
@@ -287,8 +298,6 @@ def test_validate_agrees_with_load(tmp_path, name):
                 assert f"{CHECK[type(refused)]}: FAIL" in line
                 assert f"(residual {refused.residual:.3e})" in line
                 assert str(getattr(refused, "indices", "")) in line
-    elif type(refused) in CHECK:
-        assert err.startswith("validation error: ") and "not a rank" in err
     else:
         kind = "validation error" if code == 1 else "error"
         assert err == f"{kind}: {refused}\n"
@@ -358,3 +367,25 @@ def test_validate_heads_each_face_of_a_horn(tmp_path):
     faces = "\n".join(lines).split("face ")[1:]
     assert ["pentagon: ok" in part for part in faces] == [True, True, False]
     assert "cell (0, 1, 2) right-linear: FAIL (residual 1.414e-06)" in faces[2]
+
+
+@pytest.mark.parametrize(
+    "name, lines, stop",
+    [
+        ("hom-tripled", ["parsed: StarHom", "star-preserving: ok", "multiplicative: FAIL"],
+         "a trace of phi(e_00) is not a rank in its block"),
+        ("edge-not-star-no-cells",
+         ["parsed: NCorrSimplex", "edge (0, 1) left action is a star-hom: FAIL",
+          "edge (0, 2) left action is a star-hom: ok", "edge (1, 2) left action is a star-hom: ok"],
+         "ncorr_simplex: missing key 'cells'"),
+    ],
+)
+def test_validate_stops_where_the_load_stops(tmp_path, name, lines, stop):
+    """A fault after a failed check ends the read (exit 1, as the load's
+    failed check): the lines so far print, and stderr names the fault."""
+    path, _ = write(tmp_path, name)
+    code, out, err = run_cli(["validate", str(path)])
+    assert (code, err) == (1, f"read stopped after a failed check: {stop}\n")
+    got = out.splitlines()
+    assert [line[: len(want)] for line, want in zip(got, lines)] == lines
+    assert got[len(lines):] == ["validation failed"]
