@@ -21,17 +21,14 @@ through without re-checking, passing the multiplicities they know.
 A *-hom is fixed by Bratteli data: its multiplicities and, per target
 block, one isometry.  ``hom_normal_form`` extracts that data from a matrix;
 ``_gram_blocks``, the one writer, writes a hom's entries from it, one Gram
-of W's nonzero rows per pair of blocks, with no dense intermediate.  Both
-views of such a hom come from that writer: ``entries`` (its nonzero
-entries, row by row; ``_bratteli_entries``) and the dense ``matrix``, the
-same entries written into zeros (``_conjugation_matrix``).  Every
-constructor from such data, the identity included, goes through
-``_bratteli_hom``, which keeps the data on the hom, reads its
-multiplicities off it and leaves both views to their first read.
-``_compose_ws`` composes such data and ``_composite_residual`` compares a
-composite with a third hom on it, block by block: each pair of blocks is
-compared through the r x r overlap of its two isometries, and no Gram matrix
-is built.
+of W's nonzero rows per pair of blocks, with no dense intermediate, for
+both views: ``entries`` (nonzero entries, row by row; ``_bratteli_entries``)
+and the dense ``matrix``, the same entries written into zeros
+(``_conjugation_matrix``).  A hom's data comes from a builder run on first
+read: ``_bratteli_hom`` (every constructor from data, the identity too)
+passes the data, a subdivision's cut hom a cut.  ``_compose_ws`` composes
+such data and ``_composite_residual`` compares a composite with a third
+hom on it, block by block, through the r x r overlap of the isometries.
 """
 from __future__ import annotations
 
@@ -140,24 +137,34 @@ class StarHom:
 
     ``_gamma`` keeps Gamma(phi) and its range isometries (bicategory).
 
-    ``_ws`` keeps the Bratteli data of a hom built from it
-    (``_bratteli_hom``), and is None otherwise.  Such a hom is given no
-    matrix: ``matrix`` is built from ``_ws`` on first read and kept.
-    ``entries``, kept on first read, is its nonzero entries (``_entries``),
-    written from ``_ws`` when that is set, with no dense matrix.
+    ``_ws``, the Bratteli data of a hom built from it, is made on first
+    read by ``build``, a zero-argument builder, and made read-only, so the
+    views are written from the data the hom was certified on; None with no
+    builder.  Such a hom is given no matrix: ``matrix`` is built from
+    ``_ws`` on first read and kept, as is ``entries``, its nonzero entries
+    (``_entries``), written from ``_ws``, when set, with no dense matrix.
 
     Homs compare and hash by identity, so ``==`` never raises and never
     builds a matrix; whether two homs are the same map is a residual's
     question (``corr_close``) or a hash's (``structural_hash``).
     """
 
-    def __init__(self, src: FdCstarAlgebra, dst: FdCstarAlgebra, matrix, mult_matrix):
+    def __init__(self, src: FdCstarAlgebra, dst: FdCstarAlgebra, matrix, mult_matrix, build=None):
         self.src, self.dst, self.mult_matrix = src, dst, mult_matrix
         self.unital = bool((np.dot(src.blocks, mult_matrix) == dst.blocks).all())
-        self._gamma = {}
-        self._ws = None
+        self._gamma, self._build = {}, build
         if matrix is not None:
             self.matrix = _read_only(matrix)
+
+    @cached_property
+    def _ws(self):
+        if self._build is None:
+            return None
+        ws, self._build = self._build(), None
+        for w_l in ws:
+            for w in w_l.values():
+                w.setflags(write=False)
+        return ws
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -436,17 +443,10 @@ def _packed(shape, rows, cols, vals) -> tuple:
 def _bratteli_hom(src: FdCstarAlgebra, dst: FdCstarAlgebra, ws) -> StarHom:
     """The certified StarHom of Bratteli data ``ws`` in the format of
     ``_gram_blocks``, holding ``ws`` and no matrix: its entries and dense
-    views are written from ``ws`` on first read.  Each W is made read-only,
-    so the views are written from the data the hom was certified on.
-    Its multiplicities are r_il = W_li.shape[2] (0 if absent), the rank of
-    W_li[:, 0, :]."""
-    for w_l in ws:
-        for w in w_l.values():
-            w.setflags(write=False)
+    views are written from ``ws`` on first read.  Its multiplicities are
+    r_il = W_li.shape[2] (0 if absent), the rank of W_li[:, 0, :]."""
     mult = [[w[i].shape[2] if i in w else 0 for w in ws] for i in range(src.nblocks)]
-    phi = StarHom(src, dst, None, np.array(mult, dtype=np.int64))
-    phi._ws = ws
-    return phi
+    return StarHom(src, dst, None, np.array(mult, dtype=np.int64), lambda: ws)
 
 
 def _compose_ws(psi_ws, phi_ws):

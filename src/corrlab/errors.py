@@ -8,8 +8,8 @@ library builds from valid inputs (identities, composites, Gamma, tensor
 products, Morita inverses, subdivision connecting homs, the generators'
 homs and the canonical intertwiners) is certified by construction and not
 re-checked; README's "Trust boundary" gives each construction's argument.
-``subdivision_functor`` checks its connecting homs' functoriality on their
-Bratteli data (``FunctorialityViolated``), and JSON parse bounds every
+``subdivision_functor`` checks functoriality on its prefix homs' Bratteli
+data (``FunctorialityViolated``), and JSON parse bounds every
 ``blocks`` and ``mult`` list before building anything (``DimensionTooLarge``).
 Validation errors carry the offending residual where one exists, so
 callers can report how badly an invariant failed; ``corrlab validate``

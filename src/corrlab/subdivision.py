@@ -4,9 +4,9 @@ The one combinatorial simplex type is the AugChain: a weakly increasing
 run of vertices i_0 <= ... <= i_k, all members of the first subset,
 followed by a nested run of subsets of {0..n} with at least two elements
 each.  These augmented chains interpolate between the subdivided simplex
-and the simplex itself (no subset suffix); a chain of the subdivided
-simplex is one with at most one distinct vertex, which stands for a
-singleton subset.  Faces drop an entry, degeneracies double one.
+and the simplex itself (no subset suffix); a chain of the subdivided simplex
+has at most one distinct vertex, for a singleton subset.  Faces drop an
+entry, degeneracies double one.
 
 Chains are validated where they enter: the public constructor and the
 enumeration.  face and degeneracy check their index by every nerve's one
@@ -18,17 +18,13 @@ entries) and the vertices inside the first subset.
 On the algebra side, a subset S with top vertex m picks out the module
 E_S = (+)_{v in S} E_{v m} over A_m; A_S is its compact operators.  For
 S inside T, with top M, the hom f_ST: A_S -> A_T sends x to x (x) id along
-the connecting edge E_{m M}, rewritten through the structure cells u_{v m M}
-and included.  When the tops agree, E_{m m} is the identity and the cells
-are unitors, so f_ST conjugates by the summand inclusion.  Either way f_ST
-is given by Bratteli data, one isometry per pair of blocks, and built from
-it by ``algebra._bratteli_hom``, which keeps the data on the hom; its dense
-matrix is a view built on first read.  subdivision_functor builds all of
-these homs and checks f_TU . f_ST = f_SU for every strictly nested triple
-on that data: the composite's isometries are products of the factors', and
-each block of the two sides is compared through the r x r overlap of their
-isometries, which bounds the block's largest dense entry; no dense hom
-matrix is built or multiplied and no Gram matrix built.
+the connecting edge E_{m M}, rewritten through the cells u_{v m M} and
+included: Bratteli data, one isometry per pair of blocks.  Only the prefix
+homs f_ab, [0..a] to [0..b], are built (``_isometries`` for a < b, the
+identity for a = b).  Summand v of S is summand v of [0..m] and lands in
+summand v of E_T, so every other f_ST is the same bits cut from the prefix
+hom of its tops, rows on T's summands and columns on S's (``_place``), its
+data on first read: a reader of multiplicities alone (K0) cuts none.
 """
 from __future__ import annotations
 
@@ -39,13 +35,7 @@ from itertools import combinations
 import numpy as np
 
 from .algebra import FdCstarAlgebra, StarHom, _bratteli_hom, _composite_residual, identity_hom
-from .errors import (
-    DimensionTooLarge,
-    FunctorialityViolated,
-    IndexOutOfRange,
-    NotNested,
-    ShapeViolation,
-)
+from .errors import DimensionTooLarge, FunctorialityViolated, IndexOutOfRange, NotNested, ShapeViolation
 from .linalg import EPS
 from .modules import HilbertModule, direct_sum_modules
 from .nerve import NCorrSimplex, _index
@@ -62,10 +52,9 @@ __all__ = [
 ]
 
 _MAX_N = 4
-# Bound on the bytes of all dense connecting homs of one subdivision, the
-# views a reader would build on first read, checked from the vertex algebras
-# before any hom is built.  The largest subdivision of the tests takes
-# 157 MB, blockscale's n = 3 chain 144 MiB.
+# Bound on the bytes of all dense connecting homs of one subdivision, the views
+# a reader would build on first read, checked from the vertex algebras before
+# any hom is built: the tests' largest takes 157 MB, blockscale's n = 3 144 MiB.
 MAX_HOM_BYTES = 512 * 2**20
 
 
@@ -216,29 +205,22 @@ def _fitting_subset(subset, n: int) -> tuple:
     return s
 
 
-def _check_nested(s: tuple, t: tuple):
-    if not set(s) <= set(t):
-        raise NotNested(f"{s} is not contained in {t}")
-
-
 def module_E_S(sigma: NCorrSimplex, subset) -> SdVertexData:
     """E_S = (+)_{v in S} E_{v, max S} as a module over the top algebra."""
     s = _fitting_subset(subset, sigma.n)
-    m = s[-1]
-    mods = [sigma.edge(v, m).module for v in s]
-    module, starts = direct_sum_modules(mods)
+    module, starts = direct_sum_modules([sigma.edge(v, s[-1]).module for v in s])
     return SdVertexData(s, module, module.compacts, starts)
 
 
 def _isometries(sigma, data_s, data_t):
     """The Bratteli data of f_ST: W[l][j] of shape (dim_T, dim_S, r_jl),
-    keyed by the blocks of A_T and A_S.
+    keyed by the blocks of A_T and A_S; the functor builds only the prefix
+    homs with it.
 
     W[:, p, rho] is the E_T coordinate vector of (row p of E_S) tensored
     with the rho-th range vector of the connecting edge E_mM, rewritten
-    through the structure cell u_vmM of its summand v.  When the tops agree,
-    E_mm is the identity and u_vmm a unitor, both exact 0/1, so W is the
-    summand inclusion.
+    through the structure cell u_vmM of its summand v, so each summand's
+    block depends on v, m and M alone.
     """
     m, top = data_s.subset[-1], data_t.subset[-1]
     rows = [data_t.subset.index(v) for v in data_s.subset]  # summand v's place in E_T
@@ -256,22 +238,35 @@ def _isometries(sigma, data_s, data_t):
                 o_t, o_s = data_t.starts[rows[si]][l], data_s.starts[si][j]
                 # the tensor rows (j, a, rho) of summand v, a < mv
                 src0 = sigma.tp(v, m, top).row_start(l, j, 0)
-                w[o_t : o_t + u_l.shape[0], o_s : o_s + mv] = u_l[
-                    :, src0 : src0 + mv * r[j][l]
-                ].reshape(u_l.shape[0], mv, r[j][l])
+                block = u_l[:, src0 : src0 + mv * r[j][l]]
+                w[o_t : o_t + u_l.shape[0], o_s : o_s + mv] = block.reshape(u_l.shape[0], mv, r[j][l])
             per_j[jp] = w
         out.append(per_j)
     return out
 
 
-def _connecting(sigma, data_s, data_t) -> StarHom:
-    """f_ST, certified by construction: x -> x (x) id along a valid edge,
-    rewritten through unitary cells and included."""
-    s, t = data_s.subset, data_t.subset
-    _check_nested(s, t)
-    if s == t:
-        return identity_hom(data_s.algebra)
-    return _bratteli_hom(data_s.algebra, data_t.algebra, _isometries(sigma, data_s, data_t))
+def _place(data: SdVertexData, prefix: SdVertexData) -> tuple:
+    """Where E_S lies in E_P, P = [0..max S]: A_S, and per kept block of E_S
+    its place among E_P's and the rows of E_P's block on S's summands."""
+    ends = prefix.starts[1:] + (prefix.module.mult,)
+    kept = data.module.kept
+    rows = [np.concatenate([np.arange(prefix.starts[v][k], ends[v][k]) for v in data.subset]) for k in kept]
+    return data.algebra, np.array([prefix.module.kept.index(k) for k in kept]), rows
+
+
+def _cut(f: StarHom, place_s, place_t) -> StarHom:
+    """f_ST cut from f, the prefix hom of its tops: rows on T's summands and
+    columns on S's of each kept block, taken on first read."""
+    (src, js, cols), (dst, ls, rows) = place_s, place_t
+
+    def build():
+        ws = f._ws
+        return [
+            {jp: ws[l][j].take(r, 0).take(cols[jp], 1) for jp, j in enumerate(js) if j in ws[l]}
+            for l, r in zip(ls, rows)
+        ]
+
+    return StarHom(src, dst, None, f.mult_matrix[np.ix_(js, ls)], build)
 
 
 @dataclass(frozen=True)
@@ -291,20 +286,17 @@ class SdFunctor:
         do not fit the base simplex, NotNested for subsets that are not
         nested."""
         s, t = _fitting_subset(s, self.base.n), _fitting_subset(t, self.base.n)
-        _check_nested(s, t)
+        if not set(s) <= set(t):
+            raise NotNested(f"{s} is not contained in {t}")
         return self.homs[(s, t)]
 
     def restrict(self, face: NCorrSimplex, vertices) -> "SdFunctor":
         """The functor of ``face = apply_map(base, vertices)``, vertices
         strictly increasing: this functor's algebras and homs at the
         relabelled subsets, each vertex datum carrying the face's label.
-
-        The bits are those of a fresh build: module_E_S and _isometries
-        read only edge, cell and tp over T, and apply_map is a pure lookup.
-        It needs no check of its own: a checked functor (or one restricted
-        from it) covered every strictly nested triple, the images of the
-        face's included, and these are the same homs.
-        """
+        Each hom has the per-pair build's bits, as the face's own cut would,
+        and one not read yet is still cut on first read.  It needs no check:
+        a checked functor bounded every strictly nested triple, the face's."""
         vs = tuple(vertices)
         up = {s: tuple(vs[i] for i in s) for s in _nonempty_subsets(face.n)}
         data = {s: replace(self.data[t], subset=s) for s, t in up.items()}
@@ -313,21 +305,23 @@ class SdFunctor:
 
 
 def subdivision_functor(sigma: NCorrSimplex, *, eps: float = EPS, check: bool = True) -> SdFunctor:
-    """All vertex algebras and connecting homs of the subdivided simplex.
+    """The subdivision's algebras and connecting homs, each non-prefix hom's
+    data cut from its tops' prefix hom on first read (module docstring).
 
     A subdivision whose dense homs (16 dim A_S dim A_T bytes each), if all
     read, would exceed MAX_HOM_BYTES raises DimensionTooLarge before any hom
-    is built.
-    With ``check`` on, every strictly nested triple S < T < U is tested for
-    f_TU . f_ST = f_SU on the Bratteli data each hom keeps: the residual is
-    a bound, never below it, on the largest absolute entry of the dense
-    difference, computed block by block from the r x r overlap of the two
-    sides' isometries (``algebra._composite_residual``), exact where one
-    side lacks the block; one that is not <= eps raises
-    FunctorialityViolated with it.  No dense matrix is read or built: each
-    is a view built on first read from the data it is checked on.  The
-    other nested triples need no test: f_SS is the exact identity, so with
-    S = T or T = U the composite is f_SU itself.
+    is built.  With ``check`` on, each of the C(n+1, 3) prefix triples
+    a < b < c is tested for f_bc . f_ab = f_ac on the prefix homs' data by
+    ``algebra._composite_residual``, an upper bound on the largest entry of
+    the dense difference from the r x r overlaps of the two sides'
+    isometries, no dense matrix read or built; one not <= eps raises
+    FunctorialityViolated with it.  That bounds every strictly nested
+    S < T < U, tops m <= M <= N.  If m < M < N, the composite contracts over
+    T's rows of E_T, the prefix's over E_[0..M]'s; f_mM puts S's columns in
+    S's summands only, so the dropped rows add exact zeros and the dense
+    difference is the prefix triple's compressed to U's rows and S's
+    columns.  If two tops agree, one factor is an exact 0/1 inclusion and
+    the composite's data is f_SU's.
     """
     subsets = tuple(_nonempty_subsets(sigma.n))
     data = {s: module_E_S(sigma, s) for s in subsets}
@@ -338,11 +332,17 @@ def subdivision_functor(sigma: NCorrSimplex, *, eps: float = EPS, check: bool = 
             f"the subdivision's connecting homs would take {nbytes / 2**20:.0f} MiB,"
             f" over the bound of {MAX_HOM_BYTES // 2**20} MiB"
         )
-    homs = {(s, t): _connecting(sigma, data[s], data[t]) for s, t in pairs}
-    for s, t in pairs if check else ():
-        for u in subsets:
-            if set(s) < set(t) < set(u):
-                resid = _composite_residual(homs[(t, u)], homs[(s, t)], homs[(s, u)])
-                if not resid <= eps:
-                    raise FunctorialityViolated(s, t, u, resid)
+    top = [data[tuple(range(m + 1))] for m in range(sigma.n + 1)]  # the prefixes [0..m]
+    pre = {(p.subset, p.subset): identity_hom(p.algebra) for p in top}
+    for p, q in combinations(top, 2):
+        pre[p.subset, q.subset] = _bratteli_hom(p.algebra, q.algebra, _isometries(sigma, p, q))
+    place = {s: _place(data[s], top[s[-1]]) for s in subsets}
+    homs = {
+        (s, t): pre.get((s, t)) or _cut(pre[top[s[-1]].subset, top[t[-1]].subset], place[s], place[t])
+        for s, t in pairs
+    }
+    for p, q, r in combinations((d.subset for d in top), 3) if check else ():
+        resid = _composite_residual(homs[q, r], homs[p, q], homs[p, r])
+        if not resid <= eps:
+            raise FunctorialityViolated(p, q, r, resid)
     return SdFunctor(sigma, subsets, data, homs)

@@ -14,7 +14,9 @@ p B p of a projection (``corner_algebra``) is presented with its inclusion,
 a hom built from Bratteli data.  No library path uses this model; only the
 tests do.  The helpers at the end (``is_equivalence``, ``direct_sum_corrs``,
 ``is_nondegenerate``, ``phi_star``, ``connecting_hom`` and ``dump_value``)
-left the library for the same reason, as did ``_gram``, the full Gram
+left the library for the same reason, as did the per-pair build of a
+connecting hom and the functoriality check over every strictly nested
+triple (``connecting_hom``, ``all_triples_check``), as did ``_gram``, the full Gram
 product the tests compare the dense build against, and
 ``dense_conjugation_matrix``, the dense writer the entries view replaced.  So did the
 rank-guessing kernels ``orthonormal_range`` and ``gram_onb``: they find a
@@ -23,18 +25,21 @@ model uses them to derive its ranks independently of any multiplicity.
 """
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
-from corrlab.algebra import FdCstarAlgebra, StarHom, _bratteli_hom
+from corrlab.algebra import FdCstarAlgebra, StarHom, _bratteli_hom, _composite_residual, identity_hom
 from corrlab.bicategory import equivalence_inverse
 from corrlab.errors import (
     BaseMismatch,
     EndpointMismatch,
+    FunctorialityViolated,
     IndexOutOfRange,
     InvalidAlgebra,
     NotAnEquivalence,
     NotMonotone,
+    NotNested,
     NotProjection,
     ShapeMismatch,
     ShapeViolation,
@@ -42,7 +47,7 @@ from corrlab.errors import (
 from corrlab.linalg import EPS, frob, worse
 from corrlab.modules import Correspondence, direct_sum_modules, make_module
 from corrlab.serialize import _json_text, _value_doc
-from corrlab.subdivision import AugChain, _connecting, module_E_S
+from corrlab.subdivision import AugChain, _isometries, module_E_S
 
 
 def orthonormal_range(a, eps: float = EPS) -> np.ndarray:
@@ -522,8 +527,31 @@ def phi_star(phi, chain):
 
 
 def connecting_hom(sigma, sub_s, sub_t) -> StarHom:
-    """f_ST: A_S -> A_T for nested subsets S inside T of the base simplex."""
-    return _connecting(sigma, module_E_S(sigma, sub_s), module_E_S(sigma, sub_t))
+    """f_ST: A_S -> A_T for nested subsets S inside T of the base simplex,
+    built on its own from the pair's cells (``subdivision._isometries``,
+    unitor cells included), not cut from a prefix hom: the per-pair build
+    the functor's homs are tested against.  f_SS is the identity."""
+    data_s, data_t = module_E_S(sigma, sub_s), module_E_S(sigma, sub_t)
+    if not set(data_s.subset) <= set(data_t.subset):
+        raise NotNested(f"{data_s.subset} is not contained in {data_t.subset}")
+    if data_s.subset == data_t.subset:
+        return identity_hom(data_s.algebra)
+    return _bratteli_hom(data_s.algebra, data_t.algebra, _isometries(sigma, data_s, data_t))
+
+
+def all_triples_check(sigma, *, eps: float = EPS) -> None:
+    """The functoriality check over every strictly nested triple S < T < U,
+    on per-pair builds (``connecting_hom``): f_TU . f_ST = f_SU by
+    ``_composite_residual``, FunctorialityViolated at the first residual
+    not <= eps.  The library checks the prefix triples only."""
+    subsets = [s for r in range(1, sigma.n + 2) for s in combinations(range(sigma.n + 1), r)]
+    homs = {(s, t): connecting_hom(sigma, s, t) for s in subsets for t in subsets if set(s) < set(t)}
+    for s, t in homs:
+        for u in subsets:
+            if set(t) < set(u):
+                resid = _composite_residual(homs[(t, u)], homs[(s, t)], homs[(s, u)])
+                if not resid <= eps:
+                    raise FunctorialityViolated(s, t, u, resid)
 
 
 def dump_value(obj, path) -> None:

@@ -12,7 +12,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from corrlab import extension, modules, nerve
+from corrlab import extension, modules, nerve, subdivision
 from corrlab.acceptance import conjugated_k0, k0_of_corr, random_unimodular
 from corrlab.algebra import compose_homs, make_algebra
 from corrlab.bicategory import u_of_corr
@@ -748,11 +748,34 @@ def test_prism_cell_check_rejects_a_moved_boundary():
 @pytest.mark.parametrize("pair", [((0,), (0, 1)), ((1,), (1, 2)), ((0,), (0, 2))])
 def test_a_corrupted_face_hom_is_still_rejected(monkeypatch, pair):
     """Child runs restrict the parent's subdivision unchecked; the Bratteli
-    data of a face hom moved by 1e-6 is caught by the top-level run's check."""
-    s = random_simplex(np.random.default_rng(21), 2, max_mult=1)
+    data of a face hom, cut from a prefix hom whose entry in the cut moved
+    by 1e-6, is caught by the top-level run's check.  f_(1),(12) is cut from
+    f_(01),(012)'s unitor summand, which a prefix triple reads from n = 3 on
+    (test_subdivision's UNITOR_CUTS_N2 says why not at n = 2)."""
+    n = 3 if pair == ((1,), (1, 2)) else 2
+    s = random_simplex(np.random.default_rng(21), n, max_mult=1)
     corrupt_isometries(monkeypatch, pair)
     with pytest.raises(FunctorialityViolated):
         extend_bar_G(s, k0_functor(), K0Oracle(), {})
+
+
+def test_a_k0_run_builds_the_prefix_homs_only(monkeypatch):
+    """K0 reads multiplicities only: a run at n = 3 builds the Bratteli data
+    of the 6 prefix homs f_ab, a < b, through _isometries, and cuts the data
+    of no other connecting hom, its children's included."""
+    calls, real = [], subdivision._isometries
+
+    def counting(sigma, data_s, data_t):
+        calls.append((data_s.subset, data_t.subset))
+        return real(sigma, data_s, data_t)
+
+    monkeypatch.setattr(subdivision, "_isometries", counting)
+    ext = extend_bar_G(small_simplex(3, 1), k0_functor(), K0Oracle(), {})
+    prefixes = [tuple(range(m + 1)) for m in range(4)]
+    assert calls == [(p, q) for a, p in enumerate(prefixes) for q in prefixes[a + 1 :]]
+    cut = [f for (s, t), f in ext.sd.homs.items() if s not in prefixes or t not in prefixes]
+    assert len(cut) == 65 - 10
+    assert not any("_ws" in vars(f) or "matrix" in vars(f) for f in cut)
 
 
 @pytest.mark.parametrize("target", sorted(TARGETS))

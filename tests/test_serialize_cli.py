@@ -907,7 +907,9 @@ def test_cli_bounds_the_subdivision_before_building(oversized_simplex, capsys, m
     from corrlab import subdivision
 
     built = []
-    monkeypatch.setattr(subdivision, "_connecting", lambda *args: built.append(args))
+    # the builders of the prefix homs, from which every other hom is cut
+    monkeypatch.setattr(subdivision, "_isometries", lambda *args: built.append(args))
+    monkeypatch.setattr(subdivision, "identity_hom", lambda *args: built.append(args))
     argv = ["subdivide", "--simplex", oversized_simplex]
     if command == "extend-k0":
         argv = ["extend", "--simplex", oversized_simplex, "--functor", "k0", "--target", "k0nerve"]

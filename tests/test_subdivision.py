@@ -7,6 +7,7 @@ itertools, independently of the library's own generators.
 import itertools
 import tracemalloc
 import types
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -32,7 +33,8 @@ from corrlab.errors import (
 )
 from corrlab.generators import embedding_hom, random_simplex
 from corrlab.linalg import EPS, frob
-from corrlab.nerve import apply_map, gamma_simplex
+from corrlab.modules import CorrIso
+from corrlab.nerve import NCorrSimplex, apply_map, gamma_simplex
 from corrlab.subdivision import (
     AugChain,
     degeneracy,
@@ -41,7 +43,7 @@ from corrlab.subdivision import (
     module_E_S,
     subdivision_functor,
 )
-from reference import _gram, connecting_hom, is_nondegenerate, phi_star
+from reference import _gram, all_triples_check, connecting_hom, is_nondegenerate, phi_star
 
 
 def nonempty_subsets(n):
@@ -470,22 +472,84 @@ def test_bratteli_residual_fails_a_multiplicity_mismatch():
     assert not passes_like_the_gram_residual(f12, f01, _bratteli_hom(f02.src, f02.dst, fewer))
 
 
+def prefix(m):
+    return tuple(range(m + 1))
+
+
+def cut_place(sigma, pair):
+    """Where the first block of f_ST, (S, T) = pair, lies in the prefix hom
+    of its tops: that block's (l, j) in the prefix and in f_ST, and the rows
+    and columns of the prefix's W_lj that f_ST keeps."""
+    s, t = pair
+    p, q = module_E_S(sigma, prefix(s[-1])), module_E_S(sigma, prefix(t[-1]))
+    (_, js, cols), (_, ls, rows) = (
+        subdivision._place(module_E_S(sigma, s), p),
+        subdivision._place(module_E_S(sigma, t), q),
+    )
+    ranks = sigma.tp(s[-1], s[-1], t[-1]).r
+    l_at, j_at = next(
+        (lp, jp) for lp, l in enumerate(ls) for jp, j in enumerate(js) if ranks[p.module.kept[j]][q.module.kept[l]]
+    )
+    return (ls[l_at], js[j_at]), (l_at, j_at), rows[l_at], cols[j_at]
+
+
+def move_in_cut(ws, place, move):
+    """Move the largest entry of the cut's first block inside the prefix's
+    data ``ws``; returns its index in the cut's block."""
+    (l, j), _, rows, cols = place
+    w = ws[l][j]
+    k = np.unravel_index(np.argmax(np.abs(w[rows][:, cols])), (len(rows), len(cols), w.shape[2]))
+    w[rows[k[0]], cols[k[1]], k[2]] = move(w[rows[k[0]], cols[k[1]], k[2]])
+    return k
+
+
 def corrupt_isometries(monkeypatch, pair, move=lambda x: x + 1e-6 * x / abs(x)):
-    """Make the Bratteli data of f_ST, for (S, T) = pair, move its largest
-    entry, by default by 1e-6 along its own phase.  The check reads the
-    data, not the dense matrices: a dense f_ST is _conjugation_matrix of its
-    data by construction, which the dense oracles over all triples cover."""
-    isometries = subdivision._isometries
+    """Make the Bratteli data of the prefix hom that f_ST, for (S, T) = pair
+    with distinct tops, is cut from move its largest entry that the cut
+    keeps, in the cut's first block, by default by 1e-6 along its own
+    phase.  The check reads the data, not the dense matrices: a dense f_ST
+    is _conjugation_matrix of its data by construction, which the dense
+    oracles over all triples cover."""
+    isometries, (s, t) = subdivision._isometries, pair
+    assert s[-1] < t[-1]
 
     def corrupted(sigma, data_s, data_t):
         ws = isometries(sigma, data_s, data_t)
-        if (data_s.subset, data_t.subset) == pair:
-            w = next(w for per_i in ws for w in per_i.values())
-            k = np.unravel_index(np.argmax(np.abs(w)), w.shape)
-            w[k] = move(w[k])
+        if (data_s.subset, data_t.subset) == (prefix(s[-1]), prefix(t[-1])):
+            move_in_cut(ws, cut_place(sigma, pair), move)
         return ws
 
     monkeypatch.setattr(subdivision, "_isometries", corrupted)
+
+
+def assert_the_cut_moved(f, clean, place, k, by):
+    """f's data is the clean per-pair build's but at entry k of the cut's
+    first block, which moved by ``by``."""
+    _, (l, j), _, _ = place
+    for lp, (w_l, c_l) in enumerate(zip(f._ws, clean._ws)):
+        assert w_l.keys() == c_l.keys()
+        for jp in w_l:
+            d = w_l[jp] - c_l[jp]
+            if (lp, jp) == (l, j):
+                assert abs(d[k] - by) < 1e-12 and np.count_nonzero(d) == 1
+            else:
+                assert not d.any()
+
+
+def bit_equal(x, y):
+    return x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+def same_bits(f, g):
+    """Whether two homs have the same multiplicities and Bratteli data, bit
+    for bit, block for block."""
+    return (
+        bit_equal(f.mult_matrix, g.mult_matrix)
+        and len(f._ws) == len(g._ws)
+        and all(
+            x.keys() == y.keys() and all(bit_equal(x[i], y[i]) for i in x) for x, y in zip(f._ws, g._ws)
+        )
+    )
 
 
 STRICT_PAIRS_N2 = [
@@ -493,20 +557,61 @@ STRICT_PAIRS_N2 = [
 ]
 
 
+# cut from summand 1 of f_(01),(012), the left unitor of E_12: at n = 2 the
+# one prefix hom that is only ever a second factor, on a summand outside its
+# first factor's image, so every strict triple that reads these bits reads
+# them on both sides (below); at n = 3 the prefix triple (1, 2, 3) reads them
+UNITOR_CUTS_N2 = {((1,), (1, 2)), ((1,), (0, 1, 2))}
+
+
 @pytest.mark.parametrize("pair", STRICT_PAIRS_N2)
 def test_subdivision_check_rejects_a_corrupted_hom(monkeypatch, pair):
-    """Moving one entry of the Bratteli data of any strictly nested pair by
-    1e-6 breaks a strict triple: every such pair lies in one.  On every
-    triple the check's verdict is the Gram residual's."""
+    """Moving the entry of the prefix hom of a strictly nested pair's tops
+    that is the largest of the pair's cut moves the cut, and the check's
+    verdict is that of every strict triple over the same homs, each triple's
+    verdict being the Gram residual's.
+
+    With distinct tops the prefix is built by _isometries and a move of
+    1e-6 breaks a strict triple, which the check catches, but for the two
+    cuts of UNITOR_CUTS_N2: every hom cut from that summand carries the
+    same moved bits, so no strict triple sees a difference at n = 2 (the
+    per-pair builds saw one only as two builds of one unitor disagreeing,
+    which one build cannot do), and at n = 3 the check catches it.  With
+    equal tops the prefix is the identity, exact by construction and, like
+    f_SS before cutting, read by no triple of the check; the cut is an exact
+    0/1 summand inclusion, equal to the per-pair build from the unitor
+    cells."""
     assert len(STRICT_PAIRS_N2) == 12
     s = random_simplex(np.random.default_rng(21), 2, max_mult=1)
+    clean, place = connecting_hom(s, *pair), cut_place(s, pair)
+    if pair[0][-1] == pair[1][-1]:
+        cut = subdivision_functor(s, check=True).homs[pair]
+        assert same_bits(cut, clean)
+        assert all(np.isin(w, (0.0, 1.0)).all() for w_l in cut._ws for w in w_l.values())
+        real, moved = subdivision.identity_hom, []
+
+        def corrupted(a):
+            ws = [{i: w.copy() for i, w in w_l.items()} for w_l in real(a)._ws]
+            if a is module_E_S(s, prefix(pair[0][-1])).algebra:
+                moved.append(move_in_cut(ws, place, lambda x: x + 1e-6))
+            return _bratteli_hom(a, a, ws)
+
+        monkeypatch.setattr(subdivision, "identity_hom", corrupted)
+        assert_the_cut_moved(subdivision_functor(s, check=False).homs[pair], clean, place, moved[0], 1e-6)
+        return
     corrupt_isometries(monkeypatch, pair)
     sd = subdivision_functor(s, check=False)
+    w = clean._ws[place[1][0]][place[1][1]]
+    k = np.unravel_index(np.argmax(np.abs(w)), w.shape)
+    assert_the_cut_moved(sd.homs[pair], clean, place, k, 1e-6 * w[k] / abs(w[k]))
     verdicts = [
         passes_like_the_gram_residual(sd.homs[(b, c)], sd.homs[(a, b)], sd.homs[(a, c)])
         for a, b, c in strict_triples(sd.subsets)
     ]
-    assert not all(verdicts)
+    assert all(verdicts) == (pair in UNITOR_CUTS_N2)
+    if pair in UNITOR_CUTS_N2:
+        subdivision_functor(s, check=True)
+        s = random_simplex(np.random.default_rng(21), 3, max_mult=1)
     with pytest.raises(FunctorialityViolated):
         subdivision_functor(s, check=True)
 
@@ -535,6 +640,122 @@ def test_subdivision_check_rejects_a_nan_entry_of_the_third_hom(monkeypatch):
     assert np.isnan(chi._ws[l][i]).any()
     assert chi._ws[l][i].shape == lhs[l][i].shape and lhs[l][i].shape[2] == 4
     assert np.isnan(_gram_gap(lhs[l][i], chi._ws[l][i]))
+
+
+def moved_cell(sigma, key, move):
+    """sigma with the largest entry of the first block of its strict cell
+    u_key moved, unchecked: the subdivision reads cells without checking."""
+    u = sigma.cells[key]
+    blocks = [b.copy() for b in u.blocks]
+    b = blocks[0]
+    k = np.unravel_index(np.argmax(np.abs(b)), b.shape)
+    b[k] = move(b[k])
+    return NCorrSimplex(sigma.algebras, sigma.edges, {**sigma.cells, key: CorrIso._trusted(u.src, u.dst, blocks)})
+
+
+def rejects(check, sigma) -> bool:
+    try:
+        check(sigma)
+    except FunctorialityViolated:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("twist", [False, True], ids=["plain", "twisted"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_the_prefix_check_agrees_with_every_strict_triple(n, twist):
+    """Differential test of the prefix-triple check against the check over
+    every strictly nested triple of per-pair builds (reference), on the
+    acceptance sweep's draws at seeds 0-7 (block size 1 at n = 4, so the
+    subdivision fits MAX_HOM_BYTES): each clean draw passes both, and each
+    draw with one strict cell moved by 1e-6 (every cell in turn, n <= 3) or
+    with one NaN cell is rejected by both."""
+    verdicts = Counter()
+    for seed in range(8):
+        sigma = random_simplex(
+            np.random.default_rng(seed), n, twist=twist, max_blocks=2, max_size=2 if n < 4 else 1, max_mult=1
+        )
+        keys = sorted(sigma.cells)
+        draws = [(sigma, False)]
+        if n <= 3:
+            draws += [(moved_cell(sigma, key, lambda x: x + 1e-6 * x / abs(x)), True) for key in keys]
+        draws.append((moved_cell(sigma, keys[seed % len(keys)], lambda x: np.nan), True))
+        with np.errstate(invalid="ignore"):  # the NaN reaches the residuals' SVD-free paths
+            for s, corrupt in draws:
+                ref = rejects(all_triples_check, s)
+                assert ref == corrupt, (seed, corrupt)
+                assert rejects(lambda s: subdivision_functor(s, check=True), s) == ref, (seed, corrupt)
+                verdicts[corrupt] += 1
+    cells = {2: 1, 3: 4, 4: 0}[n]
+    assert verdicts == {False: 8, True: 8 * (cells + 1)}
+
+
+def subdivision_draws():
+    """n = 1..4 at mixed block sizes and multiplicities, and the scaling chain."""
+    for n in (1, 2, 3, 4):
+        for seed in range(3):
+            yield random_simplex(
+                np.random.default_rng(90 + seed), n, twist=bool(seed % 2), max_blocks=2, max_size=2,
+                max_mult=2 if n < 3 else 1,
+            )
+    yield scaling_chain_simplex(2)
+
+
+@pytest.mark.parametrize("sigma", list(subdivision_draws()), ids=lambda s: f"n{s.n}")
+def test_every_connecting_hom_is_the_per_pair_build_bit_for_bit(sigma):
+    """Each hom the functor cuts from a prefix hom, and each prefix hom, has
+    the per-pair build's multiplicities, Bratteli data and dense view, bit
+    for bit; the per-pair build reads the pair's own cells, unitors
+    included, and the cut reads the prefix's data or the identity."""
+    sd = subdivision_functor(sigma, check=True)
+    assert len(sd.homs) == 3 ** (sigma.n + 1) - 2 ** (sigma.n + 1)
+    for (s, t), f in sd.homs.items():
+        g = connecting_hom(sigma, s, t)
+        assert same_bits(f, g), (s, t)
+        assert bit_equal(f.matrix, g.matrix), (s, t)
+
+
+@pytest.mark.parametrize("n, calls", [(1, 0), (2, 1), (3, 4), (4, 10)])
+def test_the_check_reads_the_prefix_triples_only(monkeypatch, n, calls):
+    """check=True computes C(n+1, 3) residuals, one per prefix triple
+    a < b < c, on the prefix homs, and builds the data of no other hom."""
+    seen, real = [], subdivision._composite_residual
+
+    def counting(psi, phi, chi):
+        seen.append((psi, phi, chi))
+        return real(psi, phi, chi)
+
+    monkeypatch.setattr(subdivision, "_composite_residual", counting)
+    sigma = random_simplex(np.random.default_rng(n), n, max_blocks=2, max_size=1, max_mult=1)
+    sd = subdivision_functor(sigma, check=True)
+    pre = {(prefix(a), prefix(b)): (a, b) for a in range(n + 1) for b in range(a, n + 1)}
+    by_hom = {id(f): pre.get(st) for st, f in sd.homs.items()}
+    assert [tuple(by_hom[id(f)] for f in t) for t in seen] == [
+        ((b, c), (a, b), (a, c)) for a, b, c in itertools.combinations(range(n + 1), 3)
+    ]
+    assert len(seen) == calls
+    assert all("_ws" not in vars(f) for st, f in sd.homs.items() if st not in pre)
+
+
+def test_the_restriction_argument():
+    """Why the prefix triples cover every strict triple S < T < U, tops
+    m <= M <= N: with two tops equal, the composite's data is f_SU's, value
+    for value; with m < M < N, the dense difference's largest entry is at
+    most the prefix triple's, of which it is a compression."""
+    for sigma in subdivision_draws():
+        sd = subdivision_functor(sigma, check=False)
+        for a, b, c in strict_triples(sd.subsets):
+            tops = a[-1], b[-1], c[-1]
+            f_ab, f_bc, f_ac = sd.hom(a, b), sd.hom(b, c), sd.hom(a, c)
+            if len(set(tops)) < 3:
+                lhs = _compose_ws(f_bc._ws, f_ab._ws)
+                for x, y in zip(lhs, f_ac._ws):
+                    assert x.keys() == y.keys() and all(np.array_equal(x[i], y[i]) for i in x)
+                continue
+            p = [prefix(m) for m in tops]
+            cut = np.abs(compose_homs(f_bc, f_ab).matrix - f_ac.matrix).max()
+            whole = compose_homs(sd.hom(p[1], p[2]), sd.hom(p[0], p[1])).matrix - sd.hom(p[0], p[2]).matrix
+            assert cut <= np.abs(whole).max() + 1e-15, (a, b, c)
 
 
 @st.composite
