@@ -140,11 +140,14 @@ def gamma_multiplicativity(psi: StarHom, phi: StarHom, *, comp=None) -> CorrIso:
 
     On representatives it is b (x) c -> psi(b) c, written in the range
     coordinates of the three correspondences.  ``comp`` may supply the
-    composite hom; the result lands on its Gamma, the object kept on that
-    hom, and starts at the product kept on Gamma phi, which keeps the cell
-    under its target, weakly: a cell landing on Gamma phi (psi an identity)
-    would otherwise keep Gamma phi alive.  Certified: unitary and
-    intertwining up to rounding because phi and psi are *-homs.
+    composite hom, which must be psi . phi: only its ends are checked
+    (``gamma_simplex`` checks the composites it is given when it validates),
+    and another map gives a cell that is no intertwiner.  The result lands
+    on its Gamma, the object kept on that hom, and starts at the product
+    kept on Gamma phi, which keeps the cell under its target, weakly: a cell
+    landing on Gamma phi (psi an identity) would otherwise keep Gamma phi
+    alive.  Certified: unitary and intertwining up to rounding because phi
+    and psi are *-homs.
     """
     if phi.dst != psi.src:
         raise EndpointMismatch("homs are not composable")

@@ -60,7 +60,6 @@ from .errors import (
     OracleFillFailed,
     ShapeMismatch,
     Unfillable,
-    ValidationError,
 )
 from .linalg import EPS, int_inverse
 from .modules import tensor_corrs
@@ -99,7 +98,7 @@ class QCOracle(ABC):
     the run's dimension is bounded by its subdivision alone.  A special
     outer horn's last edge needs no test of its own: it is the functor's
     image of a corner, whose ``certificate`` raises when that image is not
-    invertible.  ``guided_fill`` returns None to decline.
+    invertible.  ``guided_fill`` completes a horn by a proposal, or raises.
     """
 
     @abstractmethod
@@ -127,8 +126,8 @@ class QCOracle(ABC):
         """The simplex with all these faces."""
 
     @abstractmethod
-    def guided_fill(self, horn: HornSpec, certificate=None, preferred_face=None, *, eps: float = EPS):
-        """A special outer fill whose missing face is the preferred one, or None."""
+    def guided_fill(self, horn: HornSpec, proposal, *, eps: float = EPS):
+        """The special outer fill whose missing face is the proposal."""
 
 
 class K0Simplex:
@@ -235,8 +234,8 @@ class K0Oracle(QCOracle):
     """The nerve of integer matrices as an extension target.
 
     Being the nerve of an ordinary category it has unique inner fills, and a
-    final-edge fill needs exactly an integer inverse, which doubles as the
-    equivalence certificate.  Its data are integers: it ignores ``eps``.
+    final-edge fill needs exactly an integer inverse, which is unique, so it
+    reads no certificate.  Its data are integers: it ignores ``eps``.
     """
 
     def face(self, s: K0Simplex, i: int) -> K0Simplex:
@@ -257,14 +256,10 @@ class K0Oracle(QCOracle):
         horn._check_kind(special=True)
         ranks, steps = _merge_k0_faces(horn.n, horn.faces)
         if horn.n == 2:
-            last, inv = steps[1], certificate  # used only if an int64 matrix inverting last
-            fits = isinstance(inv, np.ndarray) and inv.dtype == np.int64 and inv.shape == last.shape[::-1]
-            if not (fits and np.array_equal(inv @ last, np.eye(last.shape[1], dtype=np.int64))):
-                try:
-                    inv = int_inverse(last)
-                except ValueError as err:
-                    raise Unfillable(f"last edge is not invertible: {err}") from err
-            steps[0] = inv @ horn.faces[1].steps[0]
+            try:  # an integer inverse is unique, so no certificate is read
+                steps[0] = int_inverse(steps[1]) @ horn.faces[1].steps[0]
+            except ValueError as err:
+                raise Unfillable(f"last edge is not invertible: {err}") from err
         return self._build(ranks, steps, horn.faces)
 
     def fill_boundary(self, faces: dict, *, eps: float = EPS) -> K0Simplex:
@@ -274,15 +269,9 @@ class K0Oracle(QCOracle):
         ranks, steps = _merge_k0_faces(n, faces)
         return self._build(ranks, steps, faces)
 
-    def guided_fill(self, horn: HornSpec, certificate=None, preferred_face=None, *, eps: float = EPS):
-        # fills here are unique, so guiding can only ever confirm
-        if horn.k == horn.n:
-            fill = self.fill_special_outer_horn(horn, certificate, eps=eps)
-        else:
-            fill = self.fill_inner_horn(horn, eps=eps)
-        if preferred_face is not None and not self.equal(fill.face(horn.k), preferred_face, eps=eps):
-            return None
-        return fill
+    def guided_fill(self, horn: HornSpec, proposal, *, eps: float = EPS) -> K0Simplex:
+        horn._check_kind(special=True)
+        return self.fill_boundary({**horn.faces, horn.k: proposal}, eps=eps)
 
     def _build(self, ranks, steps, faces: dict) -> K0Simplex:
         """The simplex with these ranks and steps, which must carry each of
@@ -317,33 +306,19 @@ class NCorrOracle(QCOracle):
     def fill_boundary(self, faces: dict, *, eps: float = EPS):
         return nerve.assemble_boundary(faces, eps=eps)
 
-    def guided_fill(self, horn: HornSpec, certificate=None, preferred_face=None, *, eps: float = EPS):
-        """Land the missing face on the supplied simplex when it fits.
-
-        At dimension 2 the new edge is taken verbatim and an intertwiner to
-        the given composite edge is searched for; from dimension 3 up the
-        preferred face completes the boundary and the assembly is validated.
-        Any failure falls back to the unguided fill by returning None.
-        """
-        if preferred_face is None or horn.k != horn.n:
-            return None
-        try:
-            if horn.n == 2:
-                e01 = preferred_face.edge(0, 1)
-                e12 = horn.faces[0].edge(0, 1)
-                e02 = horn.faces[1].edge(0, 1)
-                t = tensor_corrs(e01, e12)
-                u = find_corr_iso(t.corr, e02, eps=eps)
-                if u is None:
-                    return None
-                algebras = [*preferred_face.algebras, horn.faces[0].algebras[1]]
-                edges = {(0, 1): e01, (0, 2): e02, (1, 2): e12}
-                return make_simplex(algebras, edges, {(0, 1, 2): u}, eps=eps)
-            faces = dict(horn.faces)
-            faces[horn.k] = preferred_face
-            return nerve.assemble_boundary(faces, eps=eps, prefer=horn.k)
-        except ValidationError:  # assemble_boundary refuses a horn below dimension 3
-            return None
+    def guided_fill(self, horn: HornSpec, proposal, *, eps: float = EPS):
+        """The special outer fill whose missing face is the proposal: from
+        dimension 3 up the boundary it completes (the nerve is 3-coskeletal);
+        at 2, its edge E_01 and an intertwiner E_01 (x) E_12 -> E_02."""
+        horn._check_kind(special=True)
+        if horn.n > 2:
+            return nerve.assemble_boundary({**horn.faces, horn.k: proposal}, eps=eps)
+        e01, e12, e02 = proposal.edge(0, 1), horn.faces[0].edge(0, 1), horn.faces[1].edge(0, 1)
+        u = find_corr_iso(tensor_corrs(e01, e12).corr, e02, eps=eps)
+        if u is None:
+            raise Unfillable("the proposed edge times the last edge has no intertwiner to the composite edge")
+        algebras = [*proposal.algebras, horn.faces[0].algebras[1]]
+        return make_simplex(algebras, {(0, 1): e01, (0, 2): e02, (1, 2): e12}, {(0, 1, 2): u}, eps=eps)
 
 
 # ---------------------------------------------------------------------------
@@ -361,8 +336,10 @@ class CstFunctor:
     ``chain`` and ``certificate`` take the run's ``eps`` as a keyword.
     ``section``, when set, guides every run of the functor: it proposes the
     exact simplex the run should land on for a given input simplex, or None
-    to decline.  The engine compares each chain value with all of its faces'
-    values, so ``chain`` need check a value only where no face covers it.
+    to decline; the proposal is the run's top, and one that does not fit
+    refuses the run (OracleFillFailed).  The engine compares each chain
+    value with all of its faces' values, so ``chain`` need check a value
+    only where no face covers it.
     """
 
     name: str
@@ -519,7 +496,7 @@ class _Run:
     """
 
     eps = EPS  # the tolerance of every check and fill, set by the run's maker
-    pref = None  # the section's proposal, which guides every special fill
+    proposal = None  # the section's proposal: the top, the special fill's missing face
 
     def _resolve(self, addr):
         """The value at addr: made already, a degeneracy, or a base value."""
@@ -540,15 +517,15 @@ class _Run:
         return {j: self._resolve(self._face(addr, j)) for j in range(n + 1) if j != skip} if n else {}
 
     def _fill(self, addr, n: int, k):
-        """Fill the n-simplex at addr: the horn (n, k), inner or special
-        outer (k = n, guided first when the run has a section), or its whole
+        """Fill the n-simplex at addr: the horn (n, k), inner or special outer
+        (k = n; with a proposal, the boundary it completes), or its whole
         boundary (k None); keep the fill and a horn's missing face."""
         missing = None if k is None else self._face(addr, k)
         if addr in self.vals or missing in self.vals:
             raise CompatibilityViolated(f"fill target {self._name(addr)} or its face was assigned twice")
         faces = self._faces(addr, n, skip=k)
         kind = "boundary" if k is None else "special" if k == n else "inner"
-        D, eps, cert, guided = self.oracle, self.eps, None, False
+        D, eps, cert, guided = self.oracle, self.eps, None, k == n and self.proposal is not None
         try:
             if kind == "boundary":
                 fill = D.fill_boundary(faces, eps=eps)
@@ -556,10 +533,10 @@ class _Run:
                 fill = D.fill_inner_horn(HornSpec(n, k, faces), eps=eps)
             else:
                 horn, cert = HornSpec(n, k, faces), self._certificate(addr)
-                if self.pref is not None:
-                    fill = D.guided_fill(horn, certificate=cert, preferred_face=self.pref, eps=eps)
-                    guided = fill is not None
-                if not guided:
+                if guided:
+                    fill = D.guided_fill(horn, self.proposal, eps=eps)
+                    faces = {**faces, k: self.proposal}  # compared as a face, kept as the missing one
+                else:
                     fill = D.fill_special_outer_horn(horn, certificate=cert, eps=eps)
         except CorrLabError as err:
             raise self._refusal(addr, n, k, err=err) from err
@@ -570,7 +547,7 @@ class _Run:
         if missing is not None:
             # face i of the missing face is face k-1 of horn face i (i < k)
             # or face k of horn face i + 1 (i >= k): already compared
-            self.vals[missing] = D.face(fill, k)
+            self.vals[missing] = self.proposal if guided else D.face(fill, k)
         self.trace.append(
             dict(chain=self._name(addr), horn=(n, k), kind=kind, guided=guided, certificate=_cert_id(cert))
         )
@@ -593,7 +570,7 @@ class BarExtension(_Run):
         # a child run restricts the subdivision its parent left in the memo
         sd, sub = memo.get(("sd", eps, structural_hash(sigma)), (None, None))
         self.sd = subdivision_functor(sigma, eps=eps, check=True) if sd is None else sd.restrict(sigma, sub)
-        self.pref = None if functor.section is None else functor.section(sigma)
+        self.proposal = None if functor.section is None else functor.section(sigma)
         self.children, self.vals, self.trace = {}, {}, []
 
     value = _Run._resolve
@@ -711,7 +688,8 @@ class RelExtension(_Run):
     restrict to the two boundary maps, and ``value(sigma, w)`` with the
     identity alpha gives the homotopy's value on a simplex at a time word.
     The run keys a cell by the base's structural hash and the pairs
-    (alpha_i, w_i), and ``trace`` records its fills as a bar run's does.
+    (alpha_i, w_i), and ``trace`` records its fills as a bar run's does,
+    each naming its member by the hash's first 12 characters (``member``).
     """
 
     def __init__(self, oracle: QCOracle, homotopy, boundary, family: dict):
@@ -732,6 +710,10 @@ class RelExtension(_Run):
     @staticmethod
     def _entries(addr) -> tuple:
         return addr[1]
+
+    def _fill(self, addr, n: int, k):
+        super()._fill(addr, n, k)
+        self.trace[-1]["member"] = addr[0][:12]
 
     @staticmethod
     def _face(addr, i: int):

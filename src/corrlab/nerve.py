@@ -43,10 +43,10 @@ import numpy as np
 from .algebra import FdCstarAlgebra, compose_homs
 from .bicategory import equivalence_inverse, gamma_multiplicativity, gamma_of_hom
 from .errors import (
-    EndpointMismatch, IncompatibleFaces, IndexOutOfRange, NotMonotone, PentagonViolated, ShapeMismatch,
-    Unfillable,
+    EndpointMismatch, FunctorialityViolated, IncompatibleFaces, IndexOutOfRange, NotMonotone, PentagonViolated,
+    ShapeMismatch, Unfillable,
 )
-from .linalg import EPS, worse
+from .linalg import EPS, frob, worse
 from .modules import (
     CorrIso, Correspondence, TensorProduct, associator, compose_isos, corr_close, identity_corr, iso_distance,
     left_unitor, right_unitor, tensor_corrs, tensor_iso,
@@ -158,9 +158,9 @@ def _check_uncovered(s: NCorrSimplex, faces, eps: float) -> float:
     (PentagonViolated).  With no faces this is validate_simplex.  Sound when
     the faces are valid simplices that s agrees with, as the horn merge
     (IncompatibleFaces) and the extension's face comparison ensure: each
-    skipped t's data are then within eps of a checked face's copies.  Not
-    always the same bits: a guided fill at n = 4 keeps the preferred face's
-    copy of an edge that another face rounds otherwise.
+    skipped t's data are then within eps of a checked face's copies, not
+    always the same bits: a merge keeps the lowest face's copy, and a
+    guided run's top is the section's proposal itself.
     """
     if s.n < 0:
         raise ShapeMismatch("a simplex needs at least one vertex")
@@ -364,7 +364,9 @@ def gamma_simplex(phis, *, eps: float = EPS, validate: bool = True, composites=N
     u_ijk are the canonical multiplicativity intertwiners. ``composites``
     may supply the hom for (i, j) directly; callers holding a coherent
     family use it so that shared edges come out bit-identical instead of
-    being recomposed per chain.
+    being recomposed per chain.  With ``validate`` each must be, within eps
+    in Frobenius norm, phis[i] at j = i + 1 (IncompatibleFaces) and else
+    phis[j-1] . comp(i, j-1) (FunctorialityViolated).
     """
     phis = list(phis)
     n = len(phis)
@@ -377,17 +379,17 @@ def gamma_simplex(phis, *, eps: float = EPS, validate: bool = True, composites=N
         raise ShapeMismatch("gamma_simplex needs at least one hom")
     composites = composites or {}
     comp = {}
-    for i in range(n + 1):
-        for j in range(i + 1, n + 1):
-            given = composites.get((i, j))
-            if given is not None:
-                if given.src != algebras[i] or given.dst != algebras[j]:
-                    raise EndpointMismatch(f"supplied composite ({i}, {j}) has wrong endpoints")
-                comp[(i, j)] = given
-            else:
-                comp[(i, j)] = (
-                    phis[i] if j == i + 1 else compose_homs(phis[j - 1], comp[(i, j - 1)])
-                )
+    for i, j in combinations(range(n + 1), 2):
+        given = composites.get((i, j))
+        if given is not None and (given.src != algebras[i] or given.dst != algebras[j]):
+            raise EndpointMismatch(f"supplied composite ({i}, {j}) has wrong endpoints")
+        if given is None or validate:
+            made = phis[i] if j == i + 1 else compose_homs(phis[j - 1], comp[(i, j - 1)])
+            if given is not None and not (r := frob(given.matrix - made.matrix)) <= eps:
+                if j == i + 1:
+                    raise IncompatibleFaces(f"supplied edge ({i}, {j}) is not phis[{i}]", r)
+                raise FunctorialityViolated((i,), (j - 1,), (j,), r)
+        comp[(i, j)] = made if given is None else given
     edges = {(i, j): gamma_of_hom(comp[(i, j)]) for i, j in combinations(range(n + 1), 2)}
     cells = {
         (i, j, k): gamma_multiplicativity(comp[(j, k)], comp[(i, j)], comp=comp[(i, k)])
@@ -437,19 +439,17 @@ def _check_faces(faces: dict, keys: set, n: int, needs: str):
             raise ShapeMismatch(f"face {j} has dimension {f.n}, expected {n - 1}")
 
 
-def _merge_face_data(n: int, faces: dict, eps: float = EPS, prefer=None):
+def _merge_face_data(n: int, faces: dict, eps: float = EPS):
     """Pool edges and cells from the faces.
 
     Shared data must agree within eps; the copy from the lowest face index
-    is kept, or from face ``prefer`` when given. Bit-exact agreement is not
-    required because values reaching a horn along different composition
-    paths differ by rounding.
+    is kept. Bit-exact agreement is not required because values reaching a
+    horn along different composition paths differ by rounding.
     """
     algebras = [None] * (n + 1)
     edges, cells = {}, {}
     owner = {}
-    for j in sorted(faces, key=lambda x: (x != prefer, x)):
-        f = faces[j]
+    for j, f in sorted(faces.items()):
         d = _index_map("face", j, n)
         for a in range(n):
             if algebras[d[a]] is None:
@@ -550,20 +550,19 @@ def _boundary_dim(faces: dict) -> int:
     return n
 
 
-def assemble_boundary(faces: dict, *, eps: float = EPS, prefer=None) -> NCorrSimplex:
+def assemble_boundary(faces: dict, *, eps: float = EPS) -> NCorrSimplex:
     """Rebuild an n-simplex from all n+1 of its faces.
 
     From dimension 3 up every edge and cell lives on some face, so the
     boundary pins the simplex down completely; shared data must agree
     within eps. A 2-boundary leaves the triangle's intertwiner free and is
-    rejected. ``prefer`` names a face whose copy of shared data wins the
-    vote; callers that later extract that face get its bits back unchanged.
-    The faces must be valid simplices; from n = 4 up they cover every check.
+    rejected. The faces must be valid simplices; from n = 4 up they cover
+    every check.
     """
     n = _boundary_dim(faces)
     if n < 3:
         raise Unfillable("a boundary below dimension 3 does not determine the simplex")
-    algebras, edges, cells = _merge_face_data(n, faces, eps, prefer)
+    algebras, edges, cells = _merge_face_data(n, faces, eps)
     s = NCorrSimplex(algebras, edges, cells)
     _check_uncovered(s, faces, eps)
     return s

@@ -2,9 +2,11 @@
 
 import ast
 import contextlib
+import dataclasses
 import gc
 import inspect
 import itertools
+import re
 import textwrap
 import weakref
 from collections import Counter
@@ -673,10 +675,7 @@ def twisting_gamma_simplex(dim):
     def wrapped(homs, *, validate=True, **kw):
         s = gamma_simplex(homs, validate=False, **kw)
         if s.n == dim and not twisted:
-            c = s.cells[(0, 1, 2)]
-            cells = dict(s.cells)
-            cells[(0, 1, 2)] = CorrIso(c.src, c.dst, [1j * u for u in c.blocks])
-            s = NCorrSimplex(s.algebras, s.edges, cells)
+            s = twisted_cell(s, 1j)
             twisted.append(s)
         return validate_simplex(s) if validate else s
 
@@ -888,18 +887,28 @@ def test_k0_oracle_refuses_a_boundary_below_dimension_2():
         K0Oracle().fill_boundary({0: v, 1: v})
 
 
-def test_k0_guided_fill_confirms_or_declines():
-    """K0 fills are unique, so guiding only confirms: an inner horn fills as
-    without a guide, and a special horn keeps its fill when the preferred
-    face is the fill's missing face and declines (None) otherwise."""
+def test_k0_guided_fill_is_the_boundary_the_proposal_completes():
+    """K0 fills are unique, so the guided fill is the special fill when the
+    proposal is that fill's missing face, and any other proposal is refused
+    as a face that disagrees.  Like the special fill it refuses an inner
+    horn.  Neither fill reads a certificate: the special fill inverts its
+    last edge itself, whatever it is given."""
     o = K0Oracle()
     s = K0Simplex((2, 2, 2), [M12, M01])  # the last step is unimodular
-    inner = HornSpec(2, 1, {0: s.face(0), 2: s.face(2)})
-    assert o.guided_fill(inner) == s
     special = HornSpec(2, 2, {0: s.face(0), 1: s.face(1)})
-    assert o.guided_fill(special, preferred_face=s.face(2)) == s
-    assert o.guided_fill(special, int_inverse(M01), preferred_face=s.face(2)) == s
-    assert o.guided_fill(special, preferred_face=K0Simplex((2, 2), [M01])) is None
+    assert o.guided_fill(special, s.face(2)) == s
+    with pytest.raises(Unfillable, match="not a special outer horn"):
+        o.guided_fill(HornSpec(2, 1, {0: s.face(0), 2: s.face(2)}), s.face(1))
+    for cert in (None, int_inverse(M01), np.eye(2, dtype=np.int64), "not a matrix"):
+        assert o.fill_special_outer_horn(special, cert) == s
+    with pytest.raises(IncompatibleFaces, match="disagrees with the simplex the other faces make"):
+        o.guided_fill(special, K0Simplex((2, 2), [M01]))
+    assert list(inspect.signature(K0Oracle.guided_fill).parameters) == ["self", "horn", "proposal", "eps"]
+
+
+def swap_hom(a):
+    """The swap of the two summands of A = C (+) C."""
+    return embedding_hom(a, a, np.array([[0, 1], [1, 0]]))
 
 
 def swap_and_identity_chain():
@@ -907,25 +916,66 @@ def swap_and_identity_chain():
     of the swap, whose correspondence is not isomorphic to id_A."""
     a = make_algebra((1, 1))
     ident = embedding_hom(a, a, np.eye(2, dtype=np.int64))
-    swap = embedding_hom(a, a, np.array([[0, 1], [1, 0]]))
-    return gamma_simplex([ident, ident]), gamma_simplex([swap])
+    return gamma_simplex([ident, ident]), gamma_simplex([swap_hom(a)])
 
 
-def test_ncorr_guided_fill_declines_what_does_not_fit():
-    """NCorrOracle.guided_fill returns None, so the engine falls back to the
-    unguided fill, for no preferred face, an inner horn, a preferred edge
+def twisted_cell(s, z):
+    """s with its cell (0, 1, 2) multiplied by the unit z: still a valid
+    CorrIso, but not the cell of s."""
+    cells = dict(s.cells)
+    c = cells[(0, 1, 2)]
+    cells[(0, 1, 2)] = CorrIso(c.src, c.dst, [z * u for u in c.blocks])
+    return NCorrSimplex(s.algebras, s.edges, cells)
+
+
+def test_ncorr_guided_fill_refuses_what_does_not_fit():
+    """NCorrOracle.guided_fill never declines.  It refuses what the special
+    fill refuses (an inner horn, a horn below dimension 2), a proposed edge
     whose product with the last edge has no intertwiner to the composite
-    edge, and a horn whose assembly is refused."""
+    edge, and from dimension 3 up a proposal the boundary assembly refuses.
+    A proposal that fits is the fill's missing face."""
     o = NCorrOracle()
     s, swap = swap_and_identity_chain()
     special = HornSpec(2, 2, {0: face(s, 0), 1: face(s, 1)})
-    assert o.guided_fill(special) is None
-    assert o.guided_fill(HornSpec(2, 1, {0: face(s, 0), 2: face(s, 2)}), preferred_face=swap) is None
-    assert o.guided_fill(special, preferred_face=swap) is None
-    fill = o.guided_fill(special, preferred_face=face(s, 2))
-    assert fill is not None and o.equal(fill, s)
+    with pytest.raises(Unfillable, match="not a special outer horn"):
+        o.guided_fill(HornSpec(2, 1, {0: face(s, 0), 2: face(s, 2)}), swap)
+    with pytest.raises(Unfillable, match="no intertwiner"):
+        o.guided_fill(special, swap)
+    proposal = face(s, 2)
+    fill = o.guided_fill(special, proposal)
+    assert o.equal(fill, s) and fill.edge(0, 1) is proposal.edge(0, 1)
     vertex = make_simplex([s.algebras[0]], {}, {})
-    assert o.guided_fill(HornSpec(1, 1, {0: vertex}), preferred_face=vertex) is None
+    with pytest.raises(Unfillable, match="below dimension 2"):
+        o.guided_fill(HornSpec(1, 1, {0: vertex}), vertex)
+    ident = embedding_hom(s.algebras[0], s.algebras[0], np.eye(2, dtype=np.int64))
+    t = gamma_simplex([ident] * 3)
+    horn = HornSpec(3, 3, {j: face(t, j) for j in range(3)})
+    assert o.equal(o.guided_fill(horn, face(t, 3)), t)
+    with pytest.raises(PentagonViolated):
+        o.guided_fill(horn, twisted_cell(face(t, 3), -1))
+    with pytest.raises(IncompatibleFaces, match=r"disagree on edge \(0, 1\)"):
+        o.guided_fill(horn, gamma_simplex([swap_hom(s.algebras[0])] * 2))
+    assert list(inspect.signature(NCorrOracle.guided_fill).parameters) == ["self", "horn", "proposal", "eps"]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_a_proposal_that_does_not_fit_refuses_the_run(n):
+    """The section's proposal is the run's top, so one that does not
+    complete the run's special horn refuses the run, naming the horn, where
+    the same functor with a fitting proposal lands on sigma.  At n = 1 the
+    proposed edge is the swap's, whose product with the last edge has no
+    intertwiner to the composite edge; at n = 2 it is sigma with its cell
+    negated, which fails the pentagon of the assembled boundary."""
+    a = make_algebra((1, 1))
+    ident = embedding_hom(a, a, np.eye(2, dtype=np.int64))
+    sig = gamma_simplex([ident] * n)
+    fitting = gamma_functor([ident])
+    assert structural_hash(bar_F(sig, fitting, NCorrOracle(), {})) == structural_hash(sig)
+    wrong = gamma_simplex([swap_hom(a)]) if n == 1 else twisted_cell(sig, -1)
+    F = dataclasses.replace(fitting, section=lambda s: wrong if s.n == n else fitting.section(s))
+    top = extension._chain_str(AugChain(tuple(range(n + 1)), (tuple(range(n + 1)),)))
+    with pytest.raises(OracleFillFailed, match=re.escape(f"horn ({n + 1},{n + 1}) at {top}: ")):
+        bar_F(sig, F, NCorrOracle(), {})
 
 
 def test_k0_functor_refuses_an_empty_or_broken_chain_and_a_non_invertible_corner():
@@ -1055,18 +1105,26 @@ def shuffle(q, t):
 def test_the_prism_run_traces_q_inner_horns_then_one_boundary_cell(n):
     """Members are filled in order of dimension; each q-simplex's prism
     records q inner horns (q+1, q) ... (q+1, 1), whose missing faces are the
-    diagonals, then its last shuffle, filled from its whole boundary."""
+    diagonals, then its last shuffle, filled from its whole boundary.  Each
+    record names its member by its structural hash's first 12 characters,
+    so the records of two members of one dimension differ (over a
+    2-simplex, its three edges' records are three distinct pairs)."""
     sig, F0, F1, P, eta = relative_setup(np.random.default_rng(10 * n), n, False)
     rel = extend_relative(CstHomotopy(F0, F1, eta), [sig], K0Oracle())
+    members = [s for s in sorted(nerve._face_closure([sig]).values(), key=lambda s: s.n) if s.n >= 1]
     want = []
-    for q in sorted(s.n for s in closure(sig) if s.n >= 1):
+    for s in members:
+        q = s.n
         for t in [*range(q, 0, -1), 0]:
             alpha, w = shuffle(q, t)
             kind, k = ("inner", t) if t else ("boundary", None)
             want.append(
-                {"chain": f"{alpha}/{w}", "horn": (q + 1, k), "kind": kind, "guided": False, "certificate": "none"}
+                {"chain": f"{alpha}/{w}", "horn": (q + 1, k), "kind": kind, "guided": False, "certificate": "none",
+                 "member": structural_hash(s)[:12]}
             )
     assert rel.trace == want
+    edges = [tuple(r.items()) for r in rel.trace if r["horn"][0] == 2]
+    assert len(set(edges)) == len(edges) == 2 * (3 if n == 2 else 1)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -142,16 +142,21 @@ def test_module_shape():
 
 @pytest.mark.parametrize("seed", range(4))
 def test_inner_product_axioms(seed):
+    """The Hilbert-module axioms on a correspondence's module, and its
+    left action: multiplicative and adjointable, <a x, y> = <x, a* y>."""
     rng = np.random.default_rng(seed)
-    b = random_algebra(rng, max_blocks=2, max_size=3)
-    m = make_module(b, [int(rng.integers(1, 3)) for _ in b.blocks])
-    x, y = random_mod_elem(m, rng), random_mod_elem(m, rng)
+    a, b = random_algebra(rng, max_blocks=2, max_size=3), random_algebra(rng, max_blocks=2, max_size=3)
+    e = random_correspondence(a, b, rng, max_mult=2)
+    x, y = random_mod_elem(e.module, rng), random_mod_elem(e.module, rng)
     c = random_element(b, rng)
     assert x.inner(y).adjoint().is_close(y.inner(x), eps=1e-9)
     assert x.inner(y.right_mul(c)).is_close(x.inner(y) @ c, eps=1e-9)
     for blk in x.inner(x).mats:
         assert np.linalg.eigvalsh(blk).min() > -1e-9
     assert mod_close(x.right_mul(c).right_mul(c), x.right_mul(c @ c))
+    d, d2 = random_element(a, rng), random_element(a, rng)
+    assert mod_close(left_mul(e, d @ d2, x), left_mul(e, d, left_mul(e, d2, x)))
+    assert left_mul(e, d, x).inner(y).is_close(x.inner(left_mul(e, d.adjoint(), y)), eps=1e-9)
 
 
 def test_direct_sum_modules():

@@ -15,11 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corrlab import modules, nerve
-from corrlab.algebra import FdCstarAlgebra, StarHom, _traced_mult, make_algebra
+from corrlab.algebra import FdCstarAlgebra, StarHom, _traced_mult, compose_homs, make_algebra
 from corrlab.bicategory import find_corr_iso
 from corrlab.cli import main
 from corrlab.errors import (
     EndpointMismatch,
+    FunctorialityViolated,
     NotAnEquivalence,
     NotIntertwining,
     NotUnitary,
@@ -69,6 +70,7 @@ from corrlab.nerve import (
     structural_hash,
     validate_simplex,
 )
+from corrlab.linalg import frob
 from corrlab.serialize import load_value
 from reference import dump_value, is_equivalence
 
@@ -881,6 +883,37 @@ def test_gamma_simplex_refuses_what_is_not_a_chain():
         gamma_simplex([f, f])
     with pytest.raises(EndpointMismatch, match=r"composite \(0, 1\) has wrong endpoints"):
         gamma_simplex([f], composites={(0, 1): embedding_hom(c, c, [[1]])})
+
+
+def test_gamma_simplex_refuses_a_supplied_composite_that_is_another_map():
+    """A supplied composite with the right ends that is not psi . phi
+    (phi followed by an embedding with psi's multiplicities and another
+    unitary) is refused with its residual when gamma_simplex validates:
+    unchecked, its cell is no intertwiner.  Without validation, the
+    extension's path, composites are taken as given.  A supplied edge
+    (0, 1) that is not phi itself is refused as such.  In 2 of the 20 draws
+    phi's image is scalars, so every unital psi gives the same composite,
+    and it is accepted."""
+    refused = 0
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        phi, psi = random_chain(rng, 2, max_blocks=2, max_size=3)
+        other = compose_homs(embedding_hom(psi.src, psi.dst, psi.mult_matrix, rng), phi)
+        gap = frob(other.matrix - compose_homs(psi, phi).matrix)
+        if gap <= 1e-9:
+            assert gamma_simplex([phi, psi], composites={(0, 2): other}).n == 2
+            continue
+        refused += 1
+        with pytest.raises(FunctorialityViolated, match=r"S=\{0\}, T=\{1\}, U=\{2\} \(residual") as err:
+            gamma_simplex([phi, psi], composites={(0, 2): other})
+        assert err.value.residual == gap
+        cell = gamma_simplex([phi, psi], composites={(0, 2): other}, validate=False).cells[(0, 1, 2)]
+        assert any(e is not None for _, _, e in modules._iso_faults(cell, 1e-9))
+        moved = embedding_hom(phi.src, phi.dst, phi.mult_matrix, rng)
+        if frob(moved.matrix - phi.matrix) > 1e-9:
+            with pytest.raises(IncompatibleFaces, match=r"supplied edge \(0, 1\) is not phis\[0\] \(residual"):
+                gamma_simplex([phi, psi], composites={(0, 1): moved})
+    assert refused == 18
 
 
 def test_a_special_fill_refuses_an_inner_horn():

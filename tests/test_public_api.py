@@ -341,7 +341,7 @@ def test_algebras_and_modules_compare_by_identity():
     assert "label" not in FdCstarAlgebra.__slots__
 
 
-LINE_BUDGET = 5267
+LINE_BUDGET = 5251
 
 
 def test_library_stays_within_its_line_budget():
