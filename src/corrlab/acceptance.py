@@ -207,10 +207,7 @@ def conjugated_k0(rng):
         ranks = (homs[0].src.nblocks,) + tuple(h.dst.nblocks for h in homs)
         return K0Simplex(ranks, [P(h.dst) @ k0_matrix(h) @ int_inverse(P(h.src)) for h in homs])
 
-    def certificate(phi, *, eps=EPS):
-        return int_inverse(P(phi.dst) @ k0_matrix(phi) @ int_inverse(P(phi.src)))
-
-    return CstFunctor("K0conj", vertex, chain, certificate), P
+    return CstFunctor(vertex, chain), P
 
 
 def _small_pair(rng):

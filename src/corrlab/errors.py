@@ -42,7 +42,6 @@ __all__ = [
     "FunctorialityViolated",
     "OracleFillFailed",
     "CompatibilityViolated",
-    "NotStableOnDiagram",
     "BoundaryMismatch",
     "ParseError",
     "SchemaError",
@@ -154,10 +153,6 @@ class OracleFillFailed(ValidationError):
 
 
 class CompatibilityViolated(ValidationError):
-    pass
-
-
-class NotStableOnDiagram(ValidationError):
     pass
 
 

@@ -14,8 +14,8 @@ record at a time.  The engines differ in their addresses, base values and
 fill targets.  A bar run (`BarExtension`) addresses the chains of sd Δ^n:
 a chain whose support misses a vertex comes from the run over that face, a
 chain with at most one vertex from F, and the rest from inner horns and,
-last in each stage, a special outer horn certified by the corner
-embedding's inverse (``_fill_targets``).  A prism run (`RelExtension`)
+last in each stage, a special outer horn, whose fill checks that its last
+edge is an equivalence (``_fill_targets``).  A prism run (`RelExtension`)
 addresses pairs (vertex, time) over a family member: lower support comes
 from the member on it, constant times from the two functors' bar runs,
 (0,0)(0,1) over an object from eta, and the rest from the prism's q + 1
@@ -56,7 +56,6 @@ from .errors import (
     CorrLabError,
     IncompatibleFaces,
     IndexOutOfRange,
-    NotStableOnDiagram,
     OracleFillFailed,
     ShapeMismatch,
     Unfillable,
@@ -96,9 +95,10 @@ class QCOracle(ABC):
     it (an oracle holds no tolerance).  Fills must return simplices carrying
     the supplied faces exactly, in every dimension, or raise a CorrLabError:
     the run's dimension is bounded by its subdivision alone.  A special
-    outer horn's last edge needs no test of its own: it is the functor's
-    image of a corner, whose ``certificate`` raises when that image is not
-    invertible.  ``guided_fill`` completes a horn by a proposal, or raises.
+    outer horn fills only when its last edge is an equivalence (in a bar
+    run, the functor's image of a corner): both the special fill and
+    ``guided_fill``, which completes the horn by a proposal, test that edge
+    and raise when it is not one.
     """
 
     @abstractmethod
@@ -118,7 +118,7 @@ class QCOracle(ABC):
         """A simplex with the faces of an inner horn."""
 
     @abstractmethod
-    def fill_special_outer_horn(self, horn: HornSpec, certificate=None, *, eps: float = EPS):
+    def fill_special_outer_horn(self, horn: HornSpec, *, eps: float = EPS):
         """A simplex with the faces of a special outer horn."""
 
     @abstractmethod
@@ -234,8 +234,8 @@ class K0Oracle(QCOracle):
     """The nerve of integer matrices as an extension target.
 
     Being the nerve of an ordinary category it has unique inner fills, and a
-    final-edge fill needs exactly an integer inverse, which is unique, so it
-    reads no certificate.  Its data are integers: it ignores ``eps``.
+    special fill needs exactly an integer inverse of its last edge, which is
+    unique.  Its data are integers: it ignores ``eps``.
     """
 
     def face(self, s: K0Simplex, i: int) -> K0Simplex:
@@ -252,14 +252,11 @@ class K0Oracle(QCOracle):
         ranks, steps = _merge_k0_faces(horn.n, horn.faces)
         return self._build(ranks, steps, horn.faces)
 
-    def fill_special_outer_horn(self, horn: HornSpec, certificate=None, *, eps: float = EPS) -> K0Simplex:
-        horn._check_kind(special=True)
+    def fill_special_outer_horn(self, horn: HornSpec, *, eps: float = EPS) -> K0Simplex:
+        inv = self._last_inverse(horn)
         ranks, steps = _merge_k0_faces(horn.n, horn.faces)
         if horn.n == 2:
-            try:  # an integer inverse is unique, so no certificate is read
-                steps[0] = int_inverse(steps[1]) @ horn.faces[1].steps[0]
-            except ValueError as err:
-                raise Unfillable(f"last edge is not invertible: {err}") from err
+            steps[0] = inv @ horn.faces[1].steps[0]
         return self._build(ranks, steps, horn.faces)
 
     def fill_boundary(self, faces: dict, *, eps: float = EPS) -> K0Simplex:
@@ -270,8 +267,19 @@ class K0Oracle(QCOracle):
         return self._build(ranks, steps, faces)
 
     def guided_fill(self, horn: HornSpec, proposal, *, eps: float = EPS) -> K0Simplex:
-        horn._check_kind(special=True)
+        self._last_inverse(horn)
         return self.fill_boundary({**horn.faces, horn.k: proposal}, eps=eps)
+
+    @staticmethod
+    def _last_inverse(horn: HornSpec) -> np.ndarray:
+        """The integer inverse of a special horn's last step, (n-1, n), the
+        last step of face 0; Unfillable when the horn is not special or the
+        step has no integer inverse."""
+        horn._check_kind(special=True)
+        try:
+            return int_inverse(horn.faces[0].steps[-1])
+        except ValueError as err:
+            raise Unfillable(f"last edge is not invertible: {err}") from err
 
     def _build(self, ranks, steps, faces: dict) -> K0Simplex:
         """The simplex with these ranks and steps, which must carry each of
@@ -300,17 +308,19 @@ class NCorrOracle(QCOracle):
     def fill_inner_horn(self, horn: HornSpec, *, eps: float = EPS):
         return nerve.fill_inner_horn(horn, eps=eps)
 
-    def fill_special_outer_horn(self, horn: HornSpec, certificate=None, *, eps: float = EPS):
-        return nerve.fill_special_outer_horn(horn, witness=certificate, eps=eps)
+    def fill_special_outer_horn(self, horn: HornSpec, *, eps: float = EPS):
+        return nerve.fill_special_outer_horn(horn, eps=eps)
 
     def fill_boundary(self, faces: dict, *, eps: float = EPS):
         return nerve.assemble_boundary(faces, eps=eps)
 
     def guided_fill(self, horn: HornSpec, proposal, *, eps: float = EPS):
-        """The special outer fill whose missing face is the proposal: from
-        dimension 3 up the boundary it completes (the nerve is 3-coskeletal);
-        at 2, its edge E_01 and an intertwiner E_01 (x) E_12 -> E_02."""
+        """The special outer fill whose missing face is the proposal, once
+        the last edge (face 0's last) is an equivalence: from dimension 3 up
+        the boundary it completes (the nerve is 3-coskeletal); at 2, its edge
+        E_01 and an intertwiner E_01 (x) E_12 -> E_02."""
         horn._check_kind(special=True)
+        equivalence_inverse(horn.faces[0].edge(horn.n - 2, horn.n - 1), eps=eps)
         if horn.n > 2:
             return nerve.assemble_boundary({**horn.faces, horn.k: proposal}, eps=eps)
         e01, e12, e02 = proposal.edge(0, 1), horn.faces[0].edge(0, 1), horn.faces[1].edge(0, 1)
@@ -330,10 +340,9 @@ class CstFunctor:
     """An algebra-level functor into an oracle target.
 
     ``vertex`` and ``chain`` produce the target simplices of objects and of
-    composable hom chains (a chain of one hom is the image edge).
-    ``certificate`` returns invertibility data for the image of a marked
-    corner-like hom and raises when the hom is not invertible in the target.
-    ``chain`` and ``certificate`` take the run's ``eps`` as a keyword.
+    composable hom chains (a chain of one hom is the image edge); ``chain``
+    takes the run's ``eps`` as a keyword.  The images of corners need no
+    certifying: the target's special fills test their last edges.
     ``section``, when set, guides every run of the functor: it proposes the
     exact simplex the run should land on for a given input simplex, or None
     to decline; the proposal is the run's top, and one that does not fit
@@ -342,10 +351,8 @@ class CstFunctor:
     only where no face covers it.
     """
 
-    name: str
     vertex: Callable
     chain: Callable
-    certificate: Callable
     section: Callable = None
 
 
@@ -370,14 +377,7 @@ def k0_functor() -> CstFunctor:
         ranks = (homs[0].src.nblocks,) + tuple(h.dst.nblocks for h in homs)
         return K0Simplex(ranks, [k0_matrix(h) for h in homs])
 
-    def certificate(phi, *, eps: float = EPS):
-        m = k0_matrix(phi)
-        try:
-            return int_inverse(m)
-        except ValueError as err:
-            raise NotStableOnDiagram(f"hom has no integer inverse on K-theory classes: {err}") from err
-
-    return CstFunctor("K0", vertex, chain, certificate)
+    return CstFunctor(vertex, chain)
 
 
 def gamma_functor(arrows=()) -> CstFunctor:
@@ -411,9 +411,6 @@ def gamma_functor(arrows=()) -> CstFunctor:
         nerve._check_uncovered(s, range(s.n + 1), eps)
         return s
 
-    def certificate(phi, *, eps: float = EPS):
-        return equivalence_inverse(gamma_of_hom(phi), eps=eps)
-
     def section(sig):
         if sig.n == 0:
             return sig
@@ -428,7 +425,7 @@ def gamma_functor(arrows=()) -> CstFunctor:
             return sig
         return None
 
-    return CstFunctor("Gamma", vertex, chain, certificate, section)
+    return CstFunctor(vertex, chain, section)
 
 
 # ---------------------------------------------------------------------------
@@ -439,18 +436,6 @@ def _chain_str(c: AugChain) -> str:
     parts = [str(v) for v in c.vertices]
     parts += ["{" + ",".join(map(str, s)) + "}" for s in c.subsets]
     return "(" + ", ".join(parts) + ")"
-
-
-def _cert_id(cert) -> str:
-    if cert is None:
-        return "none"
-    if isinstance(cert, np.ndarray):
-        return structural_hash(cert)[:12]
-    corr = getattr(cert, "corr", None)
-    inv = getattr(cert, "inverse", None)
-    if corr is not None and inv is not None:
-        return structural_hash((corr, inv))[:12]
-    return structural_hash(np.frombuffer(repr(cert).encode(), dtype=np.uint8))[:12]
 
 
 @functools.cache
@@ -491,8 +476,8 @@ class _Run:
 
     ``vals`` holds every value resolved or filled so far, ``trace`` one
     record per fill in order.  An engine gives its addresses' ``_entries``
-    and ``_face``, the values no fill makes (``_base``), a special fill's
-    ``_certificate``, and the words of its refusals (``_name``, ``_refusal``).
+    and ``_face``, the values no fill makes (``_base``), and the words of
+    its refusals (``_name``, ``_refusal``).
     """
 
     eps = EPS  # the tolerance of every check and fill, set by the run's maker
@@ -525,19 +510,17 @@ class _Run:
             raise CompatibilityViolated(f"fill target {self._name(addr)} or its face was assigned twice")
         faces = self._faces(addr, n, skip=k)
         kind = "boundary" if k is None else "special" if k == n else "inner"
-        D, eps, cert, guided = self.oracle, self.eps, None, k == n and self.proposal is not None
+        D, eps, guided = self.oracle, self.eps, k == n and self.proposal is not None
         try:
             if kind == "boundary":
                 fill = D.fill_boundary(faces, eps=eps)
             elif kind == "inner":
                 fill = D.fill_inner_horn(HornSpec(n, k, faces), eps=eps)
+            elif guided:
+                fill = D.guided_fill(HornSpec(n, k, faces), self.proposal, eps=eps)
+                faces = {**faces, k: self.proposal}  # compared as a face, kept as the missing one
             else:
-                horn, cert = HornSpec(n, k, faces), self._certificate(addr)
-                if guided:
-                    fill = D.guided_fill(horn, self.proposal, eps=eps)
-                    faces = {**faces, k: self.proposal}  # compared as a face, kept as the missing one
-                else:
-                    fill = D.fill_special_outer_horn(horn, certificate=cert, eps=eps)
+                fill = D.fill_special_outer_horn(HornSpec(n, k, faces), eps=eps)
         except CorrLabError as err:
             raise self._refusal(addr, n, k, err=err) from err
         j = _bad_face(D, fill, faces, eps)
@@ -548,9 +531,7 @@ class _Run:
             # face i of the missing face is face k-1 of horn face i (i < k)
             # or face k of horn face i + 1 (i >= k): already compared
             self.vals[missing] = self.proposal if guided else D.face(fill, k)
-        self.trace.append(
-            dict(chain=self._name(addr), horn=(n, k), kind=kind, guided=guided, certificate=_cert_id(cert))
-        )
+        self.trace.append(dict(chain=self._name(addr), horn=(n, k), kind=kind, guided=guided))
 
 
 class BarExtension(_Run):
@@ -614,10 +595,6 @@ class BarExtension(_Run):
         comp = {(i, j): homs[(subsets[i], subsets[j])] for i in range(m) for j in range(i + 1, m)}
         steps = [homs[(s, t)] for s, t in zip(subsets, subsets[1:])]
         return self.functor.chain(steps, composites=comp, eps=self.eps)
-
-    def _certificate(self, c: AugChain):
-        """The certificate of the corner from c's last vertex to the top."""
-        return self.functor.certificate(self.sd.hom((c.vertices[-1],), self.full), eps=self.eps)
 
     def _refusal(self, c: AugChain, n, k, err=None, j=None) -> CorrLabError:
         horn = f"horn ({n},{k}) at {_chain_str(c)}"

@@ -24,12 +24,13 @@ tensor_corrs keeps on the left edge.
 Fills: an inner (2,1)-horn composes its two edges; (3,k)-horns solve the
 pentagon for the one missing intertwiner, where k = 3 extracts it from a
 tensor-with-identity ansatz (well posed because the last edge is an
-equivalence); a special (2,2)-horn inverts its last edge through the Morita
-counit.  From dimension 4 up a horn carries no new data, since the nerve is
-3-coskeletal (Duskin 2002): every edge and cell lies on a present face, so
-the fill is the merged face data.  A fill is checked only where none of its
-faces covers it (_check_uncovered): the solved cell and the pentagon at
-n = 3, the missing face's pentagon at n = 4, nothing from n = 5 up.
+equivalence); every special fill checks that its last edge is one, and a
+(2,2)-horn inverts it through the Morita counit.  From dimension 4 up a horn
+carries no new data, since the nerve is 3-coskeletal (Duskin 2002): every
+edge and cell lies on a present face, so the fill is the merged face data.
+A fill is checked only where none of its faces covers it
+(_check_uncovered): the solved cell and the pentagon at n = 3, the missing
+face's pentagon at n = 4, nothing from n = 5 up.
 """
 from __future__ import annotations
 
@@ -325,13 +326,6 @@ def _h_update(h, obj):
             for key in combinations(range(obj.n + 1), size):
                 h.update(repr(key).encode())
                 _h_update(h, stored[key])
-    elif isinstance(obj, (tuple, list)):
-        h.update(b"(")
-        for x in obj:
-            _h_update(h, x)
-        h.update(b")")
-    elif isinstance(obj, (str, int, float, complex, np.generic)):
-        h.update(repr(obj).encode())
     else:
         raise TypeError(f"structural_hash has no rule for {type(obj).__name__}")
 
@@ -341,8 +335,8 @@ def structural_hash(obj) -> str:
 
     Equal hashes mean bit-identical data. Used for memo keys, trace ids and
     exact-recovery checks; tolerance-based comparisons live in simplex_close.
-    A type with no rule raises TypeError: a lone hom or a K0Simplex among
-    them, which no memo key or certificate is (a K0Simplex compares by ==).
+    A type with no rule raises TypeError, a lone hom, a K0Simplex, a tuple
+    or a scalar among them: no memo key is one (a K0Simplex compares by ==).
     A simplex hashes its algebras and its stored strict edges and cells: its
     identity edges and unit cells are a function of those, so hashing builds
     none of them.
@@ -421,7 +415,9 @@ class HornSpec:
 
     def _check_kind(self, special: bool):
         """The one horn rule: L^n_k fills as an inner horn iff 0 < k < n and
-        as a special outer horn iff k = n >= 2; Unfillable otherwise."""
+        as a special outer horn iff k = n >= 2; Unfillable otherwise.  A
+        special fill then checks that its last edge, (n-1, n), is an
+        equivalence."""
         n, k = self.n, self.k
         if not special and not 0 < k < n:
             raise Unfillable(f"L^{n}_{k} is not an inner horn")
@@ -506,38 +502,35 @@ def fill_inner_horn(horn: HornSpec, *, eps: float = EPS) -> NCorrSimplex:
     return s
 
 
-def fill_special_outer_horn(horn: HornSpec, witness=None, *, eps: float = EPS) -> NCorrSimplex:
+def fill_special_outer_horn(horn: HornSpec, *, eps: float = EPS) -> NCorrSimplex:
     """Fill L^n_n, n >= 2, whose last edge is an equivalence.
 
-    ``witness`` may carry the equivalence data of E_{n-1,n}; it is computed
-    (and the edge thereby certified) when absent.  From n = 4 up the fill
-    assembles the boundary.  The faces must be valid simplices; the fill is
-    checked where none covers it.
+    The fill checks that edge itself, in every dimension: equivalence_inverse
+    of E_{n-1,n} raises unless it is one, and at n = 2 its inverse and counit
+    make the fill.  From n = 4 up the fill assembles the boundary.  The faces
+    must be valid simplices; the fill is checked where none covers it.
     """
     horn._check_kind(special=True)
     n = horn.n
     algebras, edges, cells = _merge_face_data(n, horn.faces, eps)
-    if n < 4:
-        last = edges[(n - 1, n)]
-        if witness is None or not corr_close(witness.corr, last, eps):
-            witness = equivalence_inverse(last, eps=eps)
-        if n == 2:
-            inv = witness.inverse
-            t1 = tensor_corrs(edges[(0, 2)], inv)
-            e01 = t1.corr
-            edges[(0, 1)] = e01
-            t2 = tensor_corrs(e01, edges[(1, 2)])
-            t_r = tensor_corrs(inv, witness.corr)
-            t_e_fg = tensor_corrs(edges[(0, 2)], t_r.corr)
-            ass = associator(t1, t2, t_r, t_e_fg, eps=eps)
-            t_unit = tensor_corrs(edges[(0, 2)], identity_corr(algebras[2]))
-            mid = tensor_iso(
-                identity_iso(edges[(0, 2)]), witness.counit_right, t_e_fg, t_unit, eps=eps
-            )
-            rho = right_unitor(t_unit, eps=eps)
-            cells[(0, 1, 2)] = compose_isos(rho, compose_isos(mid, ass, eps=eps), eps=eps)
-        else:
-            cells[(0, 1, 2)] = _solve_pentagon(edges, cells, 3, eps)
+    equiv = equivalence_inverse(edges[(n - 1, n)], eps=eps)
+    if n == 2:
+        inv = equiv.inverse
+        t1 = tensor_corrs(edges[(0, 2)], inv)
+        e01 = t1.corr
+        edges[(0, 1)] = e01
+        t2 = tensor_corrs(e01, edges[(1, 2)])
+        t_r = tensor_corrs(inv, equiv.corr)
+        t_e_fg = tensor_corrs(edges[(0, 2)], t_r.corr)
+        ass = associator(t1, t2, t_r, t_e_fg, eps=eps)
+        t_unit = tensor_corrs(edges[(0, 2)], identity_corr(algebras[2]))
+        mid = tensor_iso(
+            identity_iso(edges[(0, 2)]), equiv.counit_right, t_e_fg, t_unit, eps=eps
+        )
+        rho = right_unitor(t_unit, eps=eps)
+        cells[(0, 1, 2)] = compose_isos(rho, compose_isos(mid, ass, eps=eps), eps=eps)
+    elif n == 3:
+        cells[(0, 1, 2)] = _solve_pentagon(edges, cells, 3, eps)
     s = NCorrSimplex(algebras, edges, cells)
     _check_uncovered(s, horn.faces, eps)
     return s

@@ -126,7 +126,7 @@ def test_u_of_corr_factorization(seed):
     assert corr_close(fact.gamma_j, gamma_of_hom(fact.j_hom))
     assert fact.iso.dst is corr or corr_close(fact.iso.dst, corr)
     assert max(_iso_residuals(fact.iso)) < 1e-9
-    # the K-theory certificate: K0(i) is invertible over the integers
+    # the corner i is invertible on K-theory, over the integers
     ki = k0_matrix(fact.i_hom)
     assert np.array_equal(ki @ int_inverse(ki), np.eye(ki.shape[0], dtype=np.int64))
     assert np.array_equal(

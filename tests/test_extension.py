@@ -25,8 +25,8 @@ from corrlab.errors import (
     FunctorialityViolated,
     IncompatibleFaces,
     IndexOutOfRange,
+    NotAnEquivalence,
     NotMonotone,
-    NotStableOnDiagram,
     OracleFillFailed,
     PentagonViolated,
     ShapeMismatch,
@@ -146,14 +146,14 @@ def test_k0_simplex_from_outside_needs_int64_steps(step):
 
 def test_a_k0_simplex_compares_by_equality_and_has_no_hash_rule():
     """A K0Simplex compares its ranks and steps with ==; structural_hash,
-    whose keys and certificates are none of them, refuses it, a lone hom and
-    any other type it has no rule for."""
+    whose keys are none of them, refuses it, a lone hom, a tuple, a scalar
+    and any other type it has no rule for."""
     one, two = K0Simplex((1, 1), [[[1]]]), K0Simplex((1, 1), [[[2]]])
     assert one != two and one == K0Simplex((1, 1), [[[1]]])
     wide, tall = K0Simplex((2, 1), [np.zeros((1, 2))]), K0Simplex((1, 2), [np.zeros((2, 1))])
     assert wide != tall
     hom = embedding_hom(make_algebra((1,)), make_algebra((1,)), [[1]])
-    for obj in (one, hom, object(), {"blocks": (1,)}, (1, None)):
+    for obj in (one, hom, object(), {"blocks": (1,)}, (1, None), (1, 2), "a", 3.0):
         with pytest.raises(TypeError, match="no rule"):
             structural_hash(obj)
 
@@ -243,7 +243,7 @@ def test_bar_extension_computes_k0_of_edges(seed):
     for i in range(n + 1):
         for j in range(i + 1, n + 1):
             assert np.array_equal(bar.edge(i, j), k0_of_corr(s.edges[(i, j)]))
-    # the leading edge agrees with the corner-certificate product
+    # the leading edge goes through the integer inverse of the corner's class
     fact = u_of_corr(s.edges[(0, 1)])
     direct = int_inverse(k0_matrix(fact.i_hom)) @ k0_matrix(fact.j_hom)
     assert np.array_equal(bar.edge(0, 1), direct)
@@ -255,7 +255,7 @@ def test_fill_trace_for_a_2_simplex():
     ext = extend_bar_G(s, k0_functor(), K0Oracle(), {})
     shape = [(tuple(e["horn"]), e["kind"]) for e in ext.trace]
     assert shape == [((3, 2), "inner")] * 3 + [((3, 3), "special")]
-    assert all(e["certificate"] for e in ext.trace if e["kind"] == "special")
+    assert all(set(e) == {"chain", "horn", "kind", "guided"} for e in ext.trace)
 
 
 def test_extension_memoised_across_calls():
@@ -524,7 +524,7 @@ def negated_k0():
         s = base.chain(homs, **kw)
         return negate_last_step(s) if len(homs) == 2 else s
 
-    return CstFunctor("negated K0", base.vertex, chain, base.certificate)
+    return CstFunctor(base.vertex, chain)
 
 
 def test_face_sweep_rejects_a_corrupted_chain_value():
@@ -632,7 +632,7 @@ def k0_corrupting(bad=None, seen=None):
             seen[key] = None
         return negate_last_step(s) if key == bad else s
 
-    return CstFunctor("K0", base.vertex, chain, base.certificate)
+    return CstFunctor(base.vertex, chain)
 
 
 @pytest.mark.parametrize("n,seed", [(2, 0), (2, 1), (3, 0)])
@@ -717,13 +717,20 @@ def test_every_full_support_chain_is_made_by_the_run(n, target):
 
 
 def test_a_failing_certificate_fails_the_special_fill():
-    def certificate(phi, **kw):
-        raise NotStableOnDiagram("corner is not invertible in the target")
-
+    """A corner's image is certified invertible by the special fill itself.
+    K-theory with every step zeroed is a consistent functor (each composite
+    is still the product of its steps), but it sends the corner to a zero
+    matrix: the fill's test of its last edge fails and refuses the run."""
     base = k0_functor()
-    F = CstFunctor("K0", base.vertex, base.chain, certificate)
-    with pytest.raises(OracleFillFailed, match="corner is not invertible"):
-        extend_bar_G(small_simplex(1, 0), F, K0Oracle(), {})
+
+    def chain(homs, composites=None, **kw):
+        s = base.chain(homs, **kw)
+        return K0Simplex(s.ranks, [0 * m for m in s.steps])
+
+    sig = small_simplex(1, 0)
+    assert not chain([subdivision_functor(sig).hom((1,), (0, 1))]).steps[0].any()
+    with pytest.raises(OracleFillFailed, match=r"horn \(2,2\) at .*: last edge is not invertible"):
+        extend_bar_G(sig, CstFunctor(base.vertex, chain), K0Oracle())
 
 
 class MovedBoundaryOracle(K0Oracle):
@@ -891,19 +898,45 @@ def test_k0_guided_fill_is_the_boundary_the_proposal_completes():
     """K0 fills are unique, so the guided fill is the special fill when the
     proposal is that fill's missing face, and any other proposal is refused
     as a face that disagrees.  Like the special fill it refuses an inner
-    horn.  Neither fill reads a certificate: the special fill inverts its
-    last edge itself, whatever it is given."""
+    horn.  Both invert the horn's last edge themselves."""
     o = K0Oracle()
     s = K0Simplex((2, 2, 2), [M12, M01])  # the last step is unimodular
     special = HornSpec(2, 2, {0: s.face(0), 1: s.face(1)})
     assert o.guided_fill(special, s.face(2)) == s
     with pytest.raises(Unfillable, match="not a special outer horn"):
         o.guided_fill(HornSpec(2, 1, {0: s.face(0), 2: s.face(2)}), s.face(1))
-    for cert in (None, int_inverse(M01), np.eye(2, dtype=np.int64), "not a matrix"):
-        assert o.fill_special_outer_horn(special, cert) == s
+    assert o.fill_special_outer_horn(special) == s
     with pytest.raises(IncompatibleFaces, match="disagrees with the simplex the other faces make"):
         o.guided_fill(special, K0Simplex((2, 2), [M01]))
     assert list(inspect.signature(K0Oracle.guided_fill).parameters) == ["self", "horn", "proposal", "eps"]
+
+
+def no_equivalence_tail(n):
+    """Two n-simplices whose last edge is no equivalence: Γ of n - 1
+    identities of C and then C -> M_2, x -> diag(x, x); and the K0 simplex
+    of n - 1 identity steps and then [[0]]."""
+    c = make_algebra((1,))
+    ident, double = embedding_hom(c, c, [[1]]), embedding_hom(c, make_algebra((2,)), [[2]])
+    k0 = K0Simplex((1,) * (n + 1), [[[1]]] * (n - 1) + [[[0]]])
+    return gamma_simplex([ident] * (n - 1) + [double]), k0
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_every_special_fill_refuses_a_last_edge_that_is_no_equivalence(n):
+    """A special horn fills only when its last edge is an equivalence, and
+    each fill tests that edge itself, in both targets and every dimension,
+    whether it is asked for the fill or given the missing face as a
+    proposal."""
+    gamma, k0 = no_equivalence_tail(n)
+    for oracle, s, error, words in (
+        (NCorrOracle(), gamma, NotAnEquivalence, "not a permutation"),
+        (K0Oracle(), k0, Unfillable, "last edge is not invertible"),
+    ):
+        horn = HornSpec(n, n, {j: oracle.face(s, j) for j in range(n)})
+        with pytest.raises(error, match=words):
+            oracle.fill_special_outer_horn(horn)
+        with pytest.raises(error, match=words):
+            oracle.guided_fill(horn, oracle.face(s, n))
 
 
 def swap_hom(a):
@@ -986,39 +1019,11 @@ def test_k0_functor_refuses_an_empty_or_broken_chain_and_a_non_invertible_corner
         F.chain([])
     with pytest.raises(ShapeMismatch, match="do not compose"):
         F.chain([double, double])
-    with pytest.raises(NotStableOnDiagram, match="no integer inverse"):
-        F.certificate(double)
-
-
-@pytest.mark.parametrize(
-    "certificate",
-    [
-        lambda phi, **kw: None,
-        lambda phi, **kw: int_inverse(k0_matrix(phi)).astype(float),
-        lambda phi, **kw: -int_inverse(k0_matrix(phi)),
-    ],
-    ids=["none", "float-inverse", "not-an-inverse"],
-)
-def test_k0_uses_a_certificate_only_if_it_is_an_int64_inverse(certificate):
-    """Anything but an int64 matrix inverting the last edge is ignored, and
-    the fill computes the inverse itself, so the run ends at the top the
-    functor's own certificate gives."""
-    base = k0_functor()
-    F = CstFunctor("K0", base.vertex, base.chain, certificate)
-    ext = extend_bar_G(small_simplex(1, 0), F, K0Oracle())
-    assert ext.top() == bar_F(small_simplex(1, 0), k0_functor(), K0Oracle())
-
-
-def test_the_trace_names_an_opaque_certificate_by_its_repr():
-    """A certificate that is neither an integer matrix nor equivalence data
-    is named in the trace by the hash of its repr, and K0Oracle ignores it
-    (it used to raise AttributeError reading its shape)."""
-    base = k0_functor()
-    F = CstFunctor("K0", base.vertex, base.chain, lambda phi, **kw: ("opaque", 1))
-    ext = extend_bar_G(small_simplex(1, 0), F, K0Oracle())
-    want = structural_hash(np.frombuffer(repr(("opaque", 1)).encode(), dtype=np.uint8))[:12]
-    assert [e["certificate"] for e in ext.trace] == [want]
-    assert ext.top() == bar_F(small_simplex(1, 0), k0_functor(), K0Oracle())
+    corner = F.chain([double])  # K0 of C -> M_2, x -> diag(x, x): [[2]]
+    assert corner == K0Simplex((1, 1), [[[2]]])
+    horn = HornSpec(2, 2, {0: corner, 1: K0Simplex((1, 1), [[[1]]])})
+    with pytest.raises(Unfillable, match="last edge is not invertible"):
+        K0Oracle().fill_special_outer_horn(horn)
 
 
 @pytest.mark.parametrize(
@@ -1119,7 +1124,7 @@ def test_the_prism_run_traces_q_inner_horns_then_one_boundary_cell(n):
             alpha, w = shuffle(q, t)
             kind, k = ("inner", t) if t else ("boundary", None)
             want.append(
-                {"chain": f"{alpha}/{w}", "horn": (q + 1, k), "kind": kind, "guided": False, "certificate": "none",
+                {"chain": f"{alpha}/{w}", "horn": (q + 1, k), "kind": kind, "guided": False,
                  "member": structural_hash(s)[:12]}
             )
     assert rel.trace == want

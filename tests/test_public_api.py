@@ -194,7 +194,6 @@ RUN_CHECKS = (
     "_check_uncovered",
     "_bad_face",
     "chain",
-    "certificate",
     "bar_F",
     "extend_bar_G",
     "subdivision_functor",
@@ -203,9 +202,9 @@ RUN_CHECKS = (
 
 def test_every_check_in_extension_takes_the_runs_eps():
     """eps is the one tolerance of an extension run: every call in
-    extension.py of an oracle comparison or fill, a functor's chain or
-    certificate, a run, or a check passes ``eps`` (by keyword, or as a name
-    ending in ``eps``), so none falls back to the default."""
+    extension.py of an oracle comparison or fill, a functor's chain, a run,
+    or a check passes ``eps`` (by keyword, or as a name ending in ``eps``),
+    so none falls back to the default."""
     tree = ast.parse(pathlib.Path(corrlab.extension.__file__).read_text())
     calls = [
         node
@@ -226,8 +225,8 @@ def test_every_check_in_extension_takes_the_runs_eps():
 
 def test_a_run_has_one_tolerance():
     """Neither NCorrOracle nor gamma_functor holds an eps; every oracle
-    method that compares or fills, and every functor's chain and
-    certificate, takes the run's eps as a keyword with the default EPS."""
+    method that compares or fills, and every functor's chain, takes the
+    run's eps as a keyword with the default EPS."""
     from corrlab import acceptance, extension
 
     assert "__init__" not in vars(extension.NCorrOracle)
@@ -241,7 +240,7 @@ def test_a_run_has_one_tolerance():
     ]
     functors = [extension.k0_functor(), extension.gamma_functor()]
     functors.append(acceptance.conjugated_k0(None)[0])
-    callables += [f for F in functors for f in (F.chain, F.certificate)]
+    callables += [F.chain for F in functors]
     for f in callables:
         eps = inspect.signature(f).parameters["eps"]
         assert (eps.kind, eps.default) == (eps.KEYWORD_ONLY, corrlab.linalg.EPS), f
@@ -341,7 +340,7 @@ def test_algebras_and_modules_compare_by_identity():
     assert "label" not in FdCstarAlgebra.__slots__
 
 
-LINE_BUDGET = 5251
+LINE_BUDGET = 5213
 
 
 def test_library_stays_within_its_line_budget():

@@ -574,6 +574,18 @@ def test_cli_fill_inner_and_outer(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_fill_refuses_a_special_4_horn_whose_last_edge_is_no_equivalence(tmp_path):
+    """The fill tests a special horn's last edge in every dimension: a
+    4-horn whose last edge is Γ of C -> M_2, x -> diag(x, x) exits 1."""
+    c = make_algebra((1,))
+    ident = embedding_hom(c, c, [[1]])
+    s = gamma_simplex([ident] * 3 + [embedding_hom(c, make_algebra((2,)), [[2]])])
+    hpath = tmp_path / "horn.json"
+    dump_value(HornSpec(4, 4, {j: face(s, j) for j in range(4)}), hpath)
+    code, out, err = run_cli(["fill", "--horn", str(hpath)])
+    assert (code, out) == (1, "") and "not a permutation" in err
+
+
 @pytest.mark.parametrize("n", [0, 1])
 def test_cli_fill_rejects_a_final_vertex_horn_below_dimension_2(tmp_path, capsys, n):
     s = random_simplex(np.random.default_rng(7), 1, max_blocks=1, max_size=2, max_mult=1)
@@ -750,25 +762,25 @@ def test_cli_extend_k0_with_trace(tmp_path, capsys):
 # the trace files of ``make simplex --n 2 --seed 3`` (with --twist for k0)
 EXTEND_TRACE = (
     '{"simplex_dim": 2, "fills": ['
-    '{"chain": "(0, 1, {0,1}, {0,1,2})", "horn": [3, 2], "kind": "inner", "guided": false, "certificate": "none"}, '
-    '{"chain": "(0, 2, {0,2}, {0,1,2})", "horn": [3, 2], "kind": "inner", "guided": false, "certificate": "none"}, '
-    '{"chain": "(1, 2, {1,2}, {0,1,2})", "horn": [3, 2], "kind": "inner", "guided": false, "certificate": "none"}, '
-    '{"chain": "(0, 1, 2, {0,1,2})", "horn": [3, 3], "kind": "special", "guided": false, "certificate": "%s"}]}\n'
+    '{"chain": "(0, 1, {0,1}, {0,1,2})", "horn": [3, 2], "kind": "inner", "guided": false}, '
+    '{"chain": "(0, 2, {0,2}, {0,1,2})", "horn": [3, 2], "kind": "inner", "guided": false}, '
+    '{"chain": "(1, 2, {1,2}, {0,1,2})", "horn": [3, 2], "kind": "inner", "guided": false}, '
+    '{"chain": "(0, 1, 2, {0,1,2})", "horn": [3, 3], "kind": "special", "guided": false}]}\n'
 )
 
 
 @pytest.mark.parametrize(
-    "functor, target, twist, cert",
-    [("k0", "k0nerve", ["--twist"], "c469cbd0003c"), ("gamma", "ncorr", [], "40bb08fd4395")],
+    "functor, target, twist",
+    [("k0", "k0nerve", ["--twist"]), ("gamma", "ncorr", [])],
 )
-def test_cli_extend_trace_file_is_byte_stable(tmp_path, functor, target, twist, cert):
+def test_cli_extend_trace_file_is_byte_stable(tmp_path, functor, target, twist):
     """ext.trace is written as the engine keeps it: its horn tuples print as
     lists, and the keys keep their order."""
     spath, tpath = str(tmp_path / "s.json"), tmp_path / "trace.json"
     assert run_cli(["make", "simplex", "--n", "2", "--seed", "3", "--out", spath, *twist])[0] == 0
     argv = ["extend", "--simplex", spath, "--functor", functor, "--target", target]
     assert run_cli(argv + ["--trace", str(tpath), "--out", str(tmp_path / "top.json")])[0] == 0
-    assert tpath.read_bytes() == (EXTEND_TRACE % cert).encode()
+    assert tpath.read_bytes() == EXTEND_TRACE.encode()
 
 
 def test_cli_extend_gamma_guided(tmp_path, capsys):
